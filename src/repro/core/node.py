@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
+from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
@@ -321,6 +322,10 @@ class AtumNode(Actor):
             size_bytes=size_bytes,
             created_at=self.sim.now,
         )
+        # The payload crossed the API boundary and is never mutated again
+        # (ATL007): every hop, share check and signed wrapper of this
+        # broadcast digests it by identity from here on.
+        seal(message)
         operation = Operation(kind="broadcast", body=message, proposer=self.address, op_id=bcast_id)
         self.replica.propose(operation)
         self.sim.metrics.increment("atum.broadcasts_started")
@@ -338,6 +343,8 @@ class AtumNode(Actor):
         """
         if self.replica is None or not self.is_member:
             return False
+        # A delivered broadcast is immutable; its original seal may be evicted.
+        seal(message)
         operation = Operation(
             kind="broadcast",
             body=message,
@@ -362,7 +369,7 @@ class AtumNode(Actor):
 
     def send_direct(self, peer: str, kind: str, payload: Any, size_bytes: int = 256) -> None:
         """Send a point-to-point application message to ``peer``."""
-        self.network.send(self.address, peer, DirectMessage(kind=kind, payload=payload), size_bytes)
+        self.network.send_one(self.address, peer, DirectMessage(kind=kind, payload=payload), size_bytes)
 
     # ------------------------------------------------------------------ routing
 
@@ -432,7 +439,7 @@ class AtumNode(Actor):
             # well enough to be selected as a transfer server.
             return
         group_id = self.group_id() or ""
-        self.network.send(self.address, peer, SmrEnvelope(group_id=group_id, payload=payload), size_bytes)
+        self.network.send_one(self.address, peer, SmrEnvelope(group_id=group_id, payload=payload), size_bytes)
 
     def _serve_adversarial_transfer(self, envelope: RequestEnvelope, sender: str) -> None:
         """Serve a state-transfer request in this node's adversarial style.

@@ -10,7 +10,9 @@ producing byte-identical digests to the original implementation:
 * digests of immutable payloads (frozen dataclasses, tuples, strings, ...)
   are memoised in a bounded identity-keyed LRU — in-simulation payload objects
   are shared by reference across nodes, so re-digesting the same broadcast at
-  every hop becomes a dictionary hit;
+  every hop becomes a dictionary hit.  An object with a mutable interior (a
+  broadcast carrying a ``dict``) enters the memo only through :func:`seal`,
+  the owner's promise that it is never mutated again;
 * a pluggable "cost-model-only" mode (:func:`set_digest_mode`) skips SHA-256
   entirely and uses the canonical encoding itself as the digest token, for
   benchmarks that only need timing, not cryptography.  Tokens remain
@@ -28,7 +30,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 #: Type alias for hex-encoded digests.
 Digest = str
@@ -197,12 +199,19 @@ def digest_object_in_mode(obj: Any, mode: str) -> Digest:
 #
 # Identity-keyed LRU for digests of immutable payloads.  Keys are ``id(obj)``
 # and each entry keeps a strong reference to the object, which guarantees the
-# id cannot be recycled while the entry is alive.  Only types whose value
-# cannot change under an existing reference are memoised.
+# id cannot be recycled while the entry is alive.  An object enters either
+# because its value cannot change under an existing reference (the
+# :func:`_memoizable` walk) or because its owner sealed it (:func:`seal`).
 
 _MEMO_LIMIT = 8192
 _memo: Dict[int, Tuple[Any, str]] = {}
 _MEMO_SCALAR_TYPES = (str, bytes, int, float, complex, type(None))
+
+
+def _is_memoised(obj: Any) -> bool:
+    """Whether ``obj`` itself (not another object at a recycled id) has a live entry."""
+    entry = _memo.get(id(obj))  # atumlint: allow[ATL008] identity-LRU probe, guarded by `is obj`; never ordered or serialized
+    return entry is not None and entry[0] is obj
 
 
 def _memoizable(obj: Any) -> bool:
@@ -210,10 +219,13 @@ def _memoizable(obj: Any) -> bool:
 
     The outer type being immutable is not enough: a tuple or frozen dataclass
     can hold a mutable dict/list whose mutation would change the digest while
-    the identity stays the same.  The walk runs once per memo store (hits
+    the identity stays the same.  An object with a live memo entry — sealed,
+    or proven immutable by an earlier walk — is an immutable leaf, which is
+    what makes wrappers around a sealed broadcast (``Operation(body=message)``,
+    signed statements) memoisable.  The walk runs once per memo store (hits
     never reach it), so its cost is amortised away.
     """
-    if isinstance(obj, _MEMO_SCALAR_TYPES):
+    if isinstance(obj, _MEMO_SCALAR_TYPES) or _is_memoised(obj):
         return True
     if isinstance(obj, (tuple, frozenset)):
         return all(_memoizable(item) for item in obj)
@@ -226,9 +238,30 @@ def _memoizable(obj: Any) -> bool:
     return False
 
 
+def _memo_store(obj: Any, result: Digest) -> None:
+    if len(_memo) >= _MEMO_LIMIT:
+        # Evict the oldest entry (dicts preserve insertion order).
+        _memo.pop(next(iter(_memo)))
+    _memo[id(obj)] = (obj, result)  # atumlint: allow[ATL008] identity-LRU memo key; cache only, never protocol state
+
+
 def clear_digest_memo() -> None:
-    """Drop all memoised digests (tests and mode switches)."""
+    """Drop all memoised digests, seals included (tests and mode switches)."""
     _memo.clear()
+
+
+def audit_digest_memo() -> List[Tuple[Any, Digest, Digest]]:
+    """Recompute every live memo entry; return ``(obj, memoised, actual)`` mismatches.
+
+    A non-empty result means an object was mutated after it was sealed (or
+    after the immutability walk admitted it) and the memo would have served
+    a stale digest.  The test suite asserts it is empty after every test.
+    """
+    return [
+        (obj, memoised, actual)
+        for obj, memoised in list(_memo.values())
+        if (actual := _digest_encoded(canonical_encode(obj), _digest_mode)) != memoised
+    ]
 
 
 def digest_bytes(data: bytes) -> Digest:
@@ -259,10 +292,23 @@ def digest_object(obj: Any) -> Digest:
     # The deep-immutability walk runs only on the store path; memo hits
     # return above on a single dict probe.
     if _memoizable(obj):
-        if len(_memo) >= _MEMO_LIMIT:
-            # Evict the oldest entry (dicts preserve insertion order).
-            _memo.pop(next(iter(_memo)))
-        _memo[id(obj)] = (obj, result)  # atumlint: allow[ATL008] identity-LRU memo key; cache only, never protocol state
+        _memo_store(obj, result)
+    return result
+
+
+def seal(obj: Any) -> Digest:
+    """Digest ``obj`` once and memoise it unconditionally; returns the digest.
+
+    The caller promises that ``obj`` — including any mutable interior — is
+    never mutated again (the ATL007 contract for anything handed to
+    ``send*``/``broadcast``).  Every later :func:`digest_object` of the same
+    object, or of an immutable wrapper around it, is then a memo hit.  A seal
+    is only a cache entry: once evicted or dropped by a mode switch the next
+    call recomputes, with the same result.
+    """
+    result = digest_object(obj)
+    if not _is_memoised(obj):
+        _memo_store(obj, result)
     return result
 
 
@@ -270,6 +316,7 @@ __all__ = [
     "Digest",
     "DIGEST_MODE_REAL",
     "DIGEST_MODE_COST_ONLY",
+    "audit_digest_memo",
     "canonical_encode",
     "clear_digest_memo",
     "digest_bytes",
@@ -278,5 +325,6 @@ __all__ = [
     "digest_object_in_mode",
     "digest_token_mode",
     "get_digest_mode",
+    "seal",
     "set_digest_mode",
 ]

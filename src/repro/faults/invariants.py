@@ -34,7 +34,7 @@ event trace.  Violations accumulate in :attr:`InvariantMonitor.violations`;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
 from repro.crypto.digest import digest_object
@@ -122,7 +122,10 @@ class InvariantMonitor(Middleware):
         # *current* size would false-positive when a merge grows the group
         # while honestly-sized shares are still in flight.
         self._min_sizes: Dict[str, int] = {}
-        self._delivered_digests: Dict[str, str] = {}
+        # First payload each broadcast was delivered with, and its digest.
+        # In-simulation deliveries share the payload object, so agreement is
+        # an identity check; only a different object is hashed and compared.
+        self._delivered_payloads: Dict[str, Tuple[Any, str]] = {}
 
     # ----------------------------------------------------------------- wiring
 
@@ -288,11 +291,16 @@ class InvariantMonitor(Middleware):
         """Check broadcast-payload agreement across correct nodes."""
         if not node.is_correct:
             return
-        digest = digest_object(message.payload)
-        previous = self._delivered_digests.get(message.bcast_id)
-        if previous is None:
-            self._delivered_digests[message.bcast_id] = digest
-        elif previous != digest:
+        payload = message.payload
+        first = self._delivered_payloads.get(message.bcast_id)
+        if first is None:
+            self._delivered_payloads[message.bcast_id] = (payload, digest_object(payload))
+            return
+        first_payload, previous = first
+        if payload is first_payload:
+            return
+        digest = digest_object(payload)
+        if previous != digest:
             self._violation(
                 "broadcast_mismatch",
                 node.address,

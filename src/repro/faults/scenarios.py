@@ -1656,6 +1656,9 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
             "group.corrupted_shares_dropped": metrics.counter(
                 "group.corrupted_shares_dropped"
             ),
+            "group.payload_digest_mismatch": metrics.counter(
+                "group.payload_digest_mismatch"
+            ),
             "net.corrupted_discarded": metrics.counter("net.corrupted_discarded"),
             "group.forged_size_rejected": metrics.counter("group.forged_size_rejected"),
             "ae.summaries_sent": metrics.counter("ae.summaries_sent"),

@@ -279,11 +279,19 @@ class GroupMessenger:
                 state = self._conflicting[key] = _PendingGroupMessage(
                     digest, (size if size > 1 else 1) // 2 + 1
                 )
-        senders = state.senders
-        senders.add(sender)
         payload = envelope.payload
         if payload is not None and state.full_payload is None:
+            # Adopt a full copy only if it digests to the digest the share
+            # votes for (the verify_share check, inlined: one memo hit for a
+            # sealed broadcast).  Otherwise one Byzantine member whose share
+            # arrives first could attach a forged payload to the honest
+            # digest and have it delivered by the honest majority's votes.
+            if digest_object(payload) != digest:
+                self._metrics_increment("group.payload_digest_mismatch")
+                return
             state.full_payload = payload
+        senders = state.senders
+        senders.add(sender)
 
         if not state.accepted and len(senders) >= state.required:
             # Forged-size rejection: the claimed sender-group size sets the
@@ -341,7 +349,8 @@ class GroupMessenger:
 
         A share carrying a full payload must digest to the envelope's
         ``digest`` field; anything else is wire corruption (or tampering)
-        and must be discarded before it can pollute accumulation state.
+        and must be discarded before it can pollute accumulation state —
+        :meth:`handle` applies the same check before adopting a full copy.
         Digest-only shares carry nothing to verify — a corrupted digest is
         indistinguishable from an equivocating digest and lands in its own
         conflicting bucket, where it can never reach a majority.
@@ -353,11 +362,13 @@ class GroupMessenger:
     def handle_corrupted(self, envelope: GroupMessageEnvelope, sender: str) -> None:
         """Process a share whose bits were flipped in transit.
 
-        Models the corruption, then runs the same digest verification a
-        receiver applies to any full share: the tampered payload no longer
-        matches the envelope's digest, so the share is discarded.  A share
-        that (impossibly, for a collision-resistant digest) still verified
-        would be processed normally.
+        Models the corruption, then runs the digest verification: a flipped
+        full share is a whole frame lost — its payload no longer matches the
+        envelope's digest, so it is discarded without casting a vote, even
+        for a gm-id whose full copy is already adopted (where :meth:`handle`
+        would not look at the payload again).  A share that (impossibly, for
+        a collision-resistant digest) still verified would be processed
+        normally.
         """
         if envelope.payload is not None:
             tampered = replace(envelope, payload=("bitflip", envelope.payload))

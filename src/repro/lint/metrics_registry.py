@@ -303,6 +303,11 @@ METRICS = {
         "modules": ('repro/sim/protocol_perf.py',),
         "matrix_column": False,
     },
+    'group.payload_digest_mismatch': {
+        "kind": 'counter',
+        "modules": ('repro/faults/scenarios.py',),
+        "matrix_column": True,
+    },
     'group.shares_sent': {
         "kind": 'counter',
         "modules": ('repro/sim/protocol_perf.py',),

@@ -10,7 +10,7 @@ ATL003    unordered-set iteration flowing into sends / RNG draws
 ATL004    blanket ``except`` that neither re-raises nor counts
 ATL005    attribute writes missing from ``__slots__`` (incl. inherited)
 ATL006    metric name literals not in the generated registry
-ATL007    payload mutation after it was handed to a ``send*`` call
+ATL007    payload mutation after it was handed to ``send*``/``broadcast``/``seal``
 ATL008    ``hash()`` / ``id()`` values in protocol state or ordering
 ATL009    observability hook wiring outside ``repro.core.middleware``
 ========  ==============================================================
@@ -618,16 +618,19 @@ class PostSendMutationRule(Rule):
     The coalesced fast path aliases payload objects into in-flight
     deliveries instead of copying them, so mutating a message after
     ``send(...)`` retroactively rewrites what the receiver will see.
+    ``broadcast(...)`` and ``seal(...)`` hand over the same way, and add a
+    second hazard: the digest memoised at the hand-over would go stale.
     Within each straight-line block, every plain name passed to a call
-    whose name starts with ``send`` is tracked; a later attribute/item
-    assignment or mutating method call (``.append``, ``.update``,
-    ``.pop``, ...) on that name in the same block chain is flagged.
+    whose name starts with ``send`` (or is ``broadcast``/``seal``) is
+    tracked; a later attribute/item assignment or mutating method call
+    (``.append``, ``.update``, ``.pop``, ...) on that name in the same
+    block chain is flagged.
     Rebinding the name clears the tracking; branch-local sends do not
     leak past their branch (CFG-lite, deliberately conservative).
     """
 
     rule_id = "ATL007"
-    title = "payload mutated after being passed to send*"
+    title = "payload mutated after being passed to send*/broadcast/seal"
 
     def check(self, module: ModuleInfo, project: ProjectIndex) -> Iterable[Finding]:
         for scope in ast.walk(module.tree):
@@ -638,7 +641,7 @@ class PostSendMutationRule(Rule):
         self,
         module: ModuleInfo,
         body: Sequence[ast.stmt],
-        sent: Dict[str, int],
+        sent: Dict[str, str],
     ) -> Iterator[Finding]:
         for statement in body:
             if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -655,15 +658,17 @@ class PostSendMutationRule(Rule):
             # 2. Rebinding clears tracking.
             for name in _bound_names(statement):
                 sent.pop(name, None)
-            # 3. Record names passed to send* in this statement.
+            # 3. Record names handed over in this statement.
             for node in ast.walk(statement):
-                if isinstance(node, ast.Call) and _call_name(node).startswith("send"):
+                if isinstance(node, ast.Call) and _hands_over(_call_name(node)):
                     for arg in [*node.args, *[kw.value for kw in node.keywords]]:
                         if isinstance(arg, ast.Name):
-                            sent.setdefault(arg.id, node.lineno)
+                            sent.setdefault(
+                                arg.id, f"{_call_name(node)}(...) on line {node.lineno}"
+                            )
 
     def _flag_mutations(
-        self, module: ModuleInfo, statement: ast.stmt, sent: Dict[str, int]
+        self, module: ModuleInfo, statement: ast.stmt, sent: Dict[str, str]
     ) -> Iterator[Finding]:
         if not sent:
             return
@@ -683,8 +688,8 @@ class PostSendMutationRule(Rule):
                     yield self.finding(
                         module,
                         statement.lineno,
-                        f"{name!r} mutated after being passed to send* on line "
-                        f"{sent[name]} (post-send aliasing hazard)",
+                        f"{name!r} mutated after being passed to {sent[name]} "
+                        f"(post-send aliasing hazard)",
                     )
         for node in ast.walk(statement):
             if (
@@ -699,8 +704,13 @@ class PostSendMutationRule(Rule):
                     module,
                     node.lineno,
                     f"{name!r}.{node.func.attr}(...) mutates a payload passed to "
-                    f"send* on line {sent[name]} (post-send aliasing hazard)",
+                    f"{sent[name]} (post-send aliasing hazard)",
                 )
+
+
+def _hands_over(call_name: str) -> bool:
+    """Calls after which the caller no longer owns its arguments' contents."""
+    return call_name.startswith("send") or call_name in ("broadcast", "seal")
 
 
 def _is_compound(statement: ast.stmt) -> bool:

@@ -1,4 +1,4 @@
-"""ATL007 fixture: payloads mutated after being handed to send*."""
+"""ATL007 fixture: payloads mutated after being handed to send*/broadcast/seal."""
 
 
 def broadcast(transport, payload, trailer):
@@ -15,3 +15,13 @@ def branch_send(transport, payload, fast):
     if fast:
         transport.send(payload)
         payload.clear()
+
+
+def publish(node, update):
+    node.broadcast(update)
+    update["seq"] = 2
+
+
+def seal_then_patch(seal, message, late_field):
+    seal(message)
+    message.update(late_field)

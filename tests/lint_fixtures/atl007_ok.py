@@ -21,3 +21,13 @@ def branch_local_send_does_not_leak(transport, queue, items):
 def waived(transport, buffer):
     transport.send(buffer)
     buffer.clear()  # atumlint: allow[ATL007] fixture: this transport deep-copies on ingest
+
+
+def publish_a_copy(node, update):
+    node.broadcast(dict(update))
+    update["seq"] = 2  # the broadcast owns its own copy
+
+
+def seal_last(seal, message, late_field):
+    message.update(late_field)
+    seal(message)

@@ -1,6 +1,8 @@
 """Unit tests for the crypto substrate."""
 
 import json
+from dataclasses import dataclass, replace
+from typing import Any
 
 import pytest
 
@@ -17,7 +19,14 @@ from repro.crypto import (
     get_digest_mode,
 )
 from repro.crypto.certificates import make_certificate
-from repro.crypto.digest import _canonical, canonical_encode, clear_digest_memo
+from repro.crypto import digest as digest_module
+from repro.crypto.digest import (
+    _canonical,
+    audit_digest_memo,
+    canonical_encode,
+    clear_digest_memo,
+    seal,
+)
 
 
 class TestDigests:
@@ -238,6 +247,111 @@ class TestDigestModes:
         finally:
             CryptoCostModel.install_real_digests()
         assert not CryptoCostModel.digests_are_cost_only()
+
+
+@dataclass(frozen=True)
+class _Message:
+    """Shaped like ``BroadcastMessage``: frozen outside, caller's payload inside."""
+
+    bcast_id: str
+    payload: Any
+
+
+@dataclass(frozen=True)
+class _Wrapper:
+    """Shaped like ``Operation(body=message)``."""
+
+    kind: str
+    body: Any
+
+
+@pytest.fixture
+def encodings(monkeypatch):
+    """Every canonical encoding turned into a digest token, in call order."""
+    seen = []
+    real = digest_module._digest_encoded
+
+    def counting(encoded, mode):
+        seen.append(encoded)
+        return real(encoded, mode)
+
+    monkeypatch.setattr(digest_module, "_digest_encoded", counting)
+    return seen
+
+
+class TestSeal:
+    """The seal contract: digest once, hit by identity until evicted."""
+
+    def test_sealed_object_hits_and_matches_an_equal_fresh_object(self, encodings):
+        message = _Message("b1", {"k": [1, 2]})
+        sealed = seal(message)
+        assert len(encodings) == 1
+        assert digest_object(message) == sealed
+        assert seal(message) == sealed  # re-sealing is a hit too
+        assert len(encodings) == 1
+        clear_digest_memo()
+        assert digest_object(_Message("b1", {"k": [1, 2]})) == sealed
+
+    def test_wrapper_is_memoised_around_a_sealed_object_only(self, encodings):
+        message = _Message("b1", {"k": 1})
+        seal(message)
+        wrapped = _Wrapper("broadcast", message)
+        first = digest_object(wrapped)
+        before = len(encodings)
+        assert digest_object(wrapped) == first
+        assert digest_object((wrapped, "signed")) == digest_object((wrapped, "signed"))
+        assert len(encodings) == before + 2  # two fresh tuples; the wrapper hit
+
+        unsealed = _Wrapper("broadcast", {"k": 1})
+        before = len(encodings)
+        digest_object(unsealed)
+        digest_object(unsealed)
+        assert len(encodings) == before + 2  # mutable interior: never memoised
+        unsealed.body["k"] = 2
+        assert digest_object(unsealed) == digest_object(_Wrapper("broadcast", {"k": 2}))
+
+    def test_mode_switch_drops_seals(self, encodings):
+        with digest_mode(DIGEST_MODE_REAL):
+            message = _Message("b1", {"k": 1})
+            real = seal(message)
+            with digest_mode(DIGEST_MODE_COST_ONLY):
+                before = len(encodings)
+                cheap = digest_object(message)
+                assert len(encodings) == before + 1  # recomputed, not served stale
+                assert cheap == "cm:" + canonical_encode(message)
+            assert digest_object(message) == real
+
+    def test_evicted_seal_recomputes_the_same_digest(self, encodings, monkeypatch):
+        monkeypatch.setattr(digest_module, "_MEMO_LIMIT", 8)
+        message = _Message("b1", {"k": 1})
+        sealed = seal(message)
+        fillers = [(index, "filler") for index in range(8)]
+        for filler in fillers:
+            digest_object(filler)
+        before = len(encodings)
+        assert digest_object(message) == sealed
+        assert len(encodings) == before + 1  # the seal was evicted: a plain miss
+
+    def test_replaced_copy_never_inherits_the_original_digest(self):
+        message = _Message("b1", {"k": 1})
+        sealed = seal(message)
+        forged = replace(message, payload=("equivocated", message.payload))
+        assert digest_object(forged) != sealed
+        assert digest_object(forged) == digest_object(
+            _Message("b1", ("equivocated", {"k": 1}))
+        )
+        assert digest_object(message) == sealed
+
+    def test_audit_reports_a_post_seal_mutation(self):
+        message = _Message("b1", {"k": 1})
+        sealed = seal(message)
+        assert audit_digest_memo() == []
+        message.payload["k"] = 2  # the broken promise
+        assert digest_object(message) == sealed  # served stale...
+        [(culprit, memoised, actual)] = audit_digest_memo()  # ...and caught
+        assert culprit is message and memoised == sealed
+        assert actual == digest_object(_Message("b1", {"k": 2}))
+        clear_digest_memo()  # the autouse audit must not see it
 
 
 class TestSignatures:

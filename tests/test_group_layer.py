@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry
 from repro.group import (
     GroupCostModel,
@@ -368,7 +369,7 @@ class TestGroupMessengerFastPath:
             target_group="B",
             kind="gossip",
             payload="x",
-            digest="whatever",
+            digest=digest_object("x"),
             sender_group_size=4,
         )
         before = len(hosts[receiver].accepted)
@@ -381,7 +382,7 @@ class TestGroupMessengerFastPath:
         receiver = group_b.members[0]
         messenger = hosts[receiver].messenger
 
-        def share(payload, digest, sender):
+        def share(payload, sender):
             return messenger.handle(
                 GroupMessageEnvelope(
                     gm_id="gm-equiv",
@@ -390,7 +391,7 @@ class TestGroupMessengerFastPath:
                     target_group="B",
                     kind="gossip",
                     payload=payload,
-                    digest=digest,
+                    digest=digest_object(payload),
                     sender_group_size=5,
                 ),
                 sender,
@@ -398,17 +399,49 @@ class TestGroupMessengerFastPath:
 
         # Two Byzantine members push a forged digest; three correct members
         # send the real one.  Only the real message reaches a majority.
-        share("forged", "bad-digest", "a0")
-        share("forged", "bad-digest", "a1")
-        share("real", "good-digest", "a2")
-        share("real", "good-digest", "a3")
+        share("forged", "a0")
+        share("forged", "a1")
+        share("real", "a2")
+        share("real", "a3")
         assert hosts[receiver].accepted == []
-        share("real", "good-digest", "a4")
+        share("real", "a4")
         payloads = [p for _, p, _, _ in hosts[receiver].accepted]
         assert payloads == ["real"]
         # The forged bucket can never deliver now: the gm id is retired and
         # its conflicting buckets were purged with it.
         assert messenger.pending_count() == 0
-        share("forged", "bad-digest", "a4")
+        share("forged", "a4")
         assert [p for _, p, _, _ in hosts[receiver].accepted] == ["real"]
+        assert messenger.pending_count() == 0
+
+    def test_forged_payload_under_honest_digest_is_never_adopted(self):
+        """Regression: the first full copy of a gm-id used to be adopted
+        unchecked, so one Byzantine member whose share arrived first could
+        pair a forged payload with the honest digest and have the honest
+        majority's votes deliver it."""
+        sim, group_a, group_b, hosts = self._wire(size_a=3)
+        receiver = group_b.members[0]
+        messenger = hosts[receiver].messenger
+
+        def share(payload, sender):
+            messenger.handle(
+                GroupMessageEnvelope(
+                    gm_id="gm-swap",
+                    source_group="A",
+                    source_epoch=0,
+                    target_group="B",
+                    kind="gossip",
+                    payload=payload,
+                    digest=digest_object("real"),
+                    sender_group_size=3,
+                ),
+                sender,
+            )
+
+        share("forged", "a0")
+        share("real", "a1")
+        assert hosts[receiver].accepted == []  # a0's bogus share cast no vote
+        share("real", "a2")
+        assert [p for _, p, _, _ in hosts[receiver].accepted] == ["real"]
+        assert sim.metrics.counter("group.payload_digest_mismatch") == 1
         assert messenger.pending_count() == 0
