@@ -137,7 +137,7 @@ class AtumCluster:
         if antientropy is not None:
             # The repair layer taps every broadcast delivery; route it
             # through the pipeline like any other interceptor.  The tap has
-            # no on_send hook, so network fast paths stay untouched.
+            # no on_send hook, so sends run no hook at all.
             self.install_middleware(MiddlewareChain(AntiEntropyTap()))
 
     # ---------------------------------------------------------------- middleware

@@ -32,9 +32,9 @@ pipelines to the layers that dispatch them:
 =================  ========================================================
 
 Determinism contract: an **empty chain compiles to ``None`` pipelines
-everywhere**, so uninstrumented runs keep the exact fast paths (one
-truthiness check per hot send) and stay byte-identical to builds without
-this module.  Middleware that only observes (the invariant monitor, metric
+everywhere**, so uninstrumented runs build no context (one ``is not None``
+check per message sent) and stay byte-identical to builds without this
+module.  Middleware that only observes (the invariant monitor, metric
 taps) must draw no randomness and schedule no events; middleware that
 perturbs (the link-fault injector) owns a dedicated RNG stream so the
 network's draw sequence is untouched.
@@ -74,13 +74,20 @@ class MiddlewareError(RuntimeError):
 
 
 class MiddlewareContext:
-    """The slotted per-event context handed to every hook of a chain.
+    """The slotted context handed to every hook of a chain.
 
     One class serves all hooks; fields that do not apply to the current
     ``hook`` keep their defaults.  The ``on_send`` verdict fields
     (``drop``/``extra_delay``/``copies``/``corrupted``) start at the
     no-perturbation values, so a chain that touches nothing is
     byte-identical to no chain at all.
+
+    Lifetime: a context is valid only for the duration of the hook call.
+    The network reuses **one** ``on_send`` context for all the messages of a
+    burst (:meth:`repro.net.network.Network.send_many`), resetting
+    ``receiver``, ``payload`` and the verdict fields before each one; a hook
+    that wants to remember something copies the fields out (lint rule
+    ``ATL010``).
     """
 
     __slots__ = (
@@ -277,12 +284,9 @@ class MetricsTap(Middleware):
 
     ``count_sends`` additionally counts messages entering the network's
     ``on_send`` pipeline (``mw.sends``), before any fault middleware's
-    verdict.  It is opt-in because *any* ``on_send`` hook routes the
-    network off its batched/coalesced fan-out fast paths onto the
-    per-message interception path — same verdict, but per-message event
-    scheduling and none of the fan-out batching, so a tap that only wants
-    to observe should not force it on runs that carry no other ``on_send``
-    middleware.
+    verdict.  It is opt-in because an ``on_send`` hook is one Python call
+    per message sent, which a tap that only wants the other counters
+    should not add to runs that carry no other ``on_send`` middleware.
 
     With ``sample_period`` the tap also arms the ``on_timer`` hook and
     counts ticks (``mw.timer_ticks``).  Timer events extend the trace, so
@@ -296,8 +300,7 @@ class MetricsTap(Middleware):
         self.counters = None
         if count_sends:
             # Instance-level hook opt-in (see overrides_hook): only a tap
-            # constructed with count_sends pulls the network onto the
-            # interception path.
+            # constructed with count_sends adds an on_send hook.
             self.on_send = self._count_send
 
     def setup(self, cluster) -> None:

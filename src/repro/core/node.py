@@ -24,7 +24,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
@@ -182,7 +182,7 @@ class AtumNode(Actor):
                 address=address,
                 group_id_fn=lambda: self.vgroup_view.group_id if self.vgroup_view else "",
                 peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
-                send_fn=lambda peer, hb: self.network.send_one(self.address, peer, hb, 64),
+                send_fn=lambda peers, hb: self.network.send_many(self.address, peers, hb, 64),
                 suspect_fn=self._on_peer_suspected,
                 config=params.heartbeat_config(),
             )
@@ -432,14 +432,15 @@ class AtumNode(Actor):
             return self.vgroup_view
         return VGroupView.create(f"solo-{self.address}", [self.address])
 
-    def _send_smr(self, peer: str, payload: Any, size_bytes: int) -> None:
+    def _send_smr(self, peers: Sequence[str], payload: Any, size_bytes: int) -> None:
         if self.byzantine is not None and self.byzantine not in RESPONDER_BEHAVIOURS:
             # Responder adversaries stay live on the SMR wire — their whole
             # attack depends on participating (voting, signing checkpoints)
             # well enough to be selected as a transfer server.
             return
-        group_id = self.group_id() or ""
-        self.network.send_one(self.address, peer, SmrEnvelope(group_id=group_id, payload=payload), size_bytes)
+        view = self.vgroup_view
+        envelope = SmrEnvelope(group_id=view.group_id if view else "", payload=payload)
+        self.network.send_many(self.address, peers, envelope, size_bytes)
 
     def _serve_adversarial_transfer(self, envelope: RequestEnvelope, sender: str) -> None:
         """Serve a state-transfer request in this node's adversarial style.

@@ -103,8 +103,7 @@ def install_link_faults(
     Bare-network convenience: wraps the injector in a fresh middleware
     chain and installs it directly on the network (clusters route through
     ``AtumCluster.middleware_chain()`` instead).  Returns the injector, or
-    ``None`` when ``links`` is empty (in which case the network keeps its
-    untouched fast paths).
+    ``None`` when ``links`` is empty (in which case no chain is installed).
     """
     if not links:
         return None

@@ -11,7 +11,7 @@ the paper) so that slow-but-correct nodes are not evicted under asynchrony.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, Sequence
 
 from repro.sim.simulator import Simulator
 
@@ -47,8 +47,9 @@ class HeartbeatConfig:
 class HeartbeatMonitor:
     """Per-node heartbeat sender and failure detector.
 
-    The host wires the monitor with a ``send_fn(peer, heartbeat)`` used to emit
-    heartbeats, a ``peers_fn()`` returning the current vgroup peers, and a
+    The host wires the monitor with a ``send_fn(peers, heartbeat)`` that emits
+    one heartbeat to every address in ``peers`` (one same-payload fan-out per
+    tick), a ``peers_fn()`` returning the current vgroup peers, and a
     ``suspect_fn(peer)`` invoked when a peer should be evicted.
     """
 
@@ -58,7 +59,7 @@ class HeartbeatMonitor:
         address: str,
         group_id_fn: Callable[[], str],
         peers_fn: Callable[[], Iterable[str]],
-        send_fn: Callable[[str, Heartbeat], None],
+        send_fn: Callable[[Sequence[str], Heartbeat], None],
         suspect_fn: Callable[[str], None],
         config: HeartbeatConfig | None = None,
     ) -> None:
@@ -87,6 +88,7 @@ class HeartbeatMonitor:
         # proportional to the monitored peers with no per-tick set building.
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
+        self._others: tuple = ()
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -166,13 +168,13 @@ class HeartbeatMonitor:
         if peers is not self._peers_obj:
             self._peers_obj = peers
             self._peer_set = frozenset(peers)
-        address = self.address
-        send_fn = self.send_fn
+            address = self.address
+            self._others = tuple(peer for peer in peers if peer != address)
+        others = self._others
+        if others:
+            self.send_fn(others, heartbeat)
         last_seen = self.last_seen
-        for peer in peers:
-            if peer == address:
-                continue
-            send_fn(peer, heartbeat)
+        for peer in others:
             if peer not in last_seen:
                 last_seen[peer] = now
         self._check_peers()

@@ -463,6 +463,11 @@ METRICS = {
         "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
+    'net.send_verdict_rejected': {
+        "kind": 'counter',
+        "modules": ('repro/net/network.py',),
+        "matrix_column": False,
+    },
     'perf.latency': {
         "kind": 'histogram',
         "modules": ('repro/sim/perf.py',),

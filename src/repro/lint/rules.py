@@ -1,4 +1,4 @@
-"""The atumlint rules (ATL001..ATL009).
+"""The atumlint rules (ATL001..ATL010).
 
 Each rule is one registered class targeting a failure mode this codebase
 has actually hit (see README "Static analysis"):
@@ -13,6 +13,7 @@ ATL006    metric name literals not in the generated registry
 ATL007    payload mutation after it was handed to ``send*``/``broadcast``/``seal``
 ATL008    ``hash()`` / ``id()`` values in protocol state or ordering
 ATL009    observability hook wiring outside ``repro.core.middleware``
+ATL010    a middleware hook retaining its (per-burst, reused) context
 ========  ==============================================================
 
 The rules are static heuristics, not proofs: each docstring states exactly
@@ -905,6 +906,143 @@ class DirectHookWiringRule(Rule):
                         )
 
 
+# --------------------------------------------------------------------- ATL010
+
+#: Method names that store their argument in the receiver.
+CONTAINER_STORE_ATTRS = {
+    "append",
+    "appendleft",
+    "add",
+    "insert",
+    "extend",
+    "setdefault",
+    "__setitem__",
+}
+
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _hook_context_param(hook: ast.AST) -> Optional[str]:
+    """Name of a hook function's context parameter (first after ``self``)."""
+    params = [arg.arg for arg in hook.args.posonlyargs + hook.args.args]
+    if params and params[0] in ("self", "cls"):
+        params = params[1:]
+    return params[0] if params else None
+
+
+def _is_object_itself(node: Optional[ast.AST], name: str) -> bool:
+    """Whether ``node`` evaluates to the object bound to ``name`` or to a
+    literal/conditional holding it.  ``name.field`` (a field copied out) and
+    ``helper(name)`` (some other object) do not."""
+    if isinstance(node, ast.Name):
+        return node.id == name
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_object_itself(item, name) for item in node.elts)
+    if isinstance(node, ast.Dict):
+        return any(_is_object_itself(item, name) for item in node.keys + node.values)
+    if isinstance(node, ast.Starred):
+        return _is_object_itself(node.value, name)
+    if isinstance(node, ast.NamedExpr):
+        return _is_object_itself(node.value, name)
+    if isinstance(node, ast.IfExp):
+        return _is_object_itself(node.body, name) or _is_object_itself(node.orelse, name)
+    if isinstance(node, ast.BoolOp):
+        return any(_is_object_itself(item, name) for item in node.values)
+    return False
+
+
+def _walk_own_scope(root: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` that yields nested functions/lambdas but stays out of them."""
+    stack = list(ast.iter_child_nodes(root))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _FUNCTION_NODES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@register_rule
+class ContextRetentionRule(Rule):
+    """ATL010 — a middleware hook must not retain its context.
+
+    The network hands every ``on_send`` hook of a burst the **same**
+    ``MiddlewareContext``, resetting the receiver, payload and verdict
+    fields between receivers; the object is valid only for the duration of
+    the hook call.  A hook that keeps the object sees it change under its
+    feet.  Inside any function named after a middleware hook, the rule
+    flags the context parameter (the first one after ``self``) escaping:
+
+    * assigned — bare, or inside a tuple/list/set/dict literal — to an
+      attribute or a subscript (``self.last = ctx``, ``self.seen[k] = ctx``);
+    * passed to a storing method (``.append``, ``.appendleft``, ``.add``,
+      ``.insert``, ``.extend``, ``.setdefault``, ``.__setitem__``);
+    * read inside a nested function or lambda, or bound as one's parameter
+      default (a closure outlives the call);
+    * returned or yielded.
+
+    Copying fields out (``self.last = ctx.receiver``) and passing the
+    context down to a helper for the duration of the call are fine.  The
+    rule does not follow aliases (``c = ctx; self.last = c``).
+    """
+
+    rule_id = "ATL010"
+    title = "middleware hook retains its context"
+
+    def check(self, module: ModuleInfo, project: ProjectIndex) -> Iterable[Finding]:
+        for hook in ast.walk(module.tree):
+            if (
+                isinstance(hook, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and hook.name in MIDDLEWARE_HOOK_NAMES
+            ):
+                ctx = _hook_context_param(hook)
+                if ctx is not None:
+                    for node, how in self._escapes(hook, ctx):
+                        yield self.finding(
+                            module,
+                            node.lineno,
+                            f"{hook.name}() {how} its context {ctx!r} — the "
+                            f"object is reused for the next message of the "
+                            f"burst and is only valid during the hook call; "
+                            f"copy the fields you need instead",
+                        )
+
+    @staticmethod
+    def _escapes(hook: ast.AST, ctx: str) -> Iterator[Tuple[ast.AST, str]]:
+        for node in _walk_own_scope(hook):
+            if isinstance(node, _FUNCTION_NODES):
+                # Defaults are evaluated in the hook's scope; the body only
+                # sees the hook's context if no own parameter shadows it.
+                own = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+                reads = [node.args]
+                if ctx not in own:
+                    reads += node.body if isinstance(node.body, list) else [node.body]
+                if any(
+                    isinstance(sub, ast.Name) and sub.id == ctx
+                    for part in reads
+                    for sub in ast.walk(part)
+                ):
+                    yield node, "captures in a closure"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if _is_object_itself(node.value, ctx) and any(
+                    isinstance(target, (ast.Attribute, ast.Subscript)) for target in targets
+                ):
+                    yield node, "stores"
+            elif isinstance(node, ast.Call):
+                if (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr in CONTAINER_STORE_ATTRS
+                    and any(
+                        _is_object_itself(arg, ctx)
+                        for arg in node.args + [kw.value for kw in node.keywords]
+                    )
+                ):
+                    yield node, f"stores (via .{node.func.attr}())"
+            elif isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
+                if _is_object_itself(node.value, ctx):
+                    yield node, "returns or yields"
+
+
 __all__ = [
     "DirectRandomRule",
     "WallClockRule",
@@ -915,5 +1053,6 @@ __all__ = [
     "PostSendMutationRule",
     "HashIdentityRule",
     "DirectHookWiringRule",
+    "ContextRetentionRule",
     "iter_metric_name_literals",
 ]

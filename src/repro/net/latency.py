@@ -13,19 +13,22 @@ Two ready-made profiles mirror the paper's two deployment environments:
 from __future__ import annotations
 
 import abc
-import math
 import random
 from dataclasses import dataclass
+from math import exp as _exp, log as _log, sqrt as _sqrt
 from typing import Dict, Optional, Sequence, Tuple
+
+#: ``random.NV_MAGICCONST``.  The two log-normal samplers below inline
+#: ``rng.lognormvariate`` = ``exp(rng.normalvariate(mu, sigma))`` — the
+#: Kinderman–Monahan ratio-of-uniforms loop with the same ``rng.random()``
+#: draws and the same float expressions — because one latency is drawn per
+#: message and the two stdlib frames cost more than the arithmetic.
+#: ``tests/test_net_network.py`` pins both to the stdlib bit for bit.
+_NV_MAGICCONST = 4 * _exp(-0.5) / _sqrt(2.0)
 
 
 class LatencyModel(abc.ABC):
     """Samples a one-way network latency (seconds) for a sender/receiver pair."""
-
-    #: When not ``None``, every sample equals this value and consumes no
-    #: randomness; the network's burst fast path reads it once per burst and
-    #: skips the per-message ``sample`` call.
-    constant_latency: Optional[float] = None
 
     @abc.abstractmethod
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
@@ -37,10 +40,6 @@ class FixedLatency(LatencyModel):
     """A constant latency; useful in unit tests for exact timing assertions."""
 
     latency: float = 0.001
-
-    @property
-    def constant_latency(self) -> Optional[float]:  # type: ignore[override]
-        return self.latency
 
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         return self.latency
@@ -70,19 +69,27 @@ class LogNormalLatency(LatencyModel):
     floor: float = 0.0001
 
     def __post_init__(self) -> None:
-        # ``log(median)`` only changes when ``median`` does; cache it so the
-        # per-message fast path is one float compare plus ``lognormvariate``.
-        self._mu = math.log(self.median)
+        # ``log(median)`` only changes when ``median`` does; cache it so a
+        # sample is one float compare plus the log-normal draw.
+        self._mu = _log(self.median)
         self._mu_median = self.median
 
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         median = self.median
         if median != self._mu_median:
             # The public field was reassigned; revalidate the cached log.
-            self._mu = math.log(median)
+            self._mu = _log(median)
             self._mu_median = median
-        value = rng.lognormvariate(self._mu, self.sigma)
-        return max(self.floor, value)
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                break
+        value = _exp(self._mu + z * self.sigma)
+        floor = self.floor
+        return value if value > floor else floor
 
 
 class LanProfile(LogNormalLatency):
@@ -163,7 +170,7 @@ class RegionalLatency(LatencyModel):
     def __post_init__(self) -> None:
         # Per-pair cache of ``log(base_latency)``: sampling a latency for a
         # known (sender, receiver) pair costs one dict hit plus one
-        # ``lognormvariate`` draw.  The cached intra/default parameters are
+        # log-normal draw.  The cached intra/default parameters are
         # re-checked on every sample so reassigning those public fields takes
         # effect immediately, as it did before the cache existed.
         self._mu_cache: Dict[Tuple[str, str], float] = {}
@@ -196,7 +203,7 @@ class RegionalLatency(LatencyModel):
         pair = (sender, receiver)
         mu = self._mu_cache.get(pair)
         if mu is None:
-            mu = math.log(self.base_latency(sender, receiver))
+            mu = _log(self.base_latency(sender, receiver))
             # Only cache pairs whose endpoints both have explicit region
             # assignments: assignments are add-only, so such entries can
             # never go stale and joins need no cache invalidation at all.
@@ -207,7 +214,14 @@ class RegionalLatency(LatencyModel):
                 if len(self._mu_cache) >= _MU_CACHE_LIMIT:
                     self._mu_cache.clear()
                 self._mu_cache[pair] = mu
-        return rng.lognormvariate(mu, self.jitter_sigma)
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                break
+        return _exp(mu + z * self.jitter_sigma)
 
 
 class WanProfile(RegionalLatency):

@@ -15,9 +15,9 @@ protocol behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappush
-from typing import Any, Dict, Iterable, Optional, Set
+from math import inf
+from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
 from repro.sim.events import Event
 
@@ -38,8 +38,8 @@ class NetworkConfig:
             8 MB/s of sustained throughput.
         loss_probability: Probability that an individual message is dropped.
         headers_bytes: Fixed per-message overhead added to every payload.
-        randomized_send_order: When a burst of messages is submitted with
-            :meth:`Network.send_burst`, shuffle the order to avoid incast
+        randomized_send_order: When a fan-out is submitted with
+            :meth:`Network.send_fanout`, shuffle the order to avoid incast
             (paper section 5.1, "Randomized message sending").
     """
 
@@ -47,23 +47,15 @@ class NetworkConfig:
     loss_probability: float = 0.0
     headers_bytes: int = 64
     randomized_send_order: bool = True
-    #: Batch same-time fan-out deliveries into one simulation event.  All
-    #: protocol-visible behaviour (delivery times, delivery order, callback
-    #: interleaving, figures) is provably identical to per-message events —
-    #: consecutive sequence numbers at one timestamp admit no interleaving —
-    #: but the ``(time, tag)`` event trace gets shorter, so runs with this
-    #: flag are not trace-comparable to runs without it.  Off by default to
-    #: keep golden traces stable; the protocol-speed benchmark enables it.
-    coalesced_fanout_delivery: bool = False
 
 
 class _Delivery(Event):
-    """A queued in-flight delivery: ONE slotted object per message.
+    """A queued in-flight delivery: ONE slotted object per message copy.
 
-    Replaces the ``Message`` + ``functools.partial`` + ``Event`` triple on the
-    burst fast path: the object carries the wire fields, *is* the scheduled
-    event, and *is* its own callback (``callback = self``).  Semantics are
-    identical to :meth:`Network._deliver`.
+    The object carries the wire fields, *is* the scheduled event, and *is*
+    its own callback (``callback = self``): delivery reaches only a
+    registered, alive actor that no partition or split (including one that
+    formed while the message was in flight) separates from the sender.
     """
 
     __slots__ = ("network", "sender", "receiver", "payload", "sent_at")
@@ -117,67 +109,6 @@ class _Delivery(Event):
         actor.on_message(self.payload, self.sender)
 
 
-class _FanoutDelivery(Event):
-    """One simulation event delivering a same-time slice of a fan-out burst.
-
-    Used only when :attr:`NetworkConfig.coalesced_fanout_delivery` is on.
-    Receivers are stored in batch order and delivered in that order, which is
-    exactly the order consecutive per-message events would have fired in (one
-    timestamp, consecutive sequence numbers — nothing can interleave).
-    """
-
-    __slots__ = ("network", "sender", "payload", "sent_at", "receivers")
-
-    priority = 0
-    tag = "net.deliver"
-    seq = -1
-
-    def __init__(
-        self,
-        time: float,
-        network: "Network",
-        sender: str,
-        payload: Any,
-        sent_at: float,
-        receivers: list,
-    ) -> None:
-        self.time = time
-        self.callback = self
-        self.cancelled = False
-        self.network = network
-        self.sender = sender
-        self.payload = payload
-        self.sent_at = sent_at
-        self.receivers = receivers
-
-    def __call__(self) -> None:
-        network = self.network
-        actors_get = network._actors.get
-        counters = network._counters
-        partitioned = network._partitioned
-        splits = network._splits
-        record = network._delivery_latency.record
-        latency = self.time - self.sent_at
-        payload = self.payload
-        sender = self.sender
-        delivered = 0
-        for receiver in self.receivers:
-            actor = actors_get(receiver)
-            if actor is None or not actor.alive:
-                counters["net.messages_undeliverable"] += 1.0
-                continue
-            if (partitioned and receiver in partitioned) or (
-                splits and network.crosses_split(sender, receiver)
-            ):
-                counters["net.messages_partitioned"] += 1.0
-                continue
-            delivered += 1
-            record(latency)
-            actor.on_message(payload, sender)
-        if delivered:
-            counters["net.messages_delivered"] += float(delivered)
-
-
 class Network:
     """Delivers messages between registered actors over a latency model."""
 
@@ -195,22 +126,21 @@ class Network:
         # Active side-preserving splits: split id -> {address: side index}.
         # A message is dropped iff some active split maps both endpoints to
         # *different* sides; addresses a split does not name are unaffected.
-        # Empty dict = one truthiness check on the fast paths, nothing more.
+        # Empty dict = one truthiness check per message, nothing more.
         self._splits: Dict[int, Dict[str, int]] = {}
         self._split_seq = 0
         self._rng = sim.rng.stream("network")
         # Compiled on_send pipeline of the installed middleware chain (see
-        # repro.core.middleware): when non-None, every send path detours
-        # through _schedule_intercepted.  ``None`` keeps the inlined fast
-        # paths bit-identical to a build without the middleware subsystem —
-        # one attribute check, no extra RNG draws, no context objects.
+        # repro.core.middleware), a parameter of send_many.  ``None`` keeps
+        # sends bit-identical to a build without the middleware subsystem —
+        # one check per message, no extra RNG draws, no context object.
         self._send_hooks = None
         self._middleware = None
         self._send_scenario = ""
         # Tracks when each receiving node's downlink frees up, used to model
         # queueing of large transfers at the receiver.
         self._downlink_free_at: Dict[str, float] = {}
-        # Hot-path handles: the burst pipeline updates counters and the
+        # Hot-path handles: sends and deliveries update counters and the
         # delivery-latency histogram directly instead of going through the
         # registry methods on every message.
         self._counters = sim.metrics.counters
@@ -239,7 +169,7 @@ class Network:
     # --------------------------------------------------------------- middleware
 
     def install_middleware(self, chain) -> None:
-        """Compile ``chain``'s ``on_send`` pipeline onto the send paths.
+        """Compile ``chain``'s ``on_send`` pipeline onto :meth:`send_many`.
 
         Installed once (normally by :meth:`AtumCluster.install_middleware
         <repro.core.cluster.AtumCluster.install_middleware>`; bare-network
@@ -258,7 +188,7 @@ class Network:
         self._compile_send_hooks()
 
     def clear_middleware(self) -> None:
-        """Restore the unperturbed fast paths (the chain may be re-installed)."""
+        """Restore unhooked sends (the chain may be re-installed)."""
         self._middleware = None
         self._send_hooks = None
         self._send_scenario = ""
@@ -342,251 +272,152 @@ class Network:
 
     # ------------------------------------------------------------------ sending
 
-    def send(
+    def send_many(
         self,
         sender: str,
-        receiver: str,
+        receivers: Sequence[str],
         payload: Any,
         size_bytes: int = 256,
-    ) -> Optional[Message]:
-        """Send one message.  Returns the in-flight message, or ``None`` if dropped."""
-        message = Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.sim.now,
-        )
-        return self._dispatch(message)
-
-    def send_burst(
-        self,
-        sender: str,
-        messages: Iterable[tuple[str, Any, int]],
     ) -> int:
-        """Send a burst of ``(receiver, payload, size_bytes)`` messages.
+        """Send the same ``payload``/``size_bytes`` to ``receivers``, in order.
 
-        If :attr:`NetworkConfig.randomized_send_order` is enabled the burst is
-        shuffled before submission, which spreads load over receivers' downlinks
-        and mirrors Atum's randomized message sending.
-        Returns the number of messages actually dispatched (not dropped).
+        The one routing core; every other send method is a caller of it.  Per
+        receiver, in this order: partition and split checks, the loss draw,
+        the installed ``on_send`` pipeline, one latency draw, then per copy
+        one downlink update and one heap push of a slotted :class:`_Delivery`.
+        A batch is exactly the sequence of its single sends — same RNG draws,
+        same float arithmetic, same event order.
 
-        Bursts are the dominant send pattern (every group message is a burst of
-        shares), so the whole routing pipeline is inlined here: batched counter
-        updates, then per message one latency sample, one downlink update and
-        one heap push of a slotted :class:`_Delivery` callback — no ``Message``
-        or ``partial`` objects.  The per-message RNG draw order, scheduling
-        arithmetic and event order are identical to sequential :meth:`send`
-        calls, so simulations are trace-identical either way.
+        Hooks run against **one** :class:`MiddlewareContext` per call: the
+        receiver, payload and verdict fields are reset before each receiver's
+        hooks, and the object is only valid for the duration of the hook call
+        (a hook copies out what it wants to keep).  The verdict may drop the
+        message, add propagation delay, deliver extra copies (each copy
+        passes through the receiver's downlink serialization, so duplication
+        storms consume real bandwidth) or corrupt the payload (delivered
+        wrapped in :class:`CorruptedPayload` for the receiver to detect and
+        discard).  A malformed verdict — negative or non-finite
+        ``extra_delay``, non-int ``copies`` — is reset to the
+        no-perturbation default and counted ``net.send_verdict_rejected``;
+        ``copies <= 0`` is a drop.
+
+        Returns the number of receivers at least one copy was scheduled for.
         """
-        batch = list(messages)
-        if self.config.randomized_send_order:
-            self._rng.shuffle(batch)
-        if not batch:
+        count = len(receivers)
+        if not count:
             return 0
         counters = self._counters
-        counters["net.messages_sent"] += float(len(batch))
-        if self._send_hooks is not None:
-            total_bytes = 0
-            dispatched = 0
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                dispatched += self._schedule_intercepted(sender, receiver, payload, size_bytes)
-            counters["net.bytes_sent"] += float(total_bytes)
-            return dispatched
+        counters["net.messages_sent"] += float(count)
+        counters["net.bytes_sent"] += float(size_bytes * count)
         sim = self.sim
         now = sim._now
-        rng = self._rng
         config = self.config
         loss = config.loss_probability
-        headers = config.headers_bytes
-        bandwidth = config.bandwidth_bytes_per_s
+        transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
+        rng = self._rng
         partitioned = self._partitioned
-        sender_partitioned = bool(partitioned) and sender in partitioned
-        check_partition = bool(partitioned)
         splits = self._splits
-        latency_model = self.latency_model
-        constant_latency = latency_model.constant_latency
-        sample = latency_model.sample
+        hooks = self._send_hooks
+        sample = self.latency_model.sample
         downlink = self._downlink_free_at
         downlink_get = downlink.get
         queue = sim.queue
         heap = queue._heap
         seq = queue._seq
+        ctx = None
+        wire = payload
+        extra_delay = 0.0
+        copies = 1
         dispatched = 0
-        total_bytes = 0
-        # Float arithmetic below mirrors _route() + Simulator.schedule()
-        # exactly (including the delay round-trip), keeping event times
-        # bit-identical to the pre-batching path.
-        if not check_partition and not splits and loss == 0.0 and constant_latency is not None:
-            # Tight loop for the dominant case: healthy network, constant
-            # latency model — no per-message drop checks or samples.
-            propagated = now + constant_latency
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                arrival_start = propagated
-                free_at = downlink_get(receiver, 0.0)
-                if free_at > arrival_start:
-                    arrival_start = free_at
-                delivery_time = arrival_start + (size_bytes + headers) / bandwidth
-                downlink[receiver] = delivery_time
-                scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                heappush(heap, (scheduled, 0, seq, event))
-                seq += 1
-            dispatched = len(batch)
-        else:
-            for receiver, payload, size_bytes in batch:
-                total_bytes += size_bytes
-                if (
-                    check_partition and (sender_partitioned or receiver in partitioned)
-                ) or (splits and self.crosses_split(sender, receiver)):
-                    counters["net.messages_partitioned"] += 1.0
-                    continue
-                if loss > 0.0 and rng.random() < loss:
+        for receiver in receivers:
+            if (
+                partitioned and (sender in partitioned or receiver in partitioned)
+            ) or (splits and self.crosses_split(sender, receiver)):
+                counters["net.messages_partitioned"] += 1.0
+                continue
+            if loss > 0.0 and rng.random() < loss:
+                counters["net.messages_lost"] += 1.0
+                continue
+            if hooks is not None:
+                if ctx is None:
+                    ctx = MiddlewareContext(
+                        "on_send",
+                        now=now,
+                        scenario=self._send_scenario,
+                        channel="net",
+                        sender=sender,
+                        size_bytes=size_bytes,
+                    )
+                ctx.receiver = receiver
+                ctx.payload = payload
+                ctx.drop = ctx.corrupted = ctx.stop = False
+                ctx.extra_delay = 0.0
+                ctx.copies = 1
+                # A hook may itself send: hand the queue its counters back
+                # for the duration of the call.
+                queue._live += seq - queue._seq
+                queue._seq = seq
+                for hook in hooks:
+                    hook(ctx)
+                    if ctx.stop:
+                        break
+                seq = queue._seq
+                extra_delay = ctx.extra_delay
+                copies = ctx.copies
+                if extra_delay != 0.0 or copies != 1:
+                    if not (
+                        isinstance(extra_delay, (int, float)) and 0.0 <= extra_delay < inf
+                    ):
+                        counters["net.send_verdict_rejected"] += 1.0
+                        extra_delay = 0.0
+                    if not isinstance(copies, int):
+                        counters["net.send_verdict_rejected"] += 1.0
+                        copies = 1
+                if ctx.drop or copies <= 0:
                     counters["net.messages_lost"] += 1.0
                     continue
-                propagation = (
-                    constant_latency
-                    if constant_latency is not None
-                    else sample(rng, sender, receiver)
-                )
+                wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
+            # Float arithmetic mirrors Simulator.schedule() (including the
+            # delay round-trip), so event times match a sim.schedule() send.
+            propagation = sample(rng, sender, receiver) + extra_delay
+            while True:
                 arrival_start = now + propagation
                 free_at = downlink_get(receiver, 0.0)
                 if free_at > arrival_start:
+                    # Receiver downlink serialization: a transfer occupies
+                    # the downlink and delays later arrivals.
                     arrival_start = free_at
-                delivery_time = arrival_start + (size_bytes + headers) / bandwidth
+                delivery_time = arrival_start + transfer
                 downlink[receiver] = delivery_time
                 scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
+                event = _Delivery(scheduled, self, sender, receiver, wire, now)
                 heappush(heap, (scheduled, 0, seq, event))
                 seq += 1
-                dispatched += 1
-        counters["net.bytes_sent"] += float(total_bytes)
+                if copies == 1:
+                    break
+                copies -= 1
+            dispatched += 1
+        queue._live += seq - queue._seq
         queue._seq = seq
-        queue._live += dispatched
         return dispatched
 
     def send_fanout(
         self,
         sender: str,
-        receivers: Iterable[str],
+        receivers: Sequence[str],
         payload: Any,
         size_bytes: int,
     ) -> int:
-        """Send the same ``payload``/``size_bytes`` to every receiver.
+        """:meth:`send_many` in randomized order (paper section 5.1).
 
-        The m-destination group-message fan-out is the hottest send shape, and
-        sharing the payload lets the whole per-destination tuple machinery of
-        :meth:`send_burst` disappear: one shuffled receiver list, one transfer
-        time computed for the burst, one slotted delivery object per receiver.
-        RNG draws (shuffle permutation, loss draws), float arithmetic and
-        event order are identical to the equivalent :meth:`send_burst` call.
+        With :attr:`NetworkConfig.randomized_send_order` the receivers are
+        shuffled first, which spreads a group message's m shares over the
+        receivers' downlinks and avoids incast.
         """
-        config = self.config
-        if config.randomized_send_order:
-            batch = list(receivers)
-            self._rng.shuffle(batch)
-        elif isinstance(receivers, (list, tuple)):
-            batch = receivers
-        else:
-            batch = list(receivers)
-        if not batch:
-            return 0
-        counters = self._counters
-        count = len(batch)
-        counters["net.messages_sent"] += float(count)
-        counters["net.bytes_sent"] += float(size_bytes * count)
-        if self._send_hooks is not None:
-            dispatched = 0
-            for receiver in batch:
-                dispatched += self._schedule_intercepted(sender, receiver, payload, size_bytes)
-            return dispatched
-        sim = self.sim
-        now = sim._now
-        partitioned = self._partitioned
-        splits = self._splits
-        loss = config.loss_probability
-        constant_latency = self.latency_model.constant_latency
-        downlink = self._downlink_free_at
-        downlink_get = downlink.get
-        queue = sim.queue
-        heap = queue._heap
-        seq = queue._seq
-        transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
-        dispatched = 0
-        if not partitioned and not splits and loss == 0.0 and constant_latency is not None:
-            propagated = now + constant_latency
-            if config.coalesced_fanout_delivery:
-                # Bucket consecutive same-delivery-time receivers into one
-                # event each.  Bucketing by run keeps delivery order
-                # identical to per-message events (see _FanoutDelivery).
-                bucket_time = None
-                bucket: Optional[list] = None
-                for receiver in batch:
-                    arrival_start = downlink_get(receiver, 0.0)
-                    if arrival_start < propagated:
-                        arrival_start = propagated
-                    delivery_time = arrival_start + transfer
-                    downlink[receiver] = delivery_time
-                    if delivery_time == bucket_time:
-                        bucket.append(receiver)
-                        continue
-                    scheduled = now + (delivery_time - now)
-                    bucket = [receiver]
-                    bucket_time = delivery_time
-                    event = _FanoutDelivery(scheduled, self, sender, payload, now, bucket)
-                    heappush(heap, (scheduled, 0, seq, event))
-                    seq += 1
-            else:
-                # Tight loop for the dominant case: healthy network, constant
-                # latency — one attribute-free pass per receiver.
-                for receiver in batch:
-                    arrival_start = downlink_get(receiver, 0.0)
-                    if arrival_start < propagated:
-                        arrival_start = propagated
-                    delivery_time = arrival_start + transfer
-                    downlink[receiver] = delivery_time
-                    scheduled = now + (delivery_time - now)
-                    event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                    heappush(heap, (scheduled, 0, seq, event))
-                    seq += 1
-            dispatched = count
-        else:
-            rng = self._rng
-            sample = self.latency_model.sample
-            sender_partitioned = bool(partitioned) and sender in partitioned
-            check_partition = bool(partitioned)
-            for receiver in batch:
-                if (
-                    check_partition and (sender_partitioned or receiver in partitioned)
-                ) or (splits and self.crosses_split(sender, receiver)):
-                    counters["net.messages_partitioned"] += 1.0
-                    continue
-                if loss > 0.0 and rng.random() < loss:
-                    counters["net.messages_lost"] += 1.0
-                    continue
-                propagation = (
-                    constant_latency
-                    if constant_latency is not None
-                    else sample(rng, sender, receiver)
-                )
-                arrival_start = now + propagation
-                free_at = downlink_get(receiver, 0.0)
-                if free_at > arrival_start:
-                    arrival_start = free_at
-                delivery_time = arrival_start + transfer
-                downlink[receiver] = delivery_time
-                scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, payload, now)
-                heappush(heap, (scheduled, 0, seq, event))
-                seq += 1
-                dispatched += 1
-        # seq advanced once per pushed event (coalesced buckets push fewer
-        # events than messages), so the live count follows the seq delta.
-        queue._live += seq - queue._seq
-        queue._seq = seq
-        return dispatched
+        if self.config.randomized_send_order:
+            receivers = list(receivers)
+            self._rng.shuffle(receivers)
+        return self.send_many(sender, receivers, payload, size_bytes)
 
     def send_one(
         self,
@@ -595,200 +426,27 @@ class Network:
         payload: Any,
         size_bytes: int = 256,
     ) -> bool:
-        """Fire-and-forget single send on the burst fast path.
+        """Fire-and-forget single send: :meth:`send_many` with a 1-tuple."""
+        return self.send_many(sender, (receiver,), payload, size_bytes) > 0
 
-        Identical semantics (accounting, routing arithmetic, event structure)
-        to :meth:`send`, but skips building the :class:`Message` handle; use it
-        on hot paths that ignore :meth:`send`'s return value (heartbeats).
-        """
-        counters = self._counters
-        counters["net.messages_sent"] += 1.0
-        counters["net.bytes_sent"] += float(size_bytes)
-        if self._send_hooks is not None:
-            return self._schedule_intercepted(sender, receiver, payload, size_bytes) > 0
-        partitioned = self._partitioned
-        if partitioned and (sender in partitioned or receiver in partitioned):
-            counters["net.messages_partitioned"] += 1.0
-            return False
-        if self._splits and self.crosses_split(sender, receiver):
-            counters["net.messages_partitioned"] += 1.0
-            return False
-        config = self.config
-        loss = config.loss_probability
-        rng = self._rng
-        if loss > 0.0 and rng.random() < loss:
-            counters["net.messages_lost"] += 1.0
-            return False
-        sim = self.sim
-        now = sim._now
-        latency_model = self.latency_model
-        constant_latency = latency_model.constant_latency
-        propagation = (
-            constant_latency
-            if constant_latency is not None
-            else latency_model.sample(rng, sender, receiver)
-        )
-        arrival_start = now + propagation
-        free_at = self._downlink_free_at.get(receiver, 0.0)
-        if free_at > arrival_start:
-            arrival_start = free_at
-        delivery_time = arrival_start + (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
-        self._downlink_free_at[receiver] = delivery_time
-        scheduled = now + (delivery_time - now)
-        queue = sim.queue
-        seq = queue._seq
-        event = _Delivery(scheduled, self, sender, receiver, payload, now)
-        heappush(queue._heap, (scheduled, 0, seq, event))
-        queue._seq = seq + 1
-        queue._live += 1
-        return True
-
-    # ----------------------------------------------------------------- internals
-
-    def _schedule_intercepted(
-        self, sender: str, receiver: str, payload: Any, size_bytes: int
-    ) -> int:
-        """Route one message through the installed ``on_send`` pipeline.
-
-        Mirrors the partition/loss accounting and float arithmetic of the
-        fast paths exactly, then applies the context's verdict: drop the
-        message, add propagation delay, deliver extra copies (each copy
-        passes through the receiver's downlink serialization, so duplication
-        storms consume real bandwidth), or corrupt the payload (delivered
-        wrapped in :class:`CorruptedPayload` for the receiver to detect and
-        discard).  A chain that leaves the verdict untouched yields the
-        no-perturbation defaults (``extra_delay 0.0``, one copy), keeping
-        observation-only middleware byte-identical to no middleware.
-        Returns 1 when at least one copy was scheduled, 0 when the message
-        was dropped.
-        """
-        counters = self._counters
-        partitioned = self._partitioned
-        if partitioned and (sender in partitioned or receiver in partitioned):
-            counters["net.messages_partitioned"] += 1.0
-            return 0
-        if self._splits and self.crosses_split(sender, receiver):
-            counters["net.messages_partitioned"] += 1.0
-            return 0
-        config = self.config
-        rng = self._rng
-        loss = config.loss_probability
-        if loss > 0.0 and rng.random() < loss:
-            counters["net.messages_lost"] += 1.0
-            return 0
-        sim = self.sim
-        now = sim._now
-        ctx = MiddlewareContext(
-            "on_send",
-            now=now,
-            scenario=self._send_scenario,
-            channel="net",
+    def send(
+        self,
+        sender: str,
+        receiver: str,
+        payload: Any,
+        size_bytes: int = 256,
+    ) -> Optional[Message]:
+        """Send one message.  Returns a :class:`Message` handle describing it,
+        or ``None`` if it was dropped at send time."""
+        if not self.send_one(sender, receiver, payload, size_bytes):
+            return None
+        return Message(
             sender=sender,
             receiver=receiver,
             payload=payload,
             size_bytes=size_bytes,
+            sent_at=self.sim.now,
         )
-        for hook in self._send_hooks:
-            hook(ctx)
-            if ctx.stop:
-                break
-        if ctx.drop:
-            counters["net.messages_lost"] += 1.0
-            return 0
-        payload = ctx.payload
-        extra_delay = ctx.extra_delay
-        copies = ctx.copies
-        if ctx.corrupted:
-            payload = CorruptedPayload(payload)
-        latency_model = self.latency_model
-        constant_latency = latency_model.constant_latency
-        propagation = (
-            constant_latency
-            if constant_latency is not None
-            else latency_model.sample(rng, sender, receiver)
-        ) + extra_delay
-        transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
-        downlink = self._downlink_free_at
-        queue = sim.queue
-        heap = queue._heap
-        seq = queue._seq
-        for _ in range(copies):
-            arrival_start = now + propagation
-            free_at = downlink.get(receiver, 0.0)
-            if free_at > arrival_start:
-                arrival_start = free_at
-            delivery_time = arrival_start + transfer
-            downlink[receiver] = delivery_time
-            scheduled = now + (delivery_time - now)
-            event = _Delivery(scheduled, self, sender, receiver, payload, now)
-            heappush(heap, (scheduled, 0, seq, event))
-            seq += 1
-        queue._live += seq - queue._seq
-        queue._seq = seq
-        return 1
-
-    def _dispatch(self, message: Message) -> Optional[Message]:
-        metrics = self.sim.metrics
-        metrics.increment("net.messages_sent")
-        metrics.increment("net.bytes_sent", message.size_bytes)
-        return self._route(message)
-
-    def _route(self, message: Message) -> Optional[Message]:
-        """Drop-check, sample latency and schedule delivery for one message."""
-        if self._send_hooks is not None:
-            dispatched = self._schedule_intercepted(
-                message.sender, message.receiver, message.payload, message.size_bytes
-            )
-            return message if dispatched else None
-        if self._partitioned and (
-            message.sender in self._partitioned or message.receiver in self._partitioned
-        ):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return None
-        if self._splits and self.crosses_split(message.sender, message.receiver):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return None
-        if self.config.loss_probability > 0.0 and (
-            self._rng.random() < self.config.loss_probability
-        ):
-            self.sim.metrics.increment("net.messages_lost")
-            return None
-
-        propagation = self.latency_model.sample(
-            self._rng, message.sender, message.receiver
-        )
-        total_bytes = message.size_bytes + self.config.headers_bytes
-        transfer = total_bytes / self.config.bandwidth_bytes_per_s
-
-        # Model receiver downlink serialization: a large transfer occupies the
-        # downlink and delays subsequently arriving messages.
-        now = self.sim.now
-        arrival_start = max(
-            now + propagation,
-            self._downlink_free_at.get(message.receiver, 0.0),
-        )
-        delivery_time = arrival_start + transfer
-        self._downlink_free_at[message.receiver] = delivery_time
-
-        self.sim.schedule(
-            delivery_time - now, partial(self._deliver, message), tag="net.deliver"
-        )
-        return message
-
-    def _deliver(self, message: Message) -> None:
-        actor = self._actors.get(message.receiver)
-        if actor is None or not actor.alive:
-            self.sim.metrics.increment("net.messages_undeliverable")
-            return
-        if message.receiver in self._partitioned:
-            self.sim.metrics.increment("net.messages_partitioned")
-            return
-        if self._splits and self.crosses_split(message.sender, message.receiver):
-            self.sim.metrics.increment("net.messages_partitioned")
-            return
-        self.sim.metrics.increment("net.messages_delivered")
-        self.sim.metrics.observe("net.delivery_latency", self.sim.now - message.sent_at)
-        actor.on_message(message.payload, message.sender)
 
 
 __all__ = ["Network", "NetworkConfig"]

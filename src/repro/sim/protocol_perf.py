@@ -19,9 +19,9 @@ Workloads are seeded and deterministic in their *event structure*; only the
 wall clock varies between hosts.  ``BASELINE_PROTOCOL_RATES`` records the
 throughput of the pre-optimisation protocol layer (per-destination envelope
 construction, per-hop neighbour rebuilds, linear membership scans) measured
-at the PR-1 commit on the reference container; ``benchmarks/
-bench_protocol_speed.py`` asserts the current stack beats it by
-``TARGET_PROTOCOL_SPEEDUP`` on the ``broadcast`` scenario.
+at the PR-1 commit on the reference container.  The repository's benchmark
+of the real ``AtumCluster`` path is ``benchmarks/stack``; this module's
+scenarios back the protocol golden traces and the ``runpar`` shards.
 
 Shard entry points (:func:`broadcast_shard`, :func:`churn_shard`) return
 plain-dict metric snapshots with no wall-clock component, so
@@ -55,13 +55,9 @@ BASELINE_PROTOCOL_RATES: Dict[str, float] = {
     "churn_ops_per_sec": 2529.0,
 }
 
-#: The speedup the full protocol fast path (batched fan-out delivery) is held
-#: to on the broadcast scenario.
-TARGET_PROTOCOL_SPEEDUP = 3.0
-
-#: Conservative floor for the per-message-event variant of the same scenario
-#: (measured ~2.7x on the reference container; the floor leaves noise room).
-TARGET_PROTOCOL_SPEEDUP_UNCOALESCED = 2.0
+#: Conservative floor for the broadcast scenario (measured ~2.7x on the
+#: reference container; the floor leaves noise room).
+TARGET_PROTOCOL_SPEEDUP = 2.0
 
 #: Floor for the membership-churn scenario.
 TARGET_CHURN_SPEEDUP = 1.2
@@ -138,16 +134,12 @@ class GossipStackNode(Actor):
         )
         self._gm_handle = self.messenger.handle
         if heartbeat_period is not None:
-            # ``send_one`` is the burst-pipeline single send; fall back to the
-            # classic ``send`` when benchmarking against code that predates it
-            # (the recorded pre-PR baseline runs this very module).
-            send_single = getattr(network, "send_one", network.send)
             self.heartbeats = HeartbeatMonitor(
                 sim=self.sim,
                 address=self.address,
                 group_id_fn=lambda: self.view.group_id,
                 peers_fn=lambda: self.view.members,
-                send_fn=lambda peer, hb: send_single(self.address, peer, hb, 64),
+                send_fn=lambda peers, hb: network.send_many(self.address, peers, hb, 64),
                 suspect_fn=lambda peer: None,
                 config=HeartbeatConfig(period=heartbeat_period),
             )
@@ -215,19 +207,13 @@ def build_broadcast_stack(
     heartbeat_period: Optional[float] = 5.0,
     payload_bytes: int = 512,
     randomized_send_order: bool = True,
-    coalesced_fanout: bool = False,
 ) -> Tuple[Simulator, Dict[str, GossipStackNode], Dict[str, VGroupView], HGraph]:
     """Build a static overlay of ``groups`` vgroups wired for gossip."""
     sim = Simulator(seed=seed)
-    config_kwargs = {"randomized_send_order": randomized_send_order}
-    # The coalesced-delivery knob only exists on the optimised network; the
-    # recorded pre-PR baseline runs this same module against code without it.
-    if coalesced_fanout:
-        config_kwargs["coalesced_fanout_delivery"] = True
     network = Network(
         sim,
         latency_model=FixedLatency(0.002),
-        config=NetworkConfig(**config_kwargs),
+        config=NetworkConfig(randomized_send_order=randomized_send_order),
     )
     overlay_rng = sim.rng.stream("protocol-perf-overlay")
     group_ids = [f"vg{g}" for g in range(groups)]
@@ -276,7 +262,6 @@ def run_broadcast_scenario(
     heartbeat_period: Optional[float] = 5.0,
     horizon: float = 60.0,
     randomized_send_order: bool = True,
-    coalesced_fanout: bool = False,
     trace: Optional[List[Tuple[float, Optional[str]]]] = None,
 ) -> Dict[str, Any]:
     """Run one seeded broadcast-dissemination scenario to completion.
@@ -292,7 +277,6 @@ def run_broadcast_scenario(
         policy,
         heartbeat_period,
         randomized_send_order=randomized_send_order,
-        coalesced_fanout=coalesced_fanout,
     )
     group_ids = sorted(views)
     for index in range(broadcasts):
@@ -486,22 +470,15 @@ def churn_shard(seed: int, **kwargs: Any) -> Dict[str, Any]:
 def run_protocol_benchmark(repeats: int = 3) -> Dict[str, Any]:
     """Measure the protocol scenarios and compare against the recorded baseline.
 
-    Three measurements share ``BENCH_BROADCAST_CONFIG`` / ``BENCH_CHURN_CONFIG``
+    Two measurements use ``BENCH_BROADCAST_CONFIG`` / ``BENCH_CHURN_CONFIG``
     (the configurations the pre-PR baselines were recorded with):
 
-    * ``broadcast`` — per-message delivery events, same event granularity as
-      the pre-PR path;
-    * ``broadcast_coalesced`` — the full fast path with batched fan-out
-      delivery (``NetworkConfig.coalesced_fanout_delivery``), the
-      ≥``TARGET_PROTOCOL_SPEEDUP`` headline;
+    * ``broadcast`` — delivered protocol messages per second;
     * ``churn`` — membership operations per second.
     """
     import sys
 
     broadcast = measure_broadcast(repeats=repeats, **BENCH_BROADCAST_CONFIG)
-    coalesced = measure_broadcast(
-        repeats=repeats, coalesced_fanout=True, **BENCH_BROADCAST_CONFIG
-    )
     churn = measure_churn(repeats=repeats, **BENCH_CHURN_CONFIG)
     broadcast_base = BASELINE_PROTOCOL_RATES["broadcast_msgs_per_sec"]
     churn_base = BASELINE_PROTOCOL_RATES["churn_ops_per_sec"]
@@ -515,13 +492,6 @@ def run_protocol_benchmark(repeats: int = 3) -> Dict[str, Any]:
                 "messages_delivered": broadcast["messages_delivered"],
                 "seconds": round(broadcast["seconds"], 4),
             },
-            "broadcast_coalesced": {
-                "baseline_msgs_per_sec": broadcast_base,
-                "current_msgs_per_sec": round(coalesced["msgs_per_sec"], 1),
-                "speedup": round(coalesced["msgs_per_sec"] / broadcast_base, 3),
-                "messages_delivered": coalesced["messages_delivered"],
-                "seconds": round(coalesced["seconds"], 4),
-            },
             "churn": {
                 "baseline_ops_per_sec": churn_base,
                 "current_ops_per_sec": round(churn["ops_per_sec"], 1),
@@ -532,7 +502,6 @@ def run_protocol_benchmark(repeats: int = 3) -> Dict[str, Any]:
             },
         },
         "target_speedup": TARGET_PROTOCOL_SPEEDUP,
-        "target_speedup_uncoalesced": TARGET_PROTOCOL_SPEEDUP_UNCOALESCED,
         "target_churn_speedup": TARGET_CHURN_SPEEDUP,
     }
 
@@ -561,7 +530,6 @@ if __name__ == "__main__":  # pragma: no cover
 __all__ = [
     "BASELINE_PROTOCOL_RATES",
     "TARGET_PROTOCOL_SPEEDUP",
-    "TARGET_PROTOCOL_SPEEDUP_UNCOALESCED",
     "TARGET_CHURN_SPEEDUP",
     "BENCH_BROADCAST_CONFIG",
     "BENCH_CHURN_CONFIG",

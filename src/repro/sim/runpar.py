@@ -20,8 +20,8 @@ plain-dict snapshot::
     {"counters": {name: float}, "histograms": {name: [samples...]}}
 
 :mod:`repro.sim.protocol_perf` provides ready-made shards
-(``broadcast_shard``, ``churn_shard``); ``benchmarks/bench_protocol_speed.py``
-and the determinism tests drive them through :func:`run_sharded`.
+(``broadcast_shard``, ``churn_shard``); the determinism tests drive them
+through :func:`run_sharded`.
 
 Knobs
 -----

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.sim.simulator import Simulator
@@ -79,8 +79,9 @@ class SmrReplica(abc.ABC):
     """One replica of a BFT state machine, embedded in a host node.
 
     The replica does not talk to the network directly; the host wires it up by
-    providing ``send_fn(peer, payload, size_bytes)`` for outgoing protocol
-    messages and receives decided operations through ``decide_fn(operation)``.
+    providing ``send_fn(peers, payload, size_bytes)`` — ship one protocol
+    message to every address in the ``peers`` sequence — and receives decided
+    operations through ``decide_fn(operation)``.
     Decided operations are delivered in the same order at every correct
     replica of the group.
     """
@@ -91,7 +92,7 @@ class SmrReplica(abc.ABC):
         node_id: str,
         members: Sequence[str],
         registry: KeyRegistry,
-        send_fn: Callable[[str, Any, int], None],
+        send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
         config: Optional[SmrConfig] = None,
     ) -> None:
@@ -104,6 +105,10 @@ class SmrReplica(abc.ABC):
         self.config = config or SmrConfig()
         self.decided_log: List[Operation] = []
         self.running = True
+        # ``members`` minus this replica, rebuilt when the list is replaced
+        # (reconfigure installs a new list; nothing mutates it in place).
+        self._peers_of: Optional[List[str]] = None
+        self._peers: Tuple[str, ...] = ()
 
     #: Optional checkpoint/state-transfer manager (PBFT only, and only when
     #: ``SmrConfig.checkpoint_interval > 0``); see :mod:`repro.smr.checkpoint`.
@@ -191,10 +196,22 @@ class SmrReplica(abc.ABC):
         self.decide_fn(operation)
 
     def _broadcast(self, payload: Any, size_bytes: Optional[int] = None) -> None:
-        size = size_bytes if size_bytes is not None else self.config.message_bytes
-        for member in self.members:
-            if member != self.node_id:
-                self.send_fn(member, payload, size)
+        """Multicast ``payload`` to every other member as one send."""
+        members = self.members
+        if members is not self._peers_of:
+            self._peers_of = members
+            node_id = self.node_id
+            self._peers = tuple(member for member in members if member != node_id)
+        if self._peers:
+            self.send_fn(
+                self._peers,
+                payload,
+                size_bytes if size_bytes is not None else self.config.message_bytes,
+            )
+
+    def _send(self, peer: str, payload: Any, size_bytes: int) -> None:
+        """Unicast ``payload`` to one peer."""
+        self.send_fn((peer,), payload, size_bytes)
 
 
 __all__ = [

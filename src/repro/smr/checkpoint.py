@@ -303,7 +303,7 @@ class CheckpointManager:
             self._requests = RequestManager(
                 replica.sim,
                 replica.node_id,
-                replica.send_fn,
+                replica._send,
                 policy=RequestPolicy(
                     adaptive_quarantine=getattr(
                         replica.config, "adaptive_quarantine", False
@@ -1139,7 +1139,7 @@ class CheckpointManager:
         if response is None:
             return
         size = self.response_bytes(response, replica.config.message_bytes)
-        replica.send_fn(sender, response, size)
+        replica._send(sender, response, size)
 
     def on_state_response(self, message: StateTransferResponse, sender: str) -> None:
         """Validate and install a transferred decided-log prefix.

@@ -80,7 +80,7 @@ class SyncSmrReplica(SmrReplica):
         node_id: str,
         members: Sequence[str],
         registry: KeyRegistry,
-        send_fn: Callable[[str, Any, int], None],
+        send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
         config: Optional[SmrConfig] = None,
     ) -> None:

@@ -88,11 +88,11 @@ class ReplicaGroupHarness:
                 actor.byzantine_silent = True
                 replica.stop()
 
-    def _make_send(self, sender: str) -> Callable[[str, Any, int], None]:
-        def send(peer: str, payload: Any, size_bytes: int) -> None:
+    def _make_send(self, sender: str) -> Callable[[Sequence[str], Any, int], None]:
+        def send(peers: Sequence[str], payload: Any, size_bytes: int) -> None:
             if self.actors[sender].byzantine_silent:
                 return
-            self.network.send(sender, peer, payload, size_bytes)
+            self.network.send_many(sender, peers, payload, size_bytes)
         return send
 
     # ------------------------------------------------------------------- runs

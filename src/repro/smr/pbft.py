@@ -128,7 +128,7 @@ class PbftReplica(SmrReplica):
         node_id: str,
         members: Sequence[str],
         registry: KeyRegistry,
-        send_fn: Callable[[str, Any, int], None],
+        send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
         config: Optional[SmrConfig] = None,
     ) -> None:
@@ -567,7 +567,7 @@ class PbftReplica(SmrReplica):
             )
             votes[self.node_id] = own
             self.sim.metrics.increment("smr.pbft.view_change_revotes")
-            self.send_fn(message.replica, own, self.config.message_bytes)
+            self._send(message.replica, own, self.config.message_bytes)
         ordered = sorted(self.members)
         new_primary = ordered[message.new_view % len(ordered)]
         if new_primary != self.node_id:

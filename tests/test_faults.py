@@ -199,14 +199,14 @@ class TestLinkFaultInjector:
         assert sinks["b"].received == []
         assert len(sinks["c"].received) == 1
 
-    def test_burst_and_fanout_paths_respect_injector(self):
+    def test_every_send_entry_point_respects_injector(self):
         sim = Simulator(seed=5)
         network = Network(sim, latency_model=FixedLatency(0.01))
         sinks = {name: _Sink(sim, name) for name in ("a", "b", "c")}
         for sink in sinks.values():
             network.register(sink)
         install_link_faults(network, sim, [LinkFault(loss=1.0)])
-        network.send_burst("a", [("b", "x", 64), ("c", "x", 64)])
+        network.send_many("a", ["b", "c"], "x", 64)
         network.send_fanout("a", ["b", "c"], "y", 64)
         network.send_one("a", "b", "z", 64)
         sim.run_until_idle()
@@ -218,8 +218,8 @@ class TestLinkFaultInjector:
 
 
 class TestCorruptionFault:
-    def test_all_send_paths_deliver_corrupted_wrapper(self):
-        # The wire-level contract: with corrupt=1.0 every path hands the
+    def test_every_send_entry_point_delivers_corrupted_wrapper(self):
+        # The wire-level contract: with corrupt=1.0 every entry point hands the
         # receiver a CorruptedPayload wrapper (which protocol actors then
         # verify and discard) instead of the raw payload.
         sim = Simulator(seed=6)
@@ -230,7 +230,7 @@ class TestCorruptionFault:
         install_link_faults(network, sim, [LinkFault(corrupt=1.0)])
         network.send("a", "b", "p1", 64)
         network.send_one("a", "b", "p2", 64)
-        network.send_burst("a", [("b", "p3", 64), ("c", "p4", 64)])
+        network.send_many("a", ["b", "c"], "p3", 64)
         network.send_fanout("a", ["b", "c"], "p5", 64)
         sim.run_until_idle()
         received = [p for _, p, _ in sinks["b"].received] + [

@@ -173,7 +173,7 @@ class _HeartbeatHost(Actor):
             address=address,
             group_id_fn=lambda: "G",
             peers_fn=lambda: peers,
-            send_fn=lambda peer, hb: network.send(address, peer, hb, 64),
+            send_fn=lambda peers, hb: network.send_many(address, peers, hb, 64),
             suspect_fn=self.suspected.append,
             config=HeartbeatConfig(period=1.0, misses_before_eviction=3),
         )

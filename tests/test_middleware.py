@@ -24,8 +24,10 @@ from repro.core.middleware import (
     run_hooks,
 )
 from repro.net.latency import FixedLatency
+from repro.net.message import CorruptedPayload
 from repro.net.network import Network
 from repro.overlay.membership import MembershipError
+from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 
 
@@ -229,6 +231,161 @@ class TestDispatchIntegration:
         cluster.install_middleware(MiddlewareChain(ticker))
         cluster.run_for(10.0)
         assert ticker.ticks == 3
+
+
+# ------------------------------------------- on_send verdicts and the context
+
+
+class _Sink(Actor):
+    def __init__(self, sim, address):
+        super().__init__(sim, address)
+        self.received = []
+
+    def on_message(self, payload, sender):
+        self.received.append((self.sim.now, payload))
+
+
+def hooked_network(hook, receivers=("b", "c", "d", "e")):
+    """A bare network (constant 1 ms latency) with ``hook`` as its on_send."""
+    sim = Simulator(seed=21)
+    network = Network(sim, latency_model=FixedLatency(0.001))
+    sinks = {name: _Sink(sim, name) for name in ("a", *receivers)}
+    for sink in sinks.values():
+        network.register(sink)
+    middleware = Middleware()
+    middleware.on_send = hook
+    network.install_middleware(MiddlewareChain(middleware))
+    return sim, network, sinks
+
+
+def accounted(metrics):
+    return sum(
+        metrics.counter(f"net.messages_{outcome}")
+        for outcome in ("delivered", "lost", "partitioned", "undeliverable")
+    )
+
+
+class TestMalformedSendVerdicts:
+    """A hook's verdict is outside input to the network: rejected, counted,
+    and never allowed to corrupt the run."""
+
+    @pytest.mark.parametrize("delay", [-5.0, float("nan"), float("inf"), "soon"])
+    def test_bad_extra_delay_never_moves_the_clock_backwards(self, delay):
+        def hook(ctx):
+            ctx.extra_delay = delay
+
+        sim, network, sinks = hooked_network(hook)
+        sim.schedule(10.0, lambda: network.send_one("a", "b", "x", 0))
+        sim.run_until_idle()
+        (arrived_at, _), = sinks["b"].received
+        assert arrived_at == pytest.approx(10.001, abs=1e-4)
+        assert sim.now >= 10.0
+        assert sim.metrics.counter("net.send_verdict_rejected") == 1
+
+    @pytest.mark.parametrize("copies", [0, -3])
+    def test_non_positive_copies_is_a_counted_drop(self, copies):
+        def hook(ctx):
+            ctx.copies = copies
+
+        sim, network, sinks = hooked_network(hook)
+        assert network.send_one("a", "b", "x", 64) is False
+        sim.run_until_idle()
+        assert sinks["b"].received == []
+        metrics = sim.metrics
+        assert metrics.counter("net.messages_lost") == 1
+        assert metrics.counter("net.messages_sent") == accounted(metrics) == 1
+
+    @pytest.mark.parametrize("copies", [2.0, None, "3"])
+    def test_non_int_copies_falls_back_to_one(self, copies):
+        def hook(ctx):
+            ctx.copies = copies
+
+        sim, network, sinks = hooked_network(hook)
+        assert network.send_one("a", "b", "x", 64) is True
+        sim.run_until_idle()
+        assert len(sinks["b"].received) == 1
+        assert sim.metrics.counter("net.send_verdict_rejected") == 1
+
+
+class TestOneContextPerBurst:
+    def test_verdicts_do_not_leak_between_receivers(self):
+        seen = []
+
+        def hook(ctx):
+            # Every receiver starts from the no-perturbation verdict and the
+            # burst's own payload, whatever the previous receiver's hooks did.
+            seen.append(
+                (ctx.receiver, ctx.payload, ctx.drop, ctx.extra_delay,
+                 ctx.copies, ctx.corrupted, ctx.stop)
+            )
+            if ctx.receiver == "c":
+                ctx.drop = True
+                ctx.stop = True
+            elif ctx.receiver == "d":
+                ctx.copies = 2
+                ctx.payload = "replaced"
+            elif ctx.receiver == "e":
+                ctx.corrupted = True
+
+        sim, network, sinks = hooked_network(hook)
+        assert network.send_many("a", ["b", "c", "d", "e"], "p", 64) == 3
+        sim.run_until_idle()
+        assert seen == [
+            (name, "p", False, 0.0, 1, False, False) for name in "bcde"
+        ]
+        assert [payload for _, payload in sinks["b"].received] == ["p"]
+        assert sinks["c"].received == []
+        assert [payload for _, payload in sinks["d"].received] == ["replaced"] * 2
+        (_, wrapped), = sinks["e"].received
+        assert isinstance(wrapped, CorruptedPayload) and wrapped.inner == "p"
+        assert sim.metrics.counter("net.messages_lost") == 1
+
+    def test_stop_is_cleared_per_receiver(self):
+        calls = []
+
+        def first(ctx):
+            calls.append(("first", ctx.receiver))
+            ctx.stop = ctx.receiver == "b"
+
+        second = Middleware()
+        second.on_send = lambda ctx: calls.append(("second", ctx.receiver))
+        sim, network, _ = hooked_network(first)
+        network._middleware.add(second)
+        network.send_many("a", ["b", "c"], "p", 64)
+        assert calls == [("first", "b"), ("first", "c"), ("second", "c")]
+
+    def test_one_context_constructed_per_burst_one_hook_call_per_message(
+        self, monkeypatch
+    ):
+        contexts = []
+        hook_calls = []
+
+        class Counted(MiddlewareContext):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                contexts.append(self)
+
+        monkeypatch.setattr("repro.net.network.MiddlewareContext", Counted)
+        sim, network, _ = hooked_network(lambda ctx: hook_calls.append(id(ctx)))
+        network.send_many("a", ["b", "c", "d", "e"], "p", 64)
+        network.send_one("a", "b", "q", 64)
+        assert len(contexts) == 2
+        assert len(hook_calls) == 5
+        assert len(set(hook_calls[:4])) == 1
+
+    def test_a_hook_may_itself_send(self):
+        def hook(ctx):
+            if ctx.payload == "outer" and ctx.receiver == "c":
+                network.send_one("a", "e", "inner", 64)
+
+        sim, network, sinks = hooked_network(hook)
+        network.send_many("a", ["b", "c", "d"], "outer", 64)
+        sim.run_until_idle()
+        assert [len(sinks[name].received) for name in "bcde"] == [1, 1, 1, 1]
+        assert sim.metrics.counter("net.messages_delivered") == 4
+        assert len(sim.queue) == 0
 
 
 # ------------------------------------------------------ exception propagation

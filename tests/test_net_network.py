@@ -1,8 +1,11 @@
 """Unit tests for the network substrate."""
 
+import math
 import random
 
 import pytest
+
+from repro.core.middleware import Middleware, MiddlewareChain
 
 from repro.net import (
     FixedLatency,
@@ -116,13 +119,14 @@ class TestDelivery:
         sim.run()
         assert len(b.received) == 1
 
-    def test_send_burst_counts_dispatched(self):
+    def test_send_many_counts_dispatched(self):
         sim, network = make_net()
         a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
         for actor in (a, b, c):
             network.register(actor)
-        count = network.send_burst("a", [("b", "x", 10), ("c", "y", 10)])
-        assert count == 2
+        count = network.send_many("a", ["b", "c", "ghost"], "x", 10)
+        assert count == 3  # an unknown receiver is only discovered on arrival
+        assert network.send_many("a", [], "x", 10) == 0
         sim.run()
         assert len(b.received) == 1
         assert len(c.received) == 1
@@ -178,12 +182,12 @@ class TestSidePreservingSplits:
         sim.run_until_idle()
         assert [p for _, p, _ in actors["c"].received] == ["after-heal"]
 
-    def test_split_respected_on_all_send_paths(self):
+    def test_split_respected_on_every_send_entry_point(self):
         sim, network, actors = self._quad()
         network.split([("a", "b"), ("c", "d")])
         network.send("a", "c", "x", 64)
         network.send_one("a", "c", "x", 64)
-        network.send_burst("a", [("c", "x", 64), ("d", "x", 64)])
+        network.send_many("a", ["c", "d"], "x", 64)
         network.send_fanout("a", ["c", "d"], "x", 64)
         sim.run_until_idle()
         assert actors["c"].received == [] and actors["d"].received == []
@@ -262,3 +266,90 @@ class TestLatencyModels:
     def test_regional_unknown_pair_uses_default(self):
         model = RegionalLatency(region_of={"a": "mars", "b": "venus"})
         assert model.base_latency("a", "b") == model.default_inter_region
+
+    @pytest.mark.parametrize("floor", [0.0001, 0.0006])
+    def test_lognormal_sampler_is_the_stdlib_draw_bit_for_bit(self, floor):
+        # The sampler inlines rng.lognormvariate; a twin RNG running the
+        # stdlib method must produce the same floats and end in the same
+        # state on every supported interpreter.
+        model = LogNormalLatency(median=0.0005, sigma=0.25, floor=floor)
+        rng, twin = random.Random(42), random.Random(42)
+        mu = math.log(0.0005)
+        for _ in range(10_000):
+            assert model.sample(rng, "a", "b") == max(floor, twin.lognormvariate(mu, 0.25))
+        assert rng.getstate() == twin.getstate()
+
+    def test_regional_sampler_is_the_stdlib_draw_bit_for_bit(self):
+        model = WanProfile([f"n{i}" for i in range(16)])
+        rng, twin = random.Random(43), random.Random(43)
+        pairs = [("n0", "n8"), ("n0", "n4"), ("n3", "n5"), ("n1", "stranger")]
+        for index in range(10_000):
+            sender, receiver = pairs[index % len(pairs)]
+            mu = math.log(model.base_latency(sender, receiver))
+            expected = twin.lognormvariate(mu, model.jitter_sigma)
+            assert model.sample(rng, sender, receiver) == expected
+        assert rng.getstate() == twin.getstate()
+
+
+class VerdictHook(Middleware):
+    """Sets every kind of verdict, keyed on the receiver."""
+
+    def on_send(self, ctx):
+        if ctx.receiver == "b":
+            ctx.extra_delay = 0.25
+        elif ctx.receiver == "c":
+            ctx.copies = 3
+        elif ctx.receiver == "e":
+            ctx.corrupted = True
+
+
+class TestBatchEqualsSequential:
+    """Standing oracle: ``send_many`` is exactly its single sends in a row."""
+
+    RECEIVERS = ["b", "c", "d", "e", "f", "g"]
+
+    def _run(self, batched, hook):
+        sim = Simulator(seed=1234)
+        network = Network(
+            sim, latency_model=LanProfile(), config=NetworkConfig(loss_probability=0.05)
+        )
+        actors = {name: Recorder(sim, name) for name in ["a", *self.RECEIVERS]}
+        for actor in actors.values():
+            network.register(actor)
+        network.split([("a", "b", "c", "d", "e", "g"), ("f",)])
+        network.partition(["g"])
+        if hook is not None:
+            network.install_middleware(MiddlewareChain(hook))
+
+        def burst(tag):
+            if batched:
+                network.send_many("a", self.RECEIVERS, tag, 4000)
+            else:
+                for receiver in self.RECEIVERS:
+                    network.send_one("a", receiver, tag, 4000)
+
+        for index in range(60):
+            sim.schedule(0.0002 * index, lambda tag=index: burst(tag), tag="burst")
+        trace = []
+        sim.run(trace=trace)
+        deliveries = [
+            (name, actor.received) for name, actor in sorted(actors.items())
+        ]
+        counters = {
+            name: value
+            for name, value in sim.metrics.counters.items()
+            if name.startswith("net.")
+        }
+        latencies = list(sim.metrics.histogram("net.delivery_latency").samples)
+        return trace, deliveries, counters, latencies, network._rng.getstate()
+
+    @pytest.mark.parametrize("hook", [None, VerdictHook], ids=["plain", "hooked"])
+    def test_batch_and_single_sends_agree(self, hook):
+        batch = self._run(True, hook() if hook else None)
+        single = self._run(False, hook() if hook else None)
+        assert batch == single
+        _, _, counters, latencies, _ = batch
+        # The scenario is not vacuous: every outcome occurs.
+        assert counters["net.messages_lost"] > 0
+        assert counters["net.messages_partitioned"] == 120
+        assert len(latencies) == counters["net.messages_delivered"] > 200

@@ -102,8 +102,8 @@ class TestDisseminationGolden:
         assert as_json_rounds(rounds) == dissemination_golden["flood"]
 
 
-def run_stack_scenario(stack_golden, coalesced=False, with_trace=True):
-    trace = [] if with_trace else None
+def run_stack_scenario(stack_golden):
+    trace = []
     outcome = run_broadcast_scenario(
         seed=stack_golden["seed"],
         groups=stack_golden["groups"],
@@ -112,7 +112,6 @@ def run_stack_scenario(stack_golden, coalesced=False, with_trace=True):
         broadcasts=stack_golden["broadcasts"],
         policy="flood",
         horizon=stack_golden["horizon"],
-        coalesced_fanout=coalesced,
         trace=trace,
     )
     return trace, outcome
@@ -135,14 +134,3 @@ class TestStackGolden:
         assert trace_a == trace_b
         assert outcome_a["delivery_latency_samples"] == outcome_b["delivery_latency_samples"]
         assert stack_figures(stack_golden, outcome_a) == stack_figures(stack_golden, outcome_b)
-
-    def test_coalesced_fanout_changes_only_event_count(self, stack_golden):
-        """Batched fan-out delivery: same outcomes, fewer simulation events."""
-        _, plain = run_stack_scenario(stack_golden, with_trace=False)
-        _, coalesced = run_stack_scenario(stack_golden, coalesced=True, with_trace=False)
-        assert coalesced["processed_events"] < plain["processed_events"]
-        for key in stack_golden["figures"]:
-            if key == "processed_events":
-                continue
-            assert coalesced[key] == plain[key], key
-        assert coalesced["delivery_latency_samples"] == plain["delivery_latency_samples"]
