@@ -1,11 +1,24 @@
-"""Setuptools shim.
+"""Package metadata (there is no pyproject.toml; this file is the source).
 
-The pyproject.toml [project] table is the single source of truth for package
-metadata.  This file exists so that the package can be installed in editable
-mode on machines without the ``wheel`` package (legacy ``setup.py develop``
-path), e.g. offline environments.
+The simulator, protocol stack and linter are pure standard library.  scipy is
+needed only by the Figure-4 chi-square guideline simulation
+(``repro.overlay.guideline.uniformity_pvalue``) and the binomial robustness
+analysis (``repro.analysis.robustness``, which the fault matrix's rows and the
+figure benchmarks call); both import it on first use — hence an extra, not a
+requirement.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Reproduction of Atum: Scalable Group Communication Using Volatile Groups",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    extras_require={
+        "analysis": ["scipy"],
+        "test": ["pytest", "pytest-benchmark", "scipy"],
+    },
+)

@@ -18,8 +18,6 @@ import math
 import random
 from typing import Dict, List, Optional
 
-from scipy import stats
-
 from repro.sim.rng import named_stream
 from repro.smr.base import async_fault_threshold, sync_fault_threshold
 
@@ -41,6 +39,9 @@ def vgroup_failure_probability(
     if not 0.0 <= failure_probability <= 1.0:
         raise ValueError("failure_probability must be in [0, 1]")
     threshold = fault_threshold(group_size, synchronous)
+    # Imported on first use: importing this module must not load scipy.
+    from scipy import stats
+
     return float(stats.binom.sf(threshold, group_size, failure_probability))
 
 

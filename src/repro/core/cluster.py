@@ -579,12 +579,12 @@ class AtumCluster:
             tracked = self._min_group_sizes[group_id] = view.size
         return tracked
 
-    def cycle_neighbor_ids(self, group_id: str) -> List[Tuple[str, str]]:
+    def cycle_neighbor_ids(self, group_id: str) -> Sequence[Tuple[str, str]]:
         """Per H-graph cycle, the (predecessor, successor) group ids."""
         graph = self.engine.graph
         if graph is None or group_id not in graph:
-            return []
-        return [graph.cycle_neighbors(group_id, cycle) for cycle in range(graph.hc)]
+            return ()
+        return graph.cycle_pairs(group_id)
 
     # ------------------------------------------------------------------ queries
 

@@ -20,10 +20,8 @@ Internally the node hosts:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
@@ -38,6 +36,7 @@ from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
 from repro.net.requests import RequestEnvelope
+from repro.overlay.gossip import forward_cycles, forward_targets
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrReplica
@@ -635,8 +634,10 @@ class AtumNode(Actor):
         """Neighbouring vgroups this broadcast should be forwarded to.
 
         The choice must be identical at every correct member of the vgroup
-        (otherwise the group message never reaches a majority), so built-in
-        policies derive any randomness deterministically from the broadcast id.
+        (otherwise the group message never reaches a majority), which is why
+        the built-in policies (:func:`repro.overlay.gossip.forward_cycles`)
+        derive any variation from the broadcast id.  ``gossip_fanout`` is the
+        adaptive throttle (AdaptiveGossip via the ParameterBus) on ``flood``.
         """
         if self.vgroup_view is None:
             return []
@@ -644,70 +645,14 @@ class AtumNode(Actor):
         cycle_neighbors = self.directory.cycle_neighbor_ids(own_group)
         if not cycle_neighbors:
             return []
-
+        hc = len(cycle_neighbors)
         if self.forward_fn is not None:
-            candidates = _unique(
-                gid for pair in cycle_neighbors for gid in pair if gid != own_group
-            )
-            return [gid for gid in candidates if gid != exclude and self.forward_fn(message, gid)]
-
-        policy = self.forward_policy
-        if policy == "flood":
-            fanout = self.params.gossip_fanout
-            if fanout is not None and fanout < len(cycle_neighbors):
-                # Adaptive throttle (AdaptiveGossip via the ParameterBus):
-                # forward on a deterministic ``fanout``-cycle subset derived
-                # from the broadcast id, exactly like the single/double
-                # policies, so every correct co-member still picks the same
-                # cycles.  ``None`` floods all cycles — byte-identical to
-                # builds without the knob.
-                start = _stable_hash(message.bcast_id) % len(cycle_neighbors)
-                selected_cycles = [
-                    (start + offset) % len(cycle_neighbors) for offset in range(fanout)
-                ]
-            else:
-                selected_cycles = range(len(cycle_neighbors))
-        elif policy in ("single", "double"):
-            count = 1 if policy == "single" else 2
-            start = _stable_hash(message.bcast_id) % len(cycle_neighbors)
-            selected_cycles = [(start + offset) % len(cycle_neighbors) for offset in range(count)]
-        elif policy == "random":
-            # Deterministic "random" subset derived from the broadcast id: one
-            # guaranteed cycle plus one extra cycle.
-            start = _stable_hash(message.bcast_id) % len(cycle_neighbors)
-            selected_cycles = [0, start]
-        else:
-            raise ValueError(f"unknown forward policy {policy!r}")
-
-        targets: List[str] = []
-        for cycle in selected_cycles:
-            for gid in cycle_neighbors[cycle]:
-                if gid != own_group and gid != exclude and gid not in targets:
-                    targets.append(gid)
-        return targets
-
-
-@lru_cache(maxsize=4096)
-def _stable_hash(value: str) -> int:
-    """A process-independent stable hash (Python's ``hash`` is salted).
-
-    Kept distinct from :func:`repro.overlay.gossip.stable_message_hash` (an
-    8-byte digest): this 4-byte variant predates it and changing the width
-    would silently reshuffle the single/double/random forwarding cycles, so
-    it only gains a cache here.  Broadcast ids repeat for every hop of a
-    dissemination, then die; the LRU bound keeps long runs flat.
-    """
-    return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:4], "big")
-
-
-def _unique(values) -> List[str]:
-    seen: Set[str] = set()
-    result: List[str] = []
-    for value in values:
-        if value not in seen:
-            seen.add(value)
-            result.append(value)
-    return result
+            candidates = forward_targets(cycle_neighbors, range(hc), own_group, exclude)
+            return [gid for gid in candidates if self.forward_fn(message, gid)]
+        cycles = forward_cycles(
+            self.forward_policy, message.bcast_id, hc, self.params.gossip_fanout
+        )
+        return forward_targets(cycle_neighbors, cycles, own_group, exclude)
 
 
 class OverlayDirectory:
@@ -720,7 +665,7 @@ class OverlayDirectory:
     def view_of_group(self, group_id: str) -> Optional[VGroupView]:  # pragma: no cover
         raise NotImplementedError
 
-    def cycle_neighbor_ids(self, group_id: str) -> List[Tuple[str, str]]:  # pragma: no cover
+    def cycle_neighbor_ids(self, group_id: str) -> Sequence[Tuple[str, str]]:  # pragma: no cover
         raise NotImplementedError
 
     def request_eviction(self, peer: str, suspected_by: str) -> None:  # pragma: no cover

@@ -31,9 +31,9 @@ class HeartbeatConfig:
 
     Attributes:
         period: Interval between heartbeats (60 s in the paper).  Runtime
-            changes must go through :meth:`HeartbeatMonitor.set_period` (or a
-            direct mutation of this field, which the monitor detects) and take
-            effect at the *next* tick — see the monitor's adoption rules.
+            changes go through :meth:`HeartbeatMonitor.set_period` and take
+            effect at the *next* tick — see the monitor's adoption rules; the
+            monitor reads this field at construction only.
         misses_before_eviction: Consecutive missed heartbeats after which a
             peer is considered unresponsive and an eviction is proposed.
             Adaptation-immutable: policies adjust ``period`` only, so the
@@ -130,17 +130,10 @@ class HeartbeatMonitor:
     # ----------------------------------------------------------------- protocol
 
     def _adopt_period(self) -> None:
-        """Adopt a pending period change at a tick boundary (see set_period).
-
-        Direct mutations of ``config.period`` (the legacy knob) are detected
-        and given the same next-tick semantics instead of aliasing into the
-        current tick's suspicion check.
-        """
+        """Adopt a pending period change at a tick boundary (see set_period)."""
         pending = self._pending_period
         if pending is None:
-            if self.config.period == self._period:
-                return
-            pending = self.config.period
+            return
         self._pending_period = None
         misses = self.config.misses_before_eviction
         old_deadline = self._period * misses

@@ -280,12 +280,12 @@ METRICS = {
     },
     'group.corrupted_shares_dropped': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
+        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
         "matrix_column": True,
     },
     'group.equivocations_sent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
+        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
         "matrix_column": True,
     },
     'group.evictions_proposed': {
@@ -295,22 +295,22 @@ METRICS = {
     },
     'group.forged_size_rejected': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
+        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
         "matrix_column": True,
     },
     'group.messages_accepted': {
         "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
+        "modules": ('repro/group/messages.py',),
         "matrix_column": False,
     },
     'group.payload_digest_mismatch': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
+        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
         "matrix_column": True,
     },
     'group.shares_sent': {
         "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
+        "modules": ('repro/group/messages.py',),
         "matrix_column": False,
     },
     'invariants.check_errors': {
@@ -330,7 +330,7 @@ METRICS = {
     },
     'membership.exchanges_completed': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py', 'repro/workloads/growth.py'),
+        "modules": ('repro/overlay/membership.py', 'repro/workloads/growth.py'),
         "matrix_column": False,
     },
     'membership.exchanges_suppressed': {
@@ -345,12 +345,12 @@ METRICS = {
     },
     'membership.join_latency': {
         "kind": 'histogram',
-        "modules": ('repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/workloads/churn.py',),
         "matrix_column": False,
     },
     'membership.joins_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
         "matrix_column": True,
     },
     'membership.joins_started': {
@@ -360,12 +360,12 @@ METRICS = {
     },
     'membership.leaves_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/sim/protocol_perf.py', 'repro/workloads/churn.py'),
+        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
         "matrix_column": True,
     },
     'membership.merges': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/overlay/membership.py',),
         "matrix_column": False,
     },
     'membership.slowdown_penalty': {
@@ -375,7 +375,7 @@ METRICS = {
     },
     'membership.splits': {
         "kind": 'counter',
-        "modules": ('repro/overlay/membership.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/overlay/membership.py',),
         "matrix_column": False,
     },
     'membership.system_size': {
@@ -435,12 +435,12 @@ METRICS = {
     },
     'net.delivery_latency': {
         "kind": 'histogram',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_delivered': {
         "kind": 'counter',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_lost': {
@@ -455,7 +455,7 @@ METRICS = {
     },
     'net.messages_sent': {
         "kind": 'counter',
-        "modules": ('repro/net/network.py', 'repro/sim/protocol_perf.py'),
+        "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
     'net.messages_undeliverable': {
@@ -466,16 +466,6 @@ METRICS = {
     'net.send_verdict_rejected': {
         "kind": 'counter',
         "modules": ('repro/net/network.py',),
-        "matrix_column": False,
-    },
-    'perf.latency': {
-        "kind": 'histogram',
-        "modules": ('repro/sim/perf.py',),
-        "matrix_column": False,
-    },
-    'perf.swallowed_errors': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
         "matrix_column": False,
     },
     'policy.antientropy_period': {
@@ -801,16 +791,6 @@ METRICS = {
     'smr.sync.relays': {
         "kind": 'counter',
         "modules": ('repro/smr/dolev_strong.py',),
-        "matrix_column": False,
-    },
-    'stack.deliveries': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
-        "matrix_column": False,
-    },
-    'stack.forwards': {
-        "kind": 'counter',
-        "modules": ('repro/sim/protocol_perf.py',),
         "matrix_column": False,
     },
 }

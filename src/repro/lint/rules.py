@@ -101,7 +101,6 @@ WALL_CLOCK_TARGETS = {f"time.{attr}" for attr in WALL_CLOCK_TIME_ATTRS} | {
 #: Paths allowed to read the wall clock: benchmark harnesses time *real*
 #: elapsed seconds by design.
 WALL_CLOCK_ALLOWED_PREFIXES = ("benchmarks/",)
-WALL_CLOCK_ALLOWED_SUFFIXES = ("repro/sim/perf.py",)
 
 
 @register_rule
@@ -112,18 +111,15 @@ class WallClockRule(Rule):
     a wall-clock read makes behaviour depend on host speed and destroys
     trace byte-identity.  Flags calls to ``time.time/monotonic/
     perf_counter/process_time`` (and ``_ns`` variants) and
-    ``datetime.now/utcnow/today``, except under ``benchmarks/`` and in
-    ``sim/perf.py`` which measure real elapsed seconds by design.
+    ``datetime.now/utcnow/today``, except under ``benchmarks/``, which
+    measures real elapsed seconds by design.
     """
 
     rule_id = "ATL002"
-    title = "wall-clock read outside benchmarks/ and sim/perf.py"
+    title = "wall-clock read outside benchmarks/"
 
     def check(self, module: ModuleInfo, project: ProjectIndex) -> Iterable[Finding]:
-        rel = module.relpath
-        if rel.startswith(WALL_CLOCK_ALLOWED_PREFIXES) or rel.endswith(
-            WALL_CLOCK_ALLOWED_SUFFIXES
-        ):
+        if module.relpath.startswith(WALL_CLOCK_ALLOWED_PREFIXES):
             return
         aliases = module.import_aliases
         for node in ast.walk(module.tree):
@@ -536,13 +532,30 @@ def iter_metric_name_literals(
     (``increment``/``observe``/``counter``/``histogram``/``record_point``/
     ``timeseries`` with a string-literal first argument) plus string
     subscripts on the registry's ``counters``/``histograms``/``series``
-    containers (the hot-path idiom ``counters["stack.deliveries"] += 1``).
-    Dynamic names (f-strings, variables) are invisible to this scan and
-    are validated by their *read* sites instead.
+    containers (the hot-path idiom ``counters["net.messages_sent"] += 1``).
+    A bound-method alias (``self._bump = sim.metrics.increment`` then
+    ``self._bump("group.shares_sent")``, the per-share hot-path idiom) is
+    matched under the alias name anywhere in the module.  Dynamic names
+    (f-strings, variables) are invisible to this scan and are validated by
+    their *read* sites instead.
     """
+    aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            kind = METRIC_CALL_ATTRS.get(node.func.attr)
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in METRIC_CALL_ATTRS
+        ):
+            for target in node.targets:
+                alias = getattr(target, "attr", None) or getattr(target, "id", None)
+                if alias is not None:
+                    aliases[alias] = METRIC_CALL_ATTRS[node.value.attr]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            if isinstance(node.func, ast.Attribute):
+                kind = METRIC_CALL_ATTRS.get(node.func.attr) or aliases.get(node.func.attr)
+            else:
+                kind = aliases.get(node.func.id)
             if (
                 kind is not None
                 and node.args

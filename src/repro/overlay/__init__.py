@@ -9,8 +9,9 @@ The overlay connects vgroups (paper section 3.2).  Its pieces:
 * :mod:`repro.overlay.guideline` -- the simulation that produces the paper's
   Figure 4 configuration guideline (optimal walk length per cycle count),
   based on a Pearson chi-square uniformity test.
-* :mod:`repro.overlay.gossip` -- forwarding policies for gossip dissemination
-  (random neighbours, flooding all cycles, a fixed number of cycles).
+* :mod:`repro.overlay.gossip` -- the forward decision of gossip dissemination
+  (which cycles a broadcast travels: all, a fixed number, one guaranteed
+  plus one more).
 * :class:`repro.overlay.membership.MembershipEngine` -- the vgroup-granularity
   engine that executes joins, leaves, random-walk shuffling, and logarithmic
   grouping (splits and merges) on the simulator.
@@ -23,7 +24,7 @@ from repro.overlay.random_walk import (
     structural_walk,
     RandomWalkOutcome,
 )
-from repro.overlay.gossip import ForwardPolicy, flood_policy, single_cycle_policy, random_policy
+from repro.overlay.gossip import forward_cycles, forward_targets
 from repro.overlay.guideline import uniformity_pvalue, optimal_walk_length, guideline_table
 from repro.overlay.membership import MembershipEngine, MembershipConfig
 
@@ -33,10 +34,8 @@ __all__ = [
     "BulkRng",
     "structural_walk",
     "RandomWalkOutcome",
-    "ForwardPolicy",
-    "flood_policy",
-    "single_cycle_policy",
-    "random_policy",
+    "forward_cycles",
+    "forward_targets",
     "uniformity_pvalue",
     "optimal_walk_length",
     "guideline_table",

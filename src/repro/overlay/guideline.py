@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from scipy import stats
-
 from repro.overlay.hgraph import HGraph
 from repro.overlay.random_walk import structural_walk
 from repro.sim.rng import named_stream
@@ -52,8 +50,11 @@ def uniformity_pvalue(
         outcome = structural_walk(graph, start, rwl, rng)
         counts[outcome.selected] += 1
     observed = [counts.get(vertex, 0) for vertex in vertices]
-    result = stats.chisquare(observed)
-    return float(result.pvalue)
+    # Imported on first use: every AtumCluster user imports this module (for
+    # PAPER_GUIDELINE) and only this simulation needs scipy.
+    from scipy import stats
+
+    return float(stats.chisquare(observed).pvalue)
 
 
 def is_uniform(

@@ -19,16 +19,14 @@ structure supports the three mutations the membership protocols need:
 
 Neighbour queries are on the per-hop hot path of gossip and random walks, so
 the graph maintains a lazily built **per-vertex neighbour table** (cycle
-pairs, incident links, gossip-ordered neighbour list) plus a per-vertex
-scratch cache for policy-derived data.  Mutations invalidate only the
-affected vertices and bump :attr:`HGraph.topology_version`, which consumers
-can use to stamp their own derived caches.
+pairs and incident links).  Mutations invalidate only the affected vertices
+and bump :attr:`HGraph.topology_version`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 
 class HGraphError(ValueError):
@@ -38,20 +36,15 @@ class HGraphError(ValueError):
 class _VertexTable:
     """Cached neighbour views of one vertex (invalidated on topology change)."""
 
-    __slots__ = ("pairs", "links", "gossip", "derived")
+    __slots__ = ("pairs", "links")
 
     def __init__(
         self,
         pairs: Tuple[Tuple[str, str], ...],
         links: Tuple[Tuple[int, str], ...],
-        gossip: Tuple[str, ...],
     ) -> None:
         self.pairs = pairs
         self.links = links
-        self.gossip = gossip
-        #: Scratch space for consumers (gossip policies) to cache data derived
-        #: from this vertex's neighbourhood; dropped with the table.
-        self.derived: Dict[Any, Any] = {}
 
 
 class HGraph:
@@ -104,7 +97,7 @@ class HGraph:
 
     @property
     def topology_version(self) -> int:
-        """Monotonic counter bumped by every mutation (for derived caches)."""
+        """Monotonic counter bumped by every mutation."""
         return self._version
 
     def __contains__(self, vertex: str) -> bool:
@@ -151,18 +144,6 @@ class HGraph:
         result.discard(vertex)
         return result
 
-    def gossip_neighbors(self, vertex: str) -> Tuple[str, ...]:
-        """Deduplicated neighbours in gossip order, excluding ``vertex`` itself.
-
-        Gossip order is (predecessor, successor) per cycle, cycle by cycle —
-        the order :func:`repro.overlay.gossip.flood_policy` has always
-        forwarded in.  The tuple is cached until the topology changes.
-        """
-        table = self._tables.get(vertex)
-        if table is None:
-            table = self._build_table(vertex)
-        return table.gossip
-
     def incident_links(self, vertex: str) -> Tuple[Tuple[int, str], ...]:
         """All (cycle, neighbour) links of ``vertex``, including duplicates.
 
@@ -178,18 +159,6 @@ class HGraph:
 
     def degree(self, vertex: str) -> int:
         return len(self.incident_links(vertex))
-
-    def derived_cache(self, vertex: str) -> Dict[Any, Any]:
-        """Per-vertex scratch cache invalidated together with the vertex.
-
-        Gossip policies use it to memoise forward lists derived from the
-        vertex's neighbourhood; entries disappear whenever a mutation touches
-        the vertex, so consumers never observe stale topology.
-        """
-        table = self._tables.get(vertex)
-        if table is None:
-            table = self._build_table(vertex)
-        return table.derived
 
     # ---------------------------------------------------------------- mutations
 
@@ -301,23 +270,13 @@ class HGraph:
         self._check_vertex(vertex)
         pairs: List[Tuple[str, str]] = []
         links: List[Tuple[int, str]] = []
-        gossip: List[str] = []
-        seen: Set[str] = set()
         for cycle in range(self.hc):
             successor = self._succ[cycle][vertex]
             predecessor = self._pred[cycle][vertex]
             pairs.append((predecessor, successor))
             links.append((cycle, successor))
             links.append((cycle, predecessor))
-            # Gossip order: predecessor before successor, matching the
-            # pre-cache flood forwarding order.
-            if predecessor != vertex and predecessor not in seen:
-                seen.add(predecessor)
-                gossip.append(predecessor)
-            if successor != vertex and successor not in seen:
-                seen.add(successor)
-                gossip.append(successor)
-        table = _VertexTable(tuple(pairs), tuple(links), tuple(gossip))
+        table = _VertexTable(tuple(pairs), tuple(links))
         self._tables[vertex] = table
         return table
 

@@ -15,9 +15,8 @@ from repro.sim.actor import Actor
 from repro.sim.rng import RngRegistry
 from repro.sim.metrics import MetricsRegistry, Histogram, TimeSeries
 
-# repro.sim.perf (kernel throughput), repro.sim.protocol_perf (protocol-stack
-# throughput) and repro.sim.runpar (sharded parallel scenario runner) are
-# imported lazily by the benchmarks to keep the kernel import graph minimal.
+# repro.sim.runpar (sharded parallel scenario runner) is imported by its users
+# (the fault matrix), not here, to keep the kernel import graph minimal.
 
 __all__ = [
     "Event",

@@ -19,9 +19,8 @@ plain-dict snapshot::
 
     {"counters": {name: float}, "histograms": {name: [samples...]}}
 
-:mod:`repro.sim.protocol_perf` provides ready-made shards
-(``broadcast_shard``, ``churn_shard``); the determinism tests drive them
-through :func:`run_sharded`.
+:func:`repro.faults.scenarios.scenario_shard` is the shard the fault matrix
+fans out; the determinism tests drive it through :func:`run_sharded`.
 
 Knobs
 -----
@@ -158,49 +157,6 @@ def run_and_merge(
 ) -> ShardResult:
     """Convenience wrapper: :func:`run_sharded` then :func:`merge_shards`."""
     return merge_shards(run_sharded(target, seeds, workers=workers, kwargs=kwargs))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:  # pragma: no cover - CLI
-    """CLI: ``python -m repro.sim.runpar --scenario broadcast --shards 4``."""
-    import argparse
-    import json
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--scenario",
-        default="broadcast",
-        choices=("broadcast", "churn"),
-        help="which repro.sim.protocol_perf shard to fan out",
-    )
-    parser.add_argument("--shards", type=int, default=4, help="number of seeded shards")
-    parser.add_argument("--base-seed", type=int, default=7, help="seed of the first shard")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker processes (default: ${WORKERS_ENV} or cpu count)",
-    )
-    args = parser.parse_args(argv)
-    target = f"repro.sim.protocol_perf:{args.scenario}_shard"
-    seeds = [args.base_seed + index for index in range(args.shards)]
-    merged = run_and_merge(target, seeds, workers=args.workers)
-    printable = {
-        "shards": merged["shards"],
-        "counters": merged["counters"],
-        "histograms": {
-            name: {
-                "count": histogram.count,
-                "mean": histogram.mean,
-                "p99": histogram.percentile(99),
-            }
-            for name, histogram in merged["histograms"].items()
-        },
-    }
-    print(json.dumps(printable, indent=2, sort_keys=True))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
 
 
 __all__ = [

@@ -1,28 +1,11 @@
-"""Capture the golden protocol-path traces (run with the PRE-optimisation code).
+"""Capture the golden flood dissemination trace.
 
-Produces two golden files next to this script:
-
-* ``golden_protocol_dissemination.json`` — the structural round-by-round
-  forwarding trace of a broadcast over a 3-cycle H-graph under the flood and
-  random policies (via :func:`repro.overlay.gossip.dissemination_trace`).
-* ``golden_protocol_stack.json`` — the full ``(time, tag)`` event trace and
-  figure outputs of a small protocol-stack broadcast scenario (group
-  messenger + gossip forwarding + heartbeats on the real network/simulator).
-
-Capture provenance
-------------------
-
-The ``flood`` dissemination trace and the stack trace were captured at commit
-9967c2e (the pre-PR protocol path).  Both are independent of Python's hash
-randomisation, so they replay byte-identically on any interpreter — the fast
-protocol path is held to them.
-
-The ``random`` dissemination trace could NOT be captured on the pre-PR code:
-the old ``random_policy`` drew its candidate list from a ``set`` (hash-seed
-dependent iteration order), so its forward sets differed between interpreter
-invocations — there was no byte-stable pre-PR behaviour to record.  It was
-therefore captured on the deterministic fast path introduced by this PR
-(ordered neighbour tables + ``rng.sample``) and locks that new guarantee.
+Writes ``golden_protocol_dissemination.json`` next to this script: the
+structural round-by-round forwarding trace of a flooded broadcast over a
+3-cycle H-graph (via :func:`repro.overlay.gossip.dissemination_trace`).  The
+committed file was captured at commit 9967c2e (the pre-PR-2 protocol path) and
+is independent of Python's hash randomisation, so it replays byte-identically
+on any interpreter.
 
 Regenerate deliberately with::
 
@@ -32,106 +15,38 @@ Regenerate deliberately with::
 import json
 import os
 import random
-import sys
 
-from repro.overlay.gossip import dissemination_trace, flood_policy, random_policy
+from repro.overlay.gossip import dissemination_trace
 from repro.overlay.hgraph import HGraph
-from repro.sim.protocol_perf import run_broadcast_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DISSEMINATION_PATH = os.path.join(HERE, "golden_protocol_dissemination.json")
-STACK_PATH = os.path.join(HERE, "golden_protocol_stack.json")
 
 GRAPH_SEED = 5
 GRAPH_VERTICES = 27
 GRAPH_CYCLES = 3
 MESSAGE_ID = "gm-golden-1"
 
-STACK_SEED = 21
-STACK_GROUPS = 12
-STACK_GROUP_SIZE = 5
-STACK_BROADCASTS = 3
-STACK_HORIZON = 30.0
 
-
-def build_graph() -> HGraph:
-    return HGraph.random(
+def capture_dissemination() -> dict:
+    graph = HGraph.random(
         [f"g{i}" for i in range(GRAPH_VERTICES)], GRAPH_CYCLES, random.Random(GRAPH_SEED)
     )
-
-
-def capture_dissemination(include_random: bool) -> dict:
-    graph = build_graph()
-    flood = dissemination_trace(
-        graph, "g0", flood_policy, random.Random(17), message_id=MESSAGE_ID
-    )
-    payload = {
+    return {
         "graph_seed": GRAPH_SEED,
         "vertices": GRAPH_VERTICES,
         "cycles": GRAPH_CYCLES,
         "message_id": MESSAGE_ID,
-        "flood": flood,
-    }
-    if include_random:
-        payload["random"] = dissemination_trace(
-            graph, "g0", random_policy(fanout=2), random.Random(17), message_id=MESSAGE_ID
-        )
-    return payload
-
-
-def capture_stack() -> dict:
-    trace: list = []
-    outcome = run_broadcast_scenario(
-        seed=STACK_SEED,
-        groups=STACK_GROUPS,
-        group_size=STACK_GROUP_SIZE,
-        hc=GRAPH_CYCLES,
-        broadcasts=STACK_BROADCASTS,
-        policy="flood",
-        horizon=STACK_HORIZON,
-        trace=trace,
-    )
-    metrics_keys = (
-        "processed_events",
-        "messages_delivered",
-        "messages_sent",
-        "shares_sent",
-        "group_accepted",
-        "deliveries",
-        "delivery_fraction",
-    )
-    return {
-        "seed": STACK_SEED,
-        "groups": STACK_GROUPS,
-        "group_size": STACK_GROUP_SIZE,
-        "hc": GRAPH_CYCLES,
-        "broadcasts": STACK_BROADCASTS,
-        "horizon": STACK_HORIZON,
-        "trace_length": len(trace),
-        "figures": {key: outcome[key] for key in metrics_keys},
-        "trace": [[t, tag] for t, tag in trace],
+        "flood": dissemination_trace(graph, "g0", "flood", message_id=MESSAGE_ID),
     }
 
 
 def main() -> None:
-    include_random = "--no-random" not in sys.argv
-    dissemination = capture_dissemination(include_random)
-    if not include_random and os.path.exists(DISSEMINATION_PATH):
-        # Pre-PR capture pass: keep any previously captured random trace.
-        with open(DISSEMINATION_PATH, "r", encoding="utf-8") as fh:
-            previous = json.load(fh)
-        if "random" in previous:
-            dissemination["random"] = previous["random"]
+    dissemination = capture_dissemination()
     with open(DISSEMINATION_PATH, "w", encoding="utf-8") as fh:
         json.dump(dissemination, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {DISSEMINATION_PATH} (flood rounds={len(dissemination['flood'])})")
-
-    stack = capture_stack()
-    with open(STACK_PATH, "w", encoding="utf-8") as fh:
-        json.dump(stack, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {STACK_PATH} (trace length={stack['trace_length']})")
 
 
 if __name__ == "__main__":

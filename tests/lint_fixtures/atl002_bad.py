@@ -1,4 +1,4 @@
-"""ATL002 fixture: wall-clock reads outside benchmarks/ and sim/perf.py."""
+"""ATL002 fixture: wall-clock reads outside benchmarks/."""
 
 import time
 from datetime import datetime

@@ -6,3 +6,5 @@ def report(metrics):
     metrics.counters["invariants.check_errors"] += 1
     # atumlint: allow[ATL006] fixture: probe metric only ever read inside this fixture
     metrics.increment("fixture.probe")
+    bump = metrics.increment
+    bump("group.shares_sent")

@@ -1,9 +1,28 @@
 """Integration tests: full Atum clusters (config, broadcast, faults, churn)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.config import parameter_table
+
+
+def test_importing_the_cluster_does_not_load_scipy():
+    """Only the Figure-4 chi-square simulation and the binomial robustness
+    analysis need scipy; running a cluster must not pay for importing it (and
+    must work where it is not installed)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = "import sys, repro.core.cluster; sys.exit('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert result.returncode == 0
 
 
 class TestParameters:

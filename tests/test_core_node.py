@@ -1,9 +1,12 @@
 """Unit tests for AtumNode internals: routing, gossip targets, forward policies."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
-from repro.core.node import BroadcastMessage, DirectMessage, SmrEnvelope, _stable_hash
+from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, SmrEnvelope
+from repro.overlay.gossip import forward_cycles, forward_targets, stable_hash
 
 
 def small_params(**overrides):
@@ -19,12 +22,111 @@ def built_cluster(n=24, seed=0, **cluster_kwargs):
     return cluster
 
 
+# (policy, gossip_fanout, bcast_id, hc) -> targets, captured at commit 5c6dc87
+# from the pre-refactor ``AtumNode._gossip_targets`` (string policies and hash
+# arithmetic inline in core/node.py) over a synthetic neighbourhood: cycle c
+# has neighbours ("p<c>", "s<c>"), except that the last cycle's successor is
+# the own group and the message arrived from "p0" — so the cycle choice, the
+# pred-before-succ order, the dedup and both filters are all pinned.
+FORWARD_ORACLE = [
+    ('flood', None, 'bc-n3-1', 2, ['s0', 'p1']),
+    ('flood', None, 'bc-n3-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', None, 'bc-n3-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', None, 'bc-n17-42', 2, ['s0', 'p1']),
+    ('flood', None, 'bc-n17-42', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', None, 'bc-n17-42', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', None, 'gm-golden-1', 2, ['s0', 'p1']),
+    ('flood', None, 'gm-golden-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', None, 'gm-golden-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', 1, 'bc-n3-1', 2, ['s0']),
+    ('flood', 1, 'bc-n3-1', 3, ['p1', 's1']),
+    ('flood', 1, 'bc-n3-1', 5, ['s0']),
+    ('flood', 1, 'bc-n17-42', 2, ['p1']),
+    ('flood', 1, 'bc-n17-42', 3, ['p1', 's1']),
+    ('flood', 1, 'bc-n17-42', 5, ['p1', 's1']),
+    ('flood', 1, 'gm-golden-1', 2, ['s0']),
+    ('flood', 1, 'gm-golden-1', 3, ['p1', 's1']),
+    ('flood', 1, 'gm-golden-1', 5, ['p2', 's2']),
+    ('flood', 2, 'bc-n3-1', 2, ['s0', 'p1']),
+    ('flood', 2, 'bc-n3-1', 3, ['p1', 's1', 'p2']),
+    ('flood', 2, 'bc-n3-1', 5, ['s0', 'p1', 's1']),
+    ('flood', 2, 'bc-n17-42', 2, ['s0', 'p1']),
+    ('flood', 2, 'bc-n17-42', 3, ['p1', 's1', 'p2']),
+    ('flood', 2, 'bc-n17-42', 5, ['p1', 's1', 'p2', 's2']),
+    ('flood', 2, 'gm-golden-1', 2, ['s0', 'p1']),
+    ('flood', 2, 'gm-golden-1', 3, ['p1', 's1', 'p2']),
+    ('flood', 2, 'gm-golden-1', 5, ['p2', 's2', 'p3', 's3']),
+    ('flood', 5, 'bc-n3-1', 2, ['s0', 'p1']),
+    ('flood', 5, 'bc-n3-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 5, 'bc-n3-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', 5, 'bc-n17-42', 2, ['s0', 'p1']),
+    ('flood', 5, 'bc-n17-42', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 5, 'bc-n17-42', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', 5, 'gm-golden-1', 2, ['s0', 'p1']),
+    ('flood', 5, 'gm-golden-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 5, 'gm-golden-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('single', None, 'bc-n3-1', 2, ['s0']),
+    ('single', None, 'bc-n3-1', 3, ['p1', 's1']),
+    ('single', None, 'bc-n3-1', 5, ['s0']),
+    ('single', None, 'bc-n17-42', 2, ['p1']),
+    ('single', None, 'bc-n17-42', 3, ['p1', 's1']),
+    ('single', None, 'bc-n17-42', 5, ['p1', 's1']),
+    ('single', None, 'gm-golden-1', 2, ['s0']),
+    ('single', None, 'gm-golden-1', 3, ['p1', 's1']),
+    ('single', None, 'gm-golden-1', 5, ['p2', 's2']),
+    ('double', None, 'bc-n3-1', 2, ['s0', 'p1']),
+    ('double', None, 'bc-n3-1', 3, ['p1', 's1', 'p2']),
+    ('double', None, 'bc-n3-1', 5, ['s0', 'p1', 's1']),
+    ('double', None, 'bc-n17-42', 2, ['p1', 's0']),
+    ('double', None, 'bc-n17-42', 3, ['p1', 's1', 'p2']),
+    ('double', None, 'bc-n17-42', 5, ['p1', 's1', 'p2', 's2']),
+    ('double', None, 'gm-golden-1', 2, ['s0', 'p1']),
+    ('double', None, 'gm-golden-1', 3, ['p1', 's1', 'p2']),
+    ('double', None, 'gm-golden-1', 5, ['p2', 's2', 'p3', 's3']),
+    ('random', None, 'bc-n3-1', 2, ['s0']),
+    ('random', None, 'bc-n3-1', 3, ['s0', 'p1', 's1']),
+    ('random', None, 'bc-n3-1', 5, ['s0']),
+    ('random', None, 'bc-n17-42', 2, ['s0', 'p1']),
+    ('random', None, 'bc-n17-42', 3, ['s0', 'p1', 's1']),
+    ('random', None, 'bc-n17-42', 5, ['s0', 'p1', 's1']),
+    ('random', None, 'gm-golden-1', 2, ['s0']),
+    ('random', None, 'gm-golden-1', 3, ['s0', 'p1', 's1']),
+    ('random', None, 'gm-golden-1', 5, ['s0', 'p2', 's2']),
+]
+
+
+def oracle_pairs(hc):
+    pairs = [(f"p{c}", f"s{c}") for c in range(hc)]
+    pairs[-1] = (pairs[-1][0], "own")
+    return tuple(pairs)
+
+
+class TestForwardOracle:
+    """The one selection function equals what the node did before it moved."""
+
+    @pytest.mark.parametrize("policy,fanout,bcast_id,hc,expected", FORWARD_ORACLE)
+    def test_selection_matches_parent_commit(self, policy, fanout, bcast_id, hc, expected):
+        pairs = oracle_pairs(hc)
+        cycles = forward_cycles(policy, bcast_id, hc, fanout)
+        assert forward_targets(pairs, cycles, "own", "p0") == expected
+        # ...and the node reaches the same answer through its own wiring.
+        stub = SimpleNamespace(
+            vgroup_view=SimpleNamespace(group_id="own"),
+            directory=SimpleNamespace(cycle_neighbor_ids=lambda group_id: pairs),
+            forward_fn=None,
+            forward_policy=policy,
+            params=SimpleNamespace(gossip_fanout=fanout),
+        )
+        message = BroadcastMessage(bcast_id, "n", None, 10, 0.0)
+        assert AtumNode._gossip_targets(stub, message, exclude="p0") == expected
+
+
 class TestStableHash:
     def test_deterministic(self):
-        assert _stable_hash("abc") == _stable_hash("abc")
+        assert stable_hash("abc") == stable_hash("abc")
 
     def test_differs_for_different_inputs(self):
-        assert _stable_hash("abc") != _stable_hash("abd")
+        assert stable_hash("abc") != stable_hash("abd")
 
 
 class TestRouting:
@@ -107,6 +209,26 @@ class TestGossipTargets:
         message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
         node.forward_fn = lambda m, gid: False
         assert node._gossip_targets(message, exclude="") == []
+
+    def test_custom_forward_fn_is_asked_once_per_candidate_in_flood_order(self):
+        cluster = built_cluster(n=40)
+        node = cluster.node("n0")
+        message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
+        flood = node._gossip_targets(message, exclude="")
+        assert len(flood) >= 2
+        asked = []
+
+        def forward(m, gid):
+            asked.append((m.bcast_id, gid))
+            return gid != flood[1]
+
+        node.forward_fn = forward
+        # The application decides per neighbour; the built-in policy (and its
+        # fanout cap) is out of the picture, the source group is never asked.
+        node.forward_policy = "single"
+        targets = node._gossip_targets(message, exclude=flood[0])
+        assert asked == [("b4", gid) for gid in flood[1:]]
+        assert targets == flood[2:]
 
     def test_unknown_policy_raises(self):
         cluster = built_cluster()

@@ -245,7 +245,7 @@ class TestHeartbeatPeriodAdoption:
         assert monitor.config.period == 1.0
         sim.run(until=3.1)  # the tick at t=3 adopts
         assert monitor._period == 0.5
-        assert monitor.config.period == 0.5  # legacy knob kept in sync
+        assert monitor.config.period == 0.5  # the config reports what is in force
         # The send cadence follows immediately: next ticks at 3.5, 4.0, ...
         sequence_at_adoption = monitor.sequence
         sim.run(until=4.1)
@@ -257,15 +257,24 @@ class TestHeartbeatPeriodAdoption:
         with pytest.raises(ValueError, match="must be positive"):
             hosts["n0"].monitor.set_period(0.0)
 
-    def test_direct_config_mutation_gets_next_tick_semantics(self):
+    def test_set_period_is_the_one_way_in_and_rebases_on_shrink(self):
         sim = Simulator()
         hosts = self._wired_hosts(sim, ["n0", "n1"])
         monitor = hosts["n0"].monitor
         sim.run(until=2.5)
-        monitor.config.period = 0.5  # the legacy knob, mutated raw
-        assert monitor._period == 1.0
+        monitor.config.period = 0.1  # a raw write is not a period change
         sim.run(until=3.1)
+        assert monitor._period == 1.0
+        hosts["n1"].monitor.stop()  # n1 falls silent: last heard at t=3.001
+        sim.run(until=5.6)
+        monitor.set_period(0.5)  # new deadline 1.5 s < n1's age, < old 3.0 s
+        assert monitor._period == 1.0
+        sim.run(until=6.1)  # the tick at t=6 adopts and rebases n1
         assert monitor._period == 0.5
+        assert monitor.last_seen["n1"] == 6.0
+        assert hosts["n0"].suspected == []
+        sim.run(until=8.1)  # 1.5 s of silence on the new period: suspected
+        assert "n1" in hosts["n0"].suspected
 
     def test_shrinking_period_does_not_mass_suspect_healthy_peers(self):
         sim = Simulator()

@@ -1,4 +1,4 @@
-"""ATL002: wall-clock reads outside benchmarks/ and sim/perf.py."""
+"""ATL002: wall-clock reads outside benchmarks/."""
 
 from lint_utils import REPO_ROOT, lint_fixture, rules_of
 from repro.lint import run_lint
@@ -14,9 +14,10 @@ def test_flags_time_perfcounter_and_datetime_now():
     assert "sim.now" in messages
 
 
-def test_sim_perf_is_exempt():
-    perf = REPO_ROOT / "src" / "repro" / "sim" / "perf.py"
-    assert run_lint([perf], root=REPO_ROOT, rule_ids=["ATL002"]) == []
+def test_only_benchmarks_may_read_the_wall_clock():
+    run = REPO_ROOT / "benchmarks" / "stack" / "run.py"
+    assert "perf_counter" in run.read_text(encoding="utf-8")
+    assert run_lint([run], root=REPO_ROOT, rule_ids=["ATL002"]) == []
 
 
 def test_reasoned_pragmas_suppress_everything():

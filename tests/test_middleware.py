@@ -8,7 +8,6 @@ traces byte-identical.
 """
 
 import json
-import os
 
 import pytest
 
@@ -522,33 +521,6 @@ class TestGoldenTraceNeutrality:
         cluster.install_middleware(MiddlewareChain(NoOp()))
         trace = []
         cluster.sim.run(until=HORIZON, trace=trace)
-        assert [[t, tag] for t, tag in trace] == golden["trace"]
-
-    def test_empty_chain_keeps_protocol_stack_golden_trace(self, monkeypatch):
-        import repro.sim.protocol_perf as protocol_perf
-
-        class ChainedNetwork(Network):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.install_middleware(MiddlewareChain(NoOp()))
-
-        monkeypatch.setattr(protocol_perf, "Network", ChainedNetwork)
-        golden_path = os.path.join(
-            os.path.dirname(__file__), "golden", "golden_protocol_stack.json"
-        )
-        with open(golden_path, "r", encoding="utf-8") as fh:
-            golden = json.load(fh)
-        trace = []
-        protocol_perf.run_broadcast_scenario(
-            seed=golden["seed"],
-            groups=golden["groups"],
-            group_size=golden["group_size"],
-            hc=golden["hc"],
-            broadcasts=golden["broadcasts"],
-            policy="flood",
-            horizon=golden["horizon"],
-            trace=trace,
-        )
         assert [[t, tag] for t, tag in trace] == golden["trace"]
 
     def test_noop_middleware_keeps_checkpointed_reconciliation_trace(self, monkeypatch):

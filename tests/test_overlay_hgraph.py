@@ -167,18 +167,12 @@ class TestNeighborTableCache:
             for c in range(graph.hc)
             for link in ((c, graph.successor(vertex, c)), (c, graph.predecessor(vertex, c)))
         )
-        gossip = []
-        for pred, succ in pairs:
-            for neighbor in (pred, succ):
-                if neighbor != vertex and neighbor not in gossip:
-                    gossip.append(neighbor)
-        return pairs, links, tuple(gossip)
+        return pairs, links
 
     def assert_tables_fresh(self, graph, vertex):
-        pairs, links, gossip = self.expected_tables(graph, vertex)
+        pairs, links = self.expected_tables(graph, vertex)
         assert graph.cycle_pairs(vertex) == pairs
         assert graph.incident_links(vertex) == links
-        assert graph.gossip_neighbors(vertex) == gossip
         assert graph.neighbors(vertex) == {n for _, n in links} - {vertex}
 
     def test_tables_match_direct_queries(self):
@@ -192,7 +186,7 @@ class TestNeighborTableCache:
         old_successor = graph.successor(anchor, 1)
         # Warm every cache, then splice a new vertex into cycle 1.
         for vertex in graph.vertices:
-            graph.gossip_neighbors(vertex)
+            graph.cycle_pairs(vertex)
         version = graph.topology_version
         graph.insert_after("fresh", anchor, 1)
         assert graph.topology_version == version + 1
@@ -227,26 +221,9 @@ class TestNeighborTableCache:
         graph = self.build(n=12, hc=4)
         anchors = [graph.predecessor("v3", cycle) for cycle in range(graph.hc)]
         for vertex in graph.vertices:
-            graph.gossip_neighbors(vertex)
+            graph.cycle_pairs(vertex)
         graph.insert_vertex("split-born", anchors)
         graph.validate()
         self.assert_tables_fresh(graph, "split-born")
         for anchor in set(anchors):
             self.assert_tables_fresh(graph, anchor)
-
-    def test_derived_cache_dropped_with_vertex_table(self):
-        graph = self.build()
-        cache = graph.derived_cache("v1")
-        cache["marker"] = object()
-        anchor = graph.predecessor("v1", 0)
-        graph.insert_after("newbie", anchor, 0)
-        if graph.predecessor("v1", 0) == "newbie":
-            # v1's table was invalidated: the derived cache starts empty.
-            assert "marker" not in graph.derived_cache("v1")
-        # Untouched vertices keep their derived entries.
-        far = next(
-            v for v in graph.vertices
-            if v not in ("v1", "newbie", anchor) and "marker" not in graph.derived_cache(v)
-        )
-        graph.derived_cache(far)["keep"] = 1
-        assert graph.derived_cache(far)["keep"] == 1

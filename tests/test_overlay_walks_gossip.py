@@ -6,11 +6,10 @@ from collections import Counter
 import pytest
 
 from repro.overlay.gossip import (
-    cycles_policy,
     dissemination_rounds,
-    flood_policy,
-    random_policy,
-    single_cycle_policy,
+    forward_cycles,
+    forward_targets,
+    stable_hash,
 )
 from repro.overlay.guideline import (
     is_uniform,
@@ -124,116 +123,110 @@ class TestGuideline:
         assert recommended_config(8192).rwl > recommended_config(8).rwl
 
 
+def targets_of(graph, vertex, policy, message_id="m", fanout=None):
+    """The forward targets of ``vertex``, as the node computes them."""
+    cycles = forward_cycles(policy, message_id, graph.hc, fanout)
+    return forward_targets(graph.cycle_pairs(vertex), cycles, vertex)
+
+
 class TestGossipPolicies:
     def test_flood_reaches_everyone_in_few_rounds(self):
-        graph, rng = build_graph(n=64, hc=4)
-        rounds, reached = dissemination_rounds(graph, "g0", flood_policy, rng)
+        graph, _ = build_graph(n=64, hc=4)
+        rounds, reached = dissemination_rounds(graph, "g0", "flood")
         assert reached == graph.vertices
         assert rounds <= 8
 
     def test_single_cycle_reaches_everyone_slower(self):
-        graph, rng = build_graph(n=32, hc=4)
-        flood_rounds, _ = dissemination_rounds(graph, "g0", flood_policy, rng)
-        single_rounds, reached = dissemination_rounds(graph, "g0", single_cycle_policy, rng)
+        graph, _ = build_graph(n=32, hc=4)
+        flood_rounds, _ = dissemination_rounds(graph, "g0", "flood")
+        single_rounds, reached = dissemination_rounds(graph, "g0", "single")
         assert reached == graph.vertices
         assert single_rounds >= flood_rounds
 
     def test_double_cycle_between_single_and_flood(self):
-        graph, rng = build_graph(n=64, hc=6, seed=9)
-        single_rounds, _ = dissemination_rounds(graph, "g0", cycles_policy(1), rng, message_id="m1")
-        double_rounds, reached = dissemination_rounds(graph, "g0", cycles_policy(2), rng, message_id="m1")
+        graph, _ = build_graph(n=64, hc=6, seed=9)
+        flood_rounds, _ = dissemination_rounds(graph, "g0", "flood", message_id="m1")
+        single_rounds, _ = dissemination_rounds(graph, "g0", "single", message_id="m1")
+        double_rounds, reached = dissemination_rounds(graph, "g0", "double", message_id="m1")
         assert reached == graph.vertices
-        assert double_rounds <= single_rounds
+        assert flood_rounds <= double_rounds <= single_rounds
+
+    def test_capped_flood_is_the_same_selection_as_consecutive_cycles(self):
+        graph, _ = build_graph(n=32, hc=4, seed=2)
+        for message_id in ("m1", "m2", "m3"):
+            assert forward_cycles("flood", message_id, 4, fanout=1) == forward_cycles(
+                "single", message_id, 4
+            )
+            assert forward_cycles("flood", message_id, 4, fanout=2) == forward_cycles(
+                "double", message_id, 4
+            )
+            assert list(forward_cycles("flood", message_id, 4, fanout=4)) == [0, 1, 2, 3]
+        _, reached = dissemination_rounds(graph, "g0", "flood", fanout=1)
+        assert reached == graph.vertices
 
     def test_random_policy_reaches_everyone(self):
-        graph, rng = build_graph(n=64, hc=4, seed=11)
-        _, reached = dissemination_rounds(graph, "g0", random_policy(fanout=2), rng)
-        assert reached == graph.vertices
+        # Section 3.2: whatever the id-derived extra cycle is, cycle 0 is
+        # always forwarded on, so the message traverses it whole.
+        graph, _ = build_graph(n=64, hc=4, seed=11)
+        for message_id in ("m", "bc-n1-1", "bc-n2-9"):
+            _, reached = dissemination_rounds(graph, "g0", "random", message_id=message_id)
+            assert reached == graph.vertices
 
     def test_policies_never_return_self(self):
-        graph, rng = build_graph(n=16, hc=3)
-        for policy in (flood_policy, single_cycle_policy, random_policy()):
-            targets = policy(graph, "g5", "msg", rng)
-            assert "g5" not in targets
+        graph, _ = build_graph(n=16, hc=3)
+        for policy in ("flood", "single", "double", "random"):
+            assert "g5" not in targets_of(graph, "g5", policy, "msg")
+
+    def test_unknown_policy_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown forward policy"):
+            forward_cycles("sideways", "m", 3)
 
 
 class TestPolicyDeterminism:
-    """PR-2 regression tests: seeded policies are byte-stable and well spread."""
+    """Selections are a pure function of (policy, message id, hc)."""
 
-    def test_random_policy_two_seeded_runs_pick_identical_forward_sets(self):
-        graph, _ = build_graph(n=48, hc=4, seed=21)
-        policy = random_policy(fanout=2)
-        picks_a = [policy(graph, f"g{i}", f"m{i}", random.Random(99)) for i in range(48)]
-        picks_b = [policy(graph, f"g{i}", f"m{i}", random.Random(99)) for i in range(48)]
-        assert picks_a == picks_b
-
-    def test_random_policy_guaranteed_cycle_always_included(self):
+    def test_random_policy_always_contains_the_guaranteed_cycle(self):
         graph, _ = build_graph(n=32, hc=3, seed=5)
-        policy = random_policy(fanout=1, guaranteed_cycle=2)
         for i in range(32):
             vertex = f"g{i}"
-            targets = policy(graph, vertex, "m", random.Random(i))
-            pred, succ = graph.cycle_pairs(vertex)[2]
+            assert forward_cycles("random", f"m{i}", graph.hc)[0] == 0
+            pred, succ = graph.cycle_pairs(vertex)[0]
+            targets = targets_of(graph, vertex, "random", f"m{i}")
             for neighbor in {pred, succ} - {vertex}:
                 assert neighbor in targets
 
-    def test_random_policy_legacy_shuffle_flag_replays_old_draw_scheme(self):
-        graph, _ = build_graph(n=32, hc=4, seed=9)
-        legacy = random_policy(fanout=2, legacy_shuffle=True)
-        modern = random_policy(fanout=2)
-        # Both are deterministic under a fixed seed...
-        assert legacy(graph, "g1", "m", random.Random(4)) == legacy(
-            graph, "g1", "m", random.Random(4)
-        )
-        # ...but consume randomness differently (shuffle-and-slice vs sample):
-        # the guaranteed-cycle prefix agrees, the random picks do not.
-        l = legacy(graph, "g1", "m", random.Random(4))
-        m = modern(graph, "g1", "m", random.Random(4))
-        assert l[:2] == m[:2]
-        assert l != m
-        assert set(l) <= set(graph.neighbors("g1"))
-        assert set(m) <= set(graph.neighbors("g1"))
+    def test_every_vertex_picks_the_same_cycles_for_one_message(self):
+        # What keeps a group message aggregating: co-members (and every other
+        # vgroup) derive the cycles from the message id alone.
+        graph, _ = build_graph(n=24, hc=5, seed=13)
+        cycles = forward_cycles("double", "stream-42", graph.hc)
+        start = stable_hash("stream-42") % graph.hc
+        assert cycles == [start, (start + 1) % graph.hc]
+        for vertex in ("g3", "g7", "g19"):
+            expected = []
+            for cycle in cycles:
+                for neighbor in graph.cycle_neighbors(vertex, cycle):
+                    if neighbor != vertex and neighbor not in expected:
+                        expected.append(neighbor)
+            assert targets_of(graph, vertex, "double", "stream-42") == expected
 
-    def test_cycles_policy_stable_hash_spreads_similar_ids(self):
-        from repro.overlay.gossip import stable_message_hash
-
-        graph, _ = build_graph(n=24, hc=6, seed=3)
-        # The old sum(ord) derivation mapped permuted ids ("gm-12"/"gm-21")
-        # to the same cycle; the stable hash spreads them.
+    def test_stable_hash_spreads_similar_ids(self):
+        # A sum(ord(ch)) derivation maps permuted ids ("gm-12"/"gm-21") to
+        # the same cycle; the stable hash spreads them.
         ids = [f"gm-{a}{b}" for a in "0123456789" for b in "0123456789"]
-        stable_cycles = {stable_message_hash(mid) % 6 for mid in ids}
-        legacy_cycles = {sum(ord(ch) for ch in mid) % 6 for mid in ids}
-        assert len(stable_cycles) == 6
-        # Permutations collide under the legacy hash by construction.
-        assert (sum(ord(c) for c in "gm-12") == sum(ord(c) for c in "gm-21"))
-        assert stable_message_hash("gm-12") != stable_message_hash("gm-21")
+        assert {stable_hash(mid) % 6 for mid in ids} == set(range(6))
+        assert sum(ord(c) for c in "gm-12") == sum(ord(c) for c in "gm-21")
+        assert stable_hash("gm-12") != stable_hash("gm-21")
 
-    def test_cycles_policy_legacy_hash_flag_matches_old_derivation(self):
-        graph, rng = build_graph(n=24, hc=5, seed=13)
-        policy = cycles_policy(2, legacy_hash=True)
-        message_id = "stream-42"
-        start = sum(ord(ch) for ch in message_id) % graph.hc
-        expected_cycles = [start % graph.hc, (start + 1) % graph.hc]
-        expected = []
-        for cycle in expected_cycles:
-            for neighbor in graph.cycle_neighbors("g7", cycle):
-                if neighbor != "g7" and neighbor not in expected:
-                    expected.append(neighbor)
-        assert policy(graph, "g7", message_id, rng) == expected
-
-    def test_policy_results_refresh_after_topology_change(self):
-        graph, rng = build_graph(n=16, hc=3, seed=11)
-        policy = cycles_policy(1)
-        before = policy(graph, "g2", "m", rng)
-        victim = next(iter(set(before)))
+    def test_targets_refresh_after_topology_change(self):
+        graph, _ = build_graph(n=16, hc=3, seed=11)
+        before = targets_of(graph, "g2", "single")
+        victim = before[0]
         graph.remove(victim)
-        after = policy(graph, "g2", "m", rng)
-        assert victim not in after
+        assert victim not in targets_of(graph, "g2", "single")
 
-    def test_stable_hash_is_cached_and_consistent(self):
-        from repro.overlay.gossip import stable_message_hash
-
-        assert stable_message_hash("abc") == stable_message_hash("abc")
+    def test_stable_hash_is_four_bytes_of_sha256(self):
         import hashlib
-        expected = int.from_bytes(hashlib.sha256(b"abc").digest()[:8], "big")
-        assert stable_message_hash("abc") == expected
+
+        expected = int.from_bytes(hashlib.sha256(b"abc").digest()[:4], "big")
+        assert stable_hash("abc") == stable_hash("abc") == expected

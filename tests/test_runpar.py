@@ -19,25 +19,18 @@ from repro.sim.runpar import (
     run_sharded,
 )
 
-BROADCAST_TARGET = "repro.sim.protocol_perf:broadcast_shard"
-CHURN_TARGET = "repro.sim.protocol_perf:churn_shard"
-
-SMALL_BROADCAST = {
-    "groups": 6,
-    "group_size": 5,
-    "broadcasts": 3,
-    "horizon": 20.0,
-    "heartbeat_period": None,
-    "randomized_send_order": False,
-}
-SMALL_CHURN = {"initial_nodes": 120, "operations": 40, "op_interval": 0.5}
+# The shard the fault matrix fans out: one seeded run of a named scenario on
+# the real AtumCluster (broadcast dissemination / membership churn).
+SHARD_TARGET = "repro.faults.scenarios:scenario_shard"
+SMALL_BROADCAST = {"name": "broadcast/none"}
+SMALL_CHURN = {"name": "churn/none"}
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 
 
 class TestResolveTarget:
     def test_resolves_module_path(self):
-        fn = resolve_target(BROADCAST_TARGET)
+        fn = resolve_target(SHARD_TARGET)
         assert callable(fn)
 
     def test_passes_through_callables(self):
@@ -46,16 +39,16 @@ class TestResolveTarget:
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
-            resolve_target("repro.sim.protocol_perf")
+            resolve_target("repro.faults.scenarios")
 
     def test_rejects_non_callable_attribute(self):
         with pytest.raises(TypeError):
-            resolve_target("repro.sim.protocol_perf:BASELINE_PROTOCOL_RATES")
+            resolve_target("repro.faults.scenarios:SMALL_MATRIX")
 
 
 class TestSerialSharding:
     def test_results_come_back_in_seed_order(self):
-        results = run_sharded(BROADCAST_TARGET, [5, 6], workers=1, kwargs=SMALL_BROADCAST)
+        results = run_sharded(SHARD_TARGET, [5, 6], workers=1, kwargs=SMALL_BROADCAST)
         assert len(results) == 2
         # Different seeds produce different event structures.
         assert results[0]["counters"] != results[1]["counters"] or (
@@ -74,15 +67,15 @@ class TestSerialSharding:
         assert merged["histograms"]["h"].mean == 2.0
 
     def test_empty_seed_list(self):
-        assert run_sharded(BROADCAST_TARGET, [], workers=4) == []
+        assert run_sharded(SHARD_TARGET, [], workers=4) == []
 
 
 @pytest.mark.skipif(not fork_available, reason="fork start method unavailable")
 class TestParallelIdentity:
     def test_broadcast_parallel_equals_serial(self):
         seeds = [7, 8, 9]
-        serial = run_and_merge(BROADCAST_TARGET, seeds, workers=1, kwargs=SMALL_BROADCAST)
-        parallel = run_and_merge(BROADCAST_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
+        serial = run_and_merge(SHARD_TARGET, seeds, workers=1, kwargs=SMALL_BROADCAST)
+        parallel = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
         assert parallel["counters"] == serial["counters"]
         assert set(parallel["histograms"]) == set(serial["histograms"])
         for name, histogram in serial["histograms"].items():
@@ -92,16 +85,16 @@ class TestParallelIdentity:
         # Fork workers inherit the parent's hash salt, so even the
         # set-iteration-sensitive membership paths merge identically.
         seeds = [3, 4]
-        serial = run_and_merge(CHURN_TARGET, seeds, workers=1, kwargs=SMALL_CHURN)
-        parallel = run_and_merge(CHURN_TARGET, seeds, workers=2, kwargs=SMALL_CHURN)
+        serial = run_and_merge(SHARD_TARGET, seeds, workers=1, kwargs=SMALL_CHURN)
+        parallel = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=SMALL_CHURN)
         assert parallel["counters"] == serial["counters"]
         for name, histogram in serial["histograms"].items():
             assert parallel["histograms"][name].samples == histogram.samples
 
     def test_worker_count_does_not_change_results(self):
         seeds = [1, 2, 3, 4]
-        two = run_and_merge(BROADCAST_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
-        three = run_and_merge(BROADCAST_TARGET, seeds, workers=3, kwargs=SMALL_BROADCAST)
+        two = run_and_merge(SHARD_TARGET, seeds, workers=2, kwargs=SMALL_BROADCAST)
+        three = run_and_merge(SHARD_TARGET, seeds, workers=3, kwargs=SMALL_BROADCAST)
         assert two["counters"] == three["counters"]
         for name, histogram in two["histograms"].items():
             assert three["histograms"][name].samples == histogram.samples
@@ -119,36 +112,3 @@ class TestWorkerKnob:
     def test_floor_of_one(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "0")
         assert default_workers() == 1
-
-
-class TestChurnErrorAccounting:
-    """The perf churn workload must count — not blanket-swallow — failures."""
-
-    def test_clean_run_swallows_nothing(self):
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        outcome = run_churn_scenario(seed=1, **SMALL_CHURN)
-        assert outcome["swallowed_errors"] == 0
-        assert outcome["completed_operations"] > 0
-
-    def test_membership_errors_are_counted_visibly(self, monkeypatch):
-        from repro.overlay.membership import MembershipEngine, MembershipError
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        def failing_leave(self, node, eviction=False):
-            raise MembershipError("injected failure")
-
-        monkeypatch.setattr(MembershipEngine, "leave", failing_leave)
-        outcome = run_churn_scenario(seed=1, **SMALL_CHURN)
-        assert outcome["swallowed_errors"] > 0
-
-    def test_unexpected_errors_propagate(self, monkeypatch):
-        from repro.overlay.membership import MembershipEngine
-        from repro.sim.protocol_perf import run_churn_scenario
-
-        def broken_leave(self, node, eviction=False):
-            raise RuntimeError("engine bug")
-
-        monkeypatch.setattr(MembershipEngine, "leave", broken_leave)
-        with pytest.raises(RuntimeError):
-            run_churn_scenario(seed=1, **SMALL_CHURN)
