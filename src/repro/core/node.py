@@ -20,8 +20,8 @@ Internally the node hosts:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
@@ -43,8 +43,6 @@ from repro.smr.base import Operation, SmrReplica
 from repro.smr.checkpoint import StateTransferRequest, StateTransferResponse
 from repro.smr.dolev_strong import SyncSmrReplica
 from repro.smr.pbft import PbftReplica
-
-_BCAST_COUNTER = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -179,9 +177,8 @@ class AtumNode(Actor):
             self.heartbeats = HeartbeatMonitor(
                 sim=sim,
                 address=address,
-                group_id_fn=lambda: self.vgroup_view.group_id if self.vgroup_view else "",
                 peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
-                send_fn=lambda peers, hb: self.network.send_many(self.address, peers, hb, 64),
+                send_fn=partial(network.send_many, address, size_bytes=64),
                 suspect_fn=self._on_peer_suspected,
                 config=params.heartbeat_config(),
             )
@@ -313,7 +310,7 @@ class AtumNode(Actor):
         """
         if not self.is_member or self.replica is None:
             raise RuntimeError(f"node {self.address} is not a member of an Atum system")
-        bcast_id = f"bc-{self.address}-{next(_BCAST_COUNTER)}"
+        bcast_id = f"bc-{self.address}-{self.sim.next_serial('bcast')}"
         message = BroadcastMessage(
             bcast_id=bcast_id,
             origin=self.address,
@@ -375,6 +372,13 @@ class AtumNode(Actor):
     def on_message(self, payload: Any, sender: str) -> None:
         if self.byzantine == "mute":
             return
+        if type(payload) is Heartbeat:
+            # Most of the traffic of a heartbeating deployment, so matched by
+            # exact type ahead of the isinstance chain (a corrupted heartbeat
+            # arrives as a CorruptedPayload and is discarded below).
+            if self.heartbeats is not None:
+                self.heartbeats.observe(payload)
+            return
         if isinstance(payload, CorruptedPayload):
             inner = payload.inner
             if isinstance(inner, GroupMessageEnvelope):
@@ -387,10 +391,6 @@ class AtumNode(Actor):
             # the wire in a real deployment: a flipped frame fails transport
             # authentication and is dropped whole.
             self.sim.metrics.increment("net.corrupted_discarded")
-            return
-        if isinstance(payload, Heartbeat):
-            if self.heartbeats is not None:
-                self.heartbeats.observe(payload)
             return
         if self.byzantine in ("silent", "evict_attack", "rejoin_attack"):
             # A silent Byzantine node keeps sending heartbeats (handled by its

@@ -8,6 +8,17 @@ Two ready-made profiles mirror the paper's two deployment environments:
 * :class:`WanProfile` -- 8 regions across Europe, Asia, Australia and America,
   used for the asynchronous variant.  Latencies depend on the region pair and
   have a heavier tail.
+
+Who draws.  :meth:`LatencyModel.sample` is the public per-pair API and the
+only thing a model must implement.  One latency is drawn per message, so the
+log-normal models also publish the parameters of their draw as
+:attr:`LatencyModel.lognormal`: :meth:`Network.send_many
+<repro.net.network.Network.send_many>` reads the attribute once per burst and
+runs the draw itself, at the point it would have called ``sample`` -- no call
+into this module per message, nor per burst.  The draw arithmetic therefore
+lives in two places only: :func:`_lognormal` here (behind every ``sample``)
+and the loop in ``send_many``; ``tests/test_net_network.py`` pins both to
+``rng.lognormvariate`` and to each other, RNG state included.
 """
 
 from __future__ import annotations
@@ -18,13 +29,31 @@ from dataclasses import dataclass
 from math import exp as _exp, log as _log, sqrt as _sqrt
 from typing import Dict, Optional, Sequence, Tuple
 
-#: ``random.NV_MAGICCONST``.  The two log-normal samplers below inline
-#: ``rng.lognormvariate`` = ``exp(rng.normalvariate(mu, sigma))`` — the
-#: Kinderman–Monahan ratio-of-uniforms loop with the same ``rng.random()``
-#: draws and the same float expressions — because one latency is drawn per
-#: message and the two stdlib frames cost more than the arithmetic.
-#: ``tests/test_net_network.py`` pins both to the stdlib bit for bit.
+#: ``random.NV_MAGICCONST``.
 _NV_MAGICCONST = 4 * _exp(-0.5) / _sqrt(2.0)
+
+#: :attr:`LatencyModel.lognormal`: ``(rows, mu, sigma, floor)``.  With ``rows``
+#: ``None`` every pair shares ``mu``; otherwise ``rows[sender][receiver]`` is
+#: the pair's mu and a missing entry is filled through
+#: :meth:`RegionalLatency.pair_mu` (into an empty row if the sender has none).
+LognormalParameters = Tuple[Optional[Dict[str, Dict[str, float]]], float, float, float]
+
+
+def _lognormal(rng: random.Random, mu: float, sigma: float) -> float:
+    """``rng.lognormvariate(mu, sigma)`` without the two stdlib frames.
+
+    ``exp(rng.normalvariate(mu, sigma))``: the Kinderman–Monahan
+    ratio-of-uniforms loop with the same ``rng.random()`` draws and the same
+    float expressions as the stdlib, bit for bit.
+    """
+    random = rng.random
+    while True:
+        u1 = random()
+        u2 = 1.0 - random()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -_log(u2):
+            break
+    return _exp(mu + z * sigma)
 
 
 class LatencyModel(abc.ABC):
@@ -33,6 +62,14 @@ class LatencyModel(abc.ABC):
     @abc.abstractmethod
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         """Return a latency sample in seconds."""
+
+    #: Set by a log-normal model (see the module docstring): a promise that
+    #: ``sample`` is ``max(floor, lognormvariate(mu, sigma))`` with exactly the
+    #: RNG draws of :func:`_lognormal`.  ``None`` makes the network call
+    #: :meth:`sample` per message.  Such a model republishes the tuple when
+    #: one of its public fields is reassigned; the network reads it once per
+    #: burst, so a reassignment takes effect from the next burst.
+    lognormal: Optional[LognormalParameters] = None
 
 
 @dataclass
@@ -69,26 +106,21 @@ class LogNormalLatency(LatencyModel):
     floor: float = 0.0001
 
     def __post_init__(self) -> None:
-        # ``log(median)`` only changes when ``median`` does; cache it so a
-        # sample is one float compare plus the log-normal draw.
-        self._mu = _log(self.median)
-        self._mu_median = self.median
+        self._publish()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name != "lognormal" and self.lognormal is not None:
+            self._publish()
+
+    def _publish(self) -> None:
+        # ``log(median)`` only changes when ``median`` does, so it is taken
+        # here and not per sample.
+        self.lognormal = (None, _log(self.median), self.sigma, self.floor)
 
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
-        median = self.median
-        if median != self._mu_median:
-            # The public field was reassigned; revalidate the cached log.
-            self._mu = _log(median)
-            self._mu_median = median
-        random = rng.random
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -_log(u2):
-                break
-        value = _exp(self._mu + z * self.sigma)
-        floor = self.floor
+        _, mu, sigma, floor = self.lognormal
+        value = _lognormal(rng, mu, sigma)
         return value if value > floor else floor
 
 
@@ -99,7 +131,7 @@ class LanProfile(LogNormalLatency):
         super().__init__(median=0.0005, sigma=0.25, floor=0.0001)
 
 
-#: Upper bound on cached per-pair latency parameters (see RegionalLatency).
+#: Upper bound on cached per-pair latency parameters (see RegionalLatency.pair_mu).
 _MU_CACHE_LIMIT = 262_144
 
 #: Representative one-way latencies (seconds) between EC2-like regions.
@@ -168,21 +200,24 @@ class RegionalLatency(LatencyModel):
     default_inter_region: float = 0.080
 
     def __post_init__(self) -> None:
-        # Per-pair cache of ``log(base_latency)``: sampling a latency for a
-        # known (sender, receiver) pair costs one dict hit plus one
-        # log-normal draw.  The cached intra/default parameters are
-        # re-checked on every sample so reassigning those public fields takes
-        # effect immediately, as it did before the cache existed.
-        self._mu_cache: Dict[Tuple[str, str], float] = {}
-        self._cached_intra = self.intra_region_median
-        self._cached_default = self.default_inter_region
+        # Per-sender rows of ``log(base_latency)``: sender -> {receiver: mu}.
+        # A burst looks its sender's row up once and then pays one dict hit
+        # per receiver.
+        self._mu_rows: Dict[str, Dict[str, float]] = {}
+        self.invalidate_pair_cache()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        object.__setattr__(self, name, value)
+        if name[0] != "_" and name != "lognormal" and self.lognormal is not None:
+            # A public field was reassigned: every cached pair may be stale.
+            self.invalidate_pair_cache()
 
     def invalidate_pair_cache(self) -> None:
-        """Drop cached per-pair latencies (after mutating ``region_of`` or
-        the latency parameters directly)."""
-        self._mu_cache.clear()
-        self._cached_intra = self.intra_region_median
-        self._cached_default = self.default_inter_region
+        """Drop cached per-pair latencies (after mutating ``region_of`` in
+        place other than by adding an assignment)."""
+        self._mu_rows.clear()
+        self._cached_pairs = 0
+        self.lognormal = (self._mu_rows, 0.0, self.jitter_sigma, 0.0)
 
     def region(self, address: str) -> str:
         return self.region_of.get(address, _DEFAULT_REGIONS[0])
@@ -194,34 +229,40 @@ class RegionalLatency(LatencyModel):
             return self.intra_region_median
         return _REGION_BASE_LATENCY.get((region_a, region_b), self.default_inter_region)
 
+    def pair_mu(self, row: Dict[str, float], sender: str, receiver: str) -> float:
+        """``log(base_latency)`` of a pair missing from ``sender``'s ``row``.
+
+        ``row`` is ``rows[sender]``, or an empty dict if the sender has no
+        row yet: the first pair cached into it registers it, so a sender that
+        never caches a pair never leaves a row behind.
+        """
+        mu = _log(self.base_latency(sender, receiver))
+        # Only cache pairs whose endpoints both have explicit region
+        # assignments: assignments are add-only, so such entries can never go
+        # stale and joins need no cache invalidation at all.  The bound keeps
+        # long churn runs (which mint fresh addresses forever) from growing
+        # the cache without limit; a rare full reset simply re-warms the live
+        # pairs.
+        region_of = self.region_of
+        if sender in region_of and receiver in region_of:
+            if self._cached_pairs >= _MU_CACHE_LIMIT:
+                self.invalidate_pair_cache()
+                row.clear()
+            if not row:
+                self._mu_rows[sender] = row
+            row[receiver] = mu
+            self._cached_pairs += 1
+        return mu
+
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
-        if (
-            self.intra_region_median != self._cached_intra
-            or self.default_inter_region != self._cached_default
-        ):
-            self.invalidate_pair_cache()
-        pair = (sender, receiver)
-        mu = self._mu_cache.get(pair)
+        rows, _, sigma, _ = self.lognormal
+        row = rows.get(sender)
+        if row is None:
+            row = {}
+        mu = row.get(receiver)
         if mu is None:
-            mu = _log(self.base_latency(sender, receiver))
-            # Only cache pairs whose endpoints both have explicit region
-            # assignments: assignments are add-only, so such entries can
-            # never go stale and joins need no cache invalidation at all.
-            # The bound keeps long churn runs (which mint fresh addresses
-            # forever) from growing the cache without limit; a rare full
-            # reset simply re-warms the live pairs.
-            if sender in self.region_of and receiver in self.region_of:
-                if len(self._mu_cache) >= _MU_CACHE_LIMIT:
-                    self._mu_cache.clear()
-                self._mu_cache[pair] = mu
-        random = rng.random
-        while True:
-            u1 = random()
-            u2 = 1.0 - random()
-            z = _NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -_log(u2):
-                break
-        return _exp(mu + z * self.jitter_sigma)
+            mu = self.pair_mu(row, sender, receiver)
+        return _lognormal(rng, mu, sigma)
 
 
 class WanProfile(RegionalLatency):
@@ -238,7 +279,7 @@ class WanProfile(RegionalLatency):
         """Assign (and remember) a region for a new address, round-robin.
 
         No cache invalidation is needed: pairs involving an unassigned
-        address are never cached (see :meth:`RegionalLatency.sample`), and
+        address are never cached (see :meth:`RegionalLatency.pair_mu`), and
         existing assignments are never changed.
         """
         if address not in self.region_of:

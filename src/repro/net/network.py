@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappush
-from math import inf
+from math import exp, inf, log
 from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
-from repro.sim.events import Event
-
 from repro.core.middleware import MiddlewareContext, MiddlewareError
-from repro.net.latency import LatencyModel, LanProfile
+from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
 from repro.net.message import CorruptedPayload, Message
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
@@ -49,47 +47,31 @@ class NetworkConfig:
     randomized_send_order: bool = True
 
 
-class _Delivery(Event):
-    """A queued in-flight delivery: ONE slotted object per message copy.
+class _Delivery(tuple):
+    """A queued in-flight delivery: ONE immutable tuple per message copy.
 
-    The object carries the wire fields, *is* the scheduled event, and *is*
-    its own callback (``callback = self``): delivery reaches only a
-    registered, alive actor that no partition or split (including one that
-    formed while the message was in flight) separates from the sender.
+    ``(network, sender, receiver, payload, sent_at)``.  The tuple carries the
+    wire fields and *is* the scheduled event: the class supplies the constant
+    ``cancelled``/``priority``/``tag`` the event loop reads and ``callback``
+    is a plain method, so building one is a single tuple allocation.  The
+    delivery time lives only in the heap entry (and, while the callback runs,
+    in the simulator clock).  Delivery reaches only a registered, alive actor
+    that no partition or split (including one that formed while the message
+    was in flight) separates from the sender.
     """
 
-    __slots__ = ("network", "sender", "receiver", "payload", "sent_at")
+    __slots__ = ()
 
-    # Shadow the parent's ``priority``/``tag``/``seq`` slots with class-level
-    # constants: every delivery shares the first two, and ``seq`` is only
-    # carried in the heap tuple, so per-instance stores would be pure
-    # overhead.  (They are read-only for deliveries; ``cancelled`` stays a
-    # real slot because ``cancel()`` writes it.)
+    cancelled = False
     priority = 0
     tag = "net.deliver"
-    seq = -1
 
-    def __init__(
-        self,
-        time: float,
-        network: "Network",
-        sender: str,
-        receiver: str,
-        payload: Any,
-        sent_at: float,
-    ) -> None:
-        self.time = time
-        self.callback = self
-        self.cancelled = False
-        self.network = network
-        self.sender = sender
-        self.receiver = receiver
-        self.payload = payload
-        self.sent_at = sent_at
+    def cancel(self) -> None:
+        """Deliveries are not cancellable: drop them with a partition."""
+        raise TypeError("an in-flight network delivery cannot be cancelled")
 
-    def __call__(self) -> None:
-        network = self.network
-        receiver = self.receiver
+    def callback(self) -> None:
+        network, sender, receiver, payload, sent_at = self
         actor = network._actors.get(receiver)
         counters = network._counters
         if actor is None or not actor.alive:
@@ -98,15 +80,15 @@ class _Delivery(Event):
         if receiver in network._partitioned:
             counters["net.messages_partitioned"] += 1.0
             return
-        if network._splits and network.crosses_split(self.sender, receiver):
+        if network._splits and network.crosses_split(sender, receiver):
             # A split that formed while the message was in flight.
             counters["net.messages_partitioned"] += 1.0
             return
         counters["net.messages_delivered"] += 1.0
-        # ``self.time`` equals the simulator clock at delivery, saving the
-        # ``network.sim._now`` chain on every message.
-        network._delivery_latency.record(self.time - self.sent_at)
-        actor.on_message(self.payload, self.sender)
+        # ``Histogram.record`` is ``samples.append``; the clock is the
+        # delivery time while this callback runs.
+        network._latency_samples.append(network.sim._now - sent_at)
+        actor.on_message(payload, sender)
 
 
 class Network:
@@ -141,10 +123,10 @@ class Network:
         # queueing of large transfers at the receiver.
         self._downlink_free_at: Dict[str, float] = {}
         # Hot-path handles: sends and deliveries update counters and the
-        # delivery-latency histogram directly instead of going through the
-        # registry methods on every message.
+        # delivery-latency histogram's sample list directly instead of going
+        # through the registry methods on every message.
         self._counters = sim.metrics.counters
-        self._delivery_latency = sim.metrics.histogram("net.delivery_latency")
+        self._latency_samples = sim.metrics.histogram("net.delivery_latency").samples
 
     # --------------------------------------------------------------- membership
 
@@ -281,12 +263,23 @@ class Network:
     ) -> int:
         """Send the same ``payload``/``size_bytes`` to ``receivers``, in order.
 
-        The one routing core; every other send method is a caller of it.  Per
-        receiver, in this order: partition and split checks, the loss draw,
-        the installed ``on_send`` pipeline, one latency draw, then per copy
-        one downlink update and one heap push of a slotted :class:`_Delivery`.
-        A batch is exactly the sequence of its single sends — same RNG draws,
-        same float arithmetic, same event order.
+        The one routing core; every other send method is a caller of it, and
+        it is the only function that pushes deliveries.  Per receiver, in
+        this order: partition and split checks, the loss draw, the installed
+        ``on_send`` pipeline, one latency draw, then per copy one downlink
+        update and one heap push of a :class:`_Delivery` tuple.  A batch is
+        exactly the sequence of its single sends — same RNG draws, same float
+        arithmetic, same event order.
+
+        The loop owns the latency draw.  A log-normal model publishes its
+        parameters (:attr:`LatencyModel.lognormal
+        <repro.net.latency.LatencyModel.lognormal>`), read here once per
+        burst, and the loop runs the draw inline where it would have called
+        ``model.sample`` — which stays the per-pair API, and is what a model
+        that publishes nothing (the test doubles) is called through.  The
+        draw cannot be hoisted out of the loop and done for the whole batch:
+        the loss draw and any send a hook makes take from the same RNG
+        stream between one receiver's draw and the next.
 
         Hooks run against **one** :class:`MiddlewareContext` per call: the
         receiver, payload and verdict fields are reset before each receiver's
@@ -315,10 +308,21 @@ class Network:
         loss = config.loss_probability
         transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
         rng = self._rng
+        random = rng.random
         partitioned = self._partitioned
         splits = self._splits
         hooks = self._send_hooks
-        sample = self.latency_model.sample
+        model = self.latency_model
+        lognormal = model.lognormal
+        row = None
+        if lognormal is None:
+            sample = model.sample
+        else:
+            rows, mu, sigma, floor = lognormal
+            if rows is not None:
+                row = rows.get(sender)
+                if row is None:
+                    row = {}
         downlink = self._downlink_free_at
         downlink_get = downlink.get
         queue = sim.queue
@@ -335,7 +339,7 @@ class Network:
             ) or (splits and self.crosses_split(sender, receiver)):
                 counters["net.messages_partitioned"] += 1.0
                 continue
-            if loss > 0.0 and rng.random() < loss:
+            if loss > 0.0 and random() < loss:
                 counters["net.messages_lost"] += 1.0
                 continue
             if hooks is not None:
@@ -377,9 +381,27 @@ class Network:
                     counters["net.messages_lost"] += 1.0
                     continue
                 wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
+            if lognormal is None:
+                propagation = sample(rng, sender, receiver)
+            else:
+                # The model's draw, run here: max(floor, lognormvariate(mu,
+                # sigma)) exactly as latency._lognormal computes it.
+                if row is not None:
+                    mu = row.get(receiver)
+                    if mu is None:
+                        mu = model.pair_mu(row, sender, receiver)
+                while True:
+                    u1 = random()
+                    u2 = 1.0 - random()
+                    z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -log(u2):
+                        break
+                propagation = exp(mu + z * sigma)
+                if propagation < floor:
+                    propagation = floor
+            propagation += extra_delay
             # Float arithmetic mirrors Simulator.schedule() (including the
             # delay round-trip), so event times match a sim.schedule() send.
-            propagation = sample(rng, sender, receiver) + extra_delay
             while True:
                 arrival_start = now + propagation
                 free_at = downlink_get(receiver, 0.0)
@@ -389,9 +411,8 @@ class Network:
                     arrival_start = free_at
                 delivery_time = arrival_start + transfer
                 downlink[receiver] = delivery_time
-                scheduled = now + (delivery_time - now)
-                event = _Delivery(scheduled, self, sender, receiver, wire, now)
-                heappush(heap, (scheduled, 0, seq, event))
+                delivery = _Delivery((self, sender, receiver, wire, now))
+                heappush(heap, (now + (delivery_time - now), 0, seq, delivery))
                 seq += 1
                 if copies == 1:
                     break

@@ -104,17 +104,26 @@ class EventQueue:
         self._live += 1
         return event
 
-    def pop(self) -> Optional[Event]:
-        """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
+    def pop_entry(self) -> Optional[tuple]:
+        """Pop the next non-cancelled ``(time, priority, seq, event)`` entry.
+
+        The entry, not the event, is the authority on when the event fires:
+        a network delivery (see :mod:`repro.net.network`) carries no ``time``.
+        """
         heap = self._heap
         while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
+            entry = heapq.heappop(heap)
+            if entry[3].cancelled:
                 continue
             self._live -= 1
-            return event
+            return entry
         self._live = 0
         return None
+
+    def pop(self) -> Optional[Event]:
+        """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
+        entry = self.pop_entry()
+        return None if entry is None else entry[3]
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next non-cancelled event without popping it."""

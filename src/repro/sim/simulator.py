@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.metrics import MetricsRegistry
@@ -37,6 +38,7 @@ class Simulator:
         self._processed = 0
         self._running = False
         self._stop_requested = False
+        self._serials: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------ clock
 
@@ -49,6 +51,16 @@ class Simulator:
     def processed_events(self) -> int:
         """Number of events processed so far."""
         return self._processed
+
+    def next_serial(self, name: str) -> int:
+        """Next value (1, 2, ...) of this run's counter ``name``.
+
+        Identifiers minted from it depend on this run alone, never on what
+        other simulations the process ran before (a module-level counter
+        would leak across runs).
+        """
+        self._serials[name] += 1
+        return self._serials[name]
 
     # -------------------------------------------------------------- scheduling
 
@@ -92,13 +104,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the queue is empty."""
-        event = self.queue.pop()
-        if event is None:
+        entry = self.queue.pop_entry()
+        if entry is None:
             return False
-        if event.time < self._now:
+        time = entry[0]
+        if time < self._now:
             raise SimulationError("event queue returned an event from the past")
-        self._now = event.time
-        event.callback()
+        self._now = time
+        entry[3].callback()
         self._processed += 1
         return True
 

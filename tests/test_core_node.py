@@ -271,6 +271,23 @@ class TestMembershipLifecycle:
         cluster.broadcast("n1", "b")
         assert cluster.sim.metrics.counter("atum.broadcasts_started") == 2
 
+    def test_broadcast_ids_do_not_depend_on_earlier_clusters_in_the_process(self):
+        # The id counter is per run: a process-global one made the id -- and,
+        # through stable_hash(bcast_id), the cycles a fanout-capped flood
+        # travels -- depend on how many broadcasts earlier clusters sent.
+        def ids_and_cycles():
+            cluster = built_cluster(seed=11)
+            ids = [cluster.broadcast(f"n{index}", index) for index in range(5)]
+            # A re-created node with a reused address must not repeat an id.
+            ids.append(cluster.broadcast("n0", "again"))
+            return ids, [list(forward_cycles("flood", i, 5, fanout=2)) for i in ids]
+
+        first = ids_and_cycles()
+        assert first == ids_and_cycles()
+        assert first[0][0] == "bc-n0-1"
+        assert len(set(first[0])) == 6
+        assert len({tuple(cycles) for cycles in first[1]}) > 1
+
     def test_delivered_order_tracks_delivery_sequence(self):
         cluster = built_cluster(seed=5)
         first = cluster.broadcast("n0", "first")

@@ -1,5 +1,7 @@
 """Tests for the group layer: vgroup views, group messages, heartbeats, cost model."""
 
+import random
+
 import pytest
 
 from repro.crypto.digest import digest_object
@@ -165,18 +167,23 @@ class TestGroupMessages:
 
 
 class _HeartbeatHost(Actor):
-    def __init__(self, sim, address, network, peers):
+    def __init__(self, sim, address, network, peers, period=1.0):
         super().__init__(sim, address)
+        self.network = network
         self.suspected = []
+        self.sent_at = []
         self.monitor = HeartbeatMonitor(
             sim=sim,
             address=address,
-            group_id_fn=lambda: "G",
             peers_fn=lambda: peers,
-            send_fn=lambda peers, hb: network.send_many(address, peers, hb, 64),
+            send_fn=self._send,
             suspect_fn=self.suspected.append,
-            config=HeartbeatConfig(period=1.0, misses_before_eviction=3),
+            config=HeartbeatConfig(period=period, misses_before_eviction=3),
         )
+
+    def _send(self, peers, heartbeat):
+        self.sent_at.append(self.sim.now)
+        self.network.send_many(self.address, peers, heartbeat, 64)
 
     def on_message(self, payload, sender):
         if isinstance(payload, Heartbeat):
@@ -247,9 +254,9 @@ class TestHeartbeatPeriodAdoption:
         assert monitor._period == 0.5
         assert monitor.config.period == 0.5  # the config reports what is in force
         # The send cadence follows immediately: next ticks at 3.5, 4.0, ...
-        sequence_at_adoption = monitor.sequence
+        ticks_at_adoption = len(hosts["n0"].sent_at)
         sim.run(until=4.1)
-        assert monitor.sequence == sequence_at_adoption + 2
+        assert len(hosts["n0"].sent_at) == ticks_at_adoption + 2
 
     def test_set_period_rejects_nonpositive(self):
         sim = Simulator()
@@ -303,6 +310,117 @@ class TestHeartbeatPeriodAdoption:
         assert "n2" in hosts["n0"].suspected
         assert "n2" in hosts["n1"].suspected
         assert "n1" not in hosts["n0"].suspected
+
+
+class TestHeartbeatRestart:
+    def test_stop_start_inside_a_period_leaves_one_tick_chain(self):
+        # stop() leaves the already-scheduled tick in the queue; a start()
+        # before it fires used to run beside it, doubling the send rate for
+        # good (crash -> recover, or clear_membership -> install_view).
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], period=5.0)
+        network.register(host)
+        host.monitor.start()
+        sim.schedule_at(12.0, host.monitor.stop)
+        sim.schedule_at(13.0, host.monitor.start)
+        sim.run(until=40.0)
+        assert host.sent_at == [0.0, 5.0, 10.0, 13.0, 18.0, 23.0, 28.0, 33.0, 38.0]
+
+    def test_every_restart_leaves_one_chain(self):
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], period=5.0)
+        network.register(host)
+        host.monitor.start()
+        for at in (1.0, 2.0, 3.0):
+            sim.schedule_at(at, host.monitor.stop)
+            sim.schedule_at(at + 0.5, host.monitor.start)
+        sim.run(until=20.0)
+        assert host.sent_at == [0.0, 1.5, 2.5, 3.5, 8.5, 13.5, 18.5]
+
+
+class _FillThenWalkMonitor(HeartbeatMonitor):
+    """The tick before the one-scan rewrite: seed every peer not heard from
+    yet, then walk ``last_seen`` in order on *every* tick."""
+
+    def _tick(self, generation):
+        if generation != self._generation or not self.running:
+            return
+        if self._pending_period is not None:
+            self._adopt_period(self._pending_period)
+        now = self.sim.now
+        peers = tuple(self.peers_fn())
+        self._peer_set = frozenset(peers)
+        others = tuple(peer for peer in peers if peer != self.address)
+        if others:
+            self.send_fn(others, self._heartbeat)
+        for peer in others:
+            if peer not in self.last_seen:
+                self.last_seen[peer] = now
+        self._check_peers(now, self._period * self.config.misses_before_eviction)
+        self.sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
+
+
+class TestOneScanTickDifferential:
+    """Seeded differential: the one-scan tick against fill-then-walk."""
+
+    POOL = [f"p{i}" for i in range(9)]
+
+    def _drive(self, monitor_class, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        state = {"peers": ("me", "p0", "p1", "p2")}
+        calls = []
+        sends = []
+        monitor = monitor_class(
+            sim=sim,
+            address="me",
+            peers_fn=lambda: state["peers"],
+            send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
+            suspect_fn=lambda peer: calls.append((sim.now, peer)),
+            config=HeartbeatConfig(period=1.0, misses_before_eviction=3),
+        )
+        monitor.start()
+        silent = set(rng.sample(self.POOL, 3))
+        snapshots = []
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.55:
+                # A heartbeat from a talkative address: mostly a current
+                # peer, sometimes a stranger the next tick has to purge.
+                current = [peer for peer in state["peers"] if peer != "me"]
+                sender = rng.choice(current if current and rng.random() < 0.85 else self.POOL)
+                if sender not in silent:
+                    monitor.observe(Heartbeat(sender))
+            elif roll < 0.65:
+                members = rng.sample(self.POOL, rng.randrange(0, 6))
+                if rng.random() < 0.8:
+                    members.append("me")
+                rng.shuffle(members)
+                state["peers"] = tuple(members)
+            elif roll < 0.80:
+                monitor.set_period(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            elif roll < 0.85:
+                silent = set(rng.sample(self.POOL, rng.randrange(0, 5)))
+            elif roll < 0.88:
+                monitor.stop()
+                monitor.start()
+            sim.run(until=sim.now + rng.choice([0.1, 0.3, 0.7, 1.1]))
+            snapshots.append(
+                (sim.now, list(monitor.last_seen.items()), sorted(monitor.suspected), len(calls))
+            )
+        return calls, sends, snapshots
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_suspicions_in_the_same_order(self, seed):
+        calls, sends, snapshots = self._drive(HeartbeatMonitor, seed)
+        expected = self._drive(_FillThenWalkMonitor, seed)
+        assert (calls, sends, snapshots) == expected
+        if seed == 0:
+            # Not vacuous: peers were suspected, purged and re-heard.
+            assert len(calls) > 20
+            assert len({peer for _, peer in calls}) > 2
 
 
 class TestGroupCostModel:

@@ -1,0 +1,116 @@
+"""A deterministic budget for the per-message hot path.
+
+Wall-clock numbers live in ``benchmarks/stack``; they need a quiet host and
+ten pairs of runs.  This test guards the same floor with something a unit
+test can assert: the number of Python-level function calls one sent message
+costs, counted by ``cProfile`` on two tiny runs of the real ``AtumCluster``
+(call *counts* only — no time is read, so the result is the same on any host
+and under any ``PYTHONHASHSEED``).
+
+* ``heartbeats``: a static 24-node cluster that does nothing but heartbeat
+  (the traffic that is 81 % of the ``churn_hb`` benchmark workload);
+* ``flood``: four broadcasts flooded through a static 40-node cluster.
+
+Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
+it prints the measured calls per message.  A ceiling is the measured value
+plus ~10 %.  Lowering a ceiling after an optimisation is free; *raising* one
+means the per-message floor went up, and needs a line in CHANGES.md saying
+what the extra calls buy.
+"""
+
+import cProfile
+import pstats
+
+from repro.core.cluster import AtumCluster
+from repro.core.config import AtumParameters
+
+#: Python-level calls per sent message: measured 4.60 and 12.95 (they were
+#: 10.40 and 15.94 before the draw moved into ``send_many``, a delivery became
+#: a tuple and the heartbeat tick became one scan).
+CEILINGS = {"heartbeats": 5.1, "flood": 14.3}
+
+
+def _params(**overrides):
+    return AtumParameters(hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, **overrides)
+
+
+def _heartbeats():
+    cluster = AtumCluster(_params(heartbeat_period=1.0), seed=5, enable_heartbeats=True)
+    cluster.build_static([f"n{i}" for i in range(24)])
+    return cluster, lambda: cluster.run_for(30.0)
+
+
+def _flood():
+    cluster = AtumCluster(_params(), seed=5)
+    cluster.build_static([f"n{i}" for i in range(40)])
+    for index in range(4):
+        cluster.sim.schedule_at(
+            0.3 + 0.7 * index, lambda i=index: cluster.broadcast(f"n{i}", i)
+        )
+    return cluster, lambda: cluster.run(until=20.0)
+
+
+SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood}
+
+
+def measure(name):
+    """Profile one scenario: ``(stats, messages sent, messages delivered)``."""
+    cluster, timed = SCENARIOS[name]()
+    counter = cluster.sim.metrics.counter
+    sent, delivered = counter("net.messages_sent"), counter("net.messages_delivered")
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        timed()
+    finally:
+        profile.disable()
+    stats = pstats.Stats(profile).stats
+    return (
+        stats,
+        counter("net.messages_sent") - sent,
+        counter("net.messages_delivered") - delivered,
+    )
+
+
+def python_calls(stats):
+    """Calls of functions written in Python (builtins are filed under ``~``)."""
+    return sum(entry[1] for (filename, _, _), entry in stats.items() if filename != "~")
+
+
+def calls_of(stats, file_suffix, function):
+    return sum(
+        entry[1]
+        for (filename, _, name), entry in stats.items()
+        if name == function and filename.endswith(file_suffix)
+    )
+
+
+def test_python_calls_per_sent_message_stay_under_the_ceiling():
+    for name, ceiling in CEILINGS.items():
+        stats, sent, _ = measure(name)
+        assert sent > 2000
+        per_message = python_calls(stats) / sent
+        assert per_message <= ceiling, (
+            f"{name}: {per_message:.2f} Python calls per sent message, ceiling "
+            f"{ceiling} -- see this module's docstring before raising it"
+        )
+
+
+def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
+    stats, sent, delivered = measure("heartbeats")
+    assert delivered == sent == 3600
+    assert calls_of(stats, "net/network.py", "callback") == delivered
+    assert calls_of(stats, "group/heartbeat.py", "observe") == delivered
+    assert calls_of(stats, "net/latency.py", "sample") == 0
+    assert calls_of(stats, "sim/metrics.py", "record") == 0
+    # The one read is ``run_for`` computing its horizon.
+    assert calls_of(stats, "sim/simulator.py", "now") <= 1
+
+
+if __name__ == "__main__":
+    for scenario in SCENARIOS:
+        scenario_stats, scenario_sent, _ = measure(scenario)
+        print(
+            f"{scenario}: {python_calls(scenario_stats) / scenario_sent:.2f} Python calls "
+            f"per sent message ({scenario_sent:.0f} sent, ceiling {CEILINGS[scenario]})"
+        )

@@ -353,3 +353,187 @@ class TestBatchEqualsSequential:
         assert counters["net.messages_lost"] > 0
         assert counters["net.messages_partitioned"] == 120
         assert len(latencies) == counters["net.messages_delivered"] > 200
+
+
+class NestedSendHook(Middleware):
+    """An ``on_send`` hook that itself sends, once per message to ``"b"``."""
+
+    def __init__(self, network):
+        self.network = network
+        self.nested = 0
+
+    def on_send(self, ctx):
+        if ctx.receiver == "b" and ctx.payload != "nested":
+            self.nested += 1
+            self.network.send_one("a", "z", "nested", 100)
+
+
+def _assigned_wan():
+    # "a", "b", "z" and the n* addresses have regions; "stranger" never does.
+    model = WanProfile([f"n{i}" for i in range(16)])
+    for address in ("a", "b", "z"):
+        model.assign(address)
+    return model
+
+
+INLINE_DRAW_RECEIVERS = ["b", "n1", "n4", "stranger", "n9", "n4"]
+
+
+def _warm_wan():
+    model = _assigned_wan()
+    rng = random.Random(0)
+    for receiver in INLINE_DRAW_RECEIVERS + ["z"]:
+        model.sample(rng, "a", receiver)
+    return model
+
+
+INLINE_DRAW_MODELS = {
+    "lan": (LanProfile, "median", 0.002),
+    "lognormal_high_floor": (
+        lambda: LogNormalLatency(median=0.0005, sigma=0.25, floor=0.0006), "floor", 0.0002,
+    ),
+    "wan_cold": (_assigned_wan, "intra_region_median", 0.004),
+    "wan_warm": (_warm_wan, "default_inter_region", 0.2),
+    "wan_unassigned_sender": (
+        lambda: WanProfile([f"n{i}" for i in range(16)]), "jitter_sigma", 0.4,
+    ),
+    "fixed": (lambda: FixedLatency(0.003), "latency", 0.001),
+    "uniform": (lambda: UniformLatency(0.001, 0.004), "high", 0.002),
+}
+
+
+class TestInlineDrawEqualsSample:
+    """Oracle for the draw ``send_many`` runs itself: n x ``model.sample``.
+
+    The reference below is the routing arithmetic written out around the
+    public per-pair API.  After every burst the network must have consumed
+    the RNG identically, pushed the same ``(time, priority, seq)`` heap keys
+    and left the same downlink state — with a loss draw before each latency
+    draw, with a hook that re-entrantly sends between the two, and across a
+    public model field reassigned mid-run.
+    """
+
+    def _reference_burst(self, twin, sender, receivers, size, nested):
+        keys = []
+        config = twin["config"]
+        rng, model, now, downlink = twin["rng"], twin["model"], twin["now"], twin["downlink"]
+        transfer = (size + config.headers_bytes) / config.bandwidth_bytes_per_s
+        for receiver in receivers:
+            if config.loss_probability > 0.0 and rng.random() < config.loss_probability:
+                continue
+            if nested and receiver == "b":
+                keys += self._reference_burst(twin, "a", ["z"], 100, nested=False)
+            propagation = model.sample(rng, sender, receiver)
+            arrival_start = now + propagation
+            free_at = downlink.get(receiver, 0.0)
+            if free_at > arrival_start:
+                arrival_start = free_at
+            delivery_time = arrival_start + transfer
+            downlink[receiver] = delivery_time
+            keys.append((now + (delivery_time - now), 0, twin["seq"]))
+            twin["seq"] += 1
+        return keys
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "reentrant_hook"])
+    @pytest.mark.parametrize("loss", [0.0, 0.05], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("name", sorted(INLINE_DRAW_MODELS))
+    def test_send_many_is_n_samples(self, name, loss, hooked):
+        factory, field, new_value = INLINE_DRAW_MODELS[name]
+        config = NetworkConfig(loss_probability=loss)
+        sim = Simulator(seed=99)
+        network = Network(sim, latency_model=factory(), config=config)
+        hook = None
+        if hooked:
+            hook = NestedSendHook(network)
+            network.install_middleware(MiddlewareChain(hook))
+        twin = {
+            "model": factory(), "config": config, "downlink": {}, "seq": sim.queue._seq,
+            "rng": random.Random(), "now": 0.0,
+        }
+        twin["rng"].setstate(network._rng.getstate())
+        bursts = 0
+        for step in range(40):
+            if step == 20:
+                # A public field reassigned mid-run reaches both paths.
+                setattr(network.latency_model, field, new_value)
+                setattr(twin["model"], field, new_value)
+            sim.run(until=0.0004 * step)  # nobody is registered: pops only
+            twin["now"] = sim.now
+            before = {entry[:3] for entry in sim.queue._heap}
+            turn = step % len(INLINE_DRAW_RECEIVERS)
+            receivers = INLINE_DRAW_RECEIVERS[turn:] + INLINE_DRAW_RECEIVERS[:turn]
+            network.send_many("a", receivers, step, 3000)
+            pushed = sorted({entry[:3] for entry in sim.queue._heap} - before)
+            expected = self._reference_burst(twin, "a", receivers, 3000, nested=hooked)
+            assert pushed == sorted(expected)
+            assert network._rng.getstate() == twin["rng"].getstate()
+            assert network._downlink_free_at == twin["downlink"]
+            bursts += len(pushed)
+        assert sim.queue._seq == twin["seq"]
+        assert bursts > 150
+        if hooked:
+            assert hook.nested > 30
+        if loss:
+            assert sim.metrics.counter("net.messages_lost") > 0
+
+    def test_wan_rows_cache_only_assigned_pairs_and_stay_bounded(self, monkeypatch):
+        from repro.net import latency
+
+        model = _assigned_wan()
+        rng = random.Random(5)
+        model.sample(rng, "a", "stranger")
+        model.sample(rng, "stranger", "a")
+        assert model._mu_rows == {}
+        model.sample(rng, "a", "b")
+        model.sample(rng, "a", "n3")
+        assert set(model._mu_rows) == {"a"} and set(model._mu_rows["a"]) == {"b", "n3"}
+        monkeypatch.setattr(latency, "_MU_CACHE_LIMIT", 3)
+        model.sample(rng, "b", "a")
+        model.sample(rng, "b", "n1")  # the fourth pair resets the cache first
+        assert model._mu_rows == {"b": {"n1": math.log(model.base_latency("b", "n1"))}}
+        model.region_of = dict(model.region_of, b=model.region_of["n1"])
+        assert model._mu_rows == {}  # reassigning a public field invalidates
+
+
+class TestDeliveryObject:
+    def _three_sends(self):
+        sim, network = make_net()
+        receiver = Recorder(sim, "b")
+        network.register(receiver)
+        for index in range(3):
+            sim.schedule(0.5 * index, lambda i=index: network.send_one("a", "b", i, 936))
+        return sim, receiver
+
+    def test_step_and_traced_run_report_the_same_delivery_rows(self):
+        sim, receiver = self._three_sends()
+        trace = []
+        sim.run(trace=trace)
+        stepped, stepping_receiver = self._three_sends()
+        rows = []
+        while stepped.queue._heap:
+            tag = stepped.queue._heap[0][3].tag
+            assert stepped.step()
+            rows.append((stepped.now, tag))
+        assert not stepped.step()
+        assert rows == trace
+        transfer = (936 + 64) / 8_000_000.0
+        assert [row for row in trace if row[1] == "net.deliver"] == [
+            (0.5 * index + (0.01 + transfer), "net.deliver") for index in range(3)
+        ]
+        assert receiver.received == stepping_receiver.received
+        assert stepped.processed_events == sim.processed_events == 6
+
+    def test_a_delivery_cannot_be_cancelled(self):
+        sim, network = make_net()
+        receiver = Recorder(sim, "b")
+        network.register(receiver)
+        network.send_one("a", "b", "payload", 100)
+        delivery = sim.queue._heap[0][3]
+        assert tuple(delivery) == (network, "a", "b", "payload", 0.0)
+        with pytest.raises(TypeError, match="cannot be cancelled"):
+            sim.cancel(delivery)
+        with pytest.raises(AttributeError):
+            delivery.cancelled = True
+        assert len(sim.queue) == 1
+        sim.run()
+        assert [payload for _, payload, _ in receiver.received] == ["payload"]
