@@ -182,6 +182,14 @@ class AtumNode(Actor):
                 suspect_fn=self._on_peer_suspected,
                 config=params.heartbeat_config(),
             )
+        # The node's routing table: exact frame type -> handler (a share goes
+        # straight to the messenger).  Heartbeats are matched ahead of it.
+        self._routes: Dict[type, Callable[[Any, str], None]] = {
+            GroupMessageEnvelope: self.messenger.handle,
+            SmrEnvelope: self._on_smr_envelope,
+            DirectMessage: self._on_direct_message,
+            CorruptedPayload: self._on_corrupted,
+        }
 
     # ------------------------------------------------------------------ queries
 
@@ -370,59 +378,71 @@ class AtumNode(Actor):
     # ------------------------------------------------------------------ routing
 
     def on_message(self, payload: Any, sender: str) -> None:
-        if self.byzantine == "mute":
+        if self.byzantine is not None and self._byzantine_consumes(payload, sender):
             return
         if type(payload) is Heartbeat:
-            # Most of the traffic of a heartbeating deployment, so matched by
-            # exact type ahead of the isinstance chain (a corrupted heartbeat
-            # arrives as a CorruptedPayload and is discarded below).
+            # Most of the traffic of a heartbeating deployment.  Matched ahead
+            # of the table so that its call site stays monomorphic: routed
+            # through the table's shared one, `churn_hb` ran 3 % slower.
             if self.heartbeats is not None:
                 self.heartbeats.observe(payload)
             return
-        if isinstance(payload, CorruptedPayload):
-            inner = payload.inner
-            if isinstance(inner, GroupMessageEnvelope):
-                # Group-message shares are self-verifying: the messenger runs
-                # the payload-digest check and discards the tampered share.
-                if self.byzantine not in ("silent", "evict_attack", "rejoin_attack"):
-                    self.messenger.handle_corrupted(inner, sender)
-                return
-            # Everything else (heartbeats, SMR, direct messages) is MACed on
-            # the wire in a real deployment: a flipped frame fails transport
-            # authentication and is dropped whole.
-            self.sim.metrics.increment("net.corrupted_discarded")
-            return
-        if self.byzantine in ("silent", "evict_attack", "rejoin_attack"):
+        handler = self._routes.get(type(payload))
+        if handler is not None:
+            handler(payload, sender)
+
+    def _byzantine_consumes(self, payload: Any, sender: str) -> bool:
+        """The receive rules of a Byzantine node, in order; True = frame consumed."""
+        behaviour = self.byzantine
+        if behaviour == "mute":
+            return True
+        kind = type(payload)
+        if behaviour in ("silent", "evict_attack", "rejoin_attack"):
             # A silent Byzantine node keeps sending heartbeats (handled by its
             # monitor) but ignores every other protocol message.  The
             # evict-attack and rejoin-attack adversaries behave the same on
             # the receive path; their eviction proposals / strategic
             # leave-and-re-join schedules are timer-driven by the fault
-            # controller.
-            return
-        if isinstance(payload, SmrEnvelope):
-            if self.replica is not None and self.vgroup_view is not None:
-                if payload.group_id == self.vgroup_view.group_id:
-                    inner = payload.payload
-                    if (
-                        self.byzantine in RESPONDER_BEHAVIOURS
-                        and isinstance(inner, RequestEnvelope)
-                        and inner.kind == "ckpt.transfer"
-                    ):
-                        # The responder adversary hijacks exactly one
-                        # protocol surface: serving state transfers.
-                        self._serve_adversarial_transfer(inner, sender)
-                        return
-                    self.replica.on_message(inner, sender)
-            return
-        if isinstance(payload, GroupMessageEnvelope):
-            self.messenger.handle(payload, sender)
-            return
-        if isinstance(payload, DirectMessage):
-            handler = self._direct_handlers.get(payload.kind)
-            if handler is not None:
-                handler(payload.payload, sender)
-            return
+            # controller.  A corrupted frame other than a group-message share
+            # still fails transport authentication (and is counted) first.
+            if kind is CorruptedPayload:
+                return type(payload.inner) is GroupMessageEnvelope
+            return kind is not Heartbeat
+        if behaviour in RESPONDER_BEHAVIOURS and kind is SmrEnvelope:
+            inner, view = payload.payload, self.vgroup_view
+            if (
+                type(inner) is RequestEnvelope
+                and inner.kind == "ckpt.transfer"
+                and view is not None
+                and payload.group_id == view.group_id
+            ):
+                # The responder adversary hijacks exactly one protocol
+                # surface: serving its own group's state transfers.
+                self._serve_adversarial_transfer(inner, sender)
+                return True
+        return False
+
+    def _on_smr_envelope(self, envelope: SmrEnvelope, sender: str) -> None:
+        view = self.vgroup_view
+        if self.replica is not None and view is not None and envelope.group_id == view.group_id:
+            self.replica.on_message(envelope.payload, sender)
+
+    def _on_direct_message(self, message: DirectMessage, sender: str) -> None:
+        handler = self._direct_handlers.get(message.kind)
+        if handler is not None:
+            handler(message.payload, sender)
+
+    def _on_corrupted(self, payload: CorruptedPayload, sender: str) -> None:
+        inner = payload.inner
+        if type(inner) is GroupMessageEnvelope:
+            # Group-message shares are self-verifying: the messenger runs
+            # the payload-digest check and discards the tampered share.
+            self.messenger.handle_corrupted(inner, sender)
+        else:
+            # Everything else (heartbeats, SMR, direct messages) is MACed on
+            # the wire in a real deployment: a flipped frame fails transport
+            # authentication and is dropped whole.
+            self.sim.metrics.increment("net.corrupted_discarded")
 
     # ----------------------------------------------------------------- internals
 

@@ -763,6 +763,16 @@ METRICS = {
         "modules": ('repro/smr/pbft.py',),
         "matrix_column": False,
     },
+    'smr.pbft.rejected_relayed_vote': {
+        "kind": 'counter',
+        "modules": ('repro/smr/pbft.py',),
+        "matrix_column": False,
+    },
+    'smr.pbft.unknown_frame': {
+        "kind": 'counter',
+        "modules": ('repro/smr/pbft.py',),
+        "matrix_column": False,
+    },
     'smr.pbft.view_change_revotes': {
         "kind": 'counter',
         "modules": ('repro/smr/pbft.py',),

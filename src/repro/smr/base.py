@@ -98,17 +98,25 @@ class SmrReplica(abc.ABC):
     ) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.members: List[str] = list(members)
+        self._install_members(members)
         self.registry = registry
         self.send_fn = send_fn
         self.decide_fn = decide_fn
         self.config = config or SmrConfig()
         self.decided_log: List[Operation] = []
         self.running = True
-        # ``members`` minus this replica, rebuilt when the list is replaced
-        # (reconfigure installs a new list; nothing mutates it in place).
-        self._peers_of: Optional[List[str]] = None
-        self._peers: Tuple[str, ...] = ()
+
+    def _install_members(self, members: Sequence[str]) -> None:
+        """Replace the member list and what per-message code derives from it.
+
+        Called by the constructor and :meth:`reconfigure` only (nothing
+        mutates the list in place); engines extend it with their quorum
+        sizes.  The multicast peers are only invalidated here and rebuilt by
+        the next :meth:`_broadcast`: under churn a Sync replica is
+        reconfigured thousands of times for every multicast it sends.
+        """
+        self.members: List[str] = list(members)
+        self._peers: Optional[Tuple[str, ...]] = None
 
     #: Optional checkpoint/state-transfer manager (PBFT only, and only when
     #: ``SmrConfig.checkpoint_interval > 0``); see :mod:`repro.smr.checkpoint`.
@@ -135,13 +143,6 @@ class SmrReplica(abc.ABC):
     @abc.abstractmethod
     def fault_threshold(self) -> int:
         """Number of Byzantine replicas this engine tolerates at this size."""
-
-    def quorum_size(self) -> int:
-        """Votes needed to accept a group-level statement (simple majority)."""
-        return len(self.members) // 2 + 1
-
-    def other_members(self) -> List[str]:
-        return [member for member in self.members if member != self.node_id]
 
     # -------------------------------------------------------------------- API
 
@@ -181,7 +182,7 @@ class SmrReplica(abc.ABC):
         group, so the outgoing epoch's certificates must die rather than be
         re-anchored into a group they never described.
         """
-        self.members = list(new_members)
+        self._install_members(new_members)
 
     def stop(self) -> None:
         """Stop participating (the host node left the group or the system)."""
@@ -197,14 +198,13 @@ class SmrReplica(abc.ABC):
 
     def _broadcast(self, payload: Any, size_bytes: Optional[int] = None) -> None:
         """Multicast ``payload`` to every other member as one send."""
-        members = self.members
-        if members is not self._peers_of:
-            self._peers_of = members
+        peers = self._peers
+        if peers is None:
             node_id = self.node_id
-            self._peers = tuple(member for member in members if member != node_id)
-        if self._peers:
+            peers = self._peers = tuple(m for m in self.members if m != node_id)
+        if peers:
             self.send_fn(
-                self._peers,
+                peers,
                 payload,
                 size_bytes if size_bytes is not None else self.config.message_bytes,
             )

@@ -33,17 +33,26 @@ longer lines up with the local log is rejected and counted
 (``smr.checkpoint.rejected``), never installed.
 
 Everything here is driven by existing protocol events plus one periodic
-announce timer per replica; the timer is only created when
+announce timer per replica; the manager (and with it the timer and the
+frame handlers it adds to the replica's routing table) is only created when
 ``SmrConfig.checkpoint_interval > 0``, so runs with checkpointing
 disabled (the default) are byte-identical to pre-checkpoint builds.
+
+Two things are hashed once instead of once per use.  The statement a
+checkpoint signature covers is digested once per replica
+(:meth:`CheckpointManager._signs_checkpoint`); each of the ``n - 1`` votes
+and each certificate's ``2f + 1`` signatures over it is then one
+``KeyRegistry.verify_digest``.  And the state chain folds *operation
+digests* (:func:`state_digest_of`), which the pre-prepare check already
+memoised, instead of re-encoding every decided operation per checkpoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.crypto.digest import digest_object
+from repro.crypto.digest import digest_object, digest_object_in_mode, digest_token_mode
 from repro.crypto.keys import Signature
 from repro.net.requests import (
     RequestEnvelope,
@@ -218,28 +227,39 @@ def _quorum_of(members: Sequence[str]) -> int:
     return 2 * ((count - 1) // 3) + 1
 
 
+def _fold_chain(digest: str, operations: Sequence["Operation"], interval: int) -> str:
+    """Fold ``operations`` onto the chain value ``digest``, chunk by chunk.
+
+    The one definition of the state chain (see :func:`state_digest_of`):
+    ``d_i = H(d_{i-1}, (H(op) ...))`` over ``interval``-sized chunks.
+    """
+    for start in range(0, len(operations), interval):
+        chunk = tuple(digest_object(op) for op in operations[start : start + interval])
+        digest = digest_object(("pbft-ckpt-chain", digest, chunk))
+    return digest
+
+
 def state_digest_of(operations: Sequence["Operation"], interval: int) -> str:
     """Chained digest of a decided-log prefix (operation *contents*).
 
-    Digesting full operations — not just op ids — is what lets a state
-    transfer receiver detect tampered operation bodies: a response whose
-    operations do not reproduce the certified digest is rejected whole.
+    Every link hashes the *digests* of its operations — memoised by
+    identity since the pre-prepare check, so a checkpoint re-hashes a few hex
+    strings, not every operation body.  An operation's digest covers its
+    whole content (kind, body, proposer, op id), so the chain binds
+    contents, not just op ids, and a state transfer receiver detects
+    tampered operation bodies: a response whose operations do not reproduce
+    the certified digest is rejected whole.  (A tampered copy is a different
+    object, so the identity memo cannot serve it the original's digest.)
 
-    The digest chains in ``interval``-sized chunks
-    (``d_i = H(d_{i-1}, chunk_i)``) rather than hashing the whole prefix
-    flat: emitters fold only the newest chunk onto a cached chain value
-    (O(interval) per checkpoint instead of O(log) — see
+    The digest chains in ``interval``-sized chunks rather than hashing the
+    whole prefix flat: emitters fold only the newest chunk onto a cached
+    chain value (O(interval) per checkpoint instead of O(log) — see
     :meth:`CheckpointManager._state_digest_at`), while any verifier with
     the full prefix can recompute the chain from genesis.  Chunk
     boundaries are deterministic because every certificate seq is a
     multiple of the group-wide configured interval.
     """
-    digest = ""
-    for start in range(0, len(operations), interval):
-        digest = digest_object(
-            ("pbft-ckpt-chain", digest, tuple(operations[start : start + interval]))
-        )
-    return digest
+    return _fold_chain("", operations, interval)
 
 
 # -------------------------------------------------------------------- manager
@@ -248,9 +268,10 @@ def state_digest_of(operations: Sequence["Operation"], interval: int) -> str:
 class CheckpointManager:
     """Checkpoint/state-transfer state of one :class:`PbftReplica`.
 
-    The replica owns the manager (``replica.checkpoints``), feeds it every
-    newly committed operation (:meth:`on_committed`), routes the four
-    checkpoint frame types to it, and consults :attr:`transfer_blocking`
+    The replica creates and owns the manager (``replica.checkpoints``) only
+    when ``checkpoint_interval > 0``, feeds it every newly committed
+    operation (:meth:`on_committed`), merges :meth:`frame_handlers` into its
+    routing table, and consults :attr:`transfer_blocking`
     before executing slots — while a certified checkpoint ahead of the
     local log is known and not yet installed, executing new-view
     re-proposals would append operations *after* the missing prefix and
@@ -263,6 +284,9 @@ class CheckpointManager:
         self.stable: Optional[CheckpointCertificate] = None
         # (seq, digest) -> signer -> verified signature.
         self._votes: Dict[Tuple[int, str], Dict[str, Signature]] = {}
+        # (seq, digest, epoch, digest mode) -> digest of that checkpoint
+        # statement; see _signs_checkpoint.  Pruned with the votes.
+        self._statement_digests: Dict[Tuple[int, str, int, str], str] = {}
         # Decided-log position per op id, for slot GC below the stable
         # checkpoint (kept in lockstep with replica.decided_log).
         self._positions: Dict[str, int] = {}
@@ -292,25 +316,20 @@ class CheckpointManager:
         self._transition_votes: Dict[str, Dict[str, EpochTransitionVote]] = {}
         self._transition_signed: set = set()
         # Retries, rotation, backoff and the responder scoreboard live in
-        # the unified request layer; built only when checkpointing is on,
-        # so disabled runs stay byte-identical.
-        self._requests: Optional[RequestManager] = None
+        # the unified request layer.
+        self._requests = RequestManager(
+            replica.sim,
+            replica.node_id,
+            replica._send,
+            policy=RequestPolicy(
+                adaptive_quarantine=getattr(replica.config, "adaptive_quarantine", False),
+            ),
+            stream_name=f"requests.ckpt.{replica.node_id}",
+        )
         self._transfer_request_id: Optional[str] = None
         # Sim time the current catch-up gap opened (-1 = no open gap);
         # feeds the catch-up-latency-under-attack matrix rows.
         self._gap_since: float = -1.0
-        if self.interval > 0:
-            self._requests = RequestManager(
-                replica.sim,
-                replica.node_id,
-                replica._send,
-                policy=RequestPolicy(
-                    adaptive_quarantine=getattr(
-                        replica.config, "adaptive_quarantine", False
-                    ),
-                ),
-                stream_name=f"requests.ckpt.{replica.node_id}",
-            )
         # Tail catch-up state: how long our log has been frozen below a
         # co-replica's announced (uncertified) log length.
         self._tail_seen_length = -1
@@ -325,8 +344,7 @@ class CheckpointManager:
         # chunks decided since the last one.
         self._chain_count = 0
         self._chain_digest = ""
-        if self.interval > 0:
-            self._arm_announce_timer()
+        self._arm_announce_timer()
 
     # ----------------------------------------------------------------- queries
 
@@ -418,39 +436,31 @@ class CheckpointManager:
         """A newly decided operation was appended to the decided log."""
         log = self.replica.decided_log
         self._positions[operation.op_id] = len(log) - 1
-        if self.interval > 0 and len(log) % self.interval == 0:
+        if len(log) % self.interval == 0:
             self._emit_checkpoint(len(log))
 
     def _advance_chain(self, limit: int) -> None:
         """Fold full decided-log chunks up to ``limit`` into the cache."""
-        log = self.replica.decided_log
-        while self._chain_count + self.interval <= limit:
-            next_count = self._chain_count + self.interval
-            self._chain_digest = digest_object(
-                (
-                    "pbft-ckpt-chain",
-                    self._chain_digest,
-                    tuple(log[self._chain_count : next_count]),
-                )
+        count, interval = self._chain_count, self.interval
+        full = count + (limit - count) // interval * interval
+        if full > count:
+            self._chain_digest = _fold_chain(
+                self._chain_digest, self.replica.decided_log[count:full], interval
             )
-            self._chain_count = next_count
+            self._chain_count = full
 
     def _state_digest_at(self, seq: int) -> str:
         """Chained state digest over the first ``seq`` decided operations.
 
         Advances the incremental cache chunk by chunk, so each checkpoint
         emission costs O(interval) digest work regardless of log length;
-        equals ``state_digest_of(decided_log[:seq], interval)``.
+        equals ``state_digest_of(decided_log[:seq], interval)``.  Certificate
+        seqs are interval multiples (the tail below is then empty); a stray
+        partial tail still digests deterministically, uncached.
         """
         self._advance_chain(seq)
-        if self._chain_count == seq:
-            return self._chain_digest
-        # Defensive: certificate seqs are always interval multiples, but a
-        # stray partial tail still digests deterministically (uncached).
-        log = self.replica.decided_log
-        return digest_object(
-            ("pbft-ckpt-chain", self._chain_digest, tuple(log[self._chain_count : seq]))
-        )
+        tail = self.replica.decided_log[self._chain_count : seq]
+        return _fold_chain(self._chain_digest, tail, self.interval)
 
     def _chained_digest_with(self, operations: Sequence["Operation"]) -> str:
         """Chain digest over (decided log + ``operations``), cache-assisted.
@@ -462,13 +472,8 @@ class CheckpointManager:
         """
         log = self.replica.decided_log
         self._advance_chain(len(log))
-        digest = self._chain_digest
-        tail = list(log[self._chain_count :]) + list(operations)
-        for start in range(0, len(tail), self.interval):
-            digest = digest_object(
-                ("pbft-ckpt-chain", digest, tuple(tail[start : start + self.interval]))
-            )
-        return digest
+        tail = log[self._chain_count :] + list(operations)
+        return _fold_chain(self._chain_digest, tail, self.interval)
 
     def _emit_checkpoint(self, seq: int) -> None:
         replica = self.replica
@@ -495,25 +500,43 @@ class CheckpointManager:
         if message.replica != sender and sender != replica.node_id:
             self._reject("relayed_vote")
             return
-        if message.replica not in replica.members:
+        if message.replica not in replica._member_set:
             self._reject("non_member")
             return
-        statement = checkpoint_statement(message.epoch, message.seq, message.state_digest)
-        if (
-            message.signature.signer != message.replica
-            or not replica.registry.verify(message.signature, statement)
+        signature = message.signature
+        if signature.signer != message.replica or not self._signs_checkpoint(
+            signature, message.epoch, message.seq, message.state_digest
         ):
             self._reject("bad_signature")
             return
         self._record_vote(message)
+
+    def _signs_checkpoint(
+        self, signature: Signature, epoch: int, seq: int, state_digest: str
+    ) -> bool:
+        """``registry.verify(signature, checkpoint_statement(...))``, hashing once.
+
+        The digest step of ``verify`` is memoised per replica: the statement
+        is digested in the mode the signature's own token was created under
+        (so signatures keep verifying across a digest-mode switch), once, and
+        every further signature over it — the other voters', a certificate's
+        2f+1 — costs one ``registry.verify_digest``.
+        """
+        mode = digest_token_mode(signature.digest)
+        key = (seq, state_digest, epoch, mode)
+        digest = self._statement_digests.get(key)
+        if digest is None:
+            digest = self._statement_digests[key] = digest_object_in_mode(
+                checkpoint_statement(epoch, seq, state_digest), mode
+            )
+        return self.replica.registry.verify_digest(signature, digest)
 
     def _record_vote(self, message: Checkpoint) -> None:
         if self.stable is not None and message.seq <= self.stable.seq:
             return
         votes = self._votes.setdefault((message.seq, message.state_digest), {})
         votes[message.replica] = message.signature
-        quorum = self.replica._quorum_2f1()
-        if len(votes) >= quorum or len(self.replica.members) == 1:
+        if len(votes) >= self.replica._quorum:
             certificate = CheckpointCertificate(
                 epoch=self.replica.epoch,
                 seq=message.seq,
@@ -552,7 +575,7 @@ class CheckpointManager:
         self, certificate: CheckpointCertificate, prev_members: Tuple[str, ...]
     ) -> None:
         replica = self.replica
-        members = tuple(sorted(replica.members))
+        members = replica._ordered
         statement = transition_statement(
             replica.epoch, members, prev_members, certificate
         )
@@ -580,7 +603,7 @@ class CheckpointManager:
         if message.replica not in replica.members:
             self._reject("transition_non_member")
             return
-        if tuple(message.members) != tuple(sorted(replica.members)):
+        if tuple(message.members) != replica._ordered:
             self._reject("transition_mismatch")
             return
         certificate = message.certificate
@@ -656,8 +679,7 @@ class CheckpointManager:
             self._metrics().increment("smr.checkpoint.transition_votes")
             replica._broadcast(own)
             votes[replica.node_id] = own
-        quorum = _quorum_of(replica.members)
-        if len(votes) < quorum:
+        if len(votes) < replica._quorum:
             return
         record = EpochTransition(
             new_epoch=vote.new_epoch,
@@ -726,7 +748,6 @@ class CheckpointManager:
         """
         if not isinstance(certificate, CheckpointCertificate):
             return False
-        replica = self.replica
         if certificate.seq < 1:
             return False
         signers = certificate.signers
@@ -736,15 +757,9 @@ class CheckpointManager:
             return False
         if len(signers) < _quorum_of(members):
             return False
-        statement = checkpoint_statement(
-            certificate.epoch, certificate.seq, certificate.state_digest
-        )
-        # registry.verify (not verify_digest against one precomputed
-        # digest): each signature's digest is recomputed in the token mode
-        # it was *created* under, so certificates survive a global
-        # digest-mode switch exactly like every other signature.
+        epoch, seq, state_digest = certificate.epoch, certificate.seq, certificate.state_digest
         return all(
-            replica.registry.verify(signature, statement)
+            self._signs_checkpoint(signature, epoch, seq, state_digest)
             for signature in certificate.signatures
         )
 
@@ -783,7 +798,7 @@ class CheckpointManager:
             top.state_digest,
         ) != (certificate.epoch, certificate.seq, certificate.state_digest):
             return "transition_mismatch"
-        members: Tuple[str, ...] = tuple(sorted(replica.members))
+        members: Tuple[str, ...] = replica._ordered
         previous_seq = None
         for record in reversed(chain):
             if tuple(record.members) != members:
@@ -854,6 +869,10 @@ class CheckpointManager:
         """Drop votes, slots and positions a certified ``seq`` obsoletes."""
         for key in [key for key in self._votes if key[0] <= seq]:
             del self._votes[key]
+        # The certified statement itself stays: the votes beyond the quorum
+        # arrive after it formed and are still signature-checked.
+        for key in [key for key in self._statement_digests if key[0] < seq]:
+            del self._statement_digests[key]
         self.replica._gc_below_checkpoint(seq, self._positions)
         # Positions below the certified checkpoint have no remaining
         # consumer (their slots are gone); prune them so the map stays
@@ -884,15 +903,20 @@ class CheckpointManager:
             self._begin_transfer(certificate, realign=realign)
 
     def on_announce(self, message: CheckpointAnnounce, sender: str) -> None:
-        if message.epoch != self.replica.epoch:
+        replica = self.replica
+        if message.epoch != replica.epoch:
             return
-        if sender not in self.replica.members:
+        if sender not in replica._member_set:
             self._reject("non_member")
             return
-        certificate = message.certificate
-        best = self.best_certificate()
-        if certificate is not None and (best is None or certificate.seq > best.seq):
-            if getattr(certificate, "epoch", None) == self.replica.epoch:
+        certificate, stable = message.certificate, self.stable
+        if (
+            certificate is not None
+            # Nearly every announce repeats the stable checkpoint we hold.
+            and (stable is None or certificate.seq > stable.seq)
+            and ((best := self.best_certificate()) is None or certificate.seq > best.seq)
+        ):
+            if getattr(certificate, "epoch", None) == replica.epoch:
                 if self.valid_certificate(certificate):
                     self._adopt_stable(certificate)
                 else:
@@ -908,7 +932,8 @@ class CheckpointManager:
                     self._adopt_anchor(certificate, message.transitions)
                 else:
                     self._reject(error)
-        self.peer_view_seen = max(self.peer_view_seen, message.view)
+        if message.view > self.peer_view_seen:
+            self.peer_view_seen = message.view
         self._note_peer_log_length(message.log_length)
 
     def _note_peer_log_length(self, peer_length: int) -> None:
@@ -925,12 +950,13 @@ class CheckpointManager:
         """
         replica = self.replica
         own_length = len(replica.decided_log)
-        if self._tail_seen_length != own_length or self.transfer_blocking:
+        blocking = self._transfer_target is not None and self.transfer_blocking
+        if self._tail_seen_length != own_length or blocking:
             # Our log moved (ordinary in-flight lag) or a transfer is
             # already chasing a certified gap: restart the observation.
             self._tail_seen_length = own_length
             self._tail_deficit_since = -1.0
-            if self.transfer_blocking:
+            if blocking:
                 return
         if peer_length <= own_length:
             # A peer that is not ahead says nothing about a stall — in
@@ -1002,7 +1028,7 @@ class CheckpointManager:
         """
         replica = self.replica
         requests = self._requests
-        if self.interval <= 0 or not replica.running or requests is None:
+        if not replica.running:
             return
         if seq <= len(replica.decided_log) or seq <= self.stable_seq:
             return
@@ -1059,7 +1085,7 @@ class CheckpointManager:
         """
         target = self._transfer_target
         requests = self._requests
-        if target is None or requests is None:
+        if target is None:
             return
         replica = self.replica
         members = set(replica.members)
@@ -1128,8 +1154,6 @@ class CheckpointManager:
         """Ship ``response`` correlated to ``envelope`` (adversary entry too:
         the responder behaviours craft their own responses and send them
         through the same correlated channel a correct server uses)."""
-        if self._requests is None:
-            return
         size = self.response_bytes(response, self.replica.config.message_bytes)
         self._requests.respond(envelope, response, size)
 
@@ -1283,34 +1307,23 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------ routing
 
-    def handle(self, payload, sender: str) -> bool:
-        """Route a checkpoint frame; returns False for other payload types."""
-        if isinstance(payload, Checkpoint):
-            self.on_checkpoint(payload, sender)
-        elif isinstance(payload, EpochTransitionVote):
-            self.on_transition_vote(payload, sender)
-        elif isinstance(payload, CheckpointAnnounce):
-            self.on_announce(payload, sender)
-        elif isinstance(payload, StateTransferRequest):
-            self.on_state_request(payload, sender)
-        elif isinstance(payload, StateTransferResponse):
-            self.on_state_response(payload, sender)
-        elif isinstance(payload, RequestEnvelope):
-            self._on_transfer_request_envelope(payload, sender)
-        elif isinstance(payload, ResponseEnvelope):
-            if self._requests is not None:
-                self._requests.on_envelope(payload, sender)
-        else:
-            return False
-        return True
+    def frame_handlers(self) -> Dict[type, Callable[[object, str], None]]:
+        """Exact frame type -> handler, merged into the replica's one table."""
+        return {
+            Checkpoint: self.on_checkpoint,
+            EpochTransitionVote: self.on_transition_vote,
+            CheckpointAnnounce: self.on_announce,
+            StateTransferRequest: self.on_state_request,
+            StateTransferResponse: self.on_state_response,
+            RequestEnvelope: self._on_transfer_request_envelope,
+            ResponseEnvelope: self._requests.on_envelope,
+        }
 
     def _on_transfer_request_envelope(
         self, envelope: RequestEnvelope, sender: str
     ) -> None:
         """Serve an envelope-wrapped transfer request (the retry-layer path)."""
         requests = self._requests
-        if requests is None:
-            return
         validated = requests.validate_request(envelope, "ckpt.transfer", sender)
         if validated is None:
             return
@@ -1343,6 +1356,7 @@ class CheckpointManager:
         self._transition_votes.clear()
         self._transition_signed.clear()
         self._votes.clear()
+        self._statement_digests.clear()
         self._transfer_target = None
         self._gap_since = -1.0
         # Views restart with the epoch (reset_for_epoch on the replica),
@@ -1350,8 +1364,7 @@ class CheckpointManager:
         self.peer_view_seen = 0
         # Outstanding requests were signed-for under the old epoch's
         # membership; their responses would be epoch-mismatched anyway.
-        if self._requests is not None:
-            self._requests.cancel_all()
+        self._requests.cancel_all()
         self._transfer_request_id = None
         # An aborted new-view transfer must not leave realign=False behind,
         # or the next epoch's hint-path install would skip its view change.

@@ -105,7 +105,7 @@ class PbftNewView:
 # --------------------------------------------------------------------------- state
 
 
-@dataclass
+@dataclass(slots=True)
 class _SlotState:
     """Per-(view, seq) agreement state."""
 
@@ -147,30 +147,44 @@ class PbftReplica(SmrReplica):
         # attribute but MUST schedule nothing, keeping legacy runs
         # byte-identical.
         self.checkpoints: Optional[CheckpointManager] = None
+        # The receive path's one routing table, exact frame type -> handler;
+        # the checkpoint manager contributes its frames to it.
+        self._handlers: Dict[type, Callable[[Any, str], None]] = {
+            PbftRequest: self._on_request,
+            PbftPrePrepare: self._on_pre_prepare,
+            PbftPrepare: self._on_prepare,
+            PbftCommit: self._on_commit,
+            PbftViewChange: self._on_view_change,
+            PbftNewView: self._on_new_view,
+        }
         if self.config.checkpoint_interval > 0:
             self.checkpoints = CheckpointManager(self)
+            self._handlers.update(self.checkpoints.frame_handlers())
+
+    def _install_members(self, members: Sequence[str]) -> None:
+        super()._install_members(members)
+        # Primary rotation order and the quorum sizes, read per message.
+        self._ordered: Tuple[str, ...] = tuple(sorted(self.members))
+        self._member_set = frozenset(self.members)
+        self._faults = async_fault_threshold(len(self.members))
+        self._quorum = 2 * self._faults + 1
 
     # ------------------------------------------------------------------ queries
 
     @property
     def fault_threshold(self) -> int:
-        return async_fault_threshold(len(self.members))
+        return self._faults
+
+    def _primary_of(self, view: int) -> str:
+        ordered = self._ordered
+        return ordered[view % len(ordered)] if ordered else self.node_id
 
     @property
     def primary(self) -> str:
-        if not self.members:
-            return self.node_id
-        ordered = sorted(self.members)
-        return ordered[self.view % len(ordered)]
+        return self._primary_of(self.view)
 
     def is_primary(self) -> bool:
         return self.primary == self.node_id
-
-    def _quorum_2f1(self) -> int:
-        return 2 * self.fault_threshold + 1
-
-    def _quorum_2f(self) -> int:
-        return 2 * self.fault_threshold
 
     # -------------------------------------------------------------------- API
 
@@ -219,20 +233,11 @@ class PbftReplica(SmrReplica):
     def on_message(self, payload: Any, sender: str) -> None:
         if not self.running:
             return
-        if isinstance(payload, PbftRequest):
-            self._on_request(payload, sender)
-        elif isinstance(payload, PbftPrePrepare):
-            self._on_pre_prepare(payload, sender)
-        elif isinstance(payload, PbftPrepare):
-            self._on_prepare(payload, sender)
-        elif isinstance(payload, PbftCommit):
-            self._on_commit(payload, sender)
-        elif isinstance(payload, PbftViewChange):
-            self._on_view_change(payload, sender)
-        elif isinstance(payload, PbftNewView):
-            self._on_new_view(payload, sender)
-        elif self.checkpoints is not None:
-            self.checkpoints.handle(payload, sender)
+        handler = self._handlers.get(type(payload))
+        if handler is None:
+            self.sim.metrics.increment("smr.pbft.unknown_frame")
+            return
+        handler(payload, sender)
 
     def reconfigure(
         self,
@@ -249,7 +254,7 @@ class PbftReplica(SmrReplica):
         the epoch, so divergent epochs make co-members reject each
         other's votes and no transition record ever forms.
         """
-        previous_members = tuple(sorted(self.members))
+        previous_members = self._ordered
         super().reconfigure(new_members)
         self.epoch = self.epoch + 1 if epoch is None else epoch
         self.view = 0
@@ -318,13 +323,16 @@ class PbftReplica(SmrReplica):
         self._on_pre_prepare(pre_prepare, self.node_id)
 
     def _slot(self, view: int, seq: int) -> _SlotState:
-        return self._slots.setdefault((view, seq), _SlotState())
+        key = (view, seq)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = _SlotState()
+        return slot
 
     def _on_pre_prepare(self, message: PbftPrePrepare, sender: str) -> None:
         if message.epoch != self.epoch or message.view != self.view:
             return
-        expected_primary = sorted(self.members)[message.view % len(self.members)]
-        if sender != expected_primary and sender != self.node_id:
+        if sender != self._primary_of(message.view) and sender != self.node_id:
             return
         if digest_object(message.operation) != message.digest:
             return
@@ -351,6 +359,13 @@ class PbftReplica(SmrReplica):
     def _on_prepare(self, message: PbftPrepare, sender: str) -> None:
         if message.epoch != self.epoch or message.view != self.view:
             return
+        if message.replica != sender:
+            # A vote counts under the identity the transport authenticated,
+            # never the one the frame claims, or one Byzantine replica fills
+            # a quorum alone with frames "from" its co-replicas.  (Own votes
+            # are recorded directly, or self-delivered with our own id.)
+            self.sim.metrics.increment("smr.pbft.rejected_relayed_vote")
+            return
         slot = self._slot(message.view, message.seq)
         if slot.digest is not None and slot.digest != message.digest:
             return
@@ -363,7 +378,7 @@ class PbftReplica(SmrReplica):
         if slot.prepared or not slot.pre_prepared:
             return
         # prepared == pre-prepare plus 2f matching prepares from distinct replicas
-        if len(slot.prepares) >= self._quorum_2f() + 1 or len(self.members) == 1:
+        if len(slot.prepares) >= self._quorum:
             slot.prepared = True
             commit = PbftCommit(
                 epoch=self.epoch, view=view, seq=seq, digest=digest, replica=self.node_id
@@ -374,6 +389,9 @@ class PbftReplica(SmrReplica):
     def _on_commit(self, message: PbftCommit, sender: str) -> None:
         if message.epoch != self.epoch or message.view != self.view:
             return
+        if message.replica != sender:
+            self.sim.metrics.increment("smr.pbft.rejected_relayed_vote")
+            return
         slot = self._slot(message.view, message.seq)
         if slot.digest is not None and slot.digest != message.digest:
             return
@@ -383,7 +401,7 @@ class PbftReplica(SmrReplica):
         slot.commits.add(replica)
         if slot.committed or not slot.prepared:
             return
-        if len(slot.commits) >= self._quorum_2f1() or len(self.members) == 1:
+        if len(slot.commits) >= self._quorum:
             slot.committed = True
             self._execute_ready()
 
@@ -533,6 +551,9 @@ class PbftReplica(SmrReplica):
     def _on_view_change(self, message: PbftViewChange, sender: str) -> None:
         if message.epoch != self.epoch or message.new_view <= self.view:
             return
+        if message.replica != sender:
+            self.sim.metrics.increment("smr.pbft.rejected_relayed_vote")
+            return
         votes = self._view_change_votes.setdefault(message.new_view, {})
         fresh_voter = message.replica not in votes
         votes[message.replica] = message
@@ -568,11 +589,9 @@ class PbftReplica(SmrReplica):
             votes[self.node_id] = own
             self.sim.metrics.increment("smr.pbft.view_change_revotes")
             self._send(message.replica, own, self.config.message_bytes)
-        ordered = sorted(self.members)
-        new_primary = ordered[message.new_view % len(ordered)]
-        if new_primary != self.node_id:
+        if self._primary_of(message.new_view) != self.node_id:
             return
-        if len(votes) >= self._quorum_2f1() or len(self.members) <= 2:
+        if len(votes) >= self._quorum:
             self._emit_new_view(message.new_view)
 
     def _emit_new_view(self, new_view: int) -> None:
@@ -639,9 +658,7 @@ class PbftReplica(SmrReplica):
     def _on_new_view(self, message: PbftNewView, sender: str) -> None:
         if message.epoch != self.epoch or message.new_view <= self.view:
             return
-        ordered = sorted(self.members)
-        expected_primary = ordered[message.new_view % len(ordered)]
-        if sender not in (expected_primary, self.node_id):
+        if sender not in (self._primary_of(message.new_view), self.node_id):
             return
         self.view = message.new_view
         self.next_seq = 0

@@ -3,13 +3,16 @@
 Wall-clock numbers live in ``benchmarks/stack``; they need a quiet host and
 ten pairs of runs.  This test guards the same floor with something a unit
 test can assert: the number of Python-level function calls one sent message
-costs, counted by ``cProfile`` on two tiny runs of the real ``AtumCluster``
+costs, counted by ``cProfile`` on three tiny runs of the real ``AtumCluster``
 (call *counts* only — no time is read, so the result is the same on any host
 and under any ``PYTHONHASHSEED``).
 
 * ``heartbeats``: a static 24-node cluster that does nothing but heartbeat
   (the traffic that is 81 % of the ``churn_hb`` benchmark workload);
-* ``flood``: four broadcasts flooded through a static 40-node cluster.
+* ``flood``: four broadcasts flooded through a static 40-node cluster;
+* ``pbft``: 64 broadcasts, 3 s apart, through one 10-member Async vgroup on
+  the default WAN profile with a checkpoint every 8 decisions (the
+  ``smr_pbft_1vg`` benchmark workload without its partition).
 
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
 it prints the measured calls per message.  A ceiling is the measured value
@@ -22,12 +25,15 @@ import cProfile
 import pstats
 
 from repro.core.cluster import AtumCluster
-from repro.core.config import AtumParameters
+from repro.core.config import AtumParameters, SmrKind
 
-#: Python-level calls per sent message: measured 4.60 and 12.95 (they were
-#: 10.40 and 15.94 before the draw moved into ``send_many``, a delivery became
-#: a tuple and the heartbeat tick became one scan).
-CEILINGS = {"heartbeats": 5.1, "flood": 14.3}
+#: Python-level calls per sent message: measured 4.60, 12.99 and 9.53 (they
+#: were 10.40 and 15.94 before the draw moved into ``send_many``, a delivery
+#: became a tuple and the heartbeat tick became one scan; 12.13 before PBFT
+#: routed a frame once, derived quorums once and hashed a statement once).
+CEILINGS = {"heartbeats": 5.1, "flood": 14.3, "pbft": 10.4}
+
+PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
 
 
 def _params(**overrides):
@@ -50,7 +56,23 @@ def _flood():
     return cluster, lambda: cluster.run(until=20.0)
 
 
-SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood}
+def _pbft():
+    params = AtumParameters(
+        hc=2, rwl=4, gmin=5, gmax=26, smr_kind=SmrKind.ASYNC,
+        checkpoint_interval=PBFT_INTERVAL,
+    )
+    cluster = AtumCluster(params, seed=5)
+    addresses = [f"n{i}" for i in range(PBFT_MEMBERS)]
+    cluster.build_static(addresses)
+    for index in range(PBFT_BROADCASTS):
+        origin = addresses[index % PBFT_MEMBERS]
+        cluster.sim.schedule_at(
+            3.0 * index, lambda o=origin, i=index: cluster.broadcast(o, i)
+        )
+    return cluster, lambda: cluster.run(until=3.0 * PBFT_BROADCASTS + 20.0)
+
+
+SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft}
 
 
 def measure(name):
@@ -105,6 +127,25 @@ def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
     assert calls_of(stats, "sim/metrics.py", "record") == 0
     # The one read is ``run_for`` computing its horizon.
     assert calls_of(stats, "sim/simulator.py", "now") <= 1
+
+
+def test_a_pbft_frame_is_routed_by_type_and_a_statement_is_hashed_once():
+    stats, _, delivered = measure("pbft")
+    assert delivered > 2000
+    # One exact-type table per layer: what is left is the digest walk and the
+    # payload check on each decided broadcast, nothing per delivery (8.5 per
+    # delivered message through the three chained routers).
+    isinstance_calls = calls_of(stats, "~", "<built-in method builtins.isinstance>")
+    assert isinstance_calls <= 0.5 * delivered
+    # Verifying a checkpoint vote or certificate never re-encodes the signed
+    # statement per signature (``registry.verify``): each replica hashes each
+    # of the 64 // 8 statements once -- one ``digest_object_in_mode`` call is
+    # one top-level ``_canonical_fast`` entry -- and every signature over it
+    # is one ``verify_digest``.
+    assert calls_of(stats, "crypto/keys.py", "verify") == 0
+    statements = PBFT_MEMBERS * (PBFT_BROADCASTS // PBFT_INTERVAL)
+    assert 0 < calls_of(stats, "crypto/digest.py", "digest_object_in_mode") <= statements
+    assert calls_of(stats, "crypto/keys.py", "verify_digest") == (PBFT_MEMBERS - 1) * statements
 
 
 if __name__ == "__main__":

@@ -97,3 +97,97 @@ class TestPbftAgreement:
         for actor in harness.correct_actors():
             ids = [op.op_id for op in actor.decided]
             assert ids.count("dup") == 1
+
+
+def relayed_votes(harness):
+    return harness.sim.metrics.counter("smr.pbft.rejected_relayed_vote")
+
+
+class TestVotesCountUnderTheAuthenticatedSender:
+    """A vote is counted under the transport-authenticated sender, never the
+    ``replica`` the frame claims: one Byzantine replica must not be able to
+    fill a quorum with frames "from" its co-replicas."""
+
+    def test_a_primary_cannot_make_one_replica_decide_alone(self):
+        from repro.crypto.digest import digest_object
+        from repro.smr.base import Operation
+        from repro.smr.pbft import PbftCommit, PbftPrePrepare, PbftPrepare
+
+        harness = make_harness(4)
+        primary, victim = "replica-0", "replica-1"
+        assert harness.actors[victim].replica.primary == primary
+        operation = Operation(kind="noop", body="x", proposer=primary, op_id="forged-1")
+        slot = dict(epoch=0, view=0, seq=0, digest=digest_object(operation))
+        frames = [PbftPrePrepare(operation=operation, **slot)]
+        frames += [PbftPrepare(replica=name, **slot) for name in ("replica-2", "replica-3")]
+        frames += [
+            PbftCommit(replica=name, **slot)
+            for name in ("replica-0", "replica-2", "replica-3")
+        ]
+        for frame in frames:  # all from the primary, to one replica only
+            harness.network.send_one(primary, victim, frame, 512)
+        harness.run(until=1.0)  # before any (legitimate) view-change timeout
+        # At 3d42a51 the victim decided: [[], ['forged-1'], [], []].
+        assert harness.decided_logs() == [[], [], [], []]
+        assert all(actor.replica.view == 0 for actor in harness.actors.values())
+        forged = sum(getattr(frame, "replica", primary) != primary for frame in frames)
+        assert forged == 4
+        assert relayed_votes(harness) == forged
+
+    def test_one_replica_cannot_vote_a_view_change_through_alone(self):
+        from repro.smr.pbft import PbftViewChange
+
+        harness = make_harness(4)
+        byzantine, next_primary = "replica-3", "replica-1"
+        for name in ("replica-0", "replica-2", "replica-1"):
+            vote = PbftViewChange(epoch=0, new_view=1, replica=name, prepared=())
+            harness.network.send_one(byzantine, next_primary, vote, 512)
+        harness.run(until=1.0)
+        assert all(actor.replica.view == 0 for actor in harness.actors.values())
+        assert harness.sim.metrics.counter("smr.pbft.new_views") == 0
+        assert relayed_votes(harness) == 3
+
+    def test_honest_runs_never_count_a_relayed_vote(self):
+        harness = make_harness(4, silent=("replica-0",), timeout=1.0)
+        op = harness.propose("replica-1", "broadcast", "needs-view-change")
+        harness.run(until=60.0)
+        assert harness.all_correct_decided(op.op_id)
+        assert relayed_votes(harness) == 0
+
+
+class TestUnknownFrames:
+    def unknown(self, harness):
+        return harness.sim.metrics.counter("smr.pbft.unknown_frame")
+
+    def test_an_unknown_payload_type_is_counted_not_silent(self):
+        harness = make_harness(4)
+        replica = harness.actors["replica-1"].replica
+        replica.on_message(("not", "a", "frame"), "replica-0")
+        replica.on_message(None, "replica-0")
+        assert self.unknown(harness) == 2
+        op = harness.propose("replica-0", "broadcast", "still-works")
+        harness.run(until=10.0)
+        assert harness.all_correct_decided(op.op_id)
+        assert self.unknown(harness) == 2
+
+    def test_checkpoint_frames_are_unknown_only_while_checkpointing_is_off(self):
+        from repro.smr.checkpoint import CheckpointAnnounce
+
+        announce = CheckpointAnnounce(epoch=0, certificate=None)
+        off = make_harness(4)
+        off.actors["replica-1"].replica.on_message(announce, "replica-0")
+        assert self.unknown(off) == 1
+        on = ReplicaGroupHarness(
+            group_size=4,
+            replica_class=PbftReplica,
+            config=SmrConfig(checkpoint_interval=2),
+        )
+        on.actors["replica-1"].replica.on_message(announce, "replica-0")
+        assert self.unknown(on) == 0
+
+    def test_a_stopped_replica_ignores_everything(self):
+        harness = make_harness(4)
+        replica = harness.actors["replica-1"].replica
+        replica.stop()
+        replica.on_message(object(), "replica-0")
+        assert self.unknown(harness) == 0
