@@ -96,6 +96,10 @@ class AtumCluster:
         # is never below this minimum, so the check can reject size lies
         # without ever blocking honest traffic during reconfigurations.
         self._min_group_sizes: Dict[str, int] = {}
+        # neighbour_members() per vgroup: valid for one topology version,
+        # dropped whole by any view change or group removal.
+        self._neighbour_members: Dict[str, Tuple[str, ...]] = {}
+        self._neighbour_topology: Optional[int] = None
         # Middleware pipeline (repro.core.middleware): one chain per cluster,
         # installed lazily via middleware_chain()/install_middleware().  The
         # per-hook pipelines below are compiled from the chain; ``None`` means
@@ -586,6 +590,26 @@ class AtumCluster:
             return ()
         return graph.cycle_pairs(group_id)
 
+    def neighbour_members(self, group_id: str) -> Tuple[str, ...]:
+        """Members of ``group_id``'s cycle-neighbour vgroups, in cycle order:
+        the anti-entropy peers its members share, computed once per group and
+        topology rather than by each member on each tick."""
+        graph = self.engine.graph
+        version = None if graph is None else graph.topology_version
+        if version != self._neighbour_topology:
+            self._neighbour_topology = version
+            self._neighbour_members.clear()
+        members = self._neighbour_members.get(group_id)
+        if members is None:
+            neighbours = dict.fromkeys(
+                g for pair in self.cycle_neighbor_ids(group_id) for g in pair if g != group_id
+            )
+            views = (self.engine.groups.get(g) for g in neighbours)
+            members = self._neighbour_members[group_id] = tuple(
+                m for view in views if view is not None for m in view.members
+            )
+        return members
+
     # ------------------------------------------------------------------ queries
 
     @property
@@ -665,6 +689,7 @@ class AtumCluster:
         previous_min = self._min_group_sizes.get(view.group_id)
         if previous_min is None or view.size < previous_min:
             self._min_group_sizes[view.group_id] = view.size
+        self._neighbour_members.clear()
         for member in view.members:
             node = self.nodes.get(member)
             if node is not None:
@@ -685,7 +710,7 @@ class AtumCluster:
     def _on_group_removed(self, group_id: str) -> None:
         # Members were re-homed before the group disappeared; nothing to do at
         # the node level.
-        return
+        self._neighbour_members.clear()
 
     def _on_node_left(self, address: str) -> None:
         for _, coordinator in sorted(self._split_brains.items()):

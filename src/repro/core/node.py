@@ -91,7 +91,8 @@ class AtumNode(Actor):
         registry: Key registry (PKI) shared by the deployment.
         directory: Provider of overlay information (the cluster).  It must
             expose ``view_of_group(group_id)`` and
-            ``cycle_neighbor_ids(group_id)``.
+            ``cycle_neighbor_ids(group_id)``, and ``neighbour_members(group_id)``
+            when anti-entropy is enabled.
         deliver_fn: Application callback invoked on message delivery.
         forward_fn: Application callback deciding whether to forward a
             broadcast to a neighbouring vgroup; ``None`` uses ``forward_policy``.
@@ -373,7 +374,14 @@ class AtumNode(Actor):
 
     def send_direct(self, peer: str, kind: str, payload: Any, size_bytes: int = 256) -> None:
         """Send a point-to-point application message to ``peer``."""
-        self.network.send_one(self.address, peer, DirectMessage(kind=kind, payload=payload), size_bytes)
+        self.send_direct_many((peer,), kind, payload, size_bytes)
+
+    def send_direct_many(
+        self, peers: Sequence[str], kind: str, payload: Any, size_bytes: int = 256
+    ) -> None:
+        """:meth:`send_direct` to each of ``peers`` as one burst: the sequence
+        of its single sends, sharing one read-only :class:`DirectMessage`."""
+        self.network.send_many(self.address, peers, DirectMessage(kind=kind, payload=payload), size_bytes)
 
     # ------------------------------------------------------------------ routing
 
@@ -385,7 +393,9 @@ class AtumNode(Actor):
             # of the table so that its call site stays monomorphic: routed
             # through the table's shared one, `churn_hb` ran 3 % slower.
             if self.heartbeats is not None:
-                self.heartbeats.observe(payload)
+                # Under the identity the transport authenticated: a forged
+                # ``Heartbeat(crashed_peer)`` must not keep that peer alive.
+                self.heartbeats.observe(sender)
             return
         handler = self._routes.get(type(payload))
         if handler is not None:
@@ -686,6 +696,9 @@ class OverlayDirectory:
         raise NotImplementedError
 
     def cycle_neighbor_ids(self, group_id: str) -> Sequence[Tuple[str, str]]:  # pragma: no cover
+        raise NotImplementedError
+
+    def neighbour_members(self, group_id: str) -> Sequence[str]:  # pragma: no cover
         raise NotImplementedError
 
     def request_eviction(self, peer: str, suspected_by: str) -> None:  # pragma: no cover

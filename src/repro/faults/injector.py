@@ -9,11 +9,17 @@ shuffles, baseline loss, latency samples keep their exact draw sequence).
 Rules that do not match a message's link or time window draw nothing, which
 keeps runs with inactive windows deterministic regardless of how much
 traffic flows outside them.
+
+A burst (one ``Network.send_many`` call) has one sender and one clock reading,
+so which rules' window and ``src`` pattern hold is decided once per
+``(ctx.now, ctx.sender)`` and kept until a message arrives with another pair
+(the next burst, or a send some hook made in the middle of this one).  Per
+message only the ``dst`` test, the draws, the counters and the verdict remain.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareChain, MiddlewareContext
 from repro.faults.plan import LinkFault
@@ -27,72 +33,73 @@ class LinkFaultInjector(Middleware):
     The network's ``on_send`` pipeline invokes :meth:`on_send` for every
     message it routes while the hosting chain is installed; the verdict says
     whether to drop the message, how much extra propagation delay to add,
-    and how many copies to deliver.  :meth:`perturb` holds the rule logic in
-    injector terms and stays directly callable by unit tests.
+    how many copies to deliver and whether to deliver it bit-flipped.
     """
 
     def __init__(self, sim: Simulator, links: Sequence[LinkFault]) -> None:
         self.links: Tuple[LinkFault, ...] = tuple(links)
-        self._rng = sim.rng.stream("faults.network")
+        self._random = sim.rng.stream("faults.network").random
         self._counters = sim.metrics.counters
+        # The rules selected for the burst in progress, as plain tuples: a
+        # pure function of the pair (``links`` holds frozen dataclasses).
+        self._burst_now: Optional[float] = None
+        self._burst_sender: Optional[str] = None
+        self._active: List[tuple] = []
 
     def on_send(self, ctx: MiddlewareContext) -> None:
-        """Apply the rule verdict to one routed message's send context."""
-        verdict = self.perturb(ctx.sender, ctx.receiver, ctx.now)
-        if verdict is None:
-            return
-        dropped, extra_delay, copies, corrupted = verdict
-        if dropped:
-            ctx.drop = True
-            ctx.stop = True
-            return
-        ctx.extra_delay += extra_delay
-        ctx.copies += copies - 1
-        if corrupted:
-            ctx.corrupted = True
+        """Write the rule verdict for one routed message onto its context.
 
-    def perturb(
-        self, sender: str, receiver: str, now: float
-    ) -> Optional[Tuple[bool, float, int, bool]]:
-        """Fault verdict for one message: ``(drop, extra_delay, copies, corrupted)``.
-
-        Returns ``None`` when no rule matches, so the caller can stay on the
-        unperturbed arithmetic.  All matching rules compose: loss draws are
-        independent per rule, delays add up, duplication contributes one
-        extra copy per matching rule that fires, and any firing corruption
-        draw marks the message (the network delivers it bit-flipped for the
-        receiver to detect and discard).
+        All matching rules compose: loss draws are independent per rule (the
+        first that fires drops the message and ends the chain), delays add
+        up, duplication contributes one extra copy per matching rule that
+        fires, and any firing corruption draw marks the message (the network
+        delivers it bit-flipped for the receiver to detect and discard).
+        Draw order per matching rule: loss, jitter, duplicate, corrupt.
         """
-        matched = False
-        extra_delay = 0.0
-        copies = 1
-        corrupted = False
-        rng = self._rng
+        now = ctx.now
+        sender = ctx.sender
+        if now != self._burst_now or sender != self._burst_sender:
+            self._burst_now = now
+            self._burst_sender = sender
+            self._active = [
+                (r.dst, r.loss, r.extra_delay, r.jitter, r.duplicate, r.corrupt)
+                for r in self.links
+                if r.start <= now < r.stop and r.src in (None, sender)
+            ]
+        active = self._active
+        if not active:
+            return
+        receiver = ctx.receiver
+        random = self._random
         counters = self._counters
-        for rule in self.links:
-            if not rule.matches(sender, receiver, now):
+        extra_delay = 0.0
+        copies = 0
+        corrupted = False
+        for dst, loss, delay, jitter, duplicate, corrupt in active:
+            if dst is not None and dst != receiver:
                 continue
-            matched = True
-            if rule.loss > 0.0 and rng.random() < rule.loss:
+            if loss > 0.0 and random() < loss:
                 counters["faults.messages_dropped"] += 1.0
-                return (True, 0.0, 0, False)
-            if rule.extra_delay > 0.0 or rule.jitter > 0.0:
-                delay = rule.extra_delay
-                if rule.jitter > 0.0:
-                    delay += rng.random() * rule.jitter
-                extra_delay += delay
-            if rule.duplicate > 0.0 and rng.random() < rule.duplicate:
+                ctx.drop = True
+                ctx.stop = True
+                return
+            if jitter > 0.0:
+                delay += random() * jitter
+            extra_delay += delay
+            if duplicate > 0.0 and random() < duplicate:
                 counters["faults.messages_duplicated"] += 1.0
                 copies += 1
-            if rule.corrupt > 0.0 and rng.random() < rule.corrupt and not corrupted:
+            if corrupt > 0.0 and random() < corrupt and not corrupted:
                 counters["faults.messages_corrupted"] += 1.0
                 corrupted = True
-        if not matched:
-            return None
         if extra_delay > 0.0:
             # Once per delayed message, however many rules contributed.
             counters["faults.messages_delayed"] += 1.0
-        return (False, extra_delay, copies, corrupted)
+            ctx.extra_delay += extra_delay
+        if copies:
+            ctx.copies += copies
+        if corrupted:
+            ctx.corrupted = True
 
 
 def install_link_faults(

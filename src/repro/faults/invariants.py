@@ -256,13 +256,12 @@ class InvariantMonitor(Middleware):
             # Solo views (non-member senders) and groups the monitor never saw
             # are outside the membership history; nothing to audit against.
             return
-        strangers = set(senders) - known
-        if strangers:
+        if not senders <= known:
             self._violation(
                 "forged_sender",
                 node.address,
                 f"group message {envelope.gm_id} accepted with non-member senders "
-                f"{sorted(strangers)} of group {source_group}",
+                f"{sorted(senders - known)} of group {source_group}",
             )
         if self.config.check_claimed_size:
             # The claimed sender-group size must be plausible: shares from an
@@ -279,7 +278,14 @@ class InvariantMonitor(Middleware):
                     f"below the majority of {source_group}'s smallest-ever size {min_size} "
                     f"(claimed {envelope.sender_group_size})",
                 )
-        if not any(self._is_correct(sender) for sender in senders):
+        nodes = self._cluster.nodes
+        for sender in senders:
+            peer = nodes.get(sender)
+            # Engine-granularity nodes (growth workloads join addresses that
+            # have no actor object) are correct by construction.
+            if peer is None or peer.is_correct:
+                break
+        else:
             self._violation(
                 "forged_all_byzantine",
                 node.address,
@@ -449,12 +455,6 @@ class InvariantMonitor(Middleware):
         }
 
     # ----------------------------------------------------------------- helpers
-
-    def _is_correct(self, address: str) -> bool:
-        node = self._cluster.nodes.get(address)
-        # Engine-granularity nodes (growth workloads join addresses that have
-        # no actor object) are correct by construction.
-        return True if node is None else node.is_correct
 
     def _violation(self, kind: str, subject: str, detail: str) -> None:
         if len(self.violations) >= self.config.max_violations:

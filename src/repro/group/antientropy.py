@@ -181,6 +181,9 @@ class AntiEntropyRepair:
         )
         # Broadcast ids with a pull in flight (no duplicate pulls).
         self._pending_pull_ids: set = set()
+        # The advertised slice of ``node.delivered_order`` and its summary.
+        self._summary_span = (0, 0)
+        self._summary: Tuple[str, ...] = ()
         node.register_direct_handler("ae.summary", self._on_summary)
         node.register_direct_handler("ae.request", self._on_request)
         node.register_direct_handler("ae.hint", self._on_hint)
@@ -259,9 +262,8 @@ class AntiEntropyRepair:
         size = self.config.summary_bytes_base + self.config.summary_bytes_per_id * len(
             summary[0]
         )
-        for peer in chosen:
-            node.send_direct(peer, "ae.summary", summary, size_bytes=size)
-            node.sim.metrics.increment("ae.summaries_sent")
+        node.send_direct_many(chosen, "ae.summary", summary, size_bytes=size)
+        node.sim.metrics.increment("ae.summaries_sent", count)
 
     def _gc_settled(self) -> None:
         """Drop settled payloads (and their cooldowns) from the repair store.
@@ -277,7 +279,13 @@ class AntiEntropyRepair:
             return
         cutoff = self.node.sim.now - age
         delivered = self.node.delivered
-        stale = [b for b in self.store if delivered.get(b, cutoff) < cutoff]
+        # The store is insertion-ordered by delivery and the clock monotone,
+        # so the stale payloads are a prefix: most ticks look at one entry.
+        stale = []
+        for bcast_id in self.store:
+            if not delivered.get(bcast_id, cutoff) < cutoff:
+                break
+            stale.append(bcast_id)
         if not stale:
             return
         for bcast_id in stale:
@@ -288,36 +296,41 @@ class AntiEntropyRepair:
 
     def _peer_candidates(self) -> List[str]:
         """Gossip neighbours, in deterministic order: co-members, then members
-        of H-graph cycle-neighbour vgroups."""
+        of H-graph cycle-neighbour vgroups (the directory's per-group list)."""
         node = self.node
         view = node.vgroup_view
         if view is None:
             return []
-        own_group = view.group_id
         candidates: List[str] = [m for m in view.members if m != node.address]
-        seen_groups = {own_group}
-        for pair in node.directory.cycle_neighbor_ids(own_group):
-            for group_id in pair:
-                if group_id in seen_groups:
-                    continue
-                seen_groups.add(group_id)
-                neighbour_view = node.directory.view_of_group(group_id)
-                if neighbour_view is not None:
-                    candidates.extend(neighbour_view.members)
+        candidates.extend(node.directory.neighbour_members(view.group_id))
         return candidates
 
     def _summary_ids(self) -> Tuple[str, ...]:
+        """The newest ``max_summary_ids`` ids delivered ``repair_min_age`` ago.
+
+        ``delivered_order`` is append-only and delivery times come from a
+        monotone clock, so "old enough" is a prefix of it: its end is kept and
+        only advanced, and one tuple serves while neither end of the slice moves.
+        """
         node = self.node
         order = node.delivered_order
-        cap = self.config.max_summary_ids
-        if len(order) > cap:
+        total = len(order)
+        start = total - self.config.max_summary_ids
+        if start > 0:
             # Gaps older than every peer's window become unrepairable; the
             # counter makes the coverage cap observable instead of silent.
             node.sim.metrics.increment("ae.summary_window_truncated")
-            order = order[-cap:]
+        else:
+            start = 0
         threshold = node.sim.now - self.config.repair_min_age
         delivered = node.delivered
-        return tuple(b for b in order if delivered[b] <= threshold)
+        end = self._summary_span[1]
+        while end < total and delivered[order[end]] <= threshold:
+            end += 1
+        if (start, end) != self._summary_span:
+            self._summary_span = (start, end)
+            self._summary = tuple(order[start:end])
+        return self._summary
 
     # ----------------------------------------------------------------- handlers
 
@@ -500,10 +513,10 @@ class AntiEntropyRepair:
             size = self.config.summary_bytes_base + self.config.summary_bytes_per_id * len(
                 resent
             )
-            for member in view.members:
-                if member != node.address:
-                    node.send_direct(member, "ae.hint", payload, size_bytes=size)
-                    node.sim.metrics.increment("ae.hints_sent")
+            others = [member for member in view.members if member != node.address]
+            if others:
+                node.send_direct_many(others, "ae.hint", payload, size_bytes=size)
+                node.sim.metrics.increment("ae.hints_sent", len(others))
 
 
 class AntiEntropyTap(Middleware):

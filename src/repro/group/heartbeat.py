@@ -192,9 +192,9 @@ class HeartbeatMonitor:
             self._check_peers(now, deadline)
         sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
-    def observe(self, heartbeat: Heartbeat) -> None:
-        """Record a heartbeat received from a peer."""
-        sender = heartbeat.sender
+    def observe(self, sender: str) -> None:
+        """Record a heartbeat received from ``sender`` — the address the
+        transport delivered it from, not the one the frame names."""
         self.last_seen[sender] = self.sim._now
         if self.suspected:
             self.suspected.discard(sender)

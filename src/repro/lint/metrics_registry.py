@@ -763,6 +763,11 @@ METRICS = {
         "modules": ('repro/smr/pbft.py',),
         "matrix_column": False,
     },
+    'smr.pbft.rejected_nonmember_vote': {
+        "kind": 'counter',
+        "modules": ('repro/smr/pbft.py',),
+        "matrix_column": False,
+    },
     'smr.pbft.rejected_relayed_vote': {
         "kind": 'counter',
         "modules": ('repro/smr/pbft.py',),

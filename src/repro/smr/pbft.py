@@ -359,6 +359,11 @@ class PbftReplica(SmrReplica):
     def _on_prepare(self, message: PbftPrepare, sender: str) -> None:
         if message.epoch != self.epoch or message.view != self.view:
             return
+        if sender not in self._member_set:
+            # Only the current configuration votes: the envelope's group id
+            # says which group a frame is *for*, not that its sender is in it.
+            self.sim.metrics.increment("smr.pbft.rejected_nonmember_vote")
+            return
         if message.replica != sender:
             # A vote counts under the identity the transport authenticated,
             # never the one the frame claims, or one Byzantine replica fills
@@ -388,6 +393,9 @@ class PbftReplica(SmrReplica):
 
     def _on_commit(self, message: PbftCommit, sender: str) -> None:
         if message.epoch != self.epoch or message.view != self.view:
+            return
+        if sender not in self._member_set:
+            self.sim.metrics.increment("smr.pbft.rejected_nonmember_vote")
             return
         if message.replica != sender:
             self.sim.metrics.increment("smr.pbft.rejected_relayed_vote")
@@ -550,6 +558,9 @@ class PbftReplica(SmrReplica):
 
     def _on_view_change(self, message: PbftViewChange, sender: str) -> None:
         if message.epoch != self.epoch or message.new_view <= self.view:
+            return
+        if sender not in self._member_set:
+            self.sim.metrics.increment("smr.pbft.rejected_nonmember_vote")
             return
         if message.replica != sender:
             self.sim.metrics.increment("smr.pbft.rejected_relayed_vote")

@@ -168,14 +168,14 @@ class TestCheckpointHints:
         node = cluster.nodes["n0"]
         assert node.smr_stable_checkpoint() is None
         captured = {}
-        original = node.send_direct
+        original = node.send_direct_many
 
-        def spy(peer, kind, payload, size_bytes=256):
+        def spy(peers, kind, payload, size_bytes=256):
             if kind == "ae.summary":
                 captured.setdefault("payload", payload)
-            return original(peer, kind, payload, size_bytes=size_bytes)
+            return original(peers, kind, payload, size_bytes=size_bytes)
 
-        node.send_direct = spy
+        node.send_direct_many = spy
         cluster.run(until=5.0)
         ids, checkpoint = captured["payload"]
         assert isinstance(ids, tuple)

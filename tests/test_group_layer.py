@@ -187,7 +187,7 @@ class _HeartbeatHost(Actor):
 
     def on_message(self, payload, sender):
         if isinstance(payload, Heartbeat):
-            self.monitor.observe(payload)
+            self.monitor.observe(sender)
 
 
 class TestHeartbeats:
@@ -392,7 +392,7 @@ class TestOneScanTickDifferential:
                 current = [peer for peer in state["peers"] if peer != "me"]
                 sender = rng.choice(current if current and rng.random() < 0.85 else self.POOL)
                 if sender not in silent:
-                    monitor.observe(Heartbeat(sender))
+                    monitor.observe(sender)
             elif roll < 0.65:
                 members = rng.sample(self.POOL, rng.randrange(0, 6))
                 if rng.random() < 0.8:

@@ -3,7 +3,7 @@
 Wall-clock numbers live in ``benchmarks/stack``; they need a quiet host and
 ten pairs of runs.  This test guards the same floor with something a unit
 test can assert: the number of Python-level function calls one sent message
-costs, counted by ``cProfile`` on three tiny runs of the real ``AtumCluster``
+costs, counted by ``cProfile`` on four tiny runs of the real ``AtumCluster``
 (call *counts* only — no time is read, so the result is the same on any host
 and under any ``PYTHONHASHSEED``).
 
@@ -12,7 +12,11 @@ and under any ``PYTHONHASHSEED``).
 * ``flood``: four broadcasts flooded through a static 40-node cluster;
 * ``pbft``: 64 broadcasts, 3 s apart, through one 10-member Async vgroup on
   the default WAN profile with a checkpoint every 8 decisions (the
-  ``smr_pbft_1vg`` benchmark workload without its partition).
+  ``smr_pbft_1vg`` benchmark workload without its partition);
+* ``ae_faults``: four broadcasts through a static 43-node cluster on the
+  instrumented path -- link-fault injector, invariant monitor, metrics tap and
+  anti-entropy repairing behind a partition, 5 % loss and a duplication
+  window (the ``bcast_faults_ae`` benchmark workload at its smoke-test size).
 
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
 it prints the measured calls per message.  A ceiling is the measured value
@@ -26,12 +30,19 @@ import pstats
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
+from repro.core.middleware import MetricsTap
+from repro.faults.behaviours import apply_plan
+from repro.faults.invariants import InvariantMonitor
+from repro.faults.plan import FaultPlan, LinkFault, Partition
+from repro.group.antientropy import AntiEntropyConfig
 
-#: Python-level calls per sent message: measured 4.60, 12.99 and 9.53 (they
-#: were 10.40 and 15.94 before the draw moved into ``send_many``, a delivery
-#: became a tuple and the heartbeat tick became one scan; 12.13 before PBFT
-#: routed a frame once, derived quorums once and hashed a statement once).
-CEILINGS = {"heartbeats": 5.1, "flood": 14.3, "pbft": 10.4}
+#: Python-level calls per sent message: measured 4.60, 12.03, 9.53 and 15.47
+#: (they were 10.40 and 15.94 before the draw moved into ``send_many``, a
+#: delivery became a tuple and the heartbeat tick became one scan; 12.13 before
+#: PBFT routed a frame once, derived quorums once and hashed a statement once;
+#: 12.99 and 22.05 before a fan-out was shuffled inline and the fault path
+#: selected its rules once per burst and sent a tick's summaries as one burst).
+CEILINGS = {"heartbeats": 5.1, "flood": 13.2, "pbft": 10.4, "ae_faults": 17.0}
 
 PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
 
@@ -72,11 +83,30 @@ def _pbft():
     return cluster, lambda: cluster.run(until=3.0 * PBFT_BROADCASTS + 20.0)
 
 
-SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft}
+def _ae_faults():
+    cluster = AtumCluster(_params(), seed=5, antientropy=AntiEntropyConfig())
+    monitor = InvariantMonitor()
+    cluster.attach_monitor(monitor)
+    cluster.middleware_chain().add(MetricsTap())
+    addresses = [f"n{i}" for i in range(43)]
+    cluster.build_static(addresses)
+    plan = FaultPlan(
+        partitions=(Partition(tuple(addresses[::15]), start=0.6, heal_at=6.0),),
+        links=(LinkFault(loss=0.05), LinkFault(duplicate=0.1, start=2.0, stop=8.0)),
+    )
+    apply_plan(cluster, plan, monitor=monitor)
+    for index in range(4):
+        cluster.sim.schedule_at(
+            0.3 + 0.7 * index, lambda i=index: cluster.broadcast(f"n{i + 1}", i)
+        )
+    return cluster, lambda: cluster.run(until=30.0)
+
+
+SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft, "ae_faults": _ae_faults}
 
 
 def measure(name):
-    """Profile one scenario: ``(stats, messages sent, messages delivered)``."""
+    """Profile one scenario: ``(stats, messages sent, messages delivered, cluster)``."""
     cluster, timed = SCENARIOS[name]()
     counter = cluster.sim.metrics.counter
     sent, delivered = counter("net.messages_sent"), counter("net.messages_delivered")
@@ -91,6 +121,7 @@ def measure(name):
         stats,
         counter("net.messages_sent") - sent,
         counter("net.messages_delivered") - delivered,
+        cluster,
     )
 
 
@@ -109,7 +140,7 @@ def calls_of(stats, file_suffix, function):
 
 def test_python_calls_per_sent_message_stay_under_the_ceiling():
     for name, ceiling in CEILINGS.items():
-        stats, sent, _ = measure(name)
+        stats, sent, _, _ = measure(name)
         assert sent > 2000
         per_message = python_calls(stats) / sent
         assert per_message <= ceiling, (
@@ -119,7 +150,7 @@ def test_python_calls_per_sent_message_stay_under_the_ceiling():
 
 
 def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
-    stats, sent, delivered = measure("heartbeats")
+    stats, sent, delivered, _ = measure("heartbeats")
     assert delivered == sent == 3600
     assert calls_of(stats, "net/network.py", "callback") == delivered
     assert calls_of(stats, "group/heartbeat.py", "observe") == delivered
@@ -130,7 +161,7 @@ def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
 
 
 def test_a_pbft_frame_is_routed_by_type_and_a_statement_is_hashed_once():
-    stats, _, delivered = measure("pbft")
+    stats, _, delivered, _ = measure("pbft")
     assert delivered > 2000
     # One exact-type table per layer: what is left is the digest walk and the
     # payload check on each decided broadcast, nothing per delivery (8.5 per
@@ -148,9 +179,37 @@ def test_a_pbft_frame_is_routed_by_type_and_a_statement_is_hashed_once():
     assert calls_of(stats, "crypto/keys.py", "verify_digest") == (PBFT_MEMBERS - 1) * statements
 
 
+def test_the_fault_path_decides_per_burst_and_sends_a_tick_as_one_burst():
+    stats, sent, delivered, cluster = measure("ae_faults")
+    counter = cluster.sim.metrics.counter
+    assert sent > 6000
+    assert cluster.monitor.violations == []
+    # Which rules apply is decided per burst; nothing asks a rule per message,
+    # and every message that got past the partition check ran the injector once.
+    assert calls_of(stats, "faults/plan.py", "matches") == 0
+    callbacks = calls_of(stats, "net/network.py", "callback")
+    cut_in_flight = callbacks - delivered - counter("net.messages_undeliverable")
+    cut_at_send = counter("net.messages_partitioned") - cut_in_flight
+    assert cut_at_send > 0
+    assert calls_of(stats, "faults/injector.py", "on_send") == sent - cut_at_send
+    # A fan-out is shuffled inline and a tick's summaries are one burst: every
+    # routing-loop set-up is a gossip fan-out, an SMR multicast or a direct
+    # burst, and anti-entropy makes at most one direct burst per tick beyond
+    # its single pulls and hint fan-outs.
+    assert calls_of(stats, "random.py", "shuffle") == 0
+    bursts = calls_of(stats, "net/network.py", "send_fanout") + calls_of(
+        stats, "core/node.py", "_send_smr"
+    )
+    direct = calls_of(stats, "core/node.py", "send_direct_many")
+    assert calls_of(stats, "net/network.py", "send_many") <= bursts + direct
+    ticks = calls_of(stats, "group/antientropy.py", "_tick")
+    repairs = calls_of(stats, "core/node.py", "send_direct") + counter("ae.shares_resent")
+    assert 0 < ticks <= direct <= ticks + repairs
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
-        scenario_stats, scenario_sent, _ = measure(scenario)
+        scenario_stats, scenario_sent, _, _ = measure(scenario)
         print(
             f"{scenario}: {python_calls(scenario_stats) / scenario_sent:.2f} Python calls "
             f"per sent message ({scenario_sent:.0f} sent, ceiling {CEILINGS[scenario]})"

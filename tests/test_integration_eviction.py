@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
+from repro.group.heartbeat import Heartbeat
 from repro.overlay.random_walk import WalkMode
 
 
@@ -85,6 +86,34 @@ class TestHeartbeatDrivenEviction:
         # majority, so no correct node is evicted.
         correct = [m for m in victim_group.members if m != "n2"]
         assert all(member in cluster.engine.node_group for member in correct)
+
+
+    def test_forged_heartbeats_cannot_keep_a_crashed_peer_alive(self):
+        # A heartbeat counts for the peer the transport authenticated, not the
+        # one the frame names: a Byzantine co-member that sends
+        # ``Heartbeat(crashed_peer)`` every period used to refresh the crashed
+        # peer's deadline at every correct member, for ever.
+        period = 20.0
+        cluster = AtumCluster(params_with_heartbeats(period), seed=8, enable_heartbeats=True)
+        cluster.build_static([f"n{i}" for i in range(6)])
+        members = cluster.engine.group_of("n4").members
+        assert len(members) == 6
+        forger = "n2"
+        others = [m for m in members if m != forger]
+
+        def forge():
+            cluster.network.send_many(forger, others, Heartbeat("n4"), 64)
+            cluster.sim.schedule(period, forge)
+
+        cluster.crash("n4")
+        forge()
+        # Suspected on the normal deadline (three missed periods) and evicted.
+        cluster.run(until=8 * period)
+        assert cluster.sim.metrics.counter("group.evictions_proposed") >= 3
+        assert "n4" not in cluster.engine.node_group
+        assert cluster.system_size == 5
+        # The forger's frames counted as its own heartbeats: nobody else left.
+        assert cluster.sim.metrics.counter("membership.evictions_started") == 1
 
 
 class TestWalkModeSelection:

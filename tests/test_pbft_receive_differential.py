@@ -165,7 +165,7 @@ def legacy_node_on_message(node, payload, sender):
         return
     if type(payload) is Heartbeat:
         if node.heartbeats is not None:
-            node.heartbeats.observe(payload)
+            node.heartbeats.observe(sender)
         return
     if isinstance(payload, CorruptedPayload):
         inner = payload.inner

@@ -155,6 +155,64 @@ class TestVotesCountUnderTheAuthenticatedSender:
         assert relayed_votes(harness) == 0
 
 
+class TestOnlyMembersVote:
+    """The envelope's group id says which group a frame is *for*; a vote also
+    has to come from a member of the replica's current configuration.  With
+    f = 1, a quorum of 2f+1 = 3 votes of which f+1 = 2 come from addresses
+    outside the member list must move nothing."""
+
+    OUTSIDERS = ("outsider-0", "outsider-1")
+
+    def nonmember_votes(self, harness):
+        return harness.sim.metrics.counter("smr.pbft.rejected_nonmember_vote")
+
+    def test_outsiders_cannot_fill_a_prepare_or_commit_quorum(self):
+        from repro.crypto.digest import digest_object
+        from repro.smr.base import Operation
+        from repro.smr.pbft import PbftCommit, PbftPrePrepare, PbftPrepare
+
+        harness = make_harness(4)
+        primary, victim = "replica-0", "replica-1"
+        operation = Operation(kind="noop", body="x", proposer=primary, op_id="forged-1")
+        slot = dict(epoch=0, view=0, seq=0, digest=digest_object(operation))
+        # The victim's own prepare and commit are the one member vote of each
+        # quorum; every other vote is an outsider's, under its own name.
+        harness.network.send_one(primary, victim, PbftPrePrepare(operation=operation, **slot), 512)
+        for frame_class in (PbftPrepare, PbftCommit):
+            for outsider in self.OUTSIDERS:
+                harness.network.send_one(outsider, victim, frame_class(replica=outsider, **slot), 512)
+        harness.run(until=1.0)  # before any (legitimate) view-change timeout
+        # At 97a8d19 the victim decided: [[], ['forged-1'], [], []].
+        assert harness.decided_logs() == [[], [], [], []]
+        state = harness.actors[victim].replica._slots[(0, 0)]
+        assert not state.prepared and not state.committed
+        assert self.nonmember_votes(harness) == 4
+        assert relayed_votes(harness) == 0
+
+    def test_outsiders_cannot_vote_a_view_change_through(self):
+        from repro.smr.pbft import PbftViewChange
+
+        harness = make_harness(4)
+        next_primary = "replica-1"
+        for outsider in self.OUTSIDERS:
+            vote = PbftViewChange(epoch=0, new_view=1, replica=outsider, prepared=())
+            harness.network.send_one(outsider, next_primary, vote, 512)
+        harness.run(until=1.0)
+        # At 97a8d19 replica-1 joined the outsiders' view change and, with its
+        # own vote as the third, installed view 1.
+        assert all(actor.replica.view == 0 for actor in harness.actors.values())
+        assert harness.sim.metrics.counter("smr.pbft.view_changes") == 0
+        assert harness.sim.metrics.counter("smr.pbft.new_views") == 0
+        assert self.nonmember_votes(harness) == 2
+
+    def test_honest_runs_never_count_a_nonmember_vote(self):
+        harness = make_harness(4, silent=("replica-0",), timeout=1.0)
+        op = harness.propose("replica-1", "broadcast", "needs-view-change")
+        harness.run(until=60.0)
+        assert harness.all_correct_decided(op.op_id)
+        assert self.nonmember_votes(harness) == 0
+
+
 class TestUnknownFrames:
     def unknown(self, harness):
         return harness.sim.metrics.counter("smr.pbft.unknown_frame")
