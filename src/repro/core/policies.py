@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
@@ -247,8 +248,9 @@ class ParameterBus:
             raise PolicyError(f"parameter {name!r} is not managed by the bus")
         metrics.increment("policy.proposals")
         value = float(value)
-        if spec.integral:
+        if spec.integral and isfinite(value):
             value = float(int(value))
+        # NaN and the infinities fall through to here and fail the bounds.
         if not (spec.lower <= value <= spec.upper):
             metrics.increment("policy.rejected_bounds")
             return False

@@ -132,7 +132,7 @@ class HeartbeatMonitor:
         tightening the period can never instantly mass-suspect a healthy
         group whose heartbeats were timed against the old, longer period.
         """
-        if period <= 0:
+        if not period > 0:  # zero, negative or NaN
             raise ValueError(f"heartbeat period must be positive, got {period!r}")
         self._pending_period = period
 

@@ -438,6 +438,11 @@ METRICS = {
         "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
+    'net.latency_sample_rejected': {
+        "kind": 'counter',
+        "modules": ('repro/net/network.py',),
+        "matrix_column": False,
+    },
     'net.messages_delivered': {
         "kind": 'counter',
         "modules": ('repro/net/network.py',),

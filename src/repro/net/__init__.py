@@ -9,7 +9,6 @@ LAN profile models a single-datacenter deployment used for the synchronous
 variant.
 """
 
-from repro.net.message import Message
 from repro.net.latency import (
     LatencyModel,
     FixedLatency,
@@ -22,7 +21,6 @@ from repro.net.latency import (
 from repro.net.network import Network, NetworkConfig
 
 __all__ = [
-    "Message",
     "LatencyModel",
     "FixedLatency",
     "UniformLatency",

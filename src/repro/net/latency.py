@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from math import exp as _exp, log as _log, sqrt as _sqrt
+from math import exp as _exp, inf as _INF, log as _log, sqrt as _sqrt
 from typing import Dict, Optional, Sequence, Tuple
 
 #: ``random.NV_MAGICCONST``.
@@ -78,6 +78,10 @@ class FixedLatency(LatencyModel):
 
     latency: float = 0.001
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.latency < _INF:
+            raise ValueError(f"latency must be finite and >= 0, got {self.latency!r}")
+
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         return self.latency
 
@@ -88,6 +92,12 @@ class UniformLatency(LatencyModel):
 
     low: float = 0.0005
     high: float = 0.002
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.low <= self.high < _INF:
+            raise ValueError(
+                f"need finite 0 <= low <= high, got low={self.low!r} high={self.high!r}"
+            )
 
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         return rng.uniform(self.low, self.high)

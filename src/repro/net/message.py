@@ -1,33 +1,9 @@
-"""The wire-level message record used by the network substrate."""
+"""The wrapper the network substrate delivers a garbled payload in."""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-_MESSAGE_COUNTER = itertools.count(1)
-
-
-@dataclass
-class Message:
-    """A message in flight between two actors.
-
-    Attributes:
-        sender: Address of the sending actor.
-        receiver: Address of the receiving actor.
-        payload: Arbitrary protocol payload (usually a dataclass).
-        size_bytes: Size used for bandwidth/transfer-time accounting.
-        msg_id: Unique identifier (diagnostics, duplicate suppression).
-        sent_at: Simulated time at which the message was handed to the network.
-    """
-
-    sender: str
-    receiver: str
-    payload: Any
-    size_bytes: int = 256
-    msg_id: int = field(default_factory=lambda: next(_MESSAGE_COUNTER))
-    sent_at: float = 0.0
 
 
 @dataclass
@@ -46,4 +22,4 @@ class CorruptedPayload:
     inner: Any
 
 
-__all__ = ["Message", "CorruptedPayload"]
+__all__ = ["CorruptedPayload"]

@@ -21,7 +21,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Set
 
 from repro.core.middleware import MiddlewareContext, MiddlewareError
 from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
-from repro.net.message import CorruptedPayload, Message
+from repro.net.message import CorruptedPayload
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 
@@ -43,31 +43,35 @@ class NetworkConfig:
     headers_bytes: int = 64
 
 
-class _Delivery(tuple):
-    """A queued in-flight delivery: ONE immutable tuple per message copy.
+class _Deliveries:
+    """The event of every message in flight on one :class:`Network`.
 
-    ``(network, sender, receiver, payload, sent_at)``.  The tuple carries the
-    wire fields and *is* the scheduled event: the class supplies the constant
-    ``cancelled``/``priority``/``tag`` the event loop reads and ``callback``
-    is a plain method, so building one is a single tuple allocation.  The
-    delivery time lives only in the heap entry (and, while the callback runs,
-    in the simulator clock).  Delivery reaches only a registered, alive actor
-    that no partition or split (including one that formed while the message
-    was in flight) separates from the sender.
+    A queued copy is ONE plain tuple, its heap entry ``(time, 0, seq,
+    deliveries, sender, receiver, payload, sent_at)``: the entry carries the
+    wire fields and this object, shared by all of them, supplies what the
+    event loop reads — the constant ``cancelled``/``priority``/``tag`` and
+    :meth:`fire`, which the loop calls with the entry (see
+    :mod:`repro.sim.events`).  Delivery reaches only a registered, alive
+    actor that no partition or split (including one that formed while the
+    message was in flight) separates from the sender.
     """
 
-    __slots__ = ()
+    __slots__ = ("_network",)
 
     cancelled = False
     priority = 0
     tag = "net.deliver"
 
+    def __init__(self, network: "Network") -> None:
+        self._network = network
+
     def cancel(self) -> None:
         """Deliveries are not cancellable: drop them with a partition."""
         raise TypeError("an in-flight network delivery cannot be cancelled")
 
-    def callback(self) -> None:
-        network, sender, receiver, payload, sent_at = self
+    def fire(self, entry: tuple) -> None:
+        time, _, _, _, sender, receiver, payload, sent_at = entry
+        network = self._network
         actor = network._actors.get(receiver)
         counters = network._counters
         if actor is None or not actor.alive:
@@ -81,9 +85,9 @@ class _Delivery(tuple):
             counters["net.messages_partitioned"] += 1.0
             return
         counters["net.messages_delivered"] += 1.0
-        # ``Histogram.record`` is ``samples.append``; the clock is the
-        # delivery time while this callback runs.
-        network._latency_samples.append(network.sim._now - sent_at)
+        # ``Histogram.record`` is ``samples.append``; the entry's time is the
+        # clock while the event fires.
+        network._latency_samples.append(time - sent_at)
         actor.on_message(payload, sender)
 
 
@@ -123,6 +127,7 @@ class Network:
         # through the registry methods on every message.
         self._counters = sim.metrics.counters
         self._latency_samples = sim.metrics.histogram("net.delivery_latency").samples
+        self._deliveries = _Deliveries(self)
 
     # --------------------------------------------------------------- membership
 
@@ -263,7 +268,10 @@ class Network:
         it is the only function that pushes deliveries.  Per receiver, in
         this order: partition and split checks, the loss draw, the installed
         ``on_send`` pipeline, one latency draw, then per copy one downlink
-        update and one heap push of a :class:`_Delivery` tuple.  A batch is
+        update and one heap push.  The pushed entry *is* the delivery: one
+        plain tuple ``(time, 0, seq, deliveries, sender, receiver, wire,
+        now)`` around this network's shared :class:`_Deliveries` event — one
+        allocation and one GC-tracked object per copy in flight.  A batch is
         exactly the sequence of its single sends — same RNG draws, same float
         arithmetic, same event order.
 
@@ -272,7 +280,9 @@ class Network:
         <repro.net.latency.LatencyModel.lognormal>`), read here once per
         burst, and the loop runs the draw inline where it would have called
         ``model.sample`` — which stays the per-pair API, and is what a model
-        that publishes nothing (the test doubles) is called through.  The
+        that publishes nothing (the test doubles) is called through; a sample
+        from there that is negative or NaN would deliver into the past, so it
+        is taken as 0.0 and counted ``net.latency_sample_rejected``.  The
         draw cannot be hoisted out of the loop and done for the whole batch:
         the loss draw and any send a hook makes take from the same RNG
         stream between one receiver's draw and the next.
@@ -324,6 +334,7 @@ class Network:
         queue = sim.queue
         heap = queue._heap
         seq = queue._seq
+        deliveries = self._deliveries
         ctx = None
         wire = payload
         extra_delay = 0.0
@@ -379,6 +390,9 @@ class Network:
                 wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
             if lognormal is None:
                 propagation = sample(rng, sender, receiver)
+                if not propagation >= 0.0:
+                    counters["net.latency_sample_rejected"] += 1.0
+                    propagation = 0.0
             else:
                 # The model's draw, run here: max(floor, lognormvariate(mu,
                 # sigma)) exactly as latency._lognormal computes it.
@@ -407,8 +421,10 @@ class Network:
                     arrival_start = free_at
                 delivery_time = arrival_start + transfer
                 downlink[receiver] = delivery_time
-                delivery = _Delivery((self, sender, receiver, wire, now))
-                heappush(heap, (now + (delivery_time - now), 0, seq, delivery))
+                heappush(
+                    heap,
+                    (now + (delivery_time - now), 0, seq, deliveries, sender, receiver, wire, now),
+                )
                 seq += 1
                 if copies == 1:
                     break
@@ -453,25 +469,6 @@ class Network:
     ) -> bool:
         """Fire-and-forget single send: :meth:`send_many` with a 1-tuple."""
         return self.send_many(sender, (receiver,), payload, size_bytes) > 0
-
-    def send(
-        self,
-        sender: str,
-        receiver: str,
-        payload: Any,
-        size_bytes: int = 256,
-    ) -> Optional[Message]:
-        """Send one message.  Returns a :class:`Message` handle describing it,
-        or ``None`` if it was dropped at send time."""
-        if not self.send_one(sender, receiver, payload, size_bytes):
-            return None
-        return Message(
-            sender=sender,
-            receiver=receiver,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.sim.now,
-        )
 
 
 __all__ = ["Network", "NetworkConfig"]

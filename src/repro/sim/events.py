@@ -9,13 +9,20 @@ delivery, timer and protocol round passes through it.  Two choices keep it
 fast while preserving the exact ordering semantics of the original
 implementation:
 
-* heap entries are plain ``(time, priority, seq, event)`` tuples, so all
-  sift comparisons run as C tuple comparisons instead of Python-level
-  ``__lt__`` calls (``seq`` is unique, so the trailing event is never
+* heap entries are plain ``(time, priority, seq, event, *wire)`` tuples, so
+  all sift comparisons run as C tuple comparisons instead of Python-level
+  ``__lt__`` calls (``seq`` is unique, so nothing from the event on is ever
   compared);
 * :class:`Event` is a ``__slots__`` handle carrying the callback and the
   cancellation flag; cancellation is O(1) and lazy — cancelled entries are
   skipped when they surface at the heap root.
+
+The queue's contract with whoever drains it: an *event* is anything with
+``cancelled``, ``tag`` and ``fire``, and a popped entry is fired as
+``entry[3].fire(entry)``.  A timer's entry ends at its :class:`Event`, whose
+``fire`` runs the callback; a network delivery (:mod:`repro.net.network`) *is*
+its entry — the wire fields in ``entry[4:]`` behind one event shared by every
+message in flight, so only the entry says when it fires.
 """
 
 from __future__ import annotations
@@ -59,6 +66,10 @@ class Event:
         """Mark the event as cancelled; it will be skipped when popped."""
         self.cancelled = True
 
+    def fire(self, entry: tuple) -> None:
+        """Run the callback; a timer reads nothing from its heap ``entry``."""
+        self.callback()
+
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.priority, self.seq) < (
             other.time,
@@ -74,8 +85,8 @@ class Event:
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects.
 
-    The backing heap holds ``(time, priority, seq, event)`` tuples; see the
-    module docstring for why.  ``_heap`` is private but the simulator's run
+    The backing heap holds ``(time, priority, seq, event, *wire)`` tuples; see
+    the module docstring for why.  ``_heap`` is private but the simulator's run
     loop reads it directly to avoid per-event method-call overhead.
     """
 
@@ -105,11 +116,8 @@ class EventQueue:
         return event
 
     def pop_entry(self) -> Optional[tuple]:
-        """Pop the next non-cancelled ``(time, priority, seq, event)`` entry.
-
-        The entry, not the event, is the authority on when the event fires:
-        a network delivery (see :mod:`repro.net.network`) carries no ``time``.
-        """
+        """Pop the next non-cancelled entry (``None`` when empty), the only
+        way out of the queue: an event may need its entry to fire."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
@@ -119,11 +127,6 @@ class EventQueue:
             return entry
         self._live = 0
         return None
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
-        entry = self.pop_entry()
-        return None if entry is None else entry[3]
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next non-cancelled event without popping it."""

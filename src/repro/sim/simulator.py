@@ -72,7 +72,7 @@ class Simulator:
         tag: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # negative or NaN: either would corrupt the heap order
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.queue.push(self._now + delay, callback, priority, tag)
 
@@ -84,7 +84,7 @@ class Simulator:
         tag: Optional[str] = None,
     ) -> Event:
         """Schedule ``callback`` to run at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # earlier than now, or NaN
             raise SimulationError(
                 f"cannot schedule at t={time} which is before now={self._now}"
             )
@@ -111,7 +111,7 @@ class Simulator:
         if time < self._now:
             raise SimulationError("event queue returned an event from the past")
         self._now = time
-        entry[3].callback()
+        entry[3].fire(entry)
         self._processed += 1
         return True
 
@@ -139,11 +139,13 @@ class Simulator:
         self._stop_requested = False
         processed_this_run = 0
         # Hot loop: operate directly on the queue's tuple heap so that each
-        # iteration costs one heappop plus the callback, with no per-event
-        # method calls.  Ordering is identical to pop()/step(): entries are
-        # (time, priority, seq, event) tuples and cancelled events are
-        # skipped lazily.  ``self._now`` is re-read each iteration because
-        # callbacks never mutate it, only this loop does.
+        # iteration costs one heappop plus one ``fire``, with no per-event
+        # queue method calls.  Ordering is identical to pop_entry()/step():
+        # entries are (time, priority, seq, event, *wire) tuples, cancelled
+        # events are skipped lazily, and an event — anything with
+        # ``cancelled``, ``tag`` and ``fire`` — is fired with its entry (see
+        # repro.sim.events).  ``self._now`` is re-read each iteration because
+        # events never mutate it, only this loop does.
         heap = self.queue._heap
         heappop = heapq.heappop
         queue = self.queue
@@ -173,7 +175,7 @@ class Simulator:
                         heappop(heap)
                         queue._live -= 1
                         self._now = next_time
-                        event.callback()
+                        event.fire(entry)
                         processed_local += 1
                 finally:
                     self._processed += processed_local
@@ -192,12 +194,13 @@ class Simulator:
                     if until is not None and next_time > until:
                         self._now = until
                         break
-                    event = heappop(heap)[3]
+                    entry = heappop(heap)
+                    event = entry[3]
                     queue._live -= 1
                     self._now = next_time
                     if trace is not None:
                         trace.append((next_time, event.tag))
-                    event.callback()
+                    event.fire(entry)
                     self._processed += 1
                     processed_this_run += 1
         finally:

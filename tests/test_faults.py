@@ -151,7 +151,7 @@ class TestLinkFaultInjector:
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(loss=1.0)])
         for _ in range(5):
-            network.send("a", "b", "x", 100)
+            network.send_one("a", "b", "x", 100)
         sim.run_until_idle()
         assert receiver.received == []
         assert sim.metrics.counter("faults.messages_dropped") == 5
@@ -160,15 +160,15 @@ class TestLinkFaultInjector:
     def test_loss_window_expires(self):
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(loss=1.0, start=0.0, stop=5.0)])
-        network.send("a", "b", "early", 100)
-        sim.schedule(6.0, lambda: network.send("a", "b", "late", 100))
+        network.send_one("a", "b", "early", 100)
+        sim.schedule(6.0, lambda: network.send_one("a", "b", "late", 100))
         sim.run_until_idle()
         assert [payload for _, payload, _ in receiver.received] == ["late"]
 
     def test_duplication_delivers_twice(self):
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(duplicate=1.0)])
-        network.send("a", "b", "x", 100)
+        network.send_one("a", "b", "x", 100)
         sim.run_until_idle()
         assert [payload for _, payload, _ in receiver.received] == ["x", "x"]
         assert sim.metrics.counter("faults.messages_duplicated") == 1
@@ -178,11 +178,11 @@ class TestLinkFaultInjector:
 
     def test_extra_delay_shifts_delivery(self):
         baseline_sim, baseline_net, baseline_rx = _wired_pair()
-        baseline_net.send("a", "b", "x", 100)
+        baseline_net.send_one("a", "b", "x", 100)
         baseline_sim.run_until_idle()
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(extra_delay=0.5)])
-        network.send("a", "b", "x", 100)
+        network.send_one("a", "b", "x", 100)
         sim.run_until_idle()
         assert receiver.received[0][0] == pytest.approx(baseline_rx.received[0][0] + 0.5)
 
@@ -193,8 +193,8 @@ class TestLinkFaultInjector:
         for sink in sinks.values():
             network.register(sink)
         install_link_faults(network, sim, [LinkFault(dst="b", loss=1.0)])
-        network.send("a", "b", "x", 100)
-        network.send("a", "c", "x", 100)
+        network.send_one("a", "b", "x", 100)
+        network.send_one("a", "c", "x", 100)
         sim.run_until_idle()
         assert sinks["b"].received == []
         assert len(sinks["c"].received) == 1
@@ -228,7 +228,7 @@ class TestCorruptionFault:
         for sink in sinks.values():
             network.register(sink)
         install_link_faults(network, sim, [LinkFault(corrupt=1.0)])
-        network.send("a", "b", "p1", 64)
+        network.send_one("a", "b", "p1", 64)
         network.send_one("a", "b", "p2", 64)
         network.send_many("a", ["b", "c"], "p3", 64)
         network.send_fanout("a", ["b", "c"], "p5", 64)

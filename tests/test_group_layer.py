@@ -261,8 +261,11 @@ class TestHeartbeatPeriodAdoption:
     def test_set_period_rejects_nonpositive(self):
         sim = Simulator()
         hosts = self._wired_hosts(sim, ["n0", "n1"])
-        with pytest.raises(ValueError, match="must be positive"):
-            hosts["n0"].monitor.set_period(0.0)
+        # NaN is not <= 0 either; it would have been scheduled one tick later.
+        for period in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="must be positive"):
+                hosts["n0"].monitor.set_period(period)
+        assert hosts["n0"].monitor._pending_period is None
 
     def test_set_period_is_the_one_way_in_and_rebases_on_shrink(self):
         sim = Simulator()

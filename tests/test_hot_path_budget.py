@@ -18,30 +18,43 @@ and under any ``PYTHONHASHSEED``).
   anti-entropy repairing behind a partition, 5 % loss and a duplication
   window (the ``bcast_faults_ae`` benchmark workload at its smoke-test size).
 
+What neither ``cProfile`` nor ``timeit`` can see is the cyclic collector: its
+pauses are billed to whoever allocated, and they grow with the number of
+GC-tracked objects alive.  So the budget has a second line, also a count:
+the GC-tracked objects one message in flight keeps alive (``gc.get_objects``
+around one 50-receiver ``send_many`` with the collector off) -- exactly one,
+its heap entry.
+
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
-it prints the measured calls per message.  A ceiling is the measured value
-plus ~10 %.  Lowering a ceiling after an optimisation is free; *raising* one
+it prints the measured calls per message and the tracked objects per message.
+A ceiling is the measured value plus ~10 %.  Lowering a ceiling after an optimisation is free; *raising* one
 means the per-message floor went up, and needs a line in CHANGES.md saying
 what the extra calls buy.
 """
 
 import cProfile
+import gc
 import pstats
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
-from repro.core.middleware import MetricsTap
+from repro.core.middleware import MetricsTap, Middleware, MiddlewareChain
 from repro.faults.behaviours import apply_plan
 from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import FaultPlan, LinkFault, Partition
 from repro.group.antientropy import AntiEntropyConfig
+from repro.net import Network
+from repro.sim import Simulator
 
-#: Python-level calls per sent message: measured 4.60, 12.03, 9.53 and 15.47
+#: Python-level calls per sent message: measured 4.80, 12.11, 9.56 and 15.70
 #: (they were 10.40 and 15.94 before the draw moved into ``send_many``, a
 #: delivery became a tuple and the heartbeat tick became one scan; 12.13 before
 #: PBFT routed a frame once, derived quorums once and hashed a statement once;
 #: 12.99 and 22.05 before a fan-out was shuffled inline and the fault path
-#: selected its rules once per burst and sent a tick's summaries as one burst).
+#: selected its rules once per burst and sent a tick's summaries as one burst;
+#: 4.60, 12.03, 9.53 and 15.47 before the loop fired an event with its heap
+#: entry -- one ``Event.fire`` frame per *timer* event, which is what lets a
+#: message in flight be its entry and nothing else).
 CEILINGS = {"heartbeats": 5.1, "flood": 13.2, "pbft": 10.4, "ae_faults": 17.0}
 
 PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
@@ -152,7 +165,7 @@ def test_python_calls_per_sent_message_stay_under_the_ceiling():
 def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
     stats, sent, delivered, _ = measure("heartbeats")
     assert delivered == sent == 3600
-    assert calls_of(stats, "net/network.py", "callback") == delivered
+    assert calls_of(stats, "net/network.py", "fire") == delivered
     assert calls_of(stats, "group/heartbeat.py", "observe") == delivered
     assert calls_of(stats, "net/latency.py", "sample") == 0
     assert calls_of(stats, "sim/metrics.py", "record") == 0
@@ -187,8 +200,8 @@ def test_the_fault_path_decides_per_burst_and_sends_a_tick_as_one_burst():
     # Which rules apply is decided per burst; nothing asks a rule per message,
     # and every message that got past the partition check ran the injector once.
     assert calls_of(stats, "faults/plan.py", "matches") == 0
-    callbacks = calls_of(stats, "net/network.py", "callback")
-    cut_in_flight = callbacks - delivered - counter("net.messages_undeliverable")
+    fired = calls_of(stats, "net/network.py", "fire")
+    cut_in_flight = fired - delivered - counter("net.messages_undeliverable")
     cut_at_send = counter("net.messages_partitioned") - cut_in_flight
     assert cut_at_send > 0
     assert calls_of(stats, "faults/injector.py", "on_send") == sent - cut_at_send
@@ -207,6 +220,42 @@ def test_the_fault_path_decides_per_burst_and_sends_a_tick_as_one_burst():
     assert 0 < ticks <= direct <= ticks + repairs
 
 
+class _Copies(Middleware):
+    """An ``on_send`` hook whose verdict is ``copies`` per message (1: pass-through)."""
+
+    def __init__(self, copies):
+        self.copies = copies
+
+    def on_send(self, ctx):
+        ctx.copies = self.copies
+
+
+def tracked_objects_in_flight(receivers=50, copies=None):
+    """GC-tracked objects one ``send_many`` burst leaves alive, on a bare network."""
+    network = Network(Simulator(seed=5))
+    if copies is not None:
+        network.install_middleware(MiddlewareChain(_Copies(copies)))
+    addresses = tuple(f"n{i}" for i in range(receivers))
+    network.send_many("origin", addresses, "warm-up", 100)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        network.send_many("origin", addresses, "payload", 100)
+        return len(gc.get_objects()) - before
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_message_in_flight_is_one_gc_tracked_object():
+    # The heap entry, and nothing it points to that the sender did not
+    # already hold: 50 copies in flight are 50 tracked objects, hooked or not.
+    assert tracked_objects_in_flight(50) == 50
+    assert tracked_objects_in_flight(50, copies=1) == 50
+    assert tracked_objects_in_flight(50, copies=2) == 100
+
+
 if __name__ == "__main__":
     for scenario in SCENARIOS:
         scenario_stats, scenario_sent, _, _ = measure(scenario)
@@ -214,3 +263,7 @@ if __name__ == "__main__":
             f"{scenario}: {python_calls(scenario_stats) / scenario_sent:.2f} Python calls "
             f"per sent message ({scenario_sent:.0f} sent, ceiling {CEILINGS[scenario]})"
         )
+    print(
+        f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "
+        f"per in-flight message (50-receiver send_many; the heap entry alone is 1)"
+    )

@@ -44,7 +44,7 @@ class TestDelivery:
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
-        network.send("a", "b", {"hello": 1}, size_bytes=100)
+        network.send_one("a", "b", {"hello": 1}, size_bytes=100)
         sim.run()
         assert len(b.received) == 1
         time, payload, sender = b.received[0]
@@ -57,7 +57,7 @@ class TestDelivery:
         sim, network = make_net()
         a = Recorder(sim, "a")
         network.register(a)
-        network.send("a", "ghost", "payload")
+        network.send_one("a", "ghost", "payload")
         sim.run()
         assert sim.metrics.counter("net.messages_undeliverable") == 1
 
@@ -67,7 +67,7 @@ class TestDelivery:
         network.register(a)
         network.register(b)
         b.shutdown()
-        network.send("a", "b", "payload")
+        network.send_one("a", "b", "payload")
         sim.run()
         assert b.received == []
 
@@ -76,7 +76,7 @@ class TestDelivery:
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
-        network.send("a", "b", "blob", size_bytes=1_000_000)
+        network.send_one("a", "b", "blob", size_bytes=1_000_000)
         sim.run()
         delivery_time = b.received[0][0]
         assert delivery_time >= 1.0  # at least one second of transfer time
@@ -88,8 +88,8 @@ class TestDelivery:
         a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
         for actor in (a, b, c):
             network.register(actor)
-        network.send("a", "c", "blob1", size_bytes=1_000_000)
-        network.send("b", "c", "blob2", size_bytes=1_000_000)
+        network.send_one("a", "c", "blob1", size_bytes=1_000_000)
+        network.send_one("b", "c", "blob2", size_bytes=1_000_000)
         sim.run()
         times = sorted(t for t, _, _ in c.received)
         assert len(times) == 2
@@ -100,7 +100,7 @@ class TestDelivery:
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
-        assert network.send("a", "b", "x") is None
+        assert network.send_one("a", "b", "x") is False
         sim.run()
         assert b.received == []
         assert sim.metrics.counter("net.messages_lost") == 1
@@ -111,11 +111,11 @@ class TestDelivery:
         network.register(a)
         network.register(b)
         network.partition(["b"])
-        network.send("a", "b", "lost")
+        network.send_one("a", "b", "lost")
         sim.run()
         assert b.received == []
         network.heal(["b"])
-        network.send("a", "b", "found")
+        network.send_one("a", "b", "found")
         sim.run()
         assert len(b.received) == 1
 
@@ -136,7 +136,7 @@ class TestDelivery:
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
-        network.send("a", "b", "x", size_bytes=100)
+        network.send_one("a", "b", "x", size_bytes=100)
         sim.run()
         assert sim.metrics.counter("net.messages_sent") == 1
         assert sim.metrics.counter("net.messages_delivered") == 1
@@ -154,10 +154,10 @@ class TestSidePreservingSplits:
     def test_split_blocks_cross_side_only(self):
         sim, network, actors = self._quad()
         network.split([("a", "b"), ("c", "d")])
-        network.send("a", "b", "same-side", 64)     # within side 0
-        network.send("c", "d", "same-side-2", 64)   # within side 1
-        network.send("a", "c", "cross", 64)         # across -> dropped
-        network.send("d", "b", "cross-2", 64)       # across -> dropped
+        network.send_one("a", "b", "same-side", 64)     # within side 0
+        network.send_one("c", "d", "same-side-2", 64)   # within side 1
+        network.send_one("a", "c", "cross", 64)         # across -> dropped
+        network.send_one("d", "b", "cross-2", 64)       # across -> dropped
         sim.run_until_idle()
         assert [p for _, p, _ in actors["b"].received] == ["same-side"]
         assert [p for _, p, _ in actors["d"].received] == ["same-side-2"]
@@ -167,8 +167,8 @@ class TestSidePreservingSplits:
     def test_unnamed_addresses_unaffected(self):
         sim, network, actors = self._quad()
         network.split([("a",), ("c",)])
-        network.send("a", "b", "to-unnamed", 64)
-        network.send("b", "c", "from-unnamed", 64)
+        network.send_one("a", "b", "to-unnamed", 64)
+        network.send_one("b", "c", "from-unnamed", 64)
         sim.run_until_idle()
         assert len(actors["b"].received) == 1
         assert len(actors["c"].received) == 1
@@ -176,16 +176,16 @@ class TestSidePreservingSplits:
     def test_merge_restores_connectivity(self):
         sim, network, actors = self._quad()
         split_id = network.split([("a", "b"), ("c", "d")])
-        network.send("a", "c", "lost", 64)
+        network.send_one("a", "c", "lost", 64)
         network.merge(split_id)
-        network.send("a", "c", "after-heal", 64)
+        network.send_one("a", "c", "after-heal", 64)
         sim.run_until_idle()
         assert [p for _, p, _ in actors["c"].received] == ["after-heal"]
 
     def test_split_respected_on_every_send_entry_point(self):
         sim, network, actors = self._quad()
         network.split([("a", "b"), ("c", "d")])
-        network.send("a", "c", "x", 64)
+        network.send_one("a", "c", "x", 64)
         network.send_one("a", "c", "x", 64)
         network.send_many("a", ["c", "d"], "x", 64)
         network.send_fanout("a", ["c", "d"], "x", 64)
@@ -195,7 +195,7 @@ class TestSidePreservingSplits:
 
     def test_inflight_message_dropped_when_split_forms(self):
         sim, network, actors = self._quad()
-        network.send("a", "c", "in-flight", 64)  # scheduled before the split
+        network.send_one("a", "c", "in-flight", 64)  # scheduled before the split
         network.split([("a", "b"), ("c", "d")])
         sim.run_until_idle()
         assert actors["c"].received == []
@@ -205,8 +205,8 @@ class TestSidePreservingSplits:
         first = network.split([("a",), ("c",)])
         network.split([("a",), ("d",)])
         network.merge(first)
-        network.send("a", "c", "now-ok", 64)   # first split merged
-        network.send("a", "d", "blocked", 64)  # second still active
+        network.send_one("a", "c", "now-ok", 64)   # first split merged
+        network.send_one("a", "d", "blocked", 64)  # second still active
         sim.run_until_idle()
         assert len(actors["c"].received) == 1
         assert actors["d"].received == []
@@ -289,6 +289,46 @@ class TestLatencyModels:
             expected = twin.lognormvariate(mu, model.jitter_sigma)
             assert model.sample(rng, sender, receiver) == expected
         assert rng.getstate() == twin.getstate()
+
+
+class TestLatencyBoundary:
+    """A latency is outside input to the routing loop: never into the past."""
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_fixed_and_uniform_validate_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            FixedLatency(bad)
+        with pytest.raises(ValueError):
+            UniformLatency(low=bad, high=1.0)
+        with pytest.raises(ValueError):
+            UniformLatency(low=0.0, high=bad)
+
+    def test_uniform_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            UniformLatency(low=0.002, high=0.001)
+        assert UniformLatency(low=0.0, high=0.0).sample(random.Random(1), "a", "b") == 0.0
+        assert FixedLatency(0.0).latency == 0.0
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan")])
+    def test_a_bad_sample_is_taken_as_zero_and_counted(self, bad):
+        # With ``FixedLatency(-0.5)`` a message sent at t=1.0 used to reach
+        # ``on_message`` with ``sim.now == 0.500008``: ``run()`` moved the
+        # clock back, ``step()`` raised "event from the past".
+        model = FixedLatency(0.01)
+        model.latency = bad  # past the constructor, as any custom model could be
+        sim, network = make_net(latency=model)
+        receiver = Recorder(sim, "b")
+        network.register(receiver)
+        sim.schedule(1.0, lambda: network.send_many("a", ["b", "b"], "x", 0))
+        sim.run()
+        transfer = 64 / 8_000_000.0
+        assert [now for now, _, _ in receiver.received] == [1.0 + transfer, 1.0 + 2 * transfer]
+        assert sim.now == 1.0 + 2 * transfer
+        assert sim.metrics.counter("net.latency_sample_rejected") == 2
+        assert sim.metrics.histogram("net.delivery_latency").samples == [
+            (1.0 + transfer) - 1.0,
+            (1.0 + 2 * transfer) - 1.0,
+        ]
 
 
 class VerdictHook(Middleware):
@@ -528,12 +568,110 @@ class TestDeliveryObject:
         receiver = Recorder(sim, "b")
         network.register(receiver)
         network.send_one("a", "b", "payload", 100)
-        delivery = sim.queue._heap[0][3]
-        assert tuple(delivery) == (network, "a", "b", "payload", 0.0)
+        (entry,) = sim.queue._heap
+        event = entry[3]
+        transfer = (100 + 64) / 8_000_000.0
+        assert entry == (0.01 + transfer, 0, 0, event, "a", "b", "payload", 0.0)
+        assert type(entry) is tuple
         with pytest.raises(TypeError, match="cannot be cancelled"):
-            sim.cancel(delivery)
+            sim.cancel(event)
         with pytest.raises(AttributeError):
-            delivery.cancelled = True
+            event.cancelled = True
         assert len(sim.queue) == 1
         sim.run()
         assert [payload for _, payload, _ in receiver.received] == ["payload"]
+
+
+class TestFourWaysToDrainAgree:
+    """Standing differential for the kernel's one firing protocol.
+
+    ``run()`` (the fast loop), ``run(trace=[])`` and ``run(max_events=...)``
+    (the general loop) and ``step()`` each pop an entry and call
+    ``entry[3].fire(entry)``.  One schedule -- timers, one of them cancelled
+    before it surfaces, a hooked burst with a delayed, a triplicated and a
+    corrupted copy, a receiver that dies while its copy is in flight -- must
+    look the same through all four, slice by slice.
+    """
+
+    def _build(self):
+        sim = Simulator(seed=99)
+        network = Network(sim, latency_model=LanProfile())
+        network.install_middleware(MiddlewareChain(VerdictHook()))
+        actors = {name: Recorder(sim, name) for name in "abcdef"}
+        for actor in actors.values():
+            network.register(actor)
+        timers = []
+        for index in range(4):
+            sim.schedule(
+                0.0007 * index, lambda i=index: timers.append((sim.now, i)), tag=f"tick{index}"
+            )
+        sim.schedule(
+            0.001, lambda: network.send_many("a", list("bcdef"), "burst", 2000), tag="burst"
+        )
+        sim.schedule(0.0011, actors["d"].shutdown, tag="d.dies")
+        doomed = sim.schedule(0.0016, lambda: timers.append("never"), tag="doomed")
+        sim.schedule(0.0012, lambda: sim.cancel(doomed), tag="cancel")
+        sim.schedule(0.3, lambda: network.send_one("f", "a", "late", 100), tag="late")
+
+        def observe():
+            return (
+                timers,
+                {name: actor.received for name, actor in actors.items()},
+                {n: v for n, v in sim.metrics.counters.items() if n.startswith("net.")},
+                sim.metrics.histogram("net.delivery_latency").samples,
+            )
+
+        return sim, observe
+
+    def test_run_traced_run_sliced_run_and_step_agree(self):
+        # step(): the reference -- one (now, tag) row and one
+        # (processed_events, len(queue)) reading per event.
+        sim, observe = self._build()
+        rows, readings = [], []
+        while sim.queue.peek_time() is not None:  # drops a cancelled root
+            tag = sim.queue._heap[0][3].tag
+            assert sim.step()
+            rows.append((sim.now, tag))
+            readings.append((sim.processed_events, len(sim.queue)))
+        assert not sim.step()
+        reference = observe()
+        timers, received, counters, latencies = reference
+        # The schedule is not vacuous.
+        tags = [tag for _, tag in rows]
+        assert "doomed" not in tags and "never" not in timers and len(timers) == 4
+        assert tags.count("net.deliver") == 1 + 3 + 1 + 1 + 1 + 1  # b, 3 x c, d, e, f; late
+        assert counters["net.messages_undeliverable"] == 1 and received["d"] == []
+        assert len(received["c"]) == 3 and len(latencies) == 7
+        assert [t for t, _ in rows] == sorted(t for t, _ in rows)
+
+        # run(trace=[]) in one go.
+        sim, observe = self._build()
+        trace = []
+        sim.run(trace=trace)
+        assert trace == rows
+        assert (sim.processed_events, len(sim.queue)) == readings[-1]
+        assert observe() == reference
+
+        # run(max_events=2, trace=...) in slices of two events.
+        sim, observe = self._build()
+        trace = []
+        while len(sim.queue):
+            sim.run(max_events=2, trace=trace)
+            assert (sim.processed_events, len(sim.queue)) == readings[len(trace) - 1]
+            assert sim.now == rows[len(trace) - 1][0]
+        assert trace == rows
+        assert observe() == reference
+
+        # run(): the fast loop has no trace, so slice it by horizon -- one
+        # slice per distinct event time -- and read the counters after each.
+        sim, observe = self._build()
+        for index, (time, _) in enumerate(rows):
+            if index + 1 < len(rows) and rows[index + 1][0] == time:
+                continue
+            assert sim.run(until=time) == time
+            assert (sim.processed_events, len(sim.queue)) == readings[index]
+        assert observe() == reference
+        sim, observe = self._build()
+        sim.run()
+        assert (sim.now, sim.processed_events) == (rows[-1][0], len(rows))
+        assert observe() == reference

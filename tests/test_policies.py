@@ -73,6 +73,29 @@ class TestParameterBusRejections:
         assert cluster.sim.metrics.counter("policy.rejected_bounds") == 2
         assert cluster.params.gmax == 6
 
+    def test_non_finite_values_are_rejected_and_counted_never_raised(self):
+        # ``float(int(nan))`` raised ValueError and ``float(int(inf))``
+        # OverflowError for the integral parameters; a runtime value is
+        # rejected like any other out-of-bounds one.
+        cluster = build_cluster(antientropy=AntiEntropyConfig(period=5.0))
+        bus = cluster.parameter_bus()
+        names = sorted(bus._specs)  # every managed parameter, integral or not
+        assert {"gmin", "heartbeat_period", "antientropy_period"} <= set(names)
+        before = {name: bus.current(name) for name in names}
+        applied = []
+        bus._appliers = {name: applied.append for name in names}
+        metrics = cluster.sim.metrics
+        rejected = 0
+        for name in names:
+            for value in (float("nan"), float("inf"), float("-inf")):
+                assert bus.propose(name, value) is False
+                rejected += 1
+                assert metrics.counter("policy.rejected_bounds") == rejected
+        assert metrics.counter("policy.proposals") == rejected == 3 * len(names) == 15
+        assert metrics.counter("policy.transitions") == 0
+        assert bus.history == [] and applied == []
+        assert {name: bus.current(name) for name in names} == before
+
     def test_hysteresis_band_swallows_tiny_steps(self):
         cluster = build_cluster()
         bus = cluster.parameter_bus()

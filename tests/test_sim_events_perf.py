@@ -11,8 +11,8 @@ class TestTupleHeapOrdering:
         queue = EventQueue()
         events = [queue.push(5.0, lambda: None, tag=f"e{i}") for i in range(100)]
         popped = []
-        while (event := queue.pop()) is not None:
-            popped.append(event)
+        while (entry := queue.pop_entry()) is not None:
+            popped.append(entry[3])
         assert popped == events
 
     def test_equal_time_priority_orders_before_seq(self):
@@ -20,7 +20,7 @@ class TestTupleHeapOrdering:
         low = queue.push(1.0, lambda: None, priority=9, tag="low")
         high = queue.push(1.0, lambda: None, priority=-1, tag="high")
         mid = queue.push(1.0, lambda: None, priority=0, tag="mid")
-        order = [queue.pop().tag for _ in range(3)]
+        order = [queue.pop_entry()[3].tag for _ in range(3)]
         assert order == ["high", "mid", "low"]
         assert low.seq < high.seq < mid.seq  # seq reflects push order, not pop order
 
@@ -30,8 +30,10 @@ class TestTupleHeapOrdering:
         for index, (t, priority) in enumerate(spec):
             queue.push(t, lambda: None, priority=priority, tag=str(index))
         popped = []
-        while (event := queue.pop()) is not None:
-            popped.append((event.time, event.priority, event.seq))
+        while (entry := queue.pop_entry()) is not None:
+            event = entry[3]
+            assert entry == (event.time, event.priority, event.seq, event)
+            popped.append(entry[:3])
         assert popped == sorted(popped)
 
     def test_event_handles_have_slots(self):
@@ -92,7 +94,7 @@ class TestCancellation:
             queue.push(float(i), lambda: None)
         queue.clear()
         assert len(queue) == 0
-        assert queue.pop() is None
+        assert queue.pop_entry() is None
 
 
 class TestRunLimits:

@@ -14,10 +14,10 @@ class TestEventQueue:
         queue.push(1.0, lambda: fired.append("a"))
         queue.push(3.0, lambda: fired.append("c"))
         while True:
-            event = queue.pop()
-            if event is None:
+            entry = queue.pop_entry()
+            if entry is None:
                 break
-            event.callback()
+            entry[3].fire(entry)
         assert fired == ["a", "b", "c"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -25,8 +25,8 @@ class TestEventQueue:
         fired = []
         for name in ["first", "second", "third"]:
             queue.push(1.0, lambda n=name: fired.append(n))
-        while (event := queue.pop()) is not None:
-            event.callback()
+        while (entry := queue.pop_entry()) is not None:
+            entry[3].fire(entry)
         assert fired == ["first", "second", "third"]
 
     def test_priority_beats_insertion_order(self):
@@ -34,8 +34,8 @@ class TestEventQueue:
         fired = []
         queue.push(1.0, lambda: fired.append("low"), priority=5)
         queue.push(1.0, lambda: fired.append("high"), priority=0)
-        while (event := queue.pop()) is not None:
-            event.callback()
+        while (entry := queue.pop_entry()) is not None:
+            entry[3].fire(entry)
         assert fired == ["high", "low"]
 
     def test_cancelled_events_are_skipped(self):
@@ -45,8 +45,8 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("y"))
         event.cancel()
         queue.notify_cancelled()
-        while (popped := queue.pop()) is not None:
-            popped.callback()
+        while (popped := queue.pop_entry()) is not None:
+            popped[3].fire(popped)
         assert fired == ["y"]
 
     def test_len_tracks_live_events(self):
@@ -54,7 +54,7 @@ class TestEventQueue:
         queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
-        queue.pop()
+        queue.pop_entry()
         assert len(queue) == 1
 
 
@@ -78,6 +78,22 @@ class TestSimulator:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
+
+    def test_nan_times_are_rejected_before_they_corrupt_the_heap_order(self):
+        # NaN compares false with everything: ``delay < 0`` let it through and
+        # the heap then fired 0.1 after 0.5 -- the clock ran backwards.
+        sim = Simulator()
+        fired = []
+        for delay in (1.0, float("nan"), 0.5, 2.0, 0.1):
+            try:
+                sim.schedule(delay, lambda d=delay: fired.append((d, sim.now)))
+            except SimulationError:
+                assert delay != delay
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        sim.run()
+        assert fired == [(0.1, 0.1), (0.5, 0.5), (1.0, 1.0), (2.0, 2.0)]
+        assert len(sim.queue) == 0
 
     def test_run_until_horizon(self):
         sim = Simulator()
