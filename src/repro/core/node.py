@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
@@ -157,7 +157,6 @@ class AtumNode(Actor):
         self.replica: Optional[SmrReplica] = None
         self.delivered: Dict[str, float] = {}
         self.delivered_order: List[str] = []
-        self._forwarded: Set[Tuple[str, str]] = set()
         self._direct_handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._group_handlers: Dict[str, Callable[[Any, str, str], None]] = {}
 
@@ -626,10 +625,6 @@ class AtumNode(Actor):
             return
         own_group = self.vgroup_view.group_id
         for target_group in self._gossip_targets(message, exclude=source_group):
-            key = (message.bcast_id, target_group)
-            if key in self._forwarded:
-                continue
-            self._forwarded.add(key)
             target_view = self.directory.view_of_group(target_group)
             if target_view is None:
                 continue

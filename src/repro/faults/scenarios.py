@@ -1884,8 +1884,9 @@ def run_matrix(
                 "checkpoint_interval": scenario.checkpoint_interval,
                 "attack_threshold": scenario.attack_threshold,
                 "rejoin_max_group_fraction": rejoin_hist.maximum if rejoin_hist else None,
+                # A head-count: a histogram stores doubles, the report says -1.
                 "rejoin_max_threshold_excess": (
-                    rejoin_excess_hist.maximum if rejoin_excess_hist else None
+                    int(rejoin_excess_hist.maximum) if rejoin_excess_hist else None
                 ),
                 "catchup_bound": scenario.catchup_bound,
                 "max_catchup_latency": catchup_hist.maximum if catchup_hist else None,

@@ -98,15 +98,38 @@ class ModuleInfo:
         return ""
 
 
+SET_ANNOTATIONS = {"set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"}
+
+
+def annotation_is_set(node: Optional[ast.AST]) -> bool:
+    if node is None:
+        return False
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr in SET_ANNOTATIONS
+    return isinstance(node, ast.Name) and node.id in SET_ANNOTATIONS
+
+
 class ProjectIndex:
     """All parsed modules plus the cross-module class table."""
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules: List[ModuleInfo] = list(modules)
         self.classes: Dict[str, ClassInfo] = {}
+        returns_set: Set[str] = set()
+        returns_other: Set[str] = set()
         for info in self.modules:
             for cls in _collect_classes(info):
                 self.classes[cls.qualname] = cls
+            for node in ast.walk(info.tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    is_set = annotation_is_set(node.returns)
+                    (returns_set if is_set else returns_other).add(node.name)
+        #: Bare names of the functions and methods annotated to return a set
+        #: wherever the project defines them: what a call site can be matched
+        #: against without type inference (ATL003).
+        self.set_returning: Set[str] = returns_set - returns_other
 
     def resolve_class(self, module: ModuleInfo, name: str) -> Optional[ClassInfo]:
         """Resolve a base-class reference written in ``module`` to its info."""

@@ -25,7 +25,14 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import Finding, ModuleInfo, ProjectIndex, Rule, register_rule
+from repro.lint.core import (
+    Finding,
+    ModuleInfo,
+    ProjectIndex,
+    Rule,
+    annotation_is_set,
+    register_rule,
+)
 
 # --------------------------------------------------------------------- ATL001
 
@@ -156,59 +163,69 @@ class WallClockRule(Rule):
 
 # --------------------------------------------------------------------- ATL003
 
-SET_ANNOTATIONS = {"set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"}
 SET_METHODS = {"difference", "union", "intersection", "symmetric_difference", "copy"}
 RNG_SAMPLING_ATTRS = {"sample", "choice", "choices", "shuffle"}
 
 
-def _annotation_is_set(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Attribute):
-        return node.attr in SET_ANNOTATIONS
-    return isinstance(node, ast.Name) and node.id in SET_ANNOTATIONS
-
-
 class _SetTracker:
-    """Local, flow-insensitive inference of set-typed names in one scope."""
+    """Local, flow-insensitive inference of set-typed names in one scope.
 
-    def __init__(self, scope: ast.AST) -> None:
+    ``names`` are sets; ``hash_ordered`` are lists built by iterating one
+    (``list(s)``, ``[x for x in s]``, or the same over such a list): no
+    longer a set, still in its iteration order.  ``set_returning`` is the
+    project's index of functions annotated to return a set.
+    """
+
+    def __init__(self, scope: ast.AST, set_returning: Set[str]) -> None:
+        self.set_returning = set_returning
         self.names: Set[str] = set()
+        self.hash_ordered: Set[str] = set()
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = scope.args
             for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-                if _annotation_is_set(arg.annotation):
+                if annotation_is_set(arg.annotation):
                     self.names.add(arg.arg)
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign) and self.is_set_expr(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        self.names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                if _annotation_is_set(node.annotation) or (
-                    node.value is not None and self.is_set_expr(node.value)
-                ):
-                    self.names.add(node.target.id)
+        assignments = [
+            node for node in ast.walk(scope) if isinstance(node, (ast.Assign, ast.AnnAssign))
+        ]
+        known = -1
+        while known < len(self.names) + len(self.hash_ordered):
+            # To a fixpoint: a list filtered from a list built from a set.
+            known = len(self.names) + len(self.hash_ordered)
+            for node in assignments:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                annotated = isinstance(node, ast.AnnAssign) and annotation_is_set(node.annotation)
+                if annotated or self.is_set_expr(node.value):
+                    into = self.names
+                elif self.is_hash_ordered(node.value):
+                    into = self.hash_ordered
+                else:
+                    continue
+                into.update(target.id for target in targets if isinstance(target, ast.Name))
+
+    def is_hash_ordered(self, node: ast.AST) -> bool:
+        """A list whose order is some set's iteration order."""
+        if isinstance(node, ast.Name):
+            return node.id in self.hash_ordered
+        if isinstance(node, ast.ListComp):
+            sources = [generator.iter for generator in node.generators]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "list":
+            sources = node.args[:1]
+        else:
+            return False
+        return any(self.is_set_expr(s) or self.is_hash_ordered(s) for s in sources)
 
     def is_set_expr(self, node: ast.AST) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id in (
-                "set",
-                "frozenset",
-            ):
-                return True
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in SET_METHODS
-                and self.is_set_expr(node.func.value)
-            ):
-                return True
+            func = node.func
+            if isinstance(func, ast.Name):
+                return func.id in ("set", "frozenset") or func.id in self.set_returning
+            if isinstance(func, ast.Attribute):
+                return func.attr in self.set_returning or (
+                    func.attr in SET_METHODS and self.is_set_expr(func.value)
+                )
             return False
         if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
@@ -254,11 +271,15 @@ class UnorderedIterationRule(Rule):
     so any set whose elements flow into a send, an RNG draw, or a sampled
     subset makes the run depend on PYTHONHASHSEED.  Per scope, names are
     inferred as set-typed (literals, ``set()``/``frozenset()`` calls, set
-    operators, ``Set[...]`` annotations); the rule flags
+    operators, ``Set[...]`` annotations, and calls to any function or method
+    the project annotates ``-> Set[...]`` / ``FrozenSet`` / ``AbstractSet``,
+    matched by bare name); the rule flags
 
     * ``for``-loops and comprehensions iterating such a value when the
       loop body / comprehension contains a ``send*`` or RNG-sampling call,
-    * set-typed arguments to ``rng.sample/choice/choices/shuffle``,
+    * set-typed arguments to ``rng.sample/choice/choices/shuffle`` -- and
+      lists built in a set's iteration order (``list(s)``, ``[x for x in
+      s]``, or a list filtered from one),
     * ``.pop()`` on a set-typed name (removes an *arbitrary* element),
 
     unless the iterable is wrapped in ``sorted(...)`` (or an
@@ -278,12 +299,7 @@ class UnorderedIterationRule(Rule):
         )
         seen: Set[Tuple[int, str]] = set()
         for scope in scopes:
-            tracker = _SetTracker(scope)
-            if not tracker.names and not any(
-                isinstance(n, (ast.Set, ast.SetComp)) for n in ast.walk(scope)
-            ):
-                # No set-typed values in this scope at all: skip the walk.
-                continue
+            tracker = _SetTracker(scope, project.set_returning)
             for finding in self._check_scope(module, scope, tracker):
                 key = (finding.line, finding.message)
                 if key not in seen:
@@ -328,15 +344,23 @@ class UnorderedIterationRule(Rule):
                     isinstance(func, ast.Attribute)
                     and func.attr in RNG_SAMPLING_ATTRS
                     and node.args
-                    and tracker.is_set_expr(node.args[0])
-                    and not _is_sorted_wrap(node.args[0])
                 ):
-                    yield self.finding(
-                        module,
-                        node.lineno,
-                        f"RNG .{func.attr}(...) over an unordered set draws in "
-                        f"hash order; pass sorted(...) instead",
-                    )
+                    drawn = node.args[0]
+                    if tracker.is_set_expr(drawn) and not _is_sorted_wrap(drawn):
+                        yield self.finding(
+                            module,
+                            node.lineno,
+                            f"RNG .{func.attr}(...) over an unordered set draws in "
+                            f"hash order; pass sorted(...) instead",
+                        )
+                    elif tracker.is_hash_ordered(drawn):
+                        yield self.finding(
+                            module,
+                            node.lineno,
+                            f"RNG .{func.attr}(...) over a list built in a set's "
+                            f"iteration order; wrap the set in sorted(...) where "
+                            f"the list is built",
+                        )
                 elif (
                     isinstance(func, ast.Attribute)
                     and func.attr == "pop"

@@ -156,7 +156,7 @@ class MembershipEngine:
     def neighbor_views(self, group_id: str) -> List[VGroupView]:
         if self.graph is None:
             return []
-        return [self.groups[g] for g in self.graph.neighbors(group_id) if g in self.groups]
+        return [self.groups[g] for g in sorted(self.graph.neighbors(group_id)) if g in self.groups]
 
     def pending_operations(self) -> int:
         return len(self._pending_ops)
@@ -520,7 +520,9 @@ class MembershipEngine:
         """Merge an undersized vgroup into a random neighbouring vgroup."""
         if group_id not in self.groups or self.graph is None:
             return
-        neighbors = [g for g in self.graph.neighbors(group_id) if g in self.groups]
+        # Sorted: ``neighbors`` is a set, and the draw below must not depend
+        # on its iteration order (PYTHONHASHSEED).
+        neighbors = [g for g in sorted(self.graph.neighbors(group_id)) if g in self.groups]
         if not neighbors:
             return
         self.sim.metrics.increment("membership.merges")

@@ -13,6 +13,7 @@ records instead of once per query.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -21,12 +22,17 @@ from typing import Dict, Iterable, List, Optional, Tuple
 class Histogram:
     """A sample-accumulating histogram with cached percentile queries.
 
-    ``samples`` stays a public list (in insertion order).  Appending to it
-    directly remains fully supported: the running accumulators and the cached
-    sorted view reconcile lazily on the next query, exactly as if the values
-    had gone through :meth:`record`.  Destructive mutations (``clear``,
-    ``pop``, slice assignment) are detected on a best-effort basis — a shrink
-    or a changed last-accumulated element triggers a full recompute, but a
+    ``samples`` is a public ``array('d')`` in insertion order: 8 bytes a
+    sample (16 once queried — the cached sorted view is packed too) where a
+    list of boxed floats costs 32.  Values are stored as doubles: an ``int``
+    reads back as the equal ``float``, a non-number is a ``TypeError`` at the
+    append.  ``append`` / ``extend`` / ``len`` / index / slice / iteration /
+    ``pop`` work as on a list; ``clear()`` is ``del samples[:]`` and comparing
+    with a list needs ``list(samples)``.  Appending directly is fully
+    supported: the accumulators and the sorted view reconcile lazily on the
+    next query, exactly as if the values had gone through :meth:`record`.
+    Destructive mutations are detected on a best-effort basis — a shrink or a
+    changed last-accumulated element triggers a full recompute, but a
     same-length interior rewrite (or a regrow that coincidentally reproduces
     the last accumulated value at its old index) is not observable in O(1);
     call :meth:`invalidate` after such mutations.
@@ -35,15 +41,13 @@ class Histogram:
     __slots__ = ("samples", "_sorted", "_sum", "_min", "_max", "_acc_count", "_last_acc")
 
     def __init__(self, samples: Optional[Iterable[float]] = None) -> None:
-        self.samples: List[float] = []
-        self._sorted: Optional[List[float]] = None
+        self.samples = array("d", samples or ())
+        self._sorted: Optional[array] = None
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._acc_count = 0
         self._last_acc: Optional[float] = None
-        if samples:
-            self.record_many(samples)
 
     def record(self, value: float) -> None:
         # Recording IS appending: all accumulator bookkeeping happens lazily
@@ -68,9 +72,9 @@ class Histogram:
     def _reconcile(self) -> None:
         """Fold direct mutations of ``samples`` into the accumulators.
 
-        A grown list with an untouched last accumulated element folds in the
-        new tail; a shrink, or a changed element at the last accumulated
-        index (e.g. ``clear()`` followed by new appends), triggers a full
+        Growth with an untouched last accumulated element folds in the new
+        tail; a shrink, or a changed element at the last accumulated index
+        (e.g. ``del samples[:]`` followed by new appends), triggers a full
         recompute and drops the cached sorted view.
         """
         count = self._acc_count
@@ -133,23 +137,20 @@ class Histogram:
         self._reconcile()
         return self._max
 
-    def _sorted_view(self) -> List[float]:
+    def _sorted_view(self) -> array:
         # Reconcile first: destructive external mutations drop the cached
         # view, so what remains below is first-query or clean growth.
         self._reconcile()
         ordered = self._sorted
         samples = self.samples
         if ordered is None or len(ordered) > len(samples):
-            ordered = self._sorted = sorted(samples)
+            ordered = self._sorted = array("d", sorted(samples))
         elif len(ordered) < len(samples):
             # Merge the (already sorted) view with the newly recorded tail:
             # concatenating two ascending runs lets timsort merge them in
             # O(n) with C-level comparisons, instead of a full re-sort.
-            tail = samples[len(ordered):]
-            tail.sort()
-            ordered = ordered + tail
-            ordered.sort()
-            self._sorted = ordered
+            ordered.extend(sorted(samples[len(ordered):]))
+            ordered = self._sorted = array("d", sorted(ordered))
         return ordered
 
     def percentile(self, p: float) -> float:

@@ -25,6 +25,27 @@ def test_importing_the_cluster_does_not_load_scipy():
     assert result.returncode == 0
 
 
+def test_growth_and_churn_do_not_depend_on_the_hash_seed():
+    """``MembershipEngine._merge`` drew its target from a list in set order, so
+    ``examples/churn_and_growth.py`` printed 161 leaves / 29 merges under
+    ``PYTHONHASHSEED=0`` and 150 / 21 under 1.  Two processes, two hash seeds, one output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    example = os.path.join(os.path.dirname(__file__), "..", "examples", "churn_and_growth.py")
+    outputs = [
+        subprocess.run(
+            [sys.executable, example],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert "merges so far" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 class TestParameters:
     def test_defaults_valid(self):
         params = AtumParameters()

@@ -7,6 +7,7 @@ import pytest
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, SmrEnvelope
 from repro.overlay.gossip import forward_cycles, forward_targets, stable_hash
+from repro.smr.base import Operation
 
 
 def small_params(**overrides):
@@ -246,6 +247,30 @@ class TestGossipTargets:
             excluded = all_targets[0]
             remaining = node._gossip_targets(message, exclude=excluded)
             assert excluded not in remaining
+
+
+class TestForwardsOnce:
+    def test_a_broadcast_arriving_again_is_not_forwarded_again(self):
+        # ``delivered`` is the only gate a forward needs: the per-node set of
+        # (broadcast, vgroup) pairs that used to sit behind it never fired.
+        cluster = built_cluster(n=40)
+        node = cluster.node("n0")
+        counter = cluster.sim.metrics.counter
+        message = BroadcastMessage("b7", "n1", "x", 10, 0.0)
+        neighbours = node._gossip_targets(message, exclude="")
+        assert len(neighbours) >= 2
+        node._on_group_message("gossip", message, neighbours[0], "gm-1")
+        cluster.run(until=5.0)  # Sync: the forward waits for the round boundary
+        assert counter("atum.gossip_forwards") == 1
+        shares = counter("group.shares_sent")
+        assert shares > 0
+        # Again from a second source vgroup, and again as an SMR decision.
+        node._on_group_message("gossip", message, neighbours[1], "gm-2")
+        node._on_smr_decide(Operation("broadcast", message, "n1", "op-1"))
+        cluster.run(until=10.0)
+        assert counter("atum.gossip_forwards") == 1
+        assert counter("group.shares_sent") == shares
+        assert node.delivered_order == ["b7"]
 
 
 class TestMembershipLifecycle:

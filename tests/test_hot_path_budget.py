@@ -25,16 +25,27 @@ the GC-tracked objects one message in flight keeps alive (``gc.get_objects``
 around one 50-receiver ``send_many`` with the collector off) -- exactly one,
 its heap entry.
 
+The third line is what a message leaves behind once it has been delivered:
+``tracemalloc`` around each scenario at 1x and at 4x its broadcasts (its
+horizon, for ``heartbeats``), and the difference in bytes still held divided by
+the difference in messages sent -- *marginal* retained bytes per sent message,
+so one-off costs (caches, the first resize of a table) cancel.  Bytes, not
+seconds: the figure repeats to the tenth under any ``PYTHONHASHSEED`` and
+moves by under 3 % between CPython 3.10 and 3.13.  Beside it, ungated, the
+per-node ``len()`` of the structures nothing trims yet (ROADMAP item 7).
+
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
-it prints the measured calls per message and the tracked objects per message.
-A ceiling is the measured value plus ~10 %.  Lowering a ceiling after an optimisation is free; *raising* one
-means the per-message floor went up, and needs a line in CHANGES.md saying
-what the extra calls buy.
+it prints the measured calls per message, the tracked objects per message and
+the retained bytes per message.  A call ceiling is the measured value plus
+~10 %, a byte ceiling plus ~15 %.  Lowering a ceiling after an optimisation is
+free; *raising* one means the per-message floor went up, and needs a line in
+CHANGES.md saying what the extra calls or bytes buy.
 """
 
 import cProfile
 import gc
 import pstats
+import tracemalloc
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
@@ -57,6 +68,15 @@ from repro.sim import Simulator
 #: message in flight be its entry and nothing else).
 CEILINGS = {"heartbeats": 5.1, "flood": 13.2, "pbft": 10.4, "ae_faults": 17.0}
 
+#: Bytes a run still holds per *additional* sent message, between a scenario
+#: and the same scenario at ``RETAINED_SCALE`` times the broadcasts (heartbeats:
+#: the horizon): measured 7.8, 51.5, 19.8 and 69.7 on CPython 3.11 (they were
+#: 32.5, 93.1, 44.2 and 109.4 while a latency sample was a boxed float in a
+#: list and every node kept a set of the (broadcast, vgroup) pairs it had
+#: forwarded).  What is left on flood is ``_delivered_gm_ids``.
+RETAINED_CEILINGS = {"heartbeats": 9.0, "flood": 59.0, "pbft": 23.0, "ae_faults": 80.0}
+RETAINED_SCALE = 4
+
 PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
 
 
@@ -64,23 +84,23 @@ def _params(**overrides):
     return AtumParameters(hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, **overrides)
 
 
-def _heartbeats():
+def _heartbeats(scale=1):
     cluster = AtumCluster(_params(heartbeat_period=1.0), seed=5, enable_heartbeats=True)
     cluster.build_static([f"n{i}" for i in range(24)])
-    return cluster, lambda: cluster.run_for(30.0)
+    return cluster, lambda: cluster.run_for(30.0 * scale)
 
 
-def _flood():
+def _flood(scale=1):
     cluster = AtumCluster(_params(), seed=5)
     cluster.build_static([f"n{i}" for i in range(40)])
-    for index in range(4):
+    for index in range(4 * scale):
         cluster.sim.schedule_at(
             0.3 + 0.7 * index, lambda i=index: cluster.broadcast(f"n{i}", i)
         )
-    return cluster, lambda: cluster.run(until=20.0)
+    return cluster, lambda: cluster.run(until=20.0 + 2.8 * (scale - 1))
 
 
-def _pbft():
+def _pbft(scale=1):
     params = AtumParameters(
         hc=2, rwl=4, gmin=5, gmax=26, smr_kind=SmrKind.ASYNC,
         checkpoint_interval=PBFT_INTERVAL,
@@ -88,15 +108,15 @@ def _pbft():
     cluster = AtumCluster(params, seed=5)
     addresses = [f"n{i}" for i in range(PBFT_MEMBERS)]
     cluster.build_static(addresses)
-    for index in range(PBFT_BROADCASTS):
+    for index in range(PBFT_BROADCASTS * scale):
         origin = addresses[index % PBFT_MEMBERS]
         cluster.sim.schedule_at(
             3.0 * index, lambda o=origin, i=index: cluster.broadcast(o, i)
         )
-    return cluster, lambda: cluster.run(until=3.0 * PBFT_BROADCASTS + 20.0)
+    return cluster, lambda: cluster.run(until=3.0 * PBFT_BROADCASTS * scale + 20.0)
 
 
-def _ae_faults():
+def _ae_faults(scale=1):
     cluster = AtumCluster(_params(), seed=5, antientropy=AntiEntropyConfig())
     monitor = InvariantMonitor()
     cluster.attach_monitor(monitor)
@@ -108,11 +128,11 @@ def _ae_faults():
         links=(LinkFault(loss=0.05), LinkFault(duplicate=0.1, start=2.0, stop=8.0)),
     )
     apply_plan(cluster, plan, monitor=monitor)
-    for index in range(4):
+    for index in range(4 * scale):
         cluster.sim.schedule_at(
             0.3 + 0.7 * index, lambda i=index: cluster.broadcast(f"n{i + 1}", i)
         )
-    return cluster, lambda: cluster.run(until=30.0)
+    return cluster, lambda: cluster.run(until=30.0 + 2.8 * (scale - 1))
 
 
 SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft, "ae_faults": _ae_faults}
@@ -151,6 +171,44 @@ def calls_of(stats, file_suffix, function):
     )
 
 
+def retained(name, scale):
+    """One traced run: ``(bytes the run kept, messages sent, cluster)``.
+
+    ``tracemalloc`` is on from before the cluster is built, so a container
+    that existed at the start and grew is charged its growth, not its size.
+    """
+    tracemalloc.start()
+    try:
+        cluster, timed = SCENARIOS[name](scale)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        timed()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept, cluster.sim.metrics.counter("net.messages_sent"), cluster
+
+
+def marginal_retained_bytes(name):
+    """Bytes kept per *additional* sent message, and the two clusters."""
+    kept_1, sent_1, cluster_1 = retained(name, 1)
+    kept_n, sent_n, cluster_n = retained(name, RETAINED_SCALE)
+    return (kept_n - kept_1) / (sent_n - sent_1), cluster_1, cluster_n
+
+
+def still_growing(cluster):
+    """Mean per-node ``len()`` of the structures nothing ever trims."""
+    nodes = list(cluster.nodes.values())
+    sizes = {
+        "_delivered_gm_ids": lambda node: len(node.messenger._delivered_gm_ids),
+        "delivered": lambda node: len(node.delivered),
+        "delivered_order": lambda node: len(node.delivered_order),
+        "pending_count()": lambda node: node.messenger.pending_count(),
+    }
+    return {what: sum(map(size, nodes)) / len(nodes) for what, size in sizes.items()}
+
+
 def test_python_calls_per_sent_message_stay_under_the_ceiling():
     for name, ceiling in CEILINGS.items():
         stats, sent, _, _ = measure(name)
@@ -159,6 +217,15 @@ def test_python_calls_per_sent_message_stay_under_the_ceiling():
         assert per_message <= ceiling, (
             f"{name}: {per_message:.2f} Python calls per sent message, ceiling "
             f"{ceiling} -- see this module's docstring before raising it"
+        )
+
+
+def test_retained_bytes_per_additional_sent_message_stay_under_the_ceiling():
+    for name, ceiling in RETAINED_CEILINGS.items():
+        per_message, _, _ = marginal_retained_bytes(name)
+        assert per_message <= ceiling, (
+            f"{name}: {per_message:.1f} retained bytes per additional sent "
+            f"message, ceiling {ceiling} -- something new outlives its message"
         )
 
 
@@ -267,3 +334,14 @@ if __name__ == "__main__":
         f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "
         f"per in-flight message (50-receiver send_many; the heap entry alone is 1)"
     )
+    for scenario in SCENARIOS:
+        per_message, small, large = marginal_retained_bytes(scenario)
+        print(
+            f"{scenario}: {per_message:.1f} retained bytes per additional sent message "
+            f"(1x -> {RETAINED_SCALE}x, ceiling {RETAINED_CEILINGS[scenario]})"
+        )
+        small, large = still_growing(small), still_growing(large)
+        print(
+            f"{scenario}: still growing, per node at 1x / {RETAINED_SCALE}x: "
+            + ", ".join(f"{what} {small[what]:.1f} / {large[what]:.1f}" for what in small)
+        )

@@ -325,7 +325,7 @@ class TestLatencyBoundary:
         assert [now for now, _, _ in receiver.received] == [1.0 + transfer, 1.0 + 2 * transfer]
         assert sim.now == 1.0 + 2 * transfer
         assert sim.metrics.counter("net.latency_sample_rejected") == 2
-        assert sim.metrics.histogram("net.delivery_latency").samples == [
+        assert list(sim.metrics.histogram("net.delivery_latency").samples) == [
             (1.0 + transfer) - 1.0,
             (1.0 + 2 * transfer) - 1.0,
         ]

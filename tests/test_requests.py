@@ -174,7 +174,7 @@ class TestAdaptiveQuarantine:
         board = Scoreboard(sim, RequestPolicy())
         self.storm(sim, board, events=15)
         assert board.effective_threshold(sim.now) == 4.0
-        assert sim.metrics.histogram("req.quarantine_threshold").samples == []
+        assert list(sim.metrics.histogram("req.quarantine_threshold").samples) == []
 
     def test_hostile_window_tightens_threshold(self):
         sim = Simulator(seed=1)

@@ -61,8 +61,8 @@ class TestSerialSharding:
         merged = merge_shards([shard_a, shard_b])
         assert merged["shards"] == 2
         assert merged["counters"] == {"x": 4.0, "y": 2.0}
-        assert merged["histograms"]["h"].samples == [1.0, 2.0, 3.0]
-        assert merged["histograms"]["g"].samples == [4.0]
+        assert list(merged["histograms"]["h"].samples) == [1.0, 2.0, 3.0]
+        assert list(merged["histograms"]["g"].samples) == [4.0]
         assert isinstance(merged["histograms"]["h"], Histogram)
         assert merged["histograms"]["h"].mean == 2.0
 

@@ -1,10 +1,22 @@
 """Unit tests for metrics primitives."""
 
 import math
+import pickle
+import struct
+import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries
+from repro.sim.runpar import merge_shards
+
+
+def bits(value):
+    """The IEEE-754 bytes of a double: ``==`` that tells -0.0 and NaN apart."""
+    return struct.pack("<d", value)
 
 
 class TestHistogram:
@@ -55,7 +67,7 @@ class TestHistogram:
             assert histogram.maximum == max(reference)
 
     def test_direct_appends_to_samples_stay_consistent(self):
-        """Legacy pattern: appending to the public ``samples`` list directly
+        """Legacy pattern: appending to the public ``samples`` array directly
         must reconcile into mean/min/max and the sorted view."""
         histogram = Histogram()
         histogram.record(2.0)
@@ -82,12 +94,12 @@ class TestHistogram:
         assert histogram2.maximum == 7.0
 
     def test_shrinking_samples_recomputes_accumulators(self):
-        """Regression: clear()/pop() on the public list must not crash or
+        """Regression: ``del samples[:]``/pop() on the public array must not crash or
         leave stale stats (the pre-optimisation implementation tolerated any
         mutation)."""
         histogram = Histogram()
         histogram.record(1.0)
-        histogram.samples.clear()
+        del histogram.samples[:]
         histogram.record(2.0)
         assert histogram.mean == 2.0
         assert histogram.minimum == 2.0
@@ -101,13 +113,13 @@ class TestHistogram:
         assert histogram2.percentile(100) == 5.0
 
     def test_clear_then_regrow_is_detected(self):
-        """Regression: clear()+extend() to an equal-or-longer length must not
+        """Regression: ``del samples[:]``+extend() to an equal-or-longer length must not
         be mistaken for an appended tail (detected via the last accumulated
         element)."""
         histogram = Histogram()
         histogram.record_many([1.0, 2.0, 3.0])
         assert histogram.percentile(50) == 2.0  # warm the sorted view
-        histogram.samples.clear()
+        del histogram.samples[:]
         histogram.samples.extend([10.0, 20.0, 30.0, 40.0, 50.0])
         assert histogram.mean == pytest.approx(30.0)
         assert histogram.minimum == 10.0
@@ -121,7 +133,7 @@ class TestHistogram:
         histogram = Histogram()
         histogram.record(1.0)
         histogram.record(2.0)
-        histogram.samples.clear()
+        del histogram.samples[:]
         histogram.samples.extend([9.0, 2.0, 5.0])
         histogram.invalidate()
         assert histogram.mean == pytest.approx(16.0 / 3.0)
@@ -147,6 +159,89 @@ class TestHistogram:
         assert values == sorted(values)
         assert fractions[-1] == pytest.approx(1.0)
         assert all(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:]))
+
+
+class TestPackedSamples:
+    """``samples`` is an ``array('d')``: same numbers, a fifth of the memory."""
+
+    def test_a_sample_costs_eight_bytes_and_sixteen_once_queried(self):
+        count = 100_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            histogram = Histogram()
+            for index in range(count):
+                histogram.record(index * 0.5)
+            unqueried = tracemalloc.get_traced_memory()[0] - before
+            assert histogram.percentile(50) == 24_999.5
+            queried = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert unqueried <= 9 * count
+        assert queried <= 17 * count
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_statistics_are_bit_identical_to_a_sorted_list(self, batches):
+        """Query after every batch, so the second batch on goes through the
+        fold-the-tail and merge-two-runs paths; the reference is a plain list,
+        summed batch by batch as the lazy accumulator sums it."""
+        histogram = Histogram()
+        reference, total = [], 0.0
+        for batch in batches:
+            histogram.record_many(batch)
+            reference.extend(batch)
+            total += sum(batch)
+            if not reference:
+                assert math.isnan(histogram.mean)
+                continue
+            ordered = sorted(reference)
+            assert bits(histogram.mean) == bits(total / len(reference))
+            assert bits(histogram.minimum) == bits(min(reference))
+            assert bits(histogram.maximum) == bits(max(reference))
+            for p in (0, 25, 50, 95, 100):
+                rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
+                assert bits(histogram.percentile(p)) == bits(ordered[rank])
+            assert [(bits(v), f) for v, f in histogram.cdf()] == [
+                (bits(v), (i + 1) / len(ordered)) for i, v in enumerate(ordered)
+            ]
+        assert list(map(bits, histogram.samples)) == list(map(bits, reference))
+
+    def test_an_int_reads_back_as_the_equal_float(self):
+        histogram = Histogram([3])
+        histogram.record(-1)
+        assert list(histogram.samples) == [3, -1]
+        assert all(type(value) is float for value in histogram.samples)
+        assert histogram.minimum == -1 and type(histogram.minimum) is float
+        assert histogram.percentile(100) == 3 and type(histogram.percentile(100)) is float
+        with pytest.raises(TypeError):
+            histogram.record(None)
+
+    def test_pickle_round_trip_keeps_samples_and_answers(self):
+        histogram = Histogram([3.0, 1.0, 2.0])
+        assert histogram.percentile(50) == 2.0  # pickle the cached view too
+        histogram.record(0.5)
+        clone = pickle.loads(pickle.dumps(histogram))
+        assert clone == histogram
+        assert isinstance(clone.samples, array) and clone.samples.typecode == "d"
+        assert (clone.mean, clone.minimum, clone.percentile(50)) == (1.625, 0.5, 1.0)
+
+    def test_merge_shards_round_trip(self):
+        first, second = Histogram([1.0, 4.0]), Histogram([2.5])
+        shards = [
+            {"counters": {}, "histograms": {"h": list(first.samples)}},
+            {"counters": {}, "histograms": {"h": second.samples}},  # an array merges too
+        ]
+        merged = merge_shards(shards)["histograms"]["h"]
+        assert merged == Histogram([1.0, 4.0, 2.5])
+        assert merged == MetricsRegistry.merge_histograms([first, second])
+        assert (merged.maximum, merged.percentile(50)) == (4.0, 2.5)
 
 
 class TestTimeSeries:
