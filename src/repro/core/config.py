@@ -43,10 +43,6 @@ class AtumParameters:
             (:mod:`repro.smr.checkpoint`); ``0`` (the default) disables
             checkpointing and state transfer, keeping legacy deployments
             byte-identical.  Only meaningful with the Async engine.
-        adaptive_quarantine: When True, the state-transfer request layer's
-            responder-quarantine threshold adapts to the observed fault
-            rate (:class:`repro.net.requests.RequestPolicy`); off by
-            default so legacy deployments stay byte-identical.
         gossip_fanout: Optional cap on how many H-graph cycles each member
             forwards a broadcast on under the flood policy.  ``None`` (the
             default) floods all ``hc`` cycles and keeps legacy runs
@@ -75,7 +71,6 @@ class AtumParameters:
     heartbeat_period: float = 60.0
     expected_system_size: int = 800
     checkpoint_interval: int = 0
-    adaptive_quarantine: bool = False
     gossip_fanout: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -189,13 +184,12 @@ class AtumParameters:
         Adaptation-immutable: replicas of one vgroup must agree on round
         and timeout durations for the round/view arithmetic to line up, and
         there is no reconfiguration protocol for changing them on a live
-        group — the ParameterBus rejects all four fields.
+        group — the ParameterBus rejects all three fields.
         """
         return SmrConfig(
             round_duration=self.round_duration,
             request_timeout=self.request_timeout,
             checkpoint_interval=self.checkpoint_interval,
-            adaptive_quarantine=self.adaptive_quarantine,
         )
 
     def cost_model(self, network_latency: float = 0.001) -> GroupCostModel:

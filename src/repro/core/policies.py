@@ -53,8 +53,8 @@ from repro.core.middleware import Middleware, MiddlewareContext
 #: (see ParameterBus.propose); the audit trail for each lives with the
 #: snapshot site:
 #:
-#: * ``round_duration``/``request_timeout``/``checkpoint_interval``/
-#:   ``adaptive_quarantine`` — snapshotted per replica by
+#: * ``round_duration``/``request_timeout``/``checkpoint_interval`` —
+#:   snapshotted per replica by
 #:   :meth:`repro.core.config.AtumParameters.smr_config`; co-members must
 #:   agree on round/view arithmetic.
 #: * ``repair_min_age`` and the other anti-entropy knobs — the shared
@@ -73,7 +73,6 @@ ADAPTATION_IMMUTABLE = frozenset(
         "round_duration",
         "request_timeout",
         "checkpoint_interval",
-        "adaptive_quarantine",
         "repair_min_age",
         "pull_timeout",
         "pull_attempts",

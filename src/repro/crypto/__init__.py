@@ -10,16 +10,7 @@ without the cost of real asymmetric cryptography, whose CPU cost is instead
 charged to simulated time via :class:`CryptoCostModel`.
 """
 
-from repro.crypto.digest import (
-    Digest,
-    DIGEST_MODE_COST_ONLY,
-    DIGEST_MODE_REAL,
-    digest_bytes,
-    digest_mode,
-    digest_object,
-    get_digest_mode,
-    set_digest_mode,
-)
+from repro.crypto.digest import Digest, digest_bytes, digest_object
 from repro.crypto.keys import KeyPair, KeyRegistry, Signature, SignatureError
 from repro.crypto.certificates import WalkCertificate, CertificateChain
 from repro.crypto.cost import CryptoCostModel
@@ -27,11 +18,6 @@ from repro.crypto.cost import CryptoCostModel
 __all__ = [
     "digest_bytes",
     "digest_object",
-    "digest_mode",
-    "get_digest_mode",
-    "set_digest_mode",
-    "DIGEST_MODE_REAL",
-    "DIGEST_MODE_COST_ONLY",
     "Digest",
     "KeyPair",
     "KeyRegistry",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.crypto.digest import digest_object_in_mode, digest_token_mode
+from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry, Signature
 
 
@@ -96,12 +96,9 @@ class CertificateChain:
         """Verify the chain: signatures, majority quorums and hop linkage.
 
         The statement of each certificate is canonicalised and digested once,
-        then every signature is checked against that digest (in cost-model-only
-        digest mode the digest is the cheap ``cm:`` token, but the MAC check
-        always runs — skipping it would let forged signatures through and make
-        the mode behave differently under Byzantine scenarios).  A quorum
-        counts *distinct* signers: duplicated signatures from one member do
-        not add up to a majority.
+        then every signature is checked against that digest.  A quorum counts
+        *distinct* signers: duplicated signatures from one member do not add
+        up to a majority.
 
         Args:
             registry: Key registry used to check signatures.
@@ -116,11 +113,7 @@ class CertificateChain:
                 return False
             if certificate.issuer != previous_next:
                 return False
-            statement = certificate.statement()
-            # Digest the statement at most once per token mode seen among the
-            # signatures (normally exactly one); signatures created before a
-            # digest-mode switch keep verifying after it.
-            digest_per_mode: dict = {}
+            expected = digest_object(certificate.statement())
             members = certificate.issuer_members
             valid_signers = set()
             for signature in certificate.signatures:
@@ -128,12 +121,6 @@ class CertificateChain:
                     continue
                 if signature.signer not in members:
                     continue
-                mode = digest_token_mode(signature.digest)
-                expected = digest_per_mode.get(mode)
-                if expected is None:
-                    expected = digest_per_mode[mode] = digest_object_in_mode(
-                        statement, mode
-                    )
                 if registry.verify_digest(signature, expected):
                     valid_signers.add(signature.signer)
             required = len(members) // 2 + 1

@@ -11,13 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.digest import (
-    DIGEST_MODE_COST_ONLY,
-    DIGEST_MODE_REAL,
-    get_digest_mode,
-    set_digest_mode,
-)
-
 
 @dataclass
 class CryptoCostModel:
@@ -25,32 +18,12 @@ class CryptoCostModel:
 
     Defaults approximate a low-end VM: ~0.2 ms per signature generation,
     ~0.25 ms per verification, ~5 microseconds per hashed KB.
-
-    The *simulated* cost charged to the clock is independent of the *host*
-    cost of computing digests: timing-only benchmarks switch the process to
-    ``cost_only`` digest mode (see :meth:`install_cost_only_digests`), which
-    skips real SHA-256 while this model keeps charging the simulated time —
-    the figures stay identical, the wall clock drops.
     """
 
     sign_seconds: float = 0.0002
     verify_seconds: float = 0.00025
     mac_seconds: float = 0.00002
     hash_seconds_per_kb: float = 0.000005
-
-    @staticmethod
-    def install_cost_only_digests() -> None:
-        """Make :func:`repro.crypto.digest.digest_object` skip real hashing."""
-        set_digest_mode(DIGEST_MODE_COST_ONLY)
-
-    @staticmethod
-    def install_real_digests() -> None:
-        """Restore real SHA-256 digests."""
-        set_digest_mode(DIGEST_MODE_REAL)
-
-    @staticmethod
-    def digests_are_cost_only() -> bool:
-        return get_digest_mode() == DIGEST_MODE_COST_ONLY
 
     def sign_cost(self, count: int = 1) -> float:
         return self.sign_seconds * count

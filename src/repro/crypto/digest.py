@@ -1,7 +1,7 @@
 """Message digests (SHA-256) over canonically serialized objects.
 
 The canonical encoding is the hot path: every group message, signature and
-certificate digest passes through it.  Three optimisations keep it cheap while
+certificate digest passes through it.  Two optimisations keep it cheap while
 producing byte-identical digests to the original implementation:
 
 * the canonical transform walks dataclasses field-by-field instead of calling
@@ -12,11 +12,7 @@ producing byte-identical digests to the original implementation:
   are shared by reference across nodes, so re-digesting the same broadcast at
   every hop becomes a dictionary hit.  An object with a mutable interior (a
   broadcast carrying a ``dict``) enters the memo only through :func:`seal`,
-  the owner's promise that it is never mutated again;
-* a pluggable "cost-model-only" mode (:func:`set_digest_mode`) skips SHA-256
-  entirely and uses the canonical encoding itself as the digest token, for
-  benchmarks that only need timing, not cryptography.  Tokens remain
-  deterministic and collision-free, so protocol equality checks still hold.
+  the owner's promise that it is never mutated again.
 
 Set sorting uses an explicit fallback key so mixed-type sets cannot raise
 ``TypeError`` (sets of a single comparable type keep their historical order,
@@ -27,58 +23,11 @@ from __future__ import annotations
 
 import json
 import hashlib
-import os
-from contextlib import contextmanager
 from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 #: Type alias for hex-encoded digests.
 Digest = str
-
-#: Digest modes: ``real`` computes SHA-256; ``cost_only`` returns the (cheap,
-#: deterministic, collision-free) canonical encoding prefixed with ``cm:`` so
-#: timing-only benchmarks skip cryptographic hashing entirely.
-DIGEST_MODE_REAL = "real"
-DIGEST_MODE_COST_ONLY = "cost_only"
-_DIGEST_MODES = (DIGEST_MODE_REAL, DIGEST_MODE_COST_ONLY)
-
-_digest_mode = os.environ.get("ATUM_DIGEST_MODE", DIGEST_MODE_REAL)
-if _digest_mode not in _DIGEST_MODES:
-    import warnings
-
-    warnings.warn(
-        f"ignoring invalid ATUM_DIGEST_MODE={_digest_mode!r}; "
-        f"expected one of {_DIGEST_MODES}, using {DIGEST_MODE_REAL!r}",
-        stacklevel=2,
-    )
-    _digest_mode = DIGEST_MODE_REAL
-
-
-def get_digest_mode() -> str:
-    """Return the active digest mode (``real`` or ``cost_only``)."""
-    return _digest_mode
-
-
-def set_digest_mode(mode: str) -> None:
-    """Switch the global digest mode; clears the digest memo on a real switch."""
-    global _digest_mode
-    if mode not in _DIGEST_MODES:
-        raise ValueError(f"unknown digest mode {mode!r}; expected one of {_DIGEST_MODES}")
-    if mode == _digest_mode:
-        return
-    _digest_mode = mode
-    _memo.clear()
-
-
-@contextmanager
-def digest_mode(mode: str) -> Iterator[None]:
-    """Temporarily switch the digest mode (used by benchmarks and tests)."""
-    previous = get_digest_mode()
-    set_digest_mode(mode)
-    try:
-        yield
-    finally:
-        set_digest_mode(previous)
 
 
 def _set_sort_key(item: Any) -> Tuple[str, str]:
@@ -171,28 +120,9 @@ def canonical_encode(obj: Any) -> str:
     return json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str)
 
 
-def digest_token_mode(token: str) -> str:
-    """The digest mode a token was produced under (``cm:`` marks cost-only)."""
-    return DIGEST_MODE_COST_ONLY if token.startswith("cm:") else DIGEST_MODE_REAL
-
-
-def _digest_encoded(encoded: str, mode: str) -> Digest:
-    """Turn a canonical encoding into a digest token for ``mode``."""
-    if mode == DIGEST_MODE_COST_ONLY:
-        return "cm:" + encoded
+def _digest_encoded(encoded: str) -> Digest:
+    """SHA-256 hex digest of a canonical encoding."""
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
-
-
-def digest_object_in_mode(obj: Any, mode: str) -> Digest:
-    """Digest ``obj`` under an explicit mode, regardless of the global one.
-
-    Verification paths use this to check a signature in the mode its digest
-    token was created under, so signatures made before a mode switch keep
-    verifying after it.
-    """
-    if mode == _digest_mode:
-        return digest_object(obj)
-    return _digest_encoded(canonical_encode(obj), mode)
 
 
 # ---------------------------------------------------------------------- memo
@@ -246,7 +176,7 @@ def _memo_store(obj: Any, result: Digest) -> None:
 
 
 def clear_digest_memo() -> None:
-    """Drop all memoised digests, seals included (tests and mode switches)."""
+    """Drop all memoised digests, seals included."""
     _memo.clear()
 
 
@@ -260,7 +190,7 @@ def audit_digest_memo() -> List[Tuple[Any, Digest, Digest]]:
     return [
         (obj, memoised, actual)
         for obj, memoised in list(_memo.values())
-        if (actual := _digest_encoded(canonical_encode(obj), _digest_mode)) != memoised
+        if (actual := _digest_encoded(canonical_encode(obj))) != memoised
     ]
 
 
@@ -270,14 +200,7 @@ def digest_bytes(data: bytes) -> Digest:
 
 
 def digest_object(obj: Any) -> Digest:
-    """Return the digest of an arbitrary (JSON-encodable) object.
-
-    In ``real`` mode this is the SHA-256 hex digest of the canonical JSON
-    encoding (byte-identical to the historical implementation); in
-    ``cost_only`` mode it is the canonical encoding itself, prefixed with
-    ``cm:`` — equal objects still map to equal digests, distinct objects to
-    distinct digests, but no cryptographic hash is computed.
-    """
+    """Return the SHA-256 hex digest of the canonical JSON encoding of ``obj``."""
     key = id(obj)  # atumlint: allow[ATL008] identity-LRU memo key, guarded by `is obj`; never ordered or serialized
     entry = _memo.get(key)
     if entry is not None and entry[0] is obj:
@@ -286,8 +209,7 @@ def digest_object(obj: Any) -> Digest:
         _memo[key] = entry
         return entry[1]
     result = _digest_encoded(
-        json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str),
-        _digest_mode,
+        json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str)
     )
     # The deep-immutability walk runs only on the store path; memo hits
     # return above on a single dict probe.
@@ -303,8 +225,8 @@ def seal(obj: Any) -> Digest:
     never mutated again (the ATL007 contract for anything handed to
     ``send*``/``broadcast``).  Every later :func:`digest_object` of the same
     object, or of an immutable wrapper around it, is then a memo hit.  A seal
-    is only a cache entry: once evicted or dropped by a mode switch the next
-    call recomputes, with the same result.
+    is only a cache entry: once evicted or cleared the next call recomputes,
+    with the same result.
     """
     result = digest_object(obj)
     if not _is_memoised(obj):
@@ -314,17 +236,10 @@ def seal(obj: Any) -> Digest:
 
 __all__ = [
     "Digest",
-    "DIGEST_MODE_REAL",
-    "DIGEST_MODE_COST_ONLY",
     "audit_digest_memo",
     "canonical_encode",
     "clear_digest_memo",
     "digest_bytes",
-    "digest_mode",
     "digest_object",
-    "digest_object_in_mode",
-    "digest_token_mode",
-    "get_digest_mode",
     "seal",
-    "set_digest_mode",
 ]

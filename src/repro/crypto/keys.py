@@ -16,11 +16,7 @@ import hmac
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from repro.crypto.digest import (
-    digest_object,
-    digest_object_in_mode,
-    digest_token_mode,
-)
+from repro.crypto.digest import digest_object
 
 
 class SignatureError(Exception):
@@ -36,12 +32,8 @@ class Signature:
     mac: str
 
     def covers(self, obj: Any) -> bool:
-        """Return whether this signature was computed over ``obj``.
-
-        The digest is recomputed in the mode this signature's token was
-        created under, so signatures survive a global digest-mode switch.
-        """
-        return self.digest == digest_object_in_mode(obj, digest_token_mode(self.digest))
+        """Return whether this signature was computed over ``obj``."""
+        return self.digest == digest_object(obj)
 
 
 @dataclass(frozen=True)
@@ -82,15 +74,8 @@ class KeyRegistry:
         return self.generate(owner).sign(obj)
 
     def verify(self, signature: Signature, obj: Any) -> bool:
-        """Return ``True`` iff ``signature`` is a valid signature of ``obj``.
-
-        The comparison digest is computed in the mode the signature's token
-        was created under (see :func:`repro.crypto.digest.digest_token_mode`),
-        so switching the global digest mode does not invalidate signatures
-        created earlier.
-        """
-        expected = digest_object_in_mode(obj, digest_token_mode(signature.digest))
-        return self.verify_digest(signature, expected)
+        """Return ``True`` iff ``signature`` is a valid signature of ``obj``."""
+        return self.verify_digest(signature, digest_object(obj))
 
     def verify_digest(self, signature: Signature, digest: str) -> bool:
         """Verify against a precomputed digest of the signed object.

@@ -105,11 +105,6 @@ class Scenario:
             larger vgroups — because the strict-minority bound is
             *supposed* to fail with high probability when vgroups are far
             below ``k * log2(N)``.
-        adaptive_quarantine: Feed the request layer's quarantine threshold
-            from the observed per-window fault rate
-            (:class:`repro.net.requests.RequestPolicy`): hostile periods
-            tighten it toward the floor, quiet ones relax it back.  Off by
-            default so the static-threshold rows replay byte-identically.
         shuffle: Membership shuffling on leaves (the paper's anti-targeting
             defense; default on).  The epoch-crossing row disables it so
             the reconfiguring vgroup keeps a stable core and the
@@ -148,7 +143,6 @@ class Scenario:
     attack_threshold: Optional[float] = None
     gmin: int = 3
     gmax: int = 6
-    adaptive_quarantine: bool = False
     shuffle: bool = True
     policies: Tuple[str, ...] = ()
     min_policy_transitions: int = 1
@@ -768,25 +762,6 @@ def _default_scenarios() -> Dict[str, Scenario]:
             antientropy=True,
             settle_time=45.0,
         ),
-        # byz_transfer_garbage with the adaptive quarantine threshold: the
-        # observed per-window fault rate tightens the quarantine trigger
-        # under the garbage storm, so forgers are benched faster while the
-        # same delivery/catch-up bounds hold.
-        Scenario(
-            name="broadcast/adaptive_quarantine",
-            workload="broadcast",
-            plan="byz_transfer_garbage",
-            fault_fraction=0.34,
-            broadcasts=48,
-            interval=0.25,
-            delivery_bound=1.0,
-            antientropy=True,
-            smr="async",
-            checkpoint_interval=2,
-            settle_time=60.0,
-            catchup_bound=30.0,
-            adaptive_quarantine=True,
-        ),
         Scenario(
             name="broadcast/lossy_links",
             workload="broadcast",
@@ -1383,7 +1358,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         heartbeat_period=scenario.heartbeat_period,
         smr_kind=SmrKind.ASYNC if scenario.smr == "async" else SmrKind.SYNC,
         checkpoint_interval=scenario.checkpoint_interval,
-        adaptive_quarantine=scenario.adaptive_quarantine,
     )
     cluster = AtumCluster(
         params,
@@ -1577,7 +1551,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         delivery_bound_met = delivery_bound_met and attack_bound_met
 
     catchup_hist = metrics.histogram("smr.checkpoint.catchup_latency")
-    catchup_latency_mean = catchup_hist.mean if catchup_hist.count else None
     catchup_latency_max = catchup_hist.maximum if catchup_hist.count else None
     catchup_bound_met: Optional[bool] = None
     if scenario.catchup_bound is not None:
@@ -1589,10 +1562,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         )
         delivery_bound_met = delivery_bound_met and catchup_bound_met
     slowdown_hist = metrics.histogram("membership.slowdown_penalty")
-    # Observed at every fault-rate window roll; with the static policy the
-    # histogram is flat at the configured threshold, with adaptive_quarantine
-    # the min shows how far hostile windows tightened it toward the floor.
-    quarantine_hist = metrics.histogram("req.quarantine_threshold")
 
     policy_transitions = metrics.counter("policy.transitions")
     policy_bound_met: Optional[bool] = None
@@ -1616,18 +1585,11 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         "rejoin_max_threshold_excess": rejoin_max_excess,
         "catchup_bound": scenario.catchup_bound,
         "catchup_bound_met": catchup_bound_met,
-        "catchup_latency_mean": catchup_latency_mean,
+        "catchup_latencies": list(catchup_hist.samples),
         "catchup_latency_max": catchup_latency_max,
         "catchup_theory": _catchup_theory_for(scenario),
         "slowdown_penalty_mean": slowdown_hist.mean if slowdown_hist.count else None,
         "slowdown_penalty_max": slowdown_hist.maximum if slowdown_hist.count else None,
-        "adaptive_quarantine": scenario.adaptive_quarantine,
-        "quarantine_threshold_min": (
-            quarantine_hist.minimum if quarantine_hist.count else None
-        ),
-        "quarantine_threshold_mean": (
-            quarantine_hist.mean if quarantine_hist.count else None
-        ),
         "seed": seed,
         "system_size": cluster.engine.system_size,
         "group_count": cluster.engine.group_count,
@@ -1776,15 +1738,10 @@ def scenario_shard(seed: int, name: str) -> Dict[str, Any]:
         histograms["scenario.rejoin_max_fraction"] = [row["rejoin_max_group_fraction"]]
     if row["rejoin_max_threshold_excess"] is not None:
         histograms["scenario.rejoin_max_excess"] = [row["rejoin_max_threshold_excess"]]
-    if row["catchup_latency_max"] is not None:
-        histograms["scenario.catchup_latency"] = [row["catchup_latency_max"]]
+    if row["catchup_latencies"]:
+        histograms["scenario.catchup_latency"] = row["catchup_latencies"]
     if row["slowdown_penalty_max"] is not None:
         histograms["scenario.slowdown_penalty"] = [row["slowdown_penalty_max"]]
-    if row["quarantine_threshold_min"] is not None:
-        histograms["scenario.quarantine_threshold"] = [
-            row["quarantine_threshold_min"],
-            row["quarantine_threshold_mean"],
-        ]
     if "policy_transitions" in row:
         counters["scenario.policy_bound_met"] = 1.0 if row["policy_bound_met"] else 0.0
         # Histogram so the matrix can report the *minimum* per-run count:
@@ -1839,7 +1796,6 @@ def run_matrix(
         rejoin_excess_hist = merged["histograms"].get("scenario.rejoin_max_excess")
         catchup_hist = merged["histograms"].get("scenario.catchup_latency")
         slowdown_hist = merged["histograms"].get("scenario.slowdown_penalty")
-        quarantine_hist = merged["histograms"].get("scenario.quarantine_threshold")
         theory = scenario_robustness_row(
             system_size=scenario.growth_target
             if scenario.workload == "growth"
@@ -1894,13 +1850,6 @@ def run_matrix(
                 "catchup_theory": _catchup_theory_for(scenario),
                 "max_slowdown_penalty": (
                     slowdown_hist.maximum if slowdown_hist else None
-                ),
-                "adaptive_quarantine": scenario.adaptive_quarantine,
-                "min_quarantine_threshold": (
-                    quarantine_hist.minimum if quarantine_hist else None
-                ),
-                "mean_quarantine_threshold": (
-                    quarantine_hist.mean if quarantine_hist else None
                 ),
                 "seeds": list(seeds),
                 "violations": counters.get("scenario.violations", 0.0),

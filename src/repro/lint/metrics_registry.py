@@ -568,11 +568,6 @@ METRICS = {
         "modules": ('repro/net/requests.py',),
         "matrix_column": False,
     },
-    'req.quarantine_threshold': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
-    },
     'req.quarantined': {
         "kind": 'counter',
         "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
@@ -649,11 +644,6 @@ METRICS = {
         "matrix_column": True,
     },
     'scenario.policy_transitions': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.quarantine_threshold': {
         "kind": 'histogram',
         "modules": ('repro/faults/scenarios.py',),
         "matrix_column": True,

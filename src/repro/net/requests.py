@@ -77,22 +77,6 @@ class RequestPolicy:
             the summary sender (the one peer *known* to hold the data)
             first, and with bounded ``max_attempts`` a scattered first
             attempt can exhaust the budget on peers that never had it.
-        adaptive_quarantine: When True, the quarantine threshold adapts
-            to the observed evidence rate: a hostile window (many
-            timeout/garbage/stale events per sim second) tightens the
-            threshold toward ``min_quarantine_threshold`` so repeat
-            offenders are benched sooner, and a quiet window relaxes it
-            back to ``quarantine_threshold``.  Off by default — static
-            runs are byte-identical to PR-6 behaviour.
-        fault_window: Length (sim seconds) of the rolling window over
-            which the evidence rate is measured.
-        adaptive_gain: How strongly excess fault rate tightens the
-            threshold: ``base / (1 + gain * (rate - quiet_fault_rate))``.
-        quiet_fault_rate: Evidence rate (events per sim second) at or
-            below which the threshold stays at its static base value.
-        min_quarantine_threshold: Floor the adaptive threshold never
-            drops below.  Strictly positive, so exponential decay still
-            guarantees quarantine release with no further evidence.
     """
 
     base_timeout: float = 3.0
@@ -106,11 +90,6 @@ class RequestPolicy:
     quarantine_threshold: float = 4.0
     decay_half_life: float = 20.0
     spread_rotation: bool = True
-    adaptive_quarantine: bool = False
-    fault_window: float = 20.0
-    adaptive_gain: float = 2.0
-    quiet_fault_rate: float = 0.05
-    min_quarantine_threshold: float = 2.0
 
     def timeout_for(self, attempt: int) -> float:
         """Nominal (pre-jitter) timeout of attempt ``attempt`` (0-based)."""
@@ -182,55 +161,11 @@ class Scoreboard:
         self._sim = sim
         self._policy = policy
         self._scores: Dict[str, PeerScore] = {}
-        self._window_start: Optional[float] = None
-        self._window_events: int = 0
-        self._rate: float = 0.0
 
     def _score(self, peer: str) -> PeerScore:
         if peer not in self._scores:
             self._scores[peer] = PeerScore()
         return self._scores[peer]
-
-    def _threshold_for_rate(self, rate: float) -> float:
-        policy = self._policy
-        if rate <= policy.quiet_fault_rate:
-            return policy.quarantine_threshold
-        excess = rate - policy.quiet_fault_rate
-        tightened = policy.quarantine_threshold / (1.0 + policy.adaptive_gain * excess)
-        return max(policy.min_quarantine_threshold, tightened)
-
-    def _roll_window(self, now: float) -> None:
-        if self._window_start is None:
-            self._window_start = now
-            # Record the threshold in force when measurement starts, so a
-            # run shorter than one window still reports the (base) value.
-            self._sim.metrics.observe(
-                "req.quarantine_threshold", self._threshold_for_rate(self._rate)
-            )
-            return
-        elapsed = now - self._window_start
-        if elapsed < self._policy.fault_window:
-            return
-        self._rate = self._window_events / elapsed
-        self._window_start = now
-        self._window_events = 0
-        self._sim.metrics.observe(
-            "req.quarantine_threshold", self._threshold_for_rate(self._rate)
-        )
-
-    def effective_threshold(self, now: float) -> float:
-        """The quarantine threshold in force at ``now``.
-
-        Static (``policy.quarantine_threshold``) unless the policy enables
-        ``adaptive_quarantine``, in which case the threshold tightens while
-        the measured evidence rate exceeds ``quiet_fault_rate`` and relaxes
-        back to the base once a window measures quiet again.
-        """
-        policy = self._policy
-        if not policy.adaptive_quarantine:
-            return policy.quarantine_threshold
-        self._roll_window(now)
-        return self._threshold_for_rate(self._rate)
 
     def note(self, peer: str, kind: str) -> None:
         """Record evidence against ``peer`` (``timeout``/``garbage``/``stale``)."""
@@ -241,8 +176,6 @@ class Scoreboard:
             "stale": policy.stale_weight,
         }[kind]
         now = self._sim.now
-        if policy.adaptive_quarantine:
-            self._window_events += 1
         score = self._score(peer)
         score.suspicion = score.decayed(now, policy.decay_half_life) + weight
         score.last_update = now
@@ -254,7 +187,7 @@ class Scoreboard:
             score.stale += 1
         metrics = self._sim.metrics
         metrics.increment(f"req.evidence_{kind}")
-        if not score.quarantined and score.suspicion >= self.effective_threshold(now):
+        if not score.quarantined and score.suspicion >= policy.quarantine_threshold:
             score.quarantined = True
             metrics.increment("req.quarantined")
 
@@ -263,10 +196,9 @@ class Scoreboard:
         score = self._scores.get(peer)
         if score is None or not score.quarantined:
             return False
-        now = self._sim.now
-        if score.decayed(now, self._policy.decay_half_life) < self.effective_threshold(
-            now
-        ):
+        policy = self._policy
+        suspicion = score.decayed(self._sim.now, policy.decay_half_life)
+        if suspicion < policy.quarantine_threshold:
             score.quarantined = False
             self._sim.metrics.increment("req.quarantine_released")
             return False
@@ -454,11 +386,6 @@ class RequestManager:
             if pending.on_give_up is not None:
                 pending.on_give_up()
             return
-        if policy.adaptive_quarantine:
-            # Every attempt ticks the fault-rate window, so the adaptive
-            # threshold rolls (and is recorded) even when no evidence
-            # events arrive — a quiet period must relax it back.
-            self.scoreboard.effective_threshold(self.sim.now)
         timeout = policy.timeout_for(pending.attempts)
         if pending.attempts > 0:
             timeout *= self._jitter(policy)

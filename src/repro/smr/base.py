@@ -54,11 +54,6 @@ class SmrConfig:
         checkpoint_announce_period: Interval of the stable-checkpoint
             announce timer (the liveness path for replicas that were cut
             off while the checkpoint formed).
-        adaptive_quarantine: Forwarded into the checkpoint manager's
-            :class:`repro.net.requests.RequestPolicy`: when True, the
-            responder scoreboard's quarantine threshold adapts to the
-            observed per-window fault rate (hostile tightens, quiet
-            relaxes).  Off by default so legacy runs stay byte-identical.
 
     State-transfer retry timing is no longer a fixed constant here: it
     lives in :class:`repro.net.requests.RequestPolicy` (rotation,
@@ -72,7 +67,6 @@ class SmrConfig:
     max_instances: int = 10_000
     checkpoint_interval: int = 0
     checkpoint_announce_period: float = 2.0
-    adaptive_quarantine: bool = False
 
 
 class SmrReplica(abc.ABC):

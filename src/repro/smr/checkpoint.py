@@ -52,14 +52,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.crypto.digest import digest_object, digest_object_in_mode, digest_token_mode
+from repro.crypto.digest import digest_object
 from repro.crypto.keys import Signature
-from repro.net.requests import (
-    RequestEnvelope,
-    RequestManager,
-    RequestPolicy,
-    ResponseEnvelope,
-)
+from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.smr.base import Operation
@@ -284,9 +279,9 @@ class CheckpointManager:
         self.stable: Optional[CheckpointCertificate] = None
         # (seq, digest) -> signer -> verified signature.
         self._votes: Dict[Tuple[int, str], Dict[str, Signature]] = {}
-        # (seq, digest, epoch, digest mode) -> digest of that checkpoint
-        # statement; see _signs_checkpoint.  Pruned with the votes.
-        self._statement_digests: Dict[Tuple[int, str, int, str], str] = {}
+        # (seq, digest, epoch) -> digest of that checkpoint statement; see
+        # _signs_checkpoint.  Pruned with the votes.
+        self._statement_digests: Dict[Tuple[int, str, int], str] = {}
         # Decided-log position per op id, for slot GC below the stable
         # checkpoint (kept in lockstep with replica.decided_log).
         self._positions: Dict[str, int] = {}
@@ -321,9 +316,6 @@ class CheckpointManager:
             replica.sim,
             replica.node_id,
             replica._send,
-            policy=RequestPolicy(
-                adaptive_quarantine=getattr(replica.config, "adaptive_quarantine", False),
-            ),
             stream_name=f"requests.ckpt.{replica.node_id}",
         )
         self._transfer_request_id: Optional[str] = None
@@ -517,17 +509,14 @@ class CheckpointManager:
         """``registry.verify(signature, checkpoint_statement(...))``, hashing once.
 
         The digest step of ``verify`` is memoised per replica: the statement
-        is digested in the mode the signature's own token was created under
-        (so signatures keep verifying across a digest-mode switch), once, and
-        every further signature over it — the other voters', a certificate's
-        2f+1 — costs one ``registry.verify_digest``.
+        is digested once, and every further signature over it — the other
+        voters', a certificate's 2f+1 — costs one ``registry.verify_digest``.
         """
-        mode = digest_token_mode(signature.digest)
-        key = (seq, state_digest, epoch, mode)
+        key = (seq, state_digest, epoch)
         digest = self._statement_digests.get(key)
         if digest is None:
-            digest = self._statement_digests[key] = digest_object_in_mode(
-                checkpoint_statement(epoch, seq, state_digest), mode
+            digest = self._statement_digests[key] = digest_object(
+                checkpoint_statement(epoch, seq, state_digest)
             )
         return self.replica.registry.verify_digest(signature, digest)
 

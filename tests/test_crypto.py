@@ -1,5 +1,6 @@
 """Unit tests for the crypto substrate."""
 
+import hashlib
 import json
 from dataclasses import dataclass, replace
 from typing import Any
@@ -7,18 +8,15 @@ from typing import Any
 import pytest
 
 from repro.crypto import (
-    DIGEST_MODE_COST_ONLY,
-    DIGEST_MODE_REAL,
     CertificateChain,
     CryptoCostModel,
     KeyRegistry,
     SignatureError,
     digest_bytes,
-    digest_mode,
     digest_object,
-    get_digest_mode,
 )
 from repro.crypto.certificates import make_certificate
+from repro.crypto.keys import Signature
 from repro.crypto import digest as digest_module
 from repro.crypto.digest import (
     _canonical,
@@ -173,80 +171,60 @@ class TestDigests:
         assert first != digest_object(WithInit(1, 3))
 
 
-class TestDigestModes:
-    # The suite must pass regardless of the ambient ATUM_DIGEST_MODE, so
-    # every test pins the mode it asserts about.
+def cm_token(obj):
+    """The canonical encoding with a ``cm:`` prefix: never a digest."""
+    return "cm:" + canonical_encode(obj)
 
-    def test_mode_roundtrip_restores_ambient(self):
-        ambient = get_digest_mode()
-        with digest_mode(DIGEST_MODE_REAL):
-            assert get_digest_mode() == DIGEST_MODE_REAL
-            with digest_mode(DIGEST_MODE_COST_ONLY):
-                assert get_digest_mode() == DIGEST_MODE_COST_ONLY
-            assert get_digest_mode() == DIGEST_MODE_REAL
-        assert get_digest_mode() == ambient
 
-    def test_cost_only_mode_skips_sha256_but_keeps_equality(self):
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            a = digest_object({"op": "transfer", "amount": 7})
-            b = digest_object({"amount": 7, "op": "transfer"})
-            c = digest_object({"op": "transfer", "amount": 8})
-            assert a.startswith("cm:")
-            assert a == b
-            assert a != c
+class TestOneDigest:
+    """Every digest is SHA-256 of the canonical encoding, via one seam."""
 
-    def test_modes_produce_distinct_tokens(self):
-        with digest_mode(DIGEST_MODE_REAL):
-            real = digest_object({"x": 1})
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            cheap = digest_object({"x": 1})
-        assert real != cheap
+    def test_digest_is_sha256_of_the_canonical_encoding(self):
+        a = digest_object({"op": "transfer", "amount": 7})
+        b = digest_object({"amount": 7, "op": "transfer"})
+        c = digest_object({"op": "transfer", "amount": 8})
+        expected = hashlib.sha256(
+            canonical_encode({"op": "transfer", "amount": 7}).encode("utf-8")
+        ).hexdigest()
+        assert a == b == expected
+        assert a != c
 
-    def test_signatures_roundtrip_in_cost_only_mode(self):
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            registry = KeyRegistry()
-            signature = registry.sign("alice", {"msg": "hello"})
-            assert registry.verify(signature, {"msg": "hello"})
-            assert not registry.verify(signature, {"msg": "bye"})
+    def test_a_cm_token_is_never_a_digest(self):
+        hex_digits = set("0123456789abcdef")
+        digest, token = digest_object({"x": 1}), cm_token({"x": 1})
+        assert len(digest) == 64 and set(digest) <= hex_digits
+        assert token != digest
+        assert not set(token) <= hex_digits
 
-    def test_signatures_survive_mode_switch(self):
-        """Regression: switching digest mode mid-run must not invalidate
-        signatures/certificates created under the previous mode."""
+    def test_every_miss_goes_through_the_one_seam(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            digest_module, "_digest_encoded", lambda encoded: seen.append(encoded) or "seam"
+        )
+        payload = {"k": [1, 2]}  # mutable: never memoised
+        assert digest_object(payload) == "seam"
+        assert digest_object(payload) == "seam"
+        assert seen == [canonical_encode(payload)] * 2
+
+    def test_cm_token_signature_fails_verify_or_raise(self):
         registry = KeyRegistry()
-        real_sig = registry.sign("alice", {"msg": "hello"})
-        chain = None
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            # Real-mode signature still verifies in cost-only mode...
-            assert registry.verify(real_sig, {"msg": "hello"})
-            assert not registry.verify(real_sig, {"msg": "bye"})
-            cheap_sig = registry.sign("alice", {"msg": "hello"})
-            members = ["m0", "m1", "m2"]
-            for member in members:
-                registry.generate(member)
-            chain = CertificateChain(walk_id="w")
-            chain.append(
-                make_certificate(
-                    registry,
-                    walk_id="w",
-                    hop=0,
-                    issuer="G0",
-                    issuer_members=members,
-                    next_hop="G1",
-                    signers=members,
-                )
-            )
-        # ...and cost-only signatures/certificates verify back in real mode.
-        assert registry.verify(cheap_sig, {"msg": "hello"})
-        assert not registry.verify(cheap_sig, {"msg": "bye"})
-        assert chain.verify(registry, origin_group="G0")
+        digest = cm_token({"msg": "hello"})
+        forged = Signature(
+            signer="alice", digest=digest, mac=registry.generate("alice").mac_of(digest)
+        )
+        with pytest.raises(SignatureError):
+            registry.verify_or_raise(forged, {"msg": "hello"})
+        registry.verify_or_raise(registry.sign("alice", {"msg": "hello"}), {"msg": "hello"})
 
-    def test_cost_model_install_helpers(self):
-        CryptoCostModel.install_cost_only_digests()
-        try:
-            assert CryptoCostModel.digests_are_cost_only()
-        finally:
-            CryptoCostModel.install_real_digests()
-        assert not CryptoCostModel.digests_are_cost_only()
+    def test_signatures_survive_a_memo_clear(self):
+        registry = KeyRegistry()
+        statement = ("signed", ("frozen", 1))  # immutable: memoised on sign
+        signature = registry.sign("alice", statement)
+        assert digest_module._is_memoised(statement)
+        clear_digest_memo()
+        assert registry.verify(signature, statement)
+        assert registry.verify(signature, ("signed", ("frozen", 1)))
+        assert not registry.verify(signature, ("signed", ("frozen", 2)))
 
 
 @dataclass(frozen=True)
@@ -271,9 +249,9 @@ def encodings(monkeypatch):
     seen = []
     real = digest_module._digest_encoded
 
-    def counting(encoded, mode):
+    def counting(encoded):
         seen.append(encoded)
-        return real(encoded, mode)
+        return real(encoded)
 
     monkeypatch.setattr(digest_module, "_digest_encoded", counting)
     return seen
@@ -310,16 +288,14 @@ class TestSeal:
         unsealed.body["k"] = 2
         assert digest_object(unsealed) == digest_object(_Wrapper("broadcast", {"k": 2}))
 
-    def test_mode_switch_drops_seals(self, encodings):
-        with digest_mode(DIGEST_MODE_REAL):
-            message = _Message("b1", {"k": 1})
-            real = seal(message)
-            with digest_mode(DIGEST_MODE_COST_ONLY):
-                before = len(encodings)
-                cheap = digest_object(message)
-                assert len(encodings) == before + 1  # recomputed, not served stale
-                assert cheap == "cm:" + canonical_encode(message)
-            assert digest_object(message) == real
+    def test_memo_clear_drops_seals(self, encodings):
+        message = _Message("b1", {"k": 1})
+        sealed = seal(message)
+        clear_digest_memo()
+        before = len(encodings)
+        assert digest_object(message) == sealed
+        assert len(encodings) == before + 1  # recomputed, not served stale
+        assert encodings[-1] == canonical_encode(message)
 
     def test_evicted_seal_recomputes_the_same_digest(self, encodings, monkeypatch):
         monkeypatch.setattr(digest_module, "_MEMO_LIMIT", 8)
@@ -481,52 +457,48 @@ class TestCertificateChains:
         )
         assert not chain.verify(registry, origin_group="G0")
 
-    def test_chain_verifies_in_cost_only_mode(self):
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            registry = KeyRegistry()
-            chain = self._chain(registry, hops=4)
-            assert chain.verify(registry, origin_group="G0")
-            # Structural checks still run in the fast path.
-            del chain.certificates[1]
-            assert not chain.verify(registry, origin_group="G0")
+    def test_chain_verifies_after_a_memo_clear(self):
+        registry = KeyRegistry()
+        chain = self._chain(registry, hops=4)
+        clear_digest_memo()
+        assert chain.verify(registry, origin_group="G0")
+        # Structural checks still run on recomputed digests.
+        del chain.certificates[1]
+        assert not chain.verify(registry, origin_group="G0")
 
-    def test_forged_signature_rejected_in_cost_only_mode(self):
-        """cost_only mode must change wall-clock only: a fabricated signature
-        (correct digest, no valid MAC) still fails verification."""
-        from repro.crypto.keys import Signature
-        from repro.crypto.digest import digest_object
-
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            registry = KeyRegistry()
-            chain = CertificateChain(walk_id="w")
-            members = ["m0", "m1", "m2"]
-            for member in members:
-                registry.generate(member)
-            chain.append(
-                make_certificate(
-                    registry,
-                    walk_id="w",
-                    hop=0,
-                    issuer="G0",
-                    issuer_members=members,
-                    next_hop="G1",
-                    signers=[],
-                )
-            )
-            statement = chain.certificates[0].statement()
-            forged = tuple(
-                Signature(signer=m, digest=digest_object(statement), mac="")
-                for m in members
-            )
-            chain.certificates[0] = type(chain.certificates[0])(
+    def test_forged_signature_rejected(self):
+        """A fabricated signature (correct digest, no valid MAC) fails
+        verification: the MAC check always runs."""
+        registry = KeyRegistry()
+        chain = CertificateChain(walk_id="w")
+        members = ["m0", "m1", "m2"]
+        for member in members:
+            registry.generate(member)
+        chain.append(
+            make_certificate(
+                registry,
                 walk_id="w",
                 hop=0,
                 issuer="G0",
-                issuer_members=tuple(members),
+                issuer_members=members,
                 next_hop="G1",
-                signatures=forged,
+                signers=[],
             )
-            assert not chain.verify(registry, origin_group="G0")
+        )
+        statement = chain.certificates[0].statement()
+        forged = tuple(
+            Signature(signer=m, digest=digest_object(statement), mac="")
+            for m in members
+        )
+        chain.certificates[0] = type(chain.certificates[0])(
+            walk_id="w",
+            hop=0,
+            issuer="G0",
+            issuer_members=tuple(members),
+            next_hop="G1",
+            signatures=forged,
+        )
+        assert not chain.verify(registry, origin_group="G0")
 
     def test_duplicate_signatures_do_not_form_a_quorum(self):
         """A majority requires distinct signers: the same valid signature

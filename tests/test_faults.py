@@ -18,7 +18,13 @@ from repro.faults import (
     check_agreement_logs,
     install_link_faults,
 )
-from repro.faults.scenarios import SCENARIOS, SMALL_MATRIX, run_scenario, scenario_shard
+from repro.faults.scenarios import (
+    SCENARIOS,
+    SMALL_MATRIX,
+    run_matrix,
+    run_scenario,
+    scenario_shard,
+)
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.latency import FixedLatency
@@ -1061,6 +1067,18 @@ class TestAdversarialRecovery:
         assert row["catchup_bound_met"]
         assert row["catchup_latency_max"] is not None
         assert row["catchup_latency_max"] <= SCENARIOS[name].catchup_bound
+
+    def test_matrix_catchup_columns_cover_every_catchup_of_every_seed(self):
+        # The matrix's mean is over all catch-ups of both runs, not a mean
+        # of per-run maxima; its max is the max over the same samples.
+        name, seeds = "broadcast/isolated_catchup_pbft", (7, 11)
+        samples = [
+            latency for seed in seeds for latency in run_scenario(seed, name)["catchup_latencies"]
+        ]
+        assert len(samples) > len(seeds)
+        [row] = run_matrix([name], seeds=seeds, workers=1)
+        assert row["mean_catchup_latency"] == sum(samples) / len(samples)
+        assert row["max_catchup_latency"] == max(samples)
 
     def test_split_brain_directories_reconcile_at_heal(self):
         # Each side runs its own membership directory while the split is

@@ -13,14 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.crypto.digest import (
-    DIGEST_MODE_COST_ONLY,
-    DIGEST_MODE_REAL,
-    canonical_encode,
-    digest_mode,
-    digest_object,
-    digest_object_in_mode,
-)
+from repro.crypto.digest import canonical_encode, clear_digest_memo, digest_object
 from repro.faults.plan import LinkFault, NodeFault, Partition, NODE_BEHAVIOURS
 
 
@@ -96,31 +89,20 @@ class TestCanonicalEncoderProperties:
             assert canonical_encode(payload) == canonical_encode(clone), payload
             assert digest_object(payload) == digest_object(clone), payload
 
-    def test_real_and_cost_only_modes_agree_on_equality(self):
-        # The cost-only token replaces SHA-256 with the canonical encoding:
-        # two payloads collide in one mode iff they collide in the other iff
-        # their canonical encodings are equal.
+    def test_digests_are_equal_iff_canonical_encodings_are(self):
         rng = random.Random(0xC0FFEE)
         for case in range(CASES):
             left = random_payload(rng)
             right = copy.deepcopy(left) if rng.random() < 0.5 else random_payload(rng)
             encodings_equal = canonical_encode(left) == canonical_encode(right)
-            real_equal = digest_object_in_mode(left, DIGEST_MODE_REAL) == (
-                digest_object_in_mode(right, DIGEST_MODE_REAL)
-            )
-            cost_equal = digest_object_in_mode(left, DIGEST_MODE_COST_ONLY) == (
-                digest_object_in_mode(right, DIGEST_MODE_COST_ONLY)
-            )
-            assert real_equal == encodings_equal, (left, right)
-            assert cost_equal == encodings_equal, (left, right)
+            digests_equal = digest_object(left) == digest_object(right)
+            assert digests_equal == encodings_equal, (left, right)
 
-    def test_mode_switch_round_trip_is_stable(self):
+    def test_memo_clear_round_trip_is_stable(self):
         rng = random.Random(0xD1CE)
         payloads = [random_payload(rng) for _ in range(30)]
         before = [digest_object(p) for p in payloads]
-        with digest_mode(DIGEST_MODE_COST_ONLY):
-            tokens = [digest_object(p) for p in payloads]
-            assert all(token.startswith("cm:") for token in tokens)
+        clear_digest_memo()
         assert [digest_object(p) for p in payloads] == before
 
     def test_mutation_changes_the_digest(self):

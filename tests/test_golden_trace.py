@@ -95,14 +95,15 @@ def test_two_runs_are_byte_identical():
     assert figures_a == figures_b
 
 
-def test_cost_only_digest_mode_is_trace_identical():
-    """Skipping real SHA-256 must change wall-clock only, never behaviour."""
-    from repro.crypto.digest import DIGEST_MODE_COST_ONLY, digest_mode
+def test_a_tiny_digest_memo_is_trace_identical(monkeypatch):
+    """Digest memo evictions must change wall-clock only, never behaviour."""
+    from repro.crypto import digest as digest_module
 
     with open(GOLDEN_PATH, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    with digest_mode(DIGEST_MODE_COST_ONLY):
-        trace, figures = run_scenario()
+    digest_module.clear_digest_memo()
+    monkeypatch.setattr(digest_module, "_MEMO_LIMIT", 4)
+    trace, figures = run_scenario()
     assert trace == golden["trace"]
     assert figures == golden["figures"]
 

@@ -171,6 +171,17 @@ def calls_of(stats, file_suffix, function):
     )
 
 
+def calls_from(stats, file_suffix, function, caller):
+    """Calls of ``function`` made directly by a function named ``caller``."""
+    return sum(
+        counts[1]
+        for (filename, _, name), entry in stats.items()
+        if name == function and filename.endswith(file_suffix)
+        for (_, _, caller_name), counts in entry[4].items()
+        if caller_name == caller
+    )
+
+
 def retained(name, scale):
     """One traced run: ``(bytes the run kept, messages sent, cluster)``.
 
@@ -250,12 +261,13 @@ def test_a_pbft_frame_is_routed_by_type_and_a_statement_is_hashed_once():
     assert isinstance_calls <= 0.5 * delivered
     # Verifying a checkpoint vote or certificate never re-encodes the signed
     # statement per signature (``registry.verify``): each replica hashes each
-    # of the 64 // 8 statements once -- one ``digest_object_in_mode`` call is
-    # one top-level ``_canonical_fast`` entry -- and every signature over it
-    # is one ``verify_digest``.
+    # of the 64 // 8 statements once -- one ``digest_object`` call from
+    # ``_signs_checkpoint`` -- and every signature over it is one
+    # ``verify_digest``.
     assert calls_of(stats, "crypto/keys.py", "verify") == 0
     statements = PBFT_MEMBERS * (PBFT_BROADCASTS // PBFT_INTERVAL)
-    assert 0 < calls_of(stats, "crypto/digest.py", "digest_object_in_mode") <= statements
+    hashed = calls_from(stats, "crypto/digest.py", "digest_object", "_signs_checkpoint")
+    assert 0 < hashed <= statements
     assert calls_of(stats, "crypto/keys.py", "verify_digest") == (PBFT_MEMBERS - 1) * statements
 
 

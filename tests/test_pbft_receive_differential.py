@@ -25,7 +25,8 @@ import pytest
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.node import AtumNode, DirectMessage, SmrEnvelope
-from repro.crypto.digest import DIGEST_MODE_COST_ONLY, digest_mode, seal
+from repro.crypto.certificates import CertificateChain, WalkCertificate
+from repro.crypto.digest import canonical_encode, seal
 from repro.crypto.keys import Signature
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
@@ -305,20 +306,28 @@ def checkpointed_harness(decided=4):
     return harness
 
 
+def cm_token_signature(registry, signer, obj):
+    """A signature over ``"cm:" + canonical_encode(obj)`` with a valid MAC.
+
+    The digest is not SHA-256 of the statement, so every verifier must
+    treat it as forged input.
+    """
+    digest = "cm:" + canonical_encode(obj)
+    return Signature(signer=signer, digest=digest, mac=registry.generate(signer).mac_of(digest))
+
+
 def signature_variants(registry, epoch, seq, state_digest):
     """``{label: (signer -> Signature)}`` over one checkpoint statement."""
     statement = checkpoint_statement(epoch, seq, state_digest)
     other = checkpoint_statement(epoch, seq + 2, state_digest)
-    with digest_mode(DIGEST_MODE_COST_ONLY):
-        cost_only = {name: registry.sign(name, statement) for name in registry._keys}
-        cost_only_other = {name: registry.sign(name, other) for name in registry._keys}
-    assert all(signature.digest.startswith("cm:") for signature in cost_only.values())
     good = {name: registry.sign(name, statement) for name in registry._keys}
     rotated = dict(zip(good, list(good.values())[1:] + list(good.values())[:1]))
     return {
         "good": good,
-        "cm-token": cost_only,
-        "cm-token, wrong statement": cost_only_other,
+        "cm-token": {name: cm_token_signature(registry, name, statement) for name in good},
+        "cm-token, wrong statement": {
+            name: cm_token_signature(registry, name, other) for name in good
+        },
         "wrong statement": {name: registry.sign(name, other) for name in good},
         "wrong signer": {name: replace(sig, signer=name) for name, sig in rotated.items()},
         "bad mac": {name: replace(sig, mac="f" * 64) for name, sig in good.items()},
@@ -352,10 +361,48 @@ def test_statement_once_accepts_exactly_the_votes_registry_verify_accepts():
             )
             assert (bad() == before) == expected, (label, voter)
             accepted += expected
-    assert accepted == 2 * 2 * 2  # "good" and "cm-token", both voters, both passes
+    assert accepted == 2 * 2  # "good", both voters, both passes
     assert set(manager._votes[(seq, state_digest)]) == {"replica-0", "replica-1"}
-    # One entry per (statement, token mode), however many signatures were checked.
-    assert len([key for key in manager._statement_digests if key[0] == seq]) == 2
+    # One entry per statement, however many signatures were checked.
+    assert len([key for key in manager._statement_digests if key[0] == seq]) == 1
+
+
+def registry_verifies(harness, sign):
+    statement = {"walk": "w", "hop": 0}
+    return harness.registry.verify(sign("replica-0", statement), statement)
+
+
+def signature_covers(harness, sign):
+    statement = {"walk": "w", "hop": 0}
+    return sign("replica-0", statement).covers(statement)
+
+
+def chain_verifies(harness, sign):
+    members = tuple(harness.addresses)
+    unsigned = WalkCertificate("w", 0, "G0", members, "G1", ())
+    statement = unsigned.statement()
+    signed = replace(unsigned, signatures=tuple(sign(name, statement) for name in members))
+    return CertificateChain("w", [signed]).verify(harness.registry, origin_group="G0")
+
+
+def checkpoint_vote_accepted(harness, sign):
+    manager = harness.actors["replica-3"].replica.checkpoints
+    bad = lambda: harness.sim.metrics.counter("smr.checkpoint.rejected_bad_signature")
+    seq, state_digest = 6, "d" * 64
+    signature = sign("replica-0", checkpoint_statement(0, seq, state_digest))
+    before = bad()
+    manager.on_checkpoint(Checkpoint(0, seq, state_digest, "replica-0", signature), "replica-0")
+    return bad() == before
+
+
+@pytest.mark.parametrize(
+    "accepts", [registry_verifies, signature_covers, chain_verifies, checkpoint_vote_accepted]
+)
+def test_a_cm_token_with_a_valid_mac_is_forged_input(accepts):
+    harness = checkpointed_harness()
+    registry = harness.registry
+    assert accepts(harness, registry.sign)
+    assert not accepts(harness, lambda name, obj: cm_token_signature(registry, name, obj))
 
 
 def certificate_variants(registry, epoch, seq, state_digest, members):
@@ -366,9 +413,9 @@ def certificate_variants(registry, epoch, seq, state_digest, members):
         return CheckpointCertificate(epoch, seq, state_digest, tuple(signatures))
 
     cases = {label: certificate(by[name] for name in quorum) for label, by in variants.items()}
-    good, cost_only = variants["good"], variants["cm-token"]
+    good, cm_token = variants["good"], variants["cm-token"]
     cases["mixed token modes"] = certificate(
-        [good[quorum[0]]] + [cost_only[name] for name in quorum[1:]]
+        [good[quorum[0]]] + [cm_token[name] for name in quorum[1:]]
     )
     cases["one bad mac among good"] = certificate(
         [variants["bad mac"][quorum[0]]] + [good[name] for name in quorum[1:]]
@@ -401,13 +448,8 @@ def test_statement_once_validates_exactly_the_certificates_registry_verify_valid
         assert manager.valid_certificate(certificate) == expected, label
         verdicts[label] = expected
     assert {label for label, valid in verdicts.items() if valid} == {
-        "good", "cm-token", "mixed token modes", "every member",
-        "the replica's own stable certificate",
+        "good", "every member", "the replica's own stable certificate",
     }
-    # The same holds with the global mode switched under a warm memo.
-    with digest_mode(DIGEST_MODE_COST_ONLY):
-        for label, certificate in cases.items():
-            assert manager.valid_certificate(certificate) == verdicts[label], label
 
 
 def test_statement_once_rejects_exactly_the_chains_registry_verify_rejects(monkeypatch):
@@ -432,7 +474,7 @@ def test_statement_once_rejects_exactly_the_chains_registry_verify_rejects(monke
         assert manager._transition_chain_error(certificate, chain) == expected, label
         errors[label] = expected
     assert {label for label, error in errors.items() if error is None} == {
-        "good", "cm-token", "mixed token modes", "every member", "the anchor itself",
+        "good", "every member", "the anchor itself",
     }
     assert set(errors.values()) == {None, "bad_certificate"}
 

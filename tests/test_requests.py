@@ -142,22 +142,10 @@ class TestScoreboard:
         assert not board.quarantined("never-seen")
 
 
-class TestAdaptiveQuarantine:
-    """Fault-rate-fed quarantine thresholds (ISSUE 7 tentpole 4)."""
+class TestQuarantineUnderStorms:
+    """One static threshold: evidence against other peers never moves it."""
 
-    @staticmethod
-    def adaptive_policy(**overrides):
-        defaults = dict(
-            adaptive_quarantine=True,
-            quarantine_threshold=4.0,
-            min_quarantine_threshold=2.0,
-            fault_window=10.0,
-            quiet_fault_rate=0.05,
-            adaptive_gain=2.0,
-            decay_half_life=5.0,
-        )
-        defaults.update(overrides)
-        return RequestPolicy(**defaults)
+    POLICY = RequestPolicy(quarantine_threshold=4.0, decay_half_life=5.0)
 
     @staticmethod
     def storm(sim, board, events, period=1.0, kind="garbage"):
@@ -169,52 +157,56 @@ class TestAdaptiveQuarantine:
         tick(events)
         sim.run()
 
-    def test_static_policy_keeps_constant_threshold_and_no_histogram(self):
+    def test_storm_records_no_scoreboard_histogram(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, RequestPolicy())
+        board = Scoreboard(sim, self.POLICY)
         self.storm(sim, board, events=15)
-        assert board.effective_threshold(sim.now) == 4.0
-        assert list(sim.metrics.histogram("req.quarantine_threshold").samples) == []
+        assert sim.metrics.counter("req.evidence_garbage") == 16
+        assert not [name for name in sim.metrics.histograms if name.startswith("req.")]
 
-    def test_hostile_window_tightens_threshold(self):
+    def test_storm_quarantines_exactly_the_peers_at_the_threshold(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.adaptive_policy())
-        # ~1 evidence event per sim second across a 10s window: rate >> quiet.
+        board = Scoreboard(sim, self.POLICY)
         self.storm(sim, board, events=15)
-        threshold = board.effective_threshold(sim.now)
-        assert threshold < 4.0
-        assert threshold >= 2.0
-        # The window roll observed the adapted threshold.
-        samples = sim.metrics.histogram("req.quarantine_threshold").samples
-        assert samples and min(samples) == threshold
+        verdicts = {
+            peer: score.decayed(sim.now, self.POLICY.decay_half_life) >= 4.0
+            for peer, score in board.snapshot().items()
+        }
+        assert any(verdicts.values())
+        for peer, expected in verdicts.items():
+            assert board.quarantined(peer) == expected, peer
 
-    def test_quiet_window_relaxes_back_to_base(self):
+    def test_quiet_period_releases_every_storm_quarantine(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.adaptive_policy())
+        board = Scoreboard(sim, self.POLICY)
         self.storm(sim, board, events=15)
-        assert board.effective_threshold(sim.now) < 4.0
-        # Roll once to flush the storm's tail events, then a fully quiet
-        # window measures rate 0 and relaxes the threshold to its base.
-        sim.schedule(30.0, lambda: board.effective_threshold(sim.now))
+        assert sim.metrics.counter("req.quarantined") > 0
+        sim.schedule(30.0, lambda: None)
         sim.run()
-        sim.schedule(15.0, lambda: None)
-        sim.run()
-        assert board.effective_threshold(sim.now) == 4.0
+        assert not [peer for peer in board.snapshot() if board.quarantined(peer)]
+        assert sim.metrics.counter("req.quarantine_released") == sim.metrics.counter(
+            "req.quarantined"
+        )
 
-    def test_tightened_threshold_never_drops_below_floor(self):
+    def test_a_storm_on_others_never_lowers_a_peers_bar(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.adaptive_policy(adaptive_gain=100.0))
+        board = Scoreboard(sim, self.POLICY)
         self.storm(sim, board, events=40, period=0.25)
-        assert board.effective_threshold(sim.now) == 2.0
+        quarantined_before = sim.metrics.counter("req.quarantined")
+        board.note("q", "garbage")  # 3.0 < 4.0, however hostile the others
+        assert not board.snapshot()["q"].quarantined
+        assert sim.metrics.counter("req.quarantined") == quarantined_before
+        assert not board.quarantined("q")
+        board.note("q", "timeout")  # 4.0 >= 4.0
+        assert board.quarantined("q")
+        assert sim.metrics.counter("req.quarantined") == quarantined_before + 1
 
-    def test_decay_release_survives_the_tightest_threshold(self):
-        # PR-6 invariant preserved under adaptation: the floor is strictly
-        # positive, so decay alone still releases every quarantined peer.
+    def test_decay_releases_a_peer_quarantined_during_a_storm(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.adaptive_policy(adaptive_gain=100.0))
+        board = Scoreboard(sim, self.POLICY)
         self.storm(sim, board, events=40, period=0.25)
-        assert board.effective_threshold(sim.now) == 2.0
-        board.note("q", "garbage")  # 3.0 >= tightened 2.0
+        board.note("q", "garbage")
+        board.note("q", "garbage")  # 6.0 >= 4.0
         assert board.quarantined("q")
         released_before = sim.metrics.counter("req.quarantine_released")
         sim.schedule(40.0, lambda: None)
@@ -222,13 +214,24 @@ class TestAdaptiveQuarantine:
         assert not board.quarantined("q")
         assert sim.metrics.counter("req.quarantine_released") == released_before + 1
 
-    def test_timeouts_alone_never_quarantine_forever_with_adaptation(self):
+    def test_timeouts_alone_never_quarantine_during_a_storm(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.adaptive_policy())
-        self.storm(sim, board, events=10, period=10.0, kind="timeout")
-        # 10s between timeouts = 2 half-lives; even if windows tighten the
-        # threshold to its floor (2.0), suspicion tops out below it.
-        assert sim.metrics.counter("req.quarantined") == 0
+        board = Scoreboard(sim, self.POLICY)
+
+        def slow(remaining):
+            board.note("slow", "timeout")
+            if remaining:
+                sim.schedule(10.0, lambda: slow(remaining - 1))
+
+        slow(10)
+        self.storm(sim, board, events=40, period=0.25)
+        # 10s between timeouts = 2 half-lives: the slow peer tops out
+        # below the threshold while the storm quarantines its neighbours.
+        slow_score = board.snapshot()["slow"]
+        assert slow_score.timeouts == 11
+        assert not slow_score.quarantined  # never set, not merely released
+        assert not board.quarantined("slow")
+        assert sim.metrics.counter("req.quarantined") > 0
 
 
 # ------------------------------------------------------- request lifecycle

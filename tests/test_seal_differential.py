@@ -58,10 +58,10 @@ def test_flood_encodes_each_broadcast_once(monkeypatch):
     encoded_messages = []
     real = digest_module._digest_encoded
 
-    def counting(encoded, mode):
+    def counting(encoded):
         if encoded.startswith('{"__dc__": "BroadcastMessage"'):
             encoded_messages.append(encoded)
-        return real(encoded, mode)
+        return real(encoded)
 
     monkeypatch.setattr(digest_module, "_digest_encoded", counting)
     run_flood()
