@@ -668,6 +668,11 @@ METRICS = {
         "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
         "matrix_column": True,
     },
+    'smr.checkpoint.announce_resets': {
+        "kind": 'counter',
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
+    },
     'smr.checkpoint.announces': {
         "kind": 'counter',
         "modules": ('repro/smr/checkpoint.py',),

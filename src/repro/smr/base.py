@@ -51,9 +51,11 @@ class SmrConfig:
             (the low/high water mark distance); ``0`` disables checkpointing
             and state transfer entirely — the default, so legacy runs stay
             byte-identical (Async only; see :mod:`repro.smr.checkpoint`).
-        checkpoint_announce_period: Interval of the stable-checkpoint
-            announce timer (the liveness path for replicas that were cut
-            off while the checkpoint formed).
+        checkpoint_announce_period: Shortest announce interval of the
+            stable-checkpoint announce timer (the liveness path for replicas
+            that were cut off while the checkpoint formed).  The interval
+            doubles while members agree, up to 16 of these, and falls back
+            to it when they do not (see :mod:`repro.smr.checkpoint`).
 
     State-transfer retry timing is no longer a fixed constant here: it
     lives in :class:`repro.net.requests.RequestPolicy` (rotation,

@@ -14,7 +14,7 @@ transfer, and that is what :class:`CheckpointManager` adds to
   it is garbage-collected (executed slots feed no future view change vote:
   laggards catch up through state transfer instead);
 * a replica that learns of a certified checkpoint ahead of its own decided
-  log — through checkpoint votes, a periodic :class:`CheckpointAnnounce`,
+  log — through checkpoint votes, a :class:`CheckpointAnnounce`,
   the certificate carried by view-change/new-view messages, or an
   anti-entropy hint (:mod:`repro.group.antientropy`) — fetches the missing
   operations plus the certificate from a co-replica
@@ -32,11 +32,18 @@ tampered operation body, a stale low-water-mark or a response that no
 longer lines up with the local log is rejected and counted
 (``smr.checkpoint.rejected``), never installed.
 
-Everything here is driven by existing protocol events plus one periodic
-announce timer per replica; the manager (and with it the timer and the
-frame handlers it adds to the replica's routing table) is only created when
-``SmrConfig.checkpoint_interval > 0``, so runs with checkpointing
-disabled (the default) are byte-identical to pre-checkpoint builds.
+Everything here is driven by existing protocol events plus one announce
+timer per replica.  The timer is a Trickle timer (Levis et al., NSDI 2004;
+RFC 6206): its interval starts at ``checkpoint_announce_period``, doubles
+after every round in which members were heard, up to
+:data:`ANNOUNCE_MAX_PERIODS` periods, and falls back to the period -- with
+the next announce as soon as one period has passed since the last -- when
+a member's announce disagrees with ours or we enter a new epoch.  A group
+that agrees announces every 32 s instead of every 2 s.  The manager (and
+with it the timer and the frame handlers it adds to the replica's routing
+table) is only created when ``SmrConfig.checkpoint_interval > 0``, so runs
+with checkpointing disabled (the default) are byte-identical to
+pre-checkpoint builds.
 
 Two things are hashed once instead of once per use.  The statement a
 checkpoint signature covers is digested once per replica
@@ -49,16 +56,22 @@ memoised, instead of re-encoding every decided operation per checkpoint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.digest import digest_object
 from repro.crypto.keys import Signature
 from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.smr.base import Operation
     from repro.smr.pbft import PbftReplica
+
+
+#: Trickle's largest interval, in announce periods: 32 s at the default 2 s.
+ANNOUNCE_MAX_PERIODS = 16
 
 
 # --------------------------------------------------------------------- frames
@@ -97,18 +110,21 @@ class CheckpointCertificate:
 
 @dataclass(frozen=True)
 class CheckpointAnnounce:
-    """Periodic re-broadcast of the stable checkpoint (plus the log length).
+    """Trickle-timed re-broadcast of the stable checkpoint (plus the log length).
 
     This is the liveness path for a healed replica when no new requests
-    flow: checkpoint votes were broadcast while it was cut off, so only a
-    periodic announce lets it discover the gap at all.  ``log_length``
-    additionally covers the *uncertified tail* — operations decided since
-    the last checkpoint (or before the first one forms).  A replica whose
-    log stays frozen below an announced length for a full grace period
-    starts a view change, whose carried prepared slots re-serve exactly
-    that tail; the claim itself is unverified, but a view change is always
-    safe and a single Byzantine replica can force one anyway by sending a
-    view-change vote, so this adds no new attack surface.
+    flow: checkpoint votes were broadcast while it was cut off, so only an
+    announce lets it discover the gap at all.  Its own (stale) announce is
+    an inconsistency to every peer that hears it, so they answer within a
+    period even when the group had backed off to the longest interval.
+    ``log_length`` additionally covers the *uncertified tail* — operations
+    decided since the last checkpoint (or before the first one forms).  A
+    replica whose log stays frozen below an announced length for a full
+    grace period starts a view change, whose carried prepared slots
+    re-serve exactly that tail; the claim itself is unverified, but a view
+    change is always safe and a single Byzantine replica can force one
+    anyway by sending a view-change vote, so this adds no new attack
+    surface.
     """
 
     epoch: int
@@ -293,7 +309,12 @@ class CheckpointManager:
         # False when a new view triggered the transfer — that view's own
         # re-proposals already run under a fresh, gap-free numbering.
         self._realign_after_install = True
-        self._announce_armed = False
+        # Trickle announce timer: the interval in force, the pending tick
+        # and when the last announce went out (see _announce_tick).
+        self._announce_interval = replica.config.checkpoint_announce_period
+        self._announce_event: Optional[Event] = None
+        self._last_announce = -math.inf
+        self._announces_heard = 0  # member announces since our last tick
         # The stable certificate this one replaced: kept only so a
         # `stale_cert` adversary has something genuinely old to serve.
         self.previous_stable: Optional[CheckpointCertificate] = None
@@ -326,6 +347,7 @@ class CheckpointManager:
         # co-replica's announced (uncertified) log length.
         self._tail_seen_length = -1
         self._tail_deficit_since = -1.0
+        self._tail_peer_length = 0  # the announced length that started the clock
         self._last_tail_view_change = -1.0
         # Highest PBFT view any co-replica announced this epoch; recovery
         # view changes propose past it (see _note_peer_log_length).
@@ -336,7 +358,7 @@ class CheckpointManager:
         # chunks decided since the last one.
         self._chain_count = 0
         self._chain_digest = ""
-        self._arm_announce_timer()
+        self._arm_announce(replica.sim.now + self._announce_interval)
 
     # ----------------------------------------------------------------- queries
 
@@ -892,40 +914,59 @@ class CheckpointManager:
             self._begin_transfer(certificate, realign=realign)
 
     def on_announce(self, message: CheckpointAnnounce, sender: str) -> None:
+        """Adopt a newer certificate; reset the announce timer on disagreement.
+
+        A member's announce is *inconsistent* with ours when its certificate
+        (epoch, seq) or its view differs from ours, or when it is ahead of
+        our log while our tail-deficit clock is already running.  Only
+        announces that pass the epoch and membership checks count, and a
+        certificate that fails verification does not.
+        """
         replica = self.replica
         if message.epoch != replica.epoch:
             return
         if sender not in replica._member_set:
             self._reject("non_member")
             return
-        certificate, stable = message.certificate, self.stable
-        if (
-            certificate is not None
-            # Nearly every announce repeats the stable checkpoint we hold.
-            and (stable is None or certificate.seq > stable.seq)
-            and ((best := self.best_certificate()) is None or certificate.seq > best.seq)
-        ):
-            if getattr(certificate, "epoch", None) == replica.epoch:
-                if self.valid_certificate(certificate):
-                    self._adopt_stable(certificate)
-                else:
-                    self._reject("bad_certificate")
-            else:
-                # A certificate carried across reconfigurations: adopt it
-                # (and begin a transfer if it outruns our log) only when
-                # its transition chain verifies against our membership.
-                error = self._transition_chain_error(
-                    certificate, getattr(message, "transitions", ())
-                )
-                if error is None:
-                    self._adopt_anchor(certificate, message.transitions)
-                else:
-                    self._reject(error)
+        self._announces_heard += 1
+        certificate, best = message.certificate, self.best_certificate()
+        if certificate is None:
+            inconsistent = best is not None
+        elif best is None or certificate.seq > best.seq:
+            inconsistent = self._adopt_announced(certificate, message)
+        else:
+            inconsistent = certificate.seq != best.seq or (
+                getattr(certificate, "epoch", None) != best.epoch
+            )
         if message.view > self.peer_view_seen:
             self.peer_view_seen = message.view
-        self._note_peer_log_length(message.log_length)
+        stalled = self._note_peer_log_length(message.log_length)
+        if inconsistent or stalled or message.view != replica.view:
+            self._announce_soon()
 
-    def _note_peer_log_length(self, peer_length: int) -> None:
+    def _adopt_announced(
+        self, certificate: CheckpointCertificate, message: CheckpointAnnounce
+    ) -> bool:
+        """Verify and adopt a certificate ahead of ours; whether it verified."""
+        if getattr(certificate, "epoch", None) == self.replica.epoch:
+            if not self.valid_certificate(certificate):
+                self._reject("bad_certificate")
+                return False
+            self._adopt_stable(certificate)
+            return True
+        # A certificate carried across reconfigurations: adopt it (and begin
+        # a transfer if it outruns our log) only when its transition chain
+        # verifies against our membership.
+        error = self._transition_chain_error(
+            certificate, getattr(message, "transitions", ())
+        )
+        if error is not None:
+            self._reject(error)
+            return False
+        self._adopt_anchor(certificate, message.transitions)
+        return True
+
+    def _note_peer_log_length(self, peer_length: int) -> bool:
         """Track a co-replica's announced log length for tail catch-up.
 
         A certified checkpoint only covers multiples of the interval; the
@@ -936,6 +977,16 @@ class CheckpointManager:
         through carried prepared slots.  While our log is still moving
         (ordinary in-flight lag) the deficit clock resets, so active groups
         never trigger spurious view changes.
+
+        The grace windows are two and four announce *periods*, not
+        intervals: peers that agree with each other may not announce again
+        for :data:`ANNOUNCE_MAX_PERIODS` periods, so the clock that starts
+        here also checks itself when its window ends
+        (:meth:`_arm_tail_deadline`) and a stall is detected as fast as when
+        every peer announced every period.
+
+        Returns whether the peer is ahead while the clock was already
+        running — an inconsistency for the announce timer.
         """
         replica = self.replica
         own_length = len(replica.decided_log)
@@ -946,33 +997,65 @@ class CheckpointManager:
             self._tail_seen_length = own_length
             self._tail_deficit_since = -1.0
             if blocking:
-                return
+                return False
         if peer_length <= own_length:
             # A peer that is not ahead says nothing about a stall — in
             # particular it must NOT clear a running deficit clock, or two
             # replicas stalled at the same length would suppress each
             # other's recovery with every announce round.
-            return
+            return False
         now = replica.sim.now
         if self._tail_deficit_since < 0:
             self._tail_deficit_since = now
-            return
-        period = replica.config.checkpoint_announce_period
-        if now - self._tail_deficit_since < 2.0 * period:
-            return
-        if (
-            self._last_tail_view_change >= 0
-            and now - self._last_tail_view_change < 4.0 * period
-        ):
-            return
+            self._tail_peer_length = peer_length
+            self._arm_tail_deadline()
+            return False
+        if now < self._tail_deadline_at():
+            return True
         self._last_tail_view_change = now
         self._tail_deficit_since = now
+        self._arm_tail_deadline()
         self._metrics().increment("smr.checkpoint.tail_view_changes")
         # Propose past the highest view any co-replica announced: peers
         # already in a later view ignore votes for views at or below their
         # own, so a straggler proposing only ``view + 1`` would never
         # gather a quorum.
         replica._start_view_change(target=self.peer_view_seen + 1)
+        return True
+
+    def _tail_deadline_at(self) -> float:
+        """When the running deficit clock may next start a view change.
+
+        Two periods after the clock started, and four after the previous
+        tail view change.  The sums are the very floats the deadline event
+        is scheduled at, so the event never finds itself a rounding error
+        early.
+        """
+        period = self.replica.config.checkpoint_announce_period
+        deadline = self._tail_deficit_since + 2.0 * period
+        if self._last_tail_view_change >= 0:
+            deadline = max(deadline, self._last_tail_view_change + 4.0 * period)
+        return deadline
+
+    def _arm_tail_deadline(self) -> None:
+        replica = self.replica
+        since, epoch = self._tail_deficit_since, replica.epoch
+
+        def deadline() -> None:
+            # Re-test the stall against the announced length that started
+            # the clock, unless the clock restarted, our log moved or the
+            # epoch changed meanwhile.
+            if (
+                replica.running
+                and replica.epoch == epoch
+                and self._tail_deficit_since == since
+                and self._tail_seen_length == len(replica.decided_log)
+            ):
+                self._note_peer_log_length(self._tail_peer_length)
+
+        replica.sim.schedule_at(
+            self._tail_deadline_at(), deadline, tag=f"{replica.node_id}:ckpt-tail"
+        )
 
     def on_new_view_certificate(self, certificate: CheckpointCertificate) -> None:
         """The new-view message carried a stable checkpoint certificate.
@@ -1262,24 +1345,28 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------- timer
 
-    def _arm_announce_timer(self) -> None:
-        if self._announce_armed:
-            return
-        self._announce_armed = True
-        self.replica.sim.schedule(
-            self.replica.config.checkpoint_announce_period,
-            self._announce_tick,
-            tag=f"{self.replica.node_id}:ckpt-announce",
+    def _arm_announce(self, at: float) -> None:
+        self._announce_event = self.replica.sim.schedule_at(
+            at, self._announce_tick, tag=f"{self.replica.node_id}:ckpt-announce"
         )
 
     def _announce_tick(self) -> None:
-        self._announce_armed = False
+        """Announce, then double the interval (Trickle) up to the cap.
+
+        The interval doubles only if some member's announce arrived since
+        the previous tick: a replica cut off from its group hears nothing,
+        keeps announcing every period, and is heard within a period of the
+        heal -- its stale announce then resets every peer that hears it.
+        """
+        self._announce_event = None
         replica = self.replica
         if not replica.running:
             return
-        self._arm_announce_timer()
-        if len(replica.members) > 1:
+        now = replica.sim.now
+        alone = len(replica.members) <= 1
+        if not alone:
             self._metrics().increment("smr.checkpoint.announces")
+            self._last_announce = now
             certificate, transitions = self._serving_chain()
             replica._broadcast(
                 CheckpointAnnounce(
@@ -1290,9 +1377,40 @@ class CheckpointManager:
                     transitions=transitions,
                 )
             )
-        # Stuck-transfer retries moved to the unified request layer
-        # (rotation + jittered backoff in RequestManager); the announce
-        # tick no longer owns recovery liveness.
+        if self._announces_heard or alone:
+            self._announce_interval = min(
+                2.0 * self._announce_interval,
+                ANNOUNCE_MAX_PERIODS * replica.config.checkpoint_announce_period,
+            )
+        self._announces_heard = 0
+        self._arm_announce(now + self._announce_interval)
+
+    def _announce_soon(self) -> None:
+        """Trickle reset: back to the shortest interval, announcing at once.
+
+        Called on an inconsistent announce and when we enter a new epoch.
+        A new stable checkpoint or view of our own is not a reason: every
+        connected member counted the same checkpoint votes and installed the
+        same new view, and one that missed them shows it in its own
+        announce.  (Announcing on a new view was measured: the burst lands
+        on the recovery traffic the view change starts, and the catch-up of
+        the ``byz_transfer_*`` fault-matrix rows got slower.)
+
+        "At once" still means at least one period after the previous
+        announce, and a reset while the interval already is the period
+        changes nothing, so no sequence of inconsistent announces -- from a
+        Byzantine member, say -- raises the announce rate above one per
+        period.
+        """
+        replica = self.replica
+        period = replica.config.checkpoint_announce_period
+        if self._announce_interval <= period or not replica.running:
+            return
+        self._announce_interval = period
+        self._metrics().increment("smr.checkpoint.announce_resets")
+        if self._announce_event is not None:
+            replica.sim.cancel(self._announce_event)
+        self._arm_announce(max(replica.sim.now, self._last_announce + period))
 
     # ------------------------------------------------------------------ routing
 
@@ -1358,6 +1476,9 @@ class CheckpointManager:
         # An aborted new-view transfer must not leave realign=False behind,
         # or the next epoch's hint-path install would skip its view change.
         self._realign_after_install = True
+        # New members (and any that missed the change) learn the epoch's
+        # certificate from the announce.
+        self._announce_soon()
 
     def forget_log(self) -> None:
         """The replica dropped its decided log (re-homed to a new group).

@@ -1059,14 +1059,18 @@ class TestAdversarialRecovery:
         # adversary counter proves the behaviour actually fired, and the
         # catch-up bound turns "recovered eventually" into a latency SLO --
         # run_scenario fails the bound vacuously when no transfer happened.
-        row = run_scenario(7, name)
-        assert row["violations"] == 0
-        assert row["counters"][counter] > 0
-        assert row["counters"]["smr.checkpoint.state_requests"] > 0
-        assert row["delivery_bound_met"]
-        assert row["catchup_bound_met"]
-        assert row["catchup_latency_max"] is not None
-        assert row["catchup_latency_max"] <= SCENARIOS[name].catchup_bound
+        # Whether a laggard asks an adversary depends on which 2f+1 signer
+        # subset its certificate copy names, so the counter is summed over
+        # the matrix's seeds rather than required of each.
+        rows = [run_scenario(seed, name) for seed in (7, 11)]
+        assert sum(row["counters"].get(counter, 0) for row in rows) > 0
+        for row in rows:
+            assert row["violations"] == 0
+            assert row["counters"]["smr.checkpoint.state_requests"] > 0
+            assert row["delivery_bound_met"]
+            assert row["catchup_bound_met"]
+            assert row["catchup_latency_max"] is not None
+            assert row["catchup_latency_max"] <= SCENARIOS[name].catchup_bound
 
     def test_matrix_catchup_columns_cover_every_catchup_of_every_seed(self):
         # The matrix's mean is over all catch-ups of both runs, not a mean

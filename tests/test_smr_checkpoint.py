@@ -1,8 +1,11 @@
 """Tests for PBFT checkpointing and state transfer (repro.smr.checkpoint)."""
 
+import pytest
+
 from repro.net.latency import LogNormalLatency
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
 from repro.smr.checkpoint import (
+    ANNOUNCE_MAX_PERIODS,
     CheckpointAnnounce,
     state_digest_of,
 )
@@ -344,3 +347,213 @@ class TestAnnounceHygiene:
         # Neither rejected-counted nor acted on: a different epoch is simply
         # not addressed to this configuration.
         assert replica.checkpoints._tail_deficit_since < 0
+
+
+class TestTrickleAnnounce:
+    """The announce interval backs off while members agree and resets when not."""
+
+    PERIOD = 2.0
+    CAP = ANNOUNCE_MAX_PERIODS * PERIOD
+
+    def backed_off(self, seed=21, ops=4):
+        harness = make_harness(4, interval=2, seed=seed, announce=self.PERIOD)
+        decide(harness, ops)
+        harness.run(until=harness.sim.now + 4 * self.CAP)
+        for actor in harness.actors.values():
+            assert actor.replica.checkpoints._announce_interval == self.CAP
+        return harness
+
+    @staticmethod
+    def resets(harness):
+        return harness.sim.metrics.counter("smr.checkpoint.announce_resets")
+
+    def test_interval_doubles_to_the_cap_while_peers_agree(self):
+        harness = make_harness(4, interval=2, seed=21, announce=self.PERIOD)
+        manager = harness.actors["replica-0"].replica.checkpoints
+        seen = [manager._announce_interval]
+        decide(harness, 4, start_until=1.0)
+        while harness.sim.now < 200.0:
+            harness.run(until=harness.sim.now + 1.0)
+            if not seen or seen[-1] != manager._announce_interval:
+                seen.append(manager._announce_interval)
+        assert seen == [2.0, 4.0, 8.0, 16.0, 32.0]
+        assert self.resets(harness) == 0
+        # 200 s at 2 s would have been 100 announces per replica.
+        assert harness.sim.metrics.counter("smr.checkpoint.announces") < 4 * 15
+
+    def test_a_stale_certificate_resets_to_the_period_and_announces_at_once(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        manager = replica.checkpoints
+        announces = harness.sim.metrics.counter("smr.checkpoint.announces")
+        replica.on_message(
+            CheckpointAnnounce(
+                epoch=0,
+                certificate=manager.previous_stable,
+                log_length=len(replica.decided_log),
+                view=replica.view,
+            ),
+            "replica-1",
+        )
+        assert manager._announce_interval == self.PERIOD
+        assert self.resets(harness) == 1
+        harness.run(until=harness.sim.now + 0.001)
+        assert harness.sim.metrics.counter("smr.checkpoint.announces") == announces + 1
+
+    def test_a_different_view_resets(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        replica.on_message(
+            CheckpointAnnounce(
+                epoch=0,
+                certificate=replica.checkpoints.stable,
+                log_length=len(replica.decided_log),
+                view=replica.view + 1,
+            ),
+            "replica-2",
+        )
+        assert replica.checkpoints._announce_interval == self.PERIOD
+        assert self.resets(harness) == 1
+
+    def test_a_new_epoch_resets(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        replica.reconfigure(harness.addresses)
+        assert replica.checkpoints._announce_interval == self.PERIOD
+        assert self.resets(harness) == 1
+
+    def test_an_agreeing_announce_does_not_reset(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        replica.on_message(
+            CheckpointAnnounce(
+                epoch=0,
+                certificate=replica.checkpoints.stable,
+                log_length=len(replica.decided_log),
+                view=replica.view,
+            ),
+            "replica-3",
+        )
+        assert replica.checkpoints._announce_interval == self.CAP
+        assert self.resets(harness) == 0
+
+    def test_non_member_and_wrong_epoch_announces_never_reset(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        stale = dict(certificate=None, log_length=10_000, view=replica.view + 3)
+        replica.on_message(CheckpointAnnounce(epoch=0, **stale), "intruder")
+        replica.on_message(CheckpointAnnounce(epoch=5, **stale), "replica-1")
+        assert replica.checkpoints._announce_interval == self.CAP
+        assert self.resets(harness) == 0
+        assert harness.sim.metrics.counter("smr.checkpoint.rejected_non_member") == 1
+
+    def test_a_spamming_member_cannot_raise_the_rate_above_one_per_period(self):
+        harness = self.backed_off()
+        replica = harness.actors["replica-0"].replica
+        sent = []
+        original = replica._broadcast
+
+        def broadcast(payload, size_bytes=None):
+            if isinstance(payload, CheckpointAnnounce):
+                sent.append(harness.sim.now)
+            original(payload, size_bytes)
+
+        replica._broadcast = broadcast
+        start = harness.sim.now
+        for index in range(1000):
+            harness.sim.schedule_at(
+                start + 0.1 * index,
+                lambda: replica.on_message(
+                    CheckpointAnnounce(epoch=0, certificate=None, view=99), "replica-3"
+                ),
+            )
+        harness.run(until=start + 100.0)
+        assert len(sent) <= 100.0 / self.PERIOD + 1
+        assert all(b - a >= self.PERIOD - 1e-9 for a, b in zip(sent, sent[1:]))
+
+    def test_healed_replica_catches_up_within_a_period_of_first_contact(self):
+        harness = make_harness(4, interval=2, seed=23, announce=self.PERIOD)
+        decide(harness, 2, prefix="pre")
+        split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
+        decide(harness, 4, prefix="mid")
+        # Long enough for the connected three to back off to the cap.
+        harness.run(until=harness.sim.now + 4 * self.CAP)
+        assert harness.actors["replica-0"].replica.checkpoints._announce_interval == self.CAP
+        healed = harness.actors["replica-3"].replica
+        assert len(healed.decided_log) == 2
+        contacts = []
+        for actor in harness.actors.values():
+            replica = actor.replica
+            handler = replica._handlers[CheckpointAnnounce]
+
+            def first_contact(message, sender, replica=replica, handler=handler):
+                if "replica-3" in (sender, replica.node_id):
+                    contacts.append(harness.sim.now)
+                handler(message, sender)
+
+            replica._handlers[CheckpointAnnounce] = first_contact
+        harness.network.merge(split)
+        while len(healed.decided_log) < 6 and harness.sim.now < 1000.0:
+            harness.run(until=harness.sim.now + 0.01)
+        assert contacts
+        assert harness.sim.now - contacts[0] <= self.PERIOD
+        assert harness.agreement_violations(require_equality=True) == []
+
+    def test_a_stall_is_detected_two_periods_after_the_clock_starts(self):
+        # Peers that agree announce only every 16 periods; the deficit clock
+        # checks itself at the end of its grace window instead of waiting
+        # for their next announce.
+        harness = make_harness(4, interval=4, seed=5, announce=self.PERIOD)
+        split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
+        decide(harness, 1, prefix="tail", start_until=8.0)
+        harness.run(until=harness.sim.now + 4 * self.CAP)
+        stalled = harness.actors["replica-3"].replica
+        view_changes = []
+        original = stalled._start_view_change
+
+        def start_view_change(target=None):
+            view_changes.append(harness.sim.now)
+            original(target=target)
+
+        stalled._start_view_change = start_view_change
+        harness.network.merge(split)
+        while stalled.checkpoints._tail_deficit_since < 0:
+            harness.run(until=harness.sim.now + 0.01)
+        started = stalled.checkpoints._tail_deficit_since
+        harness.run(until=started + 2 * self.PERIOD + 1.0)
+        assert view_changes and view_changes[0] == pytest.approx(started + 2 * self.PERIOD)
+        harness.run(until=harness.sim.now + 20.0)
+        assert [len(log) for log in harness.decided_logs()] == [1, 1, 1, 1]
+
+    def start_deficit_clock_at(self, start):
+        # A peer claims a longer log at a non-dyadic time; nothing is decided,
+        # so our log stays frozen below the claim.
+        harness = make_harness(4, interval=2, seed=5, announce=self.PERIOD)
+        stalled = harness.actors["replica-3"].replica
+        view_changes = []
+        stalled._start_view_change = lambda target=None: view_changes.append(
+            harness.sim.now
+        )
+        harness.sim.schedule_at(
+            start, lambda: stalled.checkpoints._note_peer_log_length(1)
+        )
+        harness.run(until=start)
+        assert stalled.checkpoints._tail_deficit_since == start
+        return harness, stalled, view_changes
+
+    def test_the_deficit_deadline_fires_despite_float_rounding(self):
+        # 0.1 + 4.0 - 0.1 < 4.0 in binary floating point: the deadline must
+        # compare against the sum it was scheduled at, not the difference.
+        harness, _, view_changes = self.start_deficit_clock_at(0.1)
+        harness.run(until=0.1 + 2 * self.PERIOD)
+        assert view_changes == [0.1 + 2 * self.PERIOD]
+        # Still stalled: the next attempt comes four periods after the first.
+        harness.run(until=view_changes[0] + 4 * self.PERIOD)
+        assert view_changes == [0.1 + 2 * self.PERIOD, 4.1 + 4 * self.PERIOD]
+
+    def test_a_deadline_from_an_old_epoch_is_a_no_op(self):
+        harness, stalled, view_changes = self.start_deficit_clock_at(0.5)
+        harness.run(until=1.0)
+        stalled.reconfigure(harness.addresses)
+        harness.run(until=0.5 + 3 * self.PERIOD)
+        assert view_changes == []
