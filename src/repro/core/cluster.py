@@ -78,9 +78,6 @@ class AtumCluster:
         # Suspicion reports age out after the same deadline the nodes'
         # heartbeat monitors use to form a suspicion (period * misses);
         # both derive from params.heartbeat_config() so they cannot drift.
-        # Runtime period changes recompute this window in the same event
-        # (ParameterBus._apply_heartbeat_period) — this snapshot must never
-        # be read as the live period.
         heartbeat_config = self.params.heartbeat_config()
         self._suspicion_window = (
             heartbeat_config.period * heartbeat_config.misses_before_eviction
@@ -124,10 +121,6 @@ class AtumCluster:
         # as a plain reference for tests and reporting; all event dispatch
         # goes through the middleware pipelines above.
         self.monitor = None
-        # The lazily-created ParameterBus (repro.core.policies): the single
-        # validated path for runtime parameter changes.  ``None`` until a
-        # policy asks for it, so static deployments carry no bus state.
-        self._parameter_bus = None
         # Split-brain bookkeeping (repro.overlay.directory): one coordinator
         # per *active* split, keyed by the network split id, so overlapping
         # concurrent splits each keep their own per-side books.  Populated
@@ -222,21 +215,6 @@ class AtumCluster:
             tag="mw.timer",
         )
 
-    def parameter_bus(self):
-        """The cluster's :class:`repro.core.policies.ParameterBus` (lazy).
-
-        Adaptive policies adjust runtime parameters exclusively through
-        this bus — mutating ``cluster.params`` (or the engine's
-        ``MembershipConfig``) directly bypasses validation, rate limiting
-        and the coherence appliers, and is exactly the class of stale-read
-        bug the bus exists to prevent.
-        """
-        if self._parameter_bus is None:
-            from repro.core.policies import ParameterBus
-
-            self._parameter_bus = ParameterBus(self)
-        return self._parameter_bus
-
     def attach_monitor(self, monitor) -> None:
         """Attach a runtime invariant monitor (``repro.faults.invariants``).
 
@@ -284,11 +262,6 @@ class AtumCluster:
         )
         self.nodes[address] = node
         self.network.register(node)
-        if self._parameter_bus is not None:
-            # Parameters already adapted at runtime must reach late joiners:
-            # most flow through the shared AtumParameters, but per-node
-            # overrides (the anti-entropy cadence) need re-application.
-            self._parameter_bus.apply_to_node(node)
         chain = self._middleware
         if chain is not None:
             node.set_middleware_hooks(self._deliver_hooks, chain.scenario)

@@ -22,7 +22,7 @@ class SmrKind(enum.Enum):
     ASYNC = "async"    # PBFT-style, tolerates f = (g-1)/3, eventually synchronous
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtumParameters:
     """The system parameters of Table 1 plus implementation choices.
 
@@ -43,21 +43,11 @@ class AtumParameters:
             (:mod:`repro.smr.checkpoint`); ``0`` (the default) disables
             checkpointing and state transfer, keeping legacy deployments
             byte-identical.  Only meaningful with the Async engine.
-        gossip_fanout: Optional cap on how many H-graph cycles each member
-            forwards a broadcast on under the flood policy.  ``None`` (the
-            default) floods all ``hc`` cycles and keeps legacy runs
-            byte-identical; the :class:`repro.core.policies.AdaptiveGossip`
-            policy lowers it through the ParameterBus under load.
 
-    Runtime adaptation: one ``AtumParameters`` instance is shared by
-    reference between a cluster and all of its nodes, so fields mutated
-    through :class:`repro.core.policies.ParameterBus` (``gmin``, ``gmax``,
-    ``heartbeat_period``, ``gossip_fanout``) are seen cluster-wide and by
-    every future joiner.  Fields that layers snapshot at construction time
-    (``round_duration``/``request_timeout``/``checkpoint_interval`` via
-    :meth:`smr_config`, ``hc``, ``rwl``, ``k``) are adaptation-immutable:
-    the bus rejects them, and mutating them directly mid-run silently
-    desynchronises the snapshots.
+    Parameters are fixed per deployment, as in the paper: one frozen
+    instance is shared by reference between a cluster and all of its
+    nodes, and layers snapshot the fields they need at construction time.
+    Use :meth:`with_overrides` to derive a different deployment.
     """
 
     hc: int = 5
@@ -71,7 +61,6 @@ class AtumParameters:
     heartbeat_period: float = 60.0
     expected_system_size: int = 800
     checkpoint_interval: int = 0
-    gossip_fanout: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.gmin > self.gmax:
@@ -80,8 +69,6 @@ class AtumParameters:
             raise ValueError("hc must be at least 1")
         if self.rwl < 1:
             raise ValueError("rwl must be at least 1")
-        if self.gossip_fanout is not None and self.gossip_fanout < 1:
-            raise ValueError("gossip_fanout must be at least 1 when set")
 
     # --------------------------------------------------------------- factories
 
@@ -170,21 +157,15 @@ class AtumParameters:
 
         Single source of truth: the cluster's suspicion-report aging window
         must match the monitors' suspicion deadline (``period * misses``),
-        so both sides derive it from this config.  Each call returns a fresh
-        snapshot; runtime period changes therefore flow through the
-        ParameterBus, which updates ``heartbeat_period`` here (for future
-        joiners), every running monitor (via ``set_period``) and the
-        cluster's aging window together.
+        so both sides derive it from this config.
         """
         return HeartbeatConfig(period=self.heartbeat_period)
 
     def smr_config(self) -> SmrConfig:
         """Per-replica SMR snapshot, taken once when a replica is built.
 
-        Adaptation-immutable: replicas of one vgroup must agree on round
-        and timeout durations for the round/view arithmetic to line up, and
-        there is no reconfiguration protocol for changing them on a live
-        group — the ParameterBus rejects all three fields.
+        Replicas of one vgroup must agree on round and timeout durations
+        for the round/view arithmetic to line up.
         """
         return SmrConfig(
             round_duration=self.round_duration,

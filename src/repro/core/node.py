@@ -661,8 +661,7 @@ class AtumNode(Actor):
         The choice must be identical at every correct member of the vgroup
         (otherwise the group message never reaches a majority), which is why
         the built-in policies (:func:`repro.overlay.gossip.forward_cycles`)
-        derive any variation from the broadcast id.  ``gossip_fanout`` is the
-        adaptive throttle (AdaptiveGossip via the ParameterBus) on ``flood``.
+        derive any variation from the broadcast id.
         """
         if self.vgroup_view is None:
             return []
@@ -674,9 +673,7 @@ class AtumNode(Actor):
         if self.forward_fn is not None:
             candidates = forward_targets(cycle_neighbors, range(hc), own_group, exclude)
             return [gid for gid in candidates if self.forward_fn(message, gid)]
-        cycles = forward_cycles(
-            self.forward_policy, message.bcast_id, hc, self.params.gossip_fanout
-        )
+        cycles = forward_cycles(self.forward_policy, message.bcast_id, hc)
         return forward_targets(cycle_neighbors, cycles, own_group, exclude)
 
 

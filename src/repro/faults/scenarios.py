@@ -37,7 +37,6 @@ from repro.analysis.robustness import catchup_latency_bound, scenario_robustness
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MetricsTap
-from repro.core.policies import POLICY_BUILDERS
 from repro.faults.behaviours import apply_plan
 from repro.faults.invariants import InvariantConfig, InvariantMonitor
 from repro.faults.plan import (
@@ -109,17 +108,6 @@ class Scenario:
             defense; default on).  The epoch-crossing row disables it so
             the reconfiguring vgroup keeps a stable core and the
             transition-chain recovery under test actually spans epochs.
-        policies: Adaptive-parameter policies to install, by
-            :data:`repro.core.policies.POLICY_BUILDERS` key.  Installed
-            *after* ``build_static`` so the initial population does not
-            read as a churn spike.  Empty (the default) runs the static
-            configuration byte-identically to builds without the policy
-            layer — the A/B rows pair one static and one adaptive scenario
-            that differ only in this field.
-        min_policy_transitions: With ``policies``, the minimum accepted
-            ``policy.transitions`` per run — an adaptive row whose
-            policies never actually adapt is vacuous and fails its bound
-            (folded into ``delivery_bound_met``).
     """
 
     name: str
@@ -144,8 +132,6 @@ class Scenario:
     gmin: int = 3
     gmax: int = 6
     shuffle: bool = True
-    policies: Tuple[str, ...] = ()
-    min_policy_transitions: int = 1
 
     def __post_init__(self) -> None:
         if self.smr not in ("sync", "async"):
@@ -156,14 +142,6 @@ class Scenario:
             raise ValueError("checkpoint_interval must be non-negative")
         if self.checkpoint_interval and self.smr != "async":
             raise ValueError("checkpointing requires the async (PBFT) engine")
-        unknown = [key for key in self.policies if key not in POLICY_BUILDERS]
-        if unknown:
-            raise ValueError(
-                f"unknown policy key(s) {unknown!r}; expected keys of "
-                f"repro.core.policies.POLICY_BUILDERS"
-            )
-        if self.min_policy_transitions < 0:
-            raise ValueError("min_policy_transitions must be non-negative")
 
 
 # --------------------------------------------------------------------- plans
@@ -953,13 +931,9 @@ def _default_scenarios() -> Dict[str, Scenario]:
             nodes=12,
             fault_fraction=0.25,
         ),
-        # A/B: churn storm at 3x the antientropy row's rate, static
-        # parameters vs AdaptiveGroupSize + AdaptiveHeartbeat.  The pair
-        # differs only in ``policies``; both rows carry the same delivery
-        # bound, so the matrix itself demonstrates that adaptation is no
-        # worse than the deployment-tuned static configuration while the
-        # adaptive row additionally proves it *did* adapt
-        # (min_policy_transitions) with a clean monitor.
+        # Churn storm: re-joins at 3x the antientropy row's rate with
+        # heartbeats and broadcasts running; every broadcast must still
+        # reach every correct node.
         Scenario(
             name="churn/storm_static",
             workload="churn_broadcast",
@@ -971,28 +945,11 @@ def _default_scenarios() -> Dict[str, Scenario]:
             churn_duration=60.0,
             broadcasts=8,
             settle_time=30.0,
-            delivery_bound=0.85,
+            delivery_bound=1.0,
         ),
-        Scenario(
-            name="churn/storm_adaptive",
-            workload="churn_broadcast",
-            plan="none",
-            nodes=40,
-            heartbeats=True,
-            antientropy=True,
-            churn_rate=30.0,
-            churn_duration=60.0,
-            broadcasts=8,
-            settle_time=30.0,
-            delivery_bound=0.85,
-            policies=("group_size", "heartbeat"),
-            min_policy_transitions=2,
-        ),
-        # A/B: flash-crowd joins (the system doubles in half a minute via
-        # actor-level joins), static vs AdaptiveGroupSize + AdaptiveGossip
-        # + AdaptiveAntiEntropy.  Same bound on both rows; the adaptive row
-        # widens vgroups under the join wave and throttles gossip under the
-        # delivery load.
+        # Flash crowd: the system doubles in half a minute via actor-level
+        # joins while broadcasts run; every broadcast must still reach
+        # every correct node.
         Scenario(
             name="flash/join_storm_static",
             workload="flash_crowd",
@@ -1003,21 +960,7 @@ def _default_scenarios() -> Dict[str, Scenario]:
             broadcasts=8,
             settle_time=30.0,
             antientropy=True,
-            delivery_bound=0.85,
-        ),
-        Scenario(
-            name="flash/join_storm_adaptive",
-            workload="flash_crowd",
-            plan="none",
-            nodes=30,
-            growth_target=60,
-            churn_duration=30.0,
-            broadcasts=8,
-            settle_time=30.0,
-            antientropy=True,
-            delivery_bound=0.85,
-            policies=("group_size", "gossip", "antientropy"),
-            min_policy_transitions=1,
+            delivery_bound=1.0,
         ),
     ]
     return {scenario.name: scenario for scenario in entries}
@@ -1205,13 +1148,11 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
             checkpoint_interval=2,
             shuffle=False,
         ),
-        # Deployment-scale churn storm with adaptive parameters: hundreds
-        # of nodes churning while AdaptiveGroupSize widens the vgroup
-        # bounds and AdaptiveHeartbeat stretches the suspicion deadline —
-        # the self-tuning configuration must adapt (min_policy_transitions)
-        # and stay violation-free at the paper's deployment scale.
+        # Deployment-scale churn storm: hundreds of nodes churning with
+        # heartbeats and broadcasts running must stay violation-free at the
+        # paper's deployment scale.
         Scenario(
-            name="nightly/churn_storm_adaptive",
+            name="nightly/churn_storm",
             workload="churn_broadcast",
             plan="none",
             nodes=nodes,
@@ -1222,8 +1163,6 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
             broadcasts=16,
             settle_time=60.0,
             delivery_bound=0.85,
-            policies=("group_size", "heartbeat"),
-            min_policy_transitions=2,
         ),
         # Deployment-scale overlapping splits: two concurrent cuts over
         # hundreds of nodes, healed in sequence through the multi-split
@@ -1252,7 +1191,7 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
 NIGHTLY_MATRIX: List[str] = [
     "nightly/byzantine_transfer",
     "nightly/checkpoint_catchup",
-    "nightly/churn_storm_adaptive",
+    "nightly/churn_storm",
     "nightly/epoch_crossing",
     "nightly/overlapping_splits",
     "nightly/partition_heal",
@@ -1376,11 +1315,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     cluster.middleware_chain().add(MetricsTap())
     addresses = [f"n{i}" for i in range(scenario.nodes)]
     cluster.build_static(addresses)
-    # Adaptive policies join the chain *after* the static build: the
-    # initial population must not read as a churn spike, and a policies=()
-    # row arms no timers and stays byte-identical to pre-policy builds.
-    for key in scenario.policies:
-        cluster.middleware_chain().add(POLICY_BUILDERS[key]())
 
     rng = named_stream(f"faults.select:{scenario.name}", master_seed=seed)
     plan = PLAN_BUILDERS[scenario.plan](scenario, cluster, rng)
@@ -1447,9 +1381,8 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         # compressed into churn_duration seconds, growing the system from
         # ``nodes`` to ``growth_target``, with broadcasts interleaved for
         # the delivery bound.  Distinct from the growth workload, whose
-        # engine-level joins create no node actors — here every arrival
-        # fires ``on_node_added``, which is the signal the adaptive
-        # policies (and their A/B static twin) are being measured on.
+        # engine-level joins create no node actors — here every arrival is a
+        # full node actor built by ``cluster.join``.
         joins = max(0, scenario.growth_target - scenario.nodes)
         burst_start = 5.0
         join_spacing = scenario.churn_duration / max(1, joins)
@@ -1563,16 +1496,7 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         delivery_bound_met = delivery_bound_met and catchup_bound_met
     slowdown_hist = metrics.histogram("membership.slowdown_penalty")
 
-    policy_transitions = metrics.counter("policy.transitions")
-    policy_bound_met: Optional[bool] = None
-    if scenario.policies:
-        # An adaptive row whose policies never adapted is vacuous: the A/B
-        # comparison against its static twin would be comparing identical
-        # runs while claiming an adaptation result.
-        policy_bound_met = policy_transitions >= scenario.min_policy_transitions
-        delivery_bound_met = delivery_bound_met and policy_bound_met
-
-    row: Dict[str, Any] = {
+    return {
         "scenario": scenario.name,
         "workload": scenario.workload,
         "plan": scenario.plan,
@@ -1690,32 +1614,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
             "membership.evictions_started": metrics.counter("membership.evictions_started"),
         },
     }
-    if scenario.policies:
-        # Policy columns appear only on adaptive rows: policies=() rows (the
-        # whole pre-existing matrix) keep their exact key set, so the
-        # regenerated FAULT_MATRIX.json stays byte-identical for them.
-        gmax_hist = metrics.histogram("policy.gmax")
-        hb_hist = metrics.histogram("policy.heartbeat_period")
-        row["policies"] = list(scenario.policies)
-        row["min_policy_transitions"] = scenario.min_policy_transitions
-        row["policy_transitions"] = policy_transitions
-        row["policy_bound_met"] = policy_bound_met
-        row["policy_gmax_peak"] = gmax_hist.maximum if gmax_hist.count else None
-        row["policy_heartbeat_period_peak"] = hb_hist.maximum if hb_hist.count else None
-        row["counters"].update(
-            {
-                "policy.proposals": metrics.counter("policy.proposals"),
-                "policy.transitions": policy_transitions,
-                "policy.rejected_bounds": metrics.counter("policy.rejected_bounds"),
-                "policy.rejected_rate": metrics.counter("policy.rejected_rate"),
-                "policy.rejected_step": metrics.counter("policy.rejected_step"),
-                "policy.rejected_oscillation": metrics.counter(
-                    "policy.rejected_oscillation"
-                ),
-                "policy.rejected_coupling": metrics.counter("policy.rejected_coupling"),
-            }
-        )
-    return row
 
 
 def scenario_shard(seed: int, name: str) -> Dict[str, Any]:
@@ -1742,11 +1640,6 @@ def scenario_shard(seed: int, name: str) -> Dict[str, Any]:
         histograms["scenario.catchup_latency"] = row["catchup_latencies"]
     if row["slowdown_penalty_max"] is not None:
         histograms["scenario.slowdown_penalty"] = [row["slowdown_penalty_max"]]
-    if "policy_transitions" in row:
-        counters["scenario.policy_bound_met"] = 1.0 if row["policy_bound_met"] else 0.0
-        # Histogram so the matrix can report the *minimum* per-run count:
-        # every seeded run must adapt, not just the sum across seeds.
-        histograms["scenario.policy_transitions"] = [float(row["policy_transitions"])]
     return {"counters": counters, "histograms": histograms}
 
 
@@ -1865,19 +1758,6 @@ def run_matrix(
                 "theory": theory,
             }
         )
-        if scenario.policies:
-            transitions_hist = merged["histograms"].get("scenario.policy_transitions")
-            rows[-1].update(
-                {
-                    "policies": list(scenario.policies),
-                    "min_policy_transitions": scenario.min_policy_transitions,
-                    "policy_transitions": counters.get("policy.transitions", 0.0),
-                    "policy_transitions_min_run": (
-                        transitions_hist.minimum if transitions_hist else None
-                    ),
-                    "policy_proposals": counters.get("policy.proposals", 0.0),
-                }
-            )
     return rows
 
 

@@ -120,15 +120,6 @@ class AntiEntropyRepair:
     def __init__(self, node, config: Optional[AntiEntropyConfig] = None) -> None:
         self.node = node
         self.config = config or AntiEntropyConfig()
-        # Effective repair cadence.  The AntiEntropyConfig object is frozen
-        # and shared across every node of a cluster, so runtime adaptation
-        # (the ParameterBus's ``antientropy_period``) overrides this field
-        # per repairer via set_period instead of mutating the config; the
-        # change takes effect when the next tick reschedules.  All other
-        # config fields — repair_min_age in particular — are
-        # adaptation-immutable: shrinking the minimum repair age mid-run
-        # would re-request broadcasts that are merely in flight.
-        self._period = self.config.period
         self.running = False
         self._timer_armed = False
         self._rng = node.sim.rng.stream(f"antientropy.{node.address}")
@@ -202,12 +193,6 @@ class AntiEntropyRepair:
     def stop(self) -> None:
         self.running = False
 
-    def set_period(self, period: float) -> None:
-        """Override the repair cadence; applies when the next tick fires."""
-        if period <= 0:
-            raise ValueError(f"anti-entropy period must be positive, got {period!r}")
-        self._period = period
-
     def on_delivered(self, message) -> None:
         """Record a delivered broadcast's payload for later re-supply.
 
@@ -242,7 +227,7 @@ class AntiEntropyRepair:
         if not self.running:
             self._timer_armed = False
             return
-        self.node.sim.schedule(self._period, self._tick, tag="ae.tick")
+        self.node.sim.schedule(self.config.period, self._tick, tag="ae.tick")
         node = self.node
         if not node.is_correct or not node.is_member:
             return

@@ -32,14 +32,10 @@ class HeartbeatConfig:
     """Timing of the heartbeat/eviction mechanism.
 
     Attributes:
-        period: Interval between heartbeats (60 s in the paper).  Runtime
-            changes go through :meth:`HeartbeatMonitor.set_period` and take
-            effect at the *next* tick — see the monitor's adoption rules; the
+        period: Interval between heartbeats (60 s in the paper); the
             monitor reads this field at construction only.
         misses_before_eviction: Consecutive missed heartbeats after which a
             peer is considered unresponsive and an eviction is proposed.
-            Adaptation-immutable: policies adjust ``period`` only, so the
-            suspicion deadline scales with the send cadence.
     """
 
     period: float = 60.0
@@ -70,14 +66,8 @@ class HeartbeatMonitor:
         self.send_fn = send_fn
         self.suspect_fn = suspect_fn
         self.config = config or HeartbeatConfig()
-        # Effective period used by both the send and suspicion paths.  It is
-        # only ever replaced at a tick boundary (see _adopt_period): reading
-        # ``config.period`` live in ``_check_peers`` while rescheduling with a
-        # different value aliased the two paths, and a shrinking period would
-        # instantly mass-suspect every peer whose (previously healthy) age
-        # exceeded the new, smaller deadline.
+        # The one period both the send cadence and the suspicion deadline use.
         self._period = self.config.period
-        self._pending_period: float | None = None
         self.last_seen: Dict[str, float] = {}
         self.suspected: set = set()
         self.running = False
@@ -120,45 +110,11 @@ class HeartbeatMonitor:
     def stop(self) -> None:
         self.running = False
 
-    def set_period(self, period: float) -> None:
-        """Request a new heartbeat period, adopted at the next tick.
-
-        The change applies atomically to both the send cadence and the
-        suspicion deadline at the start of the next ``_tick`` — never
-        mid-tick, so one tick can never send on the old period while judging
-        peers against the new deadline (or vice versa).  When the deadline
-        shrinks, peers that are not already suspected are granted a fresh
-        deadline (the same rule :meth:`start` applies after a recovery), so
-        tightening the period can never instantly mass-suspect a healthy
-        group whose heartbeats were timed against the old, longer period.
-        """
-        if not period > 0:  # zero, negative or NaN
-            raise ValueError(f"heartbeat period must be positive, got {period!r}")
-        self._pending_period = period
-
     # ----------------------------------------------------------------- protocol
-
-    def _adopt_period(self, pending: float) -> None:
-        """Adopt a pending period change at a tick boundary (see set_period)."""
-        self._pending_period = None
-        misses = self.config.misses_before_eviction
-        old_deadline = self._period * misses
-        new_deadline = pending * misses
-        self._period = pending
-        self.config.period = pending
-        if new_deadline < old_deadline:
-            now = self.sim.now
-            suspected = self.suspected
-            for peer, seen_at in self.last_seen.items():
-                if peer not in suspected and now - seen_at > new_deadline:
-                    self.last_seen[peer] = now
 
     def _tick(self, generation: int) -> None:
         if generation != self._generation or not self.running:
             return
-        pending = self._pending_period
-        if pending is not None:
-            self._adopt_period(pending)
         sim = self.sim
         now = sim._now
         peers = self.peers_fn()

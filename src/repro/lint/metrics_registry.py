@@ -20,7 +20,7 @@ METRICS = {
     },
     'ae.requests_sent': {
         "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py', 'repro/group/antientropy.py'),
+        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
         "matrix_column": True,
     },
     'ae.retry_storm': {
@@ -473,76 +473,6 @@ METRICS = {
         "modules": ('repro/net/network.py',),
         "matrix_column": False,
     },
-    'policy.antientropy_period': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py',),
-        "matrix_column": False,
-    },
-    'policy.gmax': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.gmin': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py',),
-        "matrix_column": False,
-    },
-    'policy.gossip_fanout': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py',),
-        "matrix_column": False,
-    },
-    'policy.heartbeat_period': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.proposals': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.rejected_bounds': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.rejected_coupling': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.rejected_immutable': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py',),
-        "matrix_column": False,
-    },
-    'policy.rejected_oscillation': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.rejected_rate': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.rejected_step': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
-    'policy.transition_step': {
-        "kind": 'histogram',
-        "modules": ('repro/core/policies.py',),
-        "matrix_column": False,
-    },
-    'policy.transitions': {
-        "kind": 'counter',
-        "modules": ('repro/core/policies.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
-    },
     'req.completed': {
         "kind": 'counter',
         "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
@@ -634,16 +564,6 @@ METRICS = {
         "matrix_column": True,
     },
     'scenario.delivery_fraction': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.policy_bound_met': {
-        "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.policy_transitions': {
         "kind": 'histogram',
         "modules": ('repro/faults/scenarios.py',),
         "matrix_column": True,

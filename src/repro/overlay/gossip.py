@@ -5,8 +5,7 @@ edges; which neighbouring vgroups a vgroup forwards to is the application's
 ``forward`` decision (paper section 3.3.4).  The built-in decisions are named
 policies, all values of one function, :func:`forward_cycles`:
 
-* ``"flood"`` -- every cycle (lowest latency, most load), or, under a fanout
-  cap, that many consecutive cycles;
+* ``"flood"`` -- every cycle (lowest latency, most load);
 * ``"single"`` / ``"double"`` -- one or two consecutive cycles (AStream's
   throughput-friendly configurations, section 6.2);
 * ``"random"`` -- cycle 0 plus one more: classic gossip made deterministic,
@@ -42,19 +41,11 @@ def stable_hash(value: str) -> int:
     return int.from_bytes(hashlib.sha256(value.encode("utf-8")).digest()[:4], "big")
 
 
-def forward_cycles(
-    policy: str, message_id: str, hc: int, fanout: Optional[int] = None
-) -> Sequence[int]:
-    """The cycles (indices below ``hc``) a message is forwarded along.
-
-    ``fanout`` caps ``"flood"`` only (the adaptive-gossip throttle): ``None``,
-    or a cap of at least ``hc``, floods every cycle.
-    """
+def forward_cycles(policy: str, message_id: str, hc: int) -> Sequence[int]:
+    """The cycles (indices below ``hc``) a message is forwarded along."""
     if policy == "flood":
-        if fanout is None or fanout >= hc:
-            return range(hc)
-        count = fanout
-    elif policy == "single":
+        return range(hc)
+    if policy == "single":
         count = 1
     elif policy == "double":
         count = 2
@@ -91,7 +82,6 @@ def dissemination_trace(
     origin: str,
     policy: str = "flood",
     message_id: str = "m",
-    fanout: Optional[int] = None,
     max_rounds: int = 1000,
 ) -> List[List[Tuple[str, List[str]]]]:
     """Round-by-round forwarding trace: one ``(vertex, targets)`` row per hop.
@@ -100,7 +90,7 @@ def dissemination_trace(
     reproducible across processes — this is what the golden
     dissemination-trace test replays.
     """
-    cycles = forward_cycles(policy, message_id, graph.hc, fanout)
+    cycles = forward_cycles(policy, message_id, graph.hc)
     reached: Set[str] = {origin}
     frontier: List[str] = [origin]
     rounds: List[List[Tuple[str, List[str]]]] = []
@@ -122,11 +112,10 @@ def dissemination_rounds(
     origin: str,
     policy: str = "flood",
     message_id: str = "m",
-    fanout: Optional[int] = None,
     max_rounds: int = 1000,
 ) -> Tuple[int, Set[str]]:
     """How many gossip hops ``policy`` needs, and the vertices it reaches."""
-    rounds = dissemination_trace(graph, origin, policy, message_id, fanout, max_rounds)
+    rounds = dissemination_trace(graph, origin, policy, message_id, max_rounds)
     reached = {origin}
     for row in rounds:
         for _vertex, targets in row:

@@ -554,43 +554,6 @@ class MembershipEngine:
         else:
             self._at(done, after_shuffle)
 
-    def enforce_bounds(self) -> int:
-        """Re-establish ``[gmin, gmax]`` after a runtime bounds change.
-
-        The engine reads ``self.config`` live, but splits and merges are only
-        *triggered* by joins, leaves and shuffles — so when a policy narrows
-        ``gmax`` (or raises ``gmin``) through the ParameterBus, existing
-        vgroups can sit outside the new bounds indefinitely.  This walks the
-        groups in deterministic (sorted id) order, splitting every oversized
-        vgroup until none exceeds ``gmax`` and merging undersized ones, and
-        returns the number of reconfigurations started.  Merges may cascade
-        through the usual asynchronous ``_merge`` → shuffle → ``_maybe_split``
-        path; the transient overshoot stays within the invariant monitor's
-        live slack.
-        """
-        started = 0
-        for _round in range(32):  # halving converges fast; guard stays cold
-            oversized = [
-                group_id
-                for group_id in sorted(self.groups)
-                if self.groups[group_id].size > self.config.gmax
-            ]
-            if not oversized:
-                break
-            for group_id in oversized:
-                if group_id in self.groups:
-                    self._maybe_split(group_id)
-                    started += 1
-        if len(self.groups) > 1:
-            for group_id in sorted(self.groups):
-                view = self.groups.get(group_id)
-                if view is None or len(self.groups) <= 1:
-                    continue
-                if view.size < self.config.gmin:
-                    self._merge(group_id)
-                    started += 1
-        return started
-
     # ------------------------------------------------------------------ helpers
 
     def _new_group_id(self) -> str:

@@ -79,6 +79,26 @@ class TestWiring:
         assert metrics.counter("ae.shares_resent") == 0
         assert metrics.counter("ae.reproposals") == 0
 
+    @pytest.mark.parametrize("period", [0.5, 1.0, 2.0, 5.0])
+    def test_summary_cadence_is_the_config_period(self, period):
+        config = AntiEntropyConfig(period=period)
+        cluster = AtumCluster(small_params(), seed=9, antientropy=config)
+        cluster.build_static([f"n{i}" for i in range(8)])
+        ticks = 5
+        cluster.run(until=config.start_delay + (ticks - 1) * period + period / 2)
+        expected = len(cluster.nodes) * config.fanout * ticks
+        assert cluster.sim.metrics.counter("ae.summaries_sent") == expected
+
+    def test_late_joiner_repairs_with_the_deployment_config(self):
+        config = AntiEntropyConfig(period=2.5)
+        cluster = AtumCluster(small_params(), seed=9, antientropy=config)
+        cluster.build_static([f"n{i}" for i in range(8)])
+        node = cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        assert node.antientropy.running
+        assert node.antientropy.config is config
+        assert all(peer.antientropy.config is config for peer in cluster.nodes.values())
+
 
 class TestRepair:
     def test_isolated_node_catches_up_after_heal(self):

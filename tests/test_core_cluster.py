@@ -1,5 +1,6 @@
 """Integration tests: full Atum clusters (config, broadcast, faults, churn)."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,9 @@ import pytest
 import repro
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.config import parameter_table
+from repro.faults.invariants import InvariantMonitor
+from repro.group.antientropy import AntiEntropyConfig
+from repro.overlay.membership import MembershipError
 
 
 def test_importing_the_cluster_does_not_load_scipy():
@@ -87,10 +91,46 @@ class TestParameters:
 
     def test_with_overrides(self):
         params = AtumParameters()
-        changed = params.with_overrides(hc=9)
-        assert changed.hc == 9
-        assert params.hc != 9 or params.hc == 9  # original untouched
+        changed = params.with_overrides(hc=9, heartbeat_period=5.0)
+        assert (changed.hc, changed.heartbeat_period) == (9, 5.0)
+        assert (params.hc, params.heartbeat_period) == (5, 60.0)  # original untouched
         assert changed is not params
+        assert changed.gmax == params.gmax
+        with pytest.raises(ValueError):
+            params.with_overrides(gmin=20)  # validation still runs on the copy
+
+    def test_parameters_are_fixed_per_deployment(self):
+        cluster = AtumCluster(small_params())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cluster.params.gmax = 8
+        assert cluster.params.gmax == 6
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(AtumParameters)])
+    def test_every_field_is_fixed_per_deployment(self, name):
+        params = AtumParameters()
+        before = getattr(params, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, before)
+        assert getattr(params, name) == before
+
+    @pytest.mark.parametrize("period", [0.5, 2.0, 60.0])
+    def test_suspicion_window_is_the_heartbeat_deadline(self, period):
+        params = small_params().with_overrides(heartbeat_period=period)
+        cluster = AtumCluster(params, enable_heartbeats=True)
+        misses = params.heartbeat_config().misses_before_eviction
+        assert cluster._suspicion_window == params.heartbeat_period * misses
+
+    def test_late_joiner_runs_the_deployment_parameters(self):
+        params = small_params().with_overrides(heartbeat_period=2.0)
+        cluster = AtumCluster(params, seed=9, enable_heartbeats=True)
+        cluster.build_static([f"n{i}" for i in range(16)])
+        node = cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        assert node.is_member
+        assert node.params is cluster.params  # one instance per deployment
+        monitors = [peer.heartbeats for peer in cluster.nodes.values()]
+        assert len(monitors) == 17
+        assert all(monitor._period == 2.0 for monitor in monitors)
 
 
 def small_params(kind=SmrKind.SYNC, round_duration=0.5):
@@ -271,4 +311,37 @@ class TestJoinLeaveThroughCluster:
             cluster.run(until=cluster.sim.now + 30.0)
         cluster.run_until_membership_quiescent(max_time=1200.0)
         assert cluster.system_size == 11
+        cluster.engine.validate()
+
+
+class TestChurnStormUnderLoad:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_churn_storm_runs_with_zero_violations(self, seed):
+        # PBFT with checkpoints, heartbeats and anti-entropy, all on fixed
+        # parameters, under a join (and a broadcast) every other second.
+        params = small_params(kind=SmrKind.ASYNC).with_overrides(
+            heartbeat_period=2.0, checkpoint_interval=2
+        )
+        cluster = AtumCluster(
+            params,
+            seed=seed,
+            enable_heartbeats=True,
+            antientropy=AntiEntropyConfig(period=4.0),
+        )
+        monitor = InvariantMonitor()
+        cluster.attach_monitor(monitor)
+        cluster.build_static([f"n{i}" for i in range(20)])
+        for index in range(12):
+            cluster.join(f"c{index}", contact="n0")
+            cluster.run_for(1.0)
+            cluster.broadcast(f"n{index % 8}", {"seq": index})
+            cluster.run_for(1.0)
+        for index in range(6):
+            try:
+                cluster.leave(f"c{index}")
+            except MembershipError:
+                pass  # join still in flight; the storm, not the leave, matters
+            cluster.run_for(1.0)
+        cluster.run_for(40.0)
+        assert monitor.finalize() == []
         cluster.engine.validate()

@@ -23,76 +23,49 @@ def built_cluster(n=24, seed=0, **cluster_kwargs):
     return cluster
 
 
-# (policy, gossip_fanout, bcast_id, hc) -> targets, captured at commit 5c6dc87
+# (policy, bcast_id, hc) -> targets, captured at commit 5c6dc87
 # from the pre-refactor ``AtumNode._gossip_targets`` (string policies and hash
 # arithmetic inline in core/node.py) over a synthetic neighbourhood: cycle c
 # has neighbours ("p<c>", "s<c>"), except that the last cycle's successor is
 # the own group and the message arrived from "p0" — so the cycle choice, the
 # pred-before-succ order, the dedup and both filters are all pinned.
 FORWARD_ORACLE = [
-    ('flood', None, 'bc-n3-1', 2, ['s0', 'p1']),
-    ('flood', None, 'bc-n3-1', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', None, 'bc-n3-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('flood', None, 'bc-n17-42', 2, ['s0', 'p1']),
-    ('flood', None, 'bc-n17-42', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', None, 'bc-n17-42', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('flood', None, 'gm-golden-1', 2, ['s0', 'p1']),
-    ('flood', None, 'gm-golden-1', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', None, 'gm-golden-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('flood', 1, 'bc-n3-1', 2, ['s0']),
-    ('flood', 1, 'bc-n3-1', 3, ['p1', 's1']),
-    ('flood', 1, 'bc-n3-1', 5, ['s0']),
-    ('flood', 1, 'bc-n17-42', 2, ['p1']),
-    ('flood', 1, 'bc-n17-42', 3, ['p1', 's1']),
-    ('flood', 1, 'bc-n17-42', 5, ['p1', 's1']),
-    ('flood', 1, 'gm-golden-1', 2, ['s0']),
-    ('flood', 1, 'gm-golden-1', 3, ['p1', 's1']),
-    ('flood', 1, 'gm-golden-1', 5, ['p2', 's2']),
-    ('flood', 2, 'bc-n3-1', 2, ['s0', 'p1']),
-    ('flood', 2, 'bc-n3-1', 3, ['p1', 's1', 'p2']),
-    ('flood', 2, 'bc-n3-1', 5, ['s0', 'p1', 's1']),
-    ('flood', 2, 'bc-n17-42', 2, ['s0', 'p1']),
-    ('flood', 2, 'bc-n17-42', 3, ['p1', 's1', 'p2']),
-    ('flood', 2, 'bc-n17-42', 5, ['p1', 's1', 'p2', 's2']),
-    ('flood', 2, 'gm-golden-1', 2, ['s0', 'p1']),
-    ('flood', 2, 'gm-golden-1', 3, ['p1', 's1', 'p2']),
-    ('flood', 2, 'gm-golden-1', 5, ['p2', 's2', 'p3', 's3']),
-    ('flood', 5, 'bc-n3-1', 2, ['s0', 'p1']),
-    ('flood', 5, 'bc-n3-1', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', 5, 'bc-n3-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('flood', 5, 'bc-n17-42', 2, ['s0', 'p1']),
-    ('flood', 5, 'bc-n17-42', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', 5, 'bc-n17-42', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('flood', 5, 'gm-golden-1', 2, ['s0', 'p1']),
-    ('flood', 5, 'gm-golden-1', 3, ['s0', 'p1', 's1', 'p2']),
-    ('flood', 5, 'gm-golden-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
-    ('single', None, 'bc-n3-1', 2, ['s0']),
-    ('single', None, 'bc-n3-1', 3, ['p1', 's1']),
-    ('single', None, 'bc-n3-1', 5, ['s0']),
-    ('single', None, 'bc-n17-42', 2, ['p1']),
-    ('single', None, 'bc-n17-42', 3, ['p1', 's1']),
-    ('single', None, 'bc-n17-42', 5, ['p1', 's1']),
-    ('single', None, 'gm-golden-1', 2, ['s0']),
-    ('single', None, 'gm-golden-1', 3, ['p1', 's1']),
-    ('single', None, 'gm-golden-1', 5, ['p2', 's2']),
-    ('double', None, 'bc-n3-1', 2, ['s0', 'p1']),
-    ('double', None, 'bc-n3-1', 3, ['p1', 's1', 'p2']),
-    ('double', None, 'bc-n3-1', 5, ['s0', 'p1', 's1']),
-    ('double', None, 'bc-n17-42', 2, ['p1', 's0']),
-    ('double', None, 'bc-n17-42', 3, ['p1', 's1', 'p2']),
-    ('double', None, 'bc-n17-42', 5, ['p1', 's1', 'p2', 's2']),
-    ('double', None, 'gm-golden-1', 2, ['s0', 'p1']),
-    ('double', None, 'gm-golden-1', 3, ['p1', 's1', 'p2']),
-    ('double', None, 'gm-golden-1', 5, ['p2', 's2', 'p3', 's3']),
-    ('random', None, 'bc-n3-1', 2, ['s0']),
-    ('random', None, 'bc-n3-1', 3, ['s0', 'p1', 's1']),
-    ('random', None, 'bc-n3-1', 5, ['s0']),
-    ('random', None, 'bc-n17-42', 2, ['s0', 'p1']),
-    ('random', None, 'bc-n17-42', 3, ['s0', 'p1', 's1']),
-    ('random', None, 'bc-n17-42', 5, ['s0', 'p1', 's1']),
-    ('random', None, 'gm-golden-1', 2, ['s0']),
-    ('random', None, 'gm-golden-1', 3, ['s0', 'p1', 's1']),
-    ('random', None, 'gm-golden-1', 5, ['s0', 'p2', 's2']),
+    ('flood', 'bc-n3-1', 2, ['s0', 'p1']),
+    ('flood', 'bc-n3-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 'bc-n3-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', 'bc-n17-42', 2, ['s0', 'p1']),
+    ('flood', 'bc-n17-42', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 'bc-n17-42', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('flood', 'gm-golden-1', 2, ['s0', 'p1']),
+    ('flood', 'gm-golden-1', 3, ['s0', 'p1', 's1', 'p2']),
+    ('flood', 'gm-golden-1', 5, ['s0', 'p1', 's1', 'p2', 's2', 'p3', 's3', 'p4']),
+    ('single', 'bc-n3-1', 2, ['s0']),
+    ('single', 'bc-n3-1', 3, ['p1', 's1']),
+    ('single', 'bc-n3-1', 5, ['s0']),
+    ('single', 'bc-n17-42', 2, ['p1']),
+    ('single', 'bc-n17-42', 3, ['p1', 's1']),
+    ('single', 'bc-n17-42', 5, ['p1', 's1']),
+    ('single', 'gm-golden-1', 2, ['s0']),
+    ('single', 'gm-golden-1', 3, ['p1', 's1']),
+    ('single', 'gm-golden-1', 5, ['p2', 's2']),
+    ('double', 'bc-n3-1', 2, ['s0', 'p1']),
+    ('double', 'bc-n3-1', 3, ['p1', 's1', 'p2']),
+    ('double', 'bc-n3-1', 5, ['s0', 'p1', 's1']),
+    ('double', 'bc-n17-42', 2, ['p1', 's0']),
+    ('double', 'bc-n17-42', 3, ['p1', 's1', 'p2']),
+    ('double', 'bc-n17-42', 5, ['p1', 's1', 'p2', 's2']),
+    ('double', 'gm-golden-1', 2, ['s0', 'p1']),
+    ('double', 'gm-golden-1', 3, ['p1', 's1', 'p2']),
+    ('double', 'gm-golden-1', 5, ['p2', 's2', 'p3', 's3']),
+    ('random', 'bc-n3-1', 2, ['s0']),
+    ('random', 'bc-n3-1', 3, ['s0', 'p1', 's1']),
+    ('random', 'bc-n3-1', 5, ['s0']),
+    ('random', 'bc-n17-42', 2, ['s0', 'p1']),
+    ('random', 'bc-n17-42', 3, ['s0', 'p1', 's1']),
+    ('random', 'bc-n17-42', 5, ['s0', 'p1', 's1']),
+    ('random', 'gm-golden-1', 2, ['s0']),
+    ('random', 'gm-golden-1', 3, ['s0', 'p1', 's1']),
+    ('random', 'gm-golden-1', 5, ['s0', 'p2', 's2']),
 ]
 
 
@@ -105,10 +78,10 @@ def oracle_pairs(hc):
 class TestForwardOracle:
     """The one selection function equals what the node did before it moved."""
 
-    @pytest.mark.parametrize("policy,fanout,bcast_id,hc,expected", FORWARD_ORACLE)
-    def test_selection_matches_parent_commit(self, policy, fanout, bcast_id, hc, expected):
+    @pytest.mark.parametrize("policy,bcast_id,hc,expected", FORWARD_ORACLE)
+    def test_selection_matches_parent_commit(self, policy, bcast_id, hc, expected):
         pairs = oracle_pairs(hc)
-        cycles = forward_cycles(policy, bcast_id, hc, fanout)
+        cycles = forward_cycles(policy, bcast_id, hc)
         assert forward_targets(pairs, cycles, "own", "p0") == expected
         # ...and the node reaches the same answer through its own wiring.
         stub = SimpleNamespace(
@@ -116,7 +89,6 @@ class TestForwardOracle:
             directory=SimpleNamespace(cycle_neighbor_ids=lambda group_id: pairs),
             forward_fn=None,
             forward_policy=policy,
-            params=SimpleNamespace(gossip_fanout=fanout),
         )
         message = BroadcastMessage(bcast_id, "n", None, 10, 0.0)
         assert AtumNode._gossip_targets(stub, message, exclude="p0") == expected
@@ -224,8 +196,8 @@ class TestGossipTargets:
             return gid != flood[1]
 
         node.forward_fn = forward
-        # The application decides per neighbour; the built-in policy (and its
-        # fanout cap) is out of the picture, the source group is never asked.
+        # The application decides per neighbour; the built-in policy is out
+        # of the picture, the source group is never asked.
         node.forward_policy = "single"
         targets = node._gossip_targets(message, exclude=flood[0])
         assert asked == [("b4", gid) for gid in flood[1:]]
@@ -298,14 +270,14 @@ class TestMembershipLifecycle:
 
     def test_broadcast_ids_do_not_depend_on_earlier_clusters_in_the_process(self):
         # The id counter is per run: a process-global one made the id -- and,
-        # through stable_hash(bcast_id), the cycles a fanout-capped flood
+        # through stable_hash(bcast_id), the cycles a "double" forward
         # travels -- depend on how many broadcasts earlier clusters sent.
         def ids_and_cycles():
             cluster = built_cluster(seed=11)
             ids = [cluster.broadcast(f"n{index}", index) for index in range(5)]
             # A re-created node with a reused address must not repeat an id.
             ids.append(cluster.broadcast("n0", "again"))
-            return ids, [list(forward_cycles("flood", i, 5, fanout=2)) for i in ids]
+            return ids, [list(forward_cycles("double", i, 5)) for i in ids]
 
         first = ids_and_cycles()
         assert first == ids_and_cycles()

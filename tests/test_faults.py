@@ -1118,3 +1118,22 @@ class TestAdversarialRecovery:
         assert row["slowdown_penalty_mean"] > 0
         assert row["slowdown_penalty_max"] >= row["slowdown_penalty_mean"]
         assert row["delivery_bound_met"]
+
+
+# ------------------------------------------------------------- storm rows
+
+
+class TestStormRows:
+    """A churn storm and a flash crowd on fixed parameters: the matrix holds
+    both rows to full delivery, so every seed of the six must reach it."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["churn/storm_static", "flash/join_storm_static"])
+    def test_storm_rows_deliver_every_broadcast_everywhere(self, name, seed):
+        assert SCENARIOS[name].delivery_bound == 1.0
+        row = run_scenario(seed, name)
+        assert row["violations"] == 0
+        assert row["mean_delivery_fraction"] == 1.0
+        assert row["delivery_bound_met"]
+        if name == "churn/storm_static":
+            assert row["completion_ratio"] == 1.0

@@ -167,7 +167,7 @@ class TestGroupMessages:
 
 
 class _HeartbeatHost(Actor):
-    def __init__(self, sim, address, network, peers, period=1.0):
+    def __init__(self, sim, address, network, peers, period=1.0, misses=3):
         super().__init__(sim, address)
         self.network = network
         self.suspected = []
@@ -178,7 +178,7 @@ class _HeartbeatHost(Actor):
             peers_fn=lambda: peers,
             send_fn=self._send,
             suspect_fn=self.suspected.append,
-            config=HeartbeatConfig(period=period, misses_before_eviction=3),
+            config=HeartbeatConfig(period=period, misses_before_eviction=misses),
         )
 
     def _send(self, peers, heartbeat):
@@ -228,91 +228,68 @@ class TestHeartbeats:
         assert "n1" not in host.monitor.last_seen
 
 
-class TestHeartbeatPeriodAdoption:
-    """Regression tests for the stale-period aliasing bug: a runtime period
-    change must reach the send cadence and the suspicion deadline together,
-    at the next tick — and a shrinking deadline must not instantly
-    mass-suspect peers whose heartbeats were timed against the old period."""
+PERIODS = [0.25, 0.5, 1.0, 2.0, 5.0]
 
-    def _wired_hosts(self, sim, peers):
+
+class TestHeartbeatPeriod:
+    """The monitor runs one period, taken from its config at construction:
+    it sets the send cadence and, times ``misses_before_eviction``, the
+    suspicion deadline."""
+
+    def _wired_hosts(self, sim, peers, period=1.0, misses=3):
         network = Network(sim, latency_model=FixedLatency(0.001))
-        hosts = {p: _HeartbeatHost(sim, p, network, peers) for p in peers}
+        hosts = {p: _HeartbeatHost(sim, p, network, peers, period, misses) for p in peers}
         for host in hosts.values():
             network.register(host)
             host.monitor.start()
         return hosts
 
-    def test_set_period_adopts_at_the_next_tick_not_mid_cycle(self):
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_send_cadence_is_the_config_period(self, period):
         sim = Simulator()
-        hosts = self._wired_hosts(sim, ["n0", "n1"])
-        monitor = hosts["n0"].monitor
-        sim.run(until=2.5)  # mid-cycle: ticks at 0, 1, 2
-        monitor.set_period(0.5)
-        assert monitor._period == 1.0  # unchanged until the tick boundary
-        assert monitor.config.period == 1.0
-        sim.run(until=3.1)  # the tick at t=3 adopts
-        assert monitor._period == 0.5
-        assert monitor.config.period == 0.5  # the config reports what is in force
-        # The send cadence follows immediately: next ticks at 3.5, 4.0, ...
-        ticks_at_adoption = len(hosts["n0"].sent_at)
-        sim.run(until=4.1)
-        assert len(hosts["n0"].sent_at) == ticks_at_adoption + 2
+        hosts = self._wired_hosts(sim, ["n0", "n1"], period)
+        sim.run(until=6.5 * period)
+        assert hosts["n0"].sent_at == [index * period for index in range(7)]
 
-    def test_set_period_rejects_nonpositive(self):
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_healthy_peers_are_never_suspected(self, period):
         sim = Simulator()
-        hosts = self._wired_hosts(sim, ["n0", "n1"])
-        # NaN is not <= 0 either; it would have been scheduled one tick later.
-        for period in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError, match="must be positive"):
-                hosts["n0"].monitor.set_period(period)
-        assert hosts["n0"].monitor._pending_period is None
-
-    def test_set_period_is_the_one_way_in_and_rebases_on_shrink(self):
-        sim = Simulator()
-        hosts = self._wired_hosts(sim, ["n0", "n1"])
-        monitor = hosts["n0"].monitor
-        sim.run(until=2.5)
-        monitor.config.period = 0.1  # a raw write is not a period change
-        sim.run(until=3.1)
-        assert monitor._period == 1.0
-        hosts["n1"].monitor.stop()  # n1 falls silent: last heard at t=3.001
-        sim.run(until=5.6)
-        monitor.set_period(0.5)  # new deadline 1.5 s < n1's age, < old 3.0 s
-        assert monitor._period == 1.0
-        sim.run(until=6.1)  # the tick at t=6 adopts and rebases n1
-        assert monitor._period == 0.5
-        assert monitor.last_seen["n1"] == 6.0
-        assert hosts["n0"].suspected == []
-        sim.run(until=8.1)  # 1.5 s of silence on the new period: suspected
-        assert "n1" in hosts["n0"].suspected
-
-    def test_shrinking_period_does_not_mass_suspect_healthy_peers(self):
-        sim = Simulator()
-        peers = ["n0", "n1", "n2"]
-        hosts = self._wired_hosts(sim, peers)
-        sim.run(until=9.5)  # steady state on the 1.0 s period
-        # Shrink every monitor's deadline from 3.0 s to 0.75 s — smaller
-        # than the age peers can have accumulated under the old cadence.
-        # Pre-fix, reading config.period live would suspect them instantly.
-        for host in hosts.values():
-            host.monitor.set_period(0.25)
-        sim.run(until=20.0)
+        hosts = self._wired_hosts(sim, ["n0", "n1", "n2"], period)
+        sim.run(until=40.0 * period)
         assert all(host.suspected == [] for host in hosts.values())
-        assert all(host.monitor._period == 0.25 for host in hosts.values())
 
-    def test_shrunk_deadline_still_suspects_a_peer_that_dies_later(self):
+    @pytest.mark.parametrize("period", PERIODS)
+    def test_silent_peer_is_suspected_one_tick_past_the_deadline(self, period):
         sim = Simulator()
-        peers = ["n0", "n1", "n2"]
-        hosts = self._wired_hosts(sim, peers)
-        sim.run(until=9.5)
-        for host in hosts.values():
-            host.monitor.set_period(0.25)
-        sim.run(until=15.0)
-        hosts["n2"].monitor.stop()  # n2 goes silent after the shrink settles
-        sim.run(until=20.0)
+        hosts = self._wired_hosts(sim, ["n0", "n1", "n2"], period)
+        sim.run(until=5.5 * period)
+        hosts["n2"].monitor.stop()  # last heard at 5 periods + 1 ms
+        # The deadline is 3 periods: the tick at 8 periods is 1 ms short.
+        sim.run(until=8.5 * period)
+        assert hosts["n0"].suspected == [] and hosts["n1"].suspected == []
+        sim.run(until=9.5 * period)
         assert "n2" in hosts["n0"].suspected
         assert "n2" in hosts["n1"].suspected
         assert "n1" not in hosts["n0"].suspected
+
+    @pytest.mark.parametrize("misses", [1, 2, 3, 5])
+    def test_misses_before_eviction_scales_the_deadline(self, misses):
+        sim = Simulator()
+        hosts = self._wired_hosts(sim, ["n0", "n1", "n2"], misses=misses)
+        sim.run(until=5.5)
+        hosts["n2"].monitor.stop()  # last heard at t=5.001
+        sim.run(until=5.5 + misses)
+        assert hosts["n0"].suspected == []
+        sim.run(until=6.5 + misses)
+        assert "n2" in hosts["n0"].suspected
+
+    def test_config_write_after_construction_changes_nothing(self):
+        sim = Simulator()
+        hosts = self._wired_hosts(sim, ["n0", "n1"])
+        sim.run(until=2.5)
+        hosts["n0"].monitor.config.period = 0.25
+        sim.run(until=5.5)
+        assert hosts["n0"].sent_at == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestHeartbeatRestart:
@@ -350,8 +327,6 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
     def _tick(self, generation):
         if generation != self._generation or not self.running:
             return
-        if self._pending_period is not None:
-            self._adopt_period(self._pending_period)
         now = self.sim.now
         peers = tuple(self.peers_fn())
         self._peer_set = frozenset(peers)
@@ -402,11 +377,9 @@ class TestOneScanTickDifferential:
                     members.append("me")
                 rng.shuffle(members)
                 state["peers"] = tuple(members)
-            elif roll < 0.80:
-                monitor.set_period(rng.choice([0.25, 0.5, 1.0, 2.0]))
-            elif roll < 0.85:
+            elif roll < 0.70:
                 silent = set(rng.sample(self.POOL, rng.randrange(0, 5)))
-            elif roll < 0.88:
+            elif roll < 0.73:
                 monitor.stop()
                 monitor.start()
             sim.run(until=sim.now + rng.choice([0.1, 0.3, 0.7, 1.1]))

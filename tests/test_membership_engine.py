@@ -194,36 +194,35 @@ class TestLeave:
         assert sim.metrics.counter("membership.evictions_started") == 1
 
 
-class TestEnforceBounds:
-    """Runtime bound changes (the ParameterBus appliers call this) must
-    actively re-balance: splits and merges are otherwise only triggered
-    by joins, leaves and shuffles."""
+BOUNDS = [(2, 4), (3, 6), (4, 8), (5, 10)]
 
-    def test_noop_when_groups_already_in_bounds(self):
-        sim, engine = make_engine()
-        engine.build_static([f"n{i}" for i in range(32)])
-        assert engine.enforce_bounds() == 0
 
-    def test_narrowed_gmax_splits_oversized_groups(self):
-        sim, engine = make_engine(gmax=8, gmin=4)
-        engine.build_static([f"n{i}" for i in range(32)])
-        engine.config.gmin = 2
-        engine.config.gmax = 4
-        assert engine.enforce_bounds() > 0
-        sim.run_until_idle()
+class TestBoundsUnderChurn:
+    """Joins split at gmax and leaves merge below gmin, for each deployment's
+    fixed bounds: the only two paths that reshape vgroups."""
+
+    @pytest.mark.parametrize("gmin,gmax", BOUNDS)
+    def test_growth_splits_and_keeps_every_group_in_bounds(self, gmin, gmax):
+        sim, engine = make_engine(shuffle=False, gmin=gmin, gmax=gmax)
+        engine.bootstrap("n0")
+        run_joins(sim, engine, 30, prefix="j")
+        assert sim.metrics.counter("membership.splits") > 0
         sizes = [view.size for view in engine.groups.values()]
-        assert max(sizes) <= 4
+        assert gmin <= min(sizes) and max(sizes) <= gmax
         engine.validate()
 
-    def test_raised_gmin_merges_undersized_groups(self):
-        sim, engine = make_engine(gmax=8, gmin=2)
-        engine.build_static([f"n{i}" for i in range(12)], target_group_size=3)
-        engine.config.gmin = 4
-        engine.enforce_bounds()
+    @pytest.mark.parametrize("gmin,gmax", BOUNDS)
+    def test_shrinking_merges_and_keeps_every_group_in_bounds(self, gmin, gmax):
+        sim, engine = make_engine(shuffle=False, gmin=gmin, gmax=gmax)
+        engine.build_static([f"n{i}" for i in range(40)])
+        for index in range(25):
+            engine.leave(f"n{index}")
+            sim.run(until=sim.now + 30.0)
         sim.run_until_idle()
+        assert engine.system_size == 15
+        assert sim.metrics.counter("membership.merges") > 0
         sizes = [view.size for view in engine.groups.values()]
-        if engine.group_count > 1:
-            assert min(sizes) >= 4
+        assert gmin <= min(sizes) and max(sizes) <= gmax
         engine.validate()
 
 

@@ -123,9 +123,9 @@ class TestGuideline:
         assert recommended_config(8192).rwl > recommended_config(8).rwl
 
 
-def targets_of(graph, vertex, policy, message_id="m", fanout=None):
+def targets_of(graph, vertex, policy, message_id="m"):
     """The forward targets of ``vertex``, as the node computes them."""
-    cycles = forward_cycles(policy, message_id, graph.hc, fanout)
+    cycles = forward_cycles(policy, message_id, graph.hc)
     return forward_targets(graph.cycle_pairs(vertex), cycles, vertex)
 
 
@@ -150,19 +150,6 @@ class TestGossipPolicies:
         double_rounds, reached = dissemination_rounds(graph, "g0", "double", message_id="m1")
         assert reached == graph.vertices
         assert flood_rounds <= double_rounds <= single_rounds
-
-    def test_capped_flood_is_the_same_selection_as_consecutive_cycles(self):
-        graph, _ = build_graph(n=32, hc=4, seed=2)
-        for message_id in ("m1", "m2", "m3"):
-            assert forward_cycles("flood", message_id, 4, fanout=1) == forward_cycles(
-                "single", message_id, 4
-            )
-            assert forward_cycles("flood", message_id, 4, fanout=2) == forward_cycles(
-                "double", message_id, 4
-            )
-            assert list(forward_cycles("flood", message_id, 4, fanout=4)) == [0, 1, 2, 3]
-        _, reached = dissemination_rounds(graph, "g0", "flood", fanout=1)
-        assert reached == graph.vertices
 
     def test_random_policy_reaches_everyone(self):
         # Section 3.2: whatever the id-derived extra cycle is, cycle 0 is
