@@ -13,8 +13,10 @@ first-class, composable layer instead of ad-hoc per-experiment code:
   evict-attacking and equivocating nodes);
 * :mod:`repro.faults.invariants` — the runtime :class:`InvariantMonitor`
   asserting the paper's safety invariants while a scenario runs;
-* :mod:`repro.faults.scenarios` — the plan × workload matrix driver fanned
-  out over :mod:`repro.sim.runpar`.
+* :mod:`repro.faults.scenarios` — the plan × workload matrix driver: one
+  seeded run per ``(seed, scenario)`` cell fanned out over
+  :mod:`repro.sim.runpar`, each scenario's runs folded into one
+  ``FAULT_MATRIX.json`` row.
 
 Determinism contract: plans execute off dedicated seeded RNG streams, and an
 empty plan installs nothing — golden traces stay byte-identical.

@@ -14,10 +14,13 @@ crashed nodes are exempt from the wrongful-eviction check), **zero invariant
 violations is the expected outcome of the whole matrix** — a non-zero count
 is a protocol bug, not an unlucky roll.
 
-Scenarios are seeded and deterministic; :func:`scenario_shard` is a
-module-level (picklable) entry point so :func:`run_matrix` can fan seeds
-across worker processes through :mod:`repro.sim.runpar` and merge the rows
-deterministically.
+Scenarios are seeded and deterministic.  :func:`run_scenario` returns one
+run's row and is itself the picklable shard :func:`run_matrix` fans over
+worker processes through :mod:`repro.sim.runpar`, one ``(seed, name)`` cell
+per shard; :func:`run_matrix` then folds each scenario's per-seed rows, in
+seed order, into one ``FAULT_MATRIX.json`` row.  The deployment-scale
+``nightly/*`` rows are their small-matrix twins with scale, load and bounds
+restated (:func:`_nightly_scenarios`).
 
 CLI::
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.robustness import catchup_latency_bound, scenario_robustness_row
@@ -49,12 +52,16 @@ from repro.faults.plan import (
 from repro.group.antientropy import AntiEntropyConfig
 from repro.net.requests import RequestPolicy
 from repro.overlay.membership import MembershipError
-from repro.sim.rng import derive_seed, named_stream
-from repro.sim.runpar import merge_shards, run_sharded
+from repro.sim.rng import named_stream
+from repro.sim.runpar import run_sharded
 from repro.workloads.broadcasts import BroadcastWorkload, BroadcastWorkloadConfig
 from repro.workloads.byzantine import select_byzantine_per_group
 from repro.workloads.churn import ChurnConfig, ChurnWorkload
 from repro.workloads.growth import GrowthConfig, GrowthWorkload
+
+
+#: Every workload :func:`run_scenario` can drive.
+WORKLOADS = ("broadcast", "churn", "churn_broadcast", "flash_crowd", "growth")
 
 
 @dataclass(frozen=True)
@@ -63,7 +70,10 @@ class Scenario:
 
     Attributes:
         name: Unique ``workload/plan`` identifier.
-        workload: ``"broadcast"``, ``"churn"`` or ``"growth"``.
+        workload: One of :data:`WORKLOADS`: ``"broadcast"``, ``"churn"``,
+            ``"churn_broadcast"`` (broadcasts interleaved with churn),
+            ``"flash_crowd"`` (an actor-level join burst with broadcasts
+            interleaved) or ``"growth"``.
         plan: Key into :data:`PLAN_BUILDERS`.
         nodes: System size (``build_static`` base; growth grows beyond it).
         fault_fraction: Fraction handed to the plan builder (Byzantine
@@ -134,6 +144,14 @@ class Scenario:
     shuffle: bool = True
 
     def __post_init__(self) -> None:
+        if self.workload not in WORKLOADS:
+            raise ValueError(
+                f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
+            )
+        if self.plan not in PLAN_BUILDERS:
+            raise ValueError(
+                f"unknown plan {self.plan!r}; known: {sorted(PLAN_BUILDERS)}"
+            )
         if self.smr not in ("sync", "async"):
             raise ValueError(
                 f"unknown smr engine {self.smr!r}; expected 'sync' or 'async'"
@@ -567,6 +585,29 @@ PLAN_BUILDERS: Dict[str, Callable[[Scenario, AtumCluster, random.Random], FaultP
     "overlapping_splits": _plan_overlapping_splits,
 }
 
+#: Plans that leave every node live and correct, so the ``theory`` column's
+#: binomial per-node failure model gets p=0: a side-preserving split
+#: degrades links, not nodes (its members stay live and reconcile to full
+#: delivery), exactly like loss/delay/duplication/corruption.
+#: Per-node-isolation partitions keep their fraction — isolated nodes are
+#: unavailable, like crashes.  slow_vgroup and split_brain_directory
+#: likewise degrade latency/links only; epoch_crossing and
+#: overlapping_splits are side-preserving cuts plus voluntary leaves.
+NETWORK_ONLY_PLANS = frozenset(
+    {
+        "none",
+        "delay_spike",
+        "dup_storm",
+        "lossy_links",
+        "corrupt_links",
+        "two_sided_split",
+        "split_brain_directory",
+        "slow_vgroup",
+        "epoch_crossing",
+        "overlapping_splits",
+    }
+)
+
 
 # ------------------------------------------------------------------ scenarios
 
@@ -988,107 +1029,60 @@ def _bench_scale() -> int:
         ) from None
 
 
-def _nightly_scenarios() -> Dict[str, Scenario]:
-    """The deployment-scale slice run nightly (not per-PR).
+def _nightly_scenarios(nodes: int) -> Dict[str, Scenario]:
+    """The deployment-scale slice run nightly (not per-PR), at ``nodes`` nodes.
 
-    Node counts are ``400 * ATUM_BENCH_SCALE``, matching the paper's
-    800-node deployments at the nightly workflow's ``ATUM_BENCH_SCALE=2``.
+    Every row is its small-matrix twin with only the scale, load and bounds
+    restated.  :func:`_resolve` builds the slice with ``400 *
+    ATUM_BENCH_SCALE`` nodes, matching the paper's 800-node deployments at
+    the nightly workflow's ``ATUM_BENCH_SCALE=2``.
     """
-    nodes = 400 * _bench_scale()
+
+    def scaled(twin: str, name: str, **changes: Any) -> Scenario:
+        return replace(SCENARIOS[twin], name=f"nightly/{name}", nodes=nodes, **changes)
+
     entries = [
-        Scenario(
-            name="nightly/partition_heal",
-            workload="broadcast",
-            plan="partition_heal",
-            nodes=nodes,
-            fault_fraction=0.2,
-            broadcasts=8,
-            settle_time=60.0,
-            delivery_bound=1.0,
-            antientropy=True,
-        ),
-        Scenario(
-            name="nightly/two_sided_split",
-            workload="broadcast",
-            plan="two_sided_split",
-            nodes=nodes,
-            fault_fraction=0.5,
-            broadcasts=8,
-            settle_time=60.0,
-            delivery_bound=1.0,
-            antientropy=True,
-        ),
-        Scenario(
-            name="nightly/two_sided_split_pbft",
-            workload="broadcast",
-            plan="two_sided_split",
-            nodes=nodes,
-            fault_fraction=0.5,
+        scaled("broadcast/partition_heal", "partition_heal", broadcasts=8, settle_time=60.0),
+        scaled("broadcast/two_sided_split", "two_sided_split", broadcasts=8, settle_time=60.0),
+        scaled(
+            "broadcast/two_sided_split_pbft",
+            "two_sided_split_pbft",
             broadcasts=8,
             settle_time=80.0,
-            delivery_bound=1.0,
-            antientropy=True,
-            smr="async",
         ),
-        Scenario(
-            name="nightly/silent_minority",
-            workload="broadcast",
-            plan="silent_minority",
-            nodes=nodes,
-            fault_fraction=0.25,
-            broadcasts=8,
-            settle_time=60.0,
-        ),
+        scaled("broadcast/silent_minority", "silent_minority", broadcasts=8, settle_time=60.0),
         # Deployment-scale checkpoint catch-up: isolated replicas must reach
         # log *equality* (not just delivery) after the heal, via checkpoint
         # announces + state transfer.
-        Scenario(
-            name="nightly/checkpoint_catchup",
-            workload="broadcast",
-            plan="partition_heal",
-            nodes=nodes,
-            fault_fraction=0.15,
+        scaled(
+            "broadcast/isolated_catchup_pbft",
+            "checkpoint_catchup",
             broadcasts=8,
             settle_time=80.0,
-            delivery_bound=1.0,
-            antientropy=True,
-            smr="async",
-            checkpoint_interval=2,
+            catchup_bound=None,
         ),
         # Deployment-scale adversarial recovery: hundreds of laggards catch
         # up through signer sets salted with stonewalling responders; the
         # rotation bound must hold at scale.
-        Scenario(
-            name="nightly/byzantine_transfer",
-            workload="broadcast",
-            plan="byz_transfer_stonewall",
-            nodes=nodes,
-            fault_fraction=0.34,
+        scaled(
+            "broadcast/byz_transfer_stonewall",
+            "byzantine_transfer",
             # Heavy injection: with ~N/4.5 vgroups, a thin workload leaves
             # most laggard groups without a certified checkpoint to
             # transfer, and the catch-up bound would fail vacuously.
             broadcasts=160,
             interval=0.1,
             settle_time=80.0,
-            delivery_bound=1.0,
-            antientropy=True,
-            smr="async",
-            checkpoint_interval=2,
             catchup_bound=40.0,
         ),
         # Deployment-scale split-brain reconciliation: vgroup-aligned
         # sides, a displaced straddler, deferred cross-side eviction
         # enforced by the directory merge at heal.
-        Scenario(
-            name="nightly/split_brain_directory",
-            workload="broadcast",
-            plan="split_brain_directory",
-            nodes=nodes,
-            heartbeats=True,
+        scaled(
+            "broadcast/split_brain_directory",
+            "split_brain_directory",
             broadcasts=8,
             settle_time=60.0,
-            delivery_bound=0.5,
-            antientropy=True,
         ),
         # Deployment-scale rejoin × eviction-pipeline race.  Unlike the
         # small-matrix row (threshold 0), the composed eviction wave may
@@ -1097,67 +1091,34 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
         # (size-1)//2 threshold while the undersized vgroup awaits its
         # merge.  Excess 1 still keeps the coalition below every eviction
         # majority; anything beyond fails the run.
-        Scenario(
-            name="nightly/rejoin_eviction",
-            workload="broadcast",
-            plan="rejoin_eviction",
-            nodes=nodes,
+        scaled(
+            "broadcast/rejoin_eviction",
+            "rejoin_eviction",
             fault_fraction=0.05,
-            gmin=6,
-            gmax=12,
-            heartbeats=True,
             broadcasts=8,
-            settle_time=120.0,
-            delivery_bound=0.7,
-            antientropy=True,
             attack_threshold=1.0,
         ),
         # Deployment-scale join-leave attack: the coalition must never
         # outgrow any vgroup's strict minority despite hundreds of
         # strategic re-join attempts.
-        Scenario(
-            name="nightly/rejoin_attack",
-            workload="broadcast",
-            plan="rejoin_attack",
-            nodes=nodes,
+        scaled(
+            "broadcast/rejoin_attack",
+            "rejoin_attack",
             fault_fraction=0.05,
-            gmin=6,
-            gmax=12,
             broadcasts=8,
             settle_time=80.0,
-            delivery_bound=0.8,
-            antientropy=True,
-            attack_threshold=0.0,
         ),
         # Deployment-scale epoch-crossing recovery: the isolated replica of
         # the largest vgroup re-anchors a two-epoch-stale certificate via
         # the quorum-signed transition chain while hundreds of other groups
         # keep deciding.
-        Scenario(
-            name="nightly/epoch_crossing",
-            workload="broadcast",
-            plan="epoch_crossing",
-            nodes=nodes,
-            fault_fraction=0.05,
-            broadcasts=16,
-            interval=0.25,
-            settle_time=80.0,
-            delivery_bound=1.0,
-            antientropy=True,
-            smr="async",
-            checkpoint_interval=2,
-            shuffle=False,
-        ),
+        scaled("broadcast/epoch_crossing_catchup", "epoch_crossing", settle_time=80.0),
         # Deployment-scale churn storm: hundreds of nodes churning with
         # heartbeats and broadcasts running must stay violation-free at the
         # paper's deployment scale.
-        Scenario(
-            name="nightly/churn_storm",
-            workload="churn_broadcast",
-            plan="none",
-            nodes=nodes,
-            heartbeats=True,
-            antientropy=True,
+        scaled(
+            "churn/storm_static",
+            "churn_storm",
             churn_rate=60.0,
             churn_duration=90.0,
             broadcasts=16,
@@ -1167,15 +1128,11 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
         # Deployment-scale overlapping splits: two concurrent cuts over
         # hundreds of nodes, healed in sequence through the multi-split
         # coordinator.
-        Scenario(
-            name="nightly/overlapping_splits",
-            workload="broadcast",
-            plan="overlapping_splits",
-            nodes=nodes,
+        scaled(
+            "broadcast/overlapping_splits",
+            "overlapping_splits",
             broadcasts=8,
             settle_time=60.0,
-            delivery_bound=1.0,
-            antientropy=True,
         ),
     ]
     return {scenario.name: scenario for scenario in entries}
@@ -1185,23 +1142,11 @@ def _nightly_scenarios() -> Dict[str, Scenario]:
 #: entries themselves are served by :func:`_resolve` (through
 #: :func:`_nightly_scenarios`) at run time, NOT stored in ``SCENARIOS``,
 #: so their node counts honour ``ATUM_BENCH_SCALE`` when the run starts
-#: rather than when this module was imported.  The name list is static so
-#: importing this module never consults the environment (a malformed
-#: ``ATUM_BENCH_SCALE`` should fail the *run*, not the import).
-NIGHTLY_MATRIX: List[str] = [
-    "nightly/byzantine_transfer",
-    "nightly/checkpoint_catchup",
-    "nightly/churn_storm",
-    "nightly/epoch_crossing",
-    "nightly/overlapping_splits",
-    "nightly/partition_heal",
-    "nightly/rejoin_attack",
-    "nightly/rejoin_eviction",
-    "nightly/silent_minority",
-    "nightly/split_brain_directory",
-    "nightly/two_sided_split",
-    "nightly/two_sided_split_pbft",
-]
+#: rather than when this module was imported.  Names do not depend on the
+#: size, so the list is built at a fixed one: importing this module never
+#: consults the environment (a malformed ``ATUM_BENCH_SCALE`` should fail
+#: the *run*, not the import).
+NIGHTLY_MATRIX: List[str] = sorted(_nightly_scenarios(400))
 
 
 def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
@@ -1228,6 +1173,22 @@ def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
         max_timeout=policy.max_timeout,
         jitter=policy.jitter,
     )
+
+
+def _scenario_columns(scenario: Scenario) -> Dict[str, Any]:
+    """The configuration columns a per-run row and a matrix row both carry."""
+    return {
+        "scenario": scenario.name,
+        "workload": scenario.workload,
+        "plan": scenario.plan,
+        "smr": scenario.smr,
+        "antientropy": scenario.antientropy,
+        "checkpoint_interval": scenario.checkpoint_interval,
+        "attack_threshold": scenario.attack_threshold,
+        "catchup_bound": scenario.catchup_bound,
+        "catchup_theory": _catchup_theory_for(scenario),
+        "delivery_bound": scenario.delivery_bound,
+    }
 
 
 def _correct_origin_fractions(
@@ -1264,13 +1225,36 @@ def _workload_broadcast_records(workload: BroadcastWorkload) -> List[Tuple[str, 
     ]
 
 
+def _interleave_broadcasts(
+    cluster: AtumCluster, count: int, horizon: float, tag: str
+) -> List[Tuple[str, str]]:
+    """Schedule ``count`` broadcasts evenly spaced inside ``(0, horizon)``.
+
+    Broadcast ``i`` leaves the ``i``-th correct member (round-robin over the
+    membership when it fires) with payload ``{tag: i}``.  Returns the list
+    its ``(bcast_id, origin)`` records are appended to as they fire.
+    """
+    records: List[Tuple[str, str]] = []
+
+    def fire(index: int) -> None:
+        members = cluster.correct_member_addresses()
+        if members:
+            origin = members[index % len(members)]
+            records.append((cluster.broadcast(origin, {tag: index}), origin))
+
+    spacing = horizon / (count + 1)
+    for index in range(count):
+        cluster.sim.schedule(spacing * (index + 1), lambda i=index: fire(i), tag=tag)
+    return records
+
+
 def _resolve(scenario: "str | Scenario") -> Scenario:
     if isinstance(scenario, Scenario):
         return scenario
     if scenario.startswith("nightly/"):
         # Re-derive nightly entries at resolve time so ATUM_BENCH_SCALE is
         # honoured when the run starts, not when this module was imported.
-        nightly = _nightly_scenarios()
+        nightly = _nightly_scenarios(400 * _bench_scale())
         if scenario in nightly:
             return nightly[scenario]
     try:
@@ -1356,24 +1340,12 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
             rate_per_minute=scenario.churn_rate, duration=scenario.churn_duration
         )
         churn = ChurnWorkload(cluster.engine, churn_config, join_fn=cluster.join)
-        broadcast_records = []
-
-        def fire_broadcast(index: int) -> None:
-            members = cluster.correct_member_addresses()
-            if members:
-                origin = members[index % len(members)]
-                broadcast_records.append(
-                    (cluster.broadcast(origin, {"churn-bcast": index}), origin)
-                )
-
-        horizon = churn_config.warmup + churn_config.duration
-        spacing = horizon / (scenario.broadcasts + 1)
-        for index in range(scenario.broadcasts):
-            cluster.sim.schedule(
-                spacing * (index + 1),
-                lambda i=index: fire_broadcast(i),
-                tag="churn-bcast",
-            )
+        broadcast_records = _interleave_broadcasts(
+            cluster,
+            scenario.broadcasts,
+            churn_config.warmup + churn_config.duration,
+            "churn-bcast",
+        )
         completion_ratio = churn.run().completion_ratio
         cluster.run_for(scenario.settle_time)
     elif scenario.workload == "flash_crowd":
@@ -1401,26 +1373,12 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
                 lambda i=index: flash_join(i),
                 tag="flash.join",
             )
-        broadcast_records = []
-
-        def fire_flash_broadcast(index: int) -> None:
-            members = cluster.correct_member_addresses()
-            if members:
-                origin = members[index % len(members)]
-                broadcast_records.append(
-                    (cluster.broadcast(origin, {"flash-bcast": index}), origin)
-                )
-
         horizon = burst_start + scenario.churn_duration
-        bcast_spacing = horizon / (scenario.broadcasts + 1)
-        for index in range(scenario.broadcasts):
-            cluster.sim.schedule(
-                bcast_spacing * (index + 1),
-                lambda i=index: fire_flash_broadcast(i),
-                tag="flash-bcast",
-            )
+        broadcast_records = _interleave_broadcasts(
+            cluster, scenario.broadcasts, horizon, "flash-bcast"
+        )
         cluster.run_for(horizon + scenario.settle_time)
-    elif scenario.workload == "growth":
+    else:  # growth
         growth = GrowthWorkload(
             cluster.engine,
             GrowthConfig(
@@ -1432,8 +1390,6 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
             ),
         )
         growth.run()
-    else:
-        raise ValueError(f"unknown workload {scenario.workload!r}")
 
     if broadcast_records:
         fractions = _correct_origin_fractions(
@@ -1497,21 +1453,13 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     slowdown_hist = metrics.histogram("membership.slowdown_penalty")
 
     return {
-        "scenario": scenario.name,
-        "workload": scenario.workload,
-        "plan": scenario.plan,
-        "smr": scenario.smr,
-        "antientropy": scenario.antientropy,
-        "checkpoint_interval": scenario.checkpoint_interval,
-        "attack_threshold": scenario.attack_threshold,
+        **_scenario_columns(scenario),
         "attack_bound_met": attack_bound_met,
         "rejoin_max_group_fraction": rejoin_max_fraction,
         "rejoin_max_threshold_excess": rejoin_max_excess,
-        "catchup_bound": scenario.catchup_bound,
         "catchup_bound_met": catchup_bound_met,
         "catchup_latencies": list(catchup_hist.samples),
         "catchup_latency_max": catchup_latency_max,
-        "catchup_theory": _catchup_theory_for(scenario),
         "slowdown_penalty_mean": slowdown_hist.mean if slowdown_hist.count else None,
         "slowdown_penalty_max": slowdown_hist.maximum if slowdown_hist.count else None,
         "seed": seed,
@@ -1523,136 +1471,73 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         "evictions_observed": summary["evictions_observed"],
         "mean_delivery_fraction": mean_delivery_fraction,
         "min_delivery_fraction": min_delivery_fraction,
-        "delivery_bound": scenario.delivery_bound,
         "delivery_bound_met": delivery_bound_met,
         "completion_ratio": completion_ratio,
-        "counters": {
-            "net.messages_lost": metrics.counter("net.messages_lost"),
-            "net.messages_partitioned": metrics.counter("net.messages_partitioned"),
-            "faults.messages_dropped": metrics.counter("faults.messages_dropped"),
-            "faults.messages_duplicated": metrics.counter("faults.messages_duplicated"),
-            "faults.messages_delayed": metrics.counter("faults.messages_delayed"),
-            "faults.partitions_formed": metrics.counter("faults.partitions_formed"),
-            "faults.partitions_healed": metrics.counter("faults.partitions_healed"),
-            "faults.evictions_proposed_by_byzantine": metrics.counter(
-                "faults.evictions_proposed_by_byzantine"
-            ),
-            "group.equivocations_sent": metrics.counter("group.equivocations_sent"),
-            "faults.messages_corrupted": metrics.counter("faults.messages_corrupted"),
-            "group.corrupted_shares_dropped": metrics.counter(
-                "group.corrupted_shares_dropped"
-            ),
-            "group.payload_digest_mismatch": metrics.counter(
-                "group.payload_digest_mismatch"
-            ),
-            "net.corrupted_discarded": metrics.counter("net.corrupted_discarded"),
-            "group.forged_size_rejected": metrics.counter("group.forged_size_rejected"),
-            "ae.summaries_sent": metrics.counter("ae.summaries_sent"),
-            "ae.shares_resent": metrics.counter("ae.shares_resent"),
-            "ae.reproposals": metrics.counter("ae.reproposals"),
-            "ae.store_gc_dropped": metrics.counter("ae.store_gc_dropped"),
-            "smr.pbft.view_changes": metrics.counter("smr.pbft.view_changes"),
-            "smr.checkpoint.stable": metrics.counter("smr.checkpoint.stable"),
-            "smr.checkpoint.slots_gc": metrics.counter("smr.checkpoint.slots_gc"),
-            "smr.checkpoint.transfers_completed": metrics.counter(
-                "smr.checkpoint.transfers_completed"
-            ),
-            "smr.checkpoint.ops_installed": metrics.counter(
-                "smr.checkpoint.ops_installed"
-            ),
-            "smr.checkpoint.tail_view_changes": metrics.counter(
-                "smr.checkpoint.tail_view_changes"
-            ),
-            "smr.checkpoint.rejected": metrics.counter("smr.checkpoint.rejected"),
-            "smr.checkpoint.state_requests": metrics.counter(
-                "smr.checkpoint.state_requests"
-            ),
-            "smr.checkpoint.epoch_transitions": metrics.counter(
-                "smr.checkpoint.epoch_transitions"
-            ),
-            "smr.checkpoint.anchors_adopted": metrics.counter(
-                "smr.checkpoint.anchors_adopted"
-            ),
-            "req.sent": metrics.counter("req.sent"),
-            "req.completed": metrics.counter("req.completed"),
-            "req.timeouts": metrics.counter("req.timeouts"),
-            "req.garbage_replies": metrics.counter("req.garbage_replies"),
-            "req.stale_replies": metrics.counter("req.stale_replies"),
-            "req.quarantined": metrics.counter("req.quarantined"),
-            "req.gave_up": metrics.counter("req.gave_up"),
-            "req.rejected_malformed": metrics.counter("req.rejected_malformed"),
-            "faults.transfer_stonewalled": metrics.counter(
-                "faults.transfer_stonewalled"
-            ),
-            "faults.transfer_slow_dripped": metrics.counter(
-                "faults.transfer_slow_dripped"
-            ),
-            "faults.transfer_garbage_served": metrics.counter(
-                "faults.transfer_garbage_served"
-            ),
-            "faults.transfer_stale_served": metrics.counter(
-                "faults.transfer_stale_served"
-            ),
-            "ae.requests_sent": metrics.counter("ae.requests_sent"),
-            "ae.retry_storm": metrics.counter("ae.retry_storm"),
-            "directory.splits": metrics.counter("directory.splits"),
-            "directory.merges": metrics.counter("directory.merges"),
-            "directory.joins_recorded": metrics.counter("directory.joins_recorded"),
-            "directory.evictions_deferred": metrics.counter(
-                "directory.evictions_deferred"
-            ),
-            "directory.merge_evictions_enforced": metrics.counter(
-                "directory.merge_evictions_enforced"
-            ),
-            "directory.join_revalidations_revoked": metrics.counter(
-                "directory.join_revalidations_revoked"
-            ),
-            "faults.rejoin_joins": metrics.counter("faults.rejoin_joins"),
-            "faults.rejoin_leaves": metrics.counter("faults.rejoin_leaves"),
-            "membership.joins_completed": metrics.counter("membership.joins_completed"),
-            "membership.leaves_completed": metrics.counter("membership.leaves_completed"),
-            "membership.evictions_started": metrics.counter("membership.evictions_started"),
-        },
+        "counters": dict(metrics.counters),
     }
 
 
-def scenario_shard(seed: int, name: str) -> Dict[str, Any]:
-    """Picklable shard for :mod:`repro.sim.runpar`: one seeded scenario run."""
-    row = run_scenario(seed, name)
-    counters = {
-        "scenario.runs": 1.0,
-        "scenario.violations": float(row["violations"]),
-        "scenario.checks_run": float(row["checks_run"]),
-        "scenario.evictions_observed": float(row["evictions_observed"]),
-        "scenario.delivery_bound_met": 1.0 if row["delivery_bound_met"] else 0.0,
-    }
-    counters.update({name: float(value) for name, value in row["counters"].items()})
-    histograms: Dict[str, List[float]] = {}
-    if row["mean_delivery_fraction"] is not None:
-        histograms["scenario.delivery_fraction"] = [row["mean_delivery_fraction"]]
-    if row["completion_ratio"] is not None:
-        histograms["scenario.completion_ratio"] = [row["completion_ratio"]]
-    if row["rejoin_max_group_fraction"] is not None:
-        histograms["scenario.rejoin_max_fraction"] = [row["rejoin_max_group_fraction"]]
-    if row["rejoin_max_threshold_excess"] is not None:
-        histograms["scenario.rejoin_max_excess"] = [row["rejoin_max_threshold_excess"]]
-    if row["catchup_latencies"]:
-        histograms["scenario.catchup_latency"] = row["catchup_latencies"]
-    if row["slowdown_penalty_max"] is not None:
-        histograms["scenario.slowdown_penalty"] = [row["slowdown_penalty_max"]]
-    return {"counters": counters, "histograms": histograms}
+def _mean(values: List[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
 
 
-def matrix_cell_shard(index: int, cells: Sequence[Sequence[Any]]) -> Dict[str, Any]:
-    """Picklable shard running one ``(scenario_name, seed)`` cell of the matrix.
+def _fold(
+    scenario: Scenario, seeds: List[int], runs: List[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """One ``FAULT_MATRIX.json`` row from a scenario's per-seed rows.
 
-    Indexing into a shared ``cells`` list lets :func:`run_matrix` fan the
-    *entire* matrix through one :func:`repro.sim.runpar.run_sharded` call (a
-    single worker pool at full parallelism) even though every cell carries a
-    different scenario; ``run_sharded``'s per-call kwargs are shard-invariant.
+    ``runs`` is in seed order, so every sum, mean and maximum is the same
+    however the runs were computed.  Counts are summed as floats; a per-run
+    statistic that a run did not measure (``None``) is left out.
     """
-    name, seed = cells[index]
-    return scenario_shard(seed, name)
+
+    def measured(key: str) -> List[float]:
+        return [run[key] for run in runs if run[key] is not None]
+
+    def total(key: str) -> float:
+        return float(sum(run[key] for run in runs))
+
+    rejoin_excesses = measured("rejoin_max_threshold_excess")
+    # Every catch-up of every seed, not a mean of per-seed maxima.
+    catchups = [latency for run in runs for latency in run["catchup_latencies"]]
+    dropped = duplicated = 0.0
+    for run in runs:
+        counters = run["counters"]
+        dropped += counters.get("faults.messages_dropped", 0.0)
+        duplicated += counters.get("faults.messages_duplicated", 0.0)
+    return {
+        **_scenario_columns(scenario),
+        "seeds": list(seeds),
+        "runs": float(len(runs)),
+        "violations": total("violations"),
+        "checks_run": total("checks_run"),
+        "evictions_observed": total("evictions_observed"),
+        "delivery_bound_met_runs": total("delivery_bound_met"),
+        "mean_delivery_fraction": _mean(measured("mean_delivery_fraction")),
+        "mean_completion_ratio": _mean(measured("completion_ratio")),
+        "rejoin_max_group_fraction": max(measured("rejoin_max_group_fraction"), default=None),
+        # A head-count: a histogram stores doubles, the report says -1.
+        "rejoin_max_threshold_excess": (
+            int(max(rejoin_excesses)) if rejoin_excesses else None
+        ),
+        "max_catchup_latency": max(catchups, default=None),
+        "mean_catchup_latency": _mean(catchups),
+        "max_slowdown_penalty": max(measured("slowdown_penalty_max"), default=None),
+        "faults.messages_dropped": dropped,
+        "faults.messages_duplicated": duplicated,
+        "theory": scenario_robustness_row(
+            system_size=scenario.growth_target
+            if scenario.workload == "growth"
+            else scenario.nodes,
+            # Midpoint of the scenario's group-size bounds — the theory
+            # column must describe the regime the row actually ran in.
+            average_group_size=(scenario.gmin + scenario.gmax) / 2,
+            fault_fraction=0.0
+            if scenario.plan in NETWORK_ONLY_PLANS
+            else scenario.fault_fraction,
+            synchronous=scenario.smr != "async",
+        ),
+    }
 
 
 def run_matrix(
@@ -1660,105 +1545,28 @@ def run_matrix(
     seeds: Sequence[int] = (7, 11),
     workers: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
-    """Run the scenario matrix (scenarios × seeds) and return robustness rows.
+    """Run the scenario matrix (scenarios × seeds) and return its rows.
 
-    All cells fan out over one :func:`repro.sim.runpar.run_sharded` pool;
-    results come back in input order, so per-scenario merges stay in seed
-    order and the rows are deterministic for any worker count.
+    Every ``(seed, name)`` cell is one :func:`run_scenario` shard, and all
+    cells fan out over one :func:`repro.sim.runpar.run_sharded` pool.
+    Results come back in input order, so each scenario's runs fold in seed
+    order and the rows are the same for any worker count.  ``names=None``
+    runs :data:`SMALL_MATRIX`; an empty ``names`` runs nothing.
     """
-    scenario_names = list(names or SMALL_MATRIX)
+    scenario_names = list(SMALL_MATRIX if names is None else names)
     seeds = list(seeds)
-    cells = [(name, seed) for name in scenario_names for seed in seeds]
-    shard_results = run_sharded(
-        "repro.faults.scenarios:matrix_cell_shard",
-        list(range(len(cells))),
+    if not seeds:
+        raise ValueError("the matrix needs at least one seed")
+    runs = run_sharded(
+        "repro.faults.scenarios:run_scenario",
+        [(seed, name) for name in scenario_names for seed in seeds],
         workers=workers,
-        kwargs={"cells": cells},
     )
-    rows: List[Dict[str, Any]] = []
-    for position, name in enumerate(scenario_names):
-        scenario = _resolve(name)
-        merged = merge_shards(
-            shard_results[position * len(seeds) : (position + 1) * len(seeds)]
-        )
-        counters = merged["counters"]
-        runs = counters.get("scenario.runs", 0.0) or 1.0
-        fraction_hist = merged["histograms"].get("scenario.delivery_fraction")
-        completion_hist = merged["histograms"].get("scenario.completion_ratio")
-        rejoin_hist = merged["histograms"].get("scenario.rejoin_max_fraction")
-        rejoin_excess_hist = merged["histograms"].get("scenario.rejoin_max_excess")
-        catchup_hist = merged["histograms"].get("scenario.catchup_latency")
-        slowdown_hist = merged["histograms"].get("scenario.slowdown_penalty")
-        theory = scenario_robustness_row(
-            system_size=scenario.growth_target
-            if scenario.workload == "growth"
-            else scenario.nodes,
-            # Midpoint of the scenario's group-size bounds — the theory
-            # column must describe the regime the row actually ran in.
-            average_group_size=(scenario.gmin + scenario.gmax) / 2,
-            # Network-only plans leave every node live and correct, so the
-            # binomial per-node failure model gets p=0: a side-preserving
-            # split degrades links, not nodes (its members stay live and
-            # reconcile to full delivery), exactly like loss/delay/
-            # duplication/corruption.  Per-node-isolation partitions keep
-            # their fraction — isolated nodes are unavailable, like crashes.
-            # slow_vgroup and split_brain_directory likewise degrade
-            # latency/links only: every node stays live and correct.
-            fault_fraction=scenario.fault_fraction
-            if scenario.plan
-            not in (
-                "none",
-                "delay_spike",
-                "dup_storm",
-                "lossy_links",
-                "corrupt_links",
-                "two_sided_split",
-                "split_brain_directory",
-                "slow_vgroup",
-                # Side-preserving cuts plus voluntary leaves: every node
-                # stays live and correct throughout.
-                "epoch_crossing",
-                "overlapping_splits",
-            )
-            else 0.0,
-            synchronous=scenario.smr != "async",
-        )
-        rows.append(
-            {
-                "scenario": scenario.name,
-                "workload": scenario.workload,
-                "plan": scenario.plan,
-                "smr": scenario.smr,
-                "antientropy": scenario.antientropy,
-                "checkpoint_interval": scenario.checkpoint_interval,
-                "attack_threshold": scenario.attack_threshold,
-                "rejoin_max_group_fraction": rejoin_hist.maximum if rejoin_hist else None,
-                # A head-count: a histogram stores doubles, the report says -1.
-                "rejoin_max_threshold_excess": (
-                    int(rejoin_excess_hist.maximum) if rejoin_excess_hist else None
-                ),
-                "catchup_bound": scenario.catchup_bound,
-                "max_catchup_latency": catchup_hist.maximum if catchup_hist else None,
-                "mean_catchup_latency": catchup_hist.mean if catchup_hist else None,
-                "catchup_theory": _catchup_theory_for(scenario),
-                "max_slowdown_penalty": (
-                    slowdown_hist.maximum if slowdown_hist else None
-                ),
-                "seeds": list(seeds),
-                "violations": counters.get("scenario.violations", 0.0),
-                "checks_run": counters.get("scenario.checks_run", 0.0),
-                "evictions_observed": counters.get("scenario.evictions_observed", 0.0),
-                "delivery_bound": scenario.delivery_bound,
-                "delivery_bound_met_runs": counters.get("scenario.delivery_bound_met", 0.0),
-                "runs": runs,
-                "mean_delivery_fraction": fraction_hist.mean if fraction_hist else None,
-                "mean_completion_ratio": completion_hist.mean if completion_hist else None,
-                "faults.messages_dropped": counters.get("faults.messages_dropped", 0.0),
-                "faults.messages_duplicated": counters.get("faults.messages_duplicated", 0.0),
-                "theory": theory,
-            }
-        )
-    return rows
+    count = len(seeds)
+    return [
+        _fold(_resolve(name), seeds, runs[index * count : (index + 1) * count])
+        for index, name in enumerate(scenario_names)
+    ]
 
 
 def write_matrix_report(
@@ -1805,11 +1613,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover - CLI
         default=None,
         help="run only the named scenario(s) instead of the matrix",
     )
-    parser.add_argument("--seeds", type=int, default=2, help="seeds per scenario")
+    parser.add_argument("--seeds", type=int, default=2, help="seeds per scenario (≥ 1)")
     parser.add_argument("--base-seed", type=int, default=7, help="first seed")
     parser.add_argument("--workers", type=int, default=None, help="worker processes")
     parser.add_argument("--output", default="FAULT_MATRIX.json", help="report path")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     names = args.scenario or (
         NIGHTLY_MATRIX if args.matrix == "nightly" else SMALL_MATRIX
     )
@@ -1844,8 +1654,6 @@ __all__ = [
     "NIGHTLY_MATRIX",
     "PLAN_BUILDERS",
     "run_scenario",
-    "scenario_shard",
-    "matrix_cell_shard",
     "run_matrix",
     "write_matrix_report",
 ]

@@ -15,33 +15,33 @@ METRICS = {
     },
     'ae.reproposals': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.requests_sent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.retry_storm': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.shares_resent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.store_gc_dropped': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.summaries_sent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
     },
     'ae.summary_window_truncated': {
         "kind": 'counter',
@@ -150,18 +150,18 @@ METRICS = {
     },
     'directory.evictions_deferred': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/overlay/directory.py'),
-        "matrix_column": True,
+        "modules": ('repro/overlay/directory.py',),
+        "matrix_column": False,
     },
     'directory.join_revalidations_revoked': {
         "kind": 'counter',
-        "modules": ('repro/core/cluster.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/cluster.py',),
+        "matrix_column": False,
     },
     'directory.joins_recorded': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/overlay/directory.py'),
-        "matrix_column": True,
+        "modules": ('repro/overlay/directory.py',),
+        "matrix_column": False,
     },
     'directory.merge_eviction_failed': {
         "kind": 'counter',
@@ -170,38 +170,38 @@ METRICS = {
     },
     'directory.merge_evictions_enforced': {
         "kind": 'counter',
-        "modules": ('repro/core/cluster.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/cluster.py',),
+        "matrix_column": False,
     },
     'directory.merges': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/overlay/directory.py'),
-        "matrix_column": True,
+        "modules": ('repro/overlay/directory.py',),
+        "matrix_column": False,
     },
     'directory.splits': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/overlay/directory.py'),
-        "matrix_column": True,
+        "modules": ('repro/overlay/directory.py',),
+        "matrix_column": False,
     },
     'faults.evictions_proposed_by_byzantine': {
         "kind": 'counter',
-        "modules": ('repro/faults/behaviours.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/behaviours.py',),
+        "matrix_column": False,
     },
     'faults.flash_join_failed': {
         "kind": 'counter',
         "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
+        "matrix_column": False,
     },
     'faults.messages_corrupted': {
         "kind": 'counter',
-        "modules": ('repro/faults/injector.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/injector.py',),
+        "matrix_column": False,
     },
     'faults.messages_delayed': {
         "kind": 'counter',
-        "modules": ('repro/faults/injector.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/injector.py',),
+        "matrix_column": False,
     },
     'faults.messages_dropped': {
         "kind": 'counter',
@@ -215,18 +215,18 @@ METRICS = {
     },
     'faults.partitions_formed': {
         "kind": 'counter',
-        "modules": ('repro/faults/behaviours.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/behaviours.py',),
+        "matrix_column": False,
     },
     'faults.partitions_healed': {
         "kind": 'counter',
-        "modules": ('repro/faults/behaviours.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/behaviours.py',),
+        "matrix_column": False,
     },
     'faults.plan_leave_skipped': {
         "kind": 'counter',
         "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
+        "matrix_column": False,
     },
     'faults.rejoin_group_fraction': {
         "kind": 'histogram',
@@ -240,8 +240,8 @@ METRICS = {
     },
     'faults.rejoin_joins': {
         "kind": 'counter',
-        "modules": ('repro/faults/behaviours.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/behaviours.py',),
+        "matrix_column": False,
     },
     'faults.rejoin_leave_failed': {
         "kind": 'counter',
@@ -250,8 +250,8 @@ METRICS = {
     },
     'faults.rejoin_leaves': {
         "kind": 'counter',
-        "modules": ('repro/faults/behaviours.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/faults/behaviours.py',),
+        "matrix_column": False,
     },
     'faults.rejoin_threshold_excess': {
         "kind": 'histogram',
@@ -260,33 +260,33 @@ METRICS = {
     },
     'faults.transfer_garbage_served': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
     },
     'faults.transfer_slow_dripped': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
     },
     'faults.transfer_stale_served': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
     },
     'faults.transfer_stonewalled': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
     },
     'group.corrupted_shares_dropped': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
     },
     'group.equivocations_sent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
     },
     'group.evictions_proposed': {
         "kind": 'counter',
@@ -295,8 +295,8 @@ METRICS = {
     },
     'group.forged_size_rejected': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
     },
     'group.messages_accepted': {
         "kind": 'counter',
@@ -305,8 +305,8 @@ METRICS = {
     },
     'group.payload_digest_mismatch': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/messages.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
     },
     'group.shares_sent': {
         "kind": 'counter',
@@ -320,8 +320,8 @@ METRICS = {
     },
     'membership.evictions_started': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
+        "modules": ('repro/overlay/membership.py',),
+        "matrix_column": False,
     },
     'membership.exchanges_attempted': {
         "kind": 'counter',
@@ -350,8 +350,8 @@ METRICS = {
     },
     'membership.joins_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
-        "matrix_column": True,
+        "modules": ('repro/workloads/churn.py',),
+        "matrix_column": False,
     },
     'membership.joins_started': {
         "kind": 'counter',
@@ -360,8 +360,13 @@ METRICS = {
     },
     'membership.leaves_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/workloads/churn.py'),
-        "matrix_column": True,
+        "modules": ('repro/workloads/churn.py',),
+        "matrix_column": False,
+    },
+    'membership.leaves_started': {
+        "kind": 'counter',
+        "modules": ('repro/overlay/membership.py',),
+        "matrix_column": False,
     },
     'membership.merges': {
         "kind": 'counter',
@@ -430,8 +435,8 @@ METRICS = {
     },
     'net.corrupted_discarded': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py', 'repro/faults/scenarios.py'),
-        "matrix_column": True,
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
     },
     'net.delivery_latency': {
         "kind": 'histogram',
@@ -450,13 +455,13 @@ METRICS = {
     },
     'net.messages_lost': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/network.py'),
-        "matrix_column": True,
+        "modules": ('repro/net/network.py',),
+        "matrix_column": False,
     },
     'net.messages_partitioned': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/network.py'),
-        "matrix_column": True,
+        "modules": ('repro/net/network.py',),
+        "matrix_column": False,
     },
     'net.messages_sent': {
         "kind": 'counter',
@@ -475,23 +480,18 @@ METRICS = {
     },
     'req.completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
+        "modules": ('repro/net/requests.py',),
+        "matrix_column": False,
     },
     'req.deduplicated': {
         "kind": 'counter',
         "modules": ('repro/net/requests.py',),
         "matrix_column": False,
     },
-    'req.garbage_replies': {
-        "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
     'req.gave_up': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
+        "modules": ('repro/net/requests.py',),
+        "matrix_column": False,
     },
     'req.quarantine_released': {
         "kind": 'counter',
@@ -500,8 +500,8 @@ METRICS = {
     },
     'req.quarantined': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
+        "modules": ('repro/net/requests.py',),
+        "matrix_column": False,
     },
     'req.rejected_expired': {
         "kind": 'counter',
@@ -510,8 +510,8 @@ METRICS = {
     },
     'req.rejected_malformed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/group/antientropy.py', 'repro/net/requests.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/group/antientropy.py', 'repro/net/requests.py', 'repro/smr/checkpoint.py'),
+        "matrix_column": False,
     },
     'req.rejected_misaddressed': {
         "kind": 'counter',
@@ -540,53 +540,18 @@ METRICS = {
     },
     'req.sent': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
-    },
-    'req.stale_replies': {
-        "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
+        "modules": ('repro/net/requests.py',),
+        "matrix_column": False,
     },
     'req.timeouts': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/net/requests.py'),
-        "matrix_column": True,
-    },
-    'scenario.catchup_latency': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.completion_ratio': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.delivery_fraction': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.rejoin_max_excess': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.rejoin_max_fraction': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
-    },
-    'scenario.slowdown_penalty': {
-        "kind": 'histogram',
-        "modules": ('repro/faults/scenarios.py',),
-        "matrix_column": True,
+        "modules": ('repro/net/requests.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.anchors_adopted': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.announce_resets': {
         "kind": 'counter',
@@ -610,8 +575,8 @@ METRICS = {
     },
     'smr.checkpoint.epoch_transitions': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.gap_hints': {
         "kind": 'counter',
@@ -625,28 +590,28 @@ METRICS = {
     },
     'smr.checkpoint.ops_installed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.rejected': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.slots_gc': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/pbft.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/pbft.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.stable': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.state_requests': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.state_responses': {
         "kind": 'counter',
@@ -655,13 +620,13 @@ METRICS = {
     },
     'smr.checkpoint.tail_view_changes': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.transfers_completed': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/checkpoint.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/checkpoint.py',),
+        "matrix_column": False,
     },
     'smr.checkpoint.transition_votes': {
         "kind": 'counter',
@@ -705,8 +670,8 @@ METRICS = {
     },
     'smr.pbft.view_changes': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py', 'repro/smr/pbft.py'),
-        "matrix_column": True,
+        "modules": ('repro/smr/pbft.py',),
+        "matrix_column": False,
     },
     'smr.sync.instances_started': {
         "kind": 'counter',

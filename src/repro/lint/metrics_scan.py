@@ -22,7 +22,8 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.lint.core import discover_files
 from repro.lint.rules import iter_metric_name_literals
 
-#: Metric names read in this module become matrix-row columns.
+#: Metric names *read* in this module reach ``FAULT_MATRIX.json`` rows; the
+#: names it only writes (plan and workload bookkeeping) do not.
 MATRIX_MODULE = "repro/faults/scenarios.py"
 
 REGISTRY_HEADER = '''"""GENERATED metric-name registry — do not edit by hand.
@@ -57,7 +58,7 @@ def scan_metrics(targets: Sequence[Path], root: Path) -> Dict[str, MetricInfo]:
         except ValueError:
             relpath = path.as_posix()
         module_rel = relpath[4:] if relpath.startswith("src/") else relpath
-        for _line, kind, name in iter_metric_name_literals(tree):
+        for _line, kind, name, read in iter_metric_name_literals(tree):
             info = found.get(name)
             if info is None:
                 info = found[name] = MetricInfo(name=name, kind=kind)
@@ -65,7 +66,7 @@ def scan_metrics(targets: Sequence[Path], root: Path) -> Dict[str, MetricInfo]:
             kinds[name].add(kind)
             if module_rel not in info.modules:
                 info.modules.append(module_rel)
-            if module_rel == MATRIX_MODULE:
+            if read and module_rel == MATRIX_MODULE:
                 info.matrix_column = True
     for name, info in found.items():
         # A name used as both .increment and .counter is one counter; a

@@ -545,23 +545,48 @@ METRIC_CALL_ATTRS = {
     "timeseries": "series",
 }
 METRIC_CONTAINER_ATTRS = {"counters": "counter", "histograms": "histogram", "series": "series"}
+#: The API calls in :data:`METRIC_CALL_ATTRS` that read a name, not write it.
+METRIC_READ_ATTRS = {"counter", "histogram", "timeseries"}
+
+
+def _name_literals(node: ast.AST) -> List[str]:
+    """The string literals a name expression can evaluate to.
+
+    A conditional expression yields both arms: ``"a" if x else "b"``.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _name_literals(node.body) + _name_literals(node.orelse)
+    return []
+
+
+def _container_kind(node: ast.AST) -> Optional[str]:
+    if isinstance(node, ast.Attribute):
+        return METRIC_CONTAINER_ATTRS.get(node.attr)
+    if isinstance(node, ast.Name):
+        return METRIC_CONTAINER_ATTRS.get(node.id)
+    return None
 
 
 def iter_metric_name_literals(
     tree: ast.Module,
-) -> Iterator[Tuple[int, str, str]]:
-    """Yield ``(line, kind, name)`` for every literal metric-name use.
+) -> Iterator[Tuple[int, str, str, bool]]:
+    """Yield ``(line, kind, name, read)`` for every literal metric-name use.
 
     Matches the :class:`repro.sim.metrics.MetricsRegistry` API
     (``increment``/``observe``/``counter``/``histogram``/``record_point``/
     ``timeseries`` with a string-literal first argument) plus string
-    subscripts on the registry's ``counters``/``histograms``/``series``
-    containers (the hot-path idiom ``counters["net.messages_sent"] += 1``).
-    A bound-method alias (``self._bump = sim.metrics.increment`` then
+    subscripts and ``.get`` calls on the registry's ``counters``/
+    ``histograms``/``series`` containers (the hot-path idiom
+    ``counters["net.messages_sent"] += 1``).  A bound-method alias
+    (``self._bump = sim.metrics.increment`` then
     ``self._bump("group.shares_sent")``, the per-share hot-path idiom) is
-    matched under the alias name anywhere in the module.  Dynamic names
-    (f-strings, variables) are invisible to this scan and are validated by
-    their *read* sites instead.
+    matched under the alias name anywhere in the module.  A conditional
+    expression yields both of its literal arms.  ``read`` is true for
+    ``counter``/``histogram``/``timeseries``, ``.get`` and a loaded
+    subscript, false for a write.  Dynamic names (f-strings, variables) are
+    invisible to this scan and are validated by their *read* sites instead.
     """
     aliases: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -573,32 +598,28 @@ def iter_metric_name_literals(
             for target in node.targets:
                 alias = getattr(target, "attr", None) or getattr(target, "id", None)
                 if alias is not None:
-                    aliases[alias] = METRIC_CALL_ATTRS[node.value.attr]
+                    aliases[alias] = node.value.attr
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
-            if isinstance(node.func, ast.Attribute):
-                kind = METRIC_CALL_ATTRS.get(node.func.attr) or aliases.get(node.func.attr)
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "get":
+                kind, read = _container_kind(func.value), True
             else:
-                kind = aliases.get(node.func.id)
-            if (
-                kind is not None
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                yield node.lineno, kind, node.args[0].value
+                if isinstance(func, ast.Attribute) and func.attr in METRIC_CALL_ATTRS:
+                    method = func.attr
+                else:
+                    callee = getattr(func, "attr", None) or getattr(func, "id", None)
+                    method = aliases.get(callee) if callee else None
+                kind = METRIC_CALL_ATTRS.get(method) if method else None
+                read = method in METRIC_READ_ATTRS
+            if kind is not None:
+                for name in _name_literals(node.args[0]):
+                    yield node.lineno, kind, name, read
         elif isinstance(node, ast.Subscript):
-            value = node.value
-            container = None
-            if isinstance(value, ast.Attribute):
-                container = METRIC_CONTAINER_ATTRS.get(value.attr)
-            elif isinstance(value, ast.Name):
-                container = METRIC_CONTAINER_ATTRS.get(value.id)
-            if container is None:
-                continue
-            index = node.slice
-            if isinstance(index, ast.Constant) and isinstance(index.value, str):
-                yield node.lineno, container, index.value
+            kind = _container_kind(node.value)
+            if kind is not None:
+                for name in _name_literals(node.slice):
+                    yield node.lineno, kind, name, isinstance(node.ctx, ast.Load)
 
 
 @register_rule
@@ -620,7 +641,7 @@ class MetricsRegistryRule(Rule):
     def check(self, module: ModuleInfo, project: ProjectIndex) -> Iterable[Finding]:
         from repro.lint.metrics_registry import METRICS
 
-        for line, kind, name in iter_metric_name_literals(module.tree):
+        for line, kind, name, _read in iter_metric_name_literals(module.tree):
             if name not in METRICS:
                 yield self.finding(
                     module,

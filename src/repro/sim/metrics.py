@@ -241,14 +241,5 @@ class MetricsRegistry:
                 flat[f"{name}.count"] = float(histogram.count)
         return flat
 
-    @staticmethod
-    def merge_histograms(histograms: Iterable[Histogram]) -> Histogram:
-        merged = Histogram()
-        for histogram in histograms:
-            # C-speed bulk append; the lazy reconcile folds the tail into the
-            # accumulators on first query.
-            merged.samples.extend(histogram.samples)
-        return merged
-
 
 __all__ = ["Histogram", "TimeSeries", "MetricsRegistry"]

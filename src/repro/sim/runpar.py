@@ -2,25 +2,22 @@
 
 Scenario sweeps (the paper figures, parameter scans, robustness grids) are
 embarrassingly parallel: every shard is an independent, seeded simulation.
-This module fans a list of seeds across worker processes and merges the
-per-shard metric snapshots **deterministically** — results depend only on the
-seeds and the scenario, never on worker count or completion order:
+:func:`run_sharded` maps a shard function over a list of argument tuples —
+one tuple per shard — across worker processes, and the results depend only
+on those arguments, never on worker count or completion order:
 
 * shards are dispatched with ``Pool.map``, whose results come back in input
-  order, and merged in that order;
-* counters are summed and histogram samples concatenated in seed order, so
-  float accumulation order is fixed;
+  order, so a caller that folds them folds in a fixed order;
 * the default start method is ``fork`` where available, so workers inherit
   the parent interpreter's hash salt — a shard computes bit-identical results
   inline, in a forked worker, or under ``workers=1``.
 
-A shard function must be **picklable** (a module-level function) and return a
-plain-dict snapshot::
+A shard function must be **picklable** (a module-level function) and return
+a picklable value.  :func:`repro.faults.scenarios.run_scenario` is the shard
+the fault matrix fans out, one ``(seed, scenario_name)`` tuple per cell::
 
-    {"counters": {name: float}, "histograms": {name: [samples...]}}
-
-:func:`repro.faults.scenarios.scenario_shard` is the shard the fault matrix
-fans out; the determinism tests drive it through :func:`run_sharded`.
+    run_sharded("repro.faults.scenarios:run_scenario",
+                [(7, "broadcast/none"), (11, "broadcast/none")], workers=2)
 
 Knobs
 -----
@@ -28,7 +25,7 @@ Knobs
 * ``workers`` — worker process count; ``None`` reads ``ATUM_RUNPAR_WORKERS``
   and falls back to ``os.cpu_count()``.  ``workers<=1`` (or a single shard)
   runs serially in-process, with no multiprocessing dependency.
-* shard seeding — each shard receives one seed from ``seeds``; derive
+* shard seeding — each shard receives its seed among its arguments; derive
   disjoint streams inside the scenario via :func:`repro.sim.rng.derive_seed`.
 """
 
@@ -36,17 +33,13 @@ from __future__ import annotations
 
 import os
 from importlib import import_module
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.sim.metrics import Histogram
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 #: Environment variable consulted when ``workers`` is not given.
 WORKERS_ENV = "ATUM_RUNPAR_WORKERS"
 
-ShardResult = Dict[str, Any]
 
-
-def resolve_target(target: "str | Callable[..., ShardResult]") -> Callable[..., ShardResult]:
+def resolve_target(target: "str | Callable[..., Any]") -> Callable[..., Any]:
     """Resolve a shard function from a ``"module:function"`` path (or pass through)."""
     if callable(target):
         return target
@@ -59,7 +52,7 @@ def resolve_target(target: "str | Callable[..., ShardResult]") -> Callable[..., 
     return fn
 
 
-def _target_path(target: "str | Callable[..., ShardResult]") -> Optional[str]:
+def _target_path(target: "str | Callable[..., Any]") -> Optional[str]:
     """Importable ``module:function`` path of ``target``, or ``None``.
 
     ``None`` means the callable cannot be re-imported by a worker process
@@ -75,10 +68,10 @@ def _target_path(target: "str | Callable[..., ShardResult]") -> Optional[str]:
     return f"{module}:{qualname}"
 
 
-def _run_shard(job: Tuple[str, int, Dict[str, Any]]) -> ShardResult:
-    """Worker entry point: resolve the target by path and run one seed."""
-    target_path, seed, kwargs = job
-    return resolve_target(target_path)(seed, **kwargs)
+def _run_shard(job: Tuple[str, Tuple[Any, ...]]) -> Any:
+    """Worker entry point: resolve the target by path and run one shard."""
+    target_path, args = job
+    return resolve_target(target_path)(*args)
 
 
 def default_workers() -> int:
@@ -93,78 +86,40 @@ def default_workers() -> int:
 
 
 def run_sharded(
-    target: "str | Callable[..., ShardResult]",
-    seeds: Sequence[int],
+    target: "str | Callable[..., Any]",
+    cells: Sequence[Tuple[Any, ...]],
     workers: Optional[int] = None,
-    kwargs: Optional[Dict[str, Any]] = None,
-) -> List[ShardResult]:
-    """Run ``target(seed, **kwargs)`` for every seed; results in seed order.
+) -> List[Any]:
+    """Run ``target(*args)`` for every ``args`` in ``cells``; results in input order.
 
     With ``workers > 1`` shards run in a multiprocessing pool (``fork`` start
     method where available, so workers share the parent's hash salt); the
-    returned list order is always the input seed order regardless of which
+    returned list order is always the input order regardless of which
     worker finished first.
     """
-    kwargs = kwargs or {}
-    seeds = list(seeds)
+    cells = list(cells)
     if workers is None:
         workers = default_workers()
-    workers = min(workers, len(seeds)) if seeds else 1
+    workers = min(workers, len(cells)) if cells else 1
     # Callables that workers cannot re-import (lambdas, partials, nested
     # functions) degrade to a serial run instead of crashing the pool.
     target_path = _target_path(target)
-    if workers <= 1 or len(seeds) <= 1 or target_path is None:
+    if workers <= 1 or len(cells) <= 1 or target_path is None:
         fn = resolve_target(target)
-        return [fn(seed, **kwargs) for seed in seeds]
+        return [fn(*args) for args in cells]
 
     import multiprocessing as mp
 
     methods = mp.get_all_start_methods()
     context = mp.get_context("fork" if "fork" in methods else "spawn")
-    jobs = [(target_path, seed, kwargs) for seed in seeds]
+    jobs = [(target_path, args) for args in cells]
     with context.Pool(processes=workers) as pool:
         return pool.map(_run_shard, jobs)
 
 
-def merge_shards(results: Iterable[ShardResult]) -> ShardResult:
-    """Deterministically merge shard snapshots (in the given order).
-
-    Counters are summed and histogram samples concatenated in iteration
-    order, so the merged result is bit-identical however the shards were
-    computed.  The merged ``histograms`` values are :class:`Histogram`
-    instances ready for ``mean``/``percentile``/``cdf`` queries.
-    """
-    counters: Dict[str, float] = {}
-    histograms: Dict[str, Histogram] = {}
-    shards = 0
-    for result in results:
-        shards += 1
-        for name, value in result.get("counters", {}).items():
-            counters[name] = counters.get(name, 0.0) + value
-        for name, samples in result.get("histograms", {}).items():
-            histogram = histograms.get(name)
-            if histogram is None:
-                histogram = histograms[name] = Histogram()
-            histogram.samples.extend(samples)
-    return {"shards": shards, "counters": counters, "histograms": histograms}
-
-
-def run_and_merge(
-    target: "str | Callable[..., ShardResult]",
-    seeds: Sequence[int],
-    workers: Optional[int] = None,
-    kwargs: Optional[Dict[str, Any]] = None,
-) -> ShardResult:
-    """Convenience wrapper: :func:`run_sharded` then :func:`merge_shards`."""
-    return merge_shards(run_sharded(target, seeds, workers=workers, kwargs=kwargs))
-
-
 __all__ = [
     "WORKERS_ENV",
-    "ShardResult",
     "resolve_target",
     "default_workers",
     "run_sharded",
-    "merge_shards",
-    "run_and_merge",
 ]

@@ -1,6 +1,8 @@
 """Tests for the fault-injection and invariant-checking subsystem (repro.faults)."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,10 @@ from repro.faults import (
 from repro.faults.scenarios import (
     SCENARIOS,
     SMALL_MATRIX,
+    Scenario,
+    main,
     run_matrix,
     run_scenario,
-    scenario_shard,
 )
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
@@ -31,7 +34,6 @@ from repro.net.latency import FixedLatency
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
 from repro.sim.actor import Actor
-from repro.sim.runpar import run_and_merge
 from repro.sim.simulator import Simulator
 from repro.smr.harness import ReplicaGroupHarness
 from repro.workloads.byzantine import select_byzantine_per_group
@@ -946,7 +948,8 @@ class TestScenarioMatrix:
     def test_nightly_name_list_matches_builder(self):
         from repro.faults.scenarios import NIGHTLY_MATRIX, _nightly_scenarios
 
-        assert sorted(_nightly_scenarios()) == sorted(NIGHTLY_MATRIX)
+        # Names do not depend on the size the slice is built at.
+        assert NIGHTLY_MATRIX == sorted(_nightly_scenarios(800))
 
     @pytest.mark.parametrize(
         "name", ["broadcast/delay_spike_pbft"]
@@ -984,24 +987,79 @@ class TestScenarioMatrix:
         assert row["checks_run"] > 0
         assert row["delivery_bound_met"]
 
-    def test_scenario_shard_parallel_matches_serial(self):
+    def test_matrix_parallel_matches_serial(self):
         seeds = [3, 5]
-        kwargs = {"name": "broadcast/none"}
-        serial = run_and_merge(
-            "repro.faults.scenarios:scenario_shard", seeds, workers=1, kwargs=kwargs
-        )
-        parallel = run_and_merge(
-            "repro.faults.scenarios:scenario_shard", seeds, workers=2, kwargs=kwargs
-        )
-        assert serial["counters"] == parallel["counters"]
-        for name, histogram in serial["histograms"].items():
-            assert parallel["histograms"][name].samples == histogram.samples
+        serial = run_matrix(["broadcast/none"], seeds=seeds, workers=1)
+        parallel = run_matrix(["broadcast/none"], seeds=seeds, workers=2)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(parallel, sort_keys=True)
 
-    def test_shard_snapshot_shape(self):
-        snapshot = scenario_shard(3, "broadcast/none")
-        assert snapshot["counters"]["scenario.runs"] == 1.0
-        assert snapshot["counters"]["scenario.violations"] == 0.0
-        assert snapshot["histograms"]["scenario.delivery_fraction"] == [1.0]
+    def test_matrix_row_of_one_clean_run(self):
+        [row] = run_matrix(["broadcast/none"], seeds=[3], workers=1)
+        assert (row["runs"], row["violations"]) == (1.0, 0.0)
+        assert row["delivery_bound_met_runs"] == 1.0
+        assert row["mean_delivery_fraction"] == 1.0
+
+
+# ----------------------------------------------------------- the matrix fold
+
+
+class TestMatrixFold:
+    """``run_matrix`` folds per-seed ``run_scenario`` rows into report rows."""
+
+    def test_fold_reproduces_committed_rows(self):
+        # Together these rows exercise every fold kind: catch-up samples
+        # (isolated_catchup_pbft), the integer rejoin excess (rejoin_attack),
+        # the slowdown maximum and the completion ratio (slow_vgroup), and
+        # the theory column for a node-fault plan (partition_heal,
+        # rejoin_attack) and a network-only one (slow_vgroup).  Comparing
+        # the serialised rows checks value types too: 0.0 is not 0, -1 is
+        # not -1.0.
+        names = [
+            "broadcast/isolated_catchup_pbft",
+            "broadcast/rejoin_attack",
+            "churn/slow_vgroup",
+        ]
+        committed_path = Path(__file__).resolve().parent.parent / "FAULT_MATRIX.json"
+        committed = {
+            row["scenario"]: row
+            for row in json.loads(committed_path.read_text(encoding="utf-8"))["matrix"]
+        }
+        rows = run_matrix(names, seeds=(7, 11), workers=1)
+        for row in rows:
+            assert json.dumps(row, sort_keys=True) == json.dumps(
+                committed[row["scenario"]], sort_keys=True
+            )
+        catchup, rejoin, slow = rows
+        assert catchup["mean_catchup_latency"] is not None
+        assert type(rejoin["rejoin_max_threshold_excess"]) is int
+        assert slow["max_slowdown_penalty"] is not None
+        assert slow["mean_completion_ratio"] is not None
+        assert slow["theory"]["fault_fraction"] == 0.0
+        assert catchup["theory"]["fault_fraction"] == 0.15
+
+    def test_empty_seeds_are_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_matrix(["broadcast/none"], seeds=[])
+
+    def test_empty_names_run_nothing(self):
+        assert run_matrix(names=[], seeds=[7], workers=1) == []
+
+    def test_cli_rejects_fewer_than_one_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seeds", "0", "--output", str(tmp_path / "m.json")])
+        assert exit_info.value.code == 2
+        assert "--seeds must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
+class TestScenarioValidation:
+    def test_unknown_workload_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown workload 'brodcast'"):
+            Scenario(name="x", workload="brodcast", plan="none")
+
+    def test_unknown_plan_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown plan 'nope'"):
+            Scenario(name="x", workload="broadcast", plan="nope")
 
 
 # -------------------------------------------------- adversarial recovery (PR 6)

@@ -23,10 +23,32 @@ def test_bound_method_alias_names_are_scanned_and_attributed():
     from repro.lint.rules import iter_metric_name_literals
 
     tree = ast.parse((SRC / "group" / "messages.py").read_text(encoding="utf-8"))
-    scanned = {name: kind for _line, kind, name in iter_metric_name_literals(tree)}
+    scanned = {name: kind for _line, kind, name, _read in iter_metric_name_literals(tree)}
     for name in ("group.shares_sent", "group.messages_accepted"):
         assert scanned.get(name) == "counter"
         assert "repro/group/messages.py" in METRICS[name]["modules"]
+
+
+def test_conditional_names_yield_both_arms_and_reads_are_told_from_writes():
+    import ast
+
+    from repro.lint.rules import iter_metric_name_literals
+
+    tree = ast.parse(
+        "metrics.increment('a.evicted' if eviction else 'a.left')\n"
+        "metrics.counters['a.bumped'] += 1\n"
+        "total = metrics.counter('a.read') + counters.get('a.got', 0.0)\n"
+        "mean = metrics.histograms['a.hist'].mean\n"
+    )
+    scanned = {name: (kind, read) for _line, kind, name, read in iter_metric_name_literals(tree)}
+    assert scanned == {
+        "a.evicted": ("counter", False),
+        "a.left": ("counter", False),
+        "a.bumped": ("counter", False),
+        "a.read": ("counter", True),
+        "a.got": ("counter", True),
+        "a.hist": ("histogram", True),
+    }
 
 
 def test_registered_names_and_reasoned_pragma_pass():

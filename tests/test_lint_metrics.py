@@ -38,6 +38,14 @@ class TestRegistryContents:
         for name in matrix_names:
             assert MATRIX_MODULE in scanned[name].modules
             assert METRICS[name]["matrix_column"] is True
+        # Names the matrix module only writes never reach a report row.
+        for name in ("faults.plan_leave_skipped", "faults.flash_join_failed"):
+            assert MATRIX_MODULE in scanned[name].modules
+            assert scanned[name].matrix_column is False
+
+    def test_both_arms_of_a_conditional_name_are_registered(self):
+        for name in ("membership.evictions_started", "membership.leaves_started"):
+            assert "repro/overlay/membership.py" in METRICS[name]["modules"]
 
     def test_registry_records_kind_and_owning_modules(self):
         entry = METRICS["invariants.check_errors"]

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries
-from repro.sim.runpar import merge_shards
 
 
 def bits(value):
@@ -232,17 +231,6 @@ class TestPackedSamples:
         assert isinstance(clone.samples, array) and clone.samples.typecode == "d"
         assert (clone.mean, clone.minimum, clone.percentile(50)) == (1.625, 0.5, 1.0)
 
-    def test_merge_shards_round_trip(self):
-        first, second = Histogram([1.0, 4.0]), Histogram([2.5])
-        shards = [
-            {"counters": {}, "histograms": {"h": list(first.samples)}},
-            {"counters": {}, "histograms": {"h": second.samples}},  # an array merges too
-        ]
-        merged = merge_shards(shards)["histograms"]["h"]
-        assert merged == Histogram([1.0, 4.0, 2.5])
-        assert merged == MetricsRegistry.merge_histograms([first, second])
-        assert (merged.maximum, merged.percentile(50)) == (4.0, 2.5)
-
 
 class TestTimeSeries:
     def test_value_at_step_function(self):
@@ -282,9 +270,3 @@ class TestMetricsRegistry:
         snapshot = metrics.snapshot()
         assert snapshot["lat.mean"] == pytest.approx(2.0)
         assert snapshot["lat.count"] == 2.0
-
-    def test_merge_histograms(self):
-        h1 = Histogram(samples=[1.0, 2.0])
-        h2 = Histogram(samples=[3.0])
-        merged = MetricsRegistry.merge_histograms([h1, h2])
-        assert merged.count == 3
