@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
@@ -157,6 +157,10 @@ class AtumNode(Actor):
         self.replica: Optional[SmrReplica] = None
         self.delivered: Dict[str, float] = {}
         self.delivered_order: List[str] = []
+        # bcast_id -> {vgroup it was accepted from after the first: (gm-id,
+        # the members that sent this node a share)}; an entry lives only while
+        # a Sync forward waits for the round boundary.
+        self._heard_from: Dict[str, Dict[str, Tuple[str, Set[str]]]] = {}
         self._direct_handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._group_handlers: Dict[str, Callable[[Any, str, str], None]] = {}
 
@@ -554,9 +558,11 @@ class AtumNode(Actor):
         # membership engine at vgroup granularity; the node only needs to act
         # on application-level broadcasts here.
 
-    def _on_group_message(self, kind: str, payload: Any, source_group: str, gm_id: str) -> None:
+    def _on_group_message(
+        self, kind: str, payload: Any, source_group: str, gm_id: str, senders: Set[str]
+    ) -> None:
         if kind == "gossip" and isinstance(payload, BroadcastMessage):
-            self._deliver_and_forward(payload, source_group=source_group)
+            self._deliver_and_forward(payload, source_group, (gm_id, senders))
             return
         handler = self._group_handlers.get(kind)
         if handler is not None:
@@ -582,12 +588,26 @@ class AtumNode(Actor):
         self._mw_scenario = scenario
         self.messenger.set_middleware_hooks(deliver_hooks, scenario)
 
-    def _deliver_and_forward(self, message: BroadcastMessage, source_group: str) -> None:
-        if message.bcast_id in self.delivered:
+    def _deliver_and_forward(
+        self,
+        message: BroadcastMessage,
+        source_group: str,
+        shares: Optional[Tuple[str, Set[str]]] = None,
+    ) -> None:
+        """``shares`` is the accepted group message's (gm-id, senders); ``None``
+        for the own vgroup's decision."""
+        bcast_id = message.bcast_id
+        if bcast_id in self.delivered:
+            # A later source: while the forward waits for its round, keep
+            # counting who in that vgroup sent a share (see _gossip_targets).
+            heard = self._heard_from.get(bcast_id)
+            if heard is not None and shares is not None and source_group not in heard:
+                heard[source_group] = shares
+                self.messenger.count_late_shares(*shares)
             return
         now = self.sim.now
-        self.delivered[message.bcast_id] = now
-        self.delivered_order.append(message.bcast_id)
+        self.delivered[bcast_id] = now
+        self.delivered_order.append(bcast_id)
         self.sim.metrics.increment("atum.deliveries")
         self.sim.metrics.observe("atum.delivery_latency", now - message.created_at)
         hooks = self._deliver_hooks
@@ -610,21 +630,37 @@ class AtumNode(Actor):
             self.deliver_fn(message)
         if self.params.smr_kind is SmrKind.SYNC:
             # Synchronous deployments forward at round boundaries.
+            self._heard_from[bcast_id] = {}
             delay = self._time_to_next_round()
-            self.sim.schedule(delay, lambda: self._forward(message, source_group))
+            self.sim.schedule(
+                delay, lambda: self._forward(message, source_group, self._stop_hearing(bcast_id))
+            )
         else:
             self._forward(message, source_group)
+
+    def _stop_hearing(self, bcast_id: str) -> Dict[str, Tuple[str, Set[str]]]:
+        """The later sources of ``bcast_id``, whose shares are counted no more."""
+        later = self._heard_from.pop(bcast_id)
+        for gm_id, _ in later.values():
+            self.messenger.stop_counting(gm_id)
+        return later
 
     def _time_to_next_round(self) -> float:
         round_duration = self.params.round_duration
         position = self.sim.now % round_duration
         return round_duration - position if position > 1e-12 else 0.0
 
-    def _forward(self, message: BroadcastMessage, source_group: str) -> None:
+    def _forward(
+        self,
+        message: BroadcastMessage,
+        source_group: str,
+        later_sources: Optional[Dict[str, Tuple[str, Set[str]]]] = None,
+    ) -> None:
+        """Send this member's share of ``message`` to its gossip targets."""
         if not self.is_member or self.vgroup_view is None:
             return
         own_group = self.vgroup_view.group_id
-        for target_group in self._gossip_targets(message, exclude=source_group):
+        for target_group in self._gossip_targets(message, (source_group,), later_sources):
             target_view = self.directory.view_of_group(target_group)
             if target_view is None:
                 continue
@@ -655,13 +691,23 @@ class AtumNode(Actor):
                 )
         self.sim.metrics.increment("atum.gossip_forwards")
 
-    def _gossip_targets(self, message: BroadcastMessage, exclude: str) -> List[str]:
+    def _gossip_targets(
+        self,
+        message: BroadcastMessage,
+        exclude: Collection[str],
+        later_sources: Optional[Dict[str, Tuple[str, Set[str]]]] = None,
+    ) -> List[str]:
         """Neighbouring vgroups this broadcast should be forwarded to.
 
         The choice must be identical at every correct member of the vgroup
         (otherwise the group message never reaches a majority), which is why
         the built-in policies (:func:`repro.overlay.gossip.forward_cycles`)
-        derive any variation from the broadcast id.
+        derive any variation from the broadcast id.  ``exclude`` holds the
+        vgroup the broadcast was first accepted from.  A vgroup in
+        ``later_sources`` is skipped too when every member of its current
+        view sent this node a share: each of them forwarded, so each holds
+        the broadcast, and a member that entered it since still gets one.
+        ``forward_fn`` is never asked about a skipped vgroup.
         """
         if self.vgroup_view is None:
             return []
@@ -671,10 +717,24 @@ class AtumNode(Actor):
             return []
         hc = len(cycle_neighbors)
         if self.forward_fn is not None:
-            candidates = forward_targets(cycle_neighbors, range(hc), own_group, exclude)
-            return [gid for gid in candidates if self.forward_fn(message, gid)]
-        cycles = forward_cycles(self.forward_policy, message.bcast_id, hc)
-        return forward_targets(cycle_neighbors, cycles, own_group, exclude)
+            cycles: Sequence[int] = range(hc)
+        else:
+            cycles = forward_cycles(self.forward_policy, message.bcast_id, hc)
+        targets = forward_targets(cycle_neighbors, cycles, own_group, exclude)
+        if later_sources:
+            view_of_group = self.directory.view_of_group
+            candidates, targets = targets, []
+            for gid in candidates:
+                shares = later_sources.get(gid)
+                view = view_of_group(gid) if shares is not None else None
+                if view is None or not shares[1].issuperset(view.members):
+                    targets.append(gid)
+            suppressed = len(candidates) - len(targets)
+            if suppressed:
+                self.sim.metrics.increment("atum.forwards_suppressed", suppressed)
+        if self.forward_fn is None:
+            return targets
+        return [gid for gid in targets if self.forward_fn(message, gid)]
 
 
 class OverlayDirectory:

@@ -95,14 +95,16 @@ class GroupMessenger:
     The host node provides its current view of its own vgroup via
     ``own_view_fn`` and receives accepted group messages through the
     ``on_accept`` callback, which is invoked exactly once per group message
-    with ``(kind, payload, source_group, gm_id)``.
+    with ``(kind, payload, source_group, gm_id, senders)``.  ``senders`` is the
+    set of source members whose shares counted; it stops growing at delivery
+    unless the host asks for later shares with :meth:`count_late_shares`.
     """
 
     def __init__(
         self,
         binding: NodeBinding,
         own_view_fn: Callable[[], VGroupView],
-        on_accept: Callable[[str, Any, str, str], None],
+        on_accept: Callable[[str, Any, str, str, Set[str]], None],
         payload_bytes: int = 1024,
         digest_bytes: int = 96,
         use_digest_optimization: bool = True,
@@ -134,6 +136,9 @@ class GroupMessenger:
         self._pending: Dict[str, _PendingGroupMessage] = {}
         self._conflicting: Dict[Tuple[str, str], _PendingGroupMessage] = {}
         self._delivered_gm_ids: Set[str] = set()
+        # gm-id -> sender set of a delivered group message that later shares
+        # still add to, while the host asks (count_late_shares / stop_counting).
+        self._late_senders: Dict[str, Set[str]] = {}
         self._gm_counter = 0
         # Single-entry cache of the full-copy-vs-digest decision, keyed by the
         # identity of the (immutable) own-view snapshot it was computed for.
@@ -260,6 +265,9 @@ class GroupMessenger:
         """Process one share of a group message arriving from ``sender``."""
         gm_id = envelope.gm_id
         if gm_id in self._delivered_gm_ids:
+            late = self._late_senders.get(gm_id)
+            if late is not None:
+                late.add(sender)
             return
         digest = envelope.digest
         pending = self._pending
@@ -341,8 +349,15 @@ class GroupMessenger:
                     if ctx.stop:
                         break
             self.on_accept(
-                envelope.kind, state.full_payload, envelope.source_group, gm_id
+                envelope.kind, state.full_payload, envelope.source_group, gm_id, senders
             )
+
+    def count_late_shares(self, gm_id: str, senders: Set[str]) -> None:
+        """Add the sender of every later share of delivered ``gm_id`` to ``senders``."""
+        self._late_senders[gm_id] = senders
+
+    def stop_counting(self, gm_id: str) -> None:
+        self._late_senders.pop(gm_id, None)
 
     def verify_share(self, envelope: GroupMessageEnvelope) -> bool:
         """Payload-digest verification of one full share.

@@ -128,6 +128,11 @@ METRICS = {
         "modules": ('repro/core/node.py',),
         "matrix_column": False,
     },
+    'atum.forwards_suppressed': {
+        "kind": 'counter',
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
+    },
     'atum.gossip_forwards': {
         "kind": 'counter',
         "modules": ('repro/core/node.py',),

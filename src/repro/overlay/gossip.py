@@ -18,14 +18,18 @@ the varying part of a selection derives from :func:`stable_hash` of the
 message id.  :class:`repro.core.node.AtumNode` forwards through
 :func:`forward_targets`; the structural :func:`dissemination_rounds` /
 :func:`dissemination_trace` helpers walk an :class:`HGraph` with the same two
-functions, so what they report is what the node does.
+functions, so they pick the same cycles and the same neighbour order as the
+node.  They are an upper bound on what it sends, not a replay: a vertex of the
+trace excludes nothing, while a node skips the vgroup it first accepted the
+broadcast from and, in a Sync deployment, every later one whose whole current
+view sent it a share before the round boundary.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Collection, List, Sequence, Set, Tuple
 
 from repro.overlay.hgraph import HGraph
 
@@ -61,18 +65,19 @@ def forward_targets(
     pairs: Sequence[Tuple[str, str]],
     cycles: Sequence[int],
     own: str,
-    exclude: Optional[str] = None,
+    exclude: Collection[str] = (),
 ) -> List[str]:
     """Distinct neighbours on ``cycles``, predecessor first, cycle by cycle.
 
     ``pairs`` holds one (predecessor, successor) pair per cycle; ``own`` (a
-    vertex is its own neighbour on a short cycle) and ``exclude`` (the vgroup
-    the message arrived from) are never targets.
+    vertex is its own neighbour on a short cycle) and the group ids in
+    ``exclude`` (the vgroups the message arrived from) are never targets.
+    ``exclude`` is a collection of ids, never one bare id: ``"g1" in "g10"``.
     """
     targets: List[str] = []
     for cycle in cycles:
         for neighbor in pairs[cycle]:
-            if neighbor != own and neighbor != exclude and neighbor not in targets:
+            if neighbor != own and neighbor not in exclude and neighbor not in targets:
                 targets.append(neighbor)
     return targets
 

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, SmrEnvelope
+from repro.crypto.digest import digest_object
+from repro.group.messages import GroupMessageEnvelope
 from repro.overlay.gossip import forward_cycles, forward_targets, stable_hash
 from repro.smr.base import Operation
+from repro.workloads.churn import ChurnConfig, ChurnWorkload
 
 
 def small_params(**overrides):
@@ -82,7 +85,7 @@ class TestForwardOracle:
     def test_selection_matches_parent_commit(self, policy, bcast_id, hc, expected):
         pairs = oracle_pairs(hc)
         cycles = forward_cycles(policy, bcast_id, hc)
-        assert forward_targets(pairs, cycles, "own", "p0") == expected
+        assert forward_targets(pairs, cycles, "own", ("p0",)) == expected
         # ...and the node reaches the same answer through its own wiring.
         stub = SimpleNamespace(
             vgroup_view=SimpleNamespace(group_id="own"),
@@ -91,7 +94,13 @@ class TestForwardOracle:
             forward_policy=policy,
         )
         message = BroadcastMessage(bcast_id, "n", None, 10, 0.0)
-        assert AtumNode._gossip_targets(stub, message, exclude="p0") == expected
+        assert AtumNode._gossip_targets(stub, message, exclude=("p0",)) == expected
+
+    def test_excluded_ids_match_whole_not_by_prefix(self):
+        pairs = (("g1", "g10"), ("g100", "own"))
+        assert forward_targets(pairs, range(2), "own", ("g10",)) == ["g1", "g100"]
+        assert forward_targets(pairs, range(2), "own", ("g1",)) == ["g10", "g100"]
+        assert forward_targets(pairs, range(2), "own", ("g1", "g100")) == ["g10"]
 
 
 class TestStableHash:
@@ -145,7 +154,7 @@ class TestGossipTargets:
         cluster = built_cluster()
         node = cluster.node("n0")
         message = BroadcastMessage("b1", "n0", "x", 10, 0.0)
-        targets = node._gossip_targets(message, exclude="")
+        targets = node._gossip_targets(message, exclude=())
         own = node.group_id()
         assert own not in targets
         assert len(targets) == len(set(targets))
@@ -157,9 +166,9 @@ class TestGossipTargets:
         node = cluster.node("n0")
         message = BroadcastMessage("b2", "n0", "x", 10, 0.0)
         node.forward_policy = "flood"
-        flood = node._gossip_targets(message, exclude="")
+        flood = node._gossip_targets(message, exclude=())
         node.forward_policy = "single"
-        single = node._gossip_targets(message, exclude="")
+        single = node._gossip_targets(message, exclude=())
         assert len(single) <= len(flood)
         assert len(single) >= 1
 
@@ -173,7 +182,7 @@ class TestGossipTargets:
             target_sets = []
             for peer in peers:
                 peer.forward_policy = policy
-                target_sets.append(tuple(peer._gossip_targets(message, exclude="")))
+                target_sets.append(tuple(peer._gossip_targets(message, exclude=())))
             assert len(set(target_sets)) == 1
 
     def test_custom_forward_fn_filters_targets(self):
@@ -181,13 +190,13 @@ class TestGossipTargets:
         node = cluster.node("n0")
         message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
         node.forward_fn = lambda m, gid: False
-        assert node._gossip_targets(message, exclude="") == []
+        assert node._gossip_targets(message, exclude=()) == []
 
     def test_custom_forward_fn_is_asked_once_per_candidate_in_flood_order(self):
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
-        flood = node._gossip_targets(message, exclude="")
+        flood = node._gossip_targets(message, exclude=())
         assert len(flood) >= 2
         asked = []
 
@@ -199,7 +208,7 @@ class TestGossipTargets:
         # The application decides per neighbour; the built-in policy is out
         # of the picture, the source group is never asked.
         node.forward_policy = "single"
-        targets = node._gossip_targets(message, exclude=flood[0])
+        targets = node._gossip_targets(message, exclude=flood[:1])
         assert asked == [("b4", gid) for gid in flood[1:]]
         assert targets == flood[2:]
 
@@ -208,16 +217,16 @@ class TestGossipTargets:
         node = cluster.node("n0")
         node.forward_policy = "bogus"
         with pytest.raises(ValueError):
-            node._gossip_targets(BroadcastMessage("b5", "n0", "x", 10, 0.0), exclude="")
+            node._gossip_targets(BroadcastMessage("b5", "n0", "x", 10, 0.0), exclude=())
 
     def test_exclude_source_group(self):
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b6", "n0", "x", 10, 0.0)
-        all_targets = node._gossip_targets(message, exclude="")
+        all_targets = node._gossip_targets(message, exclude=())
         if all_targets:
             excluded = all_targets[0]
-            remaining = node._gossip_targets(message, exclude=excluded)
+            remaining = node._gossip_targets(message, exclude=(excluded,))
             assert excluded not in remaining
 
 
@@ -229,20 +238,226 @@ class TestForwardsOnce:
         node = cluster.node("n0")
         counter = cluster.sim.metrics.counter
         message = BroadcastMessage("b7", "n1", "x", 10, 0.0)
-        neighbours = node._gossip_targets(message, exclude="")
+        neighbours = node._gossip_targets(message, exclude=())
         assert len(neighbours) >= 2
-        node._on_group_message("gossip", message, neighbours[0], "gm-1")
+        node._on_group_message("gossip", message, neighbours[0], "gm-1", set())
         cluster.run(until=5.0)  # Sync: the forward waits for the round boundary
         assert counter("atum.gossip_forwards") == 1
         shares = counter("group.shares_sent")
         assert shares > 0
         # Again from a second source vgroup, and again as an SMR decision.
-        node._on_group_message("gossip", message, neighbours[1], "gm-2")
+        node._on_group_message("gossip", message, neighbours[1], "gm-2", set())
         node._on_smr_decide(Operation("broadcast", message, "n1", "op-1"))
         cluster.run(until=10.0)
         assert counter("atum.gossip_forwards") == 1
         assert counter("group.shares_sent") == shares
         assert node.delivered_order == ["b7"]
+
+
+def record_gossip(cluster):
+    """Wrap every node's share handler and messenger; return the gossip sends
+    that went to a vgroup every member of whose current view had already sent
+    the sender a share of the same broadcast, and every gossip send as (sender,
+    bcast, own group, target group, time)."""
+    shares, sends, sent_back = {}, [], []
+    for node in cluster.nodes.values():
+        messenger = node.messenger
+
+        def handle(envelope, sender, node=node, inner=node._routes[GroupMessageEnvelope]):
+            shares.setdefault((node.address, envelope.gm_id), set()).add(sender)
+            inner(envelope, sender)
+
+        def send(target_view, kind, payload, node=node, inner=messenger.send, **kwargs):
+            own, target = node.group_id(), target_view.group_id
+            sends.append((node.address, payload.bcast_id, own, target, cluster.sim.now))
+            heard = shares.get((node.address, f"gossip:{payload.bcast_id}:{target}->{own}"), ())
+            if set(target_view.members) <= set(heard):
+                sent_back.append((node.address, payload.bcast_id, target))
+            return inner(target_view, kind, payload, **kwargs)
+
+        node._routes[GroupMessageEnvelope] = handle
+        messenger.send = send
+    return sent_back, sends
+
+
+def deliver_shares(node, message, source_view, senders):
+    """Hand ``node`` the shares of ``source_view``'s gossip group message that
+    ``senders`` sent it, as the network would."""
+    gm_id = f"gossip:{message.bcast_id}:{source_view.group_id}->{node.group_id()}"
+    full = GroupMessageEnvelope(
+        gm_id=gm_id,
+        source_group=source_view.group_id,
+        source_epoch=source_view.epoch,
+        target_group=node.group_id(),
+        kind="gossip",
+        payload=message,
+        digest=digest_object(message),
+        sender_group_size=source_view.size,
+    )
+    for sender in senders:
+        node.messenger.handle(full, sender)
+
+
+BROADCAST_ORIGINS = ("n0", "n7", "n15", "n30")
+
+#: Gossip sends of each policy's run while a forward skipped only the first
+#: vgroup it had heard a broadcast from; every one now saved is counted in
+#: ``atum.forwards_suppressed``.
+SENDS_SKIPPING_FIRST_SOURCE = {"flood": 656, "single": 176, "double": 464, "random": 392}
+
+#: The small churn run of ``test_churn_delivers_to_the_same_nodes`` while a
+#: forward skipped only the first source: (broadcast, node) pairs due (sent to
+#: a correct member that is still one at the horizon), and those of them never
+#: delivered.
+CHURN_SEED = 2
+CHURN_DUE = 1116
+CHURN_MISSED = [
+    ("bc-n119-2", "n54"),
+    ("bc-n20-9", "n96"),
+    ("bc-n38-5", "n82"),
+    ("bc-n79-6", "n35"),
+    ("bc-n79-6", "n88"),
+]
+
+
+def watch_skips(cluster):
+    """Return the (bcast, target) skips whose target had a member that had not
+    delivered the broadcast when the forward skipped it."""
+    unsafe = []
+    for node in cluster.nodes.values():
+
+        def gossip_targets(message, exclude, later_sources=None, inner=node._gossip_targets):
+            targets = inner(message, exclude, later_sources)
+            for gid in set(inner(message, exclude)) - set(targets):
+                view = cluster.view_of_group(gid)
+                if any(not cluster.node(a).has_delivered(message.bcast_id) for a in view.members):
+                    unsafe.append((message.bcast_id, gid))
+            return targets
+
+        node._gossip_targets = gossip_targets
+    return unsafe
+
+
+class TestForwardSkipsSourcesWhoseWholeViewSent:
+    @pytest.mark.parametrize("policy", sorted(SENDS_SKIPPING_FIRST_SOURCE))
+    def test_no_share_goes_to_a_vgroup_known_to_hold_the_broadcast(self, policy):
+        cluster = built_cluster(n=40, seed=3)
+        for node in cluster.nodes.values():
+            node.forward_policy = policy
+        sent_back, sends = record_gossip(cluster)
+        for index, origin in enumerate(BROADCAST_ORIGINS):
+            cluster.sim.schedule_at(1.0 + 2.0 * index, lambda o=origin: cluster.broadcast(o, o))
+        cluster.run(until=40.0)
+        assert sent_back == []
+        suppressed = cluster.sim.metrics.counter("atum.forwards_suppressed")
+        assert suppressed > 0
+        assert len(sends) + suppressed == SENDS_SKIPPING_FIRST_SOURCE[policy]
+        # Who delivers what does not move: every node, every broadcast.
+        bcast_ids = [f"bc-{origin}-{serial}" for serial, origin in enumerate(BROADCAST_ORIGINS, 1)]
+        deliveries = {
+            (bcast, address) for address, node in cluster.nodes.items() for bcast in node.delivered
+        }
+        assert deliveries == {(bcast, address) for bcast in bcast_ids for address in cluster.nodes}
+        # The per-broadcast sources and their late-share counts live only while
+        # a forward is pending.
+        assert all(node._heard_from == {} for node in cluster.nodes.values())
+        assert all(node.messenger._late_senders == {} for node in cluster.nodes.values())
+
+    def test_a_source_is_skipped_only_when_its_whole_view_sent_a_share(self):
+        # Under loss co-members disagree on who in the second source sent them
+        # a share.  Only the member that heard from all of it skips it; the one
+        # that missed a share and the one that never accepted both still send.
+        cluster = built_cluster(n=40)
+        group = cluster.node("n0").group_id()
+        members = [cluster.node(address) for address in cluster.view_of_group(group).members]
+        message = BroadcastMessage("b8", "n1", "x", 10, 0.0)
+        first, later = members[0]._gossip_targets(message, exclude=())[:2]
+        first_view, later_view = cluster.view_of_group(first), cluster.view_of_group(later)
+        _, sends = record_gossip(cluster)
+        for member in members:
+            deliver_shares(member, message, first_view, first_view.members)
+        never, missed_one, *heard_all = members
+        deliver_shares(missed_one, message, later_view, later_view.members[1:])
+        for member in heard_all:
+            deliver_shares(member, message, later_view, later_view.members)
+        # Up to half a round past this group's forward: its targets forward a
+        # round later.
+        cluster.run(until=cluster.sim.now + never._time_to_next_round() + 0.25)
+        targets = {member.address: set() for member in members}
+        for sender, _, own, target, _ in sends:
+            if own == group:
+                targets[sender].add(target)
+        assert later in targets[never.address]
+        assert targets[missed_one.address] == targets[never.address]
+        for member in heard_all:
+            assert targets[member.address] == targets[never.address] - {later}
+            assert first not in targets[member.address]
+        assert cluster.sim.metrics.counter("atum.forwards_suppressed") == len(heard_all)
+
+    def test_shares_after_the_majority_count_until_the_forward(self):
+        cluster = built_cluster(n=40)
+        node = cluster.node("n0")
+        message = BroadcastMessage("b10", "n1", "x", 10, 0.0)
+        first, later = node._gossip_targets(message, exclude=())[:2]
+        first_view, later_view = cluster.view_of_group(first), cluster.view_of_group(later)
+        deliver_shares(node, message, first_view, first_view.members)
+        deliver_shares(node, message, later_view, later_view.members[:-1])
+        ((gm_id, senders),) = node._heard_from["b10"].values()
+        assert node.messenger._late_senders == {gm_id: senders}
+        deliver_shares(node, message, later_view, later_view.members[-1:])
+        assert senders == set(later_view.members)
+        cluster.run(until=cluster.sim.now + node._time_to_next_round() + 0.01)
+        assert cluster.sim.metrics.counter("atum.forwards_suppressed") == 1
+        assert node.messenger._late_senders == {}
+
+    def test_the_sources_go_when_the_forward_fires_after_a_leave(self):
+        cluster = built_cluster(n=40)
+        node = cluster.node("n0")
+        message = BroadcastMessage("b9", "n1", "x", 10, 0.0)
+        first, later = node._gossip_targets(message, exclude=())[:2]
+        node._on_group_message("gossip", message, first, "gm-1", {"a"})
+        assert node._heard_from == {"b9": {}}
+        node._on_group_message("gossip", message, later, "gm-2", {"b"})
+        assert node._heard_from == {"b9": {later: ("gm-2", {"b"})}}
+        assert node.messenger._late_senders == {"gm-2": {"b"}}
+        node.clear_membership()
+        cluster.run(until=5.0)
+        assert node._heard_from == {}
+        assert node.messenger._late_senders == {}
+        assert cluster.sim.metrics.counter("atum.gossip_forwards") == 0
+
+    def test_churn_delivers_to_the_same_nodes(self):
+        # Nodes that enter a vgroup after its members delivered a broadcast
+        # get it only from a neighbour that still sends to that vgroup: a skip
+        # must leave them the same deliveries as skipping the first source only.
+        params = AtumParameters(
+            hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=5.0
+        )
+        cluster = AtumCluster(params, seed=CHURN_SEED, enable_heartbeats=True)
+        cluster.build_static([f"n{i}" for i in range(120)])
+        unsafe = watch_skips(cluster)
+        config = ChurnConfig(rate_per_minute=60.0, duration=60.0, warmup=5.0)
+        churn = ChurnWorkload(cluster.engine, config, join_fn=cluster.join)
+        rng = cluster.sim.rng.stream("origins")
+        sent = []
+
+        def send():
+            members = sorted(cluster.correct_member_addresses())
+            origin = members[rng.randrange(len(members))]
+            sent.append((cluster.broadcast(origin, None), members))
+
+        window = config.warmup + config.duration
+        for index in range(12):
+            cluster.sim.schedule_at(window * (index + 1) / 13, send)
+        churn.run()
+        cluster.run_until_membership_quiescent()
+        cluster.run_for(30.0)
+        assert unsafe == []
+        assert cluster.sim.metrics.counter("atum.forwards_suppressed") > 0
+        still = cluster.engine.node_group
+        due = [(bcast, a) for bcast, members in sent for a in members if a in still]
+        missed = sorted(pair for pair in due if not cluster.node(pair[1]).has_delivered(pair[0]))
+        assert (len(due), missed) == (CHURN_DUE, CHURN_MISSED)
 
 
 class TestMembershipLifecycle:

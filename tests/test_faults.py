@@ -658,7 +658,7 @@ class _GmNode(Actor):
         self.messenger = GroupMessenger(
             binding=NodeBinding(address=address, network=network, sim=sim),
             own_view_fn=lambda: own_view,
-            on_accept=lambda kind, payload, src, gm_id: self.accepted.append(
+            on_accept=lambda kind, payload, src, gm_id, senders: self.accepted.append(
                 (kind, payload, src, gm_id)
             ),
         )

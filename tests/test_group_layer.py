@@ -71,7 +71,7 @@ class _MessengerHost(Actor):
         self.messenger = GroupMessenger(
             binding=NodeBinding(address=address, network=network, sim=sim),
             own_view_fn=own_view_fn,
-            on_accept=lambda kind, payload, src, gm: self.accepted.append(
+            on_accept=lambda kind, payload, src, gm, senders: self.accepted.append(
                 (kind, payload, src, gm)
             ),
         )
