@@ -20,9 +20,10 @@ Internally the node hosts:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Collection, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
@@ -36,13 +37,19 @@ from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
 from repro.net.requests import RequestEnvelope
-from repro.overlay.gossip import forward_cycles, forward_targets
+from repro.overlay.gossip import forward_cycles, forward_targets, sends_first
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrReplica
 from repro.smr.checkpoint import StateTransferRequest, StateTransferResponse
 from repro.smr.dolev_strong import SyncSmrReplica
 from repro.smr.pbft import PbftReplica
+
+#: How long after the round boundary a Sync forward sends to the targets that
+#: go second on their edge, as a fraction of the round (5 ms of a 0.5 s round):
+#: long enough for the other end's LAN shares to land first, short enough that
+#: the targets still forward at the next boundary.
+STAGGER = 0.01
 
 
 @dataclass(frozen=True)
@@ -158,9 +165,12 @@ class AtumNode(Actor):
         self.delivered: Dict[str, float] = {}
         self.delivered_order: List[str] = []
         # bcast_id -> {vgroup it was accepted from after the first: (gm-id,
-        # the members that sent this node a share)}; an entry lives only while
-        # a Sync forward waits for the round boundary.
+        # the members that sent this node a share)}; an entry lives only until
+        # a Sync forward's deferred send.
         self._heard_from: Dict[str, Dict[str, Tuple[str, Set[str]]]] = {}
+        # (time, bcast_id) of each completed Sync forward, oldest first, until
+        # a later forward retires the broadcast's unaccepted gossip state.
+        self._settling: Deque[Tuple[float, str]] = deque()
         self._direct_handlers: Dict[str, Callable[[Any, str], None]] = {}
         self._group_handlers: Dict[str, Callable[[Any, str, str], None]] = {}
 
@@ -632,35 +642,90 @@ class AtumNode(Actor):
             # Synchronous deployments forward at round boundaries.
             self._heard_from[bcast_id] = {}
             delay = self._time_to_next_round()
-            self.sim.schedule(
-                delay, lambda: self._forward(message, source_group, self._stop_hearing(bcast_id))
-            )
+            self.sim.schedule(delay, lambda: self._forward_at_boundary(message, source_group))
         else:
             self._forward(message, source_group)
-
-    def _stop_hearing(self, bcast_id: str) -> Dict[str, Tuple[str, Set[str]]]:
-        """The later sources of ``bcast_id``, whose shares are counted no more."""
-        later = self._heard_from.pop(bcast_id)
-        for gm_id, _ in later.values():
-            self.messenger.stop_counting(gm_id)
-        return later
 
     def _time_to_next_round(self) -> float:
         round_duration = self.params.round_duration
         position = self.sim.now % round_duration
         return round_duration - position if position > 1e-12 else 0.0
 
-    def _forward(
-        self,
-        message: BroadcastMessage,
-        source_group: str,
-        later_sources: Optional[Dict[str, Tuple[str, Set[str]]]] = None,
-    ) -> None:
-        """Send this member's share of ``message`` to its gossip targets."""
-        if not self.is_member or self.vgroup_view is None:
+    def _forward(self, message: BroadcastMessage, source_group: str) -> None:
+        """Async: send this member's share of ``message`` to its gossip targets."""
+        if self.vgroup_view is None:
             return
         own_group = self.vgroup_view.group_id
-        for target_group in self._gossip_targets(message, (source_group,), later_sources):
+        self._send_gossip(message, own_group, self._gossip_targets(message, (source_group,)))
+        self.sim.metrics.increment("atum.gossip_forwards")
+
+    def _forward_at_boundary(self, message: BroadcastMessage, source_group: str) -> None:
+        """Sync, first step: send to the targets this vgroup goes first to.
+
+        The others wait ``STAGGER`` of a round for :meth:`_forward_deferred`,
+        so a neighbour that delivered in the same round and goes first on the
+        shared edge has sent its shares by then.
+        """
+        bcast_id = message.bcast_id
+        self._retire_settled()
+        if self.vgroup_view is None:
+            self._complete_forward(bcast_id)
+            return
+        own_group = self.vgroup_view.group_id
+        first: List[str] = []
+        deferred: List[str] = []
+        for gid in self._gossip_targets(message, (source_group,), self._heard_from[bcast_id]):
+            (first if sends_first(bcast_id, own_group, gid) else deferred).append(gid)
+        self._send_gossip(message, own_group, first)
+        self.sim.metrics.increment("atum.gossip_forwards")
+        if deferred:
+            self.sim.schedule(
+                STAGGER * self.params.round_duration,
+                lambda: self._forward_deferred(message, own_group, deferred),
+            )
+        else:
+            self._complete_forward(bcast_id)
+
+    def _forward_deferred(
+        self, message: BroadcastMessage, own_group: str, deferred: List[str]
+    ) -> None:
+        """Sync, second step: send to the ``deferred`` targets that are not
+        known to hold the broadcast by now, unless this node left ``own_group``."""
+        later_sources = self._complete_forward(message.bcast_id)
+        view = self.vgroup_view
+        if view is None or view.group_id != own_group:
+            return
+        targets = self._uncovered(deferred, later_sources)
+        if targets:
+            self._send_gossip(message, own_group, targets)
+            self.sim.metrics.increment("atum.forwards_deferred", len(targets))
+
+    def _complete_forward(self, bcast_id: str) -> Dict[str, Tuple[str, Set[str]]]:
+        """The later sources of ``bcast_id``, whose shares are counted no more."""
+        later = self._heard_from.pop(bcast_id)
+        for gm_id, _ in later.values():
+            self.messenger.stop_counting(gm_id)
+        self._settling.append((self.sim.now, bcast_id))
+        return later
+
+    def _retire_settled(self) -> None:
+        """Retire the unaccepted gossip state of every broadcast whose forward
+        completed more than a round ago.
+
+        By then every neighbour that delivered it from this vgroup has
+        forwarded too: what is left are below-majority shares from co-members
+        that disagreed on a skip, and only an anti-entropy re-send can still
+        add to them.  This node holds the broadcast, so accepting one more of
+        its gossip group messages would deliver nothing.
+        """
+        settling = self._settling
+        horizon = self.sim.now - self.params.round_duration - 1e-9
+        while settling and settling[0][0] < horizon:
+            self.messenger.retire_pending(f"gossip:{settling.popleft()[1]}:")
+
+    def _send_gossip(self, message: BroadcastMessage, own_group: str, targets: List[str]) -> None:
+        """Send this member's share of ``message`` to each of ``targets``."""
+        for target_group in targets:
             target_view = self.directory.view_of_group(target_group)
             if target_view is None:
                 continue
@@ -689,7 +754,6 @@ class AtumNode(Actor):
                     gm_id=gm_id,
                     payload_bytes=message.size_bytes + 64,
                 )
-        self.sim.metrics.increment("atum.gossip_forwards")
 
     def _gossip_targets(
         self,
@@ -703,11 +767,9 @@ class AtumNode(Actor):
         (otherwise the group message never reaches a majority), which is why
         the built-in policies (:func:`repro.overlay.gossip.forward_cycles`)
         derive any variation from the broadcast id.  ``exclude`` holds the
-        vgroup the broadcast was first accepted from.  A vgroup in
-        ``later_sources`` is skipped too when every member of its current
-        view sent this node a share: each of them forwarded, so each holds
-        the broadcast, and a member that entered it since still gets one.
-        ``forward_fn`` is never asked about a skipped vgroup.
+        vgroup the broadcast was first accepted from; a vgroup in
+        ``later_sources`` is dropped by :meth:`_uncovered`, and ``forward_fn``
+        is never asked about it.
         """
         if self.vgroup_view is None:
             return []
@@ -722,19 +784,29 @@ class AtumNode(Actor):
             cycles = forward_cycles(self.forward_policy, message.bcast_id, hc)
         targets = forward_targets(cycle_neighbors, cycles, own_group, exclude)
         if later_sources:
-            view_of_group = self.directory.view_of_group
-            candidates, targets = targets, []
-            for gid in candidates:
-                shares = later_sources.get(gid)
-                view = view_of_group(gid) if shares is not None else None
-                if view is None or not shares[1].issuperset(view.members):
-                    targets.append(gid)
-            suppressed = len(candidates) - len(targets)
-            if suppressed:
-                self.sim.metrics.increment("atum.forwards_suppressed", suppressed)
+            targets = self._uncovered(targets, later_sources)
         if self.forward_fn is None:
             return targets
         return [gid for gid in targets if self.forward_fn(message, gid)]
+
+    def _uncovered(
+        self, candidates: List[str], later_sources: Dict[str, Tuple[str, Set[str]]]
+    ) -> List[str]:
+        """``candidates`` minus every later source whose whole current view
+        sent this node a share: each of them forwarded, so each holds the
+        broadcast, and a member that entered it since still gets one.  The
+        drops are counted as ``atum.forwards_suppressed``."""
+        view_of_group = self.directory.view_of_group
+        targets = []
+        for gid in candidates:
+            shares = later_sources.get(gid)
+            view = view_of_group(gid) if shares is not None else None
+            if view is None or not shares[1].issuperset(view.members):
+                targets.append(gid)
+        suppressed = len(candidates) - len(targets)
+        if suppressed:
+            self.sim.metrics.increment("atum.forwards_suppressed", suppressed)
+        return targets
 
 
 class OverlayDirectory:

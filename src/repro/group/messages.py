@@ -359,6 +359,27 @@ class GroupMessenger:
     def stop_counting(self, gm_id: str) -> None:
         self._late_senders.pop(gm_id, None)
 
+    def retire_pending(self, prefix: str) -> None:
+        """Drop the not-yet-accepted state of every gm-id starting with ``prefix``.
+
+        For group messages the host no longer needs: a share that arrives
+        later starts a fresh count.  Counted as ``group.pending_retired``.
+        """
+        retired = 0
+        pending, conflicting = self._pending, self._conflicting
+        if pending:
+            stale = [k for k, s in pending.items() if not s.accepted and k.startswith(prefix)]
+            for gm_id in stale:
+                del pending[gm_id]
+            retired += len(stale)
+        if conflicting:
+            split = [k for k, s in conflicting.items() if not s.accepted and k[0].startswith(prefix)]
+            for key in split:
+                del conflicting[key]
+            retired += len(split)
+        if retired:
+            self._metrics_increment("group.pending_retired", retired)
+
     def verify_share(self, envelope: GroupMessageEnvelope) -> bool:
         """Payload-digest verification of one full share.
 

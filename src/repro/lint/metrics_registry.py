@@ -128,6 +128,11 @@ METRICS = {
         "modules": ('repro/core/node.py',),
         "matrix_column": False,
     },
+    'atum.forwards_deferred': {
+        "kind": 'counter',
+        "modules": ('repro/core/node.py',),
+        "matrix_column": False,
+    },
     'atum.forwards_suppressed': {
         "kind": 'counter',
         "modules": ('repro/core/node.py',),
@@ -309,6 +314,11 @@ METRICS = {
         "matrix_column": False,
     },
     'group.payload_digest_mismatch': {
+        "kind": 'counter',
+        "modules": ('repro/group/messages.py',),
+        "matrix_column": False,
+    },
+    'group.pending_retired': {
         "kind": 'counter',
         "modules": ('repro/group/messages.py',),
         "matrix_column": False,

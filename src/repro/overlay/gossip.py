@@ -22,7 +22,13 @@ functions, so they pick the same cycles and the same neighbour order as the
 node.  They are an upper bound on what it sends, not a replay: a vertex of the
 trace excludes nothing, while a node skips the vgroup it first accepted the
 broadcast from and, in a Sync deployment, every later one whose whole current
-view sent it a share before the round boundary.
+view sent it a share before the vgroup's send along that edge.
+
+A Sync forward is two sends.  At the round boundary a vgroup sends to the
+targets it :func:`sends_first` to; a few milliseconds later it sends to the
+rest, minus every one whose whole current view sent it a share by then.  Two
+adjacent vgroups that deliver in the same round would otherwise send each
+other the broadcast at the same boundary; staggered, the edge carries it once.
 """
 
 from __future__ import annotations
@@ -82,6 +88,18 @@ def forward_targets(
     return targets
 
 
+def sends_first(message_id: str, own: str, target: str) -> bool:
+    """Whether ``own`` sends ``message_id`` along its edge to ``target`` at the
+    round boundary, before ``target`` would send it back.
+
+    The two ends are ordered by ``stable_hash(message_id) ^ stable_hash(id)``,
+    ties broken by id: both ends and every member of each agree, exactly one
+    end goes first, and which one varies with the message.
+    """
+    salt = stable_hash(message_id)
+    return (salt ^ stable_hash(own), own) < (salt ^ stable_hash(target), target)
+
+
 def dissemination_trace(
     graph: HGraph,
     origin: str,
@@ -132,6 +150,7 @@ __all__ = [
     "stable_hash",
     "forward_cycles",
     "forward_targets",
+    "sends_first",
     "dissemination_rounds",
     "dissemination_trace",
 ]

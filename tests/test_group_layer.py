@@ -458,6 +458,42 @@ class TestGroupMessengerFastPath:
             assert hosts[receiver].accepted == []
             assert hosts[receiver].messenger.pending_count() == 1
 
+    def test_retiring_drops_only_unaccepted_state_under_the_prefix(self):
+        sim, group_a, group_b, hosts = self._wire(size_a=5)
+        receiver = group_b.members[0]
+        messenger = hosts[receiver].messenger
+
+        def share(gm_id, payload, sender, full=True):
+            messenger.handle(
+                GroupMessageEnvelope(
+                    gm_id=gm_id,
+                    source_group="A",
+                    source_epoch=0,
+                    target_group="B",
+                    kind="gossip",
+                    payload=payload if full else None,
+                    digest=digest_object(payload),
+                    sender_group_size=5,
+                ),
+                sender,
+            )
+
+        share("gossip:b1:A->B", "x", "a0")
+        share("gossip:b1:A->B", "forged", "a1")  # an equivocating bucket
+        share("gossip:b10:A->B", "x", "a0")  # same prefix up to the colon
+        for sender in ("a0", "a1", "a2"):  # a majority, but no full copy yet
+            share("gossip:b1:C->B", "x", sender, full=False)
+        assert messenger.pending_count() == 4
+        messenger.retire_pending("gossip:b1:")
+        assert messenger.pending_count() == 2
+        assert sim.metrics.counter("group.pending_retired") == 2
+        # A later share starts a fresh count; the accepted one still delivers.
+        share("gossip:b1:A->B", "x", "a1")
+        share("gossip:b1:A->B", "x", "a2")
+        assert hosts[receiver].accepted == []
+        share("gossip:b1:C->B", "x", "a3")
+        assert [gm for _, _, _, gm in hosts[receiver].accepted] == ["gossip:b1:C->B"]
+
     def test_late_shares_short_circuit_after_delivery(self):
         sim, group_a, group_b, hosts = self._wire()
         for sender in group_a.members:
