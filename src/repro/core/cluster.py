@@ -29,9 +29,10 @@ from repro.core.middleware import (
 from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyTap
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION
 from repro.group.vgroup import VGroupView
 from repro.net.latency import LanProfile, LatencyModel, WanProfile
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.overlay.directory import MergeDecision, SplitBrainCoordinator
 from repro.overlay.membership import MembershipEngine, MembershipError
 from repro.sim.simulator import Simulator
@@ -45,7 +46,6 @@ class AtumCluster:
         params: Optional[AtumParameters] = None,
         seed: int = 0,
         latency_model: Optional[LatencyModel] = None,
-        network_config: Optional[NetworkConfig] = None,
         enable_heartbeats: bool = False,
         shuffle_enabled: bool = True,
         antientropy: Optional["AntiEntropyConfig"] = None,
@@ -57,7 +57,7 @@ class AtumCluster:
                 LanProfile() if self.params.smr_kind is SmrKind.SYNC else WanProfile()
             )
         self.latency_model = latency_model
-        self.network = Network(self.sim, latency_model=latency_model, config=network_config)
+        self.network = Network(self.sim, latency_model=latency_model)
         self.registry = KeyRegistry()
         self.enable_heartbeats = enable_heartbeats
         # Optional anti-entropy repair layer (repro.group.antientropy): a
@@ -76,12 +76,9 @@ class AtumCluster:
         )
         self.nodes: Dict[str, AtumNode] = {}
         # Suspicion reports age out after the same deadline the nodes'
-        # heartbeat monitors use to form a suspicion (period * misses);
-        # both derive from params.heartbeat_config() so they cannot drift.
-        heartbeat_config = self.params.heartbeat_config()
-        self._suspicion_window = (
-            heartbeat_config.period * heartbeat_config.misses_before_eviction
-        )
+        # heartbeat monitors use to form a suspicion (period * misses): both
+        # read MISSES_BEFORE_EVICTION, so they cannot drift.
+        self._suspicion_window = self.params.heartbeat_period * MISSES_BEFORE_EVICTION
         self._eviction_requests: Set[str] = set()
         # Per suspect: reporter -> time of the latest suspicion report.
         # Reports age out (see request_eviction), so a Byzantine minority

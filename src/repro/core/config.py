@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.group.cost import GroupCostModel
-from repro.group.heartbeat import HeartbeatConfig
 from repro.overlay.guideline import recommended_config
 from repro.overlay.membership import MembershipConfig
 from repro.overlay.random_walk import WalkMode
@@ -151,15 +150,6 @@ class AtumParameters:
             walk_mode=self.walk_mode,
             shuffle_enabled=shuffle_enabled,
         )
-
-    def heartbeat_config(self) -> HeartbeatConfig:
-        """The heartbeat/eviction timing every node's monitor runs with.
-
-        Single source of truth: the cluster's suspicion-report aging window
-        must match the monitors' suspicion deadline (``period * misses``),
-        so both sides derive it from this config.
-        """
-        return HeartbeatConfig(period=self.heartbeat_period)
 
     def smr_config(self) -> SmrConfig:
         """Per-replica SMR snapshot, taken once when a replica is built.

@@ -31,7 +31,7 @@ from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
-from repro.group.heartbeat import Heartbeat, HeartbeatConfig, HeartbeatMonitor
+from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
@@ -185,7 +185,7 @@ class AtumNode(Actor):
         )
         self.antientropy: Optional[AntiEntropyRepair] = None
         if antientropy is not None:
-            self.antientropy = AntiEntropyRepair(self, antientropy)
+            self.antientropy = AntiEntropyRepair(self)
         self.heartbeats: Optional[HeartbeatMonitor] = None
         if enable_heartbeats:
             self.heartbeats = HeartbeatMonitor(
@@ -194,7 +194,7 @@ class AtumNode(Actor):
                 peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
                 send_fn=partial(network.send_many, address, size_bytes=64),
                 suspect_fn=self._on_peer_suspected,
-                config=params.heartbeat_config(),
+                period=params.heartbeat_period,
             )
         # The node's routing table: exact frame type -> handler (a share goes
         # straight to the messenger).  Heartbeats are matched ahead of it.

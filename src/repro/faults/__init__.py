@@ -26,7 +26,6 @@ from repro.faults.plan import FaultPlan, LinkFault, NodeFault, Partition, NODE_B
 from repro.faults.injector import LinkFaultInjector, install_link_faults
 from repro.faults.behaviours import FaultController, apply_plan
 from repro.faults.invariants import (
-    InvariantConfig,
     InvariantMonitor,
     InvariantViolation,
     check_agreement_logs,
@@ -42,7 +41,6 @@ __all__ = [
     "install_link_faults",
     "FaultController",
     "apply_plan",
-    "InvariantConfig",
     "InvariantMonitor",
     "InvariantViolation",
     "check_agreement_logs",

@@ -4,7 +4,7 @@ The injector is an ``on_send`` middleware (see :mod:`repro.core.middleware`)
 consulted once per routed message.  It owns a dedicated RNG stream
 (``faults.network``) derived from the simulation seed, so fault draws are
 deterministic and never perturb the network's own randomness (send-order
-shuffles, baseline loss, latency samples keep their exact draw sequence).
+shuffles and latency samples keep their exact draw sequence).
 
 Rules that do not match a message's link or time window draw nothing, which
 keeps runs with inactive windows deterministic regardless of how much

@@ -33,8 +33,8 @@ event trace.  Violations accumulate in :attr:`InvariantMonitor.violations`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
 from repro.crypto.digest import digest_object
@@ -54,35 +54,8 @@ class InvariantViolation:
         return f"[t={self.time:.3f}] {self.kind}({self.subject}): {self.detail}"
 
 
-@dataclass
-class InvariantConfig:
-    """Tunables of the monitor.
-
-    Attributes:
-        size_slack: Extra members a view may transiently hold above ``gmax``
-            (a merge installs up to ``gmax + gmin - 1`` members before the
-            follow-up split); ``None`` uses the engine's ``gmin``.
-        check_claimed_size: Verify the claimed sender-group size of accepted
-            group messages against the source vgroup's actual size.
-        check_final_bounds: At :meth:`InvariantMonitor.finalize`, require all
-            groups back inside ``[gmin, gmax]``.
-        flag_correct_evictions: Record a violation when a correct,
-            non-exempt, non-partitioned node is evicted.
-        max_violations: Stop recording beyond this many violations.
-        tolerate_check_errors: Keep running when a checker itself errors
-            (``engine.validate()`` raising at :meth:`finalize`).  Fault-
-            scenario replay sets this so a broken engine surfaces as a
-            ``structure`` violation in the matrix row; everywhere else the
-            error is counted (``invariants.check_errors``) and re-raised —
-            a crashed checker outside replay is a bug, not an observation.
-    """
-
-    size_slack: Optional[int] = None
-    check_claimed_size: bool = True
-    check_final_bounds: bool = True
-    flag_correct_evictions: bool = True
-    max_violations: int = 200
-    tolerate_check_errors: bool = False
+#: Violations recorded per run; later ones are dropped.
+MAX_VIOLATIONS = 200
 
 
 class InvariantMonitor(Middleware):
@@ -100,10 +73,17 @@ class InvariantMonitor(Middleware):
         ...run a (faulty) scenario...
         monitor.finalize()
         monitor.assert_clean()
+
+    ``tolerate_check_errors`` keeps the run going when a checker itself
+    errors (``engine.validate()`` raising at :meth:`finalize`).  Fault-
+    scenario replay sets it so a broken engine surfaces as a ``structure``
+    violation in the matrix row; everywhere else the error is counted
+    (``invariants.check_errors``) and re-raised: a crashed checker outside
+    replay is a bug, not an observation.
     """
 
-    def __init__(self, config: Optional[InvariantConfig] = None) -> None:
-        self.config = config or InvariantConfig()
+    def __init__(self, tolerate_check_errors: bool = False) -> None:
+        self.tolerate_check_errors = tolerate_check_errors
         self.violations: List[InvariantViolation] = []
         self.checks_run = 0
         self._cluster = None
@@ -179,16 +159,17 @@ class InvariantMonitor(Middleware):
         self.checks_run += 1
         engine = self._cluster.engine
         gmin, gmax = engine.config.gmin, engine.config.gmax
-        slack = self.config.size_slack if self.config.size_slack is not None else gmin
         group_id = view.group_id
 
         if view.size < 1:
             self._violation("group_size", group_id, "installed an empty view")
-        elif view.size > gmax + slack:
+        elif view.size > gmax + gmin:
+            # A merge installs up to gmax + gmin - 1 members before the
+            # follow-up split: gmin is the transient slack above gmax.
             self._violation(
                 "group_size",
                 group_id,
-                f"size {view.size} exceeds gmax={gmax} beyond the merge transient (+{slack})",
+                f"size {view.size} exceeds gmax={gmax} beyond the merge transient (+{gmin})",
             )
 
         previous_epoch = self._group_epochs.get(group_id)
@@ -226,8 +207,6 @@ class InvariantMonitor(Middleware):
         """Record an eviction decided by the cluster's majority-suspicion rule."""
         self._eviction_decisions += 1
         self._pending_evictions.add(address)
-        if not self.config.flag_correct_evictions:
-            return
         if address in self._exempt:
             return
         cluster = self._cluster
@@ -263,21 +242,20 @@ class InvariantMonitor(Middleware):
                 f"group message {envelope.gm_id} accepted with non-member senders "
                 f"{sorted(senders - known)} of group {source_group}",
             )
-        if self.config.check_claimed_size:
-            # The claimed sender-group size must be plausible: shares from an
-            # honest sender carry the group's size at send time, which is
-            # never below the smallest size the group ever had.  A forger
-            # claiming a smaller size (to shrink the acceptance majority)
-            # yields a sender count below the historical-minimum majority.
-            min_size = self._min_sizes.get(source_group)
-            if min_size is not None and len(senders) < majority_threshold(min_size):
-                self._violation(
-                    "forged_majority",
-                    node.address,
-                    f"group message {envelope.gm_id} accepted with {len(senders)} senders, "
-                    f"below the majority of {source_group}'s smallest-ever size {min_size} "
-                    f"(claimed {envelope.sender_group_size})",
-                )
+        # The claimed sender-group size must be plausible: shares from an
+        # honest sender carry the group's size at send time, which is
+        # never below the smallest size the group ever had.  A forger
+        # claiming a smaller size (to shrink the acceptance majority)
+        # yields a sender count below the historical-minimum majority.
+        min_size = self._min_sizes.get(source_group)
+        if min_size is not None and len(senders) < majority_threshold(min_size):
+            self._violation(
+                "forged_majority",
+                node.address,
+                f"group message {envelope.gm_id} accepted with {len(senders)} senders, "
+                f"below the majority of {source_group}'s smallest-ever size {min_size} "
+                f"(claimed {envelope.sender_group_size})",
+            )
         nodes = self._cluster.nodes
         for sender in senders:
             peer = nodes.get(sender)
@@ -361,7 +339,7 @@ class InvariantMonitor(Middleware):
             # tolerating it.
             self._violation("structure", "engine", str(exc))
             self._cluster.sim.metrics.increment("invariants.check_errors")
-            if not self.config.tolerate_check_errors:
+            if not self.tolerate_check_errors:
                 raise
         for address in sorted(self._evicted):
             if address in engine.node_group:
@@ -369,17 +347,16 @@ class InvariantMonitor(Middleware):
                     "evicted_readmitted", address, "evicted identity is a member at finalize"
                 )
         self._check_directory_reconciliations(engine)
-        if self.config.check_final_bounds:
-            gmin, gmax = engine.config.gmin, engine.config.gmax
-            for group_id, view in engine.groups.items():
-                if view.size > gmax:
-                    self._violation(
-                        "final_group_size", group_id, f"settled at size {view.size} > gmax={gmax}"
-                    )
-                elif view.size < gmin and len(engine.groups) > 1:
-                    self._violation(
-                        "final_group_size", group_id, f"settled at size {view.size} < gmin={gmin}"
-                    )
+        gmin, gmax = engine.config.gmin, engine.config.gmax
+        for group_id, view in engine.groups.items():
+            if view.size > gmax:
+                self._violation(
+                    "final_group_size", group_id, f"settled at size {view.size} > gmax={gmax}"
+                )
+            elif view.size < gmin and len(engine.groups) > 1:
+                self._violation(
+                    "final_group_size", group_id, f"settled at size {view.size} < gmin={gmin}"
+                )
         return self.violations
 
     def _check_directory_reconciliations(self, engine) -> None:
@@ -457,7 +434,7 @@ class InvariantMonitor(Middleware):
     # ----------------------------------------------------------------- helpers
 
     def _violation(self, kind: str, subject: str, detail: str) -> None:
-        if len(self.violations) >= self.config.max_violations:
+        if len(self.violations) >= MAX_VIOLATIONS:
             return
         now = self._cluster.sim.now if self._cluster is not None else 0.0
         self.violations.append(
@@ -527,7 +504,6 @@ def check_agreement_logs(
 
 __all__ = [
     "InvariantMonitor",
-    "InvariantConfig",
     "InvariantViolation",
     "check_agreement_logs",
     "cluster_smr_logs",

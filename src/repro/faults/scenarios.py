@@ -41,7 +41,7 @@ from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MetricsTap
 from repro.faults.behaviours import apply_plan
-from repro.faults.invariants import InvariantConfig, InvariantMonitor
+from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import (
     FaultPlan,
     GroupSlowdown,
@@ -1292,7 +1292,7 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     # Replay tolerates checker errors: a broken engine must surface as a
     # "structure" violation in this scenario's matrix row (and fail the
     # matrix), not abort the whole shard.
-    monitor = InvariantMonitor(InvariantConfig(tolerate_check_errors=True))
+    monitor = InvariantMonitor(tolerate_check_errors=True)
     cluster.attach_monitor(monitor)
     # Pipeline-level event counters ride the same chain.  Observation only
     # (no RNG, no timers), so the matrix rows stay byte-identical.

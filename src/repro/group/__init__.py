@@ -18,7 +18,7 @@ robust vgroups (paper section 3.1).  Its building blocks are:
 
 from repro.group.vgroup import VGroupView, majority_threshold
 from repro.group.messages import GroupMessenger, GroupMessageEnvelope, NodeBinding
-from repro.group.heartbeat import HeartbeatMonitor, HeartbeatConfig
+from repro.group.heartbeat import HeartbeatMonitor
 from repro.group.cost import GroupCostModel
 
 __all__ = [
@@ -28,6 +28,5 @@ __all__ = [
     "GroupMessageEnvelope",
     "NodeBinding",
     "HeartbeatMonitor",
-    "HeartbeatConfig",
     "GroupCostModel",
 ]

@@ -42,70 +42,49 @@ from repro.net.requests import (
 )
 
 
+#: Interval between summary exchanges, and the delay before the first one
+#: after a (re)start.
+PERIOD = 1.0
+START_DELAY = 0.5
+#: Peers contacted per tick.
+FANOUT = 2
+#: Newest delivered broadcast ids per summary.  This is also the repair
+#: horizon: a gap older than every peer's window can no longer be detected
+#: (``ae.summary_window_truncated`` records when the window saturates), and
+#: payloads that age out of it are dropped from the repair store.
+MAX_SUMMARY_IDS = 256
+#: Only broadcasts delivered at least this long ago are advertised.  Ordinary
+#: dissemination is still in flight for younger ones, and repairing a gap the
+#: next network hop is about to close anyway would waste bandwidth: a quiet
+#: healthy system exchanges summaries but repairs nothing.
+REPAIR_MIN_AGE = 2.0
+#: Repair actions triggered per incoming message.
+MAX_REPAIRS_PER_PEER = 16
+#: First-retry spacing of re-sends of one share to one target vgroup, and of
+#: SMR re-proposals of one broadcast inside the own vgroup; repeats back off
+#: with seeded jitter (:class:`~repro.net.requests.JitteredBackoff`).
+RESEND_BACKOFF_BASE = 2.0
+REPROPOSE_BACKOFF_BASE = 4.0
+#: First-attempt deadline of an ``ae.pull`` request, and responders tried per
+#: pull before giving up (the next summary round re-detects an open gap).
+PULL_TIMEOUT = 3.0
+PULL_ATTEMPTS = 3
+#: Wire size of a summary/request/hint: fixed part plus per id.
+SUMMARY_BYTES_BASE = 48
+SUMMARY_BYTES_PER_ID = 8
+#: Age after which a *settled* broadcast's payload leaves the repair store
+#: (with its backoff state).  Every reachable peer had this long to pull it;
+#: keeping settled payloads forever grows the store without bound under
+#: sustained traffic (continuous churn especially).
+GC_SETTLED_AGE = 120.0
+
 @dataclass(frozen=True)
 class AntiEntropyConfig:
-    """Tunables of the anti-entropy repair layer.
+    """Turns the repair layer on: ``AtumCluster(antientropy=AntiEntropyConfig())``.
 
-    Attributes:
-        period: Interval between summary exchanges.
-        start_delay: Delay before the first exchange after (re)start.
-        fanout: Peers contacted per tick.
-        max_summary_ids: Newest delivered broadcast ids per summary.  This
-            is also the repair horizon: a gap older than every peer's
-            window can no longer be detected (the ``ae.summary_window_
-            truncated`` counter records when the window saturates), and
-            payloads that age out of it are dropped from the repair store.
-        repair_min_age: Only broadcasts delivered at least this long ago are
-            advertised in summaries.  Ordinary dissemination is still in
-            flight for younger ones, and repairing a gap the next network
-            hop is about to close anyway would waste bandwidth — a quiet
-            healthy system exchanges summaries but repairs nothing.
-        max_repairs_per_peer: Repair actions triggered per incoming message.
-        resend_backoff_base: First-retry spacing for re-sends of the same
-            share to the same target vgroup (replaces the old fixed
-            ``resend_cooldown``: fixed cooldowns fire in lockstep after a
-            heal, which is exactly the ``ae.retry_storm`` pathology).
-        repropose_backoff_base: First-retry spacing for SMR re-proposals
-            of the same broadcast inside the own vgroup (replaces the old
-            fixed ``repropose_cooldown``).
-        backoff_factor: Multiplier applied to repair spacing per repeat;
-            ``1.0`` reproduces the legacy fixed-cooldown behaviour.
-        backoff_jitter: Relative jitter half-width on repair spacing,
-            drawn from a dedicated seeded stream
-            (``antientropy.backoff.<address>``); ``0`` draws no RNG.
-        backoff_max: Ceiling on the (pre-jitter) repair spacing.
-        pull_timeout: First-attempt deadline of an envelope-wrapped
-            ``ae.pull`` request (retries back off through the unified
-            request layer).
-        pull_attempts: Responders tried per pull before giving up (the
-            next summary round re-detects a still-open gap anyway).
-        summary_bytes_base: Fixed wire size of a summary/request/hint.
-        summary_bytes_per_id: Per-id wire size of a summary/request/hint.
-        gc_settled_age: Age after which a *settled* broadcast's payload is
-            garbage-collected from the repair store (with its cooldown
-            state).  Every reachable peer had this long to pull the payload;
-            under sustained traffic (continuous churn especially) keeping
-            settled payloads forever is the unbounded-store growth the
-            ROADMAP flagged.  ``None`` disables the age GC, leaving only the
-            summary-window bound.
+    The layer's timing and sizes are the module constants above, fixed for
+    every deployment.
     """
-
-    period: float = 1.0
-    start_delay: float = 0.5
-    fanout: int = 2
-    max_summary_ids: int = 256
-    repair_min_age: float = 2.0
-    max_repairs_per_peer: int = 16
-    resend_backoff_base: float = 2.0
-    repropose_backoff_base: float = 4.0
-    backoff_factor: float = 1.6
-    backoff_jitter: float = 0.35
-    backoff_max: float = 16.0
-    pull_timeout: float = 3.0
-    pull_attempts: int = 3
-    summary_bytes_base: int = 48
-    summary_bytes_per_id: int = 8
-    gc_settled_age: Optional[float] = 120.0
 
 
 class AntiEntropyRepair:
@@ -117,41 +96,22 @@ class AntiEntropyRepair:
     membership (started on view install, stopped on leave).
     """
 
-    def __init__(self, node, config: Optional[AntiEntropyConfig] = None) -> None:
+    def __init__(self, node) -> None:
         self.node = node
-        self.config = config or AntiEntropyConfig()
         self.running = False
         self._timer_armed = False
         self._rng = node.sim.rng.stream(f"antientropy.{node.address}")
         # Payloads of delivered broadcasts, kept for repair re-supply.
         self.store: Dict[str, Any] = {}
-        cfg = self.config
         # Repair spacing: seeded-jitter exponential backoff per repair key
         # ((bcast_id, target_group) for share re-sends, bcast_id for
         # re-proposals) replaces the old fixed cooldown constants, so
         # repair traffic desynchronises after a heal instead of spiking
         # in lockstep.  The streams are created lazily: a run that never
         # repairs draws nothing.
-        self._resend_backoff = JitteredBackoff(
-            node.sim,
-            f"antientropy.backoff.{node.address}",
-            base=cfg.resend_backoff_base,
-            factor=cfg.backoff_factor,
-            jitter=cfg.backoff_jitter,
-            max_delay=cfg.backoff_max,
-        )
-        self._repropose_backoff = JitteredBackoff(
-            node.sim,
-            f"antientropy.backoff.{node.address}",
-            base=cfg.repropose_backoff_base,
-            factor=cfg.backoff_factor,
-            jitter=cfg.backoff_jitter,
-            max_delay=cfg.backoff_max,
-        )
-        # Lockstep watchdog: repair key -> (last repair time, last gap).
-        # Two identical consecutive gaps for the same key mean the spacing
-        # degenerated back to a fixed cooldown (ae.retry_storm counts it).
-        self._storm: Dict[Any, Tuple[float, Optional[float]]] = {}
+        stream = f"antientropy.backoff.{node.address}"
+        self._resend_backoff = JitteredBackoff(node.sim, stream, RESEND_BACKOFF_BASE)
+        self._repropose_backoff = JitteredBackoff(node.sim, stream, REPROPOSE_BACKOFF_BASE)
         # Envelope-wrapped ae.pull requests: correlation, deadlines,
         # rotation over gossip neighbours and the responder scoreboard
         # come from the unified request layer.
@@ -160,8 +120,8 @@ class AntiEntropyRepair:
             node.address,
             self._send_pull,
             policy=RequestPolicy(
-                base_timeout=cfg.pull_timeout,
-                max_attempts=cfg.pull_attempts,
+                base_timeout=PULL_TIMEOUT,
+                max_attempts=PULL_ATTEMPTS,
                 # Candidates are preference-ordered (summary sender first —
                 # the one peer known to hold the missing ids); with bounded
                 # attempts a spread first pick could burn the whole budget
@@ -188,7 +148,7 @@ class AntiEntropyRepair:
         self.running = True
         if not self._timer_armed:
             self._timer_armed = True
-            self.node.sim.schedule(self.config.start_delay, self._tick, tag="ae.tick")
+            self.node.sim.schedule(START_DELAY, self._tick, tag="ae.tick")
 
     def stop(self) -> None:
         self.running = False
@@ -197,13 +157,13 @@ class AntiEntropyRepair:
         """Record a delivered broadcast's payload for later re-supply.
 
         The store is bounded by the advertisable summary window: a
-        broadcast that fell out of every peer's newest-``max_summary_ids``
+        broadcast that fell out of every peer's newest-``MAX_SUMMARY_IDS``
         summary can never be requested again (repair is pull-only), so its
         payload — and its repair cooldowns — are dropped.  The trim runs at
         25% slack so it costs one pass per quarter-window of deliveries.
         """
         self.store[message.bcast_id] = message
-        cap = self.config.max_summary_ids
+        cap = MAX_SUMMARY_IDS
         if len(self.store) > cap + cap // 4:
             advertisable = set(self.node.delivered_order[-cap:])
             for bcast_id in [b for b in self.store if b not in advertisable]:
@@ -211,15 +171,9 @@ class AntiEntropyRepair:
             self._forget_repair_state(lambda b: b not in advertisable)
 
     def _forget_repair_state(self, dropped) -> None:
-        """Drop backoff/watchdog state for broadcasts matching ``dropped``."""
+        """Drop backoff state for broadcasts matching ``dropped``."""
         self._resend_backoff.prune(lambda key: dropped(key[0]))
         self._repropose_backoff.prune(dropped)
-        for key in [
-            k
-            for k in self._storm
-            if dropped(k[0] if isinstance(k, tuple) else k)
-        ]:
-            del self._storm[key]
 
     # -------------------------------------------------------------------- ticks
 
@@ -227,7 +181,7 @@ class AntiEntropyRepair:
         if not self.running:
             self._timer_armed = False
             return
-        self.node.sim.schedule(self.config.period, self._tick, tag="ae.tick")
+        self.node.sim.schedule(PERIOD, self._tick, tag="ae.tick")
         node = self.node
         if not node.is_correct or not node.is_member:
             return
@@ -235,7 +189,7 @@ class AntiEntropyRepair:
         peers = self._peer_candidates()
         if not peers:
             return
-        count = min(self.config.fanout, len(peers))
+        count = min(FANOUT, len(peers))
         chosen = self._rng.sample(peers, count)
         # The summary carries the delivered-id window plus the replica's
         # stable-checkpoint seq (None for engines without checkpointing):
@@ -244,25 +198,22 @@ class AntiEntropyRepair:
         # co-member discover an SMR log gap without waiting for a view
         # change (see AtumNode.on_checkpoint_hint).
         summary = (self._summary_ids(), node.smr_stable_checkpoint())
-        size = self.config.summary_bytes_base + self.config.summary_bytes_per_id * len(
-            summary[0]
-        )
+        size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(summary[0])
         node.send_direct_many(chosen, "ae.summary", summary, size_bytes=size)
         node.sim.metrics.increment("ae.summaries_sent", count)
 
     def _gc_settled(self) -> None:
         """Drop settled payloads (and their cooldowns) from the repair store.
 
-        A payload delivered more than ``gc_settled_age`` ago had dozens of
+        A payload delivered more than ``GC_SETTLED_AGE`` ago had dozens of
         summary periods to be pulled by any reachable peer; holding it
         longer only grows the store without bound under sustained traffic.
         Gaps older than that horizon are beyond this node's repair reach
         (a co-member with a fresher copy, or nobody, serves them).
         """
-        age = self.config.gc_settled_age
-        if age is None or not self.store:
+        if not self.store:
             return
-        cutoff = self.node.sim.now - age
+        cutoff = self.node.sim.now - GC_SETTLED_AGE
         delivered = self.node.delivered
         # The store is insertion-ordered by delivery and the clock monotone,
         # so the stale payloads are a prefix: most ticks look at one entry.
@@ -291,7 +242,7 @@ class AntiEntropyRepair:
         return candidates
 
     def _summary_ids(self) -> Tuple[str, ...]:
-        """The newest ``max_summary_ids`` ids delivered ``repair_min_age`` ago.
+        """The newest ``MAX_SUMMARY_IDS`` ids delivered ``REPAIR_MIN_AGE`` ago.
 
         ``delivered_order`` is append-only and delivery times come from a
         monotone clock, so "old enough" is a prefix of it: its end is kept and
@@ -300,14 +251,14 @@ class AntiEntropyRepair:
         node = self.node
         order = node.delivered_order
         total = len(order)
-        start = total - self.config.max_summary_ids
+        start = total - MAX_SUMMARY_IDS
         if start > 0:
             # Gaps older than every peer's window become unrepairable; the
             # counter makes the coverage cap observable instead of silent.
             node.sim.metrics.increment("ae.summary_window_truncated")
         else:
             start = 0
-        threshold = node.sim.now - self.config.repair_min_age
+        threshold = node.sim.now - REPAIR_MIN_AGE
         delivered = node.delivered
         end = self._summary_span[1]
         while end < total and delivered[order[end]] <= threshold:
@@ -333,7 +284,7 @@ class AntiEntropyRepair:
             # manager; the hint itself is untrusted (the state-transfer
             # response it provokes carries the verifiable certificate).
             node.on_checkpoint_hint(sender, peer_checkpoint)
-        cap = self.config.max_repairs_per_peer
+        cap = MAX_REPAIRS_PER_PEER
         delivered = node.delivered
         missing_here = [
             b
@@ -348,7 +299,7 @@ class AntiEntropyRepair:
 
         The summary sender is tried first; on timeout or an empty-handed
         reply the request rotates through the other gossip neighbours
-        (bounded by ``pull_attempts``).  Satisfaction is *delivery*: an
+        (bounded by ``PULL_ATTEMPTS``).  Satisfaction is *delivery*: an
         honest server repairs through gossip/SMR side channels, so the
         pull completes quietly once the ids land — only servers that
         neither replied nor repaired in time accrue timeout suspicion.
@@ -358,9 +309,6 @@ class AntiEntropyRepair:
             p for p in self._peer_candidates() if p != sender
         ]
         group_id = node.vgroup_view.group_id
-        size = self.config.summary_bytes_base + (
-            self.config.summary_bytes_per_id * len(wanted)
-        )
         delivered = node.delivered
         wanted_set = set(wanted)
 
@@ -378,7 +326,7 @@ class AntiEntropyRepair:
             on_response=_verdict,
             satisfied=lambda: all(b in delivered for b in wanted),
             on_done=lambda: self._pending_pull_ids.difference_update(wanted_set),
-            size_bytes=size,
+            size_bytes=SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(wanted),
         )
         if request_id is not None:
             self._pending_pull_ids.update(wanted_set)
@@ -403,13 +351,9 @@ class AntiEntropyRepair:
             node.sim.metrics.increment("req.rejected_malformed")
             return
         requester_group, wanted = inner
-        held = [b for b in wanted if b in self.store][
-            : self.config.max_repairs_per_peer
-        ]
+        held = [b for b in wanted if b in self.store][:MAX_REPAIRS_PER_PEER]
         ack = tuple(held)
-        size = self.config.summary_bytes_base + (
-            self.config.summary_bytes_per_id * len(ack)
-        )
+        size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(ack)
         self._requests.respond(envelope, ack, size_bytes=size)
         if held:
             self._repair(held, requester_group, hint=True)
@@ -426,32 +370,9 @@ class AntiEntropyRepair:
         held = [b for b in ids if b in self.store]
         if held:
             # No further hinting: hints fan out one intra-group hop only.
-            self._repair(held[: self.config.max_repairs_per_peer], target_group, hint=False)
+            self._repair(held[:MAX_REPAIRS_PER_PEER], target_group, hint=False)
 
     # ------------------------------------------------------------------- repair
-
-    def _gate(self, backoff: JitteredBackoff, key) -> bool:
-        """Backoff-gate one repair action, watching for lockstep retries.
-
-        Two identical consecutive gaps between repairs of the same key
-        mean the spacing degenerated into the fixed-cooldown pathology
-        (every starved node re-firing on the same metronome after a
-        heal); ``ae.retry_storm`` counts those so the regression test —
-        and the matrix — can assert the jittered default never does it.
-        """
-        if not backoff.attempt(key):
-            return False
-        now = self.node.sim.now
-        state = self._storm.get(key)
-        if state is None:
-            self._storm[key] = (now, None)
-        else:
-            last, gap = state
-            new_gap = now - last
-            if gap is not None and abs(new_gap - gap) < 1e-9:
-                self.node.sim.metrics.increment("ae.retry_storm")
-            self._storm[key] = (now, new_gap)
-        return True
 
     def _repair(self, bcast_ids, target_group: str, hint: bool) -> None:
         node = self.node
@@ -464,7 +385,7 @@ class AntiEntropyRepair:
                 message = self.store.get(bcast_id)
                 if message is None:
                     continue
-                if not self._gate(self._repropose_backoff, bcast_id):
+                if not self._repropose_backoff.attempt(bcast_id):
                     continue
                 if node.repropose_broadcast(message):
                     node.sim.metrics.increment("ae.reproposals")
@@ -477,8 +398,7 @@ class AntiEntropyRepair:
             message = self.store.get(bcast_id)
             if message is None:
                 continue
-            key = (bcast_id, target_group)
-            if not self._gate(self._resend_backoff, key):
+            if not self._resend_backoff.attempt((bcast_id, target_group)):
                 continue
             # Same deterministic gm-id as ordinary forwarding, so re-sent
             # shares combine with shares that survived the partition and the
@@ -495,9 +415,7 @@ class AntiEntropyRepair:
             resent.append(bcast_id)
         if hint and resent:
             payload = (target_group, tuple(resent))
-            size = self.config.summary_bytes_base + self.config.summary_bytes_per_id * len(
-                resent
-            )
+            size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(resent)
             others = [member for member in view.members if member != node.address]
             if others:
                 node.send_direct_many(others, "ae.hint", payload, size_bytes=size)

@@ -10,7 +10,6 @@ the paper) so that slow-but-correct nodes are not evicted under asynchrony.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, Iterable, NamedTuple, Sequence
 
@@ -27,19 +26,10 @@ class Heartbeat(NamedTuple):
     sender: str
 
 
-@dataclass
-class HeartbeatConfig:
-    """Timing of the heartbeat/eviction mechanism.
-
-    Attributes:
-        period: Interval between heartbeats (60 s in the paper); the
-            monitor reads this field at construction only.
-        misses_before_eviction: Consecutive missed heartbeats after which a
-            peer is considered unresponsive and an eviction is proposed.
-    """
-
-    period: float = 60.0
-    misses_before_eviction: int = 3
+#: Consecutive missed heartbeats after which a peer is considered
+#: unresponsive and an eviction is proposed.  The cluster ages suspicion
+#: reports out after the same ``period * MISSES_BEFORE_EVICTION``.
+MISSES_BEFORE_EVICTION = 3
 
 
 class HeartbeatMonitor:
@@ -48,7 +38,8 @@ class HeartbeatMonitor:
     The host wires the monitor with a ``send_fn(peers, heartbeat)`` that emits
     one heartbeat to every address in ``peers`` (one same-payload fan-out per
     tick), a ``peers_fn()`` returning the current vgroup members (the host
-    included) and a ``suspect_fn(peer)`` invoked when a peer should be evicted.
+    included), a ``suspect_fn(peer)`` invoked when a peer should be evicted
+    and the heartbeat ``period`` (60 s in the paper).
     """
 
     def __init__(
@@ -58,16 +49,15 @@ class HeartbeatMonitor:
         peers_fn: Callable[[], Iterable[str]],
         send_fn: Callable[[Sequence[str], Heartbeat], object],
         suspect_fn: Callable[[str], None],
-        config: HeartbeatConfig | None = None,
+        period: float,
     ) -> None:
         self.sim = sim
         self.address = address
         self.peers_fn = peers_fn
         self.send_fn = send_fn
         self.suspect_fn = suspect_fn
-        self.config = config or HeartbeatConfig()
         # The one period both the send cadence and the suspicion deadline use.
-        self._period = self.config.period
+        self._period = period
         self.last_seen: Dict[str, float] = {}
         self.suspected: set = set()
         self.running = False
@@ -136,7 +126,7 @@ class HeartbeatMonitor:
         # observe through ``suspect_fn``) runs only when it has something to
         # do: a late peer, or an entry that is not a current peer.
         last_seen = self.last_seen
-        deadline = self._period * self.config.misses_before_eviction
+        deadline = self._period * MISSES_BEFORE_EVICTION
         late = False
         for peer in others:
             seen_at = last_seen.get(peer)
@@ -182,4 +172,4 @@ class HeartbeatMonitor:
                 self.suspect_fn(peer)
 
 
-__all__ = ["Heartbeat", "HeartbeatConfig", "HeartbeatMonitor"]
+__all__ = ["Heartbeat", "HeartbeatMonitor", "MISSES_BEFORE_EVICTION"]

@@ -76,6 +76,12 @@ class GroupMessageEnvelope:
     sender_group_size: int
 
 
+#: Wire size of a full share sent without ``payload_bytes``, and of a
+#: digest-only share.
+PAYLOAD_BYTES = 1024
+DIGEST_BYTES = 96
+
+
 class _PendingGroupMessage:
     """Receiver-side accumulation state for one (gm_id, digest) pair."""
 
@@ -105,16 +111,12 @@ class GroupMessenger:
         binding: NodeBinding,
         own_view_fn: Callable[[], VGroupView],
         on_accept: Callable[[str, Any, str, str, Set[str]], None],
-        payload_bytes: int = 1024,
-        digest_bytes: int = 96,
         use_digest_optimization: bool = True,
         source_size_fn: Optional[Callable[[str], Optional[int]]] = None,
     ) -> None:
         self.binding = binding
         self.own_view_fn = own_view_fn
         self.on_accept = on_accept
-        self.payload_bytes = payload_bytes
-        self.digest_bytes = digest_bytes
         self.use_digest_optimization = use_digest_optimization
         # Directory cross-check of the envelope's claimed sender-group size
         # (see handle()): returns the smallest size the directory ever saw
@@ -196,10 +198,10 @@ class GroupMessenger:
         digest = digest_object(payload)
         send_full = self._sends_full_copy(own_view)
         if send_full:
-            size = payload_bytes if payload_bytes is not None else self.payload_bytes
+            size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
         else:
             payload = None
-            size = self.digest_bytes
+            size = DIGEST_BYTES
 
         envelope = GroupMessageEnvelope(
             gm_id=identifier,
@@ -237,7 +239,7 @@ class GroupMessenger:
         """
         own_view = self.own_view_fn()
         identifier = gm_id or self.next_gm_id(kind)
-        size = payload_bytes if payload_bytes is not None else self.payload_bytes
+        size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
         members = target_view.members
         half = len(members) // 2
         honest_targets, forged_targets = members[:half], members[half:]

@@ -23,11 +23,6 @@ METRICS = {
         "modules": ('repro/group/antientropy.py',),
         "matrix_column": False,
     },
-    'ae.retry_storm': {
-        "kind": 'counter',
-        "modules": ('repro/group/antientropy.py',),
-        "matrix_column": False,
-    },
     'ae.shares_resent': {
         "kind": 'counter',
         "modules": ('repro/group/antientropy.py',),

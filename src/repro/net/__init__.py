@@ -18,7 +18,7 @@ from repro.net.latency import (
     WanProfile,
     RegionalLatency,
 )
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 
 __all__ = [
     "LatencyModel",
@@ -29,5 +29,4 @@ __all__ = [
     "WanProfile",
     "RegionalLatency",
     "Network",
-    "NetworkConfig",
 ]

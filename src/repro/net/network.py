@@ -7,14 +7,14 @@ protocol behaviour:
 * transfer time proportional to message size and constrained by per-node
   download bandwidth (this is what makes the incast / "throughput collapse"
   effect of the paper's section 5.1 observable);
-* optional message loss and network partitions;
+* network partitions and side-preserving splits (loss, duplication and
+  delay faults are ``on_send`` middleware, :mod:`repro.faults.injector`);
 * delivery only to registered, alive actors (a crashed or departed node
   silently drops traffic, like a closed socket).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappush
 from math import exp, inf, log
 from typing import Any, Dict, Iterable, Optional, Sequence, Set
@@ -26,21 +26,11 @@ from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 
 
-@dataclass
-class NetworkConfig:
-    """Tunable parameters of the simulated network.
-
-    Attributes:
-        bandwidth_bytes_per_s: Per-node download bandwidth.  EC2 micro
-            instances (the paper's node type) provide on the order of
-            8 MB/s of sustained throughput.
-        loss_probability: Probability that an individual message is dropped.
-        headers_bytes: Fixed per-message overhead added to every payload.
-    """
-
-    bandwidth_bytes_per_s: float = 8_000_000.0
-    loss_probability: float = 0.0
-    headers_bytes: int = 64
+#: Per-node download bandwidth.  EC2 micro instances (the paper's node type)
+#: provide on the order of 8 MB/s of sustained throughput.
+BANDWIDTH_BYTES_PER_S = 8_000_000.0
+#: Fixed per-message overhead added to every payload.
+HEADERS_BYTES = 64
 
 
 class _Deliveries:
@@ -98,11 +88,9 @@ class Network:
         self,
         sim: Simulator,
         latency_model: Optional[LatencyModel] = None,
-        config: Optional[NetworkConfig] = None,
     ) -> None:
         self.sim = sim
         self.latency_model = latency_model or LanProfile()
-        self.config = config or NetworkConfig()
         self._actors: Dict[str, Actor] = {}
         self._partitioned: Set[str] = set()
         # Active side-preserving splits: split id -> {address: side index}.
@@ -266,8 +254,8 @@ class Network:
 
         The one routing core; every other send method is a caller of it, and
         it is the only function that pushes deliveries.  Per receiver, in
-        this order: partition and split checks, the loss draw, the installed
-        ``on_send`` pipeline, one latency draw, then per copy one downlink
+        this order: partition and split checks, the installed ``on_send``
+        pipeline, one latency draw, then per copy one downlink
         update and one heap push.  The pushed entry *is* the delivery: one
         plain tuple ``(time, 0, seq, deliveries, sender, receiver, wire,
         now)`` around this network's shared :class:`_Deliveries` event — one
@@ -284,8 +272,8 @@ class Network:
         from there that is negative or NaN would deliver into the past, so it
         is taken as 0.0 and counted ``net.latency_sample_rejected``.  The
         draw cannot be hoisted out of the loop and done for the whole batch:
-        the loss draw and any send a hook makes take from the same RNG
-        stream between one receiver's draw and the next.
+        any send a hook makes takes from the same RNG stream between one
+        receiver's draw and the next.
 
         Hooks run against **one** :class:`MiddlewareContext` per call: the
         receiver, payload and verdict fields are reset before each receiver's
@@ -310,9 +298,7 @@ class Network:
         counters["net.bytes_sent"] += float(size_bytes * count)
         sim = self.sim
         now = sim._now
-        config = self.config
-        loss = config.loss_probability
-        transfer = (size_bytes + config.headers_bytes) / config.bandwidth_bytes_per_s
+        transfer = (size_bytes + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
         rng = self._rng
         random = rng.random
         partitioned = self._partitioned
@@ -345,9 +331,6 @@ class Network:
                 partitioned and (sender in partitioned or receiver in partitioned)
             ) or (splits and self.crosses_split(sender, receiver)):
                 counters["net.messages_partitioned"] += 1.0
-                continue
-            if loss > 0.0 and random() < loss:
-                counters["net.messages_lost"] += 1.0
                 continue
             if hooks is not None:
                 if ctx is None:
@@ -471,4 +454,4 @@ class Network:
         return self.send_many(sender, (receiver,), payload, size_bytes) > 0
 
 
-__all__ = ["Network", "NetworkConfig"]
+__all__ = ["BANDWIDTH_BYTES_PER_S", "HEADERS_BYTES", "Network"]

@@ -528,40 +528,32 @@ class RequestManager:
 # ------------------------------------------------------------------- backoff
 
 
+#: Repair-spacing growth per repeat of one key, relative jitter half-width
+#: (drawn per action, so retries never fall into lockstep after a heal) and
+#: the ceiling on the pre-jitter spacing.
+BACKOFF_FACTOR = 1.6
+BACKOFF_JITTER = 0.35
+BACKOFF_MAX_DELAY = 16.0
+
+
 class JitteredBackoff:
     """Per-key seeded-jitter exponential backoff gate.
 
-    Replaces fixed cooldown constants: ``ready(key)`` answers "may I act
-    on ``key`` now?", and acting pushes the next allowance out by
-    ``base * factor**n`` (capped at ``max_delay``) scaled by a jittered
-    factor drawn from a lazily created named stream.  With ``jitter=0``
-    no RNG is ever touched — the anti-lockstep regression test uses that
-    to demonstrate the synchronized-retry pathology this class removes.
-    Keys whose pressure subsides are forgotten via :meth:`reset`.
+    Replaces fixed cooldown constants: :meth:`attempt` answers "may I act on
+    ``key`` now?", and acting pushes the next allowance out by
+    ``base * BACKOFF_FACTOR**n`` (capped at ``BACKOFF_MAX_DELAY``) scaled by
+    ``1 + BACKOFF_JITTER * (2u - 1)``, ``u`` drawn from a lazily created
+    named stream.  Keys whose pressure subsides are dropped via
+    :meth:`prune`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        stream_name: str,
-        base: float,
-        factor: float = 1.6,
-        jitter: float = 0.35,
-        max_delay: float = 16.0,
-    ) -> None:
+    def __init__(self, sim: Simulator, stream_name: str, base: float) -> None:
         self.sim = sim
         self._stream_name = stream_name
         self.base = base
-        self.factor = factor
-        self.jitter = jitter
-        self.max_delay = max_delay
         self._rng = None
         # key -> (next_allowed_time, consecutive_attempts)
         self._state: Dict[Any, Tuple[float, int]] = {}
-
-    def ready(self, key: Any) -> bool:
-        state = self._state.get(key)
-        return state is None or self.sim.now >= state[0]
 
     def attempt(self, key: Any) -> bool:
         """Gate an action on ``key``: True (and arm the backoff) or False."""
@@ -570,17 +562,12 @@ class JitteredBackoff:
         if state is not None and now < state[0]:
             return False
         attempts = state[1] if state is not None else 0
-        delay = min(self.max_delay, self.base * self.factor**attempts)
-        if self.jitter > 0.0:
-            if self._rng is None:
-                self._rng = self.sim.rng.stream(self._stream_name)
-            delay *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
+        delay = min(BACKOFF_MAX_DELAY, self.base * BACKOFF_FACTOR**attempts)
+        if self._rng is None:
+            self._rng = self.sim.rng.stream(self._stream_name)
+        delay *= 1.0 + BACKOFF_JITTER * (2.0 * self._rng.random() - 1.0)
         self._state[key] = (now + delay, attempts + 1)
         return True
-
-    def reset(self, key: Any) -> None:
-        """The pressure behind ``key`` resolved: forget its backoff state."""
-        self._state.pop(key, None)
 
     def prune(self, predicate: Callable[[Any], bool]) -> None:
         """Drop every key for which ``predicate`` holds (GC helper)."""

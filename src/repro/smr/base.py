@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry
@@ -38,6 +38,10 @@ class Operation:
     op_id: str
 
 
+#: Nominal size of a protocol message for the network model.
+MESSAGE_BYTES = 512
+
+
 @dataclass
 class SmrConfig:
     """Configuration shared by the SMR engines.
@@ -45,17 +49,10 @@ class SmrConfig:
     Attributes:
         round_duration: Length of a synchronous round in seconds (Sync only).
         request_timeout: View-change timeout in seconds (Async only).
-        message_bytes: Nominal size of a protocol message for the network model.
-        max_instances: Safety valve on concurrently active instances.
         checkpoint_interval: Decided operations between PBFT checkpoints
             (the low/high water mark distance); ``0`` disables checkpointing
             and state transfer entirely — the default, so legacy runs stay
             byte-identical (Async only; see :mod:`repro.smr.checkpoint`).
-        checkpoint_announce_period: Shortest announce interval of the
-            stable-checkpoint announce timer (the liveness path for replicas
-            that were cut off while the checkpoint formed).  The interval
-            doubles while members agree, up to 16 of these, and falls back
-            to it when they do not (see :mod:`repro.smr.checkpoint`).
 
     State-transfer retry timing is no longer a fixed constant here: it
     lives in :class:`repro.net.requests.RequestPolicy` (rotation,
@@ -65,10 +62,7 @@ class SmrConfig:
 
     round_duration: float = 1.0
     request_timeout: float = 2.0
-    message_bytes: int = 512
-    max_instances: int = 10_000
     checkpoint_interval: int = 0
-    checkpoint_announce_period: float = 2.0
 
 
 class SmrReplica(abc.ABC):
@@ -202,7 +196,7 @@ class SmrReplica(abc.ABC):
             self.send_fn(
                 peers,
                 payload,
-                size_bytes if size_bytes is not None else self.config.message_bytes,
+                size_bytes if size_bytes is not None else MESSAGE_BYTES,
             )
 
     def _send(self, peer: str, payload: Any, size_bytes: int) -> None:
@@ -211,6 +205,7 @@ class SmrReplica(abc.ABC):
 
 
 __all__ = [
+    "MESSAGE_BYTES",
     "Operation",
     "SmrConfig",
     "SmrReplica",

@@ -34,7 +34,7 @@ longer lines up with the local log is rejected and counted
 
 Everything here is driven by existing protocol events plus one announce
 timer per replica.  The timer is a Trickle timer (Levis et al., NSDI 2004;
-RFC 6206): its interval starts at ``checkpoint_announce_period``, doubles
+RFC 6206): its interval starts at :data:`ANNOUNCE_PERIOD`, doubles
 after every round in which members were heard, up to
 :data:`ANNOUNCE_MAX_PERIODS` periods, and falls back to the period -- with
 the next announce as soon as one period has passed since the last -- when
@@ -64,13 +64,16 @@ from repro.crypto.digest import digest_object
 from repro.crypto.keys import Signature
 from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
 from repro.sim.events import Event
+from repro.smr.base import MESSAGE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.smr.base import Operation
     from repro.smr.pbft import PbftReplica
 
 
-#: Trickle's largest interval, in announce periods: 32 s at the default 2 s.
+#: Trickle's shortest announce interval (the liveness path for replicas that
+#: were cut off while a checkpoint formed), and its largest, in periods: 32 s.
+ANNOUNCE_PERIOD = 2.0
 ANNOUNCE_MAX_PERIODS = 16
 
 
@@ -311,7 +314,7 @@ class CheckpointManager:
         self._realign_after_install = True
         # Trickle announce timer: the interval in force, the pending tick
         # and when the last announce went out (see _announce_tick).
-        self._announce_interval = replica.config.checkpoint_announce_period
+        self._announce_interval = ANNOUNCE_PERIOD
         self._announce_event: Optional[Event] = None
         self._last_announce = -math.inf
         self._announces_heard = 0  # member announces since our last tick
@@ -1031,7 +1034,7 @@ class CheckpointManager:
         is scheduled at, so the event never finds itself a rounding error
         early.
         """
-        period = self.replica.config.checkpoint_announce_period
+        period = ANNOUNCE_PERIOD
         deadline = self._tail_deficit_since + 2.0 * period
         if self._last_tail_view_change >= 0:
             deadline = max(deadline, self._last_tail_view_change + 4.0 * period)
@@ -1117,7 +1120,7 @@ class CheckpointManager:
             satisfied=lambda: not replica.running
             or self.transfer_blocking
             or seq <= len(replica.decided_log),
-            size_bytes=replica.config.message_bytes,
+            size_bytes=MESSAGE_BYTES,
             policy=dc_replace(requests.policy, max_attempts=1),
             dedup_key="hint",
         )
@@ -1181,7 +1184,7 @@ class CheckpointManager:
             peers,
             on_response=lambda payload, sender: self._handle_state_response(payload),
             satisfied=lambda: not replica.running or not self.transfer_blocking,
-            size_bytes=replica.config.message_bytes,
+            size_bytes=MESSAGE_BYTES,
         )
 
     def build_state_response(
@@ -1217,8 +1220,8 @@ class CheckpointManager:
         )
 
     @staticmethod
-    def response_bytes(response: StateTransferResponse, message_bytes: int) -> int:
-        return message_bytes + 64 * len(response.operations)
+    def response_bytes(response: StateTransferResponse) -> int:
+        return MESSAGE_BYTES + 64 * len(response.operations)
 
     def respond_transfer(
         self, envelope: RequestEnvelope, response: StateTransferResponse
@@ -1226,7 +1229,7 @@ class CheckpointManager:
         """Ship ``response`` correlated to ``envelope`` (adversary entry too:
         the responder behaviours craft their own responses and send them
         through the same correlated channel a correct server uses)."""
-        size = self.response_bytes(response, self.replica.config.message_bytes)
+        size = self.response_bytes(response)
         self._requests.respond(envelope, response, size)
 
     def on_state_request(self, message: StateTransferRequest, sender: str) -> None:
@@ -1234,7 +1237,7 @@ class CheckpointManager:
         response = self.build_state_response(message, sender)
         if response is None:
             return
-        size = self.response_bytes(response, replica.config.message_bytes)
+        size = self.response_bytes(response)
         replica._send(sender, response, size)
 
     def on_state_response(self, message: StateTransferResponse, sender: str) -> None:
@@ -1380,7 +1383,7 @@ class CheckpointManager:
         if self._announces_heard or alone:
             self._announce_interval = min(
                 2.0 * self._announce_interval,
-                ANNOUNCE_MAX_PERIODS * replica.config.checkpoint_announce_period,
+                ANNOUNCE_MAX_PERIODS * ANNOUNCE_PERIOD,
             )
         self._announces_heard = 0
         self._arm_announce(now + self._announce_interval)
@@ -1403,7 +1406,7 @@ class CheckpointManager:
         period.
         """
         replica = self.replica
-        period = replica.config.checkpoint_announce_period
+        period = ANNOUNCE_PERIOD
         if self._announce_interval <= period or not replica.running:
             return
         self._announce_interval = period
@@ -1441,7 +1444,7 @@ class CheckpointManager:
         response = self.build_state_response(message, sender)
         if response is None:
             return
-        size = self.response_bytes(response, self.replica.config.message_bytes)
+        size = self.response_bytes(response)
         requests.respond(validated, response, size)
 
     # ------------------------------------------------------------------- epoch

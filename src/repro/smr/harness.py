@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.crypto.keys import KeyRegistry
 from repro.net.latency import LatencyModel
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrConfig, SmrReplica
@@ -63,7 +63,7 @@ class ReplicaGroupHarness:
 
     def __post_init__(self) -> None:
         self.sim = Simulator(seed=self.seed)
-        self.network = Network(self.sim, latency_model=self.latency_model, config=NetworkConfig())
+        self.network = Network(self.sim, latency_model=self.latency_model)
         self.registry = KeyRegistry()
         self.addresses = [f"replica-{index}" for index in range(self.group_size)]
         self.actors: Dict[str, _ReplicaActor] = {}

@@ -20,7 +20,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry
 from repro.sim.simulator import Simulator
-from repro.smr.base import Operation, SmrConfig, SmrReplica, async_fault_threshold
+from repro.smr.base import (
+    MESSAGE_BYTES,
+    Operation,
+    SmrConfig,
+    SmrReplica,
+    async_fault_threshold,
+)
 from repro.smr.checkpoint import CheckpointCertificate, CheckpointManager
 
 
@@ -599,7 +605,7 @@ class PbftReplica(SmrReplica):
             )
             votes[self.node_id] = own
             self.sim.metrics.increment("smr.pbft.view_change_revotes")
-            self._send(message.replica, own, self.config.message_bytes)
+            self._send(message.replica, own, MESSAGE_BYTES)
         if self._primary_of(message.new_view) != self.node_id:
             return
         if len(votes) >= self._quorum:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.crypto.digest import audit_digest_memo, clear_digest_memo
+from repro.smr import checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -23,3 +24,9 @@ def _no_stale_digests():
         f"{len(stale)} object(s) mutated after their digest was memoised; "
         f"first: {stale[0][0]!r}"
     )
+
+
+@pytest.fixture
+def quiet_announces(monkeypatch):
+    """Checkpoint announces off: the test drives every frame by hand."""
+    monkeypatch.setattr(checkpoint, "ANNOUNCE_PERIOD", 10_000.0)

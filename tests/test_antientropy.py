@@ -6,7 +6,9 @@ from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
 from repro.faults import FaultPlan, Partition, apply_plan
 from repro.faults.invariants import InvariantMonitor
+from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig
+from repro.net.requests import BACKOFF_FACTOR, BACKOFF_MAX_DELAY
 
 
 def small_params(**overrides):
@@ -53,11 +55,10 @@ class TestWiring:
         assert len(holders) == len(cluster.nodes)
         assert holders[0].antientropy.store[bcast_id].payload == "payload"
 
-    def test_store_is_bounded_by_the_summary_window(self):
+    def test_store_is_bounded_by_the_summary_window(self, monkeypatch):
         cluster = build_cluster(seed=15, nodes=8)
         # Shrink the window so the bound is cheap to exercise.
-        for node in cluster.nodes.values():
-            node.antientropy.config = AntiEntropyConfig(max_summary_ids=4)
+        monkeypatch.setattr(antientropy, "MAX_SUMMARY_IDS", 4)
         for index in range(12):
             cluster.sim.schedule(
                 0.2 * index, lambda i=index: cluster.broadcast("n0", f"b{i}")
@@ -80,24 +81,20 @@ class TestWiring:
         assert metrics.counter("ae.reproposals") == 0
 
     @pytest.mark.parametrize("period", [0.5, 1.0, 2.0, 5.0])
-    def test_summary_cadence_is_the_config_period(self, period):
-        config = AntiEntropyConfig(period=period)
-        cluster = AtumCluster(small_params(), seed=9, antientropy=config)
-        cluster.build_static([f"n{i}" for i in range(8)])
+    def test_summary_cadence_is_the_period(self, period, monkeypatch):
+        # The timer reads the module constant at every tick.
+        monkeypatch.setattr(antientropy, "PERIOD", period)
+        cluster = build_cluster(nodes=8)
         ticks = 5
-        cluster.run(until=config.start_delay + (ticks - 1) * period + period / 2)
-        expected = len(cluster.nodes) * config.fanout * ticks
+        cluster.run(until=antientropy.START_DELAY + (ticks - 1) * period + period / 2)
+        expected = len(cluster.nodes) * antientropy.FANOUT * ticks
         assert cluster.sim.metrics.counter("ae.summaries_sent") == expected
 
-    def test_late_joiner_repairs_with_the_deployment_config(self):
-        config = AntiEntropyConfig(period=2.5)
-        cluster = AtumCluster(small_params(), seed=9, antientropy=config)
-        cluster.build_static([f"n{i}" for i in range(8)])
+    def test_late_joiner_runs_the_repair_layer(self):
+        cluster = build_cluster(nodes=8)
         node = cluster.join("late-1", contact="n0")
         cluster.run_for(30.0)
         assert node.antientropy.running
-        assert node.antientropy.config is config
-        assert all(peer.antientropy.config is config for peer in cluster.nodes.values())
 
 
 class TestRepair:
@@ -177,9 +174,8 @@ class TestRepair:
         assert total_after > before  # correct nodes gossip summaries
         # A deterministic upper bound: with one silent node, at most
         # (n - 1) * fanout summaries per completed tick round.
-        config = cluster.nodes["n0"].antientropy.config
-        ticks = int((10.0 - config.start_delay) / config.period) + 1
-        assert total_after <= (len(cluster.nodes) - 1) * config.fanout * ticks
+        ticks = int((10.0 - antientropy.START_DELAY) / antientropy.PERIOD) + 1
+        assert total_after <= (len(cluster.nodes) - 1) * antientropy.FANOUT * ticks
 
 
 class TestCheckpointHints:
@@ -273,30 +269,36 @@ class TestDeterminism:
 
 
 class TestAntiLockstep:
-    """Regression for the synchronized-retry pathology the backoff removed."""
+    """Regression for the synchronized-retry pathology the backoff removed:
+    after a heal every node retries the same repair key, and the per-node
+    seeded jitter spreads those retries instead of firing them together."""
 
-    def drive(self, config, seed=33):
-        # Hammer one repair key at a fixed poller cadence; the backoff gate
-        # decides when a repair actually fires.  The storm watchdog counts
-        # consecutive identical gaps between fired repairs.
-        cluster = AtumCluster(small_params(), seed=seed, antientropy=config)
-        cluster.build_static([f"n{i}" for i in range(8)])
-        repair = cluster.nodes["n0"].antientropy
+    @pytest.mark.parametrize(
+        "backoff, base, key",
+        [
+            ("_resend_backoff", antientropy.RESEND_BACKOFF_BASE, ("bcast", "vg-1")),
+            ("_repropose_backoff", antientropy.REPROPOSE_BACKOFF_BASE, "bcast"),
+        ],
+        ids=["resend", "repropose"],
+    )
+    def test_nodes_retrying_one_key_never_fire_together(self, backoff, base, key):
+        cluster = build_cluster(seed=33, nodes=8)
+        fired = {address: [] for address in cluster.nodes}
 
-        def poll():
-            repair._gate(repair._resend_backoff, ("bcast", "vg-1"))
-            cluster.sim.schedule(0.25, poll)
+        def retry(address):
+            gate = getattr(cluster.nodes[address].antientropy, backoff)
+            assert gate.attempt(key)
+            fired[address].append(cluster.sim.now)
+            cluster.sim.schedule_at(gate._state[key][0], lambda: retry(address))
 
-        cluster.sim.schedule(0.25, poll)
+        for address in cluster.nodes:
+            cluster.sim.schedule(5.0, lambda a=address: retry(a))
         cluster.run(until=60.0)
-        return cluster.sim.metrics.counter("ae.retry_storm")
-
-    def test_fixed_cooldown_config_degenerates_into_a_retry_storm(self):
-        # factor=1.0 + zero jitter reproduces the legacy fixed-cooldown
-        # behaviour: every retry lands on the same metronome and the
-        # watchdog flags it.
-        degenerate = AntiEntropyConfig(backoff_factor=1.0, backoff_jitter=0.0)
-        assert self.drive(degenerate) > 0
-
-    def test_default_jittered_backoff_never_storms(self):
-        assert self.drive(AntiEntropyConfig()) == 0
+        for times in fired.values():
+            gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+            assert len(gaps) >= 3
+            for attempt, gap in enumerate(gaps):
+                nominal = min(BACKOFF_MAX_DELAY, base * BACKOFF_FACTOR**attempt)
+                assert 0.65 * nominal - 1e-9 <= gap <= 1.35 * nominal + 1e-9
+        retries = [t for times in fired.values() for t in times[1:]]
+        assert len(set(retries)) == len(retries)  # no two retries share an instant

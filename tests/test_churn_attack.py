@@ -14,6 +14,7 @@ from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
 from repro.faults import FaultPlan, InvariantMonitor, NodeFault, apply_plan
 from repro.faults.scenarios import SCENARIOS, run_scenario
+from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig
 
 
@@ -102,13 +103,10 @@ class TestAntiEntropyUnderChurn:
         # grow without bound under sustained traffic (the ROADMAP item).
         assert row["counters"]["ae.store_gc_dropped"] > 0
 
-    def test_settled_store_gc_bounds_the_repair_store(self):
+    def test_settled_store_gc_bounds_the_repair_store(self, monkeypatch):
+        monkeypatch.setattr(antientropy, "GC_SETTLED_AGE", 5.0)
         params = AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, round_duration=0.5)
-        cluster = AtumCluster(
-            params,
-            seed=17,
-            antientropy=AntiEntropyConfig(gc_settled_age=5.0),
-        )
+        cluster = AtumCluster(params, seed=17, antientropy=AntiEntropyConfig())
         cluster.build_static([f"n{i}" for i in range(12)])
         for index in range(6):
             cluster.sim.schedule(
@@ -116,24 +114,20 @@ class TestAntiEntropyUnderChurn:
             )
         cluster.run(until=30.0)
         # Every payload is long settled: the stores drained completely and
-        # the repair backoff/watchdog state went with them.
+        # the repair backoff state went with them.
         for node in cluster.nodes.values():
             assert node.antientropy.store == {}
             assert node.antientropy._resend_backoff._state == {}
             assert node.antientropy._repropose_backoff._state == {}
-            assert node.antientropy._storm == {}
         assert cluster.sim.metrics.counter("ae.store_gc_dropped") > 0
 
-    def test_gc_disabled_keeps_the_old_retention(self):
+    def test_a_payload_younger_than_the_gc_age_stays_in_every_store(self):
         params = AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, round_duration=0.5)
-        cluster = AtumCluster(
-            params,
-            seed=19,
-            antientropy=AntiEntropyConfig(gc_settled_age=None),
-        )
+        cluster = AtumCluster(params, seed=19, antientropy=AntiEntropyConfig())
         cluster.build_static([f"n{i}" for i in range(12)])
         bcast = cluster.broadcast("n0", "keep-me")
         cluster.run(until=30.0)
+        assert antientropy.GC_SETTLED_AGE > 30.0
         holders = [
             node for node in cluster.nodes.values() if bcast in node.antientropy.store
         ]

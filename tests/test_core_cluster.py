@@ -11,7 +11,9 @@ import repro
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.config import parameter_table
 from repro.faults.invariants import InvariantMonitor
+from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION
 from repro.overlay.membership import MembershipError
 
 
@@ -117,8 +119,7 @@ class TestParameters:
     def test_suspicion_window_is_the_heartbeat_deadline(self, period):
         params = small_params().with_overrides(heartbeat_period=period)
         cluster = AtumCluster(params, enable_heartbeats=True)
-        misses = params.heartbeat_config().misses_before_eviction
-        assert cluster._suspicion_window == params.heartbeat_period * misses
+        assert cluster._suspicion_window == params.heartbeat_period * MISSES_BEFORE_EVICTION
 
     def test_late_joiner_runs_the_deployment_parameters(self):
         params = small_params().with_overrides(heartbeat_period=2.0)
@@ -316,9 +317,10 @@ class TestJoinLeaveThroughCluster:
 
 class TestChurnStormUnderLoad:
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_churn_storm_runs_with_zero_violations(self, seed):
+    def test_churn_storm_runs_with_zero_violations(self, seed, monkeypatch):
         # PBFT with checkpoints, heartbeats and anti-entropy, all on fixed
         # parameters, under a join (and a broadcast) every other second.
+        monkeypatch.setattr(antientropy, "PERIOD", 4.0)
         params = small_params(kind=SmrKind.ASYNC).with_overrides(
             heartbeat_period=2.0, checkpoint_interval=2
         )
@@ -326,7 +328,7 @@ class TestChurnStormUnderLoad:
             params,
             seed=seed,
             enable_heartbeats=True,
-            antientropy=AntiEntropyConfig(period=4.0),
+            antientropy=AntiEntropyConfig(),
         )
         monitor = InvariantMonitor()
         cluster.attach_monitor(monitor)

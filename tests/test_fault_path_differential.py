@@ -30,6 +30,7 @@ from repro.faults.behaviours import apply_plan
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import FaultPlan, LinkFault, Partition
+from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
@@ -247,25 +248,24 @@ def filtered_window(repair):
     """``_summary_ids`` as of 97a8d19, without its counter: ``(ids, truncated)``."""
     node = repair.node
     order = node.delivered_order
-    cap = repair.config.max_summary_ids
+    cap = antientropy.MAX_SUMMARY_IDS
     truncated = len(order) > cap
     if truncated:
         order = order[-cap:]
-    threshold = node.sim.now - repair.config.repair_min_age
+    threshold = node.sim.now - antientropy.REPAIR_MIN_AGE
     return tuple(b for b in order if node.delivered[b] <= threshold), truncated
 
 
 def scanned_stale(repair):
     """The set ``_gc_settled`` dropped at 97a8d19 (a scan of the whole store)."""
-    age = repair.config.gc_settled_age
-    if age is None or not repair.store:
+    if not repair.store:
         return []
-    cutoff = repair.node.sim.now - age
+    cutoff = repair.node.sim.now - antientropy.GC_SETTLED_AGE
     delivered = repair.node.delivered
     return [b for b in repair.store if delivered.get(b, cutoff) < cutoff]
 
 
-def bare_repairer(seed, config):
+def bare_repairer(seed):
     """A repairer on the smallest host it needs: a clock and a delivery log."""
     node = SimpleNamespace(
         sim=Simulator(seed=seed),
@@ -274,26 +274,28 @@ def bare_repairer(seed, config):
         delivered_order=[],
         register_direct_handler=lambda kind, handler: None,
     )
-    return AntiEntropyRepair(node, config)
+    return AntiEntropyRepair(node)
 
 
-GC_AGES = {"off": None, "small": 3.0, "default": AntiEntropyConfig().gc_settled_age}
+# "never" is longer than any run below: the incremental GC must drop nothing.
+GC_AGES = {"never": 1e9, "small": 3.0, "default": antientropy.GC_SETTLED_AGE}
 
 
 class TestIncrementalSummaryWindow:
     @pytest.mark.parametrize("gc_age", sorted(GC_AGES))
     @pytest.mark.parametrize("cap", [8, 256])
     @pytest.mark.parametrize("seed", range(6))
-    def test_window_and_gc_equal_the_filter_and_the_scan(self, seed, cap, gc_age):
+    def test_window_and_gc_equal_the_filter_and_the_scan(self, seed, cap, gc_age, monkeypatch):
         rng = random.Random(seed)
-        config = AntiEntropyConfig(max_summary_ids=cap, gc_settled_age=GC_AGES[gc_age])
-        repair = bare_repairer(seed, config)
+        monkeypatch.setattr(antientropy, "MAX_SUMMARY_IDS", cap)
+        monkeypatch.setattr(antientropy, "GC_SETTLED_AGE", GC_AGES[gc_age])
+        repair = bare_repairer(seed)
         node, sim = repair.node, repair.node.sim
         counter = sim.metrics.counter
         serial = 0
         previous = None
         truncations = dropped = reused = 0
-        # Steps of 0, a fraction of ``repair_min_age`` or several of them, so
+        # Steps of 0, a fraction of ``REPAIR_MIN_AGE`` or several of them, so
         # ticks fall before, on and after the age threshold; bursts of
         # deliveries share one instant; the long runs overflow the window.
         for _ in range(160):
@@ -321,17 +323,18 @@ class TestIncrementalSummaryWindow:
                     reused += ids is previous[1]
                 previous = (expected, ids)
         assert serial > cap and truncations > 0 and reused > 10
-        assert dropped == 0 if gc_age == "off" else dropped > 0 or gc_age == "default"
+        assert dropped == 0 if gc_age == "never" else dropped > 0 or gc_age == "default"
 
-    def test_a_replaced_config_moves_the_window_start(self):
-        # tests/test_antientropy.py swaps ``repair.config`` on a live repairer.
-        repair = bare_repairer(0, AntiEntropyConfig(repair_min_age=0.0))
+    def test_a_shrunk_window_moves_the_window_start(self, monkeypatch):
+        # tests/test_antientropy.py shrinks ``MAX_SUMMARY_IDS`` under a live repairer.
+        monkeypatch.setattr(antientropy, "REPAIR_MIN_AGE", 0.0)
+        repair = bare_repairer(0)
         node = repair.node
         for index in range(10):
             node.delivered[f"b{index}"] = 0.0
             node.delivered_order.append(f"b{index}")
         assert repair._summary_ids() == tuple(node.delivered_order)
-        repair.config = AntiEntropyConfig(repair_min_age=0.0, max_summary_ids=4)
+        monkeypatch.setattr(antientropy, "MAX_SUMMARY_IDS", 4)
         assert repair._summary_ids() == filtered_window(repair)[0] == ("b6", "b7", "b8", "b9")
 
 

@@ -15,6 +15,8 @@ reproduce with the printed case.
 import random
 from dataclasses import replace
 
+import pytest
+
 from repro.net.latency import LogNormalLatency
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
 from repro.smr.checkpoint import (
@@ -26,6 +28,10 @@ from repro.smr.checkpoint import (
 )
 
 
+# Announces off: the tests drive every frame by hand.
+pytestmark = pytest.mark.usefixtures("quiet_announces")
+
+
 def make_lagging_harness(seed=0, interval=2, decided=4):
     """A 4-replica group where replica-3 missed ``decided`` operations."""
     harness = ReplicaGroupHarness(
@@ -34,8 +40,6 @@ def make_lagging_harness(seed=0, interval=2, decided=4):
         config=SmrConfig(
             request_timeout=2.0,
             checkpoint_interval=interval,
-            # Announces off: the tests drive every frame by hand.
-            checkpoint_announce_period=10_000.0,
         ),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),

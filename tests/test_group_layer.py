@@ -9,13 +9,13 @@ from repro.crypto.keys import KeyRegistry
 from repro.group import (
     GroupCostModel,
     GroupMessenger,
-    HeartbeatConfig,
     HeartbeatMonitor,
     NodeBinding,
     VGroupView,
     majority_threshold,
 )
-from repro.group.heartbeat import Heartbeat
+from repro.group import heartbeat
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION, Heartbeat
 from repro.group.messages import GroupMessageEnvelope
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
@@ -167,7 +167,7 @@ class TestGroupMessages:
 
 
 class _HeartbeatHost(Actor):
-    def __init__(self, sim, address, network, peers, period=1.0, misses=3):
+    def __init__(self, sim, address, network, peers, period=1.0):
         super().__init__(sim, address)
         self.network = network
         self.suspected = []
@@ -178,7 +178,7 @@ class _HeartbeatHost(Actor):
             peers_fn=lambda: peers,
             send_fn=self._send,
             suspect_fn=self.suspected.append,
-            config=HeartbeatConfig(period=period, misses_before_eviction=misses),
+            period=period,
         )
 
     def _send(self, peers, heartbeat):
@@ -232,20 +232,19 @@ PERIODS = [0.25, 0.5, 1.0, 2.0, 5.0]
 
 
 class TestHeartbeatPeriod:
-    """The monitor runs one period, taken from its config at construction:
-    it sets the send cadence and, times ``misses_before_eviction``, the
-    suspicion deadline."""
+    """The monitor runs one period, given at construction: it sets the send
+    cadence and, times ``MISSES_BEFORE_EVICTION``, the suspicion deadline."""
 
-    def _wired_hosts(self, sim, peers, period=1.0, misses=3):
+    def _wired_hosts(self, sim, peers, period=1.0):
         network = Network(sim, latency_model=FixedLatency(0.001))
-        hosts = {p: _HeartbeatHost(sim, p, network, peers, period, misses) for p in peers}
+        hosts = {p: _HeartbeatHost(sim, p, network, peers, period) for p in peers}
         for host in hosts.values():
             network.register(host)
             host.monitor.start()
         return hosts
 
     @pytest.mark.parametrize("period", PERIODS)
-    def test_send_cadence_is_the_config_period(self, period):
+    def test_send_cadence_is_the_period(self, period):
         sim = Simulator()
         hosts = self._wired_hosts(sim, ["n0", "n1"], period)
         sim.run(until=6.5 * period)
@@ -273,23 +272,17 @@ class TestHeartbeatPeriod:
         assert "n1" not in hosts["n0"].suspected
 
     @pytest.mark.parametrize("misses", [1, 2, 3, 5])
-    def test_misses_before_eviction_scales_the_deadline(self, misses):
+    def test_misses_before_eviction_scales_the_deadline(self, misses, monkeypatch):
+        # The monitor reads the module constant at every tick.
+        monkeypatch.setattr(heartbeat, "MISSES_BEFORE_EVICTION", misses)
         sim = Simulator()
-        hosts = self._wired_hosts(sim, ["n0", "n1", "n2"], misses=misses)
+        hosts = self._wired_hosts(sim, ["n0", "n1", "n2"])
         sim.run(until=5.5)
         hosts["n2"].monitor.stop()  # last heard at t=5.001
         sim.run(until=5.5 + misses)
         assert hosts["n0"].suspected == []
         sim.run(until=6.5 + misses)
         assert "n2" in hosts["n0"].suspected
-
-    def test_config_write_after_construction_changes_nothing(self):
-        sim = Simulator()
-        hosts = self._wired_hosts(sim, ["n0", "n1"])
-        sim.run(until=2.5)
-        hosts["n0"].monitor.config.period = 0.25
-        sim.run(until=5.5)
-        assert hosts["n0"].sent_at == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestHeartbeatRestart:
@@ -336,7 +329,7 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
         for peer in others:
             if peer not in self.last_seen:
                 self.last_seen[peer] = now
-        self._check_peers(now, self._period * self.config.misses_before_eviction)
+        self._check_peers(now, self._period * MISSES_BEFORE_EVICTION)
         self.sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
 
@@ -357,7 +350,7 @@ class TestOneScanTickDifferential:
             peers_fn=lambda: state["peers"],
             send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
-            config=HeartbeatConfig(period=1.0, misses_before_eviction=3),
+            period=1.0,
         )
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))

@@ -14,7 +14,6 @@ import pytest
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
 from repro.faults import InvariantMonitor
-from repro.faults.invariants import InvariantConfig
 
 
 def build_cluster(monitor, nodes=12):
@@ -44,7 +43,7 @@ class TestCheckerErrorHandling:
         assert "structure" in kinds
 
     def test_tolerant_config_records_violation_without_raising(self):
-        monitor = InvariantMonitor(InvariantConfig(tolerate_check_errors=True))
+        monitor = InvariantMonitor(tolerate_check_errors=True)
         cluster = build_cluster(monitor)
         break_validate(cluster)
         violations = monitor.finalize()

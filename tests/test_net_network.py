@@ -6,17 +6,18 @@ import random
 import pytest
 
 from repro.core.middleware import Middleware, MiddlewareChain
-
+from repro.faults.injector import LinkFaultInjector
+from repro.faults.plan import LinkFault
 from repro.net import (
     FixedLatency,
     LanProfile,
     LogNormalLatency,
     Network,
-    NetworkConfig,
     UniformLatency,
     WanProfile,
 )
 from repro.net.latency import RegionalLatency, DEFAULT_REGIONS
+from repro.net.network import BANDWIDTH_BYTES_PER_S, HEADERS_BYTES
 from repro.sim import Simulator
 from repro.sim.actor import Actor
 
@@ -32,9 +33,9 @@ class Recorder(Actor):
         self.received.append((self.sim.now, payload, sender))
 
 
-def make_net(seed=0, latency=None, config=None):
+def make_net(seed=0, latency=None):
     sim = Simulator(seed=seed)
-    network = Network(sim, latency_model=latency or FixedLatency(0.01), config=config)
+    network = Network(sim, latency_model=latency or FixedLatency(0.01))
     return sim, network
 
 
@@ -72,34 +73,39 @@ class TestDelivery:
         assert b.received == []
 
     def test_large_transfer_takes_bandwidth_time(self):
-        sim, network = make_net(config=NetworkConfig(bandwidth_bytes_per_s=1_000_000))
+        sim, network = make_net()
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
-        network.send_one("a", "b", "blob", size_bytes=1_000_000)
+        network.send_one("a", "b", "blob", size_bytes=int(BANDWIDTH_BYTES_PER_S))
         sim.run()
         delivery_time = b.received[0][0]
         assert delivery_time >= 1.0  # at least one second of transfer time
 
     def test_downlink_serialization_of_concurrent_transfers(self):
-        # Two 1 MB messages to the same receiver must be serialized on its
-        # downlink: the second arrives roughly one transfer time later.
-        sim, network = make_net(config=NetworkConfig(bandwidth_bytes_per_s=1_000_000))
+        # Two one-second messages to the same receiver must be serialized on
+        # its downlink: the second arrives roughly one transfer time later.
+        sim, network = make_net()
         a, b, c = Recorder(sim, "a"), Recorder(sim, "b"), Recorder(sim, "c")
         for actor in (a, b, c):
             network.register(actor)
-        network.send_one("a", "c", "blob1", size_bytes=1_000_000)
-        network.send_one("b", "c", "blob2", size_bytes=1_000_000)
+        network.send_one("a", "c", "blob1", size_bytes=int(BANDWIDTH_BYTES_PER_S))
+        network.send_one("b", "c", "blob2", size_bytes=int(BANDWIDTH_BYTES_PER_S))
         sim.run()
         times = sorted(t for t, _, _ in c.received)
         assert len(times) == 2
         assert times[1] - times[0] >= 0.9
 
-    def test_loss_probability_drops_messages(self):
-        sim, network = make_net(config=NetworkConfig(loss_probability=1.0))
+    def test_link_fault_loss_drops_messages(self):
+        # Loss is a fault hook's drop verdict: nothing is delivered, the
+        # sender learns of it, and the network counts it lost.
+        sim, network = make_net()
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
         network.register(a)
         network.register(b)
+        network.install_middleware(
+            MiddlewareChain(LinkFaultInjector(sim, [LinkFault(loss=1.0)]))
+        )
         assert network.send_one("a", "b", "x") is False
         sim.run()
         assert b.received == []
@@ -144,8 +150,8 @@ class TestDelivery:
 
 
 class TestSidePreservingSplits:
-    def _quad(self, seed=2, config=None):
-        sim, network = make_net(seed=seed, config=config)
+    def _quad(self, seed=2):
+        sim, network = make_net(seed=seed)
         actors = {name: Recorder(sim, name) for name in ("a", "b", "c", "d")}
         for actor in actors.values():
             network.register(actor)
@@ -348,18 +354,26 @@ class TestBatchEqualsSequential:
 
     RECEIVERS = ["b", "c", "d", "e", "f", "g"]
 
-    def _run(self, batched, hook):
+    HOOKS = {
+        "plain": lambda sim: [],
+        # Losses come from a fault hook's drop verdict, the one loss path.
+        "lossy": lambda sim: [LinkFaultInjector(sim, [LinkFault(loss=0.05)])],
+        "hooked": lambda sim: [
+            LinkFaultInjector(sim, [LinkFault(loss=0.05)]), VerdictHook()
+        ],
+    }
+
+    def _run(self, batched, hooks):
         sim = Simulator(seed=1234)
-        network = Network(
-            sim, latency_model=LanProfile(), config=NetworkConfig(loss_probability=0.05)
-        )
+        network = Network(sim, latency_model=LanProfile())
         actors = {name: Recorder(sim, name) for name in ["a", *self.RECEIVERS]}
         for actor in actors.values():
             network.register(actor)
         network.split([("a", "b", "c", "d", "e", "g"), ("f",)])
         network.partition(["g"])
-        if hook is not None:
-            network.install_middleware(MiddlewareChain(hook))
+        middleware = self.HOOKS[hooks](sim)
+        if middleware:
+            network.install_middleware(MiddlewareChain(*middleware))
 
         def burst(tag):
             if batched:
@@ -383,14 +397,14 @@ class TestBatchEqualsSequential:
         latencies = list(sim.metrics.histogram("net.delivery_latency").samples)
         return trace, deliveries, counters, latencies, network._rng.getstate()
 
-    @pytest.mark.parametrize("hook", [None, VerdictHook], ids=["plain", "hooked"])
-    def test_batch_and_single_sends_agree(self, hook):
-        batch = self._run(True, hook() if hook else None)
-        single = self._run(False, hook() if hook else None)
+    @pytest.mark.parametrize("hooks", sorted(HOOKS))
+    def test_batch_and_single_sends_agree(self, hooks):
+        batch = self._run(True, hooks)
+        single = self._run(False, hooks)
         assert batch == single
         _, _, counters, latencies, _ = batch
         # The scenario is not vacuous: every outcome occurs.
-        assert counters["net.messages_lost"] > 0
+        assert (counters.get("net.messages_lost", 0) > 0) == (hooks != "plain")
         assert counters["net.messages_partitioned"] == 120
         assert len(latencies) == counters["net.messages_delivered"] > 200
 
@@ -448,18 +462,19 @@ class TestInlineDrawEqualsSample:
     The reference below is the routing arithmetic written out around the
     public per-pair API.  After every burst the network must have consumed
     the RNG identically, pushed the same ``(time, priority, seq)`` heap keys
-    and left the same downlink state — with a loss draw before each latency
-    draw, with a hook that re-entrantly sends between the two, and across a
-    public model field reassigned mid-run.
+    and left the same downlink state — with a fault hook's loss draw before
+    each latency draw, with a hook that re-entrantly sends between two
+    draws, and across a public model field reassigned mid-run.
     """
 
     def _reference_burst(self, twin, sender, receivers, size, nested):
         keys = []
-        config = twin["config"]
         rng, model, now, downlink = twin["rng"], twin["model"], twin["now"], twin["downlink"]
-        transfer = (size + config.headers_bytes) / config.bandwidth_bytes_per_s
+        loss, lose = twin["loss"], twin["faults"].random
+        transfer = (size + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
         for receiver in receivers:
-            if config.loss_probability > 0.0 and rng.random() < config.loss_probability:
+            # A dropped message ends the hook chain and draws no latency.
+            if loss > 0.0 and lose() < loss:
                 continue
             if nested and receiver == "b":
                 keys += self._reference_burst(twin, "a", ["z"], 100, nested=False)
@@ -479,18 +494,24 @@ class TestInlineDrawEqualsSample:
     @pytest.mark.parametrize("name", sorted(INLINE_DRAW_MODELS))
     def test_send_many_is_n_samples(self, name, loss, hooked):
         factory, field, new_value = INLINE_DRAW_MODELS[name]
-        config = NetworkConfig(loss_probability=loss)
         sim = Simulator(seed=99)
-        network = Network(sim, latency_model=factory(), config=config)
+        network = Network(sim, latency_model=factory())
+        hooks = []
+        if loss:
+            # Loss is a fault hook's drop verdict, drawn from its own stream.
+            hooks.append(LinkFaultInjector(sim, [LinkFault(loss=loss)]))
         hook = None
         if hooked:
             hook = NestedSendHook(network)
-            network.install_middleware(MiddlewareChain(hook))
+            hooks.append(hook)
+        if hooks:
+            network.install_middleware(MiddlewareChain(*hooks))
         twin = {
-            "model": factory(), "config": config, "downlink": {}, "seq": sim.queue._seq,
-            "rng": random.Random(), "now": 0.0,
+            "model": factory(), "downlink": {}, "seq": sim.queue._seq,
+            "rng": random.Random(), "now": 0.0, "loss": loss, "faults": random.Random(),
         }
         twin["rng"].setstate(network._rng.getstate())
+        twin["faults"].setstate(sim.rng.stream("faults.network").getstate())
         bursts = 0
         for step in range(40):
             if step == 20:
@@ -515,6 +536,7 @@ class TestInlineDrawEqualsSample:
             assert hook.nested > 30
         if loss:
             assert sim.metrics.counter("net.messages_lost") > 0
+            assert twin["faults"].getstate() == sim.rng.stream("faults.network").getstate()
 
     def test_wan_rows_cache_only_assigned_pairs_and_stay_bounded(self, monkeypatch):
         from repro.net import latency

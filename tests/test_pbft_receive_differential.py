@@ -297,7 +297,7 @@ def checkpointed_harness(decided=4):
     harness = ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=2, checkpoint_announce_period=10_000.0),
+        config=SmrConfig(checkpoint_interval=2),
         seed=5,
     )
     for index in range(decided):
@@ -341,6 +341,7 @@ def signature_variants(registry, epoch, seq, state_digest):
     }
 
 
+@pytest.mark.usefixtures("quiet_announces")
 def test_statement_once_accepts_exactly_the_votes_registry_verify_accepts():
     harness = checkpointed_harness()
     replica = harness.actors["replica-3"].replica
@@ -395,6 +396,7 @@ def checkpoint_vote_accepted(harness, sign):
     return bad() == before
 
 
+@pytest.mark.usefixtures("quiet_announces")
 @pytest.mark.parametrize(
     "accepts", [registry_verifies, signature_covers, chain_verifies, checkpoint_vote_accepted]
 )
@@ -426,6 +428,7 @@ def certificate_variants(registry, epoch, seq, state_digest, members):
     return cases
 
 
+@pytest.mark.usefixtures("quiet_announces")
 def test_statement_once_validates_exactly_the_certificates_registry_verify_validates():
     harness = checkpointed_harness()
     replica = harness.actors["replica-2"].replica
@@ -452,6 +455,7 @@ def test_statement_once_validates_exactly_the_certificates_registry_verify_valid
     }
 
 
+@pytest.mark.usefixtures("quiet_announces")
 def test_statement_once_rejects_exactly_the_chains_registry_verify_rejects(monkeypatch):
     harness = checkpointed_harness()
     for actor in harness.actors.values():  # cross one reconfiguration
@@ -486,7 +490,7 @@ def single_replica(interval):
     harness = ReplicaGroupHarness(
         group_size=1,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=interval, checkpoint_announce_period=10_000.0),
+        config=SmrConfig(checkpoint_interval=interval),
     )
     return harness.actors["replica-0"].replica
 
@@ -496,6 +500,7 @@ def random_operation(rng, index):
     return Operation(rng.choice(["broadcast", "join", "noop"]), body, f"n{rng.randrange(5)}", f"op-{index}")
 
 
+@pytest.mark.usefixtures("quiet_announces")
 @pytest.mark.parametrize("seed", range(6))
 def test_chain_from_scratch_equals_incremental_equals_chained_with(seed):
     rng = random.Random(seed)
@@ -531,6 +536,7 @@ def test_the_chain_binds_operation_contents_not_just_ids():
     assert state_digest_of(operations, 2) != reference  # chunking is part of the value
 
 
+@pytest.mark.usefixtures("quiet_announces")
 def test_forget_log_restarts_the_fold():
     replica = single_replica(2)
     manager = replica.checkpoints
@@ -546,11 +552,12 @@ def test_forget_log_restarts_the_fold():
     assert manager._chained_digest_with(first[:2]) == state_digest_of(second + first[:2], 2)
 
 
+@pytest.mark.usefixtures("quiet_announces")
 def test_a_replaced_body_is_a_digest_mismatch_even_when_the_original_is_memoised():
     harness = ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=2, checkpoint_announce_period=10_000.0),
+        config=SmrConfig(checkpoint_interval=2),
         seed=14,
     )
     split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])

@@ -14,6 +14,8 @@ import zlib
 import pytest
 
 from repro.net.requests import (
+    BACKOFF_FACTOR,
+    BACKOFF_MAX_DELAY,
     JitteredBackoff,
     PeerScore,
     RequestEnvelope,
@@ -615,43 +617,36 @@ class TestFuzzBattery:
 class TestJitteredBackoff:
     def test_attempt_gates_until_delay_elapses(self):
         sim = Simulator(seed=3)
-        backoff = JitteredBackoff(sim, "b", base=2.0, jitter=0.0)
+        backoff = JitteredBackoff(sim, "b", base=2.0)
+        assert backoff._rng is None  # built lazily: a gate never used draws nothing
         assert backoff.attempt("k")
         assert not backoff.attempt("k")
-        assert not backoff.ready("k")
-        sim.schedule(2.0, lambda: None)
+        sim.schedule_at(backoff._state["k"][0], lambda: None)
         sim.run()
-        assert backoff.ready("k")
         assert backoff.attempt("k")
 
-    def test_delays_grow_by_factor_and_cap(self):
+    def test_delays_are_jittered_capped_and_never_lockstep(self):
+        # The anti-lockstep property, on the armed delays themselves: each one
+        # lies in the jitter band around min(cap, base * factor**n), and no two
+        # consecutive ones are equal (a fixed cooldown would repeat forever).
         sim = Simulator(seed=3)
-        backoff = JitteredBackoff(
-            sim, "b", base=2.0, factor=2.0, jitter=0.0, max_delay=5.0
-        )
-        backoff.attempt("k")
-        assert backoff._state["k"][0] == pytest.approx(2.0)
-        sim.schedule(2.0, lambda: None)
-        sim.run()
-        backoff.attempt("k")
-        assert backoff._state["k"][0] == pytest.approx(2.0 + 4.0)
-        sim.schedule(4.0, lambda: None)
-        sim.run()
-        backoff.attempt("k")
-        assert backoff._state["k"][0] == pytest.approx(6.0 + 5.0)  # capped
+        backoff = JitteredBackoff(sim, "b", base=2.0)
+        delays = []
+        for attempt in range(20):
+            assert backoff.attempt("k")
+            allowed_at = backoff._state["k"][0]
+            delay = allowed_at - sim.now
+            nominal = min(BACKOFF_MAX_DELAY, 2.0 * BACKOFF_FACTOR**attempt)
+            assert 0.65 * nominal - 1e-9 <= delay <= 1.35 * nominal + 1e-9
+            delays.append(delay)
+            sim.schedule_at(allowed_at, lambda: None)
+            sim.run()
+        assert all(a != b for a, b in zip(delays, delays[1:]))
 
-    def test_zero_jitter_draws_no_rng(self):
+    def test_prune_filters(self):
         sim = Simulator(seed=3)
-        backoff = JitteredBackoff(sim, "b", base=2.0, jitter=0.0)
+        backoff = JitteredBackoff(sim, "b", base=2.0)
         backoff.attempt("k")
-        assert backoff._rng is None
-
-    def test_reset_forgets_and_prune_filters(self):
-        sim = Simulator(seed=3)
-        backoff = JitteredBackoff(sim, "b", base=2.0, jitter=0.0)
-        backoff.attempt("k")
-        backoff.reset("k")
-        assert backoff.attempt("k")  # immediately allowed again
         backoff.attempt("other")
         backoff.prune(lambda key: key == "other")
         assert "other" not in backoff._state and "k" in backoff._state

@@ -6,20 +6,20 @@ from repro.net.latency import LogNormalLatency
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
 from repro.smr.checkpoint import (
     ANNOUNCE_MAX_PERIODS,
+    ANNOUNCE_PERIOD,
     CheckpointAnnounce,
     state_digest_of,
 )
 from repro.faults.invariants import check_agreement_logs
 
 
-def make_harness(group_size, interval=2, seed=0, timeout=2.0, announce=2.0):
+def make_harness(group_size, interval=2, seed=0, timeout=2.0):
     return ReplicaGroupHarness(
         group_size=group_size,
         replica_class=PbftReplica,
         config=SmrConfig(
             request_timeout=timeout,
             checkpoint_interval=interval,
-            checkpoint_announce_period=announce,
         ),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),
@@ -208,8 +208,9 @@ class TestStateTransferLiveness:
         # may occur under steady traffic; the *stall* heuristic must not.
         assert harness.sim.metrics.counter("smr.checkpoint.tail_view_changes") == 0
 
+    @pytest.mark.usefixtures("quiet_announces")
     def test_gap_hint_triggers_state_request(self):
-        harness = make_harness(4, interval=2, seed=9, announce=1000.0)
+        harness = make_harness(4, interval=2, seed=9)
         split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
         decide(harness, 4, prefix="gap", start_until=10.0)
         harness.network.merge(split)
@@ -223,6 +224,7 @@ class TestStateTransferLiveness:
         assert harness.sim.metrics.counter("smr.checkpoint.gap_hints") == 1
         assert harness.agreement_violations() == []
 
+    @pytest.mark.usefixtures("quiet_announces")
     def test_lower_seq_install_does_not_cancel_a_pending_higher_transfer(self):
         # Regression: a hint-path response serving an OLD certificate used
         # to clear the pending higher-seq transfer target, unblocking
@@ -235,7 +237,7 @@ class TestStateTransferLiveness:
             state_digest_of,
         )
 
-        harness = make_harness(4, interval=2, seed=17, announce=1000.0)
+        harness = make_harness(4, interval=2, seed=17)
         split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
         decide(harness, 6, prefix="race", start_until=12.0)
         harness.network.merge(split)
@@ -352,11 +354,11 @@ class TestAnnounceHygiene:
 class TestTrickleAnnounce:
     """The announce interval backs off while members agree and resets when not."""
 
-    PERIOD = 2.0
+    PERIOD = ANNOUNCE_PERIOD
     CAP = ANNOUNCE_MAX_PERIODS * PERIOD
 
     def backed_off(self, seed=21, ops=4):
-        harness = make_harness(4, interval=2, seed=seed, announce=self.PERIOD)
+        harness = make_harness(4, interval=2, seed=seed)
         decide(harness, ops)
         harness.run(until=harness.sim.now + 4 * self.CAP)
         for actor in harness.actors.values():
@@ -368,7 +370,7 @@ class TestTrickleAnnounce:
         return harness.sim.metrics.counter("smr.checkpoint.announce_resets")
 
     def test_interval_doubles_to_the_cap_while_peers_agree(self):
-        harness = make_harness(4, interval=2, seed=21, announce=self.PERIOD)
+        harness = make_harness(4, interval=2, seed=21)
         manager = harness.actors["replica-0"].replica.checkpoints
         seen = [manager._announce_interval]
         decide(harness, 4, start_until=1.0)
@@ -472,7 +474,7 @@ class TestTrickleAnnounce:
         assert all(b - a >= self.PERIOD - 1e-9 for a, b in zip(sent, sent[1:]))
 
     def test_healed_replica_catches_up_within_a_period_of_first_contact(self):
-        harness = make_harness(4, interval=2, seed=23, announce=self.PERIOD)
+        harness = make_harness(4, interval=2, seed=23)
         decide(harness, 2, prefix="pre")
         split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
         decide(harness, 4, prefix="mid")
@@ -503,7 +505,7 @@ class TestTrickleAnnounce:
         # Peers that agree announce only every 16 periods; the deficit clock
         # checks itself at the end of its grace window instead of waiting
         # for their next announce.
-        harness = make_harness(4, interval=4, seed=5, announce=self.PERIOD)
+        harness = make_harness(4, interval=4, seed=5)
         split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
         decide(harness, 1, prefix="tail", start_until=8.0)
         harness.run(until=harness.sim.now + 4 * self.CAP)
@@ -528,7 +530,7 @@ class TestTrickleAnnounce:
     def start_deficit_clock_at(self, start):
         # A peer claims a longer log at a non-dyadic time; nothing is decided,
         # so our log stays frozen below the claim.
-        harness = make_harness(4, interval=2, seed=5, announce=self.PERIOD)
+        harness = make_harness(4, interval=2, seed=5)
         stalled = harness.actors["replica-3"].replica
         view_changes = []
         stalled._start_view_change = lambda target=None: view_changes.append(
