@@ -170,13 +170,26 @@ def _plan_none(scenario: Scenario, cluster: AtumCluster, rng: random.Random) -> 
 
 
 def _plan_partition_heal(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
+    scenario: Scenario, cluster: AtumCluster, rng: random.Random, heal_at: float = 4.0
 ) -> FaultPlan:
     """Partition a random ``fault_fraction`` of the system, heal mid-run."""
     addresses = sorted(cluster.engine.node_group)
     count = max(1, int(math.floor(scenario.fault_fraction * len(addresses))))
     members = tuple(sorted(rng.sample(addresses, count)))
-    return FaultPlan(partitions=(Partition(members=members, start=0.6, heal_at=4.0),))
+    return FaultPlan(partitions=(Partition(members=members, start=0.6, heal_at=heal_at),))
+
+
+def _plan_late_heal(
+    scenario: Scenario, cluster: AtumCluster, rng: random.Random
+) -> FaultPlan:
+    """:func:`_plan_partition_heal`, healed 35 s after the last broadcast.
+
+    By then the connected nodes have gone quiet: their anti-entropy timers
+    have backed off to the longest interval, so the repair after the heal
+    must come from the cut nodes' own summaries and the replies they draw.
+    """
+    heal_at = scenario.broadcasts * scenario.interval + 35.0
+    return _plan_partition_heal(scenario, cluster, rng, heal_at=heal_at)
 
 
 def _plan_two_sided_split(
@@ -564,6 +577,7 @@ def _plan_overlapping_splits(
 PLAN_BUILDERS: Dict[str, Callable[[Scenario, AtumCluster, random.Random], FaultPlan]] = {
     "none": _plan_none,
     "partition_heal": _plan_partition_heal,
+    "late_heal": _plan_late_heal,
     "two_sided_split": _plan_two_sided_split,
     "lossy_links": _plan_lossy_links,
     "corrupt_links": _plan_corrupt_links,
@@ -628,6 +642,17 @@ def _default_scenarios() -> Dict[str, Scenario]:
             # correct node — the bound is the paper's full 1.0.
             delivery_bound=1.0,
             antientropy=True,
+        ),
+        # The same cut healed after the system has gone quiet: anti-entropy
+        # must still repair everything once the cut nodes are heard again.
+        Scenario(
+            name="broadcast/late_heal",
+            workload="broadcast",
+            plan="late_heal",
+            fault_fraction=0.1,
+            delivery_bound=1.0,
+            antientropy=True,
+            settle_time=50.0,
         ),
         # Side-preserving splits: both sides stay internally live, diverge,
         # and must reconcile to full delivery after the heal — under the

@@ -5,10 +5,24 @@ dropped by a partition are never retransmitted, so a vgroup (or a side of a
 side-preserving split) that missed a broadcast stays divergent forever after
 the heal.  This module adds the repair layer the ROADMAP calls for — and
 that the policy-free-middleware line of work argues must be a first-class
-layer rather than an assumption: each node periodically exchanges a compact
-summary of the broadcast ids it has delivered with gossip neighbours
-(vgroup co-members and members of H-graph neighbour vgroups), detects gaps
-in either direction, and re-requests or re-supplies the missing payloads.
+layer rather than an assumption: each node exchanges a compact summary of
+the broadcast ids it has delivered with gossip neighbours (vgroup
+co-members and members of H-graph neighbour vgroups), detects gaps in
+either direction, and re-requests or re-supplies the missing payloads.
+
+Summaries run on the Trickle timer checkpoint announces use
+(:class:`~repro.sim.trickle.Trickle`): every ``PERIOD`` while something
+disagrees, doubling after every summary round in which a peer was heard, up
+to ``MAX_PERIODS`` periods while the peers agree -- so a healthy quiet
+system stops paying for repair it does not need.  A received summary is
+*inconsistent* when it names ids the receiver lacks (the receiver pulls
+them), lacks ids the receiver delivered at least ``2 * REPAIR_MIN_AGE``
+ago, or (from a co-member) carries a different stable-checkpoint seq; an
+inconsistent summary resets the receiver's interval.  When the *sender* is
+the one behind, the receiver also answers it at once with its own summary,
+marked as a reply (``ae.reply``), which is never answered in turn.  A node
+that hears nothing -- cut off -- keeps summarizing every ``PERIOD``, so
+within a period of the heal a peer finds it behind and answers it.
 
 Repair never bypasses the safety machinery it heals:
 
@@ -30,7 +44,9 @@ runs without anti-entropy are byte-identical to builds without this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
@@ -40,10 +56,12 @@ from repro.net.requests import (
     RequestPolicy,
     ResponseEnvelope,
 )
+from repro.sim.trickle import Trickle
 
 
-#: Interval between summary exchanges, and the delay before the first one
-#: after a (re)start.
+#: Shortest interval between summary rounds (Trickle's period; the longest
+#: is :data:`~repro.sim.trickle.MAX_PERIODS` of them), the shortest between
+#: two replies, and the delay before the first round after a (re)start.
 PERIOD = 1.0
 START_DELAY = 0.5
 #: Peers contacted per tick.
@@ -90,16 +108,17 @@ class AntiEntropyConfig:
 class AntiEntropyRepair:
     """Per-node anti-entropy component (owned by an ``AtumNode``).
 
-    The host node routes the ``ae.summary`` / ``ae.request`` / ``ae.hint``
-    direct messages here, feeds every delivered broadcast into
-    :meth:`on_delivered`, and starts/stops the periodic timer alongside its
+    The host node routes the ``ae.summary`` / ``ae.reply`` / ``ae.request`` /
+    ``ae.hint`` direct messages here, feeds every delivered broadcast into
+    :meth:`on_delivered`, and starts/stops the summary timer alongside its
     membership (started on view install, stopped on leave).
     """
 
     def __init__(self, node) -> None:
         self.node = node
         self.running = False
-        self._timer_armed = False
+        self._trickle = Trickle(node.sim, PERIOD, self._tick, tag="ae.tick")
+        self._last_reply = -math.inf
         self._rng = node.sim.rng.stream(f"antientropy.{node.address}")
         # Payloads of delivered broadcasts, kept for repair re-supply.
         self.store: Dict[str, Any] = {}
@@ -135,7 +154,11 @@ class AntiEntropyRepair:
         # The advertised slice of ``node.delivered_order`` and its summary.
         self._summary_span = (0, 0)
         self._summary: Tuple[str, ...] = ()
+        # End of the prefix of ``node.delivered_order`` delivered at least
+        # 2 * REPAIR_MIN_AGE ago (see _lacks_settled); only ever advanced.
+        self._settled_end = 0
         node.register_direct_handler("ae.summary", self._on_summary)
+        node.register_direct_handler("ae.reply", partial(self._on_summary, reply=True))
         node.register_direct_handler("ae.request", self._on_request)
         node.register_direct_handler("ae.hint", self._on_hint)
 
@@ -146,9 +169,8 @@ class AntiEntropyRepair:
 
     def start(self) -> None:
         self.running = True
-        if not self._timer_armed:
-            self._timer_armed = True
-            self.node.sim.schedule(START_DELAY, self._tick, tag="ae.tick")
+        if not self._trickle.armed:
+            self._trickle.start(self.node.sim.now + START_DELAY)
 
     def stop(self) -> None:
         self.running = False
@@ -177,30 +199,37 @@ class AntiEntropyRepair:
 
     # -------------------------------------------------------------------- ticks
 
-    def _tick(self) -> None:
+    def _tick(self) -> bool:
+        """One summary round; whether the timer goes on (see :class:`Trickle`)."""
         if not self.running:
-            self._timer_armed = False
-            return
-        self.node.sim.schedule(PERIOD, self._tick, tag="ae.tick")
+            return False
         node = self.node
         if not node.is_correct or not node.is_member:
-            return
+            return True
         self._gc_settled()
         peers = self._peer_candidates()
         if not peers:
-            return
+            return True
         count = min(FANOUT, len(peers))
-        chosen = self._rng.sample(peers, count)
-        # The summary carries the delivered-id window plus the replica's
-        # stable-checkpoint seq (None for engines without checkpointing):
-        # repair direction is carried by the ae.request reply (which names
-        # the *requester's* group), and the checkpoint seq lets a stalled
-        # co-member discover an SMR log gap without waiting for a view
-        # change (see AtumNode.on_checkpoint_hint).
+        self._send_summary(self._rng.sample(peers, count), "ae.summary")
+        node.sim.metrics.increment("ae.summaries_sent", count)
+        self._trickle.sent()
+        return True
+
+    def _send_summary(self, peers, kind: str) -> None:
+        """Send this node's summary to ``peers`` as an ``ae.summary`` or ``ae.reply``.
+
+        The summary carries the delivered-id window plus the replica's
+        stable-checkpoint seq (None for engines without checkpointing):
+        repair direction is carried by the ae.request reply (which names the
+        *requester's* group), and the checkpoint seq lets a stalled
+        co-member discover an SMR log gap without waiting for a view change
+        (see AtumNode.on_checkpoint_hint).
+        """
+        node = self.node
         summary = (self._summary_ids(), node.smr_stable_checkpoint())
         size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(summary[0])
-        node.send_direct_many(chosen, "ae.summary", summary, size_bytes=size)
-        node.sim.metrics.increment("ae.summaries_sent", count)
+        node.send_direct_many(peers, kind, summary, size_bytes=size)
 
     def _gc_settled(self) -> None:
         """Drop settled payloads (and their cooldowns) from the repair store.
@@ -268,31 +297,71 @@ class AntiEntropyRepair:
             self._summary = tuple(order[start:end])
         return self._summary
 
+    def _lacks_settled(self, peer_ids) -> bool:
+        """Whether ``peer_ids`` lacks an id delivered here ``2 * REPAIR_MIN_AGE`` ago.
+
+        The peer advertises what it delivered ``REPAIR_MIN_AGE`` ago, so an
+        id this node has held twice as long is one the peer should have
+        advertised unless it is behind.  Only the newest half-window is
+        compared: the peer's window is its own newest ``MAX_SUMMARY_IDS``,
+        and its delivery order differs from ours.
+        """
+        node = self.node
+        order = node.delivered_order
+        threshold = node.sim.now - 2.0 * REPAIR_MIN_AGE
+        delivered = node.delivered
+        end, total = self._settled_end, len(order)
+        while end < total and delivered[order[end]] <= threshold:
+            end += 1
+        self._settled_end = end
+        start = max(0, total - MAX_SUMMARY_IDS // 2)
+        return end > start and not set(peer_ids).issuperset(order[start:end])
+
     # ----------------------------------------------------------------- handlers
 
-    def _on_summary(self, payload, sender: str) -> None:
-        # Pull-only: the requester knows *exactly* what it lacks, so gaps
-        # detected here are real.  (Pushing on a summary *difference* would
-        # compare two age-filtered snapshots taken at different times and
-        # re-send shares for deliveries that are merely in flight.)
+    def _on_summary(self, payload, sender: str, reply: bool = False) -> None:
+        """Pull what the summary names and we lack; reset and answer on a gap.
+
+        Pull-only: the requester knows *exactly* what it lacks, so gaps
+        detected here are real.  (Pushing on a summary *difference* would
+        compare two age-filtered snapshots taken at different times and
+        re-send shares for deliveries that are merely in flight.)  A sender
+        that is behind gets this node's own summary at once instead, so it
+        can pull in turn -- at most one reply per ``PERIOD``, and never to
+        a reply, so no peer can make a node answer faster than that.
+        """
         node = self.node
         if not node.is_correct or not node.is_member:
             return
+        self._trickle.hear()
         peer_ids, peer_checkpoint = payload
         if peer_checkpoint is not None:
             # Co-membership and rate limiting are checked by the node/
             # manager; the hint itself is untrusted (the state-transfer
             # response it provokes carries the verifiable certificate).
             node.on_checkpoint_hint(sender, peer_checkpoint)
-        cap = MAX_REPAIRS_PER_PEER
         delivered = node.delivered
-        missing_here = [
-            b
-            for b in peer_ids
-            if b not in delivered and b not in self._pending_pull_ids
-        ]
+        missing_here = [b for b in peer_ids if b not in delivered]
         if missing_here:
-            self._issue_pull(sender, tuple(missing_here[:cap]))
+            pending = self._pending_pull_ids
+            wanted = [b for b in missing_here if b not in pending]
+            if wanted:
+                self._issue_pull(sender, tuple(wanted[:MAX_REPAIRS_PER_PEER]))
+        behind = self._lacks_settled(peer_ids)
+        checkpoint_differs = False
+        if isinstance(peer_checkpoint, int) and sender in node.vgroup_view.member_set:
+            # Checkpoint seqs only compare within one vgroup's log.
+            own_checkpoint = node.smr_stable_checkpoint()
+            if isinstance(own_checkpoint, int):
+                checkpoint_differs = peer_checkpoint != own_checkpoint
+                behind = behind or peer_checkpoint < own_checkpoint
+        if (missing_here or behind or checkpoint_differs) and self._trickle.reset():
+            node.sim.metrics.increment("ae.summary_resets")
+        now = node.sim.now
+        if behind and not reply and now - self._last_reply >= PERIOD:
+            self._last_reply = now
+            self._send_summary((sender,), "ae.reply")
+            node.sim.metrics.increment("ae.summary_replies")
 
     def _issue_pull(self, sender: str, wanted: Tuple[str, ...]) -> None:
         """Pull missing broadcasts through the unified request layer.

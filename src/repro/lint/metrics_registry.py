@@ -38,6 +38,16 @@ METRICS = {
         "modules": ('repro/group/antientropy.py',),
         "matrix_column": False,
     },
+    'ae.summary_replies': {
+        "kind": 'counter',
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
+    },
+    'ae.summary_resets': {
+        "kind": 'counter',
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
+    },
     'ae.summary_window_truncated': {
         "kind": 'counter',
         "modules": ('repro/group/antientropy.py',),

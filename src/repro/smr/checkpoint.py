@@ -33,13 +33,14 @@ longer lines up with the local log is rejected and counted
 (``smr.checkpoint.rejected``), never installed.
 
 Everything here is driven by existing protocol events plus one announce
-timer per replica.  The timer is a Trickle timer (Levis et al., NSDI 2004;
-RFC 6206): its interval starts at :data:`ANNOUNCE_PERIOD`, doubles
-after every round in which members were heard, up to
-:data:`ANNOUNCE_MAX_PERIODS` periods, and falls back to the period -- with
-the next announce as soon as one period has passed since the last -- when
-a member's announce disagrees with ours or we enter a new epoch.  A group
-that agrees announces every 32 s instead of every 2 s.  The manager (and
+timer per replica: the shared :class:`~repro.sim.trickle.Trickle` timer
+(Levis et al., NSDI 2004; RFC 6206), which anti-entropy summaries run on
+too.  Its interval starts at :data:`ANNOUNCE_PERIOD`, doubles after every
+round in which members were heard, up to :data:`ANNOUNCE_MAX_PERIODS`
+periods, and falls back to the period -- with the next announce as soon as
+one period has passed since the last -- when a member's announce disagrees
+with ours or we enter a new epoch.  A group that agrees announces every
+32 s instead of every 2 s.  The manager (and
 with it the timer and the frame handlers it adds to the replica's routing
 table) is only created when ``SmrConfig.checkpoint_interval > 0``, so runs
 with checkpointing disabled (the default) are byte-identical to
@@ -56,14 +57,13 @@ memoised, instead of re-encoding every decided operation per checkpoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace as dc_replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.digest import digest_object
 from repro.crypto.keys import Signature
 from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
-from repro.sim.events import Event
+from repro.sim.trickle import MAX_PERIODS as ANNOUNCE_MAX_PERIODS, Trickle
 from repro.smr.base import MESSAGE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -72,9 +72,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 #: Trickle's shortest announce interval (the liveness path for replicas that
-#: were cut off while a checkpoint formed), and its largest, in periods: 32 s.
+#: were cut off while a checkpoint formed); the longest is
+#: ``ANNOUNCE_MAX_PERIODS`` (the shared timer's cap) periods: 32 s.
 ANNOUNCE_PERIOD = 2.0
-ANNOUNCE_MAX_PERIODS = 16
 
 
 # --------------------------------------------------------------------- frames
@@ -312,12 +312,12 @@ class CheckpointManager:
         # False when a new view triggered the transfer — that view's own
         # re-proposals already run under a fresh, gap-free numbering.
         self._realign_after_install = True
-        # Trickle announce timer: the interval in force, the pending tick
-        # and when the last announce went out (see _announce_tick).
-        self._announce_interval = ANNOUNCE_PERIOD
-        self._announce_event: Optional[Event] = None
-        self._last_announce = -math.inf
-        self._announces_heard = 0  # member announces since our last tick
+        self._announce = Trickle(
+            replica.sim,
+            ANNOUNCE_PERIOD,
+            self._announce_tick,
+            tag=f"{replica.node_id}:ckpt-announce",
+        )
         # The stable certificate this one replaced: kept only so a
         # `stale_cert` adversary has something genuinely old to serve.
         self.previous_stable: Optional[CheckpointCertificate] = None
@@ -361,9 +361,14 @@ class CheckpointManager:
         # chunks decided since the last one.
         self._chain_count = 0
         self._chain_digest = ""
-        self._arm_announce(replica.sim.now + self._announce_interval)
+        self._announce.start(replica.sim.now + ANNOUNCE_PERIOD)
 
     # ----------------------------------------------------------------- queries
+
+    @property
+    def _announce_interval(self) -> float:
+        """The announce interval in force (the Trickle timer's)."""
+        return self._announce.interval
 
     @property
     def stable_seq(self) -> int:
@@ -931,7 +936,7 @@ class CheckpointManager:
         if sender not in replica._member_set:
             self._reject("non_member")
             return
-        self._announces_heard += 1
+        self._announce.hear()
         certificate, best = message.certificate, self.best_certificate()
         if certificate is None:
             inconsistent = best is not None
@@ -1348,28 +1353,23 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------- timer
 
-    def _arm_announce(self, at: float) -> None:
-        self._announce_event = self.replica.sim.schedule_at(
-            at, self._announce_tick, tag=f"{self.replica.node_id}:ckpt-announce"
-        )
-
-    def _announce_tick(self) -> None:
-        """Announce, then double the interval (Trickle) up to the cap.
+    def _announce_tick(self) -> bool:
+        """Announce; the timer then doubles its interval (Trickle) up to the cap.
 
         The interval doubles only if some member's announce arrived since
         the previous tick: a replica cut off from its group hears nothing,
         keeps announcing every period, and is heard within a period of the
-        heal -- its stale announce then resets every peer that hears it.
+        heal -- its stale announce then resets every peer that hears it.  A
+        replica alone in its group has nobody to hear and backs off anyway.
         """
-        self._announce_event = None
         replica = self.replica
         if not replica.running:
-            return
-        now = replica.sim.now
-        alone = len(replica.members) <= 1
-        if not alone:
+            return False
+        if len(replica.members) <= 1:
+            self._announce.hear()
+        else:
             self._metrics().increment("smr.checkpoint.announces")
-            self._last_announce = now
+            self._announce.sent()
             certificate, transitions = self._serving_chain()
             replica._broadcast(
                 CheckpointAnnounce(
@@ -1380,13 +1380,7 @@ class CheckpointManager:
                     transitions=transitions,
                 )
             )
-        if self._announces_heard or alone:
-            self._announce_interval = min(
-                2.0 * self._announce_interval,
-                ANNOUNCE_MAX_PERIODS * ANNOUNCE_PERIOD,
-            )
-        self._announces_heard = 0
-        self._arm_announce(now + self._announce_interval)
+        return True
 
     def _announce_soon(self) -> None:
         """Trickle reset: back to the shortest interval, announcing at once.
@@ -1397,23 +1391,12 @@ class CheckpointManager:
         same new view, and one that missed them shows it in its own
         announce.  (Announcing on a new view was measured: the burst lands
         on the recovery traffic the view change starts, and the catch-up of
-        the ``byz_transfer_*`` fault-matrix rows got slower.)
-
-        "At once" still means at least one period after the previous
-        announce, and a reset while the interval already is the period
-        changes nothing, so no sequence of inconsistent announces -- from a
-        Byzantine member, say -- raises the announce rate above one per
-        period.
+        the ``byz_transfer_*`` fault-matrix rows got slower.)  However many
+        inconsistent announces arrive, the timer announces at most once per
+        period (:meth:`~repro.sim.trickle.Trickle.reset`).
         """
-        replica = self.replica
-        period = ANNOUNCE_PERIOD
-        if self._announce_interval <= period or not replica.running:
-            return
-        self._announce_interval = period
-        self._metrics().increment("smr.checkpoint.announce_resets")
-        if self._announce_event is not None:
-            replica.sim.cancel(self._announce_event)
-        self._arm_announce(max(replica.sim.now, self._last_announce + period))
+        if self.replica.running and self._announce.reset():
+            self._metrics().increment("smr.checkpoint.announce_resets")
 
     # ------------------------------------------------------------------ routing
 

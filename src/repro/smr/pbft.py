@@ -147,6 +147,13 @@ class PbftReplica(SmrReplica):
         self._executed_ops: Set[str] = set()
         self._pending_requests: Dict[str, Operation] = {}
         self._view_change_votes: Dict[int, Dict[str, PbftViewChange]] = {}
+        # Highest view this replica voted to change to.  Once it voted, a
+        # replica prepares and commits nothing more in its current view: its
+        # vote listed what it had prepared, and a commit it joined after
+        # voting could complete a decision that no vote of the new view
+        # carries -- the new primary would fill that slot with another
+        # operation.  The three vote handlers check it inline.
+        self._voted_view = 0
         self._view_change_timer_armed = False
         # Checkpointing/state transfer (repro.smr.checkpoint) is created
         # only when configured: a disabled manager would still be one
@@ -264,6 +271,7 @@ class PbftReplica(SmrReplica):
         super().reconfigure(new_members)
         self.epoch = self.epoch + 1 if epoch is None else epoch
         self.view = 0
+        self._voted_view = 0
         self.next_seq = 0
         self.last_executed = -1
         self._slots.clear()
@@ -274,6 +282,7 @@ class PbftReplica(SmrReplica):
                 # certificate is carried forward and re-anchored into this
                 # epoch by a 2f+1-of-new-members transition record.
                 self.checkpoints.on_epoch_change(previous_members)
+                self._carry_decided_tail()
         else:
             # Re-homed into a different group: the certificates AND the
             # decided log describe agreements this group never ran.  The
@@ -296,6 +305,32 @@ class PbftReplica(SmrReplica):
             if operation.op_id not in self._executed_ops:
                 self.propose(operation)
 
+    def _carry_decided_tail(self) -> None:
+        """Keep the decided tail past the carried certificate re-servable.
+
+        Clearing the slots on reconfiguration also clears the prepared
+        entries a view change carries.  State transfer stops at the
+        certificate, so an operation decided after the last checkpoint and
+        before the reconfiguration was lost to a replica that missed it (cut
+        off across the epoch change): it could install the certified prefix
+        but never that tail.  Each decided operation past the certificate
+        therefore stays an executed, prepared slot of view ``-1`` at its log
+        position.  A view change carries it ahead of every slot of the new
+        epoch, in log order, and replicas that already executed it skip it
+        on its op id.
+        """
+        log = self.decided_log
+        for position in range(self.checkpoints.stable_seq, len(log)):
+            operation = log[position]
+            self._slots[(-1, position)] = _SlotState(
+                digest=digest_object(operation),
+                operation=operation,
+                pre_prepared=True,
+                prepared=True,
+                committed=True,
+                executed=True,
+            )
+
     # ---------------------------------------------------------------- protocol
 
     def _on_request(self, request: PbftRequest, sender: str) -> None:
@@ -310,6 +345,8 @@ class PbftReplica(SmrReplica):
             self._assign_and_preprepare(operation)
 
     def _assign_and_preprepare(self, operation: Operation) -> None:
+        if self._voted_view > self.view:
+            return  # stays pending: the new view re-proposes it
         digest = digest_object(operation)
         # Duplicate suppression must only consider *current-view* slots:
         # prepared slots of earlier views are retained for view-change votes
@@ -336,7 +373,8 @@ class PbftReplica(SmrReplica):
         return slot
 
     def _on_pre_prepare(self, message: PbftPrePrepare, sender: str) -> None:
-        if message.epoch != self.epoch or message.view != self.view:
+        view = self.view
+        if message.epoch != self.epoch or message.view != view or self._voted_view > view:
             return
         if sender != self._primary_of(message.view) and sender != self.node_id:
             return
@@ -363,7 +401,8 @@ class PbftReplica(SmrReplica):
         self._record_prepare(slot, self.node_id, message.view, message.seq, message.digest)
 
     def _on_prepare(self, message: PbftPrepare, sender: str) -> None:
-        if message.epoch != self.epoch or message.view != self.view:
+        view = self.view
+        if message.epoch != self.epoch or message.view != view or self._voted_view > view:
             return
         if sender not in self._member_set:
             # Only the current configuration votes: the envelope's group id
@@ -398,7 +437,8 @@ class PbftReplica(SmrReplica):
             self._record_commit(slot, self.node_id)
 
     def _on_commit(self, message: PbftCommit, sender: str) -> None:
-        if message.epoch != self.epoch or message.view != self.view:
+        view = self.view
+        if message.epoch != self.epoch or message.view != view or self._voted_view > view:
             return
         if sender not in self._member_set:
             self.sim.metrics.increment("smr.pbft.rejected_nonmember_vote")
@@ -606,6 +646,8 @@ class PbftReplica(SmrReplica):
             votes[self.node_id] = own
             self.sim.metrics.increment("smr.pbft.view_change_revotes")
             self._send(message.replica, own, MESSAGE_BYTES)
+        if message.new_view > self._voted_view:  # we have voted for it by now
+            self._voted_view = message.new_view
         if self._primary_of(message.new_view) != self.node_id:
             return
         if len(votes) >= self._quorum:

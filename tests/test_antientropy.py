@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
+from repro.core.node import DirectMessage
 from repro.faults import FaultPlan, Partition, apply_plan
 from repro.faults.invariants import InvariantMonitor
 from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig
 from repro.net.requests import BACKOFF_FACTOR, BACKOFF_MAX_DELAY
+from repro.sim.trickle import MAX_PERIODS
 
 
 def small_params(**overrides):
@@ -80,21 +82,150 @@ class TestWiring:
         assert metrics.counter("ae.shares_resent") == 0
         assert metrics.counter("ae.reproposals") == 0
 
-    @pytest.mark.parametrize("period", [0.5, 1.0, 2.0, 5.0])
-    def test_summary_cadence_is_the_period(self, period, monkeypatch):
-        # The timer reads the module constant at every tick.
-        monkeypatch.setattr(antientropy, "PERIOD", period)
-        cluster = build_cluster(nodes=8)
-        ticks = 5
-        cluster.run(until=antientropy.START_DELAY + (ticks - 1) * period + period / 2)
-        expected = len(cluster.nodes) * antientropy.FANOUT * ticks
-        assert cluster.sim.metrics.counter("ae.summaries_sent") == expected
-
     def test_late_joiner_runs_the_repair_layer(self):
         cluster = build_cluster(nodes=8)
         node = cluster.join("late-1", contact="n0")
         cluster.run_for(30.0)
         assert node.antientropy.running
+
+
+def record_sends(node, kinds=("ae.summary", "ae.reply")):
+    """``(time, kind, peers)`` of every ``kinds`` message ``node`` sends from now on."""
+    sent = []
+    original = node.send_direct_many
+
+    def spy(peers, kind, payload, size_bytes=256):
+        if kind in kinds:
+            sent.append((node.sim.now, kind, tuple(peers)))
+        return original(peers, kind, payload, size_bytes=size_bytes)
+
+    node.send_direct_many = spy
+    return sent
+
+
+def times_of(sent, kind):
+    return [at for at, sent_kind, _ in sent if sent_kind == kind]
+
+
+def gaps(times):
+    return [later - earlier for earlier, later in zip(times, times[1:])]
+
+
+class TestTrickleSummaries:
+    """Summaries follow change: every PERIOD while peers disagree or are
+    unheard, backing off to MAX_PERIODS periods while they agree."""
+
+    CAP = MAX_PERIODS * antientropy.PERIOD
+
+    def backed_off(self, seed=13, nodes=16):
+        cluster = build_cluster(seed=seed, nodes=nodes)
+        cluster.broadcast("n0", "x")
+        cluster.run(until=6 * self.CAP)
+        for node in cluster.nodes.values():
+            assert node.antientropy._trickle.interval == self.CAP
+        return cluster
+
+    @pytest.mark.parametrize("period", [0.5, 1.0, 2.0, 5.0])
+    def test_a_node_that_hears_nothing_summarizes_every_period(self, period, monkeypatch):
+        monkeypatch.setattr(antientropy, "PERIOD", period)
+        cluster = build_cluster(nodes=8)
+        plan = FaultPlan(partitions=(Partition(members=("n3",), start=0.0, heal_at=1e6),))
+        apply_plan(cluster, plan)
+        sent = record_sends(cluster.nodes["n3"])
+        ticks = 5
+        cluster.run(until=antientropy.START_DELAY + (ticks - 1) * period + period / 2)
+        expected = [antientropy.START_DELAY + index * period for index in range(ticks)]
+        assert times_of(sent, "ae.summary") == pytest.approx(expected)
+        assert cluster.nodes["n3"].antientropy._trickle.interval == period
+
+    def test_a_consistent_quiet_cluster_backs_off_to_the_cap(self):
+        cluster = self.backed_off()
+        metrics = cluster.sim.metrics
+        assert metrics.counter("ae.shares_resent") == 0
+        assert metrics.counter("ae.summary_replies") == 0
+        # Every node at every PERIOD would have sent 16 * 2 * 96 summaries.
+        assert metrics.counter("ae.summaries_sent") < 16 * 2 * 96 / 5
+        sent = record_sends(cluster.nodes["n0"])
+        cluster.run(until=cluster.sim.now + 4 * self.CAP)
+        assert gaps(times_of(sent, "ae.summary")) == pytest.approx([self.CAP] * 3)
+
+    def test_after_a_reset_the_next_summary_is_never_sooner_than_a_period(self):
+        cluster = self.backed_off()
+        node = cluster.nodes["n0"]
+        sent = record_sends(node)
+        cluster.run(until=cluster.sim.now + self.CAP + 0.01)
+        last = times_of(sent, "ae.summary")[-1]
+        resets = cluster.sim.metrics.counter("ae.summary_resets")
+        # A summary naming an id n0 lacks, 10 ms after n0's own summary.
+        node.on_message(DirectMessage("ae.summary", (("bc-unknown-1",), None)), "n1")
+        assert cluster.sim.metrics.counter("ae.summary_resets") == resets + 1
+        assert node.antientropy._trickle.interval == antientropy.PERIOD
+        cluster.run(until=cluster.sim.now + 3 * antientropy.PERIOD)
+        later = [at for at in times_of(sent, "ae.summary") if at > last]
+        assert later[0] == pytest.approx(last + antientropy.PERIOD)
+        assert all(gap >= antientropy.PERIOD - 1e-9 for gap in gaps([last] + later))
+
+    def test_a_spamming_member_cannot_raise_the_rate_above_a_summary_and_a_reply_per_period(self):
+        cluster = self.backed_off()
+        node = cluster.nodes["n0"]
+        spammer = next(m for m in sorted(node.vgroup_view.members) if m != "n0")
+        sent = record_sends(node)
+        start = cluster.sim.now
+        # Every 10 ms: a summary that names an id n0 lacks and lacks the id
+        # n0 delivered long ago -- inconsistent both ways, its sender behind.
+        for index in range(2000):
+            cluster.sim.schedule_at(
+                start + 0.01 * index,
+                lambda i=index: node.on_message(
+                    DirectMessage("ae.summary", ((f"bc-forged-{i}",), None)), spammer
+                ),
+            )
+        cluster.run(until=start + 20.0)
+        for kind in ("ae.summary", "ae.reply"):
+            times = times_of(sent, kind)
+            assert len(times) >= 10, kind
+            assert all(gap >= antientropy.PERIOD - 1e-9 for gap in gaps(times)), kind
+
+    def test_two_mutually_behind_nodes_exchange_one_reply(self, monkeypatch):
+        # No timer fires: the only summaries are the ones the test sends.
+        monkeypatch.setattr(antientropy, "START_DELAY", 1e6)
+        cluster = build_cluster(seed=17, nodes=8)
+        first, second = (cluster.nodes[a] for a in ("n0", "n1"))
+        for node, bcast_id in ((first, "bc-only-first-1"), (second, "bc-only-second-1")):
+            node.delivered[bcast_id] = 0.0
+            node.delivered_order.append(bcast_id)
+        cluster.run(until=10.0)
+        first.antientropy._send_summary(("n1",), "ae.summary")
+        sent = {node.address: record_sends(node) for node in (first, second)}
+        cluster.run(until=30.0)
+        # n1 answers n0's summary (n0 lacks n1's id); n0 never answers a reply.
+        assert [kind for _, kind, _ in sent["n1"]] == ["ae.reply"]
+        assert sent["n0"] == []
+        assert cluster.sim.metrics.counter("ae.summary_replies") == 1
+
+    def test_a_late_heal_is_repaired_within_four_periods(self):
+        # The system has gone quiet (every connected node at the longest
+        # interval) by the time the cut heals, 36 s after the last broadcast.
+        cluster = build_cluster(seed=19, nodes=30)
+        cut = ("n4", "n11", "n20")
+        heal_at = 40.0
+        apply_plan(cluster, FaultPlan(partitions=(Partition(members=cut, start=0.6, heal_at=heal_at),)))
+        ids = []
+        for index, origin in enumerate(("n0", "n1", "n2", "n3", "n5", "n6")):
+            cluster.sim.schedule(
+                1.0 + 0.5 * index, lambda o=origin: ids.append(cluster.broadcast(o, o))
+            )
+        cluster.run(until=heal_at - 0.01)
+        assert all(not cluster.nodes[a].has_delivered(b) for a in cut for b in ids)
+        assert all(
+            node.antientropy._trickle.interval == self.CAP
+            for address, node in cluster.nodes.items()
+            if address not in cut
+        )
+        cluster.run(until=heal_at + 20.0)
+        landed = [cluster.nodes[a].delivery_time(b) for a in cut for b in ids]
+        assert None not in landed
+        assert max(landed) - heal_at <= 4 * antientropy.PERIOD
 
 
 class TestRepair:

@@ -451,9 +451,18 @@ class TestNeighbourMembersPerView:
             return members
 
         cluster.neighbour_members = checked
+
+        def probe():
+            # Anti-entropy looks a list up at its own (Trickle) pace; this
+            # looks up every vgroup's list every second throughout.
+            for group_id in sorted(cluster.engine.groups):
+                checked(group_id)
+            cluster.sim.schedule(1.0, probe)
+
+        cluster.sim.schedule(1.0, probe)
         rng = random.Random(21)
         # Growth splits vgroups, the exodus merges them, and every join and
-        # leave installs views; anti-entropy ticks every second throughout.
+        # leave installs views.
         for index in range(40):
             cluster.sim.schedule_at(
                 1.0 + 2.0 * index, lambda i=index: cluster.join(f"j{i}", contact="n0")
