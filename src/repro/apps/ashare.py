@@ -69,10 +69,6 @@ class FileRecord:
     def file_id(self) -> Tuple[str, str]:
         return (self.owner, self.name)
 
-    @property
-    def chunk_size(self) -> int:
-        return max(1, self.size_bytes // max(1, self.num_chunks))
-
     def chunk_sizes(self) -> List[int]:
         base = self.size_bytes // self.num_chunks
         sizes = [base] * self.num_chunks

@@ -597,33 +597,6 @@ class AtumCluster:
             if node.is_correct and node.is_member
         ]
 
-    def members_of(self, group_id: str) -> List[AtumNode]:
-        view = self.view_of_group(group_id)
-        if view is None:
-            return []
-        return [self.nodes[a] for a in view.members if a in self.nodes]
-
-    def smr_stable_checkpoints(self) -> Dict[str, Dict[str, int]]:
-        """Per-vgroup stable-checkpoint seq of every correct member replica.
-
-        Reporting/test helper for checkpoint-enabled deployments: the
-        decided-op count each member's PBFT replica has a certificate for
-        (members whose engine does not checkpoint are omitted).  After a
-        quiesced checkpoint-enabled run, co-members of a vgroup should
-        agree on this value — a straggler indicates a stalled state
-        transfer.
-        """
-        checkpoints: Dict[str, Dict[str, int]] = {}
-        for address, node in self.nodes.items():
-            if not node.is_correct or not node.is_member:
-                continue
-            seq = node.smr_stable_checkpoint()
-            group_id = node.group_id()
-            if seq is None or group_id is None:
-                continue
-            checkpoints.setdefault(group_id, {})[address] = seq
-        return checkpoints
-
     # --------------------------------------------------------- engine callbacks
 
     def _notify_eviction(self, address: str) -> bool:

@@ -306,10 +306,6 @@ class MetricsTap(Middleware):
     def setup(self, cluster) -> None:
         self.counters = cluster.sim.metrics.counters
 
-    def bind_metrics(self, metrics) -> None:
-        """Bind a registry directly (bare-network installs without a cluster)."""
-        self.counters = metrics.counters
-
     def _count_send(self, ctx: MiddlewareContext) -> None:
         if self.counters is not None:
             self.counters["mw.sends"] += 1.0

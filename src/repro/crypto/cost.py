@@ -16,23 +16,15 @@ from dataclasses import dataclass
 class CryptoCostModel:
     """Per-operation CPU costs in seconds of simulated time.
 
-    Defaults approximate a low-end VM: ~0.2 ms per signature generation,
-    ~0.25 ms per verification, ~5 microseconds per hashed KB.
+    Defaults approximate a low-end VM: ~0.25 ms per signature
+    verification, ~5 microseconds per hashed KB.
     """
 
-    sign_seconds: float = 0.0002
     verify_seconds: float = 0.00025
-    mac_seconds: float = 0.00002
     hash_seconds_per_kb: float = 0.000005
-
-    def sign_cost(self, count: int = 1) -> float:
-        return self.sign_seconds * count
 
     def verify_cost(self, count: int = 1) -> float:
         return self.verify_seconds * count
-
-    def mac_cost(self, count: int = 1) -> float:
-        return self.mac_seconds * count
 
     def hash_cost(self, size_bytes: int, threads: int = 1) -> float:
         """Hashing cost for ``size_bytes``; multithreading divides the cost.

@@ -66,9 +66,6 @@ class KeyRegistry:
             self._keys[owner] = KeyPair(owner=owner, secret=secret)
         return self._keys[owner]
 
-    def has_key(self, owner: str) -> bool:
-        return owner in self._keys
-
     def sign(self, owner: str, obj: Any) -> Signature:
         """Sign ``obj`` on behalf of ``owner`` (creating a key if necessary)."""
         return self.generate(owner).sign(obj)

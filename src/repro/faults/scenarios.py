@@ -50,7 +50,7 @@ from repro.faults.plan import (
     Partition,
 )
 from repro.group.antientropy import AntiEntropyConfig
-from repro.net.requests import RequestPolicy
+from repro.net import requests
 from repro.overlay.membership import MembershipError
 from repro.sim.rng import named_stream
 from repro.sim.runpar import run_sharded
@@ -1185,7 +1185,6 @@ def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
     """
     if not scenario.plan.startswith("byz_transfer"):
         return None
-    policy = RequestPolicy()
     quota = min(
         int(math.floor(scenario.fault_fraction * scenario.gmax)),
         (scenario.gmax - 1) // 2,
@@ -1193,10 +1192,10 @@ def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
     return catchup_latency_bound(
         group_size=scenario.gmax,
         byzantine_responders=quota,
-        base_timeout=policy.base_timeout,
-        backoff_factor=policy.backoff_factor,
-        max_timeout=policy.max_timeout,
-        jitter=policy.jitter,
+        base_timeout=requests.BASE_TIMEOUT,
+        backoff_factor=requests.BACKOFF_FACTOR,
+        max_timeout=requests.MAX_TIMEOUT,
+        jitter=requests.TIMEOUT_JITTER,
     )
 
 

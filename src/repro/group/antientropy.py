@@ -50,12 +50,7 @@ from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
-from repro.net.requests import (
-    JitteredBackoff,
-    RequestManager,
-    RequestPolicy,
-    ResponseEnvelope,
-)
+from repro.net.requests import JitteredBackoff, RequestManager, ResponseEnvelope
 from repro.sim.trickle import Trickle
 
 
@@ -83,9 +78,8 @@ MAX_REPAIRS_PER_PEER = 16
 #: with seeded jitter (:class:`~repro.net.requests.JitteredBackoff`).
 RESEND_BACKOFF_BASE = 2.0
 REPROPOSE_BACKOFF_BASE = 4.0
-#: First-attempt deadline of an ``ae.pull`` request, and responders tried per
-#: pull before giving up (the next summary round re-detects an open gap).
-PULL_TIMEOUT = 3.0
+#: Responders tried per ``ae.pull`` before giving up (the next summary round
+#: re-detects an open gap).
 PULL_ATTEMPTS = 3
 #: Wire size of a summary/request/hint: fixed part plus per id.
 SUMMARY_BYTES_BASE = 48
@@ -138,15 +132,6 @@ class AntiEntropyRepair:
             node.sim,
             node.address,
             self._send_pull,
-            policy=RequestPolicy(
-                base_timeout=PULL_TIMEOUT,
-                max_attempts=PULL_ATTEMPTS,
-                # Candidates are preference-ordered (summary sender first —
-                # the one peer known to hold the missing ids); with bounded
-                # attempts a spread first pick could burn the whole budget
-                # on neighbours that never advertised the data.
-                spread_rotation=False,
-            ),
             stream_name=f"requests.ae.{node.address}",
         )
         # Broadcast ids with a pull in flight (no duplicate pulls).
@@ -366,12 +351,14 @@ class AntiEntropyRepair:
     def _issue_pull(self, sender: str, wanted: Tuple[str, ...]) -> None:
         """Pull missing broadcasts through the unified request layer.
 
-        The summary sender is tried first; on timeout or an empty-handed
-        reply the request rotates through the other gossip neighbours
-        (bounded by ``PULL_ATTEMPTS``).  Satisfaction is *delivery*: an
-        honest server repairs through gossip/SMR side channels, so the
-        pull completes quietly once the ids land — only servers that
-        neither replied nor repaired in time accrue timeout suspicion.
+        The summary sender — the one peer known to hold the missing ids —
+        is tried first; on timeout or an empty-handed reply the request
+        rotates through the other gossip neighbours in that order (a bounded
+        request keeps the caller's order), up to ``PULL_ATTEMPTS`` peers.
+        Satisfaction is *delivery*: an honest server repairs through
+        gossip/SMR side channels, so the pull completes quietly once the
+        ids land — only servers that neither replied nor repaired in time
+        accrue timeout suspicion.
         """
         node = self.node
         candidates = [sender] + [
@@ -396,6 +383,7 @@ class AntiEntropyRepair:
             satisfied=lambda: all(b in delivered for b in wanted),
             on_done=lambda: self._pending_pull_ids.difference_update(wanted_set),
             size_bytes=SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(wanted),
+            max_attempts=PULL_ATTEMPTS,
         )
         if request_id is not None:
             self._pending_pull_ids.update(wanted_set)

@@ -123,11 +123,6 @@ class Network:
         """Attach an actor to the network so it can receive messages."""
         self._actors[actor.address] = actor
 
-    def unregister(self, address: str) -> None:
-        """Detach an actor; future messages to it are dropped."""
-        self._actors.pop(address, None)
-        self._downlink_free_at.pop(address, None)
-
     def actor(self, address: str) -> Optional[Actor]:
         return self._actors.get(address)
 
@@ -157,12 +152,6 @@ class Network:
         self._middleware = chain
         chain.subscribe(self._compile_send_hooks)
         self._compile_send_hooks()
-
-    def clear_middleware(self) -> None:
-        """Restore unhooked sends (the chain may be re-installed)."""
-        self._middleware = None
-        self._send_hooks = None
-        self._send_scenario = ""
 
     def _compile_send_hooks(self) -> None:
         chain = self._middleware
@@ -225,10 +214,6 @@ class Network:
         mapping = self._splits.get(split_id)
         if mapping is not None:
             mapping[address] = side_index
-
-    def split_sides(self, split_id: int) -> Optional[Dict[str, int]]:
-        """The address→side mapping of an active split (``None`` if healed)."""
-        return self._splits.get(split_id)
 
     def crosses_split(self, sender: str, receiver: str) -> bool:
         """Whether any active split separates ``sender`` from ``receiver``."""

@@ -7,25 +7,31 @@ anti-entropy resends hid behind fixed ``resend_cooldown`` /
 announce period.  Fixed timers synchronise: after a heal every starved
 replica re-asks in lockstep, and a single adversarial responder can stall
 each of them for a full timeout per attempt with no memory of who stalled
-whom.  Following the policy-free-middleware framing, this module factors
-the whole concern into one swappable policy object plus a small manager:
+whom.  This module factors the whole concern into the constants below plus
+a small manager; a caller chooses only how many attempts a request gets:
 
 * **Correlated envelopes** — every request carries a fresh ``request_id``
   and an absolute sim-time ``deadline``; responses echo the id.  Replies
   that are malformed, unsolicited, expired, replayed or from a peer we
-  never queried are rejected and counted, never dispatched.
+  never queried are rejected and counted, never dispatched.  The
+  responder's identity is the transport sender, never a field of the reply.
 * **Seeded-jitter exponential backoff** — retry ``n`` waits
-  ``min(max_timeout, base * factor**n)`` scaled by ``1 + jitter*(2u-1)``
-  with ``u`` drawn from a named, lazily created RNG stream, so retries
-  desynchronise deterministically.  The *first* timeout is unjittered:
-  a run that never retries draws no randomness at all.
+  ``min(MAX_TIMEOUT, BASE_TIMEOUT * BACKOFF_FACTOR**n)`` scaled by
+  ``1 + TIMEOUT_JITTER*(2u-1)`` with ``u`` drawn from a named, lazily
+  created RNG stream, so retries desynchronise deterministically.  The
+  *first* timeout is unjittered: a run that never retries draws no
+  randomness at all.
 * **Responder rotation** — each retry targets the next candidate peer,
   skipping quarantined ones, so one bad responder cannot monopolise a
-  recovery.
+  recovery.  A request that retries until it lands (``max_attempts=None``)
+  starts at an owner- and sequence-derived offset, so a fleet of
+  requesters spreads load and trust across the candidates; a bounded one
+  tries its candidates in the caller's preference order, so a scattered
+  first pick cannot spend the budget on peers that never had the data.
 * **Per-peer scoreboard** — timeouts, garbage replies and stale
   certificates add suspicion weight; suspicion decays exponentially
-  (half-life ``decay_half_life``) and a peer whose decayed suspicion
-  crosses ``quarantine_threshold`` is quarantined *temporarily*: decay
+  (half-life ``DECAY_HALF_LIFE``) and a peer whose decayed suspicion
+  crosses ``QUARANTINE_THRESHOLD`` is quarantined *temporarily*: decay
   alone guarantees release, so timeouts can never permanently evict a
   peer that was merely slow.
 
@@ -44,61 +50,40 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.sim.simulator import Simulator
 
 
-# --------------------------------------------------------------------- policy
+#: Deadline of a request's first attempt, and the ceiling on the pre-jitter
+#: deadline of a retry (each retry multiplies it by :data:`BACKOFF_FACTOR`).
+BASE_TIMEOUT = 3.0
+MAX_TIMEOUT = 20.0
+#: Half-width of the relative jitter band on retry deadlines (``0.25`` →
+#: uniform in ``[0.75, 1.25]`` of nominal); the first attempt is never
+#: jittered.
+TIMEOUT_JITTER = 0.25
+#: Suspicion a queried peer earns for a timeout, for a well-formed but
+#: wrong-content reply (digest mismatch, tampered body) and for a
+#: genuinely-old-but-useless reply (stale certificate, stale base).
+TIMEOUT_WEIGHT = 1.0
+GARBAGE_WEIGHT = 3.0
+STALE_WEIGHT = 2.0
+#: Decayed suspicion at which a peer stops being picked for new attempts,
+#: and the sim seconds it takes suspicion to halve (which guarantees
+#: release with no further evidence).
+QUARANTINE_THRESHOLD = 4.0
+DECAY_HALF_LIFE = 20.0
+#: Growth per retry of a request deadline and per repeat of a
+#: :class:`JitteredBackoff` key; that gate's relative jitter half-width
+#: (drawn per action, so retries never fall into lockstep after a heal) and
+#: the ceiling on its pre-jitter spacing.
+BACKOFF_FACTOR = 1.6
+BACKOFF_JITTER = 0.35
+BACKOFF_MAX_DELAY = 16.0
 
 
-@dataclass(frozen=True)
-class RequestPolicy:
-    """Retry/timeout/backoff/quarantine knobs for one request family.
-
-    Attributes:
-        base_timeout: Deadline of the first attempt, in sim seconds.
-        backoff_factor: Multiplier applied to the timeout per retry.
-        max_timeout: Ceiling on the (pre-jitter) per-attempt timeout.
-        jitter: Half-width of the relative jitter band applied to retry
-            timeouts (``0.25`` → uniform in ``[0.75, 1.25]`` of nominal).
-            The first attempt is never jittered.
-        max_attempts: Total attempts before giving up (``None`` = retry
-            forever — right for transfers that *must* eventually land).
-        timeout_weight: Suspicion added when a queried peer times out.
-        garbage_weight: Suspicion added for a well-formed but
-            wrong-content reply (digest mismatch, tampered body).
-        stale_weight: Suspicion added for a genuinely-old-but-useless
-            reply (stale certificate, stale base).
-        quarantine_threshold: Decayed suspicion at which a peer stops
-            being selected for new attempts.
-        decay_half_life: Sim seconds for suspicion to halve; guarantees
-            quarantine release with no further evidence.
-        spread_rotation: When True (default), each request starts its
-            responder rotation at an owner- and sequence-derived offset
-            so a fleet of requesters spreads load (and trust) across the
-            candidate set.  Set False for request families whose caller
-            orders candidates by preference — e.g. anti-entropy pulls put
-            the summary sender (the one peer *known* to hold the data)
-            first, and with bounded ``max_attempts`` a scattered first
-            attempt can exhaust the budget on peers that never had it.
-    """
-
-    base_timeout: float = 3.0
-    backoff_factor: float = 1.6
-    max_timeout: float = 20.0
-    jitter: float = 0.25
-    max_attempts: Optional[int] = None
-    timeout_weight: float = 1.0
-    garbage_weight: float = 3.0
-    stale_weight: float = 2.0
-    quarantine_threshold: float = 4.0
-    decay_half_life: float = 20.0
-    spread_rotation: bool = True
-
-    def timeout_for(self, attempt: int) -> float:
-        """Nominal (pre-jitter) timeout of attempt ``attempt`` (0-based)."""
-        # Cap the exponent: long-lived requests (max_attempts=None) can
-        # accumulate attempt counts large enough that the raw pow
-        # overflows a float, and the backoff is saturated at max_timeout
-        # well before that anyway.
-        scaled = self.base_timeout * self.backoff_factor ** min(attempt, 64)
-        return min(self.max_timeout, scaled)
+def timeout_for(attempt: int) -> float:
+    """Nominal (pre-jitter) timeout of attempt ``attempt`` (0-based)."""
+    # Cap the exponent: requests that retry until they land can accumulate
+    # attempt counts large enough that the raw pow overflows a float, and
+    # the backoff is saturated at MAX_TIMEOUT well before that anyway.
+    return min(MAX_TIMEOUT, BASE_TIMEOUT * BACKOFF_FACTOR ** min(attempt, 64))
 
 
 # -------------------------------------------------------------------- frames
@@ -117,7 +102,6 @@ class RequestEnvelope:
     kind: str
     payload: Any
     requester: str
-    sent_at: float
     deadline: float
 
 
@@ -128,7 +112,6 @@ class ResponseEnvelope:
     request_id: str
     kind: str
     payload: Any
-    responder: str
 
 
 # ----------------------------------------------------------------- scoreboard
@@ -145,21 +128,18 @@ class PeerScore:
     stale: int = 0
     quarantined: bool = False
 
-    def decayed(self, now: float, half_life: float) -> float:
+    def decayed(self, now: float) -> float:
         if self.suspicion <= 0.0:
             return 0.0
-        if half_life <= 0.0:
-            return self.suspicion
         elapsed = max(0.0, now - self.last_update)
-        return self.suspicion * 0.5 ** (elapsed / half_life)
+        return self.suspicion * 0.5 ** (elapsed / DECAY_HALF_LIFE)
 
 
 class Scoreboard:
     """Per-peer suspicion scores shared by every request a manager issues."""
 
-    def __init__(self, sim: Simulator, policy: RequestPolicy) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._policy = policy
         self._scores: Dict[str, PeerScore] = {}
 
     def _score(self, peer: str) -> PeerScore:
@@ -169,15 +149,14 @@ class Scoreboard:
 
     def note(self, peer: str, kind: str) -> None:
         """Record evidence against ``peer`` (``timeout``/``garbage``/``stale``)."""
-        policy = self._policy
         weight = {
-            "timeout": policy.timeout_weight,
-            "garbage": policy.garbage_weight,
-            "stale": policy.stale_weight,
+            "timeout": TIMEOUT_WEIGHT,
+            "garbage": GARBAGE_WEIGHT,
+            "stale": STALE_WEIGHT,
         }[kind]
         now = self._sim.now
         score = self._score(peer)
-        score.suspicion = score.decayed(now, policy.decay_half_life) + weight
+        score.suspicion = score.decayed(now) + weight
         score.last_update = now
         if kind == "timeout":
             score.timeouts += 1
@@ -187,7 +166,7 @@ class Scoreboard:
             score.stale += 1
         metrics = self._sim.metrics
         metrics.increment(f"req.evidence_{kind}")
-        if not score.quarantined and score.suspicion >= policy.quarantine_threshold:
+        if not score.quarantined and score.suspicion >= QUARANTINE_THRESHOLD:
             score.quarantined = True
             metrics.increment("req.quarantined")
 
@@ -196,9 +175,7 @@ class Scoreboard:
         score = self._scores.get(peer)
         if score is None or not score.quarantined:
             return False
-        policy = self._policy
-        suspicion = score.decayed(self._sim.now, policy.decay_half_life)
-        if suspicion < policy.quarantine_threshold:
+        if score.decayed(self._sim.now) < QUARANTINE_THRESHOLD:
             score.quarantined = False
             self._sim.metrics.increment("req.quarantine_released")
             return False
@@ -218,10 +195,9 @@ class _Pending:
     kind: str
     payload: Any
     peers: Tuple[str, ...]
-    policy: RequestPolicy
+    max_attempts: Optional[int]
     on_response: Optional[Callable[[Any, str], Optional[str]]]
     satisfied: Optional[Callable[[], bool]]
-    on_give_up: Optional[Callable[[], None]]
     on_done: Optional[Callable[[], None]]
     size_bytes: int
     dedup_key: Optional[str]
@@ -250,13 +226,11 @@ class RequestManager:
         sim: Simulator,
         owner: str,
         send_fn: Callable[[str, Any, int], None],
-        policy: Optional[RequestPolicy] = None,
         stream_name: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.owner = owner
         self.send_fn = send_fn
-        self.policy = policy or RequestPolicy()
         self._stream_name = stream_name or f"requests.{owner}"
         self._rng = None
         # Per-instance id counter: managers are built fresh each run, so
@@ -268,7 +242,7 @@ class RequestManager:
         # their responder rotation at different candidates instead of all
         # hammering the sorted-first peer.
         self._rotation_base = zlib.crc32(owner.encode("utf-8")) & 0xFFFF
-        self.scoreboard = Scoreboard(sim, self.policy)
+        self.scoreboard = Scoreboard(sim)
         self._pending: Dict[str, _Pending] = {}
         self._by_dedup: Dict[str, str] = {}
         # Recently completed/cancelled ids, to reject replayed responses.
@@ -277,12 +251,10 @@ class RequestManager:
 
     # ---------------------------------------------------------------- helpers
 
-    def _jitter(self, policy: RequestPolicy) -> float:
-        if policy.jitter <= 0.0:
-            return 1.0
+    def _jitter(self) -> float:
         if self._rng is None:
             self._rng = self.sim.rng.stream(self._stream_name)
-        return 1.0 + policy.jitter * (2.0 * self._rng.random() - 1.0)
+        return 1.0 + TIMEOUT_JITTER * (2.0 * self._rng.random() - 1.0)
 
     def _remember(self, request_id: str) -> None:
         self._recent.append(request_id)
@@ -303,9 +275,6 @@ class RequestManager:
             pending.on_done()
 
     def _pick_peer(self, pending: _Pending) -> str:
-        # The rotation start is offset per request so successive requests
-        # spread their first attempts across the candidate set instead of
-        # always hammering (and trusting) the sorted-first peer.
         peers = pending.peers
         start = pending.rotation + pending.attempts
         for offset in range(len(peers)):
@@ -326,10 +295,9 @@ class RequestManager:
         *,
         on_response: Optional[Callable[[Any, str], Optional[str]]] = None,
         satisfied: Optional[Callable[[], bool]] = None,
-        on_give_up: Optional[Callable[[], None]] = None,
         on_done: Optional[Callable[[], None]] = None,
         size_bytes: int = 256,
-        policy: Optional[RequestPolicy] = None,
+        max_attempts: Optional[int] = None,
         dedup_key: Optional[str] = None,
     ) -> Optional[str]:
         """Issue a request; returns its id (``None`` if deduplicated).
@@ -340,7 +308,10 @@ class RequestManager:
         ``None``/``"ignore"`` leaves the request pending (the reply said
         nothing either way).  ``satisfied()`` is consulted at each timeout
         so externally-resolved requests complete quietly instead of
-        retrying forever.
+        retrying forever.  ``max_attempts`` bounds the attempts (``None``
+        retries until the request lands, right for transfers that *must*
+        eventually succeed); a bounded request tries ``peers`` in the given
+        order, an unbounded one from an owner- and sequence-derived offset.
 
         ``payload`` may be a zero-argument callable, invoked at *each*
         attempt: retried requests then carry fresh state (e.g. the
@@ -355,17 +326,15 @@ class RequestManager:
         sequence = self._next_id
         request_id = f"{self.owner}:req:{sequence}"
         self._next_id += 1
-        effective = policy or self.policy
         pending = _Pending(
             request_id=request_id,
-            rotation=(self._rotation_base + sequence) if effective.spread_rotation else 0,
+            rotation=(self._rotation_base + sequence) if max_attempts is None else 0,
             kind=kind,
             payload=payload,
             peers=tuple(peers),
-            policy=effective,
+            max_attempts=max_attempts,
             on_response=on_response,
             satisfied=satisfied,
-            on_give_up=on_give_up,
             on_done=on_done,
             size_bytes=size_bytes,
             dedup_key=dedup_key,
@@ -379,28 +348,23 @@ class RequestManager:
     def _attempt(self, pending: _Pending) -> None:
         if pending.done:
             return
-        policy = pending.policy
-        if policy.max_attempts is not None and pending.attempts >= policy.max_attempts:
+        if pending.max_attempts is not None and pending.attempts >= pending.max_attempts:
             self.sim.metrics.increment("req.gave_up")
             self._finish(pending)
-            if pending.on_give_up is not None:
-                pending.on_give_up()
             return
-        timeout = policy.timeout_for(pending.attempts)
+        timeout = timeout_for(pending.attempts)
         if pending.attempts > 0:
-            timeout *= self._jitter(policy)
+            timeout *= self._jitter()
         peer = self._pick_peer(pending)
         pending.attempts += 1
         pending.queried.add(peer)
-        now = self.sim.now
-        pending.deadline = now + timeout
+        pending.deadline = self.sim.now + timeout
         payload = pending.payload() if callable(pending.payload) else pending.payload
         envelope = RequestEnvelope(
             request_id=pending.request_id,
             kind=pending.kind,
             payload=payload,
             requester=self.owner,
-            sent_at=now,
             deadline=pending.deadline,
         )
         self.sim.metrics.increment("req.sent")
@@ -505,7 +469,6 @@ class RequestManager:
             request_id=envelope.request_id,
             kind=envelope.kind,
             payload=payload,
-            responder=self.owner,
         )
         self.send_fn(envelope.requester, response, size_bytes)
 
@@ -526,14 +489,6 @@ class RequestManager:
 
 
 # ------------------------------------------------------------------- backoff
-
-
-#: Repair-spacing growth per repeat of one key, relative jitter half-width
-#: (drawn per action, so retries never fall into lockstep after a heal) and
-#: the ceiling on the pre-jitter spacing.
-BACKOFF_FACTOR = 1.6
-BACKOFF_JITTER = 0.35
-BACKOFF_MAX_DELAY = 16.0
 
 
 class JitteredBackoff:
@@ -576,7 +531,7 @@ class JitteredBackoff:
 
 
 __all__ = [
-    "RequestPolicy",
+    "timeout_for",
     "RequestEnvelope",
     "ResponseEnvelope",
     "PeerScore",

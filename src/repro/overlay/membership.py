@@ -153,11 +153,6 @@ class MembershipEngine:
             raise MembershipError(f"unknown vgroup {group_id!r}")
         return self.groups[group_id]
 
-    def neighbor_views(self, group_id: str) -> List[VGroupView]:
-        if self.graph is None:
-            return []
-        return [self.groups[g] for g in sorted(self.graph.neighbors(group_id)) if g in self.groups]
-
     def pending_operations(self) -> int:
         return len(self._pending_ops)
 

@@ -54,10 +54,10 @@ class SmrConfig:
             and state transfer entirely — the default, so legacy runs stay
             byte-identical (Async only; see :mod:`repro.smr.checkpoint`).
 
-    State-transfer retry timing is no longer a fixed constant here: it
-    lives in :class:`repro.net.requests.RequestPolicy` (rotation,
-    seeded-jitter exponential backoff, responder scoreboard), owned by
-    :class:`repro.smr.checkpoint.CheckpointManager`.
+    State-transfer retry timing is not configured here: it is the fixed
+    constants of :mod:`repro.net.requests` (rotation, seeded-jitter
+    exponential backoff, responder scoreboard), through the request manager
+    owned by :class:`repro.smr.checkpoint.CheckpointManager`.
     """
 
     round_duration: float = 1.0

@@ -18,7 +18,8 @@ transfer, and that is what :class:`CheckpointManager` adds to
   the certificate carried by view-change/new-view messages, or an
   anti-entropy hint (:mod:`repro.group.antientropy`) — fetches the missing
   operations plus the certificate from a co-replica
-  (:class:`StateTransferRequest` / :class:`StateTransferResponse`),
+  (:class:`StateTransferRequest` / :class:`StateTransferResponse`, always
+  inside a ``ckpt.transfer`` envelope of :mod:`repro.net.requests`),
   verifies the transferred prefix against the certified state digest, and
   installs it.  Installation replays ``decide_fn`` so the host node's
   delivered-broadcast state (the snapshot the paper's state transfer
@@ -57,7 +58,7 @@ memoised, instead of re-encoding every decided operation per checkpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.digest import digest_object
@@ -191,7 +192,6 @@ class StateTransferRequest:
 
     epoch: int
     have_count: int
-    replica: str
 
 
 @dataclass(frozen=True)
@@ -364,11 +364,6 @@ class CheckpointManager:
         self._announce.start(replica.sim.now + ANNOUNCE_PERIOD)
 
     # ----------------------------------------------------------------- queries
-
-    @property
-    def _announce_interval(self) -> float:
-        """The announce interval in force (the Trickle timer's)."""
-        return self._announce.interval
 
     @property
     def stable_seq(self) -> int:
@@ -1126,7 +1121,7 @@ class CheckpointManager:
             or self.transfer_blocking
             or seq <= len(replica.decided_log),
             size_bytes=MESSAGE_BYTES,
-            policy=dc_replace(requests.policy, max_attempts=1),
+            max_attempts=1,
             dedup_key="hint",
         )
 
@@ -1149,9 +1144,7 @@ class CheckpointManager:
         replica = self.replica
         self._metrics().increment("smr.checkpoint.state_requests")
         return StateTransferRequest(
-            epoch=replica.epoch,
-            have_count=len(replica.decided_log),
-            replica=replica.node_id,
+            epoch=replica.epoch, have_count=len(replica.decided_log)
         )
 
     def _issue_transfer_request(self) -> None:
@@ -1199,7 +1192,7 @@ class CheckpointManager:
 
         Returns ``None`` when we have nothing useful to serve (no stable
         checkpoint beyond the requester's log, or we lag it ourselves).
-        Shared by the bare-frame path and the envelope path — and by a
+        Shared by the ``ckpt.transfer`` envelope path and by a
         ``slow_drip`` adversary, whose delayed reply is deliberately
         *correct*: the attack is in the timing, not the content.
         """
@@ -1237,26 +1230,13 @@ class CheckpointManager:
         size = self.response_bytes(response)
         self._requests.respond(envelope, response, size)
 
-    def on_state_request(self, message: StateTransferRequest, sender: str) -> None:
-        replica = self.replica
-        response = self.build_state_response(message, sender)
-        if response is None:
-            return
-        size = self.response_bytes(response)
-        replica._send(sender, response, size)
-
-    def on_state_response(self, message: StateTransferResponse, sender: str) -> None:
-        """Validate and install a transferred decided-log prefix.
+    def _handle_state_response(self, message) -> Optional[str]:
+        """Classify (and, when valid, install) a state transfer response.
 
         Every check is local: the certificate must verify on its own, and
         the transferred operations must extend *our* log to exactly the
         certified digest.  A response that fails any check is dropped and
         counted — the log is never touched.
-        """
-        self._handle_state_response(message)
-
-    def _handle_state_response(self, message) -> Optional[str]:
-        """Classify (and, when valid, install) a state transfer response.
 
         Returns the request-layer verdict: ``"ok"`` (installed, or the
         gap closed some other way), ``"garbage"`` (well-formed but
@@ -1406,8 +1386,6 @@ class CheckpointManager:
             Checkpoint: self.on_checkpoint,
             EpochTransitionVote: self.on_transition_vote,
             CheckpointAnnounce: self.on_announce,
-            StateTransferRequest: self.on_state_request,
-            StateTransferResponse: self.on_state_response,
             RequestEnvelope: self._on_transfer_request_envelope,
             ResponseEnvelope: self._requests.on_envelope,
         }
@@ -1415,7 +1393,7 @@ class CheckpointManager:
     def _on_transfer_request_envelope(
         self, envelope: RequestEnvelope, sender: str
     ) -> None:
-        """Serve an envelope-wrapped transfer request (the retry-layer path)."""
+        """Serve a ``ckpt.transfer`` request envelope."""
         requests = self._requests
         validated = requests.validate_request(envelope, "ckpt.transfer", sender)
         if validated is None:

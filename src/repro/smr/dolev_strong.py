@@ -270,10 +270,5 @@ class SyncSmrReplica(SmrReplica):
             if isinstance(operation, Operation):
                 self._commit(operation)
 
-    # ------------------------------------------------------------------ queries
-
-    def instance_count(self) -> int:
-        return len(self._instances)
-
 
 __all__ = ["DolevStrongMessage", "DolevStrongInstance", "SyncSmrReplica"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.overlay.membership import MembershipEngine
 from repro.sim.metrics import TimeSeries
@@ -83,9 +83,6 @@ class GrowthWorkload:
             if value >= size:
                 return time
         return None
-
-    def growth_curve(self) -> List[Tuple[float, float]]:
-        return list(self.sim.metrics.timeseries("membership.system_size").points)
 
     def exchange_completion_rate(self) -> float:
         """Fraction of attempted shuffle exchanges that completed (Figure 13)."""

@@ -19,6 +19,8 @@ import pytest
 
 from repro.net.latency import LogNormalLatency
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from transfer_utils import deliver_transfer_response
+
 from repro.smr.checkpoint import (
     Checkpoint,
     CheckpointAnnounce,
@@ -185,11 +187,11 @@ class TestForgedStateTransfers:
         genuine = list(serving.decided_log[: cert.seq])
         tampered = [replace(genuine[0], body="evil")] + genuine[1:]
         before = rejected(harness)
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=tuple(tampered)
             ),
-            "replica-0",
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -200,11 +202,11 @@ class TestForgedStateTransfers:
         genuine = list(serving.decided_log[: cert.seq])
         reordered = [genuine[1], genuine[0]] + genuine[2:]
         before = rejected(harness)
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=tuple(reordered)
             ),
-            "replica-0",
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -214,11 +216,11 @@ class TestForgedStateTransfers:
         cert = serving.checkpoints.stable
         genuine = tuple(serving.decided_log[1 : cert.seq])
         before = rejected(harness)
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=1, operations=genuine
             ),
-            "replica-0",
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -228,11 +230,11 @@ class TestForgedStateTransfers:
         cert = serving.checkpoints.stable
         genuine = tuple(serving.decided_log[: cert.seq - 1])
         before = rejected(harness)
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
-            "replica-0",
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -241,21 +243,21 @@ class TestForgedStateTransfers:
         harness, lagging, serving = make_lagging_harness(seed=13)
         cert = serving.checkpoints.stable
         genuine = tuple(serving.decided_log[: cert.seq])
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0,
                 certificate=cert,
                 base_count=0,
                 operations=(replace(genuine[0], body="evil"),) + genuine[1:],
             ),
-            "replica-0",
         )
         assert len(lagging.decided_log) == 0
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
-            "replica-0",
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
@@ -333,17 +335,17 @@ class TestRandomizedFrameFuzz:
                     operations=genuine[:index] + (tampered,) + genuine[index + 1 :],
                 )
             before = rejected(harness)
-            lagging.on_message(frame, "replica-0")
+            deliver_transfer_response(lagging, frame)
             assert len(lagging.decided_log) == 0, (case, frame)
             assert rejected(harness) == before + 1, (case, frame)
             mutations += 1
         assert mutations == CASES
         # After the whole barrage, the genuine transfer still installs.
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
-            "replica-0",
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
@@ -394,12 +396,12 @@ class TestForgedEpochTransitions:
         cert = serving.checkpoints.anchor
         genuine = tuple(serving.decided_log[: cert.seq])
         before = reason(harness, "skipped_epoch")
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain[1:],  # the epoch-1 link is missing
             ),
-            "replica-0",
         )
         assert reason(harness, "skipped_epoch") == before + 1
         assert lagging.checkpoints.anchor is None
@@ -485,22 +487,22 @@ class TestForgedEpochTransitions:
         )
         cert = serving.checkpoints.anchor
         genuine = tuple(serving.decided_log[: cert.seq])
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain[:1],
             ),
-            "replica-0",
         )
         assert lagging.checkpoints.anchor is None
         assert len(lagging.decided_log) == 0
         adopted = harness.sim.metrics.counter("smr.checkpoint.anchors_adopted")
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain,
             ),
-            "replica-0",
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
@@ -553,23 +555,23 @@ class TestForgedEpochTransitions:
                     ),
                 )
             before = rejected(harness)
-            lagging.on_message(
+            deliver_transfer_response(
+                lagging,
                 StateTransferResponse(
                     epoch=2, certificate=cert, base_count=0, operations=genuine,
                     transitions=tuple(records),
                 ),
-                "replica-0",
             )
             assert len(lagging.decided_log) == 0, (case, kind)
             assert lagging.checkpoints.anchor is None, (case, kind)
             assert rejected(harness) == before + 1, (case, kind)
         # After the whole barrage, the genuine chain still installs.
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain,
             ),
-            "replica-0",
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine

@@ -21,6 +21,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+from transfer_utils import deliver_transfer_response
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
@@ -85,7 +86,12 @@ def recorder(calls, name):
 
 
 def legacy_replica_on_message(replica, payload, sender):
-    """``PbftReplica.on_message`` + ``CheckpointManager.handle`` as of 3d42a51."""
+    """``PbftReplica.on_message`` + ``CheckpointManager.handle`` as of 3d42a51.
+
+    Less the bare ``StateTransferRequest``/``StateTransferResponse`` routes:
+    a transfer now travels only inside request/response envelopes, and a
+    bare transfer frame is an unknown frame.
+    """
     if not replica.running:
         return
     if isinstance(payload, PbftRequest):
@@ -108,10 +114,6 @@ def legacy_replica_on_message(replica, payload, sender):
             manager.on_transition_vote(payload, sender)
         elif isinstance(payload, CheckpointAnnounce):
             manager.on_announce(payload, sender)
-        elif isinstance(payload, StateTransferRequest):
-            manager.on_state_request(payload, sender)
-        elif isinstance(payload, StateTransferResponse):
-            manager.on_state_response(payload, sender)
         elif isinstance(payload, RequestEnvelope):
             manager._on_transfer_request_envelope(payload, sender)
         elif isinstance(payload, ResponseEnvelope):
@@ -126,8 +128,8 @@ def replica_calls(monkeypatch):
     for name in ("_on_request", "_on_pre_prepare", "_on_prepare", "_on_commit",
                  "_on_view_change", "_on_new_view"):
         monkeypatch.setattr(PbftReplica, name, recorder(calls, name))
-    for name in ("on_checkpoint", "on_transition_vote", "on_announce", "on_state_request",
-                 "on_state_response", "_on_transfer_request_envelope"):
+    for name in ("on_checkpoint", "on_transition_vote", "on_announce",
+                 "_on_transfer_request_envelope"):
         monkeypatch.setattr(CheckpointManager, name, recorder(calls, name))
     monkeypatch.setattr(RequestManager, "on_envelope", recorder(calls, "requests.on_envelope"))
     return calls
@@ -154,7 +156,7 @@ def test_replica_table_reaches_the_handler_the_isinstance_chain_reached(replica_
         assert unknown() - before == (0 if expected else 1), frame
         reached.update(name for name, _ in replica_calls)
         replica_calls.clear()
-    assert len(reached) == (13 if interval else 6)
+    assert len(reached) == (11 if interval else 6)
     replica.stop()
     replica.on_message(frames[0], "replica-0")
     assert replica_calls == [] and unknown() == before + (0 if expected else 1)
@@ -582,10 +584,10 @@ def test_a_replaced_body_is_a_digest_mismatch_even_when_the_original_is_memoised
             operations=genuine[:index] + (forged,) + genuine[index + 1 :],
         )
         before = mismatch()
-        lagging.on_message(response, "replica-0")
+        deliver_transfer_response(lagging, response)
         assert mismatch() == before + 1 and not lagging.decided_log
-    lagging.on_message(
+    deliver_transfer_response(
+        lagging,
         StateTransferResponse(epoch=0, certificate=certificate, base_count=0, operations=genuine),
-        "replica-0",
     )
     assert lagging.decided_log == list(genuine)

@@ -13,16 +13,16 @@ import zlib
 
 import pytest
 
+from repro.net import requests
 from repro.net.requests import (
     BACKOFF_FACTOR,
     BACKOFF_MAX_DELAY,
     JitteredBackoff,
-    PeerScore,
     RequestEnvelope,
     RequestManager,
-    RequestPolicy,
     ResponseEnvelope,
     Scoreboard,
+    timeout_for,
 )
 from repro.sim.simulator import Simulator
 
@@ -51,34 +51,47 @@ class Transport:
         return self.envelopes[-1]
 
 
-def build_manager(sim=None, owner="n0", policy=None):
+def build_manager(sim=None, owner="n0"):
     sim = sim or Simulator(seed=5)
     transport = Transport()
-    manager = RequestManager(sim, owner, transport, policy=policy)
+    manager = RequestManager(sim, owner, transport)
     return sim, transport, manager
 
 
-def reply(manager, envelope, payload, responder=None):
+def reply(manager, envelope, payload, sender="whoever"):
     response = ResponseEnvelope(
-        request_id=envelope.request_id,
-        kind=envelope.kind,
-        payload=payload,
-        responder=responder or "whoever",
+        request_id=envelope.request_id, kind=envelope.kind, payload=payload
     )
-    return manager.on_envelope(response, response.responder)
+    return manager.on_envelope(response, sender)
 
 
-# ------------------------------------------------------------------ policy
+@pytest.fixture
+def fast_retries(monkeypatch):
+    """1 s first deadline and no jitter: retry times are exact."""
+    monkeypatch.setattr(requests, "BASE_TIMEOUT", 1.0)
+    monkeypatch.setattr(requests, "TIMEOUT_JITTER", 0.0)
 
 
-class TestRequestPolicy:
-    def test_timeouts_back_off_exponentially_and_cap(self):
-        policy = RequestPolicy(base_timeout=2.0, backoff_factor=2.0, max_timeout=10.0)
-        assert policy.timeout_for(0) == 2.0
-        assert policy.timeout_for(1) == 4.0
-        assert policy.timeout_for(2) == 8.0
-        assert policy.timeout_for(3) == 10.0  # capped
-        assert policy.timeout_for(9) == 10.0
+@pytest.fixture
+def fast_decay(monkeypatch):
+    """Quarantine at 4.0 with a 5 s half-life."""
+    monkeypatch.setattr(requests, "QUARANTINE_THRESHOLD", 4.0)
+    monkeypatch.setattr(requests, "DECAY_HALF_LIFE", 5.0)
+
+
+# ---------------------------------------------------------------- timeouts
+
+
+class TestTimeouts:
+    def test_timeouts_back_off_exponentially_and_cap(self, monkeypatch):
+        monkeypatch.setattr(requests, "BASE_TIMEOUT", 2.0)
+        monkeypatch.setattr(requests, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(requests, "MAX_TIMEOUT", 10.0)
+        assert timeout_for(0) == 2.0
+        assert timeout_for(1) == 4.0
+        assert timeout_for(2) == 8.0
+        assert timeout_for(3) == 10.0  # capped
+        assert timeout_for(9) == 10.0
 
 
 # -------------------------------------------------------------- scoreboard
@@ -87,26 +100,25 @@ class TestRequestPolicy:
 class TestScoreboard:
     def test_evidence_weights_accumulate(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, RequestPolicy())
+        board = Scoreboard(sim)
         board.note("p", "timeout")
         board.note("p", "stale")
         score = board.snapshot()["p"]
         assert score.timeouts == 1 and score.stale == 1
         assert score.suspicion == pytest.approx(1.0 + 2.0)
 
-    def test_suspicion_decays_with_half_life(self):
+    def test_suspicion_decays_with_half_life(self, monkeypatch):
+        monkeypatch.setattr(requests, "DECAY_HALF_LIFE", 10.0)
         sim = Simulator(seed=1)
-        policy = RequestPolicy(decay_half_life=10.0)
-        board = Scoreboard(sim, policy)
+        board = Scoreboard(sim)
         board.note("p", "garbage")  # weight 3.0
         score = board.snapshot()["p"]
-        assert score.decayed(sim.now + 10.0, 10.0) == pytest.approx(1.5)
-        assert score.decayed(sim.now + 20.0, 10.0) == pytest.approx(0.75)
+        assert score.decayed(sim.now + 10.0) == pytest.approx(1.5)
+        assert score.decayed(sim.now + 20.0) == pytest.approx(0.75)
 
-    def test_quarantine_requires_threshold_and_decay_releases_it(self):
+    def test_quarantine_requires_threshold_and_decay_releases_it(self, fast_decay):
         sim = Simulator(seed=1)
-        policy = RequestPolicy(quarantine_threshold=4.0, decay_half_life=5.0)
-        board = Scoreboard(sim, policy)
+        board = Scoreboard(sim)
         board.note("p", "garbage")  # 3.0 < 4.0
         assert not board.quarantined("p")
         board.note("p", "stale")  # 5.0 >= 4.0
@@ -118,14 +130,12 @@ class TestScoreboard:
         assert not board.quarantined("p")
         assert sim.metrics.counter("req.quarantine_released") == 1
 
-    def test_timeouts_alone_never_quarantine_forever(self):
+    def test_timeouts_alone_never_quarantine_forever(self, monkeypatch, fast_decay):
         # A merely-slow peer keeps timing out, but as long as evidence
         # arrives slower than it decays the peer is never locked out.
+        monkeypatch.setattr(requests, "TIMEOUT_WEIGHT", 1.0)
         sim = Simulator(seed=1)
-        policy = RequestPolicy(
-            timeout_weight=1.0, quarantine_threshold=4.0, decay_half_life=5.0
-        )
-        board = Scoreboard(sim, policy)
+        board = Scoreboard(sim)
 
         def tick(remaining):
             board.note("p", "timeout")
@@ -140,14 +150,16 @@ class TestScoreboard:
 
     def test_unknown_peer_is_not_quarantined(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, RequestPolicy())
+        board = Scoreboard(sim)
         assert not board.quarantined("never-seen")
 
 
 class TestQuarantineUnderStorms:
     """One static threshold: evidence against other peers never moves it."""
 
-    POLICY = RequestPolicy(quarantine_threshold=4.0, decay_half_life=5.0)
+    @pytest.fixture(autouse=True)
+    def _fast_decay(self, fast_decay):
+        pass
 
     @staticmethod
     def storm(sim, board, events, period=1.0, kind="garbage"):
@@ -161,17 +173,17 @@ class TestQuarantineUnderStorms:
 
     def test_storm_records_no_scoreboard_histogram(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
         self.storm(sim, board, events=15)
         assert sim.metrics.counter("req.evidence_garbage") == 16
         assert not [name for name in sim.metrics.histograms if name.startswith("req.")]
 
     def test_storm_quarantines_exactly_the_peers_at_the_threshold(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
         self.storm(sim, board, events=15)
         verdicts = {
-            peer: score.decayed(sim.now, self.POLICY.decay_half_life) >= 4.0
+            peer: score.decayed(sim.now) >= 4.0
             for peer, score in board.snapshot().items()
         }
         assert any(verdicts.values())
@@ -180,7 +192,7 @@ class TestQuarantineUnderStorms:
 
     def test_quiet_period_releases_every_storm_quarantine(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
         self.storm(sim, board, events=15)
         assert sim.metrics.counter("req.quarantined") > 0
         sim.schedule(30.0, lambda: None)
@@ -192,7 +204,7 @@ class TestQuarantineUnderStorms:
 
     def test_a_storm_on_others_never_lowers_a_peers_bar(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
         self.storm(sim, board, events=40, period=0.25)
         quarantined_before = sim.metrics.counter("req.quarantined")
         board.note("q", "garbage")  # 3.0 < 4.0, however hostile the others
@@ -205,7 +217,7 @@ class TestQuarantineUnderStorms:
 
     def test_decay_releases_a_peer_quarantined_during_a_storm(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
         self.storm(sim, board, events=40, period=0.25)
         board.note("q", "garbage")
         board.note("q", "garbage")  # 6.0 >= 4.0
@@ -218,7 +230,7 @@ class TestQuarantineUnderStorms:
 
     def test_timeouts_alone_never_quarantine_during_a_storm(self):
         sim = Simulator(seed=1)
-        board = Scoreboard(sim, self.POLICY)
+        board = Scoreboard(sim)
 
         def slow(remaining):
             board.note("slow", "timeout")
@@ -241,12 +253,10 @@ class TestQuarantineUnderStorms:
 
 class TestRequestLifecycle:
     def test_envelope_carries_correlation_id_and_absolute_deadline(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(base_timeout=3.0, spread_rotation=False)
-        )
-        manager.request("kind", {"x": 1}, PEERS)
+        sim, transport, manager = build_manager()
+        manager.request("kind", {"x": 1}, PEERS, max_attempts=1)
         peer, envelope = transport.last_envelope()
-        assert peer == "p0"  # spread disabled: preference order respected
+        assert peer == "p0"  # bounded: preference order respected
         assert envelope.request_id == "n0:req:0"
         assert envelope.requester == "n0"
         assert envelope.deadline == pytest.approx(sim.now + 3.0)
@@ -258,40 +268,40 @@ class TestRequestLifecycle:
             "kind", "q", PEERS, on_response=lambda p, r: "ok", on_done=lambda: done.append(1)
         )
         peer, envelope = transport.last_envelope()
-        assert reply(manager, envelope, "a", responder=peer)
+        assert reply(manager, envelope, "a", sender=peer)
         assert done == [1]
         assert manager.pending_count() == 0
         assert sim.metrics.counter("req.completed") == 1
 
-    def test_timeout_retries_with_backoff_and_rotation(self):
-        policy = RequestPolicy(
-            base_timeout=2.0, backoff_factor=2.0, jitter=0.0, spread_rotation=False
-        )
-        sim, transport, manager = build_manager(policy=policy)
-        manager.request("kind", "q", PEERS)
+    def test_timeout_retries_with_backoff_and_rotation(self, monkeypatch):
+        monkeypatch.setattr(requests, "BASE_TIMEOUT", 2.0)
+        monkeypatch.setattr(requests, "BACKOFF_FACTOR", 2.0)
+        monkeypatch.setattr(requests, "TIMEOUT_JITTER", 0.0)
+        sim, transport, manager = build_manager()
+        manager.request("kind", "q", PEERS, max_attempts=len(PEERS))
         sim.run(until=2.5)
         assert sim.metrics.counter("req.timeouts") == 1
         targets = [peer for peer, _ in transport.envelopes]
         assert targets == ["p0", "p1"]  # rotated off the timed-out peer
-        # Second-attempt deadline backed off: 2.0 -> 4.0.
+        # Second attempt, sent at the first deadline, backed off: 2.0 -> 4.0.
         _, second = transport.last_envelope()
-        assert second.deadline - second.sent_at == pytest.approx(4.0)
+        assert second.deadline == pytest.approx(2.0 + 4.0)
 
     def test_first_attempt_draws_no_randomness(self):
         sim, transport, manager = build_manager()
         manager.request("kind", "q", PEERS, on_response=lambda p, r: "ok")
         peer, envelope = transport.last_envelope()
-        reply(manager, envelope, "a", responder=peer)
+        reply(manager, envelope, "a", sender=peer)
         assert manager._rng is None  # jitter stream never created
 
     def test_garbage_reply_adds_suspicion_and_retries_immediately(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(spread_rotation=False)
-        )
+        sim, transport, manager = build_manager()
         verdicts = iter(["garbage", "ok"])
-        manager.request("kind", "q", PEERS, on_response=lambda p, r: next(verdicts))
+        manager.request(
+            "kind", "q", PEERS, on_response=lambda p, r: next(verdicts), max_attempts=2
+        )
         peer0, envelope0 = transport.last_envelope()
-        assert reply(manager, envelope0, "junk", responder=peer0)
+        assert reply(manager, envelope0, "junk", sender=peer0)
         # Retried at once (no timer wait), rotated to the next candidate.
         peer1, envelope1 = transport.last_envelope()
         assert peer1 == "p1" and envelope1 is not envelope0
@@ -299,38 +309,33 @@ class TestRequestLifecycle:
         assert manager.scoreboard.snapshot()[peer0].garbage == 1
 
     def test_quarantined_peers_are_skipped_until_all_are(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(spread_rotation=False)
-        )
+        sim, transport, manager = build_manager()
         for peer in PEERS[:2]:
             manager.scoreboard.note(peer, "garbage")
             manager.scoreboard.note(peer, "stale")  # 5.0 >= 4.0
-        manager.request("kind", "q", PEERS)
+        manager.request("kind", "q", PEERS, max_attempts=1)
         peer, _ = transport.last_envelope()
         assert peer == "p2"
         # Everyone quarantined: liveness wins, the rotation peer is used.
         for peer in PEERS[2:]:
             manager.scoreboard.note(peer, "garbage")
             manager.scoreboard.note(peer, "stale")
-        manager.request("kind", "q", PEERS)
+        manager.request("kind", "q", PEERS, max_attempts=1)
         peer, _ = transport.last_envelope()
         assert peer == "p0"
 
-    def test_max_attempts_gives_up_with_callback(self):
-        policy = RequestPolicy(base_timeout=1.0, jitter=0.0, max_attempts=2)
-        sim, transport, manager = build_manager(policy=policy)
-        gave_up = []
-        manager.request("kind", "q", PEERS, on_give_up=lambda: gave_up.append(1))
+    def test_max_attempts_gives_up_and_fires_on_done(self, fast_retries):
+        sim, transport, manager = build_manager()
+        done = []
+        manager.request("kind", "q", PEERS, on_done=lambda: done.append(1), max_attempts=2)
         sim.run(until=30.0)
-        assert gave_up == [1]
+        assert done == [1]
         assert len(transport.envelopes) == 2
         assert sim.metrics.counter("req.gave_up") == 1
         assert manager.pending_count() == 0
 
-    def test_satisfied_resolves_externally_at_timeout(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(base_timeout=1.0, jitter=0.0)
-        )
+    def test_satisfied_resolves_externally_at_timeout(self, fast_retries):
+        sim, transport, manager = build_manager()
         state = {"have": False}
         manager.request("kind", "q", PEERS, satisfied=lambda: state["have"])
         state["have"] = True  # side channel delivered the data
@@ -349,10 +354,8 @@ class TestRequestLifecycle:
         assert not manager.has_pending("k")
         assert manager.request("kind", "q", PEERS, dedup_key="k") is not None
 
-    def test_callable_payload_is_re_evaluated_per_attempt(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(base_timeout=1.0, jitter=0.0)
-        )
+    def test_callable_payload_is_re_evaluated_per_attempt(self, fast_retries):
+        sim, transport, manager = build_manager()
         clock = {"n": 0}
 
         def payload():
@@ -379,22 +382,21 @@ class TestRotationSpread:
             peer, _ = transport.last_envelope()
             assert peer == expected
 
-    def test_successive_requests_start_at_successive_candidates(self):
+    @pytest.mark.parametrize("max_attempts", [None, 1, 3])
+    def test_successive_first_picks_follow_the_attempt_bound(self, max_attempts):
+        # Retrying until it lands: each request starts one candidate further
+        # on from the owner-derived offset (2 for "n0").  Bounded: every
+        # request starts at the caller's first choice.
         sim, transport, manager = build_manager(owner="n0")
         base = zlib.crc32(b"n0") & 0xFFFF
+        assert base % len(PEERS) == 2
         for sequence in range(4):
-            manager.request("kind", "q", PEERS)
+            manager.request("kind", "q", PEERS, max_attempts=max_attempts)
             peer, _ = transport.last_envelope()
-            assert peer == PEERS[(base + sequence) % len(PEERS)]
-
-    def test_spread_disabled_always_respects_preference_order(self):
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(spread_rotation=False)
-        )
-        for _ in range(3):
-            manager.request("kind", "q", PEERS)
-            peer, _ = transport.last_envelope()
-            assert peer == "p0"
+            if max_attempts is None:
+                assert peer == PEERS[(base + sequence) % len(PEERS)]
+            else:
+                assert peer == "p0"
 
 
 # -------------------------------------------------- response-side rejection
@@ -413,7 +415,7 @@ class TestResponseRejection:
     def test_malformed_ids_rejected(self):
         sim, transport, manager = build_manager()
         self.pending_envelope(manager, transport)
-        bad = ResponseEnvelope(request_id=7, kind="kind", payload="a", responder="p0")
+        bad = ResponseEnvelope(request_id=7, kind="kind", payload="a")
         assert manager.on_envelope(bad, "p0")
         assert sim.metrics.counter("req.rejected_malformed") == 1
         assert manager.pending_count() == 1  # request unharmed
@@ -421,25 +423,19 @@ class TestResponseRejection:
     def test_unknown_and_replayed_ids_counted_separately(self):
         sim, transport, manager = build_manager()
         peer, envelope = self.pending_envelope(manager, transport)
-        unknown = ResponseEnvelope(
-            request_id="n0:req:999", kind="kind", payload="a", responder=peer
-        )
+        unknown = ResponseEnvelope(request_id="n0:req:999", kind="kind", payload="a")
         assert manager.on_envelope(unknown, peer)
         assert sim.metrics.counter("req.rejected_unknown") == 1
         # Complete the request, then replay the very same id.
-        reply(manager, envelope, "a", responder=peer)
-        late = ResponseEnvelope(
-            request_id=envelope.request_id, kind="kind", payload="a", responder=peer
-        )
+        reply(manager, envelope, "a", sender=peer)
+        late = ResponseEnvelope(request_id=envelope.request_id, kind="kind", payload="a")
         assert manager.on_envelope(late, peer)
         assert sim.metrics.counter("req.rejected_replayed") == 1
 
     def test_wrong_kind_rejected(self):
         sim, transport, manager = build_manager()
         peer, envelope = self.pending_envelope(manager, transport)
-        wrong = ResponseEnvelope(
-            request_id=envelope.request_id, kind="other", payload="a", responder=peer
-        )
+        wrong = ResponseEnvelope(request_id=envelope.request_id, kind="other", payload="a")
         assert manager.on_envelope(wrong, peer)
         assert sim.metrics.counter("req.rejected_malformed") == 1
         assert manager.pending_count() == 1
@@ -450,9 +446,7 @@ class TestResponseRejection:
         # guesses the id is rejected and counted.
         sim, transport, manager = build_manager()
         _, envelope = self.pending_envelope(manager, transport)
-        forged = ResponseEnvelope(
-            request_id=envelope.request_id, kind="kind", payload="evil", responder="p3"
-        )
+        forged = ResponseEnvelope(request_id=envelope.request_id, kind="kind", payload="evil")
         assert manager.on_envelope(forged, "p3")
         assert sim.metrics.counter("req.rejected_unsolicited") == 1
         assert manager.pending_count() == 1
@@ -468,7 +462,6 @@ class TestServerValidation:
             kind=kind,
             payload="q",
             requester=requester,
-            sent_at=sim.now,
             deadline=sim.now + 3.0 if deadline is None else deadline,
         )
 
@@ -507,7 +500,7 @@ class TestServerValidation:
         assert peer == "n1" and size == 99
         assert isinstance(response, ResponseEnvelope)
         assert response.request_id == envelope.request_id
-        assert response.responder == "n0"
+        assert (response.kind, response.payload) == ("kind", "answer")
 
 
 # ------------------------------------------------------------ fuzz battery
@@ -524,19 +517,12 @@ class TestFuzzBattery:
         )
         kind = rng.choice(list(self.KINDS) + [7, None])
         payload = rng.choice(["x", (), (1, 2), {"a": 1}, None, b"bytes", float("nan")])
-        responder = rng.choice(list(PEERS) + ["stranger", ""])
-        return (
-            ResponseEnvelope(
-                request_id=request_id, kind=kind, payload=payload, responder=responder
-            ),
-            responder,
-        )
+        sender = rng.choice(list(PEERS) + ["stranger", ""])
+        return ResponseEnvelope(request_id=request_id, kind=kind, payload=payload), sender
 
     def test_hostile_response_storm_never_completes_a_request(self):
         rng = random.Random(1234)
-        sim, transport, manager = build_manager(
-            policy=RequestPolicy(spread_rotation=False)
-        )
+        sim, transport, manager = build_manager()
         manager.request("kind", "q", PEERS, on_response=lambda p, r: "ok")
         queried_peer, envelope = transport.last_envelope()
         for _ in range(500):
@@ -558,7 +544,7 @@ class TestFuzzBattery:
         )
         assert rejected > 0
         # The honest reply still lands after the storm.
-        assert reply(manager, envelope, "real", responder=queried_peer)
+        assert reply(manager, envelope, "real", sender=queried_peer)
         assert sim.metrics.counter("req.completed") == 1
 
     def test_hostile_request_storm_never_validates(self):
@@ -577,7 +563,6 @@ class TestFuzzBattery:
                     kind=rng.choice(list(self.KINDS)),
                     payload="q",
                     requester=requester,
-                    sent_at=sim.now,
                     deadline=rng.choice([sim.now + 3.0, sim.now - 1.0]),
                 )
                 sender = rng.choice(["n1", "forged"])
@@ -594,13 +579,13 @@ class TestFuzzBattery:
         )
         assert accepted + rejections == 300
 
-    def test_fuzzed_managers_are_seed_deterministic(self):
+    def test_fuzzed_managers_are_seed_deterministic(self, monkeypatch):
+        monkeypatch.setattr(requests, "BASE_TIMEOUT", 1.0)
+
         def run(seed):
             rng = random.Random(seed)
             sim, transport, manager = build_manager()
-            manager.request(
-                "kind", "q", PEERS, policy=RequestPolicy(base_timeout=1.0, max_attempts=4)
-            )
+            manager.request("kind", "q", PEERS, max_attempts=4)
             for _ in range(100):
                 _, envelope = transport.last_envelope()
                 response, sender = self.random_response(rng, envelope)

@@ -1,6 +1,7 @@
 """Tests for PBFT checkpointing and state transfer (repro.smr.checkpoint)."""
 
 import pytest
+from transfer_utils import deliver_transfer_response
 
 from repro.net.latency import LogNormalLatency
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
@@ -261,14 +262,14 @@ class TestStateTransferLiveness:
         lagging.checkpoints._begin_transfer(high)
         assert lagging.checkpoints.transfer_blocking
         requests_before = harness.sim.metrics.counter("smr.checkpoint.state_requests")
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0,
                 certificate=low,
                 base_count=0,
                 operations=tuple(serving.decided_log[:2]),
             ),
-            "replica-0",
         )
         # The old prefix installed, but the higher gap stays open: still
         # blocked, and the remaining gap was re-requested immediately.
@@ -278,18 +279,49 @@ class TestStateTransferLiveness:
             harness.sim.metrics.counter("smr.checkpoint.state_requests")
             > requests_before
         )
-        lagging.on_message(
+        deliver_transfer_response(
+            lagging,
             StateTransferResponse(
                 epoch=0,
                 certificate=high,
                 base_count=2,
                 operations=tuple(serving.decided_log[2:6]),
             ),
-            "replica-0",
         )
         assert len(lagging.decided_log) == 6
         assert not lagging.checkpoints.transfer_blocking
         assert harness.agreement_violations(require_equality=True) == []
+
+    @pytest.mark.usefixtures("quiet_announces")
+    def test_a_transfer_travels_only_inside_request_envelopes(self):
+        from repro.smr.checkpoint import StateTransferRequest
+
+        harness = make_harness(4, interval=2, seed=9)
+        split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
+        decide(harness, 4, prefix="bare", start_until=10.0)
+        harness.network.merge(split)
+        serving = harness.actors["replica-0"].replica
+        lagging = harness.actors["replica-3"].replica
+        metrics = harness.sim.metrics
+        request = StateTransferRequest(epoch=0, have_count=0)
+        response = serving.checkpoints.build_state_response(request, "replica-3")
+        assert response is not None and len(lagging.decided_log) == 0
+        served = metrics.counter("smr.checkpoint.state_responses")
+        sent = metrics.counter("net.messages_sent")
+        # A bare request is not served, a bare response not installed.
+        serving.on_message(request, "replica-3")
+        assert metrics.counter("smr.pbft.unknown_frame") == 1
+        lagging.on_message(response, "replica-0")
+        assert metrics.counter("smr.pbft.unknown_frame") == 2
+        assert metrics.counter("smr.checkpoint.state_responses") == served
+        assert metrics.counter("net.messages_sent") == sent
+        assert len(lagging.decided_log) == 0
+        assert metrics.counter("smr.checkpoint.transfers_completed") == 0
+        # The same response answering an outstanding ckpt.transfer installs.
+        deliver_transfer_response(lagging, response)
+        assert len(lagging.decided_log) == 4
+        assert metrics.counter("smr.checkpoint.transfers_completed") == 1
+        assert metrics.counter("smr.pbft.unknown_frame") == 2
 
     def test_view_change_votes_carry_the_stable_certificate(self):
         harness = make_harness(4, interval=2, seed=11)
@@ -362,7 +394,7 @@ class TestTrickleAnnounce:
         decide(harness, ops)
         harness.run(until=harness.sim.now + 4 * self.CAP)
         for actor in harness.actors.values():
-            assert actor.replica.checkpoints._announce_interval == self.CAP
+            assert actor.replica.checkpoints._announce.interval == self.CAP
         return harness
 
     @staticmethod
@@ -372,12 +404,12 @@ class TestTrickleAnnounce:
     def test_interval_doubles_to_the_cap_while_peers_agree(self):
         harness = make_harness(4, interval=2, seed=21)
         manager = harness.actors["replica-0"].replica.checkpoints
-        seen = [manager._announce_interval]
+        seen = [manager._announce.interval]
         decide(harness, 4, start_until=1.0)
         while harness.sim.now < 200.0:
             harness.run(until=harness.sim.now + 1.0)
-            if not seen or seen[-1] != manager._announce_interval:
-                seen.append(manager._announce_interval)
+            if not seen or seen[-1] != manager._announce.interval:
+                seen.append(manager._announce.interval)
         assert seen == [2.0, 4.0, 8.0, 16.0, 32.0]
         assert self.resets(harness) == 0
         # 200 s at 2 s would have been 100 announces per replica.
@@ -397,7 +429,7 @@ class TestTrickleAnnounce:
             ),
             "replica-1",
         )
-        assert manager._announce_interval == self.PERIOD
+        assert manager._announce.interval == self.PERIOD
         assert self.resets(harness) == 1
         harness.run(until=harness.sim.now + 0.001)
         assert harness.sim.metrics.counter("smr.checkpoint.announces") == announces + 1
@@ -414,14 +446,14 @@ class TestTrickleAnnounce:
             ),
             "replica-2",
         )
-        assert replica.checkpoints._announce_interval == self.PERIOD
+        assert replica.checkpoints._announce.interval == self.PERIOD
         assert self.resets(harness) == 1
 
     def test_a_new_epoch_resets(self):
         harness = self.backed_off()
         replica = harness.actors["replica-0"].replica
         replica.reconfigure(harness.addresses)
-        assert replica.checkpoints._announce_interval == self.PERIOD
+        assert replica.checkpoints._announce.interval == self.PERIOD
         assert self.resets(harness) == 1
 
     def test_an_agreeing_announce_does_not_reset(self):
@@ -436,7 +468,7 @@ class TestTrickleAnnounce:
             ),
             "replica-3",
         )
-        assert replica.checkpoints._announce_interval == self.CAP
+        assert replica.checkpoints._announce.interval == self.CAP
         assert self.resets(harness) == 0
 
     def test_non_member_and_wrong_epoch_announces_never_reset(self):
@@ -445,7 +477,7 @@ class TestTrickleAnnounce:
         stale = dict(certificate=None, log_length=10_000, view=replica.view + 3)
         replica.on_message(CheckpointAnnounce(epoch=0, **stale), "intruder")
         replica.on_message(CheckpointAnnounce(epoch=5, **stale), "replica-1")
-        assert replica.checkpoints._announce_interval == self.CAP
+        assert replica.checkpoints._announce.interval == self.CAP
         assert self.resets(harness) == 0
         assert harness.sim.metrics.counter("smr.checkpoint.rejected_non_member") == 1
 
@@ -480,7 +512,7 @@ class TestTrickleAnnounce:
         decide(harness, 4, prefix="mid")
         # Long enough for the connected three to back off to the cap.
         harness.run(until=harness.sim.now + 4 * self.CAP)
-        assert harness.actors["replica-0"].replica.checkpoints._announce_interval == self.CAP
+        assert harness.actors["replica-0"].replica.checkpoints._announce.interval == self.CAP
         healed = harness.actors["replica-3"].replica
         assert len(healed.decided_log) == 2
         contacts = []
