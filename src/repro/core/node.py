@@ -224,33 +224,6 @@ class AtumNode(Actor):
     def delivery_time(self, bcast_id: str) -> Optional[float]:
         return self.delivered.get(bcast_id)
 
-    def smr_stable_checkpoint(self) -> Optional[int]:
-        """Stable-checkpoint seq of this node's replica (``None`` if unavailable).
-
-        Anti-entropy summaries advertise it to vgroup co-members: a stalled
-        replica that hears a co-member's certified checkpoint ahead of its
-        own decided log discovers the gap without waiting for a view change
-        (see :meth:`on_checkpoint_hint`).
-        """
-        if self.replica is None:
-            return None
-        return self.replica.stable_checkpoint_seq()
-
-    def on_checkpoint_hint(self, peer: str, seq: int) -> None:
-        """A vgroup co-member advertised a stable checkpoint at ``seq``.
-
-        Forwarded to the replica's checkpoint manager, which rate-limits
-        and — since a bare seq proves nothing — requests a state transfer
-        whose *response* carries the verifiable certificate.  Ignored for
-        engines without checkpointing and for hints from non-co-members.
-        """
-        if self.replica is None or self.vgroup_view is None or not self.is_correct:
-            return
-        manager = getattr(self.replica, "checkpoints", None)
-        if manager is None or peer not in self.vgroup_view.member_set:
-            return
-        manager.on_gap_hint(peer, seq)
-
     # --------------------------------------------------------------- membership
 
     def install_view(self, view: VGroupView) -> None:

@@ -16,13 +16,17 @@ disagrees, doubling after every summary round in which a peer was heard, up
 to ``MAX_PERIODS`` periods while the peers agree -- so a healthy quiet
 system stops paying for repair it does not need.  A received summary is
 *inconsistent* when it names ids the receiver lacks (the receiver pulls
-them), lacks ids the receiver delivered at least ``2 * REPAIR_MIN_AGE``
-ago, or (from a co-member) carries a different stable-checkpoint seq; an
-inconsistent summary resets the receiver's interval.  When the *sender* is
-the one behind, the receiver also answers it at once with its own summary,
-marked as a reply (``ae.reply``), which is never answered in turn.  A node
-that hears nothing -- cut off -- keeps summarizing every ``PERIOD``, so
-within a period of the heal a peer finds it behind and answers it.
+them) or lacks ids the receiver delivered at least ``2 * REPAIR_MIN_AGE``
+ago; an inconsistent summary resets the receiver's interval.  When the
+*sender* is the one behind, the receiver also answers it at once with its
+own summary, marked as a reply (``ae.reply``), which is never answered in
+turn.  A node that hears nothing -- cut off -- keeps summarizing every
+``PERIOD``, so within a period of the heal a peer finds it behind and
+answers it.
+
+A summary carries broadcast ids only.  A PBFT replica that falls behind its
+vgroup's log learns so from the SMR engine's own checkpoint machinery
+(:mod:`repro.smr.checkpoint`), never from this layer.
 
 Repair never bypasses the safety machinery it heals:
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.middleware import Middleware, MiddlewareContext
@@ -97,6 +102,11 @@ class AntiEntropyConfig:
     The layer's timing and sizes are the module constants above, fixed for
     every deployment.
     """
+
+
+def _is_id_tuple(payload) -> bool:
+    """Whether ``payload`` is a tuple of broadcast ids (the summary shape)."""
+    return isinstance(payload, tuple) and all(map(isinstance, payload, repeat(str)))
 
 
 class AntiEntropyRepair:
@@ -204,17 +214,13 @@ class AntiEntropyRepair:
     def _send_summary(self, peers, kind: str) -> None:
         """Send this node's summary to ``peers`` as an ``ae.summary`` or ``ae.reply``.
 
-        The summary carries the delivered-id window plus the replica's
-        stable-checkpoint seq (None for engines without checkpointing):
-        repair direction is carried by the ae.request reply (which names the
-        *requester's* group), and the checkpoint seq lets a stalled
-        co-member discover an SMR log gap without waiting for a view change
-        (see AtumNode.on_checkpoint_hint).
+        The summary is the delivered-id window alone; repair direction is
+        carried by the ae.request reply (which names the *requester's*
+        group).
         """
-        node = self.node
-        summary = (self._summary_ids(), node.smr_stable_checkpoint())
-        size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(summary[0])
-        node.send_direct_many(peers, kind, summary, size_bytes=size)
+        summary = self._summary_ids()
+        size = SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(summary)
+        self.node.send_direct_many(peers, kind, summary, size_bytes=size)
 
     def _gc_settled(self) -> None:
         """Drop settled payloads (and their cooldowns) from the repair store.
@@ -304,7 +310,7 @@ class AntiEntropyRepair:
 
     # ----------------------------------------------------------------- handlers
 
-    def _on_summary(self, payload, sender: str, reply: bool = False) -> None:
+    def _on_summary(self, peer_ids, sender: str, reply: bool = False) -> None:
         """Pull what the summary names and we lack; reset and answer on a gap.
 
         Pull-only: the requester knows *exactly* what it lacks, so gaps
@@ -318,13 +324,10 @@ class AntiEntropyRepair:
         node = self.node
         if not node.is_correct or not node.is_member:
             return
+        if not _is_id_tuple(peer_ids):
+            node.sim.metrics.increment("ae.rejected_malformed")
+            return
         self._trickle.hear()
-        peer_ids, peer_checkpoint = payload
-        if peer_checkpoint is not None:
-            # Co-membership and rate limiting are checked by the node/
-            # manager; the hint itself is untrusted (the state-transfer
-            # response it provokes carries the verifiable certificate).
-            node.on_checkpoint_hint(sender, peer_checkpoint)
         delivered = node.delivered
         missing_here = [b for b in peer_ids if b not in delivered]
         if missing_here:
@@ -333,14 +336,7 @@ class AntiEntropyRepair:
             if wanted:
                 self._issue_pull(sender, tuple(wanted[:MAX_REPAIRS_PER_PEER]))
         behind = self._lacks_settled(peer_ids)
-        checkpoint_differs = False
-        if isinstance(peer_checkpoint, int) and sender in node.vgroup_view.member_set:
-            # Checkpoint seqs only compare within one vgroup's log.
-            own_checkpoint = node.smr_stable_checkpoint()
-            if isinstance(own_checkpoint, int):
-                checkpoint_differs = peer_checkpoint != own_checkpoint
-                behind = behind or peer_checkpoint < own_checkpoint
-        if (missing_here or behind or checkpoint_differs) and self._trickle.reset():
+        if (missing_here or behind) and self._trickle.reset():
             node.sim.metrics.increment("ae.summary_resets")
         now = node.sim.now
         if behind and not reply and now - self._last_reply >= PERIOD:
@@ -375,7 +371,7 @@ class AntiEntropyRepair:
                 return "stale"  # empty-handed: rotate to the next neighbour
             return None  # acked; wait for the gossip-side repair to land
 
-        request_id = self._requests.request(
+        self._requests.request(
             "ae.pull",
             (group_id, wanted),
             candidates,
@@ -385,9 +381,8 @@ class AntiEntropyRepair:
             size_bytes=SUMMARY_BYTES_BASE + SUMMARY_BYTES_PER_ID * len(wanted),
             max_attempts=PULL_ATTEMPTS,
         )
-        if request_id is not None:
-            self._pending_pull_ids.update(wanted_set)
-            node.sim.metrics.increment("ae.requests_sent")
+        self._pending_pull_ids.update(wanted_set)
+        node.sim.metrics.increment("ae.requests_sent")
 
     def _on_request(self, payload, sender: str) -> None:
         node = self.node
@@ -422,6 +417,14 @@ class AntiEntropyRepair:
             return
         view = node.vgroup_view
         if sender not in view.members:
+            return
+        if not (
+            isinstance(payload, tuple)
+            and len(payload) == 2
+            and isinstance(payload[0], str)
+            and _is_id_tuple(payload[1])
+        ):
+            node.sim.metrics.increment("ae.rejected_malformed")
             return
         target_group, ids = payload
         held = [b for b in ids if b in self.store]

@@ -13,6 +13,11 @@ METRICS = {
         "modules": ('repro/group/antientropy.py',),
         "matrix_column": False,
     },
+    'ae.rejected_malformed': {
+        "kind": 'counter',
+        "modules": ('repro/group/antientropy.py',),
+        "matrix_column": False,
+    },
     'ae.reproposals': {
         "kind": 'counter',
         "modules": ('repro/group/antientropy.py',),
@@ -503,11 +508,6 @@ METRICS = {
         "modules": ('repro/net/requests.py',),
         "matrix_column": False,
     },
-    'req.deduplicated': {
-        "kind": 'counter',
-        "modules": ('repro/net/requests.py',),
-        "matrix_column": False,
-    },
     'req.gave_up': {
         "kind": 'counter',
         "modules": ('repro/net/requests.py',),
@@ -594,11 +594,6 @@ METRICS = {
         "matrix_column": False,
     },
     'smr.checkpoint.epoch_transitions': {
-        "kind": 'counter',
-        "modules": ('repro/smr/checkpoint.py',),
-        "matrix_column": False,
-    },
-    'smr.checkpoint.gap_hints': {
         "kind": 'counter',
         "modules": ('repro/smr/checkpoint.py',),
         "matrix_column": False,

@@ -1,14 +1,10 @@
 """Unified request/response layer: retries, backoff, rotation, scoreboard.
 
-Before this module, every recovery path owned a bespoke retry knob:
-checkpoint state transfer re-asked on a fixed ``state_transfer_timeout``,
-anti-entropy resends hid behind fixed ``resend_cooldown`` /
-``repropose_cooldown`` constants, and checkpoint hints rate-limited on the
-announce period.  Fixed timers synchronise: after a heal every starved
-replica re-asks in lockstep, and a single adversarial responder can stall
-each of them for a full timeout per attempt with no memory of who stalled
-whom.  This module factors the whole concern into the constants below plus
-a small manager; a caller chooses only how many attempts a request gets:
+Checkpoint state transfer and anti-entropy pulls ask peers through one
+small manager plus the constants below; a caller chooses only how many
+attempts a request gets.  Fixed retry timers would synchronise (after a
+heal every starved replica re-asks in lockstep) and let one adversarial
+responder stall each requester for a full timeout per attempt, so:
 
 * **Correlated envelopes** — every request carries a fresh ``request_id``
   and an absolute sim-time ``deadline``; responses echo the id.  Replies
@@ -43,6 +39,7 @@ byte-identical to builds without this module.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -200,7 +197,6 @@ class _Pending:
     satisfied: Optional[Callable[[], bool]]
     on_done: Optional[Callable[[], None]]
     size_bytes: int
-    dedup_key: Optional[str]
     rotation: int = 0
     attempts: int = 0
     queried: set = field(default_factory=set)
@@ -244,7 +240,6 @@ class RequestManager:
         self._rotation_base = zlib.crc32(owner.encode("utf-8")) & 0xFFFF
         self.scoreboard = Scoreboard(sim)
         self._pending: Dict[str, _Pending] = {}
-        self._by_dedup: Dict[str, str] = {}
         # Recently completed/cancelled ids, to reject replayed responses.
         self._recent: List[str] = []
         self._recent_set: set = set()
@@ -267,9 +262,6 @@ class RequestManager:
             return
         pending.done = True
         self._pending.pop(pending.request_id, None)
-        if pending.dedup_key is not None:
-            if self._by_dedup.get(pending.dedup_key) == pending.request_id:
-                del self._by_dedup[pending.dedup_key]
         self._remember(pending.request_id)
         if pending.on_done is not None:
             pending.on_done()
@@ -298,9 +290,8 @@ class RequestManager:
         on_done: Optional[Callable[[], None]] = None,
         size_bytes: int = 256,
         max_attempts: Optional[int] = None,
-        dedup_key: Optional[str] = None,
     ) -> Optional[str]:
-        """Issue a request; returns its id (``None`` if deduplicated).
+        """Issue a request; returns its id (``None`` when ``peers`` is empty).
 
         ``on_response(payload, responder)`` classifies each reply:
         ``"ok"`` completes the request, ``"garbage"``/``"stale"`` add the
@@ -320,9 +311,6 @@ class RequestManager:
         """
         if not peers:
             return None
-        if dedup_key is not None and dedup_key in self._by_dedup:
-            self.sim.metrics.increment("req.deduplicated")
-            return None
         sequence = self._next_id
         request_id = f"{self.owner}:req:{sequence}"
         self._next_id += 1
@@ -337,11 +325,8 @@ class RequestManager:
             satisfied=satisfied,
             on_done=on_done,
             size_bytes=size_bytes,
-            dedup_key=dedup_key,
         )
         self._pending[request_id] = pending
-        if dedup_key is not None:
-            self._by_dedup[dedup_key] = request_id
         self._attempt(pending)
         return request_id
 
@@ -436,27 +421,30 @@ class RequestManager:
     ) -> Optional[RequestEnvelope]:
         """Server-side envelope check; returns the envelope or ``None``.
 
-        Rejects (and counts) malformed envelopes, misaddressed envelopes
-        (the wire-level sender does not match the claimed requester, so a
-        reply would go to a third party) and requests whose deadline
-        already passed — an honest server never does work the requester
-        has stopped waiting for.
+        Rejects (and counts) malformed envelopes (including a deadline that
+        is not a finite number), misaddressed envelopes (the wire-level
+        sender does not match the claimed requester, so a reply would go to
+        a third party) and requests whose deadline already passed — an
+        honest server never does work the requester has stopped waiting for.
         """
         metrics = self.sim.metrics
         if not isinstance(envelope, RequestEnvelope):
             metrics.increment("req.rejected_malformed")
             return None
+        deadline = envelope.deadline
         if (
             envelope.kind != expected_kind
             or not isinstance(envelope.request_id, str)
             or not isinstance(envelope.requester, str)
+            or not isinstance(deadline, (int, float))
+            or not math.isfinite(deadline)
         ):
             metrics.increment("req.rejected_malformed")
             return None
         if sender is not None and sender != envelope.requester:
             metrics.increment("req.rejected_misaddressed")
             return None
-        if self.sim.now > envelope.deadline:
+        if self.sim.now > deadline:
             metrics.increment("req.rejected_expired")
             return None
         return envelope
@@ -483,9 +471,6 @@ class RequestManager:
 
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def has_pending(self, dedup_key: str) -> bool:
-        return dedup_key in self._by_dedup
 
 
 # ------------------------------------------------------------------- backoff

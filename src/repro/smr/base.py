@@ -108,26 +108,11 @@ class SmrReplica(abc.ABC):
         self.members: List[str] = list(members)
         self._peers: Optional[Tuple[str, ...]] = None
 
-    #: Optional checkpoint/state-transfer manager (PBFT only, and only when
-    #: ``SmrConfig.checkpoint_interval > 0``); see :mod:`repro.smr.checkpoint`.
-    checkpoints = None
-
     # ----------------------------------------------------------------- queries
 
     @property
     def group_size(self) -> int:
         return len(self.members)
-
-    def stable_checkpoint_seq(self) -> Optional[int]:
-        """Decided-op count of the stable checkpoint (``None`` if unsupported).
-
-        Engines without checkpointing return ``None``; a checkpointing PBFT
-        replica returns ``0`` until its first certificate forms.  Anti-entropy
-        summaries advertise this so stalled co-replicas discover log gaps
-        without waiting for a view change.
-        """
-        manager = self.checkpoints
-        return manager.stable_seq if manager is not None else None
 
     @property
     @abc.abstractmethod

@@ -14,9 +14,8 @@ transfer, and that is what :class:`CheckpointManager` adds to
   it is garbage-collected (executed slots feed no future view change vote:
   laggards catch up through state transfer instead);
 * a replica that learns of a certified checkpoint ahead of its own decided
-  log — through checkpoint votes, a :class:`CheckpointAnnounce`,
-  the certificate carried by view-change/new-view messages, or an
-  anti-entropy hint (:mod:`repro.group.antientropy`) — fetches the missing
+  log — through checkpoint votes, a :class:`CheckpointAnnounce`, or the
+  certificate carried by view-change/new-view messages — fetches the missing
   operations plus the certificate from a co-replica
   (:class:`StateTransferRequest` / :class:`StateTransferResponse`, always
   inside a ``ckpt.transfer`` envelope of :mod:`repro.net.requests`),
@@ -210,6 +209,11 @@ class StateTransferResponse:
     transitions: Tuple[EpochTransition, ...] = ()
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a non-negative ``int`` (an epoch or a log length)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def checkpoint_statement(epoch: int, seq: int, state_digest: str) -> Tuple:
     """The statement a checkpoint signature covers."""
     return ("pbft-checkpoint", epoch, seq, state_digest)
@@ -308,7 +312,7 @@ class CheckpointManager:
         self._transfer_target: Optional[CheckpointCertificate] = None
         # Whether the install should be followed by a view change to
         # realign the view-local execution cursor.  True for transfers
-        # triggered outside a view change (announce, anti-entropy hint);
+        # triggered outside a view change (votes, announce);
         # False when a new view triggered the transfer — that view's own
         # re-proposals already run under a fresh, gap-free numbering.
         self._realign_after_install = True
@@ -1090,41 +1094,6 @@ class CheckpointManager:
 
     # ------------------------------------------------------------ gap handling
 
-    def on_gap_hint(self, peer: str, seq: int) -> None:
-        """An anti-entropy summary advertised a stable checkpoint at ``seq``.
-
-        The hint carries no certificate, so nothing is trusted yet: we ask
-        ``peer`` for a state transfer and validate the certificate that
-        comes back with the response.  At most one hint probe is
-        outstanding at a time (request-layer dedup), so periodic summaries
-        cannot flood an already-recovering replica; the probe is
-        single-attempt — if the hinting peer stonewalls, the next summary
-        round names a fresh peer anyway.
-        """
-        replica = self.replica
-        requests = self._requests
-        if not replica.running:
-            return
-        if seq <= len(replica.decided_log) or seq <= self.stable_seq:
-            return
-        if self.transfer_blocking:
-            return  # a certified transfer is already in flight
-        if requests.has_pending("hint"):
-            return
-        self._metrics().increment("smr.checkpoint.gap_hints")
-        requests.request(
-            "ckpt.transfer",
-            self._transfer_payload,
-            [peer],
-            on_response=lambda payload, sender: self._handle_state_response(payload),
-            satisfied=lambda: not replica.running
-            or self.transfer_blocking
-            or seq <= len(replica.decided_log),
-            size_bytes=MESSAGE_BYTES,
-            max_attempts=1,
-            dedup_key="hint",
-        )
-
     def _begin_transfer(
         self, certificate: CheckpointCertificate, realign: bool = True
     ) -> None:
@@ -1321,8 +1290,8 @@ class CheckpointManager:
             self._adopt_stable(certificate)
         if still_lagging:
             # This response served an *older* certificate than the pending
-            # transfer target (e.g. a hint-path response raced a new-view
-            # certificate).  The higher checkpoint's gap is still open, so
+            # transfer target (a genuine one, from a responder that holds
+            # nothing newer).  The higher checkpoint's gap is still open, so
             # execution must stay blocked — clearing the target here would
             # let new-view re-proposals leapfrog the missing prefix — and
             # the remaining gap is chased immediately (our base moved, so
@@ -1399,7 +1368,11 @@ class CheckpointManager:
         if validated is None:
             return
         message = validated.payload
-        if not isinstance(message, StateTransferRequest):
+        if not (
+            isinstance(message, StateTransferRequest)
+            and _is_count(message.epoch)
+            and _is_count(message.have_count)
+        ):
             self._metrics().increment("req.rejected_malformed")
             return
         response = self.build_state_response(message, sender)
@@ -1438,7 +1411,8 @@ class CheckpointManager:
         self._requests.cancel_all()
         self._transfer_request_id = None
         # An aborted new-view transfer must not leave realign=False behind,
-        # or the next epoch's hint-path install would skip its view change.
+        # or the next epoch's announce-driven install would skip its view
+        # change.
         self._realign_after_install = True
         # New members (and any that missed the change) learn the epoch's
         # certificate from the announce.

@@ -524,7 +524,7 @@ class PbftReplica(SmrReplica):
 
         First drain whatever the transfer unblocked (new-view re-proposals
         commit while execution pauses).  When the transfer was triggered
-        outside a view change (announce or anti-entropy hint), additionally
+        outside a view change (checkpoint votes or an announce), additionally
         start one: the current view's slot numbering predates the gap, so
         committed-but-stuck slots — and any decided tail beyond the last
         checkpoint — are only reachable through the view change's carried

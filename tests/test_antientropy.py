@@ -157,7 +157,7 @@ class TestTrickleSummaries:
         last = times_of(sent, "ae.summary")[-1]
         resets = cluster.sim.metrics.counter("ae.summary_resets")
         # A summary naming an id n0 lacks, 10 ms after n0's own summary.
-        node.on_message(DirectMessage("ae.summary", (("bc-unknown-1",), None)), "n1")
+        node.on_message(DirectMessage("ae.summary", ("bc-unknown-1",)), "n1")
         assert cluster.sim.metrics.counter("ae.summary_resets") == resets + 1
         assert node.antientropy._trickle.interval == antientropy.PERIOD
         cluster.run(until=cluster.sim.now + 3 * antientropy.PERIOD)
@@ -177,7 +177,7 @@ class TestTrickleSummaries:
             cluster.sim.schedule_at(
                 start + 0.01 * index,
                 lambda i=index: node.on_message(
-                    DirectMessage("ae.summary", ((f"bc-forged-{i}",), None)), spammer
+                    DirectMessage("ae.summary", (f"bc-forged-{i}",)), spammer
                 ),
             )
         cluster.run(until=start + 20.0)
@@ -309,32 +309,15 @@ class TestRepair:
         assert total_after <= (len(cluster.nodes) - 1) * antientropy.FANOUT * ticks
 
 
-class TestCheckpointHints:
-    def test_summaries_advertise_no_checkpoint_on_the_sync_engine(self):
-        cluster = build_cluster(seed=41, nodes=8)
-        node = cluster.nodes["n0"]
-        assert node.smr_stable_checkpoint() is None
-        captured = {}
-        original = node.send_direct_many
-
-        def spy(peers, kind, payload, size_bytes=256):
-            if kind == "ae.summary":
-                captured.setdefault("payload", payload)
-            return original(peers, kind, payload, size_bytes=size_bytes)
-
-        node.send_direct_many = spy
-        cluster.run(until=5.0)
-        ids, checkpoint = captured["payload"]
-        assert isinstance(ids, tuple)
-        assert checkpoint is None
-
-    def test_summaries_advertise_the_stable_checkpoint_under_pbft(self):
+class TestSummaryFrames:
+    @pytest.mark.parametrize("smr_kind", ["sync", "async"])
+    def test_a_summary_carries_only_broadcast_ids(self, smr_kind):
         from repro.core.config import SmrKind
 
+        pbft = smr_kind == "async"
+        overrides = dict(smr_kind=SmrKind.ASYNC, checkpoint_interval=2) if pbft else {}
         cluster = AtumCluster(
-            small_params().with_overrides(
-                smr_kind=SmrKind.ASYNC, checkpoint_interval=2
-            ),
+            small_params().with_overrides(**overrides),
             seed=43,
             antientropy=AntiEntropyConfig(),
         )
@@ -343,34 +326,55 @@ class TestCheckpointHints:
         # so drive two broadcasts through ONE vgroup to cross the interval.
         node = cluster.nodes["n0"]
         co_member = next(m for m in sorted(node.vgroup_view.members) if m != "n0")
-        cluster.broadcast("n0", "a")
-        cluster.broadcast(co_member, "b")
+        ids = {cluster.broadcast("n0", "a"), cluster.broadcast(co_member, "b")}
+        payloads = []
+        original = node.send_direct_many
+
+        def spy(peers, kind, payload, size_bytes=256):
+            if kind in ("ae.summary", "ae.reply"):
+                payloads.append(payload)
+            return original(peers, kind, payload, size_bytes=size_bytes)
+
+        node.send_direct_many = spy
         cluster.run(until=20.0)
-        assert node.smr_stable_checkpoint() == 2
-        for member in node.vgroup_view.members:
-            assert cluster.nodes[member].smr_stable_checkpoint() == 2
+        if pbft:
+            for member in node.vgroup_view.members:
+                assert cluster.nodes[member].replica.checkpoints.stable_seq == 2
+        assert payloads
+        for payload in payloads:
+            assert isinstance(payload, tuple)
+            assert all(isinstance(bcast_id, str) for bcast_id in payload)
+        assert set(payloads[-1]) == ids
 
-    def test_checkpoint_hint_from_non_co_member_is_ignored(self):
-        from repro.core.config import SmrKind
-
-        cluster = AtumCluster(
-            small_params().with_overrides(
-                smr_kind=SmrKind.ASYNC, checkpoint_interval=2
-            ),
-            seed=45,
-            antientropy=AntiEntropyConfig(),
-        )
-        cluster.build_static([f"n{i}" for i in range(12)])
-        cluster.run(until=1.0)
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("ae.summary", 5),
+            # An ``(ids, checkpoint seq)`` pair is not a tuple of ids.
+            ("ae.summary", (("bc-n1-1",), 3)),
+            ("ae.reply", None),
+            ("ae.hint", 7),
+            ("ae.hint", "xy"),
+        ],
+        ids=["summary-int", "summary-old-shape", "reply-none", "hint-int", "hint-str"],
+    )
+    def test_a_malformed_frame_is_dropped_and_counted(self, kind, payload):
+        cluster = build_cluster(seed=47, nodes=8)
+        cluster.broadcast("n0", "x")
+        cluster.run(until=6 * MAX_PERIODS * antientropy.PERIOD)
         node = cluster.nodes["n0"]
-        outsider = next(
-            address
-            for address in sorted(cluster.nodes)
-            if address not in node.vgroup_view.member_set
-        )
-        before = cluster.sim.metrics.counter("smr.checkpoint.gap_hints")
-        node.on_checkpoint_hint(outsider, 99)
-        assert cluster.sim.metrics.counter("smr.checkpoint.gap_hints") == before
+        trickle = node.antientropy._trickle
+        assert trickle.interval > antientropy.PERIOD  # a reset would show
+        metrics = cluster.sim.metrics
+        watched = ("ae.requests_sent", "ae.shares_resent", "ae.reproposals", "ae.summary_resets")
+        before = {name: metrics.counter(name) for name in watched}
+        interval = trickle.interval
+        sender = next(m for m in sorted(node.vgroup_view.members) if m != "n0")
+        node.on_message(DirectMessage(kind, payload), sender)
+        assert metrics.counter("ae.rejected_malformed") == 1
+        assert {name: metrics.counter(name) for name in watched} == before
+        assert trickle.interval == interval
+        assert node.antientropy._requests.pending_count() == 0
 
 
 class TestDeterminism:

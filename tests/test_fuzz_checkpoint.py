@@ -18,6 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.net.latency import LogNormalLatency
+from repro.net.requests import RequestEnvelope
 from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
 from transfer_utils import deliver_transfer_response
 
@@ -25,6 +26,7 @@ from repro.smr.checkpoint import (
     Checkpoint,
     CheckpointAnnounce,
     CheckpointCertificate,
+    StateTransferRequest,
     StateTransferResponse,
     checkpoint_statement,
 )
@@ -192,6 +194,7 @@ class TestForgedStateTransfers:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=tuple(tampered)
             ),
+            serving,
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -207,6 +210,7 @@ class TestForgedStateTransfers:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=tuple(reordered)
             ),
+            serving,
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -221,6 +225,7 @@ class TestForgedStateTransfers:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=1, operations=genuine
             ),
+            serving,
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -235,6 +240,7 @@ class TestForgedStateTransfers:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
+            serving,
         )
         assert rejected(harness) == before + 1
         assert len(lagging.decided_log) == 0
@@ -251,6 +257,7 @@ class TestForgedStateTransfers:
                 base_count=0,
                 operations=(replace(genuine[0], body="evil"),) + genuine[1:],
             ),
+            serving,
         )
         assert len(lagging.decided_log) == 0
         deliver_transfer_response(
@@ -258,11 +265,38 @@ class TestForgedStateTransfers:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
+            serving,
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
         ]
         assert lagging.checkpoints.stable is not None
+
+
+class TestHostileTransferRequests:
+    @pytest.mark.parametrize(
+        "epoch, have_count",
+        [(0, "x"), (0, None), (0, -5), (0, 1.5), (0, True), ("x", 0), (None, 0), (-1, 0)],
+    )
+    def test_malformed_request_fields_are_rejected_and_never_served(
+        self, epoch, have_count
+    ):
+        harness, lagging, serving = make_lagging_harness(seed=15)
+        metrics = harness.sim.metrics
+        before = metrics.counter("req.rejected_malformed")
+        served = metrics.counter("smr.checkpoint.state_responses")
+        sent = metrics.counter("net.messages_sent")
+        envelope = RequestEnvelope(
+            request_id="replica-3:req:99",
+            kind="ckpt.transfer",
+            payload=StateTransferRequest(epoch=epoch, have_count=have_count),
+            requester="replica-3",
+            deadline=harness.sim.now + 3.0,
+        )
+        serving.on_message(envelope, "replica-3")
+        assert metrics.counter("req.rejected_malformed") == before + 1
+        assert metrics.counter("smr.checkpoint.state_responses") == served
+        assert metrics.counter("net.messages_sent") == sent
 
 
 CASES = 120
@@ -335,7 +369,7 @@ class TestRandomizedFrameFuzz:
                     operations=genuine[:index] + (tampered,) + genuine[index + 1 :],
                 )
             before = rejected(harness)
-            deliver_transfer_response(lagging, frame)
+            deliver_transfer_response(lagging, frame, serving)
             assert len(lagging.decided_log) == 0, (case, frame)
             assert rejected(harness) == before + 1, (case, frame)
             mutations += 1
@@ -346,6 +380,7 @@ class TestRandomizedFrameFuzz:
             StateTransferResponse(
                 epoch=0, certificate=cert, base_count=0, operations=genuine
             ),
+            serving,
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
@@ -402,9 +437,11 @@ class TestForgedEpochTransitions:
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain[1:],  # the epoch-1 link is missing
             ),
+            serving,
         )
         assert reason(harness, "skipped_epoch") == before + 1
-        assert lagging.checkpoints.anchor is None
+        # Only the announced, verified chain anchors the laggard.
+        assert lagging.checkpoints.transitions == list(chain)
         assert len(lagging.decided_log) == 0
 
     def test_underquorum_transition_record_is_rejected(self):
@@ -487,26 +524,29 @@ class TestForgedEpochTransitions:
         )
         cert = serving.checkpoints.anchor
         genuine = tuple(serving.decided_log[: cert.seq])
+        adopted = harness.sim.metrics.counter("smr.checkpoint.anchors_adopted")
         deliver_transfer_response(
             lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain[:1],
             ),
+            serving,
         )
-        assert lagging.checkpoints.anchor is None
+        assert lagging.checkpoints.transitions == list(chain)
         assert len(lagging.decided_log) == 0
-        adopted = harness.sim.metrics.counter("smr.checkpoint.anchors_adopted")
         deliver_transfer_response(
             lagging,
             StateTransferResponse(
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain,
             ),
+            serving,
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine
         ]
+        # One adoption in all: the announce's verified chain.
         assert (
             harness.sim.metrics.counter("smr.checkpoint.anchors_adopted")
             == adopted + 1
@@ -561,9 +601,10 @@ class TestForgedEpochTransitions:
                     epoch=2, certificate=cert, base_count=0, operations=genuine,
                     transitions=tuple(records),
                 ),
+                serving,
             )
             assert len(lagging.decided_log) == 0, (case, kind)
-            assert lagging.checkpoints.anchor is None, (case, kind)
+            assert lagging.checkpoints.transitions == list(chain), (case, kind)
             assert rejected(harness) == before + 1, (case, kind)
         # After the whole barrage, the genuine chain still installs.
         deliver_transfer_response(
@@ -572,6 +613,7 @@ class TestForgedEpochTransitions:
                 epoch=2, certificate=cert, base_count=0, operations=genuine,
                 transitions=chain,
             ),
+            serving,
         )
         assert [op.op_id for op in lagging.decided_log] == [
             op.op_id for op in genuine

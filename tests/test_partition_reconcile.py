@@ -148,8 +148,8 @@ class TestCheckpointedReconcileGolden:
         # Every vgroup's members agree on a stable checkpoint seq too.
         checkpoints = {}
         for address, node in cluster.nodes.items():
-            seq = node.smr_stable_checkpoint()
-            if node.is_correct and node.is_member and seq is not None:
+            if node.is_correct and node.is_member:
+                seq = node.replica.checkpoints.stable_seq
                 checkpoints.setdefault(node.group_id(), {})[address] = seq
         assert checkpoints
         for group_id, per_member in checkpoints.items():

@@ -584,10 +584,11 @@ def test_a_replaced_body_is_a_digest_mismatch_even_when_the_original_is_memoised
             operations=genuine[:index] + (forged,) + genuine[index + 1 :],
         )
         before = mismatch()
-        deliver_transfer_response(lagging, response)
+        deliver_transfer_response(lagging, response, serving)
         assert mismatch() == before + 1 and not lagging.decided_log
     deliver_transfer_response(
         lagging,
         StateTransferResponse(epoch=0, certificate=certificate, base_count=0, operations=genuine),
+        serving,
     )
     assert lagging.decided_log == list(genuine)

@@ -39,14 +39,13 @@ class TestCheckpointFormation:
         decide(harness, 4)
         for actor in harness.actors.values():
             assert actor.replica.checkpoints is None
-            assert actor.replica.stable_checkpoint_seq() is None
         assert harness.sim.metrics.counter("smr.checkpoint.emitted") == 0
 
     def test_stable_checkpoint_forms_at_interval_boundaries(self):
         harness = make_harness(4, interval=2)
         decide(harness, 5)
         for actor in harness.actors.values():
-            assert actor.replica.stable_checkpoint_seq() == 4  # 5 ops, interval 2
+            assert actor.replica.checkpoints.stable_seq == 4  # 5 ops, interval 2
             stable = actor.replica.checkpoints.stable
             assert len(set(stable.signers)) >= 3  # 2f+1 of 4
             assert stable.state_digest == state_digest_of(
@@ -72,7 +71,7 @@ class TestCheckpointFormation:
     def test_single_replica_group_checkpoints_alone(self):
         harness = make_harness(1, interval=2)
         decide(harness, 4)
-        assert harness.actors["replica-0"].replica.stable_checkpoint_seq() == 4
+        assert harness.actors["replica-0"].replica.checkpoints.stable_seq == 4
 
     def test_certificates_survive_a_digest_memo_clear(self):
         # A stable certificate verifies against recomputed digests, exactly
@@ -91,14 +90,14 @@ class TestCheckpointFormation:
         harness = make_harness(4, interval=2)
         decide(harness, 4)
         replica = harness.actors["replica-0"].replica
-        assert replica.stable_checkpoint_seq() == 4
+        assert replica.checkpoints.stable_seq == 4
         replica.reconfigure(harness.addresses)
         # The epoch-scoped stable certificate resets, but it survives as
         # the cross-epoch anchor (re-anchored by a transition record), so
         # the group can still serve certified transfers while quiet.
         assert replica.checkpoints.stable is None
         assert replica.checkpoints.anchor is not None
-        assert replica.stable_checkpoint_seq() == 4
+        assert replica.checkpoints.stable_seq == 4
         assert len(replica.decided_log) == 4  # the decided log persists
 
 
@@ -210,25 +209,9 @@ class TestStateTransferLiveness:
         assert harness.sim.metrics.counter("smr.checkpoint.tail_view_changes") == 0
 
     @pytest.mark.usefixtures("quiet_announces")
-    def test_gap_hint_triggers_state_request(self):
-        harness = make_harness(4, interval=2, seed=9)
-        split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
-        decide(harness, 4, prefix="gap", start_until=10.0)
-        harness.network.merge(split)
-        lagging = harness.actors["replica-3"].replica
-        assert len(lagging.decided_log) == 0
-        # With announces effectively disabled, an anti-entropy-style hint is
-        # the only gap signal; the certificate arrives with the response.
-        lagging.checkpoints.on_gap_hint("replica-0", 4)
-        harness.run(until=harness.sim.now + 10.0)
-        assert len(lagging.decided_log) >= 4
-        assert harness.sim.metrics.counter("smr.checkpoint.gap_hints") == 1
-        assert harness.agreement_violations() == []
-
-    @pytest.mark.usefixtures("quiet_announces")
     def test_lower_seq_install_does_not_cancel_a_pending_higher_transfer(self):
-        # Regression: a hint-path response serving an OLD certificate used
-        # to clear the pending higher-seq transfer target, unblocking
+        # Regression: a response serving an OLD certificate used to clear
+        # the pending higher-seq transfer target, unblocking
         # execution with the higher checkpoint's gap still open (and never
         # re-requesting it, since the stable seq already matched).
         from repro.smr.checkpoint import (
@@ -270,6 +253,7 @@ class TestStateTransferLiveness:
                 base_count=0,
                 operations=tuple(serving.decided_log[:2]),
             ),
+            serving,
         )
         # The old prefix installed, but the higher gap stays open: still
         # blocked, and the remaining gap was re-requested immediately.
@@ -287,6 +271,7 @@ class TestStateTransferLiveness:
                 base_count=2,
                 operations=tuple(serving.decided_log[2:6]),
             ),
+            serving,
         )
         assert len(lagging.decided_log) == 6
         assert not lagging.checkpoints.transfer_blocking
@@ -318,7 +303,7 @@ class TestStateTransferLiveness:
         assert len(lagging.decided_log) == 0
         assert metrics.counter("smr.checkpoint.transfers_completed") == 0
         # The same response answering an outstanding ckpt.transfer installs.
-        deliver_transfer_response(lagging, response)
+        deliver_transfer_response(lagging, response, serving)
         assert len(lagging.decided_log) == 4
         assert metrics.counter("smr.checkpoint.transfers_completed") == 1
         assert metrics.counter("smr.pbft.unknown_frame") == 2
