@@ -457,9 +457,7 @@ class AtumCluster:
         """Crash a node: it stops responding (and heartbeating) but is not yet evicted."""
         node = self.nodes.get(address)
         if node is not None:
-            node.byzantine = "mute"
-            if node.heartbeats is not None:
-                node.heartbeats.stop()
+            node.set_behaviour("mute")
 
     def recover(self, address: str) -> None:
         """Recover a crashed node: it resumes correct behaviour.
@@ -470,18 +468,15 @@ class AtumCluster:
         invariants require.
         """
         node = self.nodes.get(address)
-        if node is None:
-            return
-        node.byzantine = None
-        if node.is_member and node.heartbeats is not None and not node.heartbeats.running:
-            node.heartbeats.start()
+        if node is not None:
+            node.set_behaviour(None)
 
     def make_byzantine(self, addresses: Iterable[str], mode: str = "silent") -> None:
         """Turn existing nodes into Byzantine nodes with the given behaviour."""
         for address in addresses:
             node = self.nodes.get(address)
             if node is not None:
-                node.byzantine = mode
+                node.set_behaviour(mode)
 
     # ---------------------------------------------------------------- broadcast
 

@@ -31,7 +31,7 @@ from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
-from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
+from repro.group.heartbeat import HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
@@ -193,11 +193,13 @@ class AtumNode(Actor):
                 address=address,
                 peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
                 send_fn=partial(network.send_many, address, size_bytes=64),
+                receive_fn=network.subscribe_heartbeats,
                 suspect_fn=self._on_peer_suspected,
                 period=params.heartbeat_period,
             )
         # The node's routing table: exact frame type -> handler (a share goes
-        # straight to the messenger).  Heartbeats are matched ahead of it.
+        # straight to the messenger).  Heartbeats never reach it: the network
+        # hands them to the monitor as arrival records.
         self._routes: Dict[type, Callable[[Any, str], None]] = {
             GroupMessageEnvelope: self.messenger.handle,
             SmrEnvelope: self._on_smr_envelope,
@@ -270,6 +272,33 @@ class AtumNode(Actor):
             # Safe for crashed nodes too: the tick itself is a no-op while
             # the node is not correct and resumes after recovery.
             self.antientropy.start()
+
+    def set_behaviour(self, behaviour: Optional[str]) -> None:
+        """Make the node behave as ``behaviour`` (``None``: correct; see the
+        class docstring) — the one writer of :attr:`byzantine`.
+
+        A mute node is completely unresponsive, heartbeats included: its
+        monitor stops, so its peers see a crash, and it stays stopped until
+        the node turns correct again (a member then resumes heartbeating).
+        """
+        self.byzantine = behaviour
+        monitor = self.heartbeats
+        if monitor is None:
+            return
+        if behaviour == "mute":
+            monitor.stop()
+        elif behaviour is None and self.is_member and not monitor.running:
+            monitor.start()
+
+    def shutdown(self) -> None:
+        """Stop the node for good: no heartbeats, no anti-entropy, no
+        timers, and nothing delivered to it from now on."""
+        self.network.apply_arrivals(self.address)
+        if self.heartbeats is not None:
+            self.heartbeats.stop()
+        if self.antientropy is not None:
+            self.antientropy.stop()
+        super().shutdown()
 
     def clear_membership(self) -> None:
         """Drop membership state after leaving the system."""
@@ -374,15 +403,6 @@ class AtumNode(Actor):
     def on_message(self, payload: Any, sender: str) -> None:
         if self.byzantine is not None and self._byzantine_consumes(payload, sender):
             return
-        if type(payload) is Heartbeat:
-            # Most of the traffic of a heartbeating deployment.  Matched ahead
-            # of the table so that its call site stays monomorphic: routed
-            # through the table's shared one, `churn_hb` ran 3 % slower.
-            if self.heartbeats is not None:
-                # Under the identity the transport authenticated: a forged
-                # ``Heartbeat(crashed_peer)`` must not keep that peer alive.
-                self.heartbeats.observe(sender)
-            return
         handler = self._routes.get(type(payload))
         if handler is not None:
             handler(payload, sender)
@@ -394,16 +414,16 @@ class AtumNode(Actor):
             return True
         kind = type(payload)
         if behaviour in ("silent", "evict_attack", "rejoin_attack"):
-            # A silent Byzantine node keeps sending heartbeats (handled by its
-            # monitor) but ignores every other protocol message.  The
-            # evict-attack and rejoin-attack adversaries behave the same on
-            # the receive path; their eviction proposals / strategic
+            # A silent Byzantine node keeps its heartbeat monitor (heartbeats
+            # never come through here) but ignores every protocol message.
+            # The evict-attack and rejoin-attack adversaries behave the same
+            # on the receive path; their eviction proposals / strategic
             # leave-and-re-join schedules are timer-driven by the fault
             # controller.  A corrupted frame other than a group-message share
             # still fails transport authentication (and is counted) first.
             if kind is CorruptedPayload:
                 return type(payload.inner) is GroupMessageEnvelope
-            return kind is not Heartbeat
+            return True
         if behaviour in RESPONDER_BEHAVIOURS and kind is SmrEnvelope:
             inner, view = payload.payload, self.vgroup_view
             if (

@@ -234,7 +234,7 @@ class FaultController:
             return
         node = cluster.nodes.get(node_fault.address)
         if node is not None:
-            node.byzantine = behaviour
+            node.set_behaviour(behaviour)
         if behaviour == "evict_attack" and node_fault not in self._attacks_started:
             self._attacks_started.add(node_fault)
             self._schedule_attack(node_fault)

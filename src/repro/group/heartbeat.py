@@ -6,24 +6,21 @@ node suspects a peer it proposes an eviction through the vgroup's SMR engine,
 and when the eviction is decided the group reconfigures exactly as it does for
 a voluntary leave.  Heartbeats are deliberately coarse-grained (a minute in
 the paper) so that slow-but-correct nodes are not evicted under asynchrony.
+
+The detector's output depends only on the latest arrival per peer, so a
+heartbeat is not a message event: the transport keeps each copy as an arrival
+record, and the monitor applies its pending records right before it reads
+``last_seen`` — at its tick, in :meth:`HeartbeatMonitor.start` and in
+:meth:`HeartbeatMonitor.forget`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, NamedTuple, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence
 
+from repro.net.message import Heartbeat
 from repro.sim.simulator import Simulator
-
-
-class Heartbeat(NamedTuple):
-    """Wire payload of a heartbeat message.
-
-    Only the sender matters to a failure detector, so a monitor builds its
-    heartbeat once and sends the same immutable object on every tick.
-    """
-
-    sender: str
 
 
 #: Consecutive missed heartbeats after which a peer is considered
@@ -37,9 +34,13 @@ class HeartbeatMonitor:
 
     The host wires the monitor with a ``send_fn(peers, heartbeat)`` that emits
     one heartbeat to every address in ``peers`` (one same-payload fan-out per
-    tick), a ``peers_fn()`` returning the current vgroup members (the host
-    included), a ``suspect_fn(peer)`` invoked when a peer should be evicted
-    and the heartbeat ``period`` (60 s in the paper).
+    tick), a ``receive_fn(address, hear)`` that subscribes ``hear`` to the
+    heartbeats arriving at ``address`` and returns the ``apply(address)``
+    that applies the pending ones (:meth:`Network.subscribe_heartbeats
+    <repro.net.network.Network.subscribe_heartbeats>`), a ``peers_fn()``
+    returning the current vgroup members (the host included), a
+    ``suspect_fn(peer)`` invoked when a peer should be evicted and the
+    heartbeat ``period`` (60 s in the paper).
     """
 
     def __init__(
@@ -48,6 +49,7 @@ class HeartbeatMonitor:
         address: str,
         peers_fn: Callable[[], Iterable[str]],
         send_fn: Callable[[Sequence[str], Heartbeat], object],
+        receive_fn: Callable[[str, Callable[[List[tuple]], None]], Callable[[str], object]],
         suspect_fn: Callable[[str], None],
         period: float,
     ) -> None:
@@ -76,6 +78,7 @@ class HeartbeatMonitor:
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
         self._others: tuple = ()
+        self._receive = receive_fn(address, self._hear)
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -93,11 +96,14 @@ class HeartbeatMonitor:
         self.running = True
         self._generation += 1
         self._tick_callback = partial(self._tick, self._generation)
+        self._receive(self.address)
         self.last_seen.clear()
         self.suspected.clear()
         self._tick_callback()
 
     def stop(self) -> None:
+        """Stop sending and checking.  What a stopped monitor hears is
+        unobservable: :meth:`start` clears it."""
         self.running = False
 
     # ----------------------------------------------------------------- protocol
@@ -125,6 +131,7 @@ class HeartbeatMonitor:
         # The ordered walk of ``last_seen`` (whose order the eviction vote can
         # observe through ``suspect_fn``) runs only when it has something to
         # do: a late peer, or an entry that is not a current peer.
+        self._receive(self.address)
         last_seen = self.last_seen
         deadline = self._period * MISSES_BEFORE_EVICTION
         late = False
@@ -138,15 +145,20 @@ class HeartbeatMonitor:
             self._check_peers(now, deadline)
         sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
-    def observe(self, sender: str) -> None:
-        """Record a heartbeat received from ``sender`` — the address the
-        transport delivered it from, not the one the frame names."""
-        self.last_seen[sender] = self.sim._now
+    def _hear(self, arrivals: List[tuple]) -> None:
+        """Record delivered heartbeat arrivals ``(time, 0, seq, sender,
+        sent_at)``, in arrival order, under the address the transport
+        authenticated: a forged ``Heartbeat(crashed_peer)`` must not keep
+        that peer alive."""
+        last_seen = self.last_seen
+        for time, _, _, sender, _ in arrivals:
+            last_seen[sender] = time
         if self.suspected:
-            self.suspected.discard(sender)
+            self.suspected.difference_update([arrival[3] for arrival in arrivals])
 
     def forget(self, peer: str) -> None:
         """Drop state about a peer that left or was evicted."""
+        self._receive(self.address)
         self.last_seen.pop(peer, None)
         self.suspected.discard(peer)
 

@@ -1,9 +1,25 @@
-"""The wrapper the network substrate delivers a garbled payload in."""
+"""The frames the network substrate itself tells apart.
+
+A :class:`Heartbeat` never becomes a message event: the network records its
+arrival for the receiver's failure detector to read (see
+:meth:`repro.net.network.Network.subscribe_heartbeats`).  A
+:class:`CorruptedPayload` wraps a payload garbled in transit.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
+
+
+class Heartbeat(NamedTuple):
+    """Wire payload of a heartbeat message.
+
+    Only the sender matters to a failure detector, so a monitor builds its
+    heartbeat once and sends the same immutable object on every tick.
+    """
+
+    sender: str
 
 
 @dataclass
@@ -22,4 +38,4 @@ class CorruptedPayload:
     inner: Any
 
 
-__all__ = ["CorruptedPayload"]
+__all__ = ["CorruptedPayload", "Heartbeat"]

@@ -11,17 +11,25 @@ protocol behaviour:
   delay faults are ``on_send`` middleware, :mod:`repro.faults.injector`);
 * delivery only to registered, alive actors (a crashed or departed node
   silently drops traffic, like a closed socket).
+
+A message in flight is a heap entry that fires into the receiver's
+``on_message``, except a :class:`~repro.net.message.Heartbeat`: a failure
+detector only needs the latest arrival per peer, so a heartbeat copy is an
+arrival record on its receiver's list, applied when the receiver's monitor
+reads it (:meth:`Network.subscribe_heartbeats`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from heapq import heappush
 from math import exp, inf, log
-from typing import Any, Dict, Iterable, Optional, Sequence, Set
+from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.middleware import MiddlewareContext, MiddlewareError
 from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
-from repro.net.message import CorruptedPayload
+from repro.net.message import CorruptedPayload, Heartbeat
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 
@@ -34,7 +42,8 @@ HEADERS_BYTES = 64
 
 
 class _Deliveries:
-    """The event of every message in flight on one :class:`Network`.
+    """The event of every message in flight on one :class:`Network` but a
+    heartbeat (an arrival record, see :meth:`Network.apply_arrivals`).
 
     A queued copy is ONE plain tuple, its heap entry ``(time, 0, seq,
     deliveries, sender, receiver, payload, sent_at)``: the entry carries the
@@ -116,11 +125,19 @@ class Network:
         self._counters = sim.metrics.counters
         self._latency_samples = sim.metrics.histogram("net.delivery_latency").samples
         self._deliveries = _Deliveries(self)
+        # Heartbeat copies in flight: receiver -> arrival records ``(time, 0,
+        # seq, sender, sent_at)``, the heap entry a copy would have been
+        # without its event, in send order; and receiver -> its monitor's
+        # ``hear`` (subscribe_heartbeats).
+        self._arrivals: DefaultDict[str, List[tuple]] = defaultdict(list)
+        self._hearers: Dict[str, Callable[[List[tuple]], None]] = {}
+        sim.add_lazy_source(self.apply_arrivals)
 
     # --------------------------------------------------------------- membership
 
     def register(self, actor: Actor) -> None:
         """Attach an actor to the network so it can receive messages."""
+        self.apply_arrivals(actor.address)
         self._actors[actor.address] = actor
 
     def actor(self, address: str) -> Optional[Actor]:
@@ -166,10 +183,12 @@ class Network:
 
     def partition(self, addresses: Iterable[str]) -> None:
         """Isolate the given addresses: they can neither send nor receive."""
+        self.apply_arrivals()
         self._partitioned.update(addresses)
 
     def heal(self, addresses: Optional[Iterable[str]] = None) -> None:
         """Heal a partition for the given addresses (or all, if omitted)."""
+        self.apply_arrivals()
         if addresses is None:
             self._partitioned.clear()
         else:
@@ -188,6 +207,7 @@ class Network:
         side are unaffected.  Multiple splits compose: a message is dropped
         if any active split separates its endpoints.
         """
+        self.apply_arrivals()
         mapping: Dict[str, int] = {}
         for index, side in enumerate(sides):
             for address in side:
@@ -198,6 +218,7 @@ class Network:
 
     def merge(self, split_id: Optional[int] = None) -> None:
         """Heal a side-preserving split by id (or all splits, if omitted)."""
+        self.apply_arrivals()
         if split_id is None:
             self._splits.clear()
         else:
@@ -213,6 +234,7 @@ class Network:
         """
         mapping = self._splits.get(split_id)
         if mapping is not None:
+            self.apply_arrivals()
             mapping[address] = side_index
 
     def crosses_split(self, sender: str, receiver: str) -> bool:
@@ -225,6 +247,78 @@ class Network:
             if other is not None and other != side:
                 return True
         return False
+
+    # --------------------------------------------------------------- heartbeats
+
+    def subscribe_heartbeats(
+        self, address: str, hear: Callable[[List[tuple]], None]
+    ) -> Callable[[str], float]:
+        """Hand the heartbeats that arrive at ``address`` to ``hear``.
+
+        Returns :meth:`apply_arrivals`, which a reader calls with ``address``
+        right before it reads what ``hear`` wrote: ``hear`` is then called
+        with the delivered arrival records ``(time, 0, seq, sender,
+        sent_at)`` ordered before the event now firing, in ``(time, seq)``
+        order — ``sender`` is the address the transport authenticated, not
+        the one the frame names.
+        """
+        self._hearers[address] = hear
+        return self.apply_arrivals
+
+    def apply_arrivals(self, receiver: Optional[str] = None) -> float:
+        """Apply the heartbeat arrivals at ``receiver`` (every receiver if
+        ``None``) that are ordered before :attr:`Simulator.firing
+        <repro.sim.simulator.Simulator.firing>`.
+
+        Each copy passes the delivery-time checks a message event runs —
+        registered and alive, not partitioned, no split between the endpoints
+        — with the same counters and latency sample.  Those conditions only
+        change in methods that apply every pending arrival first, so checking
+        them now is checking them at the arrival time.  Returns the latest
+        arrival time applied (``-inf`` if none).
+        """
+        if receiver is not None:
+            return self._apply(receiver)
+        latest = -inf
+        for address, pending in list(self._arrivals.items()):
+            if pending:
+                applied = self._apply(address)
+                if applied > latest:
+                    latest = applied
+        return latest
+
+    def _apply(self, receiver: str) -> float:
+        pending = self._arrivals.get(receiver)
+        if not pending:
+            return -inf
+        pending.sort()
+        due = bisect_left(pending, self.sim.firing)
+        if not due:
+            return -inf
+        if due == len(pending):
+            del self._arrivals[receiver]
+        else:
+            pending, self._arrivals[receiver] = pending[:due], pending[due:]
+        counters = self._counters
+        actor = self._actors.get(receiver)
+        if actor is None or not actor.alive:
+            counters["net.messages_undeliverable"] += due
+        elif receiver in self._partitioned:
+            counters["net.messages_partitioned"] += due
+        else:
+            if self._splits:
+                crosses_split = self.crosses_split
+                delivered = [r for r in pending if not crosses_split(r[3], receiver)]
+                counters["net.messages_partitioned"] += due - len(delivered)
+            else:
+                delivered = pending
+            if delivered:
+                counters["net.messages_delivered"] += len(delivered)
+                self._latency_samples.extend([r[0] - r[4] for r in delivered])
+                hear = self._hearers.get(receiver)
+                if hear is not None:
+                    hear(delivered)
+        return pending[-1][0]
 
     # ------------------------------------------------------------------ sending
 
@@ -244,7 +338,10 @@ class Network:
         update and one heap push.  The pushed entry *is* the delivery: one
         plain tuple ``(time, 0, seq, deliveries, sender, receiver, wire,
         now)`` around this network's shared :class:`_Deliveries` event — one
-        allocation and one GC-tracked object per copy in flight.  A batch is
+        allocation and one GC-tracked object per copy in flight.  A
+        :class:`~repro.net.message.Heartbeat` copy is instead the arrival
+        record ``(time, 0, seq, sender, now)`` appended to its receiver's list
+        (:meth:`apply_arrivals`), with the same ``seq``.  A batch is
         exactly the sequence of its single sends — same RNG draws, same float
         arithmetic, same event order.
 
@@ -306,8 +403,11 @@ class Network:
         heap = queue._heap
         seq = queue._seq
         deliveries = self._deliveries
+        arrivals = self._arrivals
+        recorded = 0
         ctx = None
         wire = payload
+        beat = type(wire) is Heartbeat
         extra_delay = 0.0
         copies = 1
         dispatched = 0
@@ -334,8 +434,9 @@ class Network:
                 ctx.copies = 1
                 # A hook may itself send: hand the queue its counters back
                 # for the duration of the call.
-                queue._live += seq - queue._seq
+                queue._live += seq - queue._seq - recorded
                 queue._seq = seq
+                recorded = 0
                 for hook in hooks:
                     hook(ctx)
                     if ctx.stop:
@@ -356,6 +457,7 @@ class Network:
                     counters["net.messages_lost"] += 1.0
                     continue
                 wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
+                beat = type(wire) is Heartbeat
             if lognormal is None:
                 propagation = sample(rng, sender, receiver)
                 if not propagation >= 0.0:
@@ -389,16 +491,20 @@ class Network:
                     arrival_start = free_at
                 delivery_time = arrival_start + transfer
                 downlink[receiver] = delivery_time
-                heappush(
-                    heap,
-                    (now + (delivery_time - now), 0, seq, deliveries, sender, receiver, wire, now),
-                )
+                if beat:
+                    arrivals[receiver].append((now + (delivery_time - now), 0, seq, sender, now))
+                    recorded += 1
+                else:
+                    heappush(
+                        heap,
+                        (now + (delivery_time - now), 0, seq, deliveries, sender, receiver, wire, now),
+                    )
                 seq += 1
                 if copies == 1:
                     break
                 copies -= 1
             dispatched += 1
-        queue._live += seq - queue._seq
+        queue._live += seq - queue._seq - recorded
         queue._seq = seq
         return dispatched
 

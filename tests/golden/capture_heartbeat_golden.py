@@ -1,22 +1,32 @@
-"""Capture the heartbeats-on golden run.
+"""Capture the heartbeats-on golden runs.
 
-Writes ``golden_heartbeat_churn60.json`` next to this script: a 60-node SYNC
-cluster with ``heartbeat_period=5`` under 20 s of 60/min churn, one member
-crashed at t=8 and evicted by its vgroup's heartbeat majority.  Recorded: the
-sha256 of the ``(time, tag)`` event trace, the counters the failure detector
-drives and the ordered ``(time, reporter, suspect)`` suspicion reports the
-cluster received (the order the eviction vote observes).
+Writes two files next to this script:
 
-The committed file was captured at commit ebc140e — the parent of the PR that
-moved the latency draw into ``send_many``, made a delivery a tuple and gave
-the heartbeat monitor its one-scan tick — so it pins that rewrite to the
-behaviour before it.  No monitor restarts inside a period in this run, so the
-double-tick-chain fix of the same PR does not move it.  Shuffling is off:
-with heartbeats on, the shuffle path's event order depends on Python's hash
-randomisation (the pre-existing dependence the fault matrix works around with
-``PYTHONHASHSEED=0``); without it the run replays identically under any hash
-seed, so the test needs no subprocess.  Joins, leaves, splits and merges still
-change views under the running monitors.
+* ``golden_heartbeat_churn60.json``: a 60-node SYNC cluster with
+  ``heartbeat_period=5`` under 20 s of 60/min churn, one member crashed at
+  t=8 and evicted by its vgroup's heartbeat majority;
+* ``golden_heartbeat_faults40.json``: a 40-node cluster with
+  ``heartbeat_period=2`` taken through every change to a delivery-time
+  condition while a tick's heartbeats are in flight — a partition and its
+  heal, a crash and a recovery beside a crash for good, a split with a join
+  during it (which binds the joiner to a side) and its merge, and a partition
+  and a split that each heal within a millisecond.
+
+Recorded for each: the sha256 of the ``(time, tag)`` event trace without
+heartbeat deliveries (filtered by payload type, so the trace reads the same
+whether a heartbeat copy is a message event or an arrival record), the
+network's sent / delivered / partitioned / undeliverable counters, the sha256
+of the sorted ``net.delivery_latency`` sample (its multiset: the order a run
+appends samples in is not pinned), the failure detector's counters and the
+ordered ``(time, reporter, suspect)`` suspicion reports the cluster received
+(the order the eviction vote observes).
+
+Both files were captured at the parent of the change that made a heartbeat
+copy an arrival record, so they pin that change to the event path before it.
+Shuffling is off, as when the first file was captured; nothing here depends on
+hash randomisation (a heartbeats-on ``churn_hb`` run with shuffling replays
+identically under ``PYTHONHASHSEED`` 0, 1 and 777), so the test needs no
+subprocess.
 
 Regenerate deliberately (and say why in CHANGES.md) with::
 
@@ -26,12 +36,15 @@ Regenerate deliberately (and say why in CHANGES.md) with::
 import hashlib
 import json
 import os
+import struct
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
+from repro.group.heartbeat import Heartbeat
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_heartbeat_churn60.json")
+FAULTS_GOLDEN_PATH = os.path.join(HERE, "golden_heartbeat_faults40.json")
 
 SEED = 4321
 NODES = 60
@@ -44,11 +57,47 @@ CRASHED = "n7"
 HORIZON = 60.0
 
 
+class _WithoutHeartbeats:
+    """The network's delivery event, minus the trace line of each heartbeat.
+
+    Heartbeat copies are not message events wherever the network keeps them
+    as arrival records; where they are, this wrapper removes the line the
+    traced loop appended for one just before it fires, so the trace reads the
+    same either way.
+    """
+
+    cancelled = False
+    priority = 0
+
+    def __init__(self, deliveries, trace):
+        self.tag = deliveries.tag
+        self._fire = deliveries.fire
+        self._trace = trace
+
+    def fire(self, entry):
+        if type(entry[6]) is Heartbeat:
+            self._trace.pop()
+        self._fire(entry)
+
+
+def _drop_heartbeat_deliveries(network, trace):
+    network._deliveries = _WithoutHeartbeats(network._deliveries, trace)
+
+
+def sorted_sample_sha256(sim, name: str) -> str:
+    """SHA-256 of a histogram's samples in sorted order: the multiset, not
+    the order the run appended them in."""
+    samples = sorted(sim.metrics.histogram(name).samples)
+    return hashlib.sha256(struct.pack(f"<{len(samples)}d", *samples)).hexdigest()
+
+
 def run_scenario() -> dict:
     params = AtumParameters(
         hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=HEARTBEAT_PERIOD
     )
     cluster = AtumCluster(params, seed=SEED, enable_heartbeats=True, shuffle_enabled=False)
+    trace = []
+    _drop_heartbeat_deliveries(cluster.network, trace)
     cluster.build_static([f"n{i}" for i in range(NODES)])
     sim = cluster.sim
     rng = sim.rng.stream("golden-churn")
@@ -76,7 +125,6 @@ def run_scenario() -> dict:
 
     sim.schedule(CHURN_START, churn_tick, tag="golden.churn")
     sim.schedule(CRASH_AT, lambda: cluster.crash(CRASHED), tag="golden.crash")
-    trace = []
     sim.run(until=HORIZON, trace=trace)
 
     counter = sim.metrics.counter
@@ -85,6 +133,10 @@ def run_scenario() -> dict:
         "trace_length": len(trace),
         "trace_sha256": hashlib.sha256(encoded).hexdigest(),
         "messages_sent": counter("net.messages_sent"),
+        "messages_delivered": counter("net.messages_delivered"),
+        "messages_partitioned": counter("net.messages_partitioned"),
+        "messages_undeliverable": counter("net.messages_undeliverable"),
+        "delivery_latency_sorted_sha256": sorted_sample_sha256(sim, "net.delivery_latency"),
         "evictions_proposed": counter("group.evictions_proposed"),
         "evictions_started": counter("membership.evictions_started"),
         "churn_rejoins": rejoins[0],
@@ -93,15 +145,105 @@ def run_scenario() -> dict:
     }
 
 
-def main() -> None:
-    golden = run_scenario()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(golden, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(
-        f"wrote {GOLDEN_PATH} (events={golden['trace_length']}, "
-        f"reports={len(golden['suspicion_reports'])})"
+#: The second run: every change to a delivery-time condition, each half a
+#: millisecond after a tick boundary, while that tick's heartbeats are in
+#: flight (LAN latency has a 0.5 ms median).
+FAULTS_SEED = 2468
+FAULTS_NODES = 40
+FAULTS_PERIOD = 2.0
+FAULTS_HORIZON = 50.0
+FAULTS_PARTITIONED = ("n5", "n6")
+FAULTS_PARTITION_AT, FAULTS_HEAL_AT = 4.0006, 8.0005
+FAULTS_CRASH_AT, FAULTS_RECOVER_AT = 12.0005, 16.0005
+FAULTS_DOWN_FOR_GOOD = "n8"
+FAULTS_SPLIT_AT, FAULTS_JOIN_AT, FAULTS_MERGE_AT = 20.0005, 21.0, 32.0005
+#: A partition and a split that heal before the tick's heartbeats have all
+#: arrived: the copies that land in between are cut, the later ones are not.
+FAULTS_FLAPPING = ("n11", "n12")
+FAULTS_FLAP_AT, FAULTS_FLAP_HEAL_AT = 10.0006, 10.0009
+FAULTS_SPLIT_FLAP_AT, FAULTS_SPLIT_FLAP_MERGE_AT = 40.0003, 40.0009
+
+
+def run_fault_scenario() -> dict:
+    params = AtumParameters(
+        hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=FAULTS_PERIOD
     )
+    cluster = AtumCluster(params, seed=FAULTS_SEED, enable_heartbeats=True, shuffle_enabled=False)
+    trace = []
+    _drop_heartbeat_deliveries(cluster.network, trace)
+    addresses = [f"n{i}" for i in range(FAULTS_NODES)]
+    cluster.build_static(addresses)
+    sim = cluster.sim
+    network = cluster.network
+    reports = []
+    request_eviction = cluster.request_eviction
+
+    def recording_request_eviction(peer, suspected_by):
+        reports.append([sim.now, suspected_by, peer])
+        request_eviction(peer, suspected_by=suspected_by)
+
+    cluster.request_eviction = recording_request_eviction
+    binds = []
+    bind_to_split = network.bind_to_split
+
+    def recording_bind(split_id, address, side_index):
+        binds.append([sim.now, address, side_index])
+        bind_to_split(split_id, address, side_index)
+
+    network.bind_to_split = recording_bind
+    at = sim.schedule_at
+    at(FAULTS_PARTITION_AT, lambda: network.partition(FAULTS_PARTITIONED), tag="golden.partition")
+    at(FAULTS_HEAL_AT, lambda: network.heal(FAULTS_PARTITIONED), tag="golden.heal")
+    at(FAULTS_CRASH_AT, lambda: cluster.crash("n7"), tag="golden.crash")
+    at(FAULTS_CRASH_AT, lambda: cluster.crash(FAULTS_DOWN_FOR_GOOD), tag="golden.crash")
+    at(FAULTS_RECOVER_AT, lambda: cluster.recover("n7"), tag="golden.recover")
+    at(FAULTS_SPLIT_AT, lambda: cluster.split([addresses[::2], addresses[1::2]]), tag="golden.split")
+    at(FAULTS_JOIN_AT, lambda: cluster.join("joiner", contact="n0"), tag="golden.join")
+    at(FAULTS_MERGE_AT, lambda: cluster.merge(), tag="golden.merge")
+    at(FAULTS_FLAP_AT, lambda: network.partition(FAULTS_FLAPPING), tag="golden.flap")
+    at(FAULTS_FLAP_HEAL_AT, lambda: network.heal(FAULTS_FLAPPING), tag="golden.flap")
+    at(
+        FAULTS_SPLIT_FLAP_AT,
+        lambda: cluster.split([addresses[::3], addresses[1::3] + addresses[2::3]]),
+        tag="golden.flap",
+    )
+    at(FAULTS_SPLIT_FLAP_MERGE_AT, lambda: cluster.merge(), tag="golden.flap")
+    sim.run(until=FAULTS_HORIZON, trace=trace)
+
+    counter = sim.metrics.counter
+    encoded = json.dumps([[time, tag] for time, tag in trace]).encode()
+    return {
+        "trace_length": len(trace),
+        "trace_sha256": hashlib.sha256(encoded).hexdigest(),
+        "messages_sent": counter("net.messages_sent"),
+        "messages_delivered": counter("net.messages_delivered"),
+        "messages_partitioned": counter("net.messages_partitioned"),
+        "messages_undeliverable": counter("net.messages_undeliverable"),
+        "delivery_latency_sorted_sha256": sorted_sample_sha256(sim, "net.delivery_latency"),
+        "evictions_proposed": counter("group.evictions_proposed"),
+        "evictions_started": counter("membership.evictions_started"),
+        "members": sorted(cluster.engine.node_group),
+        "split_binds": binds,
+        "suspicion_reports": reports,
+    }
+
+
+GOLDENS = {
+    GOLDEN_PATH: run_scenario,
+    FAULTS_GOLDEN_PATH: run_fault_scenario,
+}
+
+
+def main() -> None:
+    for path, scenario in GOLDENS.items():
+        golden = scenario()
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(golden, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(
+            f"wrote {path} (events={golden['trace_length']}, "
+            f"reports={len(golden['suspicion_reports'])})"
+        )
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from repro.group import (
     majority_threshold,
 )
 from repro.group import heartbeat
-from repro.group.heartbeat import MISSES_BEFORE_EVICTION, Heartbeat
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION
 from repro.group.messages import GroupMessageEnvelope
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
@@ -177,6 +177,7 @@ class _HeartbeatHost(Actor):
             address=address,
             peers_fn=lambda: peers,
             send_fn=self._send,
+            receive_fn=network.subscribe_heartbeats,
             suspect_fn=self.suspected.append,
             period=period,
         )
@@ -186,8 +187,7 @@ class _HeartbeatHost(Actor):
         self.network.send_many(self.address, peers, heartbeat, 64)
 
     def on_message(self, payload, sender):
-        if isinstance(payload, Heartbeat):
-            self.monitor.observe(sender)
+        raise AssertionError(f"a heartbeat host got a message event: {payload!r}")
 
 
 class TestHeartbeats:
@@ -344,14 +344,24 @@ class TestOneScanTickDifferential:
         state = {"peers": ("me", "p0", "p1", "p2")}
         calls = []
         sends = []
+        hearers = []
+
+        def receive(address, hear):
+            # The transport hands over delivered arrival records itself, so
+            # there is nothing pending for the monitor to apply.
+            hearers.append(hear)
+            return lambda address: None
+
         monitor = monitor_class(
             sim=sim,
             address="me",
             peers_fn=lambda: state["peers"],
             send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
+            receive_fn=receive,
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
             period=1.0,
         )
+        (hear,) = hearers
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))
         snapshots = []
@@ -363,7 +373,7 @@ class TestOneScanTickDifferential:
                 current = [peer for peer in state["peers"] if peer != "me"]
                 sender = rng.choice(current if current and rng.random() < 0.85 else self.POOL)
                 if sender not in silent:
-                    monitor.observe(sender)
+                    hear([(sim.now, 0, 0, sender, sim.now)])
             elif roll < 0.65:
                 members = rng.sample(self.POOL, rng.randrange(0, 6))
                 if rng.random() < 0.8:

@@ -8,7 +8,8 @@ costs, counted by ``cProfile`` on four tiny runs of the real ``AtumCluster``
 and under any ``PYTHONHASHSEED``).
 
 * ``heartbeats``: a static 24-node cluster that does nothing but heartbeat
-  (the traffic that is 81 % of the ``churn_hb`` benchmark workload);
+  (the traffic that is 86 % of the ``churn_hb`` benchmark workload's
+  messages);
 * ``flood``: four broadcasts flooded through a static 40-node cluster;
 * ``pbft``: 64 broadcasts, 3 s apart, through one 10-member Async vgroup on
   the default WAN profile with a checkpoint every 8 decisions (the
@@ -41,6 +42,10 @@ figure repeats to the tenth under any ``PYTHONHASHSEED`` and moves by under
 3 % between CPython 3.10 and 3.13.  Beside it, ungated, the per-node ``len()``
 of the structures nothing trims yet (ROADMAP item 7).
 
+Calls are counted per code object (``cProfile.Profile.getstats()``), never
+through ``pstats``, whose ``(filename, line, name)`` keys collide for every
+dataclass-generated ``__init__``.
+
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
 it prints the measured calls per message, the tracked objects per message and
 the retained bytes per message or delivery.  A call ceiling is the measured value plus
@@ -51,7 +56,6 @@ CHANGES.md saying what the extra calls or bytes buy.
 
 import cProfile
 import gc
-import pstats
 import tracemalloc
 
 from repro.core.cluster import AtumCluster
@@ -90,14 +94,21 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: re-proposals).  Per delivered broadcast both fell (below).  ``ae_faults``
 #: rose to 18.84 when anti-entropy summaries moved onto a Trickle timer: 35 %
 #: fewer messages -- 2,580 summaries became 584 plus 12 replies, again the
-#: cheapest frames -- for 26 % fewer calls.
-CEILINGS = {"heartbeats": 5.1, "flood": 18.5, "pbft": 12.0, "ae_faults": 19.5}
+#: cheapest frames -- for 26 % fewer calls.  Every figure above was read
+#: through ``pstats``, which drops all but one dataclass ``__init__``; summed
+#: per code object the same tree reads 4.80, 16.72, 11.20 and 19.08 (pstats:
+#: 4.80, 16.51, 10.96 and 18.83), and the ceilings are those plus ~10 %.
+#: ``heartbeats`` then fell to 2.61 when a heartbeat copy stopped being a
+#: kernel event: no heap entry, ``fire``, ``on_message`` or ``observe`` per
+#: copy, one batch read per tick.
+CEILINGS = {"heartbeats": 2.9, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
 #: messages: measured 241.8 (340.5 while every replica announced its stable
-#: checkpoint every 2 s whether or not anything had changed).
-PBFT_DECIDED_CEILING = 266.0
+#: checkpoint every 2 s whether or not anything had changed); 249.0 counted
+#: per code object.
+PBFT_DECIDED_CEILING = 274.0
 
 #: Python-level calls per delivered broadcast (``atum.deliveries``: one per
 #: node per broadcast), the gossip scenarios' ceiling that must fall when
@@ -107,8 +118,8 @@ PBFT_DECIDED_CEILING = 266.0
 #: broadcast from; ``ae_faults`` moves with how many SMR re-proposals its loss
 #: pattern happens to need -- 0, 4 and 0 of them in those three runs).
 #: ``ae_faults`` fell from 594.2 to 440.7 when its summaries moved onto a
-#: Trickle timer.
-DELIVERY_CEILINGS = {"flood": 221.0, "ae_faults": 485.0}
+#: Trickle timer.  Counted per code object: 203.1 and 446.4.
+DELIVERY_CEILINGS = {"flood": 223.5, "ae_faults": 491.0}
 
 #: Bytes a run still holds per *additional* sent message, between a scenario
 #: and the same scenario at ``RETAINED_SCALE`` times the broadcasts (heartbeats:
@@ -190,7 +201,13 @@ SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft, "ae_faul
 
 
 def measure(name):
-    """Profile one scenario: ``(stats, messages sent, messages delivered, cluster)``."""
+    """Profile one scenario: ``(stats, messages sent, messages delivered, cluster)``.
+
+    ``stats`` is ``cProfile.Profile.getstats()``: one entry per code object.
+    ``pstats`` would key them by ``(filename, line, name)``, under which every
+    dataclass-generated ``__init__`` is ``("<string>", 2, "__init__")`` and
+    one class's count overwrites the others'.
+    """
     cluster, timed = SCENARIOS[name]()
     counter = cluster.sim.metrics.counter
     sent, delivered = counter("net.messages_sent"), counter("net.messages_delivered")
@@ -200,36 +217,43 @@ def measure(name):
         timed()
     finally:
         profile.disable()
-    stats = pstats.Stats(profile).stats
     return (
-        stats,
+        profile.getstats(),
         counter("net.messages_sent") - sent,
         counter("net.messages_delivered") - delivered,
         cluster,
     )
 
 
+def _where(code):
+    """``(filename, name)`` of a profiled function; builtins are filed under ``~``."""
+    if isinstance(code, str):
+        return "~", code
+    return code.co_filename, code.co_name
+
+
+def _is(code, file_suffix, function):
+    filename, name = _where(code)
+    return name == function and filename.endswith(file_suffix)
+
+
 def python_calls(stats):
-    """Calls of functions written in Python (builtins are filed under ``~``)."""
-    return sum(entry[1] for (filename, _, _), entry in stats.items() if filename != "~")
+    """Calls of functions written in Python, summed over their code objects."""
+    return sum(entry.callcount for entry in stats if not isinstance(entry.code, str))
 
 
 def calls_of(stats, file_suffix, function):
-    return sum(
-        entry[1]
-        for (filename, _, name), entry in stats.items()
-        if name == function and filename.endswith(file_suffix)
-    )
+    return sum(entry.callcount for entry in stats if _is(entry.code, file_suffix, function))
 
 
 def calls_from(stats, file_suffix, function, caller):
-    """Calls of ``function`` made directly by a function named ``caller``."""
+    """Non-recursive calls of ``function`` made directly by a function named ``caller``."""
     return sum(
-        counts[1]
-        for (filename, _, name), entry in stats.items()
-        if name == function and filename.endswith(file_suffix)
-        for (_, _, caller_name), counts in entry[4].items()
-        if caller_name == caller
+        sub.callcount - sub.reccallcount
+        for entry in stats
+        if _where(entry.code)[1] == caller
+        for sub in entry.calls or ()
+        if _is(sub.code, file_suffix, function)
     )
 
 
@@ -352,8 +376,12 @@ def test_retained_bytes_per_additional_delivered_broadcast_stay_under_the_ceilin
 def test_a_delivered_heartbeat_draws_records_and_reads_the_clock_inline():
     stats, sent, delivered, _ = measure("heartbeats")
     assert delivered == sent == 3600
-    assert calls_of(stats, "net/network.py", "fire") == delivered
-    assert calls_of(stats, "group/heartbeat.py", "observe") == delivered
+    # 0 kernel events and 0 ``fire`` calls per heartbeat: every event the
+    # run fires is a monitor's tick, which reads its arrivals in one batch.
+    assert calls_of(stats, "net/network.py", "fire") == 0
+    ticks = calls_of(stats, "group/heartbeat.py", "_tick")
+    assert calls_of(stats, "sim/events.py", "fire") == ticks
+    assert calls_of(stats, "group/heartbeat.py", "_hear") <= ticks
     assert calls_of(stats, "net/latency.py", "sample") == 0
     assert calls_of(stats, "sim/metrics.py", "record") == 0
     # The one read is ``run_for`` computing its horizon.

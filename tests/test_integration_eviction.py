@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
+from repro.core.middleware import Middleware
 from repro.group.heartbeat import Heartbeat
 from repro.overlay.random_walk import WalkMode
 
@@ -75,17 +76,25 @@ class TestHeartbeatDrivenEviction:
         assert cluster.system_size == 12
 
     def test_byzantine_node_cannot_evict_correct_peers(self):
-        # A crashed/Byzantine node that pretends not to receive heartbeats
-        # (section 6.1.3) cannot push correct nodes out on its own.
-        cluster = AtumCluster(params_with_heartbeats(), seed=7, enable_heartbeats=True)
+        # A Byzantine node that pretends not to receive heartbeats (section
+        # 6.1.3) and reports every peer, every period, cannot push correct
+        # nodes out on its own.
+        period = 20.0
+        cluster = AtumCluster(params_with_heartbeats(period), seed=7, enable_heartbeats=True)
         cluster.build_static([f"n{i}" for i in range(18)])
         victim_group = cluster.engine.group_of("n2")
-        cluster.node("n2").byzantine = "mute"  # pretends not to receive any heartbeat
-        cluster.run(until=400.0)
-        # n2 suspects (and reports) every peer, but a single accuser is not a
-        # majority, so no correct node is evicted.
         correct = [m for m in victim_group.members if m != "n2"]
+
+        def accuse():
+            for member in correct:
+                cluster.request_eviction(member, suspected_by="n2")
+            cluster.sim.schedule(period, accuse)
+
+        cluster.sim.schedule(period, accuse)
+        cluster.run(until=400.0)
+        # A single accuser is not a majority, so no correct node is evicted.
         assert all(member in cluster.engine.node_group for member in correct)
+        assert cluster.sim.metrics.counter("membership.evictions_started") == 0
 
 
     def test_forged_heartbeats_cannot_keep_a_crashed_peer_alive(self):
@@ -114,6 +123,68 @@ class TestHeartbeatDrivenEviction:
         assert cluster.system_size == 5
         # The forger's frames counted as its own heartbeats: nobody else left.
         assert cluster.sim.metrics.counter("membership.evictions_started") == 1
+
+
+def recorded_reports(cluster):
+    """``(time, reporter, suspect)`` per suspicion report, in call order."""
+    reports = []
+    request_eviction = cluster.request_eviction
+
+    def recording(peer, suspected_by):
+        reports.append((cluster.sim.now, suspected_by, peer))
+        request_eviction(peer, suspected_by=suspected_by)
+
+    # Nodes look ``request_eviction`` up on the cluster at call time.
+    cluster.request_eviction = recording
+    return reports
+
+
+class _SendLog(Middleware):
+    """Every ``(time, sender, payload)`` that enters the routing loop."""
+
+    def __init__(self):
+        self.sends = []
+
+    def on_send(self, ctx):
+        self.sends.append((ctx.now, ctx.sender, ctx.payload))
+
+
+class TestMuteMeansStopped:
+    """A node that cannot hear must not heartbeat: its peers see a crash."""
+
+    MUTED_AT, HORIZON = 2.0, 20.0
+
+    def _run(self, fault):
+        cluster = AtumCluster(params_with_heartbeats(1.0), seed=3, enable_heartbeats=True)
+        cluster.build_static([f"n{i}" for i in range(24)])
+        reports = recorded_reports(cluster)
+        cluster.sim.schedule_at(self.MUTED_AT, lambda: fault(cluster))
+        cluster.run(until=self.HORIZON)
+        return cluster, reports
+
+    def test_make_byzantine_mute_reports_exactly_what_a_crash_reports(self):
+        muted, muted_reports = self._run(lambda c: c.make_byzantine(["n3"], mode="mute"))
+        crashed, crash_reports = self._run(lambda c: c.crash("n3"))
+        assert muted_reports == crash_reports
+        # Not vacuous: n3's co-members reported it, and only it, and it left.
+        assert {suspect for _, _, suspect in crash_reports} == {"n3"}
+        assert "n3" not in muted.engine.node_group
+        assert "n3" not in crashed.engine.node_group
+        assert not muted.node("n3").heartbeats.running
+
+    def test_a_shut_down_node_sends_nothing(self):
+        log = _SendLog()
+        cluster = AtumCluster(params_with_heartbeats(1.0), seed=3, enable_heartbeats=True)
+        cluster.middleware_chain().add(log)
+        cluster.build_static([f"n{i}" for i in range(24)])
+        reports = recorded_reports(cluster)
+        cluster.sim.schedule_at(self.MUTED_AT, cluster.node("n3").shutdown)
+        cluster.run(until=self.HORIZON)
+        assert any(sender == "n3" for _, sender, _ in log.sends)
+        assert [send for send in log.sends if send[1] == "n3" and send[0] >= self.MUTED_AT] == []
+        assert [report for report in reports if report[1] == "n3"] == []
+        # Its co-members see the silence of a crash.
+        assert {suspect for _, _, suspect in reports} == {"n3"}
 
 
 class TestWalkModeSelection:

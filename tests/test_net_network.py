@@ -8,6 +8,7 @@ import pytest
 from repro.core.middleware import Middleware, MiddlewareChain
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.plan import LinkFault
+from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
 from repro.net import (
     FixedLatency,
     LanProfile,
@@ -697,3 +698,100 @@ class TestFourWaysToDrainAgree:
         sim.run()
         assert (sim.now, sim.processed_events) == (rows[-1][0], len(rows))
         assert observe() == reference
+
+
+class TestHeartbeatArrivalOrder:
+    """A heartbeat arrival record is ordered against the event heap exactly as
+    the event it replaces: by ``(time, 0, seq)``, ties at one time in ``seq``
+    (send) order.  Each case lands an arrival at exactly the time of a
+    monitor tick or a partition, once sent before that event was scheduled
+    and once after."""
+
+    TRANSFER = (64 + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
+
+    def _arrival(self, sent_at, latency):
+        # send_many's float arithmetic for one copy on an idle downlink.
+        return sent_at + ((sent_at + latency) + self.TRANSFER - sent_at)
+
+    def _send_heartbeat(self, network):
+        network.send_many("a", ("b",), Heartbeat("a"), 64)
+
+    @pytest.mark.parametrize("latency, suspected", [(1.0, False), (0.5, True)])
+    def test_an_arrival_at_a_tick_counts_iff_it_was_sent_first(self, latency, suspected):
+        sim, network = make_net(latency=FixedLatency(latency))
+        receiver = Recorder(sim, "b")
+        network.register(receiver)
+        sent_at = 10.0 + (latency - 1.0)
+        arrival = self._arrival(sent_at, latency)
+        reports = []
+        monitor = HeartbeatMonitor(
+            sim=sim,
+            address="b",
+            peers_fn=lambda: ("a", "b"),
+            send_fn=lambda peers, heartbeat: None,
+            receive_fn=network.subscribe_heartbeats,
+            suspect_fn=lambda peer: reports.append((sim.now, peer)),
+            period=1.0,
+        )
+        # Ticks at start + 0..4 periods: "a" is first seen at the first one
+        # and late (4 periods > the 3-period deadline) at the fifth, at
+        # exactly the arrival time.  The fifth tick is scheduled one period
+        # before it: after the 1.0 s heartbeat was sent, before the 0.5 s one.
+        start = arrival - 4.0
+        assert start + 1.0 + 1.0 + 1.0 + 1.0 == arrival
+        assert (sent_at < start + 3.0) is not suspected
+        sim.schedule_at(start, monitor.start)
+        sim.schedule_at(sent_at, lambda: self._send_heartbeat(network))
+        sim.run(until=arrival)
+        assert reports == ([(arrival, "a")] if suspected else [])
+        assert monitor.last_seen["a"] == arrival
+        assert sim.metrics.counter("net.messages_delivered") == 1
+
+    @pytest.mark.parametrize("partition_first", [False, True])
+    def test_an_arrival_at_a_partition_is_cut_iff_the_partition_came_first(
+        self, partition_first
+    ):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        network.register(Recorder(sim, "b"))
+        arrival = self._arrival(10.0, 1.0)
+        isolate = lambda: network.partition(["b"])
+        if partition_first:
+            sim.schedule_at(arrival, isolate)
+
+        def send():
+            self._send_heartbeat(network)
+            if not partition_first:
+                sim.schedule_at(arrival, isolate)
+
+        sim.schedule_at(10.0, send)
+        sim.run(until=arrival + 5.0)
+        counter = sim.metrics.counter
+        assert counter("net.messages_partitioned") == (1 if partition_first else 0)
+        assert counter("net.messages_delivered") == (0 if partition_first else 1)
+
+    @pytest.mark.parametrize("register_at, delivered", [(0.5, True), (1.5, False)])
+    def test_an_arrival_counts_for_the_receiver_registered_when_it_lands(
+        self, register_at, delivered
+    ):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        self._send_heartbeat(network)
+        sim.schedule_at(register_at, lambda: network.register(Recorder(sim, "b")))
+        sim.run(until=5.0)
+        counter = sim.metrics.counter
+        assert counter("net.messages_delivered") == (1 if delivered else 0)
+        assert counter("net.messages_undeliverable") == (0 if delivered else 1)
+
+    def test_a_run_applies_every_arrival_it_covered(self):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        network.register(Recorder(sim, "b"))
+        self._send_heartbeat(network)
+        arrival = self._arrival(0.0, 1.0)
+        # No event: the queue is empty, and the record is not an event.
+        assert len(sim.queue) == 0
+        assert sim.run(until=0.5) == 0.5
+        assert sim.metrics.counter("net.messages_delivered") == 0
+        # The heap runs dry with the arrival pending: the clock goes to it.
+        assert sim.run() == arrival
+        assert sim.processed_events == 0
+        assert sim.metrics.counter("net.messages_delivered") == 1
+        assert list(sim.metrics.histogram("net.delivery_latency").samples) == [arrival]
