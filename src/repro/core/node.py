@@ -193,13 +193,13 @@ class AtumNode(Actor):
                 address=address,
                 peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
                 send_fn=partial(network.send_many, address, size_bytes=64),
-                receive_fn=network.subscribe_heartbeats,
+                heard_fn=network.heard,
                 suspect_fn=self._on_peer_suspected,
                 period=params.heartbeat_period,
             )
         # The node's routing table: exact frame type -> handler (a share goes
-        # straight to the messenger).  Heartbeats never reach it: the network
-        # hands them to the monitor as arrival records.
+        # straight to the messenger).  Heartbeats never reach it: the monitor
+        # reads them off the network.
         self._routes: Dict[type, Callable[[Any, str], None]] = {
             GroupMessageEnvelope: self.messenger.handle,
             SmrEnvelope: self._on_smr_envelope,
@@ -293,7 +293,6 @@ class AtumNode(Actor):
     def shutdown(self) -> None:
         """Stop the node for good: no heartbeats, no anti-entropy, no
         timers, and nothing delivered to it from now on."""
-        self.network.apply_arrivals(self.address)
         if self.heartbeats is not None:
             self.heartbeats.stop()
         if self.antientropy is not None:

@@ -8,16 +8,16 @@ a voluntary leave.  Heartbeats are deliberately coarse-grained (a minute in
 the paper) so that slow-but-correct nodes are not evicted under asynchrony.
 
 The detector's output depends only on the latest arrival per peer, so a
-heartbeat is not a message event: the transport keeps each copy as an arrival
-record, and the monitor applies its pending records right before it reads
-``last_seen`` — at its tick, in :meth:`HeartbeatMonitor.start` and in
-:meth:`HeartbeatMonitor.forget`.
+heartbeat is not a message event: the transport keeps each tick's send as one
+burst under its sender, and a monitor's tick asks it, per peer, when that
+peer's latest burst to this node arrived (:meth:`Network.heard
+<repro.net.network.Network.heard>`).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
 from repro.net.message import Heartbeat
 from repro.sim.simulator import Simulator
@@ -34,10 +34,9 @@ class HeartbeatMonitor:
 
     The host wires the monitor with a ``send_fn(peers, heartbeat)`` that emits
     one heartbeat to every address in ``peers`` (one same-payload fan-out per
-    tick), a ``receive_fn(address, hear)`` that subscribes ``hear`` to the
-    heartbeats arriving at ``address`` and returns the ``apply(address)``
-    that applies the pending ones (:meth:`Network.subscribe_heartbeats
-    <repro.net.network.Network.subscribe_heartbeats>`), a ``peers_fn()``
+    tick), a ``heard_fn(peer, address, now)`` that returns when ``address``
+    last heard ``peer``'s heartbeat by ``now``, ``-inf`` if never
+    (:meth:`Network.heard <repro.net.network.Network.heard>`), a ``peers_fn()``
     returning the current vgroup members (the host included), a
     ``suspect_fn(peer)`` invoked when a peer should be evicted and the
     heartbeat ``period`` (60 s in the paper).
@@ -49,7 +48,7 @@ class HeartbeatMonitor:
         address: str,
         peers_fn: Callable[[], Iterable[str]],
         send_fn: Callable[[Sequence[str], Heartbeat], object],
-        receive_fn: Callable[[str, Callable[[List[tuple]], None]], Callable[[str], object]],
+        heard_fn: Callable[[str, str, float], float],
         suspect_fn: Callable[[str], None],
         period: float,
     ) -> None:
@@ -57,6 +56,7 @@ class HeartbeatMonitor:
         self.address = address
         self.peers_fn = peers_fn
         self.send_fn = send_fn
+        self.heard_fn = heard_fn
         self.suspect_fn = suspect_fn
         # The one period both the send cadence and the suspicion deadline use.
         self._period = period
@@ -78,7 +78,6 @@ class HeartbeatMonitor:
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
         self._others: tuple = ()
-        self._receive = receive_fn(address, self._hear)
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -89,21 +88,20 @@ class HeartbeatMonitor:
         recovering from a crash would otherwise compare ``now`` against
         pre-crash ``last_seen`` timestamps and instantly mass-suspect every
         correct peer — and a handful of such recoveries would assemble a
-        wrongful eviction majority.
+        wrongful eviction majority.  The fresh deadline starts now, so no
+        heartbeat that arrived before the start counts.
         """
         if self.running:
             return
         self.running = True
         self._generation += 1
         self._tick_callback = partial(self._tick, self._generation)
-        self._receive(self.address)
         self.last_seen.clear()
         self.suspected.clear()
         self._tick_callback()
 
     def stop(self) -> None:
-        """Stop sending and checking.  What a stopped monitor hears is
-        unobservable: :meth:`start` clears it."""
+        """Stop sending and checking."""
         self.running = False
 
     # ----------------------------------------------------------------- protocol
@@ -127,38 +125,35 @@ class HeartbeatMonitor:
         others = self._others
         if others:
             self.send_fn(others, self._heartbeat)
-        # One scan both seeds peers not heard from yet and tests the deadline.
+        # One scan seeds peers not heard from yet, reads what the others'
+        # heartbeats say and tests the deadline.  A seed is ``now``, so an
+        # arrival only counts if it is later than the peer's first tick here.
         # The ordered walk of ``last_seen`` (whose order the eviction vote can
         # observe through ``suspect_fn``) runs only when it has something to
         # do: a late peer, or an entry that is not a current peer.
-        self._receive(self.address)
         last_seen = self.last_seen
+        suspected = self.suspected
+        heard = self.heard_fn
+        address = self.address
         deadline = self._period * MISSES_BEFORE_EVICTION
         late = False
         for peer in others:
             seen_at = last_seen.get(peer)
             if seen_at is None:
                 last_seen[peer] = now
-            elif now - seen_at > deadline:
+                continue
+            arrival = heard(peer, address, now)
+            if arrival > seen_at:
+                last_seen[peer] = seen_at = arrival
+                suspected.discard(peer)
+            if now - seen_at > deadline:
                 late = True
         if late or len(last_seen) != len(others):
             self._check_peers(now, deadline)
         sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
-    def _hear(self, arrivals: List[tuple]) -> None:
-        """Record delivered heartbeat arrivals ``(time, 0, seq, sender,
-        sent_at)``, in arrival order, under the address the transport
-        authenticated: a forged ``Heartbeat(crashed_peer)`` must not keep
-        that peer alive."""
-        last_seen = self.last_seen
-        for time, _, _, sender, _ in arrivals:
-            last_seen[sender] = time
-        if self.suspected:
-            self.suspected.difference_update([arrival[3] for arrival in arrivals])
-
     def forget(self, peer: str) -> None:
         """Drop state about a peer that left or was evicted."""
-        self._receive(self.address)
         self.last_seen.pop(peer, None)
         self.suspected.discard(peer)
 

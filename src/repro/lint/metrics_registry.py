@@ -460,7 +460,7 @@ METRICS = {
     },
     'net.corrupted_discarded': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py',),
+        "modules": ('repro/core/node.py', 'repro/net/network.py'),
         "matrix_column": False,
     },
     'net.delivery_latency': {

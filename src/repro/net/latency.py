@@ -19,6 +19,9 @@ into this module per message, nor per burst.  The draw arithmetic therefore
 lives in two places only: :func:`_lognormal` here (behind every ``sample``)
 and the loop in ``send_many``; ``tests/test_net_network.py`` pins both to
 ``rng.lognormvariate`` and to each other, RNG state included.
+
+A heartbeat takes no draw: :meth:`LatencyModel.median_latency` gives the
+pair's median, which is when a heartbeat burst reaches its receiver.
 """
 
 from __future__ import annotations
@@ -63,6 +66,12 @@ class LatencyModel(abc.ABC):
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         """Return a latency sample in seconds."""
 
+    @abc.abstractmethod
+    def median_latency(self, sender: str, receiver: str) -> float:
+        """The pair's median latency in seconds, without an RNG draw: what a
+        heartbeat burst takes to reach ``receiver`` (see :meth:`Network.heard
+        <repro.net.network.Network.heard>`)."""
+
     #: Set by a log-normal model (see the module docstring): a promise that
     #: ``sample`` is ``max(floor, lognormvariate(mu, sigma))`` with exactly the
     #: RNG draws of :func:`_lognormal`.  ``None`` makes the network call
@@ -85,6 +94,9 @@ class FixedLatency(LatencyModel):
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         return self.latency
 
+    def median_latency(self, sender: str, receiver: str) -> float:
+        return self.latency
+
 
 @dataclass
 class UniformLatency(LatencyModel):
@@ -101,6 +113,9 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random, sender: str, receiver: str) -> float:
         return rng.uniform(self.low, self.high)
+
+    def median_latency(self, sender: str, receiver: str) -> float:
+        return (self.low + self.high) / 2.0
 
 
 @dataclass
@@ -132,6 +147,9 @@ class LogNormalLatency(LatencyModel):
         _, mu, sigma, floor = self.lognormal
         value = _lognormal(rng, mu, sigma)
         return value if value > floor else floor
+
+    def median_latency(self, sender: str, receiver: str) -> float:
+        return self.median if self.median > self.floor else self.floor
 
 
 class LanProfile(LogNormalLatency):
@@ -238,6 +256,9 @@ class RegionalLatency(LatencyModel):
         if region_a == region_b:
             return self.intra_region_median
         return _REGION_BASE_LATENCY.get((region_a, region_b), self.default_inter_region)
+
+    #: The jitter is log-normal around the pair's base latency, with no floor.
+    median_latency = base_latency
 
     def pair_mu(self, row: Dict[str, float], sender: str, receiver: str) -> float:
         """``log(base_latency)`` of a pair missing from ``sender``'s ``row``.

@@ -1,9 +1,9 @@
 """The frames the network substrate itself tells apart.
 
-A :class:`Heartbeat` never becomes a message event: the network records its
-arrival for the receiver's failure detector to read (see
-:meth:`repro.net.network.Network.subscribe_heartbeats`).  A
-:class:`CorruptedPayload` wraps a payload garbled in transit.
+A :class:`Heartbeat` never becomes a message event: the network keeps a
+tick's send as one burst for the receivers' failure detectors to read (see
+:meth:`repro.net.network.Network.heard`).  A :class:`CorruptedPayload` wraps
+a payload garbled in transit.
 """
 
 from __future__ import annotations

@@ -14,18 +14,17 @@ protocol behaviour:
 
 A message in flight is a heap entry that fires into the receiver's
 ``on_message``, except a :class:`~repro.net.message.Heartbeat`: a failure
-detector only needs the latest arrival per peer, so a heartbeat copy is an
-arrival record on its receiver's list, applied when the receiver's monitor
-reads it (:meth:`Network.subscribe_heartbeats`).
+detector only needs the latest arrival per peer, so a heartbeat send is one
+*burst* kept under its sender, which the receivers' monitors read when they
+tick (:meth:`Network.heard`).  A burst takes no latency draw, no downlink
+time and no queue slot, and its fate is decided when it is sent.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
 from heapq import heappush
 from math import exp, inf, log
-from typing import Any, Callable, DefaultDict, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.middleware import MiddlewareContext, MiddlewareError
 from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
@@ -42,8 +41,8 @@ HEADERS_BYTES = 64
 
 
 class _Deliveries:
-    """The event of every message in flight on one :class:`Network` but a
-    heartbeat (an arrival record, see :meth:`Network.apply_arrivals`).
+    """The event of every message in flight on one :class:`Network` (a
+    heartbeat is no message, see :meth:`Network.heard`).
 
     A queued copy is ONE plain tuple, its heap entry ``(time, 0, seq,
     deliveries, sender, receiver, payload, sent_at)``: the entry carries the
@@ -125,19 +124,15 @@ class Network:
         self._counters = sim.metrics.counters
         self._latency_samples = sim.metrics.histogram("net.delivery_latency").samples
         self._deliveries = _Deliveries(self)
-        # Heartbeat copies in flight: receiver -> arrival records ``(time, 0,
-        # seq, sender, sent_at)``, the heap entry a copy would have been
-        # without its event, in send order; and receiver -> its monitor's
-        # ``hear`` (subscribe_heartbeats).
-        self._arrivals: DefaultDict[str, List[tuple]] = defaultdict(list)
-        self._hearers: Dict[str, Callable[[List[tuple]], None]] = {}
-        sim.add_lazy_source(self.apply_arrivals)
+        # Sender -> its latest heartbeat bursts, newest first (at most two):
+        # ``(sent_at, receivers, delays, transfer)``, where ``delays`` maps a
+        # receiver to the extra delay a hook gave its copy (None if none did).
+        self._bursts: Dict[str, Tuple[tuple, ...]] = {}
 
     # --------------------------------------------------------------- membership
 
     def register(self, actor: Actor) -> None:
         """Attach an actor to the network so it can receive messages."""
-        self.apply_arrivals(actor.address)
         self._actors[actor.address] = actor
 
     def actor(self, address: str) -> Optional[Actor]:
@@ -183,12 +178,10 @@ class Network:
 
     def partition(self, addresses: Iterable[str]) -> None:
         """Isolate the given addresses: they can neither send nor receive."""
-        self.apply_arrivals()
         self._partitioned.update(addresses)
 
     def heal(self, addresses: Optional[Iterable[str]] = None) -> None:
         """Heal a partition for the given addresses (or all, if omitted)."""
-        self.apply_arrivals()
         if addresses is None:
             self._partitioned.clear()
         else:
@@ -207,7 +200,6 @@ class Network:
         side are unaffected.  Multiple splits compose: a message is dropped
         if any active split separates its endpoints.
         """
-        self.apply_arrivals()
         mapping: Dict[str, int] = {}
         for index, side in enumerate(sides):
             for address in side:
@@ -218,7 +210,6 @@ class Network:
 
     def merge(self, split_id: Optional[int] = None) -> None:
         """Heal a side-preserving split by id (or all splits, if omitted)."""
-        self.apply_arrivals()
         if split_id is None:
             self._splits.clear()
         else:
@@ -234,7 +225,6 @@ class Network:
         """
         mapping = self._splits.get(split_id)
         if mapping is not None:
-            self.apply_arrivals()
             mapping[address] = side_index
 
     def crosses_split(self, sender: str, receiver: str) -> bool:
@@ -250,75 +240,27 @@ class Network:
 
     # --------------------------------------------------------------- heartbeats
 
-    def subscribe_heartbeats(
-        self, address: str, hear: Callable[[List[tuple]], None]
-    ) -> Callable[[str], float]:
-        """Hand the heartbeats that arrive at ``address`` to ``hear``.
+    def heard(self, sender: str, receiver: str, now: float) -> float:
+        """When ``receiver`` last heard a heartbeat from ``sender`` by ``now``.
 
-        Returns :meth:`apply_arrivals`, which a reader calls with ``address``
-        right before it reads what ``hear`` wrote: ``hear`` is then called
-        with the delivered arrival records ``(time, 0, seq, sender,
-        sent_at)`` ordered before the event now firing, in ``(time, seq)``
-        order — ``sender`` is the address the transport authenticated, not
-        the one the frame names.
+        That is the arrival of the newer of ``sender``'s two latest bursts
+        that names ``receiver`` and has landed by ``now`` (``-inf`` if
+        neither): ``sent_at`` plus the pair's median latency, the transfer
+        time and the extra delay a hook gave the copy.  ``sender`` is the
+        address the transport authenticated, not the one a frame names.
         """
-        self._hearers[address] = hear
-        return self.apply_arrivals
+        for sent_at, receivers, delays, transfer in self._bursts.get(sender, ()):
+            if receiver in receivers:
+                arrival = sent_at + self.latency_model.median_latency(sender, receiver) + transfer
+                if delays is not None:
+                    arrival += delays.get(receiver, 0.0)
+                if arrival <= now:
+                    return arrival
+        return -inf
 
-    def apply_arrivals(self, receiver: Optional[str] = None) -> float:
-        """Apply the heartbeat arrivals at ``receiver`` (every receiver if
-        ``None``) that are ordered before :attr:`Simulator.firing
-        <repro.sim.simulator.Simulator.firing>`.
-
-        Each copy passes the delivery-time checks a message event runs —
-        registered and alive, not partitioned, no split between the endpoints
-        — with the same counters and latency sample.  Those conditions only
-        change in methods that apply every pending arrival first, so checking
-        them now is checking them at the arrival time.  Returns the latest
-        arrival time applied (``-inf`` if none).
-        """
-        if receiver is not None:
-            return self._apply(receiver)
-        latest = -inf
-        for address, pending in list(self._arrivals.items()):
-            if pending:
-                applied = self._apply(address)
-                if applied > latest:
-                    latest = applied
-        return latest
-
-    def _apply(self, receiver: str) -> float:
-        pending = self._arrivals.get(receiver)
-        if not pending:
-            return -inf
-        pending.sort()
-        due = bisect_left(pending, self.sim.firing)
-        if not due:
-            return -inf
-        if due == len(pending):
-            del self._arrivals[receiver]
-        else:
-            pending, self._arrivals[receiver] = pending[:due], pending[due:]
-        counters = self._counters
-        actor = self._actors.get(receiver)
-        if actor is None or not actor.alive:
-            counters["net.messages_undeliverable"] += due
-        elif receiver in self._partitioned:
-            counters["net.messages_partitioned"] += due
-        else:
-            if self._splits:
-                crosses_split = self.crosses_split
-                delivered = [r for r in pending if not crosses_split(r[3], receiver)]
-                counters["net.messages_partitioned"] += due - len(delivered)
-            else:
-                delivered = pending
-            if delivered:
-                counters["net.messages_delivered"] += len(delivered)
-                self._latency_samples.extend([r[0] - r[4] for r in delivered])
-                hear = self._hearers.get(receiver)
-                if hear is not None:
-                    hear(delivered)
-        return pending[-1][0]
+    def _keep_burst(self, sender: str, burst: tuple) -> None:
+        previous = self._bursts.get(sender)
+        self._bursts[sender] = (burst,) if previous is None else (burst, previous[0])
 
     # ------------------------------------------------------------------ sending
 
@@ -338,12 +280,19 @@ class Network:
         update and one heap push.  The pushed entry *is* the delivery: one
         plain tuple ``(time, 0, seq, deliveries, sender, receiver, wire,
         now)`` around this network's shared :class:`_Deliveries` event — one
-        allocation and one GC-tracked object per copy in flight.  A
-        :class:`~repro.net.message.Heartbeat` copy is instead the arrival
-        record ``(time, 0, seq, sender, now)`` appended to its receiver's list
-        (:meth:`apply_arrivals`), with the same ``seq``.  A batch is
+        allocation and one GC-tracked object per copy in flight.  A batch is
         exactly the sequence of its single sends — same RNG draws, same float
         arithmetic, same event order.
+
+        A :class:`~repro.net.message.Heartbeat` is one *burst* instead: every
+        receiver that passes the checks and hooks above joins it, with the
+        extra delay its verdict set, and the loop stops there — no draw, no
+        downlink, no push (:meth:`heard` reads it).  Its fate is decided
+        here: a dropped copy is ``net.messages_lost``, a corrupted one fails
+        authentication (``net.corrupted_discarded``), and every receiver that
+        joins counts ``net.messages_delivered`` now.  With no hook, partition
+        or split active the whole ``receivers`` tuple is the burst, and no
+        loop runs.
 
         The loop owns the latency draw.  A log-normal model publishes its
         parameters (:attr:`LatencyModel.lognormal
@@ -381,11 +330,16 @@ class Network:
         sim = self.sim
         now = sim._now
         transfer = (size_bytes + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
-        rng = self._rng
-        random = rng.random
         partitioned = self._partitioned
         splits = self._splits
         hooks = self._send_hooks
+        heartbeat = type(payload) is Heartbeat
+        if heartbeat and hooks is None and not partitioned and not splits:
+            self._keep_burst(sender, (now, tuple(receivers), None, transfer))
+            counters["net.messages_delivered"] += float(count)
+            return count
+        rng = self._rng
+        random = rng.random
         model = self.latency_model
         lognormal = model.lognormal
         row = None
@@ -403,11 +357,10 @@ class Network:
         heap = queue._heap
         seq = queue._seq
         deliveries = self._deliveries
-        arrivals = self._arrivals
-        recorded = 0
+        joined = []
+        delays = None
         ctx = None
         wire = payload
-        beat = type(wire) is Heartbeat
         extra_delay = 0.0
         copies = 1
         dispatched = 0
@@ -434,9 +387,8 @@ class Network:
                 ctx.copies = 1
                 # A hook may itself send: hand the queue its counters back
                 # for the duration of the call.
-                queue._live += seq - queue._seq - recorded
+                queue._live += seq - queue._seq
                 queue._seq = seq
-                recorded = 0
                 for hook in hooks:
                     hook(ctx)
                     if ctx.stop:
@@ -456,8 +408,19 @@ class Network:
                 if ctx.drop or copies <= 0:
                     counters["net.messages_lost"] += 1.0
                     continue
-                wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
-                beat = type(wire) is Heartbeat
+                if heartbeat:
+                    if ctx.corrupted:
+                        counters["net.corrupted_discarded"] += 1.0
+                        continue
+                else:
+                    wire = CorruptedPayload(ctx.payload) if ctx.corrupted else ctx.payload
+            if heartbeat:
+                joined.append(receiver)
+                if extra_delay != 0.0:
+                    if delays is None:
+                        delays = {}
+                    delays[receiver] = extra_delay
+                continue
             if lognormal is None:
                 propagation = sample(rng, sender, receiver)
                 if not propagation >= 0.0:
@@ -491,21 +454,21 @@ class Network:
                     arrival_start = free_at
                 delivery_time = arrival_start + transfer
                 downlink[receiver] = delivery_time
-                if beat:
-                    arrivals[receiver].append((now + (delivery_time - now), 0, seq, sender, now))
-                    recorded += 1
-                else:
-                    heappush(
-                        heap,
-                        (now + (delivery_time - now), 0, seq, deliveries, sender, receiver, wire, now),
-                    )
+                heappush(
+                    heap,
+                    (now + (delivery_time - now), 0, seq, deliveries, sender, receiver, wire, now),
+                )
                 seq += 1
                 if copies == 1:
                     break
                 copies -= 1
             dispatched += 1
-        queue._live += seq - queue._seq - recorded
+        queue._live += seq - queue._seq
         queue._seq = seq
+        if heartbeat:
+            self._keep_burst(sender, (now, tuple(joined), delays, transfer))
+            counters["net.messages_delivered"] += float(len(joined))
+            return len(joined)
         return dispatched
 
     def send_fanout(

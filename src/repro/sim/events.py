@@ -5,10 +5,10 @@ guarantees a deterministic total order even when many events share the same
 timestamp, which is essential for reproducible simulations.
 
 The queue is the hottest data structure in the repository: every message
-delivery but a heartbeat's, every timer and protocol round passes through it.
-Two choices keep it
-fast while preserving the exact ordering semantics of the original
-implementation:
+delivery, timer and protocol round passes through it (a heartbeat is no
+message event: the network keeps it as a burst its peers' failure detectors
+read, see :mod:`repro.net.network`).  Two choices keep it fast while
+preserving the exact ordering semantics of the original implementation:
 
 * heap entries are plain ``(time, priority, seq, event, *wire)`` tuples, so
   all sift comparisons run as C tuple comparisons instead of Python-level
@@ -23,11 +23,7 @@ The queue's contract with whoever drains it: an *event* is anything with
 ``entry[3].fire(entry)``.  A timer's entry ends at its :class:`Event`, whose
 ``fire`` runs the callback; a network delivery (:mod:`repro.net.network`) *is*
 its entry — the wire fields in ``entry[4:]`` behind one event shared by every
-message in flight, so only the entry says when it fires.  A heartbeat copy
-never enters the queue: its arrival record is its entry's ``(time, 0, seq)``
-key plus wire fields, applied by its reader in key order against the entry
-now firing (:meth:`repro.sim.simulator.Simulator.add_lazy_source`), so it is
-no processed event and counts toward no ``max_events`` budget.
+message in flight, so only the entry says when it fires.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""The simulation event loop and clock."""
+"""The simulation event loop and clock.
+
+Everything that happens at a simulated time is an event the loop pops
+(:mod:`repro.sim.events`), except a heartbeat: its receivers read it when
+they tick (:meth:`repro.net.network.Network.heard`).
+"""
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
@@ -14,12 +18,6 @@ from repro.sim.rng import RngRegistry
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulator (e.g. scheduling in the past)."""
-
-
-#: ``Simulator.firing`` before the first event: every arrival is after it.
-_BEFORE_START = (-inf,)
-#: ``Simulator.firing`` once the heap ran dry: every arrival is before it.
-_AFTER_END = (inf,)
 
 
 class Simulator:
@@ -46,11 +44,6 @@ class Simulator:
         self._running = False
         self._stop_requested = False
         self._serials: Dict[str, int] = defaultdict(int)
-        # The heap entry of the event now firing, or the key a run ended at.
-        # Its ``(time, priority, seq)`` prefix orders it against the arrival
-        # records a lazy source keeps off the heap (see add_lazy_source).
-        self.firing: tuple = _BEFORE_START
-        self._lazy_sources: List[Callable[[], float]] = []
 
     # ------------------------------------------------------------------ clock
 
@@ -61,11 +54,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of heap events processed so far.
-
-        Arrivals a lazy source applies (heartbeats, see
-        :meth:`add_lazy_source`) are not events and are not counted.
-        """
+        """Number of events processed so far."""
         return self._processed
 
     def next_serial(self, name: str) -> int:
@@ -77,33 +66,6 @@ class Simulator:
         """
         self._serials[name] += 1
         return self._serials[name]
-
-    def add_lazy_source(self, apply: Callable[[], float]) -> None:
-        """Register a source of arrivals that never enter the event heap.
-
-        A lazy source keeps records keyed ``(time, 0, seq, ...)`` — ``seq``
-        taken from the queue like a pushed entry's — and applies them when
-        someone reads what they change: exactly those ordered before
-        :attr:`firing`.  ``apply()`` does that for every record of the
-        source and returns the latest arrival time it applied (``-inf`` if
-        none).  The simulator calls it when a run returns, with
-        :attr:`firing` set to the key the run stopped at, so nothing a run
-        covered is left pending; when the heap ran dry the clock advances to
-        the last arrival, as it would have for a heap event.
-        """
-        self._lazy_sources.append(apply)
-
-    def _settle(self, boundary: Optional[tuple]) -> float:
-        """Apply every lazy arrival ordered before ``boundary`` (``None``:
-        before the last event fired); returns the latest one applied."""
-        if boundary is not None:
-            self.firing = boundary
-        latest = -inf
-        for apply in self._lazy_sources:
-            applied = apply()
-            if applied > latest:
-                latest = applied
-        return latest
 
     # -------------------------------------------------------------- scheduling
 
@@ -146,19 +108,14 @@ class Simulator:
         self._stop_requested = True
 
     def step(self) -> bool:
-        """Process a single event.  Returns ``False`` when the queue is empty
-        (after applying every pending lazy arrival)."""
+        """Process a single event.  Returns ``False`` when the queue is empty."""
         entry = self.queue.pop_entry()
         if entry is None:
-            latest = self._settle(_AFTER_END)
-            if latest > self._now:
-                self._now = latest
             return False
         time = entry[0]
         if time < self._now:
             raise SimulationError("event queue returned an event from the past")
         self._now = time
-        self.firing = entry
         entry[3].fire(entry)
         self._processed += 1
         return True
@@ -174,11 +131,9 @@ class Simulator:
         Args:
             until: Stop once simulated time would exceed this value.  Events at
                 exactly ``until`` are processed.
-            max_events: Stop after this many heap events (safety valve in
-                tests); lazy arrivals do not count.
+            max_events: Stop after this many events (safety valve in tests).
             trace: When given, ``(time, tag)`` is appended for every processed
                 event — the hook used by the golden-trace determinism tests.
-                Lazy arrivals are not events and leave no line.
 
         Returns:
             The simulated time at which the run stopped.
@@ -195,14 +150,10 @@ class Simulator:
         # events are skipped lazily, and an event — anything with
         # ``cancelled``, ``tag`` and ``fire`` — is fired with its entry (see
         # repro.sim.events).  ``self._now`` is re-read each iteration because
-        # events never mutate it, only this loop does.  Each fired entry is
-        # stored in ``self.firing`` (one attribute store) for lazy sources.
+        # events never mutate it, only this loop does.
         heap = self.queue._heap
         heappop = heapq.heappop
         queue = self.queue
-        # Where the run ended: None after stop() or max_events (at the last
-        # event fired), else the key every arrival up to the horizon is under.
-        boundary = None
         try:
             if max_events is None and trace is None:
                 # Specialized hot loop for plain ``run(until=...)`` /
@@ -216,7 +167,6 @@ class Simulator:
                     while not self._stop_requested:
                         if not heap:
                             queue._live = 0
-                            boundary = (until, inf) if has_until else _AFTER_END
                             break
                         entry = heap[0]
                         event = entry[3]
@@ -226,12 +176,10 @@ class Simulator:
                         next_time = entry[0]
                         if has_until and next_time > until:
                             self._now = until
-                            boundary = (until, inf)
                             break
                         heappop(heap)
                         queue._live -= 1
                         self._now = next_time
-                        self.firing = entry
                         event.fire(entry)
                         processed_local += 1
                 finally:
@@ -246,18 +194,15 @@ class Simulator:
                         heappop(heap)
                     if not heap:
                         queue._live = 0
-                        boundary = (until, inf) if until is not None else _AFTER_END
                         break
                     next_time = heap[0][0]
                     if until is not None and next_time > until:
                         self._now = until
-                        boundary = (until, inf)
                         break
                     entry = heappop(heap)
                     event = entry[3]
                     queue._live -= 1
                     self._now = next_time
-                    self.firing = entry
                     if trace is not None:
                         trace.append((next_time, event.tag))
                     event.fire(entry)
@@ -265,9 +210,6 @@ class Simulator:
                     processed_this_run += 1
         finally:
             self._running = False
-        latest = self._settle(boundary)
-        if boundary is _AFTER_END and latest > self._now:
-            self._now = latest
         if until is not None and self._now < until and self.queue.peek_time() is None:
             # Nothing left to do before the horizon; advance the clock so that
             # callers observing ``now`` see the requested horizon.

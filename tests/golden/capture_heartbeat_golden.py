@@ -6,23 +6,26 @@ Writes two files next to this script:
   ``heartbeat_period=5`` under 20 s of 60/min churn, one member crashed at
   t=8 and evicted by its vgroup's heartbeat majority;
 * ``golden_heartbeat_faults40.json``: a 40-node cluster with
-  ``heartbeat_period=2`` taken through every change to a delivery-time
-  condition while a tick's heartbeats are in flight — a partition and its
+  ``heartbeat_period=2`` taken through every change to a link condition
+  half a millisecond or less after a tick boundary — a partition and its
   heal, a crash and a recovery beside a crash for good, a split with a join
   during it (which binds the joiner to a side) and its merge, and a partition
   and a split that each heal within a millisecond.
 
-Recorded for each: the sha256 of the ``(time, tag)`` event trace without
-heartbeat deliveries (filtered by payload type, so the trace reads the same
-whether a heartbeat copy is a message event or an arrival record), the
+A heartbeat is never an event: a tick's send is one burst whose fate is
+decided when it is sent.  A heartbeat sent before a partition or split forms
+is heard even if it lands after; one sent while a partition or split cuts its
+link is lost even if it would have landed after the heal.  The changes above
+fall within a median latency of a tick, so the files pin both sides of that
+rule.
+
+Recorded for each: the sha256 of the ``(time, tag)`` event trace, the
 network's sent / delivered / partitioned / undeliverable counters, the sha256
 of the sorted ``net.delivery_latency`` sample (its multiset: the order a run
-appends samples in is not pinned), the failure detector's counters and the
-ordered ``(time, reporter, suspect)`` suspicion reports the cluster received
-(the order the eviction vote observes).
+appends samples in is not pinned; heartbeats add none), the failure
+detector's counters and the ordered ``(time, reporter, suspect)`` suspicion
+reports the cluster received (the order the eviction vote observes).
 
-Both files were captured at the parent of the change that made a heartbeat
-copy an arrival record, so they pin that change to the event path before it.
 Shuffling is off, as when the first file was captured; nothing here depends on
 hash randomisation (a heartbeats-on ``churn_hb`` run with shuffling replays
 identically under ``PYTHONHASHSEED`` 0, 1 and 777), so the test needs no
@@ -31,16 +34,23 @@ subprocess.
 Regenerate deliberately (and say why in CHANGES.md) with::
 
     PYTHONPATH=src python tests/golden/capture_heartbeat_golden.py
+
+or, to print what a change moved without writing anything (every field that
+differs from the committed file, and the suspicion reports added and
+removed)::
+
+    PYTHONPATH=src python tests/golden/capture_heartbeat_golden.py --diff
 """
 
 import hashlib
 import json
 import os
 import struct
+import sys
+from collections import Counter
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
-from repro.group.heartbeat import Heartbeat
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_PATH = os.path.join(HERE, "golden_heartbeat_churn60.json")
@@ -57,33 +67,6 @@ CRASHED = "n7"
 HORIZON = 60.0
 
 
-class _WithoutHeartbeats:
-    """The network's delivery event, minus the trace line of each heartbeat.
-
-    Heartbeat copies are not message events wherever the network keeps them
-    as arrival records; where they are, this wrapper removes the line the
-    traced loop appended for one just before it fires, so the trace reads the
-    same either way.
-    """
-
-    cancelled = False
-    priority = 0
-
-    def __init__(self, deliveries, trace):
-        self.tag = deliveries.tag
-        self._fire = deliveries.fire
-        self._trace = trace
-
-    def fire(self, entry):
-        if type(entry[6]) is Heartbeat:
-            self._trace.pop()
-        self._fire(entry)
-
-
-def _drop_heartbeat_deliveries(network, trace):
-    network._deliveries = _WithoutHeartbeats(network._deliveries, trace)
-
-
 def sorted_sample_sha256(sim, name: str) -> str:
     """SHA-256 of a histogram's samples in sorted order: the multiset, not
     the order the run appended them in."""
@@ -97,7 +80,6 @@ def run_scenario() -> dict:
     )
     cluster = AtumCluster(params, seed=SEED, enable_heartbeats=True, shuffle_enabled=False)
     trace = []
-    _drop_heartbeat_deliveries(cluster.network, trace)
     cluster.build_static([f"n{i}" for i in range(NODES)])
     sim = cluster.sim
     rng = sim.rng.stream("golden-churn")
@@ -145,9 +127,9 @@ def run_scenario() -> dict:
     }
 
 
-#: The second run: every change to a delivery-time condition, each half a
-#: millisecond after a tick boundary, while that tick's heartbeats are in
-#: flight (LAN latency has a 0.5 ms median).
+#: The second run: every change to a link condition, each half a millisecond
+#: or less after a tick boundary, within the LAN's 0.5 ms median latency of
+#: that tick's heartbeats.
 FAULTS_SEED = 2468
 FAULTS_NODES = 40
 FAULTS_PERIOD = 2.0
@@ -157,8 +139,8 @@ FAULTS_PARTITION_AT, FAULTS_HEAL_AT = 4.0006, 8.0005
 FAULTS_CRASH_AT, FAULTS_RECOVER_AT = 12.0005, 16.0005
 FAULTS_DOWN_FOR_GOOD = "n8"
 FAULTS_SPLIT_AT, FAULTS_JOIN_AT, FAULTS_MERGE_AT = 20.0005, 21.0, 32.0005
-#: A partition and a split that heal before the tick's heartbeats have all
-#: arrived: the copies that land in between are cut, the later ones are not.
+#: A partition and a split that form and heal within a millisecond of a tick:
+#: the tick's heartbeats were sent before either, so neither cuts them.
 FAULTS_FLAPPING = ("n11", "n12")
 FAULTS_FLAP_AT, FAULTS_FLAP_HEAL_AT = 10.0006, 10.0009
 FAULTS_SPLIT_FLAP_AT, FAULTS_SPLIT_FLAP_MERGE_AT = 40.0003, 40.0009
@@ -170,7 +152,6 @@ def run_fault_scenario() -> dict:
     )
     cluster = AtumCluster(params, seed=FAULTS_SEED, enable_heartbeats=True, shuffle_enabled=False)
     trace = []
-    _drop_heartbeat_deliveries(cluster.network, trace)
     addresses = [f"n{i}" for i in range(FAULTS_NODES)]
     cluster.build_static(addresses)
     sim = cluster.sim
@@ -234,7 +215,51 @@ GOLDENS = {
 }
 
 
+def _missing(reports, others):
+    """The reports in ``reports`` that ``others`` lacks, counted as a
+    multiset and listed in ``reports``' order."""
+    left = Counter(map(tuple, others))
+    missing = []
+    for report in map(tuple, reports):
+        if left[report]:
+            left[report] -= 1
+        else:
+            missing.append(report)
+    return missing
+
+
+def diff(path, replay) -> bool:
+    """Print what ``replay`` moved against the committed file; True if nothing."""
+    with open(path, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    name = os.path.basename(path)
+    same = True
+    for field in sorted(set(golden) | set(replay)):
+        if golden.get(field) == replay.get(field):
+            continue
+        same = False
+        if field == "suspicion_reports":
+            removed = _missing(golden[field], replay[field])
+            added = _missing(replay[field], golden[field])
+            print(
+                f"{name}: suspicion_reports {len(golden[field])} -> {len(replay[field])}"
+                f" ({len(removed)} removed, {len(added)} added)"
+            )
+            for report in removed:
+                print(f"{name}:   - {list(report)}")
+            for report in added:
+                print(f"{name}:   + {list(report)}")
+        else:
+            print(f"{name}: {field}: {golden.get(field)!r} -> {replay.get(field)!r}")
+    if same:
+        print(f"{name}: identical")
+    return same
+
+
 def main() -> None:
+    if sys.argv[1:] == ["--diff"]:
+        same = [diff(path, scenario()) for path, scenario in GOLDENS.items()]
+        sys.exit(0 if all(same) else 1)
     for path, scenario in GOLDENS.items():
         golden = scenario()
         with open(path, "w", encoding="utf-8") as fh:

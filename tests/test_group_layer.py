@@ -15,7 +15,7 @@ from repro.group import (
     majority_threshold,
 )
 from repro.group import heartbeat
-from repro.group.heartbeat import MISSES_BEFORE_EVICTION
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION, Heartbeat
 from repro.group.messages import GroupMessageEnvelope
 from repro.net.latency import FixedLatency
 from repro.net.network import Network
@@ -177,7 +177,7 @@ class _HeartbeatHost(Actor):
             address=address,
             peers_fn=lambda: peers,
             send_fn=self._send,
-            receive_fn=network.subscribe_heartbeats,
+            heard_fn=network.heard,
             suspect_fn=self.suspected.append,
             period=period,
         )
@@ -315,7 +315,8 @@ class TestHeartbeatRestart:
 
 class _FillThenWalkMonitor(HeartbeatMonitor):
     """The tick before the one-scan rewrite: seed every peer not heard from
-    yet, then walk ``last_seen`` in order on *every* tick."""
+    yet and read the others' heartbeats, then walk ``last_seen`` in order on
+    *every* tick."""
 
     def _tick(self, generation):
         if generation != self._generation or not self.running:
@@ -329,6 +330,11 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
         for peer in others:
             if peer not in self.last_seen:
                 self.last_seen[peer] = now
+                continue
+            arrival = self.heard_fn(peer, self.address, now)
+            if arrival > self.last_seen[peer]:
+                self.last_seen[peer] = arrival
+                self.suspected.discard(peer)
         self._check_peers(now, self._period * MISSES_BEFORE_EVICTION)
         self.sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
@@ -341,27 +347,20 @@ class TestOneScanTickDifferential:
     def _drive(self, monitor_class, seed):
         rng = random.Random(seed)
         sim = Simulator()
+        # Zero latency: a burst to "me" lands after its 16 us transfer.
+        network = Network(sim, latency_model=FixedLatency(0.0))
         state = {"peers": ("me", "p0", "p1", "p2")}
         calls = []
         sends = []
-        hearers = []
-
-        def receive(address, hear):
-            # The transport hands over delivered arrival records itself, so
-            # there is nothing pending for the monitor to apply.
-            hearers.append(hear)
-            return lambda address: None
-
         monitor = monitor_class(
             sim=sim,
             address="me",
             peers_fn=lambda: state["peers"],
             send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
-            receive_fn=receive,
+            heard_fn=network.heard,
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
             period=1.0,
         )
-        (hear,) = hearers
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))
         snapshots = []
@@ -373,7 +372,7 @@ class TestOneScanTickDifferential:
                 current = [peer for peer in state["peers"] if peer != "me"]
                 sender = rng.choice(current if current and rng.random() < 0.85 else self.POOL)
                 if sender not in silent:
-                    hear([(sim.now, 0, 0, sender, sim.now)])
+                    network.send_many(sender, ("me",), Heartbeat(sender), 64)
             elif roll < 0.65:
                 members = rng.sample(self.POOL, rng.randrange(0, 6))
                 if rng.random() < 0.8:

@@ -1,9 +1,7 @@
 """Golden runs of the heartbeat / eviction path.
 
 Both files were captured by ``tests/golden/capture_heartbeat_golden.py``
-(which holds the scenarios and says what they record) at the parent of the
-change that made a heartbeat copy an arrival record instead of a message
-event, so they pin that change to the behaviour before it.  The other goldens
+(which holds the scenarios and says what they record).  The other goldens
 run with heartbeats off, so these are what pin the failure detector's
 traffic, event order and — through the ordered suspicion reports — the
 eviction vote's input:
@@ -13,10 +11,12 @@ eviction vote's input:
 * ``golden_heartbeat_faults40.json``: a heartbeats-on cluster through a
   partition and its heal, a crash and a recovery beside a crash for good, a
   split with a join during it and its merge, and a partition and a split
-  that each heal within a millisecond — each while heartbeats are in flight.
+  that each heal within a millisecond — each within a median latency of a
+  tick, so they pin that a heartbeat's fate is decided when it is sent.
 
-If a future change intentionally moves that behaviour, regenerate the files
-with the capture script and document why in CHANGES.md.
+If a future change intentionally moves that behaviour, see what moved with
+``capture_heartbeat_golden.py --diff``, regenerate the files with the capture
+script and document why in CHANGES.md.
 """
 
 import importlib.util

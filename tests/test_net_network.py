@@ -274,6 +274,16 @@ class TestLatencyModels:
         model = RegionalLatency(region_of={"a": "mars", "b": "venus"})
         assert model.base_latency("a", "b") == model.default_inter_region
 
+    def test_median_latency_is_each_model_draw_free_median(self):
+        assert FixedLatency(0.005).median_latency("a", "b") == 0.005
+        assert UniformLatency(low=0.001, high=0.003).median_latency("a", "b") == 0.002
+        assert LogNormalLatency(median=0.001, floor=0.0005).median_latency("a", "b") == 0.001
+        assert LogNormalLatency(median=0.0002, floor=0.0005).median_latency("a", "b") == 0.0005
+        assert LanProfile().median_latency("a", "b") == 0.0005
+        wan = WanProfile([f"n{i}" for i in range(16)])
+        for pair in [("n0", "n8"), ("n0", "n4"), ("n1", "stranger")]:
+            assert wan.median_latency(*pair) == wan.base_latency(*pair)
+
     @pytest.mark.parametrize("floor", [0.0001, 0.0006])
     def test_lognormal_sampler_is_the_stdlib_draw_bit_for_bit(self, floor):
         # The sampler inlines rng.lognormvariate; a twin RNG running the
@@ -700,98 +710,156 @@ class TestFourWaysToDrainAgree:
         assert observe() == reference
 
 
-class TestHeartbeatArrivalOrder:
-    """A heartbeat arrival record is ordered against the event heap exactly as
-    the event it replaces: by ``(time, 0, seq)``, ties at one time in ``seq``
-    (send) order.  Each case lands an arrival at exactly the time of a
-    monitor tick or a partition, once sent before that event was scheduled
-    and once after."""
+class BurstHook(Middleware):
+    """Drops the copy to "b", delays the one to "c" and corrupts the one to "e"."""
+
+    def on_send(self, ctx):
+        if ctx.receiver == "b":
+            ctx.drop = True
+        elif ctx.receiver == "c":
+            ctx.extra_delay = 0.25
+        elif ctx.receiver == "e":
+            ctx.corrupted = True
+
+
+class TestHeartbeatBursts:
+    """A heartbeat send is one burst under its sender, heard at ``sent_at`` +
+    the pair's median latency + the transfer time + a hook's extra delay,
+    with its fate decided at send (:meth:`Network.heard`)."""
 
     TRANSFER = (64 + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
 
-    def _arrival(self, sent_at, latency):
-        # send_many's float arithmetic for one copy on an idle downlink.
-        return sent_at + ((sent_at + latency) + self.TRANSFER - sent_at)
+    def _beat(self, network, receivers, sender="a"):
+        return network.send_many(sender, receivers, Heartbeat(sender), 64)
 
-    def _send_heartbeat(self, network):
-        network.send_many("a", ("b",), Heartbeat("a"), 64)
-
-    @pytest.mark.parametrize("latency, suspected", [(1.0, False), (0.5, True)])
-    def test_an_arrival_at_a_tick_counts_iff_it_was_sent_first(self, latency, suspected):
-        sim, network = make_net(latency=FixedLatency(latency))
-        receiver = Recorder(sim, "b")
-        network.register(receiver)
-        sent_at = 10.0 + (latency - 1.0)
-        arrival = self._arrival(sent_at, latency)
-        reports = []
-        monitor = HeartbeatMonitor(
+    def _monitor(self, sim, network, reports, address="b", peers=("a", "b")):
+        return HeartbeatMonitor(
             sim=sim,
-            address="b",
-            peers_fn=lambda: ("a", "b"),
+            address=address,
+            peers_fn=lambda: peers,
             send_fn=lambda peers, heartbeat: None,
-            receive_fn=network.subscribe_heartbeats,
+            heard_fn=network.heard,
             suspect_fn=lambda peer: reports.append((sim.now, peer)),
             period=1.0,
         )
-        # Ticks at start + 0..4 periods: "a" is first seen at the first one
-        # and late (4 periods > the 3-period deadline) at the fifth, at
-        # exactly the arrival time.  The fifth tick is scheduled one period
-        # before it: after the 1.0 s heartbeat was sent, before the 0.5 s one.
-        start = arrival - 4.0
-        assert start + 1.0 + 1.0 + 1.0 + 1.0 == arrival
-        assert (sent_at < start + 3.0) is not suspected
+
+    def test_a_burst_is_no_event_no_draw_and_no_downlink(self):
+        sim, network = make_net(latency=LanProfile())
+        state = network._rng.getstate()
+        others = ("b", "c", "d")
+        assert self._beat(network, others) == 3
+        # With nothing active the sender's tuple itself is the burst.
+        ((sent_at, receivers, delays, _),) = network._bursts["a"]
+        assert (sent_at, delays) == (0.0, None) and receivers is others
+        assert len(sim.queue) == 0 and sim.queue._seq == 0
+        assert network._rng.getstate() == state
+        assert network._downlink_free_at == {}
+        counter = sim.metrics.counter
+        assert counter("net.messages_sent") == counter("net.messages_delivered") == 3
+        assert list(sim.metrics.histogram("net.delivery_latency").samples) == []
+        median = network.latency_model.median_latency("a", "b")
+        assert network.heard("a", "b", 1.0) == 0.0 + median + self.TRANSFER
+
+    def test_an_arrival_at_exactly_a_tick_counts(self):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        arrival = 10.0 + 1.0 + self.TRANSFER
+        assert network.heard("a", "b", arrival) == -math.inf
+        sim.schedule_at(10.0, lambda: self._beat(network, ("b",)))
+        reports = []
+        monitor = self._monitor(sim, network, reports)
+        # Ticks at start, start + 1 and start + 2 == arrival.
+        start = arrival - 2.0
+        assert start + 1.0 + 1.0 == arrival
         sim.schedule_at(start, monitor.start)
-        sim.schedule_at(sent_at, lambda: self._send_heartbeat(network))
         sim.run(until=arrival)
-        assert reports == ([(arrival, "a")] if suspected else [])
         assert monitor.last_seen["a"] == arrival
-        assert sim.metrics.counter("net.messages_delivered") == 1
+        assert network.heard("a", "b", arrival) == arrival
+        assert network.heard("a", "b", math.nextafter(arrival, 0.0)) == -math.inf
 
-    @pytest.mark.parametrize("partition_first", [False, True])
-    def test_an_arrival_at_a_partition_is_cut_iff_the_partition_came_first(
-        self, partition_first
-    ):
+    @pytest.mark.parametrize("cut", ["partition", "split"])
+    @pytest.mark.parametrize("cut_first", [False, True])
+    def test_a_cut_excludes_the_receiver_iff_it_formed_before_the_send(self, cut, cut_first):
         sim, network = make_net(latency=FixedLatency(1.0))
-        network.register(Recorder(sim, "b"))
-        arrival = self._arrival(10.0, 1.0)
-        isolate = lambda: network.partition(["b"])
-        if partition_first:
-            sim.schedule_at(arrival, isolate)
 
-        def send():
-            self._send_heartbeat(network)
-            if not partition_first:
-                sim.schedule_at(arrival, isolate)
+        def form():
+            if cut == "partition":
+                network.partition(["b"])
+            else:
+                network.split([["a", "c"], ["b"]])
 
-        sim.schedule_at(10.0, send)
-        sim.run(until=arrival + 5.0)
+        if cut_first:
+            form()
+        self._beat(network, ("b", "c"))
+        if not cut_first:
+            form()
+        # Healing before the arrival does not bring a cut copy back.
+        network.heal()
+        network.merge()
+        arrival = 0.0 + 1.0 + self.TRANSFER
+        assert network.heard("a", "c", 5.0) == arrival
+        assert network.heard("a", "b", 5.0) == (-math.inf if cut_first else arrival)
         counter = sim.metrics.counter
-        assert counter("net.messages_partitioned") == (1 if partition_first else 0)
-        assert counter("net.messages_delivered") == (0 if partition_first else 1)
+        assert counter("net.messages_partitioned") == (1 if cut_first else 0)
+        assert counter("net.messages_delivered") == (1 if cut_first else 2)
 
-    @pytest.mark.parametrize("register_at, delivered", [(0.5, True), (1.5, False)])
-    def test_an_arrival_counts_for_the_receiver_registered_when_it_lands(
-        self, register_at, delivered
-    ):
+    def test_a_hook_drops_delays_and_corrupts_per_receiver(self):
         sim, network = make_net(latency=FixedLatency(1.0))
-        self._send_heartbeat(network)
-        sim.schedule_at(register_at, lambda: network.register(Recorder(sim, "b")))
-        sim.run(until=5.0)
+        network.install_middleware(MiddlewareChain(BurstHook()))
+        assert self._beat(network, ("b", "c", "d", "e")) == 2
+        arrival = 0.0 + 1.0 + self.TRANSFER
+        assert network.heard("a", "b", 5.0) == -math.inf
+        assert network.heard("a", "c", arrival) == -math.inf
+        assert network.heard("a", "c", 5.0) == arrival + 0.25
+        assert network.heard("a", "d", arrival) == arrival
+        # A corrupted heartbeat fails authentication: it is not heard.
+        assert network.heard("a", "e", 5.0) == -math.inf
         counter = sim.metrics.counter
-        assert counter("net.messages_delivered") == (1 if delivered else 0)
-        assert counter("net.messages_undeliverable") == (0 if delivered else 1)
-
-    def test_a_run_applies_every_arrival_it_covered(self):
-        sim, network = make_net(latency=FixedLatency(1.0))
-        network.register(Recorder(sim, "b"))
-        self._send_heartbeat(network)
-        arrival = self._arrival(0.0, 1.0)
-        # No event: the queue is empty, and the record is not an event.
+        assert counter("net.messages_lost") == 1
+        assert counter("net.corrupted_discarded") == 1
+        assert counter("net.messages_delivered") == 2
         assert len(sim.queue) == 0
-        assert sim.run(until=0.5) == 0.5
-        assert sim.metrics.counter("net.messages_delivered") == 0
-        # The heap runs dry with the arrival pending: the clock goes to it.
-        assert sim.run() == arrival
-        assert sim.processed_events == 0
-        assert sim.metrics.counter("net.messages_delivered") == 1
-        assert list(sim.metrics.histogram("net.delivery_latency").samples) == [arrival]
+
+    def test_the_previous_burst_is_read_while_the_latest_is_in_flight(self):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        sim.schedule_at(0.0, lambda: self._beat(network, ("b",)))
+        sim.schedule_at(0.5, lambda: self._beat(network, ("b",)))
+        sim.run()
+        first, second = (at + 1.0 + self.TRANSFER for at in (0.0, 0.5))
+        assert network.heard("a", "b", 0.9) == -math.inf
+        assert network.heard("a", "b", 1.2) == first
+        assert network.heard("a", "b", 1.6) == second
+
+    def test_only_the_latest_two_bursts_are_kept(self):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        for at in (0.0, 0.5, 1.0):
+            sim.schedule_at(at, lambda: self._beat(network, ("b",)))
+        sim.schedule_at(1.5, lambda: self._beat(network, ("c",)))
+        sim.run()
+        assert [burst[0] for burst in network._bursts["a"]] == [1.5, 1.0]
+        # The latest does not name "b"; the one before is in flight until
+        # 2.000016, and the burst sent at 0.5 is gone.
+        assert network.heard("a", "b", 1.9) == -math.inf
+        assert network.heard("a", "b", 2.1) == 1.0 + 1.0 + self.TRANSFER
+
+    def test_a_burst_is_keyed_by_the_transport_sender(self):
+        sim, network = make_net(latency=FixedLatency(1.0))
+        network.send_many("x", ("b",), Heartbeat("a"), 64)
+        assert network.heard("a", "b", 5.0) == -math.inf
+        assert network.heard("x", "b", 5.0) == 1.0 + self.TRANSFER
+
+    def test_a_restarted_monitor_ignores_earlier_bursts(self):
+        sim, network = make_net(latency=FixedLatency(0.001))
+        reports = []
+        monitor = self._monitor(sim, network, reports)
+        for at in (0.0, 1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(at, lambda: self._beat(network, ("b",)))
+        monitor.start()
+        sim.schedule_at(3.5, monitor.stop)
+        sim.schedule_at(4.5, monitor.start)
+        sim.run(until=5.6)
+        # The burst sent at 4.0 landed before the restart at 4.5: not heard.
+        assert network.heard("a", "b", 5.5) == 4.0 + 0.001 + self.TRANSFER
+        assert monitor.last_seen["a"] == 4.5
+        sim.run(until=9.0)
+        # Silent since, "a" is late one tick past 4.5 + 3, not past 4.001 + 3.
+        assert reports == [(8.5, "a")]

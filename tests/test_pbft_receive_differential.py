@@ -30,7 +30,7 @@ from repro.crypto.certificates import CertificateChain, WalkCertificate
 from repro.crypto.digest import canonical_encode, seal
 from repro.crypto.keys import Signature
 from repro.faults.plan import RESPONDER_BEHAVIOURS
-from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
+from repro.group.heartbeat import Heartbeat
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger
 from repro.net.message import CorruptedPayload
 from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
@@ -166,7 +166,7 @@ def legacy_node_on_message(node, payload, sender):
     """``AtumNode.on_message`` as of 3d42a51 (the full ``isinstance`` order),
     minus its first branch: a plain ``Heartbeat`` went to the monitor's
     ``observe``, and is no longer a message event at all (the network keeps
-    each copy as an arrival record for the monitor)."""
+    a tick's send as one burst the receiving monitor reads)."""
     if node.byzantine == "mute":
         return
     if isinstance(payload, CorruptedPayload):
@@ -206,7 +206,6 @@ def legacy_node_on_message(node, payload, sender):
 def node_calls(monkeypatch):
     """Every sink below ``AtumNode.on_message`` records its call instead of running."""
     calls = []
-    monkeypatch.setattr(HeartbeatMonitor, "_hear", recorder(calls, "heartbeats.hear"))
     monkeypatch.setattr(GroupMessenger, "handle", recorder(calls, "messenger.handle"))
     monkeypatch.setattr(
         GroupMessenger, "handle_corrupted", recorder(calls, "messenger.handle_corrupted")
