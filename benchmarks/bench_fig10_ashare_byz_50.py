@@ -8,6 +8,8 @@ faulty replicas.  Expected shape: corrupted replicas raise the read latency
 replica count approaches the chunk count (the "ideal configuration").
 """
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.apps.ashare import AShareCluster
 from repro.core.cluster import AtumCluster
@@ -18,8 +20,7 @@ MB = 1024 * 1024
 
 
 def run_experiment(num_nodes, num_files, byzantine_count, rho, scale, seed=0):
-    params = AtumParameters.for_system_size(num_nodes)
-    params = params.with_overrides(round_duration=0.5)
+    params = replace(AtumParameters.for_system_size(num_nodes), round_duration=0.5)
     atum = AtumCluster(params, seed=seed)
     addresses = [f"n{i}" for i in range(num_nodes)]
     byzantine = select_byzantine(addresses, count=byzantine_count)

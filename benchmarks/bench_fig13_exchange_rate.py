@@ -18,7 +18,7 @@ from repro.workloads import GrowthConfig, GrowthWorkload
 def _grow_at(join_fraction: float, target: int, seed: int) -> GrowthWorkload:
     params = AtumParameters.for_system_size(target, SmrKind.SYNC)
     sim = Simulator(seed=seed)
-    engine = MembershipEngine(sim, params.membership_config(), params.cost_model())
+    engine = MembershipEngine(sim, params)
     workload = GrowthWorkload(
         engine,
         GrowthConfig(

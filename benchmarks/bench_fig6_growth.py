@@ -9,7 +9,6 @@ absolute growth rate increases with system size.
 
 from repro.analysis import format_table
 from repro.core.config import AtumParameters, SmrKind
-from repro.group.cost import GroupCostModel
 from repro.overlay.membership import MembershipEngine
 from repro.sim import Simulator
 from repro.workloads import GrowthConfig, GrowthWorkload
@@ -18,12 +17,7 @@ from repro.workloads import GrowthConfig, GrowthWorkload
 def _grow(kind: SmrKind, target: int, seed: int) -> GrowthWorkload:
     params = AtumParameters.for_system_size(target, kind)
     sim = Simulator(seed=seed)
-    latency = 0.001 if kind is SmrKind.SYNC else 0.05
-    engine = MembershipEngine(
-        sim,
-        params.membership_config(),
-        params.cost_model(network_latency=latency),
-    )
+    engine = MembershipEngine(sim, params)
     workload = GrowthWorkload(
         engine,
         GrowthConfig(

@@ -9,10 +9,11 @@ churn, and (c) Async tolerates more churn than Sync (roughly 22.5% versus 18%
 of the nodes per minute).
 """
 
+from dataclasses import replace
+
 from repro.analysis import format_table
 from repro.core.config import AtumParameters, SmrKind
-from repro.group.cost import GroupCostModel
-from repro.overlay.membership import MembershipConfig, MembershipEngine
+from repro.overlay.membership import MembershipEngine
 from repro.sim import Simulator
 from repro.workloads import max_sustainable_churn
 
@@ -27,12 +28,9 @@ def _engine_factory(system_size, config, seed):
     def factory():
         params = AtumParameters.for_system_size(system_size, config["kind"])
         if config["rwl"] is not None:
-            params = params.with_overrides(rwl=config["rwl"], hc=config["hc"])
+            params = replace(params, rwl=config["rwl"], hc=config["hc"])
         sim = Simulator(seed=seed)
-        latency = 0.001 if config["kind"] is SmrKind.SYNC else 0.05
-        engine = MembershipEngine(
-            sim, params.membership_config(), params.cost_model(network_latency=latency)
-        )
+        engine = MembershipEngine(sim, params)
         engine.build_static([f"n{i}" for i in range(system_size)])
         return engine
 

@@ -17,7 +17,7 @@ from repro.workloads import ChurnConfig, ChurnWorkload, GrowthConfig, GrowthWork
 def main() -> None:
     params = AtumParameters.for_system_size(300, SmrKind.SYNC)
     sim = Simulator(seed=5)
-    engine = MembershipEngine(sim, params.membership_config(), params.cost_model())
+    engine = MembershipEngine(sim, params)
 
     # --- growth ---------------------------------------------------------------
     growth = GrowthWorkload(

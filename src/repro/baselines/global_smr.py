@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.smr import ReplicaGroupHarness, SmrConfig, SyncSmrReplica
+from repro.core.config import AtumParameters
+from repro.smr import ReplicaGroupHarness, SyncSmrReplica
 from repro.smr.base import sync_fault_threshold
 
 
@@ -59,7 +60,7 @@ class GlobalSmrBaseline:
         harness = ReplicaGroupHarness(
             group_size=num_nodes,
             replica_class=SyncSmrReplica,
-            config=SmrConfig(round_duration=self.round_duration),
+            params=AtumParameters(round_duration=self.round_duration),
             seed=seed,
         )
         operation = harness.propose("replica-0", "broadcast", "baseline")

@@ -47,7 +47,6 @@ class AtumCluster:
         seed: int = 0,
         latency_model: Optional[LatencyModel] = None,
         enable_heartbeats: bool = False,
-        shuffle_enabled: bool = True,
         antientropy: Optional["AntiEntropyConfig"] = None,
     ) -> None:
         self.params = params or AtumParameters()
@@ -64,11 +63,9 @@ class AtumCluster:
         # config here equips every node with the digest-exchange repair
         # actor; None keeps runs byte-identical to pre-anti-entropy builds.
         self.antientropy_config = antientropy
-        typical_latency = 0.001 if self.params.smr_kind is SmrKind.SYNC else 0.05
         self.engine = MembershipEngine(
             sim=self.sim,
-            config=self.params.membership_config(shuffle_enabled=shuffle_enabled),
-            cost=self.params.cost_model(network_latency=typical_latency),
+            params=self.params,
             on_view_changed=self._on_view_changed,
             on_group_removed=self._on_group_removed,
             on_node_left=self._on_node_left,

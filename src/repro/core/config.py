@@ -1,17 +1,16 @@
-"""Atum system parameters (paper Table 1) and derived configurations."""
+"""Atum system parameters (paper Table 1): the one object every layer reads."""
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.group.cost import GroupCostModel
 from repro.overlay.guideline import recommended_config
-from repro.overlay.membership import MembershipConfig
 from repro.overlay.random_walk import WalkMode
-from repro.smr.base import SmrConfig, async_fault_threshold, sync_fault_threshold
+from repro.smr.base import async_fault_threshold, sync_fault_threshold
 
 
 class SmrKind(enum.Enum):
@@ -39,14 +38,15 @@ class AtumParameters:
         expected_system_size: The administrator's estimate of N (need not be
             exact; a conservative value trades efficiency for robustness).
         checkpoint_interval: Decided operations between PBFT checkpoints
-            (:mod:`repro.smr.checkpoint`); ``0`` (the default) disables
-            checkpointing and state transfer, keeping legacy deployments
-            byte-identical.  Only meaningful with the Async engine.
+            (:mod:`repro.smr.checkpoint`), at least 1.  Only read by the
+            Async engine.
+        shuffle_enabled: Whether random walk shuffling runs after joins and
+            leaves (disabling it is used in tests and ablations).
 
     Parameters are fixed per deployment, as in the paper: one frozen
-    instance is shared by reference between a cluster and all of its
-    nodes, and layers snapshot the fields they need at construction time.
-    Use :meth:`with_overrides` to derive a different deployment.
+    instance is shared by reference between a cluster, its membership
+    engine, and every node and SMR replica, which read the fields they
+    need from it.  ``dataclasses.replace`` derives a different deployment.
     """
 
     hc: int = 5
@@ -59,15 +59,20 @@ class AtumParameters:
     request_timeout: float = 2.0
     heartbeat_period: float = 60.0
     expected_system_size: int = 800
-    checkpoint_interval: int = 0
+    checkpoint_interval: int = 8
+    shuffle_enabled: bool = True
 
     def __post_init__(self) -> None:
+        if self.gmin < 1:
+            raise ValueError("gmin must be at least 1")
         if self.gmin > self.gmax:
             raise ValueError(f"gmin ({self.gmin}) cannot exceed gmax ({self.gmax})")
         if self.hc < 1:
             raise ValueError("hc must be at least 1")
         if self.rwl < 1:
             raise ValueError("rwl must be at least 1")
+        if self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be at least 1")
 
     # --------------------------------------------------------------- factories
 
@@ -115,10 +120,6 @@ class AtumParameters:
             expected_system_size=expected_size,
         )
 
-    def with_overrides(self, **changes) -> "AtumParameters":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
-
     # ------------------------------------------------------------ derived views
 
     @property
@@ -140,35 +141,17 @@ class AtumParameters:
             return sync_fault_threshold(group_size)
         return async_fault_threshold(group_size)
 
-    def membership_config(self, shuffle_enabled: bool = True) -> MembershipConfig:
-        """The membership-engine configuration derived from these parameters."""
-        return MembershipConfig(
-            hc=self.hc,
-            rwl=self.rwl,
-            gmax=self.gmax,
-            gmin=self.gmin,
-            walk_mode=self.walk_mode,
-            shuffle_enabled=shuffle_enabled,
-        )
+    def cost_model(self) -> GroupCostModel:
+        """The group-level cost model for the vgroup-granularity engine.
 
-    def smr_config(self) -> SmrConfig:
-        """Per-replica SMR snapshot, taken once when a replica is built.
-
-        Replicas of one vgroup must agree on round and timeout durations
-        for the round/view arithmetic to line up.
+        Its one-way latency is the typical one of the engine's default
+        network: a LAN (1 ms) for Sync, a WAN (50 ms) for Async.
         """
-        return SmrConfig(
-            round_duration=self.round_duration,
-            request_timeout=self.request_timeout,
-            checkpoint_interval=self.checkpoint_interval,
-        )
-
-    def cost_model(self, network_latency: float = 0.001) -> GroupCostModel:
-        """The group-level cost model for the vgroup-granularity engine."""
+        synchronous = self.smr_kind is SmrKind.SYNC
         return GroupCostModel(
-            synchronous=self.smr_kind is SmrKind.SYNC,
+            synchronous=synchronous,
             round_duration=self.round_duration,
-            network_latency=network_latency,
+            network_latency=0.001 if synchronous else 0.05,
         )
 
 

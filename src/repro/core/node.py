@@ -319,7 +319,7 @@ class AtumNode(Actor):
             registry=self.registry,
             send_fn=self._send_smr,
             decide_fn=self._on_smr_decide,
-            config=self.params.smr_config(),
+            params=self.params,
         )
 
     # ---------------------------------------------------------------- broadcast

@@ -158,7 +158,7 @@ class InvariantMonitor(Middleware):
         """Check one installed vgroup view (called on every reconfiguration)."""
         self.checks_run += 1
         engine = self._cluster.engine
-        gmin, gmax = engine.config.gmin, engine.config.gmax
+        gmin, gmax = engine.params.gmin, engine.params.gmax
         group_id = view.group_id
 
         if view.size < 1:
@@ -311,11 +311,10 @@ class InvariantMonitor(Middleware):
         With ``require_equality`` the check demands eventual per-vgroup log
         **equality**: a quiesced scenario must leave every correct member of
         a vgroup with the *same* decided log, not merely a consistent
-        prefix.  That is only achievable — and only demanded — when the
-        liveness-restoring recovery machinery is on: PBFT checkpointing and
-        state transfer (:mod:`repro.smr.checkpoint`), which lets an isolated
-        then healed replica close its log gap even with no pending requests
-        in the system.
+        prefix.  PBFT's checkpointing and state transfer
+        (:mod:`repro.smr.checkpoint`) make that achievable: they let an
+        isolated then healed replica close its log gap even with no pending
+        requests in the system.
         """
         cluster = cluster if cluster is not None else self._cluster
         for group_id, logs in sorted(cluster_smr_logs(cluster).items()):
@@ -347,7 +346,7 @@ class InvariantMonitor(Middleware):
                     "evicted_readmitted", address, "evicted identity is a member at finalize"
                 )
         self._check_directory_reconciliations(engine)
-        gmin, gmax = engine.config.gmin, engine.config.gmax
+        gmin, gmax = engine.params.gmin, engine.params.gmax
         for group_id, view in engine.groups.items():
             if view.size > gmax:
                 self._violation(

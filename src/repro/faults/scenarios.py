@@ -91,10 +91,11 @@ class Scenario:
             (:mod:`repro.group.antientropy`); required by the 1.0 delivery
             bounds of the partition scenarios.
         checkpoint_interval: PBFT checkpoint interval
-            (:mod:`repro.smr.checkpoint`); ``0`` disables checkpointing.
-            Checkpoint-enabled async broadcast scenarios are held to
-            per-vgroup log **equality** (not just prefix consistency) at
-            quiescence — the liveness bound state transfer restores.
+            (:mod:`repro.smr.checkpoint`); read by async scenarios only,
+            which report it (sync rows report ``0``).  Async broadcast
+            scenarios are held to per-vgroup log **equality** (not just
+            prefix consistency) at quiescence — the liveness bound state
+            transfer restores.
         catchup_bound: Maximum allowed ``smr.checkpoint.catchup_latency``
             (simulated seconds from a replica first requesting state
             transfer to its log gap closing).  Checked against the run's
@@ -136,7 +137,7 @@ class Scenario:
     delivery_bound: float = 1.0
     smr: str = "sync"
     antientropy: bool = False
-    checkpoint_interval: int = 0
+    checkpoint_interval: int = 8
     catchup_bound: Optional[float] = None
     attack_threshold: Optional[float] = None
     gmin: int = 3
@@ -156,10 +157,6 @@ class Scenario:
             raise ValueError(
                 f"unknown smr engine {self.smr!r}; expected 'sync' or 'async'"
             )
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be non-negative")
-        if self.checkpoint_interval and self.smr != "async":
-            raise ValueError("checkpointing requires the async (PBFT) engine")
 
 
 # --------------------------------------------------------------------- plans
@@ -676,11 +673,11 @@ def _default_scenarios() -> Dict[str, Scenario]:
             smr="async",
             settle_time=40.0,
         ),
-        # Checkpoint-enabled PBFT rows are the liveness tier: on top of the
-        # 1.0 delivery bound they demand per-vgroup log *equality* at
-        # quiescence — an isolated-then-healed replica with no pending
-        # requests must close its log gap through checkpoint announces +
-        # state transfer (repro.smr.checkpoint), not merely stay safe.
+        # The catch-up rows are the liveness tier: every PBFT row demands
+        # per-vgroup log *equality* at quiescence, and here an isolated-
+        # then-healed replica with no pending requests must close its log
+        # gap through checkpoint announces + state transfer
+        # (repro.smr.checkpoint), not merely stay safe.
         Scenario(
             name="broadcast/isolated_catchup_pbft",
             workload="broadcast",
@@ -1207,7 +1204,7 @@ def _scenario_columns(scenario: Scenario) -> Dict[str, Any]:
         "plan": scenario.plan,
         "smr": scenario.smr,
         "antientropy": scenario.antientropy,
-        "checkpoint_interval": scenario.checkpoint_interval,
+        "checkpoint_interval": scenario.checkpoint_interval if scenario.smr == "async" else 0,
         "attack_threshold": scenario.attack_threshold,
         "catchup_bound": scenario.catchup_bound,
         "catchup_theory": _catchup_theory_for(scenario),
@@ -1305,13 +1302,13 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         heartbeat_period=scenario.heartbeat_period,
         smr_kind=SmrKind.ASYNC if scenario.smr == "async" else SmrKind.SYNC,
         checkpoint_interval=scenario.checkpoint_interval,
+        shuffle_enabled=scenario.shuffle,
     )
     cluster = AtumCluster(
         params,
         seed=seed,
         enable_heartbeats=scenario.heartbeats,
         antientropy=AntiEntropyConfig() if scenario.antientropy else None,
-        shuffle_enabled=scenario.shuffle,
     )
     # Replay tolerates checker errors: a broken engine must surface as a
     # "structure" violation in this scenario's matrix row (and fail the
@@ -1427,12 +1424,10 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     if scenario.workload == "broadcast" and scenario.smr == "async":
         # PBFT executes in gap-free sequence order and its view changes
         # carry prepared operations, so per-vgroup decided logs must be
-        # prefix-consistent across partitions, splits and heals.  With
-        # checkpointing enabled the bar rises to eventual log *equality*:
-        # state transfer must have closed every replica's gap by quiescence.
-        monitor.check_smr_prefix_consistency(
-            cluster, require_equality=scenario.checkpoint_interval > 0
-        )
+        # prefix-consistent across partitions, splits and heals, and
+        # checkpointing raises the bar to eventual log *equality*: state
+        # transfer must have closed every replica's gap by quiescence.
+        monitor.check_smr_prefix_consistency(cluster, require_equality=True)
     monitor.finalize()
     summary = monitor.summary()
     metrics = cluster.sim.metrics

@@ -26,7 +26,7 @@ from repro.overlay.random_walk import (
 )
 from repro.overlay.gossip import forward_cycles, forward_targets
 from repro.overlay.guideline import uniformity_pvalue, optimal_walk_length, guideline_table
-from repro.overlay.membership import MembershipEngine, MembershipConfig
+from repro.overlay.membership import MembershipEngine
 
 __all__ = [
     "HGraph",
@@ -40,5 +40,4 @@ __all__ = [
     "optimal_walk_length",
     "guideline_table",
     "MembershipEngine",
-    "MembershipConfig",
 ]

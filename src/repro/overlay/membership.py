@@ -33,47 +33,20 @@ full elsewhere and calibrate this engine's cost model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
-from repro.group.cost import GroupCostModel
 from repro.group.vgroup import VGroupView
 from repro.overlay.hgraph import HGraph
 from repro.overlay.random_walk import WalkMode, structural_walk
 from repro.sim.simulator import Simulator
 
+if TYPE_CHECKING:  # pragma: no cover - core.config imports the overlay package
+    from repro.core.config import AtumParameters
+
 
 class MembershipError(RuntimeError):
     """Raised on invalid membership operations (unknown node, double join...)."""
-
-
-@dataclass
-class MembershipConfig:
-    """Overlay and grouping parameters of the membership engine.
-
-    Attributes:
-        hc: Number of H-graph cycles.
-        rwl: Random walk length.
-        gmax: Maximum vgroup size before a split.
-        gmin: Minimum vgroup size before a merge (paper default: gmax / 2).
-        walk_mode: Reply scheme of random walks (backward phase for Sync,
-            certificates for Async).
-        shuffle_enabled: Whether random walk shuffling runs after joins and
-            leaves (disabling it is used in tests and ablations).
-    """
-
-    hc: int = 5
-    rwl: int = 10
-    gmax: int = 14
-    gmin: int = 7
-    walk_mode: WalkMode = WalkMode.BACKWARD_PHASE
-    shuffle_enabled: bool = True
-
-    def __post_init__(self) -> None:
-        if self.gmin < 1 or self.gmax < self.gmin:
-            raise ValueError(f"invalid group size bounds: gmin={self.gmin}, gmax={self.gmax}")
-        if self.hc < 1 or self.rwl < 1:
-            raise ValueError("hc and rwl must be at least 1")
 
 
 @dataclass
@@ -87,13 +60,18 @@ class _OperationStats:
 
 
 class MembershipEngine:
-    """Vgroup-granularity membership state and protocols."""
+    """Vgroup-granularity membership state and protocols.
+
+    ``params`` is the deployment's shared
+    :class:`~repro.core.config.AtumParameters`: the engine reads ``hc``,
+    ``rwl``, ``gmin``, ``gmax``, ``walk_mode`` and ``shuffle_enabled`` from
+    it, and charges time through its :meth:`cost_model`.
+    """
 
     def __init__(
         self,
         sim: Simulator,
-        config: MembershipConfig,
-        cost: Optional[GroupCostModel] = None,
+        params: "AtumParameters",
         on_view_changed: Optional[Callable[[VGroupView], None]] = None,
         on_group_removed: Optional[Callable[[str], None]] = None,
         on_node_left: Optional[Callable[[str], None]] = None,
@@ -101,8 +79,8 @@ class MembershipEngine:
         cost_perturbation: Optional[Callable[[str, float], float]] = None,
     ) -> None:
         self.sim = sim
-        self.config = config
-        self.cost = cost or GroupCostModel()
+        self.params = params
+        self.cost = params.cost_model()
         self.on_view_changed = on_view_changed
         self.on_group_removed = on_group_removed
         self.on_node_left = on_node_left
@@ -200,7 +178,7 @@ class MembershipEngine:
         self.groups[group_id] = view
         self._group_ids.append(group_id)
         self.node_group[node] = group_id
-        self.graph = HGraph.bootstrap(group_id, self.config.hc)
+        self.graph = HGraph.bootstrap(group_id, self.params.hc)
         self._notify_view(view)
         self._record_size()
         return view
@@ -218,14 +196,14 @@ class MembershipEngine:
             raise MembershipError("build_static on a non-empty system")
         if not nodes:
             raise MembershipError("build_static needs at least one node")
-        size = target_group_size or max(self.config.gmin, (self.config.gmin + self.config.gmax) // 2)
-        size = max(1, min(size, self.config.gmax))
+        size = target_group_size or max(self.params.gmin, (self.params.gmin + self.params.gmax) // 2)
+        size = max(1, min(size, self.params.gmax))
         shuffled = list(nodes)
         self._rng.shuffle(shuffled)
         chunks: List[List[str]] = [shuffled[i : i + size] for i in range(0, len(shuffled), size)]
         # Avoid a trailing chunk below gmin by folding it into the previous one
         # (unless it is the only chunk).
-        if len(chunks) > 1 and len(chunks[-1]) < self.config.gmin:
+        if len(chunks) > 1 and len(chunks[-1]) < self.params.gmin:
             chunks[-2].extend(chunks.pop())
             # The fold can push the merged chunk past gmax (size ≤ gmax plus a
             # trailing remainder up to gmin-1), and build_static never re-runs
@@ -237,7 +215,7 @@ class MembershipEngine:
             # then no partition of that remainder satisfies [gmin, gmax] at
             # all, so the single oversized group is the minimal violation.
             merged = chunks[-1]
-            if len(merged) > self.config.gmax and len(merged) >= 2 * self.config.gmin:
+            if len(merged) > self.params.gmax and len(merged) >= 2 * self.params.gmin:
                 half = len(merged) // 2
                 chunks[-1] = merged[:half]
                 chunks.append(merged[half:])
@@ -248,7 +226,7 @@ class MembershipEngine:
             self._group_ids.append(group_id)
             for member in chunk:
                 self.node_group[member] = group_id
-        self.graph = HGraph.random(list(self._group_ids), self.config.hc, self._rng)
+        self.graph = HGraph.random(list(self._group_ids), self.params.hc, self._rng)
         for view in self.groups.values():
             self._notify_view(view)
         self._record_size()
@@ -303,9 +281,9 @@ class MembershipEngine:
     def _join_phase_walk(self, op_id: str, node: str, contact_group: str) -> None:
         """Phase 2: a random walk from the contact vgroup selects the host."""
         walk_latency = self.cost.random_walk_latency(
-            self.config.rwl,
+            self.params.rwl,
             max(1, int(round(self.average_group_size()))),
-            backward_phase=self.config.walk_mode is WalkMode.BACKWARD_PHASE,
+            backward_phase=self.params.walk_mode is WalkMode.BACKWARD_PHASE,
         )
         self._charge_walk_relays(1)
         self.sim.metrics.increment("membership.walks_started")
@@ -322,7 +300,7 @@ class MembershipEngine:
             return
         view = self.groups[host_group]
         duration = self.cost.agreement_latency(view.size) + self.cost.state_transfer_latency(
-            self.config.hc, view.size
+            self.params.hc, view.size
         )
         done = self._reserve(host_group, duration)
         self._at(done, lambda: self._join_phase_install(op_id, node, host_group))
@@ -345,7 +323,7 @@ class MembershipEngine:
         if self.on_join_completed is not None:
             self.on_join_completed(node, host_group)
         after_shuffle = lambda: self._maybe_split(host_group)
-        if self.config.shuffle_enabled:
+        if self.params.shuffle_enabled:
             self._shuffle(host_group, then=after_shuffle)
         else:
             after_shuffle()
@@ -381,9 +359,9 @@ class MembershipEngine:
         self._install_view(new_view)
         self._record_size()
         self._complete(op_id)
-        if new_view.size < self.config.gmin and len(self.groups) > 1:
+        if new_view.size < self.params.gmin and len(self.groups) > 1:
             self._merge(group_id)
-        elif self.config.shuffle_enabled:
+        elif self.params.shuffle_enabled:
             self._shuffle(group_id, then=lambda: None)
 
     # --------------------------------------------------------- shuffling internals
@@ -403,9 +381,9 @@ class MembershipEngine:
             return
         view = self.groups[group_id]
         walk_latency = self.cost.random_walk_latency(
-            self.config.rwl,
+            self.params.rwl,
             max(1, int(round(self.average_group_size()))),
-            backward_phase=self.config.walk_mode is WalkMode.BACKWARD_PHASE,
+            backward_phase=self.params.walk_mode is WalkMode.BACKWARD_PHASE,
         )
         members = list(view.members)
         remaining = {"count": len(members)}
@@ -485,7 +463,7 @@ class MembershipEngine:
         if group_id not in self.groups:
             return
         view = self.groups[group_id]
-        if view.size <= self.config.gmax:
+        if view.size <= self.params.gmax:
             return
         assert self.graph is not None
         self.sim.metrics.increment("membership.splits")
@@ -503,7 +481,7 @@ class MembershipEngine:
             self.node_group[member] = new_group_id
         # One random walk per cycle selects where to splice the new vgroup in.
         insertion_points: List[str] = []
-        for _cycle in range(self.config.hc):
+        for _cycle in range(self.params.hc):
             target = self._walk_select(group_id)
             insertion_points.append(target if target is not None else group_id)
         self.graph.insert_vertex(new_group_id, insertion_points)
@@ -528,7 +506,7 @@ class MembershipEngine:
         # target far past the split transient.  When every neighbour would
         # overflow, take the smallest so the overshoot stays minimal.
         fitting = [
-            g for g in neighbors if self.groups[g].size + len(moving) <= self.config.gmax
+            g for g in neighbors if self.groups[g].size + len(moving) <= self.params.gmax
         ]
         if fitting:
             target = self._rng.choice(fitting)
@@ -544,7 +522,7 @@ class MembershipEngine:
         duration = self.cost.agreement_latency(merged_view.size)
         done = self._reserve(target, duration)
         after_shuffle = lambda: self._maybe_split(target)
-        if self.config.shuffle_enabled:
+        if self.params.shuffle_enabled:
             self._at(done, lambda: self._shuffle(target, then=after_shuffle))
         else:
             self._at(done, after_shuffle)
@@ -569,7 +547,7 @@ class MembershipEngine:
         occupancy = self.cost.walk_relay_occupancy(group_size)
         if occupancy <= 0:
             return
-        hops = walk_count * self.config.rwl
+        hops = walk_count * self.params.rwl
         for _ in range(hops):
             relay = group_ids[self._rng.randrange(len(group_ids))]
             self._reserve_relay(relay, occupancy)
@@ -627,7 +605,7 @@ class MembershipEngine:
         start = start_group if start_group in self.groups else self._rng.choice(self._group_ids)
         if len(self.groups) == 1:
             return start
-        outcome = structural_walk(self.graph, start, self.config.rwl, self._rng)
+        outcome = structural_walk(self.graph, start, self.params.rwl, self._rng)
         selected = outcome.selected
         if selected not in self.groups:
             return self._rng.choice(self._group_ids)
@@ -675,4 +653,4 @@ class MembershipEngine:
             self.sim.metrics.increment(f"membership.{stats.kind}s_aborted")
 
 
-__all__ = ["MembershipEngine", "MembershipConfig", "MembershipError"]
+__all__ = ["MembershipEngine", "MembershipError"]

@@ -15,7 +15,6 @@ the group layer is agnostic to the choice -- exactly as Atum's design intends.
 """
 
 from repro.smr.base import (
-    SmrConfig,
     SmrReplica,
     Operation,
     sync_fault_threshold,
@@ -40,7 +39,6 @@ __all__ = [
     "CheckpointManager",
     "StateTransferRequest",
     "StateTransferResponse",
-    "SmrConfig",
     "SmrReplica",
     "Operation",
     "sync_fault_threshold",

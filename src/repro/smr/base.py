@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry
 from repro.sim.simulator import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - core.config imports this module
+    from repro.core.config import AtumParameters
 
 
 def sync_fault_threshold(group_size: int) -> int:
@@ -42,29 +45,6 @@ class Operation:
 MESSAGE_BYTES = 512
 
 
-@dataclass
-class SmrConfig:
-    """Configuration shared by the SMR engines.
-
-    Attributes:
-        round_duration: Length of a synchronous round in seconds (Sync only).
-        request_timeout: View-change timeout in seconds (Async only).
-        checkpoint_interval: Decided operations between PBFT checkpoints
-            (the low/high water mark distance); ``0`` disables checkpointing
-            and state transfer entirely — the default, so legacy runs stay
-            byte-identical (Async only; see :mod:`repro.smr.checkpoint`).
-
-    State-transfer retry timing is not configured here: it is the fixed
-    constants of :mod:`repro.net.requests` (rotation, seeded-jitter
-    exponential backoff, responder scoreboard), through the request manager
-    owned by :class:`repro.smr.checkpoint.CheckpointManager`.
-    """
-
-    round_duration: float = 1.0
-    request_timeout: float = 2.0
-    checkpoint_interval: int = 0
-
-
 class SmrReplica(abc.ABC):
     """One replica of a BFT state machine, embedded in a host node.
 
@@ -73,7 +53,10 @@ class SmrReplica(abc.ABC):
     message to every address in the ``peers`` sequence — and receives decided
     operations through ``decide_fn(operation)``.
     Decided operations are delivered in the same order at every correct
-    replica of the group.
+    replica of the group.  ``params`` is the deployment's shared
+    :class:`~repro.core.config.AtumParameters`; replicas of one vgroup must
+    agree on its round and timeout durations for the round/view arithmetic
+    to line up.
     """
 
     def __init__(
@@ -84,7 +67,7 @@ class SmrReplica(abc.ABC):
         registry: KeyRegistry,
         send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
-        config: Optional[SmrConfig] = None,
+        params: "AtumParameters",
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -92,7 +75,7 @@ class SmrReplica(abc.ABC):
         self.registry = registry
         self.send_fn = send_fn
         self.decide_fn = decide_fn
-        self.config = config or SmrConfig()
+        self.params = params
         self.decided_log: List[Operation] = []
         self.running = True
 
@@ -142,20 +125,19 @@ class SmrReplica(abc.ABC):
     def reconfigure(
         self,
         new_members: Sequence[str],
-        epoch: Optional[int] = None,
+        epoch: int,
         carry_certificates: bool = True,
     ) -> None:
         """Install a new membership (SMART-style epoch change).
 
         Engines override this to reset in-flight state; the base implementation
-        just replaces the member list.  ``epoch``, when given, is the
-        group-synchronized epoch number to adopt (the vgroup view's epoch) —
-        without it, epoch-aware engines fall back to a local ``+1`` counter,
-        which diverges across co-members whose replicas lived through a
-        different number of views.  ``carry_certificates=False`` tells
-        checkpoint-capable engines the replica was re-homed into a *different*
-        group, so the outgoing epoch's certificates must die rather than be
-        re-anchored into a group they never described.
+        just replaces the member list.  ``epoch`` is the group-synchronized
+        epoch number to adopt (the vgroup view's epoch), so co-members whose
+        replicas lived through a different number of views still agree on
+        it.  ``carry_certificates=False`` tells checkpoint-capable engines
+        the replica was re-homed into a *different* group, so the outgoing
+        epoch's certificates must die rather than be re-anchored into a
+        group they never described.
         """
         self._install_members(new_members)
 
@@ -192,7 +174,6 @@ class SmrReplica(abc.ABC):
 __all__ = [
     "MESSAGE_BYTES",
     "Operation",
-    "SmrConfig",
     "SmrReplica",
     "sync_fault_threshold",
     "async_fault_threshold",

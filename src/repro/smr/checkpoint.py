@@ -40,11 +40,9 @@ round in which members were heard, up to :data:`ANNOUNCE_MAX_PERIODS`
 periods, and falls back to the period -- with the next announce as soon as
 one period has passed since the last -- when a member's announce disagrees
 with ours or we enter a new epoch.  A group that agrees announces every
-32 s instead of every 2 s.  The manager (and
-with it the timer and the frame handlers it adds to the replica's routing
-table) is only created when ``SmrConfig.checkpoint_interval > 0``, so runs
-with checkpointing disabled (the default) are byte-identical to
-pre-checkpoint builds.
+32 s instead of every 2 s.  Every PBFT replica owns one manager:
+checkpoints are part of the protocol, as in PBFT, because log garbage
+collection and state transfer depend on them.
 
 Two things are hashed once instead of once per use.  The statement a
 checkpoint signature covers is digested once per replica
@@ -286,11 +284,10 @@ def state_digest_of(operations: Sequence["Operation"], interval: int) -> str:
 class CheckpointManager:
     """Checkpoint/state-transfer state of one :class:`PbftReplica`.
 
-    The replica creates and owns the manager (``replica.checkpoints``) only
-    when ``checkpoint_interval > 0``, feeds it every newly committed
-    operation (:meth:`on_committed`), merges :meth:`frame_handlers` into its
-    routing table, and consults :attr:`transfer_blocking`
-    before executing slots — while a certified checkpoint ahead of the
+    The replica creates and owns the manager (``replica.checkpoints``),
+    feeds it every newly committed operation (:meth:`on_committed`), merges
+    :meth:`frame_handlers` into its routing table, and consults
+    :attr:`transfer_blocking` before executing slots — while a certified checkpoint ahead of the
     local log is known and not yet installed, executing new-view
     re-proposals would append operations *after* the missing prefix and
     diverge, so execution pauses until the transfer installs.
@@ -298,7 +295,7 @@ class CheckpointManager:
 
     def __init__(self, replica: "PbftReplica") -> None:
         self.replica = replica
-        self.interval = replica.config.checkpoint_interval
+        self.interval = replica.params.checkpoint_interval
         self.stable: Optional[CheckpointCertificate] = None
         # (seq, digest) -> signer -> verified signature.
         self._votes: Dict[Tuple[int, str], Dict[str, Signature]] = {}

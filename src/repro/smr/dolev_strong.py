@@ -17,12 +17,15 @@ so every correct replica observes the same decided log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry, Signature
 from repro.crypto.digest import digest_object
 from repro.sim.simulator import Simulator
-from repro.smr.base import Operation, SmrConfig, SmrReplica, sync_fault_threshold
+from repro.smr.base import Operation, SmrReplica, sync_fault_threshold
+
+if TYPE_CHECKING:  # pragma: no cover - core.config imports this package
+    from repro.core.config import AtumParameters
 
 
 @dataclass
@@ -72,7 +75,13 @@ class DolevStrongInstance:
 
 
 class SyncSmrReplica(SmrReplica):
-    """Round-based synchronous BFT SMR replica (Dolev-Strong based)."""
+    """Round-based synchronous BFT SMR replica (Dolev-Strong based).
+
+    It keeps the base :meth:`reconfigure`: in-flight instances continue with
+    the old signer set and new instances use the new membership.  It has no
+    epoch-scoped certificates, so the epoch and ``carry_certificates`` are
+    not used.
+    """
 
     def __init__(
         self,
@@ -82,9 +91,9 @@ class SyncSmrReplica(SmrReplica):
         registry: KeyRegistry,
         send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
-        config: Optional[SmrConfig] = None,
+        params: "AtumParameters",
     ) -> None:
-        super().__init__(sim, node_id, members, registry, send_fn, decide_fn, config)
+        super().__init__(sim, node_id, members, registry, send_fn, decide_fn, params)
         self._instances: Dict[str, DolevStrongInstance] = {}
         self._operations: Dict[str, Operation] = {}
         self._pending_proposals: List[Operation] = []
@@ -97,10 +106,10 @@ class SyncSmrReplica(SmrReplica):
     @property
     def current_round(self) -> int:
         """The index of the current synchronous round (global round clock)."""
-        return int(self.sim.now / self.config.round_duration)
+        return int(self.sim.now / self.params.round_duration)
 
     def _next_round_boundary(self) -> float:
-        round_duration = self.config.round_duration
+        round_duration = self.params.round_duration
         return (self.current_round + 1) * round_duration
 
     def _has_pending_work(self) -> bool:
@@ -148,18 +157,6 @@ class SyncSmrReplica(SmrReplica):
             return
         self._handle_relay(payload, sender)
         self._ensure_round_timer()
-
-    def reconfigure(
-        self,
-        new_members: Sequence[str],
-        epoch: Optional[int] = None,
-        carry_certificates: bool = True,
-    ) -> None:
-        super().reconfigure(new_members, epoch=epoch, carry_certificates=carry_certificates)
-        # In-flight instances continue with the old signer set; new instances
-        # use the new membership.  This mirrors epoch-based reconfiguration.
-        # The synchronous engine has no epoch-scoped certificates, so both
-        # keyword arguments are accepted for interface parity and ignored.
 
     # ----------------------------------------------------------------- proposing
 

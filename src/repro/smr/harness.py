@@ -8,16 +8,19 @@ of group size for the group-level cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.crypto.keys import KeyRegistry
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
-from repro.smr.base import Operation, SmrConfig, SmrReplica
+from repro.smr.base import Operation, SmrReplica
 from repro.smr.dolev_strong import SyncSmrReplica
+
+if TYPE_CHECKING:  # pragma: no cover - core.config imports this package
+    from repro.core.config import AtumParameters
 
 
 class _ReplicaActor(Actor):
@@ -47,7 +50,8 @@ class ReplicaGroupHarness:
     Attributes:
         group_size: Number of replicas.
         replica_class: SMR engine to instantiate (Sync or PBFT).
-        config: SMR configuration (round duration, timeouts, ...).
+        params: Deployment parameters the replicas read (round duration,
+            timeouts, checkpoint interval); the defaults when omitted.
         seed: Master seed for the simulation.
         latency_model: Optional network latency model.
         silent_byzantine: Addresses behaving as silent Byzantine replicas
@@ -56,12 +60,16 @@ class ReplicaGroupHarness:
 
     group_size: int
     replica_class: Type[SmrReplica] = SyncSmrReplica
-    config: SmrConfig = field(default_factory=SmrConfig)
+    params: Optional["AtumParameters"] = None
     seed: int = 0
     latency_model: Optional[LatencyModel] = None
     silent_byzantine: Sequence[str] = ()
 
     def __post_init__(self) -> None:
+        if self.params is None:
+            from repro.core.config import AtumParameters  # imports this package
+
+            self.params = AtumParameters()
         self.sim = Simulator(seed=self.seed)
         self.network = Network(self.sim, latency_model=self.latency_model)
         self.registry = KeyRegistry()
@@ -81,7 +89,7 @@ class ReplicaGroupHarness:
                 registry=self.registry,
                 send_fn=self._make_send(address),
                 decide_fn=actor.record_decision,
-                config=self.config,
+                params=self.params,
             )
             actor.replica = replica
             if address in self.silent_byzantine:
@@ -130,9 +138,9 @@ class ReplicaGroupHarness:
         Delegates to :func:`repro.faults.invariants.check_agreement_logs`;
         an empty list means every pair of correct replicas decided the same
         operations in the same order (lagging replicas allowed, diverging
-        ones are a safety violation).  With ``require_equality`` (used when
-        PBFT checkpoint/state transfer is enabled) lagging is a violation
-        too: every pair of correct logs must be *equal*.
+        ones are a safety violation).  With ``require_equality`` (PBFT,
+        whose checkpoints and state transfer close every gap) lagging is a
+        violation too: every pair of correct logs must be *equal*.
         """
         from repro.faults.invariants import check_agreement_logs
 

@@ -15,7 +15,7 @@ configuration epoch with a fresh view/sequence space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry
@@ -23,11 +23,13 @@ from repro.sim.simulator import Simulator
 from repro.smr.base import (
     MESSAGE_BYTES,
     Operation,
-    SmrConfig,
     SmrReplica,
     async_fault_threshold,
 )
 from repro.smr.checkpoint import CheckpointCertificate, CheckpointManager
+
+if TYPE_CHECKING:  # pragma: no cover - core.config imports this package
+    from repro.core.config import AtumParameters
 
 
 # --------------------------------------------------------------------------- messages
@@ -89,11 +91,10 @@ class PbftViewChange:
     # entry for a sequence slot, or a straggler's stale prepared operation
     # could displace one committed later under the same bare seq.
     prepared: Tuple[Tuple[int, int, str, Operation], ...]
-    # The voter's stable checkpoint certificate (None when checkpointing is
-    # disabled or no checkpoint is stable yet).  Carrying it lets the new
-    # view reference operations that were garbage-collected below the
-    # checkpoint: laggards state-transfer to the certificate instead of
-    # relying on re-proposals that no longer exist.
+    # The voter's stable checkpoint certificate (None until a checkpoint is
+    # stable).  Carrying it lets the new view reference operations that were
+    # garbage-collected below the checkpoint: laggards state-transfer to the
+    # certificate instead of relying on re-proposals that no longer exist.
     checkpoint: Optional[CheckpointCertificate] = None
 
 
@@ -136,9 +137,9 @@ class PbftReplica(SmrReplica):
         registry: KeyRegistry,
         send_fn: Callable[[Sequence[str], Any, int], None],
         decide_fn: Callable[[Operation], None],
-        config: Optional[SmrConfig] = None,
+        params: "AtumParameters",
     ) -> None:
-        super().__init__(sim, node_id, members, registry, send_fn, decide_fn, config)
+        super().__init__(sim, node_id, members, registry, send_fn, decide_fn, params)
         self.epoch = 0
         self.view = 0
         self.next_seq = 0            # next sequence number assigned by the primary
@@ -155,11 +156,8 @@ class PbftReplica(SmrReplica):
         # operation.  The three vote handlers check it inline.
         self._voted_view = 0
         self._view_change_timer_armed = False
-        # Checkpointing/state transfer (repro.smr.checkpoint) is created
-        # only when configured: a disabled manager would still be one
-        # attribute but MUST schedule nothing, keeping legacy runs
-        # byte-identical.
-        self.checkpoints: Optional[CheckpointManager] = None
+        # Checkpointing and state transfer (repro.smr.checkpoint).
+        self.checkpoints = CheckpointManager(self)
         # The receive path's one routing table, exact frame type -> handler;
         # the checkpoint manager contributes its frames to it.
         self._handlers: Dict[type, Callable[[Any, str], None]] = {
@@ -169,10 +167,8 @@ class PbftReplica(SmrReplica):
             PbftCommit: self._on_commit,
             PbftViewChange: self._on_view_change,
             PbftNewView: self._on_new_view,
+            **self.checkpoints.frame_handlers(),
         }
-        if self.config.checkpoint_interval > 0:
-            self.checkpoints = CheckpointManager(self)
-            self._handlers.update(self.checkpoints.frame_handlers())
 
     def _install_members(self, members: Sequence[str]) -> None:
         super()._install_members(members)
@@ -255,21 +251,19 @@ class PbftReplica(SmrReplica):
     def reconfigure(
         self,
         new_members: Sequence[str],
-        epoch: Optional[int] = None,
+        epoch: int,
         carry_certificates: bool = True,
     ) -> None:
         """Install a new configuration epoch with a fresh agreement state.
 
         ``epoch`` is the group-synchronized epoch to adopt (the vgroup
-        view's own counter); omitting it keeps the legacy per-replica
-        ``+1``, which only works when every co-member's replica has seen
-        the same number of reconfigurations.  Transition statements embed
-        the epoch, so divergent epochs make co-members reject each
-        other's votes and no transition record ever forms.
+        view's own counter).  Transition statements embed the epoch, so
+        divergent epochs would make co-members reject each other's votes
+        and no transition record would ever form.
         """
         previous_members = self._ordered
-        super().reconfigure(new_members)
-        self.epoch = self.epoch + 1 if epoch is None else epoch
+        super().reconfigure(new_members, epoch)
+        self.epoch = epoch
         self.view = 0
         self._voted_view = 0
         self.next_seq = 0
@@ -277,12 +271,11 @@ class PbftReplica(SmrReplica):
         self._slots.clear()
         self._view_change_votes.clear()
         if carry_certificates:
-            if self.checkpoints is not None:
-                # Epoch-scoped state resets, but the outgoing epoch's best
-                # certificate is carried forward and re-anchored into this
-                # epoch by a 2f+1-of-new-members transition record.
-                self.checkpoints.on_epoch_change(previous_members)
-                self._carry_decided_tail()
+            # Epoch-scoped state resets, but the outgoing epoch's best
+            # certificate is carried forward and re-anchored into this
+            # epoch by a 2f+1-of-new-members transition record.
+            self.checkpoints.on_epoch_change(previous_members)
+            self._carry_decided_tail()
         else:
             # Re-homed into a different group: the certificates AND the
             # decided log describe agreements this group never ran.  The
@@ -295,9 +288,8 @@ class PbftReplica(SmrReplica):
             # broadcast id.
             self.decided_log.clear()
             self._executed_ops.clear()
-            if self.checkpoints is not None:
-                self.checkpoints.reset_for_epoch()
-                self.checkpoints.forget_log()
+            self.checkpoints.reset_for_epoch()
+            self.checkpoints.forget_log()
         # Pending requests survive the epoch change and are re-proposed.
         pending = list(self._pending_requests.values())
         self._pending_requests.clear()
@@ -461,7 +453,7 @@ class PbftReplica(SmrReplica):
 
     def _execute_ready(self) -> None:
         """Execute committed slots in sequence order, without gaps."""
-        if self.checkpoints is not None and self.checkpoints.transfer_blocking:
+        if self.checkpoints.transfer_blocking:
             # A certified checkpoint ahead of our decided log is known but
             # not installed yet.  Executing newer slots first (a new view's
             # re-proposals, say) would append operations past the missing
@@ -492,8 +484,7 @@ class PbftReplica(SmrReplica):
 
     def _commit(self, operation: Operation) -> None:
         super()._commit(operation)
-        if self.checkpoints is not None:
-            self.checkpoints.on_committed(operation)
+        self.checkpoints.on_committed(operation)
 
     # ------------------------------------------------------ checkpointing hooks
 
@@ -532,12 +523,7 @@ class PbftReplica(SmrReplica):
         """
         self._execute_ready()
         if realign and self.running and len(self.members) > 1:
-            target = (
-                self.checkpoints.peer_view_seen + 1
-                if self.checkpoints is not None
-                else None
-            )
-            self._start_view_change(target=target)
+            self._start_view_change(target=self.checkpoints.peer_view_seen + 1)
 
     # -------------------------------------------------------------- view change
 
@@ -545,7 +531,7 @@ class PbftReplica(SmrReplica):
         if self._view_change_timer_armed or not self.running:
             return
         self._view_change_timer_armed = True
-        timeout = self.config.request_timeout
+        timeout = self.params.request_timeout
         armed_for_view = self.view
         armed_epoch = self.epoch
 
@@ -578,9 +564,6 @@ class PbftReplica(SmrReplica):
             if slot.prepared and slot.operation is not None
         )
 
-    def _stable_certificate(self) -> Optional[CheckpointCertificate]:
-        return self.checkpoints.stable if self.checkpoints is not None else None
-
     def _start_view_change(self, target: Optional[int] = None) -> None:
         """Vote for a view change to ``max(view + 1, target)``.
 
@@ -596,7 +579,7 @@ class PbftReplica(SmrReplica):
             new_view=new_view,
             replica=self.node_id,
             prepared=self._prepared_slots(),
-            checkpoint=self._stable_certificate(),
+            checkpoint=self.checkpoints.stable,
         )
         self.sim.metrics.increment("smr.pbft.view_changes")
         self._broadcast(message)
@@ -622,7 +605,7 @@ class PbftReplica(SmrReplica):
                 new_view=message.new_view,
                 replica=self.node_id,
                 prepared=self._prepared_slots(),
-                checkpoint=self._stable_certificate(),
+                checkpoint=self.checkpoints.stable,
             )
             votes[self.node_id] = own
             self._broadcast(own)
@@ -641,7 +624,7 @@ class PbftReplica(SmrReplica):
                 new_view=message.new_view,
                 replica=self.node_id,
                 prepared=self._prepared_slots(),
-                checkpoint=self._stable_certificate(),
+                checkpoint=self.checkpoints.stable,
             )
             votes[self.node_id] = own
             self.sim.metrics.increment("smr.pbft.view_change_revotes")
@@ -679,12 +662,8 @@ class PbftReplica(SmrReplica):
                     carried[(old_view, old_seq)] = operation
             vote_certificate = votes[replica].checkpoint
             if (
-                self.checkpoints is not None
-                and vote_certificate is not None
-                and (
-                    best_certificate is None
-                    or vote_certificate.seq > best_certificate.seq
-                )
+                vote_certificate is not None
+                and (best_certificate is None or vote_certificate.seq > best_certificate.seq)
                 and self.checkpoints.valid_certificate(vote_certificate)
             ):
                 best_certificate = vote_certificate
@@ -732,7 +711,7 @@ class PbftReplica(SmrReplica):
             if key[0] >= self.view or slot.prepared
         }
         self.sim.metrics.increment("smr.pbft.new_views")
-        if self.checkpoints is not None and message.checkpoint is not None:
+        if message.checkpoint is not None:
             # A certified checkpoint ahead of our log means operations were
             # garbage-collected out of the carried re-proposals; install it
             # through state transfer before executing anything in this view

@@ -76,9 +76,15 @@ def sorted_sample_sha256(sim, name: str) -> str:
 
 def run_scenario() -> dict:
     params = AtumParameters(
-        hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=HEARTBEAT_PERIOD
+        hc=3,
+        rwl=6,
+        gmin=4,
+        gmax=8,
+        round_duration=0.5,
+        heartbeat_period=HEARTBEAT_PERIOD,
+        shuffle_enabled=False,
     )
-    cluster = AtumCluster(params, seed=SEED, enable_heartbeats=True, shuffle_enabled=False)
+    cluster = AtumCluster(params, seed=SEED, enable_heartbeats=True)
     trace = []
     cluster.build_static([f"n{i}" for i in range(NODES)])
     sim = cluster.sim
@@ -148,9 +154,15 @@ FAULTS_SPLIT_FLAP_AT, FAULTS_SPLIT_FLAP_MERGE_AT = 40.0003, 40.0009
 
 def run_fault_scenario() -> dict:
     params = AtumParameters(
-        hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=FAULTS_PERIOD
+        hc=3,
+        rwl=6,
+        gmin=4,
+        gmax=8,
+        round_duration=0.5,
+        heartbeat_period=FAULTS_PERIOD,
+        shuffle_enabled=False,
     )
-    cluster = AtumCluster(params, seed=FAULTS_SEED, enable_heartbeats=True, shuffle_enabled=False)
+    cluster = AtumCluster(params, seed=FAULTS_SEED, enable_heartbeats=True)
     trace = []
     addresses = [f"n{i}" for i in range(FAULTS_NODES)]
     cluster.build_static(addresses)

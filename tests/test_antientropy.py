@@ -1,5 +1,7 @@
 """Tests for the anti-entropy repair layer (repro.group.antientropy)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cluster import AtumCluster
@@ -317,7 +319,7 @@ class TestSummaryFrames:
         pbft = smr_kind == "async"
         overrides = dict(smr_kind=SmrKind.ASYNC, checkpoint_interval=2) if pbft else {}
         cluster = AtumCluster(
-            small_params().with_overrides(**overrides),
+            replace(small_params(), **overrides),
             seed=43,
             antientropy=AntiEntropyConfig(),
         )

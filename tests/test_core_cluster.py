@@ -85,21 +85,33 @@ class TestParameters:
         names = [row["parameter"] for row in table]
         assert names == ["hc", "rwl", "gmax", "gmin", "k"]
 
-    def test_membership_and_smr_configs_derived(self):
-        params = AtumParameters(hc=4, rwl=8, gmax=10, gmin=5, round_duration=1.5)
-        membership = params.membership_config()
-        assert membership.hc == 4 and membership.rwl == 8
-        assert params.smr_config().round_duration == 1.5
+    @pytest.mark.parametrize("kind", [SmrKind.SYNC, SmrKind.ASYNC])
+    def test_parameters_reach_every_layer_by_reference(self, kind):
+        cluster = AtumCluster(small_params(kind=kind), seed=1)
+        cluster.build_static([f"n{i}" for i in range(12)])
+        assert cluster.engine.params is cluster.params
+        replicas = [node.replica for node in cluster.nodes.values()]
+        assert len(replicas) == 12
+        assert all(replica.params is cluster.params for replica in replicas)
 
-    def test_with_overrides(self):
+    def test_parameters_reject_an_empty_group_and_checkpointing_off(self):
+        with pytest.raises(ValueError):
+            AtumParameters(gmin=0)
+        with pytest.raises(ValueError):
+            AtumParameters(checkpoint_interval=0)
+
+    def test_cost_model_latency_follows_the_engine(self):
+        assert AtumParameters(smr_kind=SmrKind.SYNC).cost_model().network_latency == 0.001
+        assert AtumParameters(smr_kind=SmrKind.ASYNC).cost_model().network_latency == 0.05
+
+    def test_replace_derives_a_validated_copy(self):
         params = AtumParameters()
-        changed = params.with_overrides(hc=9, heartbeat_period=5.0)
+        changed = dataclasses.replace(params, hc=9, heartbeat_period=5.0)
         assert (changed.hc, changed.heartbeat_period) == (9, 5.0)
         assert (params.hc, params.heartbeat_period) == (5, 60.0)  # original untouched
-        assert changed is not params
         assert changed.gmax == params.gmax
         with pytest.raises(ValueError):
-            params.with_overrides(gmin=20)  # validation still runs on the copy
+            dataclasses.replace(params, gmin=20)  # validation still runs on the copy
 
     def test_parameters_are_fixed_per_deployment(self):
         cluster = AtumCluster(small_params())
@@ -117,12 +129,12 @@ class TestParameters:
 
     @pytest.mark.parametrize("period", [0.5, 2.0, 60.0])
     def test_suspicion_window_is_the_heartbeat_deadline(self, period):
-        params = small_params().with_overrides(heartbeat_period=period)
+        params = dataclasses.replace(small_params(), heartbeat_period=period)
         cluster = AtumCluster(params, enable_heartbeats=True)
         assert cluster._suspicion_window == params.heartbeat_period * MISSES_BEFORE_EVICTION
 
     def test_late_joiner_runs_the_deployment_parameters(self):
-        params = small_params().with_overrides(heartbeat_period=2.0)
+        params = dataclasses.replace(small_params(), heartbeat_period=2.0)
         cluster = AtumCluster(params, seed=9, enable_heartbeats=True)
         cluster.build_static([f"n{i}" for i in range(16)])
         node = cluster.join("late-1", contact="n0")
@@ -321,8 +333,8 @@ class TestChurnStormUnderLoad:
         # PBFT with checkpoints, heartbeats and anti-entropy, all on fixed
         # parameters, under a join (and a broadcast) every other second.
         monkeypatch.setattr(antientropy, "PERIOD", 4.0)
-        params = small_params(kind=SmrKind.ASYNC).with_overrides(
-            heartbeat_period=2.0, checkpoint_interval=2
+        params = dataclasses.replace(
+            small_params(kind=SmrKind.ASYNC), heartbeat_period=2.0, checkpoint_interval=2
         )
         cluster = AtumCluster(
             params,

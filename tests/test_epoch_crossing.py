@@ -30,14 +30,13 @@ def build_cluster(seed=11, nodes=40):
         round_duration=0.5,
         smr_kind=SmrKind.ASYNC,
         checkpoint_interval=2,
+        # Shuffling re-homes members into other groups on every leave (the
+        # paper's anti-targeting defense) — disabled here so the laggard's
+        # vgroup keeps a stable core across both reconfigurations and the
+        # certificate chain under test actually spans them.
+        shuffle_enabled=False,
     )
-    # Shuffling re-homes members into other groups on every leave (the
-    # paper's anti-targeting defense) — disabled here so the laggard's
-    # vgroup keeps a stable core across both reconfigurations and the
-    # certificate chain under test actually spans them.
-    cluster = AtumCluster(
-        params, seed=seed, antientropy=AntiEntropyConfig(), shuffle_enabled=False
-    )
+    cluster = AtumCluster(params, seed=seed, antientropy=AntiEntropyConfig())
     addresses = [f"n{i}" for i in range(nodes)]
     cluster.build_static(addresses)
     return cluster, addresses

@@ -9,9 +9,10 @@ slots that would have carried them (``PbftReplica._carry_decided_tail``).
 
 import pytest
 
+from repro.core.config import AtumParameters
 from repro.faults.invariants import check_agreement_logs, cluster_smr_logs
 from repro.net.latency import LogNormalLatency
-from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from repro.smr import PbftReplica, ReplicaGroupHarness
 from repro.smr.pbft import PbftCommit, PbftPrepare
 import test_epoch_crossing
 
@@ -20,7 +21,7 @@ def make_harness(seed):
     return ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(request_timeout=2.0, checkpoint_interval=2),
+        params=AtumParameters(request_timeout=2.0, checkpoint_interval=2),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),
     )
@@ -42,7 +43,7 @@ def test_an_isolated_replica_gets_the_uncertified_tail_after_two_epochs(seed):
     assert [len(log) for log in harness.decided_logs()] == [5, 5, 5, 2]
     for _ in range(2):
         for actor in harness.actors.values():
-            actor.replica.reconfigure(harness.addresses)
+            actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
         harness.run(until=harness.sim.now + 4.0)
     harness.network.merge(split)
     harness.run(until=harness.sim.now + 40.0)

@@ -845,7 +845,7 @@ class TestInvariantMonitorDetections:
 
     def test_oversized_view_detected(self):
         monitor, cluster = self._monitored_cluster()
-        gmax, gmin = cluster.engine.config.gmax, cluster.engine.config.gmin
+        gmax, gmin = cluster.engine.params.gmax, cluster.engine.params.gmin
         bogus = VGroupView.create("vg-bogus", [f"m{i}" for i in range(gmax + gmin + 1)])
         monitor.on_view_changed(bogus)
         assert "group_size" in self._kinds(monitor)

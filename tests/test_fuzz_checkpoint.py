@@ -17,9 +17,10 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.config import AtumParameters
 from repro.net.latency import LogNormalLatency
 from repro.net.requests import RequestEnvelope
-from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from repro.smr import PbftReplica, ReplicaGroupHarness
 from transfer_utils import deliver_transfer_response
 
 from repro.smr.checkpoint import (
@@ -41,10 +42,7 @@ def make_lagging_harness(seed=0, interval=2, decided=4):
     harness = ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(
-            request_timeout=2.0,
-            checkpoint_interval=interval,
-        ),
+        params=AtumParameters(request_timeout=2.0, checkpoint_interval=interval),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),
     )
@@ -409,7 +407,7 @@ def make_epoch_crossed_harness(seed=20, crossings=1):
     split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])
     for _ in range(crossings):
         for actor in harness.actors.values():
-            actor.replica.reconfigure(harness.addresses)
+            actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
         harness.run(until=harness.sim.now + 5.0)
     harness.network.merge(split)
     assert lagging.epoch == serving.epoch == crossings

@@ -191,12 +191,10 @@ class TestWalkModeSelection:
     def test_sync_uses_backward_phase(self):
         params = AtumParameters(smr_kind=SmrKind.SYNC)
         assert params.walk_mode is WalkMode.BACKWARD_PHASE
-        assert params.membership_config().walk_mode is WalkMode.BACKWARD_PHASE
 
     def test_async_uses_certificates(self):
         params = AtumParameters(smr_kind=SmrKind.ASYNC)
         assert params.walk_mode is WalkMode.CERTIFICATES
-        assert params.membership_config().walk_mode is WalkMode.CERTIFICATES
 
     def test_cost_model_follows_engine_choice(self):
         sync_cost = AtumParameters(smr_kind=SmrKind.SYNC).cost_model()

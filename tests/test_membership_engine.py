@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.group.cost import GroupCostModel
-from repro.overlay.membership import MembershipConfig, MembershipEngine, MembershipError
+from repro.core.config import AtumParameters, SmrKind
+from repro.overlay.membership import MembershipEngine, MembershipError
 from repro.sim import Simulator
 
 
 def make_engine(seed=0, shuffle=True, gmax=8, gmin=4, hc=3, rwl=6, synchronous=True):
     sim = Simulator(seed=seed)
-    config = MembershipConfig(hc=hc, rwl=rwl, gmax=gmax, gmin=gmin, shuffle_enabled=shuffle)
-    cost = GroupCostModel(synchronous=synchronous, round_duration=1.0)
-    engine = MembershipEngine(sim, config, cost)
-    return sim, engine
+    params = AtumParameters(
+        hc=hc,
+        rwl=rwl,
+        gmax=gmax,
+        gmin=gmin,
+        smr_kind=SmrKind.SYNC if synchronous else SmrKind.ASYNC,
+        shuffle_enabled=shuffle,
+    )
+    return sim, MembershipEngine(sim, params)
 
 
 def run_joins(sim, engine, count, prefix="n", contact=None):
@@ -47,8 +52,8 @@ class TestBootstrapAndStatic:
         assert engine.system_size == 50
         engine.validate()
         sizes = [view.size for view in engine.groups.values()]
-        assert all(size <= engine.config.gmax for size in sizes)
-        assert all(size >= engine.config.gmin for size in sizes)
+        assert all(size <= engine.params.gmax for size in sizes)
+        assert all(size >= engine.params.gmin for size in sizes)
 
     def test_build_static_single_node(self):
         sim, engine = make_engine()
@@ -130,7 +135,7 @@ class TestJoin:
         assert engine.system_size == 31
         assert sim.metrics.counter("membership.splits") > 0
         for view in engine.groups.values():
-            assert view.size <= engine.config.gmax
+            assert view.size <= engine.params.gmax
         engine.validate()
 
     def test_growth_with_shuffling_keeps_invariants(self):
@@ -177,7 +182,7 @@ class TestLeave:
         engine.validate()
         for view in engine.groups.values():
             if engine.group_count > 1:
-                assert view.size >= engine.config.gmin or view.size <= engine.config.gmax
+                assert view.size >= engine.params.gmin or view.size <= engine.params.gmax
 
     def test_system_can_empty_completely(self):
         sim, engine = make_engine(shuffle=False, gmin=1, gmax=4)

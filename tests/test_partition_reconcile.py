@@ -30,16 +30,10 @@ HEAL_AT = 6.0
 HORIZON = 45.0
 
 
-def run_reconcile(smr_kind: SmrKind, seed: int = 77, checkpoint_interval: int = 0):
+def run_reconcile(smr_kind: SmrKind, seed: int = 77, **overrides):
     """One seeded 40-node split-and-reconcile run; returns its artefacts."""
     params = AtumParameters(
-        hc=3,
-        rwl=5,
-        gmax=8,
-        gmin=4,
-        round_duration=0.5,
-        smr_kind=smr_kind,
-        checkpoint_interval=checkpoint_interval,
+        hc=3, rwl=5, gmax=8, gmin=4, round_duration=0.5, smr_kind=smr_kind, **overrides
     )
     cluster = AtumCluster(params, seed=seed, antientropy=AntiEntropyConfig())
     monitor = InvariantMonitor()
@@ -101,14 +95,12 @@ class TestReconcileGolden:
 
 
 class TestCheckpointedReconcileGolden:
-    """The 40-node split with PBFT checkpointing + state transfer enabled.
+    """The 40-node split with PBFT checkpoints every 2 decided operations.
 
     The same fault schedule as :class:`TestReconcileGolden`, but the bar
     rises from prefix consistency to per-vgroup log *equality*: checkpoint
     announces and state transfer must close every replica's gap, and the
     whole run — recovery machinery included — must replay byte-identically.
-    Checkpointing stays off by default, so the legacy goldens above (and
-    the stored golden traces) are unaffected.
     """
 
     def test_checkpointed_run_replays_byte_identically(self):
@@ -122,16 +114,6 @@ class TestCheckpointedReconcileGolden:
         assert dict(first_cluster.sim.metrics.counters) == dict(
             second_cluster.sim.metrics.counters
         )
-
-    def test_checkpointed_run_differs_from_legacy_but_default_stays_off(self):
-        _, _, _, legacy_trace = run_reconcile(SmrKind.ASYNC)
-        _, _, _, checkpointed_trace = run_reconcile(SmrKind.ASYNC, checkpoint_interval=2)
-        # Checkpointing schedules real extra protocol events...
-        assert checkpointed_trace != legacy_trace
-        # ...and a fresh default run still matches the legacy schedule
-        # exactly (interval 0 installs nothing).
-        _, _, _, default_trace = run_reconcile(SmrKind.ASYNC)
-        assert default_trace == legacy_trace
 
     def test_checkpointed_run_reaches_log_equality_and_full_delivery(self):
         cluster, monitor, ids, _ = run_reconcile(SmrKind.ASYNC, checkpoint_interval=2)

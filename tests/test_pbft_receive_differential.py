@@ -34,7 +34,7 @@ from repro.group.heartbeat import Heartbeat
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger
 from repro.net.message import CorruptedPayload
 from repro.net.requests import RequestEnvelope, RequestManager, ResponseEnvelope
-from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from repro.smr import PbftReplica, ReplicaGroupHarness
 from repro.smr.base import Operation
 from repro.smr.checkpoint import (
     Checkpoint,
@@ -135,10 +135,9 @@ def replica_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("interval", [0, 4])
-def test_replica_table_reaches_the_handler_the_isinstance_chain_reached(replica_calls, interval):
+def test_replica_table_reaches_the_handler_the_isinstance_chain_reached(replica_calls):
     harness = ReplicaGroupHarness(
-        group_size=4, replica_class=PbftReplica, config=SmrConfig(checkpoint_interval=interval)
+        group_size=4, replica_class=PbftReplica, params=AtumParameters(checkpoint_interval=4)
     )
     replica = harness.actors["replica-1"].replica
     unknown = lambda: harness.sim.metrics.counter("smr.pbft.unknown_frame")
@@ -156,7 +155,7 @@ def test_replica_table_reaches_the_handler_the_isinstance_chain_reached(replica_
         assert unknown() - before == (0 if expected else 1), frame
         reached.update(name for name, _ in replica_calls)
         replica_calls.clear()
-    assert len(reached) == (11 if interval else 6)
+    assert len(reached) == 11
     replica.stop()
     replica.on_message(frames[0], "replica-0")
     assert replica_calls == [] and unknown() == before + (0 if expected else 1)
@@ -298,7 +297,7 @@ def checkpointed_harness(decided=4):
     harness = ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=2),
+        params=AtumParameters(checkpoint_interval=2),
         seed=5,
     )
     for index in range(decided):
@@ -460,7 +459,7 @@ def test_statement_once_validates_exactly_the_certificates_registry_verify_valid
 def test_statement_once_rejects_exactly_the_chains_registry_verify_rejects(monkeypatch):
     harness = checkpointed_harness()
     for actor in harness.actors.values():  # cross one reconfiguration
-        actor.replica.reconfigure(harness.addresses)
+        actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
     harness.run(until=harness.sim.now + 5.0)
     replica = harness.actors["replica-1"].replica
     manager = replica.checkpoints
@@ -491,7 +490,7 @@ def single_replica(interval):
     harness = ReplicaGroupHarness(
         group_size=1,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=interval),
+        params=AtumParameters(checkpoint_interval=interval),
     )
     return harness.actors["replica-0"].replica
 
@@ -558,7 +557,7 @@ def test_a_replaced_body_is_a_digest_mismatch_even_when_the_original_is_memoised
     harness = ReplicaGroupHarness(
         group_size=4,
         replica_class=PbftReplica,
-        config=SmrConfig(checkpoint_interval=2),
+        params=AtumParameters(checkpoint_interval=2),
         seed=14,
     )
     split = harness.network.split([harness.addresses[:3], harness.addresses[3:]])

@@ -3,8 +3,9 @@
 import pytest
 from transfer_utils import deliver_transfer_response
 
+from repro.core.config import AtumParameters
 from repro.net.latency import LogNormalLatency
-from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from repro.smr import PbftReplica, ReplicaGroupHarness
 from repro.smr.checkpoint import (
     ANNOUNCE_MAX_PERIODS,
     ANNOUNCE_PERIOD,
@@ -18,10 +19,7 @@ def make_harness(group_size, interval=2, seed=0, timeout=2.0):
     return ReplicaGroupHarness(
         group_size=group_size,
         replica_class=PbftReplica,
-        config=SmrConfig(
-            request_timeout=timeout,
-            checkpoint_interval=interval,
-        ),
+        params=AtumParameters(request_timeout=timeout, checkpoint_interval=interval),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),
     )
@@ -34,12 +32,14 @@ def decide(harness, count, prefix="op", start_until=5.0):
 
 
 class TestCheckpointFormation:
-    def test_disabled_by_default(self):
+    def test_a_pbft_replica_always_has_a_checkpoint_manager(self):
         harness = ReplicaGroupHarness(group_size=4, replica_class=PbftReplica, seed=1)
-        decide(harness, 4)
+        decide(harness, 8)
         for actor in harness.actors.values():
-            assert actor.replica.checkpoints is None
-        assert harness.sim.metrics.counter("smr.checkpoint.emitted") == 0
+            assert actor.replica.checkpoints is not None
+            assert actor.replica.checkpoints.interval == 8  # the default
+            assert actor.replica.checkpoints.stable_seq == 8
+        assert harness.sim.metrics.counter("smr.checkpoint.emitted") > 0
 
     def test_stable_checkpoint_forms_at_interval_boundaries(self):
         harness = make_harness(4, interval=2)
@@ -91,7 +91,7 @@ class TestCheckpointFormation:
         decide(harness, 4)
         replica = harness.actors["replica-0"].replica
         assert replica.checkpoints.stable_seq == 4
-        replica.reconfigure(harness.addresses)
+        replica.reconfigure(harness.addresses, epoch=replica.epoch + 1)
         # The epoch-scoped stable certificate resets, but it survives as
         # the cross-epoch anchor (re-anchored by a transition record), so
         # the group can still serve certified transfers while quiet.
@@ -115,7 +115,7 @@ class TestEpochCrossingRecovery:
         # advances too — it just misses all the vote traffic).
         for _ in range(2):
             for actor in harness.actors.values():
-                actor.replica.reconfigure(harness.addresses)
+                actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
             harness.run(until=harness.sim.now + 4.0)
         majority = harness.actors["replica-0"].replica
         assert majority.epoch == 2
@@ -137,7 +137,7 @@ class TestEpochCrossingRecovery:
         decide(harness, 4)
         for _ in range(3):
             for actor in harness.actors.values():
-                actor.replica.reconfigure(harness.addresses)
+                actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
             harness.run(until=harness.sim.now + 3.0)
         replica = harness.actors["replica-1"].replica
         certificate, chain = replica.checkpoints._serving_chain()
@@ -437,7 +437,7 @@ class TestTrickleAnnounce:
     def test_a_new_epoch_resets(self):
         harness = self.backed_off()
         replica = harness.actors["replica-0"].replica
-        replica.reconfigure(harness.addresses)
+        replica.reconfigure(harness.addresses, epoch=replica.epoch + 1)
         assert replica.checkpoints._announce.interval == self.PERIOD
         assert self.resets(harness) == 1
 
@@ -573,6 +573,6 @@ class TestTrickleAnnounce:
     def test_a_deadline_from_an_old_epoch_is_a_no_op(self):
         harness, stalled, view_changes = self.start_deficit_clock_at(0.5)
         harness.run(until=1.0)
-        stalled.reconfigure(harness.addresses)
+        stalled.reconfigure(harness.addresses, epoch=stalled.epoch + 1)
         harness.run(until=0.5 + 3 * self.PERIOD)
         assert view_changes == []

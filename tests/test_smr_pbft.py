@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.config import AtumParameters
 from repro.net.latency import LogNormalLatency
-from repro.smr import PbftReplica, ReplicaGroupHarness, SmrConfig
+from repro.smr import PbftReplica, ReplicaGroupHarness
 from repro.smr.base import async_fault_threshold
 
 
@@ -19,7 +20,7 @@ def make_harness(group_size, silent=(), seed=0, timeout=2.0):
     return ReplicaGroupHarness(
         group_size=group_size,
         replica_class=PbftReplica,
-        config=SmrConfig(request_timeout=timeout),
+        params=AtumParameters(request_timeout=timeout),
         seed=seed,
         latency_model=LogNormalLatency(median=0.02, sigma=0.3),
         silent_byzantine=silent,
@@ -85,7 +86,7 @@ class TestPbftAgreement:
         assert harness.all_correct_decided(op.op_id)
         for actor in harness.actors.values():
             assert actor.replica.epoch == 0
-            actor.replica.reconfigure(harness.addresses)
+            actor.replica.reconfigure(harness.addresses, epoch=actor.replica.epoch + 1)
             assert actor.replica.epoch == 1
 
     def test_duplicate_proposal_executes_once(self):
@@ -228,20 +229,14 @@ class TestUnknownFrames:
         assert harness.all_correct_decided(op.op_id)
         assert self.unknown(harness) == 2
 
-    def test_checkpoint_frames_are_unknown_only_while_checkpointing_is_off(self):
+    def test_checkpoint_frames_are_always_routed(self):
         from repro.smr.checkpoint import CheckpointAnnounce
 
-        announce = CheckpointAnnounce(epoch=0, certificate=None)
-        off = make_harness(4)
-        off.actors["replica-1"].replica.on_message(announce, "replica-0")
-        assert self.unknown(off) == 1
-        on = ReplicaGroupHarness(
-            group_size=4,
-            replica_class=PbftReplica,
-            config=SmrConfig(checkpoint_interval=2),
+        harness = make_harness(4)
+        harness.actors["replica-1"].replica.on_message(
+            CheckpointAnnounce(epoch=0, certificate=None), "replica-0"
         )
-        on.actors["replica-1"].replica.on_message(announce, "replica-0")
-        assert self.unknown(on) == 0
+        assert self.unknown(harness) == 0
 
     def test_a_stopped_replica_ignores_everything(self):
         harness = make_harness(4)

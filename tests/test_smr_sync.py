@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.smr import ReplicaGroupHarness, SmrConfig, SyncSmrReplica
+from repro.core.config import AtumParameters
+from repro.smr import ReplicaGroupHarness, SyncSmrReplica
 from repro.smr.base import sync_fault_threshold
 
 
@@ -23,7 +24,7 @@ class TestSingleGroupAgreement:
 
     def test_all_replicas_decide_same_operation(self):
         harness = ReplicaGroupHarness(
-            group_size=4, replica_class=SyncSmrReplica, config=SmrConfig(round_duration=0.5)
+            group_size=4, replica_class=SyncSmrReplica, params=AtumParameters(round_duration=0.5)
         )
         op = harness.propose("replica-0", "broadcast", "hello")
         harness.run(until=20.0)
@@ -34,7 +35,7 @@ class TestSingleGroupAgreement:
         harness = ReplicaGroupHarness(
             group_size=7,
             replica_class=SyncSmrReplica,
-            config=SmrConfig(round_duration=round_duration),
+            params=AtumParameters(round_duration=round_duration),
         )
         op = harness.propose("replica-0", "broadcast", "payload")
         harness.run(until=30.0)
@@ -46,7 +47,7 @@ class TestSingleGroupAgreement:
 
     def test_multiple_proposers_all_decide_everywhere(self):
         harness = ReplicaGroupHarness(
-            group_size=5, replica_class=SyncSmrReplica, config=SmrConfig(round_duration=0.5)
+            group_size=5, replica_class=SyncSmrReplica, params=AtumParameters(round_duration=0.5)
         )
         ops = [
             harness.propose(f"replica-{i}", "broadcast", f"payload-{i}") for i in range(5)
@@ -57,7 +58,7 @@ class TestSingleGroupAgreement:
 
     def test_logs_contain_same_operations(self):
         harness = ReplicaGroupHarness(
-            group_size=4, replica_class=SyncSmrReplica, config=SmrConfig(round_duration=0.5)
+            group_size=4, replica_class=SyncSmrReplica, params=AtumParameters(round_duration=0.5)
         )
         for i in range(3):
             harness.propose("replica-1", "op", i, op_id=f"op-{i}")
@@ -70,7 +71,7 @@ class TestSingleGroupAgreement:
         harness = ReplicaGroupHarness(
             group_size=5,
             replica_class=SyncSmrReplica,
-            config=SmrConfig(round_duration=0.5),
+            params=AtumParameters(round_duration=0.5),
             silent_byzantine=["replica-3", "replica-4"],
         )
         op = harness.propose("replica-0", "broadcast", "x")
@@ -79,7 +80,7 @@ class TestSingleGroupAgreement:
 
     def test_logs_identical_order(self):
         harness = ReplicaGroupHarness(
-            group_size=4, replica_class=SyncSmrReplica, config=SmrConfig(round_duration=0.5)
+            group_size=4, replica_class=SyncSmrReplica, params=AtumParameters(round_duration=0.5)
         )
         harness.propose("replica-0", "op", "a", op_id="a")
         harness.propose("replica-2", "op", "b", op_id="b")

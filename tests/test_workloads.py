@@ -5,10 +5,9 @@ import random
 import pytest
 
 from repro.core.cluster import AtumCluster
-from repro.core.config import AtumParameters
-from repro.group.cost import GroupCostModel
+from repro.core.config import AtumParameters, SmrKind
 from repro.group.vgroup import VGroupView
-from repro.overlay.membership import MembershipConfig, MembershipEngine, MembershipError
+from repro.overlay.membership import MembershipEngine, MembershipError
 from repro.sim import Simulator
 from repro.workloads import (
     BroadcastWorkload,
@@ -25,8 +24,8 @@ from repro.workloads import (
 
 def make_engine(seed=0, synchronous=True, size=0):
     sim = Simulator(seed=seed)
-    config = MembershipConfig(hc=3, rwl=6, gmax=8, gmin=4)
-    engine = MembershipEngine(sim, config, GroupCostModel(synchronous=synchronous, round_duration=1.0))
+    kind = SmrKind.SYNC if synchronous else SmrKind.ASYNC
+    engine = MembershipEngine(sim, AtumParameters(hc=3, rwl=6, gmax=8, gmin=4, smr_kind=kind))
     if size:
         engine.build_static([f"n{i}" for i in range(size)])
     return engine
