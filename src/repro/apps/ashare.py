@@ -388,102 +388,6 @@ class AShareCluster:
             for index in self.indexes.values():
                 index.add_replica(owner, name, holder)
 
-    # ---------------------------------------------------------------- snapshots
-
-    def snapshot(self, address: str) -> Dict[str, Any]:
-        """A deterministic, order-normalised copy of one node's AShare state.
-
-        AShare state is a pure function of the delivered broadcast prefix
-        (plus the node's own replication decisions), so a checkpoint whose
-        certified digest covers the op log transitively certifies this
-        snapshot; :meth:`restore` installs it on a recovering node instead
-        of replaying every metadata update since genesis.
-        """
-        index = self.indexes[address]
-        records = tuple(
-            {
-                "owner": record.owner,
-                "name": record.name,
-                "size_bytes": record.size_bytes,
-                "num_chunks": record.num_chunks,
-                "chunk_digests": tuple(record.chunk_digests),
-                "replicas": tuple(sorted(record.replicas)),
-            }
-            for record in sorted(index.all_records(), key=lambda r: r.file_id)
-        )
-        stored = tuple(
-            {"owner": replica.owner, "name": replica.name, "corrupted": replica.corrupted}
-            for _, replica in sorted(self.stored.get(address, {}).items())
-        )
-        return {"app": "ashare", "records": records, "stored": stored}
-
-    def snapshot_digest(self, address: str) -> str:
-        """Certified digest of :meth:`snapshot` (what a transfer must match)."""
-        return digest_object(self.snapshot(address))
-
-    def restore(
-        self,
-        address: str,
-        snapshot: Dict[str, Any],
-        expected_digest: Optional[str] = None,
-    ) -> bool:
-        """Install a snapshot on ``address``; reject-and-count on mismatch.
-
-        A snapshot is rejected (``ashare.snapshot_rejected``) when its
-        digest differs from ``expected_digest`` (the digest certified by
-        the checkpoint the transfer rode in on), when it is structurally
-        malformed, or when any record's chunk digests disagree with the
-        metadata the PUT would have announced — a tampered snapshot can
-        never reach the index.  Returns True iff the state was installed.
-        """
-
-        def reject() -> bool:
-            self.sim.metrics.increment("ashare.snapshot_rejected")
-            return False
-
-        if not isinstance(snapshot, dict) or snapshot.get("app") != "ashare":
-            return reject()
-        if expected_digest is not None and digest_object(snapshot) != expected_digest:
-            return reject()
-        try:
-            records = []
-            for entry in snapshot["records"]:
-                digests = tuple(entry["chunk_digests"])
-                if len(digests) != int(entry["num_chunks"]):
-                    return reject()
-                if digests != tuple(
-                    chunk_digest(entry["owner"], entry["name"], chunk_index)
-                    for chunk_index in range(len(digests))
-                ):
-                    return reject()
-                records.append(
-                    FileRecord(
-                        owner=entry["owner"],
-                        name=entry["name"],
-                        size_bytes=int(entry["size_bytes"]),
-                        num_chunks=int(entry["num_chunks"]),
-                        chunk_digests=digests,
-                        replicas=set(entry["replicas"]),
-                    )
-                )
-            stored = {
-                (entry["owner"], entry["name"]): _StoredReplica(
-                    owner=entry["owner"],
-                    name=entry["name"],
-                    corrupted=bool(entry["corrupted"]),
-                )
-                for entry in snapshot["stored"]
-            }
-        except (KeyError, TypeError, ValueError):
-            return reject()
-        index = MetadataIndex()
-        for record in records:
-            index.put(record)
-        self.indexes[address] = index
-        self.stored[address] = stored
-        self.sim.metrics.increment("ashare.snapshots_restored")
-        return True
-
 
 __all__ = [
     "chunk_digest",

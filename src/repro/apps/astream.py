@@ -316,82 +316,5 @@ class AStreamSession:
         """All tier-two chunk delivery latencies observed so far."""
         return list(self.atum.sim.metrics.histogram("astream.tier2_latency").samples)
 
-    # ---------------------------------------------------------------- snapshots
-
-    def snapshot(self, address: str) -> Dict:
-        """A deterministic copy of one node's stream prefix.
-
-        Covers the received chunk indexes (with receipt times, so a restore
-        reproduces the exact per-node state) and the tier-one digests the
-        node authenticated them against.  Like the AShare index, this is a
-        pure function of what the node was delivered, so the checkpoint
-        digest that certifies the delivery prefix transitively certifies
-        the snapshot.
-        """
-        state = self.states.get(address) or _NodeStreamState()
-        return {
-            "app": "astream",
-            "stream": self.stream_id,
-            "received": tuple(
-                (index, state.received_chunks[index])
-                for index in sorted(state.received_chunks)
-            ),
-            "digests": tuple(
-                (index, state.known_digests[index])
-                for index in sorted(state.known_digests)
-            ),
-        }
-
-    def snapshot_digest(self, address: str) -> str:
-        """Certified digest of :meth:`snapshot` (what a transfer must match)."""
-        return digest_object(self.snapshot(address))
-
-    def restore(
-        self,
-        address: str,
-        snapshot: Dict,
-        expected_digest: Optional[str] = None,
-    ) -> bool:
-        """Install a stream-prefix snapshot; reject-and-count on mismatch.
-
-        Rejected (``astream.snapshot_rejected``) when the digest differs
-        from ``expected_digest``, the snapshot is malformed or names a
-        different stream, the received indexes are not a contiguous prefix
-        from chunk 0 (a truncated or holey prefix cannot be the state of a
-        node that pulled every gap), or any claimed chunk digest disagrees
-        with the digest the source would have broadcast.  Returns True iff
-        the state was installed (forest topology is left untouched —
-        parents and children belong to the live session, not the prefix).
-        """
-
-        def reject() -> bool:
-            self.atum.sim.metrics.increment("astream.snapshot_rejected")
-            return False
-
-        if not isinstance(snapshot, dict) or snapshot.get("app") != "astream":
-            return reject()
-        if snapshot.get("stream") != self.stream_id:
-            return reject()
-        if expected_digest is not None and digest_object(snapshot) != expected_digest:
-            return reject()
-        try:
-            received = [(int(index), float(when)) for index, when in snapshot["received"]]
-            digests = {int(index): str(digest) for index, digest in snapshot["digests"]}
-        except (KeyError, TypeError, ValueError):
-            return reject()
-        if [index for index, _ in received] != list(range(len(received))):
-            return reject()
-        for index, digest in digests.items():
-            expected = digest_object(
-                {"stream": self.stream_id, "index": index, "size": self.chunk_bytes}
-            )
-            if digest != expected:
-                return reject()
-        state = self.states.setdefault(address, _NodeStreamState())
-        state.received_chunks = dict(received)
-        state.known_digests = digests
-        self.atum.sim.metrics.increment("astream.snapshots_restored")
-        return True
-
 
 __all__ = ["StreamChunk", "AStreamSession"]

@@ -69,18 +69,6 @@ class ASubTopic:
         self.received.setdefault(subscriber, [])
         self.cluster.join(subscriber, contact=contact, deliver_fn=self._make_deliver(subscriber))
 
-    def subscribe_many(self, subscribers: Sequence[str]) -> None:
-        """Fast path used by tests/benchmarks: build the topic membership directly."""
-        for subscriber in subscribers:
-            self.received.setdefault(subscriber, [])
-        # The creator already bootstrapped a one-node system; rebuilding the
-        # static membership is only allowed on an empty cluster, so this path
-        # is intended for topics created through ``ASubService.create_topic``
-        # with ``prebuilt_subscribers``.
-        raise NotImplementedError(
-            "subscribe_many is only available through ASubService.create_topic"
-        )
-
     def unsubscribe(self, subscriber: str) -> None:
         """Unsubscribe (leaves the topic's Atum instance)."""
         self.cluster.leave(subscriber)
@@ -160,15 +148,6 @@ class ASubService:
         if name not in self.topics:
             raise KeyError(f"unknown topic {name!r}")
         return self.topics[name]
-
-    def subscribe(self, topic: str, subscriber: str, contact: Optional[str] = None) -> None:
-        self.topic(topic).subscribe(subscriber, contact=contact)
-
-    def unsubscribe(self, topic: str, subscriber: str) -> None:
-        self.topic(topic).unsubscribe(subscriber)
-
-    def publish(self, topic: str, publisher: str, payload: Any) -> str:
-        return self.topic(topic).publish(publisher, payload)
 
 
 __all__ = ["Event", "ASubTopic", "ASubService"]

@@ -24,7 +24,6 @@ from repro.core.middleware import (
     MiddlewareChain,
     MiddlewareContext,
     MiddlewareError,
-    overrides_hook,
 )
 from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
@@ -100,7 +99,6 @@ class AtumCluster:
         # of middleware, and stable-identity bookkeeping must not depend on
         # address reuse (atumlint ATL008).
         self._mw_setup_done: List[Any] = []
-        self._mw_timers: List[Any] = []
         self._view_hooks = None
         self._eviction_hooks = None
         self._node_added_hooks = None
@@ -169,17 +167,6 @@ class AtumCluster:
             if not any(done is middleware for done in self._mw_setup_done):
                 self._mw_setup_done.append(middleware)
                 middleware.setup(self)
-            if (
-                middleware.timer_period is not None
-                and not any(armed is middleware for armed in self._mw_timers)
-                and overrides_hook(middleware, "on_timer")
-            ):
-                self._mw_timers.append(middleware)
-                self.sim.schedule(
-                    middleware.timer_period,
-                    lambda mw=middleware: self._middleware_timer_tick(mw),
-                    tag="mw.timer",
-                )
         self._view_hooks = chain.hooks("on_view_change")
         self._eviction_hooks = chain.hooks("on_eviction")
         self._node_added_hooks = chain.hooks("on_node_added")
@@ -187,27 +174,6 @@ class AtumCluster:
         self._deliver_hooks = chain.hooks("on_deliver")
         for node in self.nodes.values():
             node.set_middleware_hooks(self._deliver_hooks, chain.scenario)
-
-    def _disarm_timer(self, middleware) -> None:
-        self._mw_timers = [armed for armed in self._mw_timers if armed is not middleware]
-
-    def _middleware_timer_tick(self, middleware) -> None:
-        chain = self._middleware
-        if chain is None or middleware not in chain:
-            self._disarm_timer(middleware)
-            return
-        ctx = MiddlewareContext(
-            "on_timer", now=self.sim.now, scenario=chain.scenario
-        )
-        middleware.on_timer(ctx)  # atumlint: allow[ATL009] the sanctioned per-middleware timer dispatch site
-        if ctx.stop:
-            self._disarm_timer(middleware)
-            return
-        self.sim.schedule(
-            middleware.timer_period,
-            lambda: self._middleware_timer_tick(middleware),
-            tag="mw.timer",
-        )
 
     def attach_monitor(self, monitor) -> None:
         """Attach a runtime invariant monitor (``repro.faults.invariants``).

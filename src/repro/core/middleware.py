@@ -27,8 +27,6 @@ pipelines to the layers that dispatch them:
 ``on_eviction``    the cluster, exactly once per evicted identity
 ``on_node_added``  the cluster, when a node actor is created
 ``on_node_left``   the cluster, when a node actually leaves the system
-``on_timer``       the cluster's simulator, every :attr:`Middleware.
-                   timer_period` seconds while the chain stays installed
 =================  ========================================================
 
 Determinism contract: an **empty chain compiles to ``None`` pipelines
@@ -65,7 +63,6 @@ HOOK_NAMES = (
     "on_eviction",
     "on_node_added",
     "on_node_left",
-    "on_timer",
 )
 
 
@@ -159,14 +156,8 @@ class Middleware:
     method identity against this base class), so a middleware pays nothing
     for the hooks it ignores.  :meth:`setup` runs once when the chain is
     installed on a cluster (or when the middleware is added to an
-    already-installed chain); :attr:`timer_period` arms a recurring
-    ``on_timer`` tick with that period when set.
+    already-installed chain).
     """
-
-    #: Period (simulated seconds) of the recurring ``on_timer`` hook;
-    #: ``None`` schedules no timer.  Timers add events to the run, so a
-    #: byte-identity-sensitive scenario must leave this unset.
-    timer_period: Optional[float] = None
 
     def setup(self, cluster) -> None:
         """Called once when the hosting chain is installed on ``cluster``."""
@@ -192,16 +183,12 @@ class Middleware:
     def on_node_left(self, ctx: MiddlewareContext) -> None:
         """A node actually left the system (``ctx.address``)."""
 
-    def on_timer(self, ctx: MiddlewareContext) -> None:
-        """Recurring tick every :attr:`timer_period` simulated seconds."""
-
 
 def overrides_hook(middleware: Middleware, name: str) -> bool:
     """Whether ``middleware`` overrides the base no-op hook ``name``.
 
     Class-level overrides are detected by method identity; an instance may
-    also opt into a hook at construction time by binding a callable under
-    the hook's name (see :class:`MetricsTap`'s ``count_sends``).
+    also opt into a hook by binding a callable under the hook's name.
     """
     if name in getattr(middleware, "__dict__", {}):
         return True
@@ -280,35 +267,16 @@ class MetricsTap(Middleware):
     Counts every event flowing through the pipeline under ``mw.*`` counter
     names.  Observation only: no RNG draws, no scheduled events, so an
     installed tap never changes a run's trace — fault-matrix scenarios
-    install it alongside the invariant monitor.
-
-    ``count_sends`` additionally counts messages entering the network's
-    ``on_send`` pipeline (``mw.sends``), before any fault middleware's
-    verdict.  It is opt-in because an ``on_send`` hook is one Python call
-    per message sent, which a tap that only wants the other counters
-    should not add to runs that carry no other ``on_send`` middleware.
-
-    With ``sample_period`` the tap also arms the ``on_timer`` hook and
-    counts ticks (``mw.timer_ticks``).  Timer events extend the trace, so
-    leave it unset for byte-identity-sensitive runs.
+    install it alongside the invariant monitor.  It has no ``on_send``
+    hook, so a run whose chain carries no other ``on_send`` middleware
+    keeps the network's fast path.
     """
 
-    def __init__(
-        self, sample_period: Optional[float] = None, count_sends: bool = False
-    ) -> None:
-        self.timer_period = sample_period
+    def __init__(self) -> None:
         self.counters = None
-        if count_sends:
-            # Instance-level hook opt-in (see overrides_hook): only a tap
-            # constructed with count_sends adds an on_send hook.
-            self.on_send = self._count_send
 
     def setup(self, cluster) -> None:
         self.counters = cluster.sim.metrics.counters
-
-    def _count_send(self, ctx: MiddlewareContext) -> None:
-        if self.counters is not None:
-            self.counters["mw.sends"] += 1.0
 
     def on_deliver(self, ctx: MiddlewareContext) -> None:
         if self.counters is not None:
@@ -329,10 +297,6 @@ class MetricsTap(Middleware):
     def on_node_left(self, ctx: MiddlewareContext) -> None:
         if self.counters is not None:
             self.counters["mw.nodes_left"] += 1.0
-
-    def on_timer(self, ctx: MiddlewareContext) -> None:
-        if self.counters is not None:
-            self.counters["mw.timer_ticks"] += 1.0
 
 
 __all__ = [

@@ -12,7 +12,7 @@ Internally the node hosts:
   the first phase of ``broadcast`` (a Byzantine broadcast inside the caller's
   vgroup) and for agreeing on membership requests;
 * a :class:`~repro.group.messages.GroupMessenger` for inter-vgroup group
-  messages (gossip shares, application messages);
+  messages (gossip shares);
 * a :class:`~repro.group.heartbeat.HeartbeatMonitor` for eviction of
   unresponsive peers;
 * the gossip forwarding logic of the second phase of ``broadcast``.
@@ -172,7 +172,6 @@ class AtumNode(Actor):
         # a later forward retires the broadcast's unaccepted gossip state.
         self._settling: Deque[Tuple[float, str]] = deque()
         self._direct_handlers: Dict[str, Callable[[Any, str], None]] = {}
-        self._group_handlers: Dict[str, Callable[[Any, str, str], None]] = {}
 
         self.messenger = GroupMessenger(
             binding=NodeBinding(address=address, network=network, sim=sim),
@@ -291,8 +290,8 @@ class AtumNode(Actor):
             monitor.start()
 
     def shutdown(self) -> None:
-        """Stop the node for good: no heartbeats, no anti-entropy, no
-        timers, and nothing delivered to it from now on."""
+        """Stop the node for good: no heartbeats, no anti-entropy, and
+        nothing delivered to it from now on."""
         if self.heartbeats is not None:
             self.heartbeats.stop()
         if self.antientropy is not None:
@@ -373,14 +372,6 @@ class AtumNode(Actor):
         self.replica.repropose(operation)
         self.sim.metrics.increment("atum.broadcast_reproposals")
         return True
-
-    def register_group_handler(self, kind: str, handler: Callable[[Any, str, str], None]) -> None:
-        """Register a handler for accepted group messages of the given kind.
-
-        The handler receives ``(payload, source_group, gm_id)``.  Applications
-        (AShare, AStream) use this to exchange their own inter-vgroup messages.
-        """
-        self._group_handlers[kind] = handler
 
     def register_direct_handler(self, kind: str, handler: Callable[[Any, str], None]) -> None:
         """Register a handler for point-to-point messages of the given kind."""
@@ -565,10 +556,6 @@ class AtumNode(Actor):
     ) -> None:
         if kind == "gossip" and isinstance(payload, BroadcastMessage):
             self._deliver_and_forward(payload, source_group, (gm_id, senders))
-            return
-        handler = self._group_handlers.get(kind)
-        if handler is not None:
-            handler(payload, source_group, gm_id)
 
     def _on_peer_suspected(self, peer: str) -> None:
         """A vgroup peer missed too many heartbeats: ask the directory to evict it."""

@@ -11,7 +11,7 @@ charged to simulated time via :class:`CryptoCostModel`.
 """
 
 from repro.crypto.digest import Digest, digest_bytes, digest_object
-from repro.crypto.keys import KeyPair, KeyRegistry, Signature, SignatureError
+from repro.crypto.keys import KeyPair, KeyRegistry, Signature
 from repro.crypto.certificates import WalkCertificate, CertificateChain
 from repro.crypto.cost import CryptoCostModel
 
@@ -22,7 +22,6 @@ __all__ = [
     "KeyPair",
     "KeyRegistry",
     "Signature",
-    "SignatureError",
     "WalkCertificate",
     "CertificateChain",
     "CryptoCostModel",

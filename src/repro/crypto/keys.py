@@ -1,4 +1,4 @@
-"""Simulated public-key signatures and MACs.
+"""Simulated public-key signatures.
 
 A :class:`KeyRegistry` plays the role of the PKI assumed by the paper: every
 node owns a :class:`KeyPair` registered under its address, signatures are
@@ -19,10 +19,6 @@ from typing import Any, Dict
 from repro.crypto.digest import digest_object
 
 
-class SignatureError(Exception):
-    """Raised when signature verification fails."""
-
-
 @dataclass(frozen=True)
 class Signature:
     """A signature over an object digest by a named signer."""
@@ -30,10 +26,6 @@ class Signature:
     signer: str
     digest: str
     mac: str
-
-    def covers(self, obj: Any) -> bool:
-        """Return whether this signature was computed over ``obj``."""
-        return self.digest == digest_object(obj)
 
 
 @dataclass(frozen=True)
@@ -88,17 +80,5 @@ class KeyRegistry:
             return False
         return hmac.compare_digest(key.mac_of(digest), signature.mac)
 
-    def verify_or_raise(self, signature: Signature, obj: Any) -> None:
-        if not self.verify(signature, obj):
-            raise SignatureError(
-                f"invalid signature by {signature.signer} over digest {signature.digest[:12]}"
-            )
 
-    def mac(self, owner: str, peer: str, obj: Any) -> str:
-        """Compute a pairwise MAC (used for authenticated point-to-point links)."""
-        key = self.generate(owner)
-        material = f"{peer}:{digest_object(obj)}".encode("utf-8")
-        return hmac.new(key.secret, material, hashlib.sha256).hexdigest()
-
-
-__all__ = ["KeyPair", "KeyRegistry", "Signature", "SignatureError"]
+__all__ = ["KeyPair", "KeyRegistry", "Signature"]

@@ -152,18 +152,13 @@ class HeartbeatMonitor:
             self._check_peers(now, deadline)
         sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
-    def forget(self, peer: str) -> None:
-        """Drop state about a peer that left or was evicted."""
-        self.last_seen.pop(peer, None)
-        self.suspected.discard(peer)
-
     def _check_peers(self, now: float, deadline: float) -> None:
         current_peers = self._peer_set
         suspected = self.suspected
         last_seen = self.last_seen
         for peer, seen_at in list(last_seen.items()):
             if peer not in current_peers:
-                # forget(peer), inline: under churn half the ticks purge one.
+                # A peer that left the view: under churn half the ticks purge one.
                 del last_seen[peer]
                 suspected.discard(peer)
                 continue

@@ -141,7 +141,6 @@ class GroupMessenger:
         # gm-id -> sender set of a delivered group message that later shares
         # still add to, while the host asks (count_late_shares / stop_counting).
         self._late_senders: Dict[str, Set[str]] = {}
-        self._gm_counter = 0
         # Single-entry cache of the full-copy-vs-digest decision, keyed by the
         # identity of the (immutable) own-view snapshot it was computed for.
         self._send_full_view: Optional[VGroupView] = None
@@ -157,10 +156,6 @@ class GroupMessenger:
         self._mw_scenario = scenario
 
     # ------------------------------------------------------------------ sending
-
-    def next_gm_id(self, label: str = "gm") -> str:
-        self._gm_counter += 1
-        return f"{self.binding.address}/{label}/{self._gm_counter}"
 
     def _sends_full_copy(self, own_view: VGroupView) -> bool:
         """Whether this node sends full payloads under ``own_view``.
@@ -184,17 +179,17 @@ class GroupMessenger:
         target_view: VGroupView,
         kind: str,
         payload: Any,
-        gm_id: Optional[str] = None,
+        gm_id: str,
         payload_bytes: Optional[int] = None,
-    ) -> str:
+    ) -> None:
         """Send this node's share of a group message to every node of ``target_view``.
 
         Every correct member of the sending vgroup is expected to make the same
         call with the same ``gm_id`` (they all execute the same decided
-        operation); this method sends only the local node's shares.
+        operation, so the id is derived from it); this method sends only the
+        local node's shares.
         """
         own_view = self.own_view_fn()
-        identifier = gm_id or self.next_gm_id(kind)
         digest = digest_object(payload)
         send_full = self._sends_full_copy(own_view)
         if send_full:
@@ -204,7 +199,7 @@ class GroupMessenger:
             size = DIGEST_BYTES
 
         envelope = GroupMessageEnvelope(
-            gm_id=identifier,
+            gm_id=gm_id,
             source_group=own_view.group_id,
             source_epoch=own_view.epoch,
             target_group=target_view.group_id,
@@ -216,7 +211,6 @@ class GroupMessenger:
         members = target_view.members
         self._send_fanout(self._address, members, envelope, size)
         self._metrics_increment("group.shares_sent", len(members))
-        return identifier
 
     def send_equivocating(
         self,
@@ -224,9 +218,9 @@ class GroupMessenger:
         kind: str,
         payload: Any,
         forged_payload: Any,
-        gm_id: Optional[str] = None,
+        gm_id: str,
         payload_bytes: Optional[int] = None,
-    ) -> str:
+    ) -> None:
         """Byzantine equivocation: conflicting shares to halves of the target.
 
         The first half of the destination vgroup receives ``payload``, the
@@ -238,7 +232,6 @@ class GroupMessenger:
         optimisation and a full forged copy is the stronger attack.
         """
         own_view = self.own_view_fn()
-        identifier = gm_id or self.next_gm_id(kind)
         size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
         members = target_view.members
         half = len(members) // 2
@@ -247,7 +240,7 @@ class GroupMessenger:
             if not chunk:
                 continue
             envelope = GroupMessageEnvelope(
-                gm_id=identifier,
+                gm_id=gm_id,
                 source_group=own_view.group_id,
                 source_epoch=own_view.epoch,
                 target_group=target_view.group_id,
@@ -259,7 +252,6 @@ class GroupMessenger:
             self._send_fanout(self._address, chunk, envelope, size)
         self._metrics_increment("group.shares_sent", len(members))
         self._metrics_increment("group.equivocations_sent")
-        return identifier
 
     # ---------------------------------------------------------------- receiving
 

@@ -83,32 +83,12 @@ METRICS = {
         "modules": ('repro/apps/ashare.py',),
         "matrix_column": False,
     },
-    'ashare.snapshot_rejected': {
-        "kind": 'counter',
-        "modules": ('repro/apps/ashare.py',),
-        "matrix_column": False,
-    },
-    'ashare.snapshots_restored': {
-        "kind": 'counter',
-        "modules": ('repro/apps/ashare.py',),
-        "matrix_column": False,
-    },
     'astream.invalid_chunks': {
         "kind": 'counter',
         "modules": ('repro/apps/astream.py',),
         "matrix_column": False,
     },
     'astream.pulls': {
-        "kind": 'counter',
-        "modules": ('repro/apps/astream.py',),
-        "matrix_column": False,
-    },
-    'astream.snapshot_rejected': {
-        "kind": 'counter',
-        "modules": ('repro/apps/astream.py',),
-        "matrix_column": False,
-    },
-    'astream.snapshots_restored': {
         "kind": 'counter',
         "modules": ('repro/apps/astream.py',),
         "matrix_column": False,
@@ -434,16 +414,6 @@ METRICS = {
         "matrix_column": False,
     },
     'mw.nodes_left': {
-        "kind": 'counter',
-        "modules": ('repro/core/middleware.py',),
-        "matrix_column": False,
-    },
-    'mw.sends': {
-        "kind": 'counter',
-        "modules": ('repro/core/middleware.py',),
-        "matrix_column": False,
-    },
-    'mw.timer_ticks': {
         "kind": 'counter',
         "modules": ('repro/core/middleware.py',),
         "matrix_column": False,

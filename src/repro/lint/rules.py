@@ -867,7 +867,6 @@ MIDDLEWARE_HOOK_NAMES = (
     "on_eviction",
     "on_node_added",
     "on_node_left",
-    "on_timer",
 )
 
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any
 
-from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 
 
@@ -12,7 +11,8 @@ class Actor:
     """A named participant in the simulation.
 
     Actors receive messages through :meth:`on_message` (delivered by a
-    :class:`repro.net.network.Network`) and can set named timers.  Concrete
+    :class:`repro.net.network.Network`); timers are plain
+    :meth:`~repro.sim.simulator.Simulator.schedule` calls.  Concrete
     protocols subclass ``Actor`` and dispatch on the message payload type.
 
     The base attributes are slotted because ``alive`` is read on every
@@ -20,12 +20,11 @@ class Actor:
     get a ``__dict__`` of their own unless they declare ``__slots__`` too).
     """
 
-    __slots__ = ("sim", "address", "_timers", "alive", "__dict__")
+    __slots__ = ("sim", "address", "alive", "__dict__")
 
     def __init__(self, sim: Simulator, address: str) -> None:
         self.sim = sim
         self.address = address
-        self._timers: Dict[str, Event] = {}
         self.alive = True
 
     # ---------------------------------------------------------------- messages
@@ -34,36 +33,11 @@ class Actor:
         """Handle a delivered message.  Subclasses override this."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ timers
-
-    def set_timer(self, name: str, delay: float, callback: Callable[[], None]) -> None:
-        """Arm (or re-arm) a named timer ``delay`` seconds from now."""
-        self.cancel_timer(name)
-        def fire() -> None:
-            self._timers.pop(name, None)
-            if self.alive:
-                callback()
-        self._timers[name] = self.sim.schedule(delay, fire, tag=f"{self.address}:{name}")
-
-    def cancel_timer(self, name: str) -> None:
-        """Cancel a named timer if it is armed."""
-        event = self._timers.pop(name, None)
-        if event is not None:
-            self.sim.cancel(event)
-
-    def has_timer(self, name: str) -> bool:
-        return name in self._timers
-
-    def cancel_all_timers(self) -> None:
-        for name in list(self._timers):
-            self.cancel_timer(name)
-
     # ---------------------------------------------------------------- lifecycle
 
     def shutdown(self) -> None:
-        """Stop the actor: cancel timers and ignore future callbacks."""
+        """Stop the actor: it ignores every later message."""
         self.alive = False
-        self.cancel_all_timers()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.address}>"

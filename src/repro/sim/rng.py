@@ -50,13 +50,5 @@ class RngRegistry:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
 
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a new registry whose master seed is derived from ``name``.
-
-        Useful to give a sub-component (e.g. one Atum node) its own family of
-        streams without colliding with the parent's stream names.
-        """
-        return RngRegistry(derive_seed(self.master_seed, name))
-
 
 __all__ = ["RngRegistry", "derive_seed", "named_stream"]

@@ -28,5 +28,5 @@ class Keeper:
         return ctx
 
 
-def on_timer(ctx):
+def on_node_left(ctx):
     yield ctx

@@ -26,8 +26,8 @@ class Observer:
         self.log.append(max(ctx.senders or (), key=lambda ctx: len(ctx)))
         return ctx.address
 
-    def on_timer(self, ctx):
-        self.kept = ctx  # atumlint: allow[ATL010] fixture: on_timer contexts are built per tick, never reused
+    def on_node_added(self, ctx):
+        self.kept = ctx  # atumlint: allow[ATL010] fixture: on_node_added contexts are built per event, never reused
 
     def remember(self, ctx):
         # Not a hook name: whatever this helper does is its own business.

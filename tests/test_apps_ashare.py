@@ -191,56 +191,35 @@ class TestByzantineReplicas:
         assert many_replicas <= few_replicas
 
 
-class TestSnapshots:
-    """Deterministic snapshot()/restore() with certified digests (ISSUE 7)."""
+class TestReplayedState:
+    """AShare state is a pure function of the delivered broadcast prefix."""
 
-    def build(self):
-        atum, share, addresses = make_ashare(feedback=False)
+    def build(self, seed=0):
+        atum, share, addresses = make_ashare(feedback=False, seed=seed)
         share.put("n0", "dataset", size_bytes=20 * MB, num_chunks=10)
-        share.put("n0", "movie", size_bytes=10 * MB, num_chunks=5)
+        share.put("n1", "movie", size_bytes=10 * MB, num_chunks=5)
+        share.put("n2", "scratch", size_bytes=1 * MB, num_chunks=1)
         atum.run(until=60.0)
-        share.seed_replicas("n0", "dataset", ["n3", "n4"])
-        return atum, share
+        share.delete("n2", "scratch")
+        atum.run(until=120.0)
+        return atum, share, addresses
 
-    def test_snapshot_is_deterministic_and_restore_round_trips(self):
-        atum, share = self.build()
-        snapshot = share.snapshot("n0")
-        digest = share.snapshot_digest("n0")
-        assert share.snapshot("n0") == snapshot  # pure query, no mutation
-        assert share.restore("n9", snapshot, expected_digest=digest)
-        assert share.snapshot_digest("n9") == digest
-        assert share.index_of("n9").get("n0", "dataset").replicas == {"n0", "n3", "n4"}
-        assert atum.sim.metrics.counter("ashare.snapshots_restored") == 1
-        assert atum.sim.metrics.counter("ashare.snapshot_rejected") == 0
+    @staticmethod
+    def records(share, address):
+        return sorted(share.index_of(address).all_records(), key=lambda r: r.file_id)
 
-    def test_restore_rejects_digest_mismatch(self):
-        atum, share = self.build()
-        snapshot = share.snapshot("n0")
-        digest = share.snapshot_digest("n0")
-        tampered = dict(snapshot)
-        tampered["stored"] = ()
-        before = share.snapshot_digest("n9")
-        assert not share.restore("n9", tampered, expected_digest=digest)
-        assert share.snapshot_digest("n9") == before  # state untouched
-        assert atum.sim.metrics.counter("ashare.snapshot_rejected") == 1
+    def test_every_node_holds_the_same_index(self):
+        atum, share, addresses = self.build()
+        reference = self.records(share, "n0")
+        assert [record.file_id for record in reference] == [
+            ("n0", "dataset"),
+            ("n1", "movie"),
+        ]
+        for address in addresses:
+            assert self.records(share, address) == reference, address
 
-    def test_restore_rejects_tampered_chunk_digests_even_with_matching_digest(self):
-        # The adversary recomputes the outer digest over forged metadata;
-        # the inner chunk-digest check still refuses it.
-        from repro.crypto.digest import digest_object
-
-        atum, share = self.build()
-        snapshot = share.snapshot("n0")
-        records = [dict(entry) for entry in snapshot["records"]]
-        records[0]["chunk_digests"] = tuple(
-            chunk_digest("mallory", "evil", i) for i in range(records[0]["num_chunks"])
-        )
-        forged = dict(snapshot, records=tuple(records))
-        assert not share.restore("n9", forged, expected_digest=digest_object(forged))
-        assert atum.sim.metrics.counter("ashare.snapshot_rejected") == 1
-
-    def test_restore_rejects_malformed_snapshots(self):
-        atum, share = self.build()
-        assert not share.restore("n9", {"app": "other"})
-        assert not share.restore("n9", {"app": "ashare", "records": [{"owner": "x"}], "stored": ()})
-        assert atum.sim.metrics.counter("ashare.snapshot_rejected") == 2
+    def test_the_same_run_rebuilds_the_same_index(self):
+        _, first, addresses = self.build(seed=11)
+        _, second, _ = self.build(seed=11)
+        for address in addresses:
+            assert self.records(first, address) == self.records(second, address)

@@ -109,46 +109,137 @@ class TestStreaming:
         # mechanism must never deliver an invalid chunk.
         assert atum.sim.metrics.counter("astream.invalid_chunks") == 0
 
+    def test_pull_fallback_recovers_chunks_whose_pushes_were_lost(self):
+        # Every push to one node in a chunk's first 0.5 s is lost, so the
+        # node learns each chunk only through its tier-one digest and must
+        # pull it from a parent after the timeout.
+        from repro.core.middleware import Middleware, MiddlewareChain
+        from repro.core.node import DirectMessage
 
-class TestSnapshots:
-    """Stream-prefix snapshot()/restore() with certified digests (ISSUE 7)."""
+        class DropEarlyPushes(Middleware):
+            def on_send(self, ctx):
+                message = ctx.payload
+                if (
+                    ctx.receiver == "n5"
+                    and isinstance(message, DirectMessage)
+                    and message.kind == "astream.push"
+                    and ctx.now - message.payload["chunk"].created_at < 0.5
+                ):
+                    ctx.drop = True
 
-    def build(self):
         atum, session, addresses = make_session()
-        session.stream(duration_s=0.5)
+        atum.install_middleware(MiddlewareChain(DropEarlyPushes()))
+        count = session.stream(duration_s=2.0)
+        atum.run(until=120.0)
+        assert count == 8
+        assert atum.sim.metrics.counter("astream.pulls") > 0
+        assert session.states["n5"].pulls_issued == count
+        for index in range(count):
+            assert session.delivery_fraction(index) == 1.0
+
+    def test_no_pull_is_issued_when_every_push_arrives(self):
+        atum, session, addresses = make_session(n=20)
+        count = session.stream(duration_s=1.0)
         atum.run(until=60.0)
-        return atum, session
+        assert all(session.delivery_fraction(index) == 1.0 for index in range(count))
+        assert atum.sim.metrics.counter("astream.pulls") == 0
+        assert all(state.pulls_issued == 0 for state in session.states.values())
 
-    def test_snapshot_restore_round_trips_a_prefix(self):
-        atum, session = self.build()
-        snapshot = session.snapshot("n5")
-        digest = session.snapshot_digest("n5")
-        assert snapshot["received"]  # the run actually delivered chunks
-        session.states["n5"].received_chunks.clear()
-        session.states["n5"].known_digests.clear()
-        assert session.restore("n5", snapshot, expected_digest=digest)
-        assert session.snapshot_digest("n5") == digest
-        assert atum.sim.metrics.counter("astream.snapshots_restored") == 1
+    def test_a_pull_is_answered_only_by_a_correct_parent_holding_the_chunk(self):
+        atum, session, addresses = make_session(n=24, byzantine=["n3"], seed=5)
+        count = session.stream(duration_s=0.5)
+        atum.run(until=60.0)
+        answers = []
+        for address in ("n0", "n3"):
+            node = atum.nodes[address]
+            node.send_direct = lambda to, kind, payload, size_bytes, a=address: answers.append(
+                (a, to, kind, payload["chunk"].index)
+            )
+        # A correct holder answers with the chunk ...
+        session._on_pull("n0", {"index": 0}, "n5")
+        assert answers == [("n0", "n5", "astream.push", 0)]
+        # ... but not for a chunk it never received,
+        session._on_pull("n0", {"index": count + 10}, "n5")
+        # and a Byzantine node never answers, even holding the chunk.
+        session.states["n3"].received_chunks[0] = atum.sim.now
+        session._on_pull("n3", {"index": 0}, "n5")
+        assert answers == [("n0", "n5", "astream.push", 0)]
 
-    def test_restore_rejects_truncated_prefix_under_certified_digest(self):
-        atum, session = self.build()
-        snapshot = session.snapshot("n5")
-        digest = session.snapshot_digest("n5")
-        truncated = dict(snapshot, received=snapshot["received"][:-1])
-        # The certified digest covers the full prefix: truncation is caught.
-        assert not session.restore("n7", truncated, expected_digest=digest)
-        assert atum.sim.metrics.counter("astream.snapshot_rejected") == 1
+    def test_a_repeated_push_is_accepted_once(self):
+        atum, session, addresses = make_session(n=20)
+        count = session.stream(duration_s=0.5)
+        atum.run(until=60.0)
+        received = dict(session.states["n5"].received_chunks)
+        latencies = len(session.tier2_latencies())
+        for index in range(count):
+            session._on_push("n5", {"chunk": session.chunks[index]})
+        assert session.states["n5"].received_chunks == received
+        assert len(session.tier2_latencies()) == latencies
 
-    def test_restore_rejects_holey_prefix_and_forged_chunk_digests(self):
-        from repro.crypto.digest import digest_object
 
-        atum, session = self.build()
-        snapshot = session.snapshot("n5")
-        holey = dict(snapshot, received=tuple(snapshot["received"][1:]))
-        assert not session.restore("n7", holey, expected_digest=digest_object(holey))
-        forged_digests = tuple((index, "forged") for index, _ in snapshot["digests"])
-        forged = dict(snapshot, digests=forged_digests)
-        assert not session.restore("n7", forged, expected_digest=digest_object(forged))
-        wrong_stream = dict(snapshot, stream="stream-other")
-        assert not session.restore("n7", wrong_stream)
-        assert atum.sim.metrics.counter("astream.snapshot_rejected") == 3
+class TestChunkIntegrity:
+    """A chunk must match the digest its node learnt through tier one."""
+
+    def starved_session(self):
+        # Every push to n5 is lost, pull replies included: n5 ends the run
+        # knowing every chunk's certified digest and holding no chunk.
+        from repro.core.middleware import Middleware, MiddlewareChain
+        from repro.core.node import DirectMessage
+
+        class DropPushesToN5(Middleware):
+            def on_send(self, ctx):
+                message = ctx.payload
+                if (
+                    ctx.receiver == "n5"
+                    and isinstance(message, DirectMessage)
+                    and message.kind == "astream.push"
+                ):
+                    ctx.drop = True
+
+        atum, session, addresses = make_session()
+        atum.install_middleware(MiddlewareChain(DropPushesToN5()))
+        count = session.stream(duration_s=1.0)
+        atum.run(until=60.0)
+        state = session.states["n5"]
+        assert sorted(state.known_digests) == list(range(count))
+        assert state.received_chunks == {}
+        return atum, session, count
+
+    def test_forged_chunks_always_reject_and_genuine_ones_still_land(self):
+        import random
+
+        atum, session, count = self.starved_session()
+        state = session.states["n5"]
+        rng = random.Random(0x57)
+        for case in range(40):
+            genuine = session.chunks[rng.randrange(count)]
+            if rng.random() < 0.5:  # same slot, different content
+                size = genuine.size_bytes + rng.randrange(1, 10_000)
+                forged = StreamChunk(genuine.stream_id, genuine.index, size, genuine.created_at)
+            else:  # another stream's chunk under the same index
+                forged = StreamChunk(
+                    f"stream-{rng.getrandbits(32):x}",
+                    genuine.index,
+                    genuine.size_bytes,
+                    genuine.created_at,
+                )
+            before = atum.sim.metrics.counter("astream.invalid_chunks")
+            session._on_push("n5", {"chunk": forged})
+            assert atum.sim.metrics.counter("astream.invalid_chunks") == before + 1, case
+            assert state.received_chunks == {}, case
+        for index in range(count):
+            session._on_push("n5", {"chunk": session.chunks[index]})
+        assert sorted(state.received_chunks) == list(range(count))
+        assert atum.sim.metrics.counter("astream.invalid_chunks") == 40
+
+    def test_a_push_without_a_chunk_is_ignored(self):
+        atum, session, count = self.starved_session()
+        for payload in ({}, {"chunk": None}, {"chunk": {"index": 0}}):
+            session._on_push("n5", payload)
+        assert session.states["n5"].received_chunks == {}
+        assert atum.sim.metrics.counter("astream.invalid_chunks") == 0
+
+    def test_a_starved_node_pulls_every_chunk(self):
+        atum, session, count = self.starved_session()
+        assert session.states["n5"].pulls_issued == count
+        assert atum.sim.metrics.counter("astream.pulls") == count

@@ -136,6 +136,20 @@ class TestRouting:
         cluster.node("n0").send_direct("n1", "unknown-kind", "payload")
         cluster.run(until=5.0)  # must not raise
 
+    def test_accepted_group_message_other_than_a_gossiped_broadcast_is_dropped(self):
+        cluster = built_cluster(n=40)
+        node = cluster.node("n0")
+        message = BroadcastMessage("b7", "n1", "x", 10, 0.0)
+        source = node._gossip_targets(message, exclude=())[0]
+        node._on_group_message("custom", message, source, "gm-1", set())
+        node._on_group_message("gossip", "not-a-broadcast", source, "gm-2", set())
+        cluster.run(until=5.0)
+        assert node.delivered_order == []
+        assert cluster.sim.metrics.counter("atum.gossip_forwards") == 0
+        # The same broadcast under its own kind is delivered.
+        node._on_group_message("gossip", message, source, "gm-3", set())
+        assert node.delivered_order == ["b7"]
+
     def test_mute_node_ignores_everything(self):
         cluster = built_cluster()
         received = []

@@ -11,7 +11,6 @@ from repro.crypto import (
     CertificateChain,
     CryptoCostModel,
     KeyRegistry,
-    SignatureError,
     digest_bytes,
     digest_object,
 )
@@ -206,15 +205,14 @@ class TestOneDigest:
         assert digest_object(payload) == "seam"
         assert seen == [canonical_encode(payload)] * 2
 
-    def test_cm_token_signature_fails_verify_or_raise(self):
+    def test_cm_token_signature_fails_verify(self):
         registry = KeyRegistry()
         digest = cm_token({"msg": "hello"})
         forged = Signature(
             signer="alice", digest=digest, mac=registry.generate("alice").mac_of(digest)
         )
-        with pytest.raises(SignatureError):
-            registry.verify_or_raise(forged, {"msg": "hello"})
-        registry.verify_or_raise(registry.sign("alice", {"msg": "hello"}), {"msg": "hello"})
+        assert not registry.verify(forged, {"msg": "hello"})
+        assert registry.verify(registry.sign("alice", {"msg": "hello"}), {"msg": "hello"})
 
     def test_signatures_survive_a_memo_clear(self):
         registry = KeyRegistry()
@@ -358,16 +356,11 @@ class TestSignatures:
         )
         assert not registry.verify(forged, "payload")
 
-    def test_verify_or_raise(self):
+    def test_signature_fails_verify_over_another_object(self):
         registry = KeyRegistry()
         signature = registry.sign("alice", "x")
-        registry.verify_or_raise(signature, "x")
-        with pytest.raises(SignatureError):
-            registry.verify_or_raise(signature, "y")
-
-    def test_pairwise_mac_differs_by_peer(self):
-        registry = KeyRegistry()
-        assert registry.mac("alice", "bob", "m") != registry.mac("alice", "carol", "m")
+        assert registry.verify(signature, "x")
+        assert not registry.verify(signature, "y")
 
 
 class TestCertificateChains:

@@ -126,14 +126,21 @@ class TestEpochCrossingIntegration:
             record = share.index_of(laggard).get(owner, f"file-{index}")
             assert record is not None, index
         # App state is a deterministic function of the delivered prefix:
-        # the laggard's certified recovery makes its snapshot digest equal
-        # a co-member's (neither stores replicas, so state is pure index).
+        # the laggard's certified recovery makes its index equal a
+        # co-member's (neither stores replicas, so state is pure index).
         reference = next(
             address
             for address in sorted(cluster.nodes)
             if address not in (laggard, owner) and not share.stored[address]
         )
-        assert share.snapshot_digest(laggard) == share.snapshot_digest(reference)
+
+        def records(address):
+            return sorted(
+                share.index_of(address).all_records(), key=lambda r: r.file_id
+            )
+
+        assert len(records(laggard)) == 5
+        assert records(laggard) == records(reference)
 
     def test_run_replays_byte_identically(self):
         first, _, _, _, _ = self.run_epoch_crossing()

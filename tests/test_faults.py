@@ -754,9 +754,13 @@ class TestInvariantMonitorDetections:
         victim = cluster.engine.groups[target].members[0]
         node = cluster.nodes[victim]
         accepted = []
-        node.register_group_handler(
-            "custom", lambda payload, src, gm_id: accepted.append(payload)
-        )
+        deliver = node.messenger.on_accept
+
+        def on_accept(kind, payload, source_group, gm_id, senders):
+            accepted.append(payload)
+            deliver(kind, payload, source_group, gm_id, senders)
+
+        node.messenger.on_accept = on_accept
         payload = "minority-coup"
         envelope = GroupMessageEnvelope(
             gm_id="forged-2",

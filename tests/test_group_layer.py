@@ -154,6 +154,27 @@ class TestGroupMessages:
         assert ok_with and ok_without
         assert bytes_with < bytes_without
 
+    @pytest.mark.parametrize("method", ["send", "send_equivocating"])
+    def test_a_group_message_id_is_required(self, method):
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        group_a, group_b, hosts = _make_two_groups(sim, network)
+        payloads = ("x",) if method == "send" else ("x", "y")
+        with pytest.raises(TypeError):
+            getattr(hosts["a0"].messenger, method)(group_b, "gossip", *payloads)
+
+    def test_shares_under_per_member_ids_never_reach_a_majority(self):
+        # Why the id must be derived from the decided operation: an id built
+        # from the sender's own address and counter differs at every member.
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        group_a, group_b, hosts = _make_two_groups(sim, network)
+        for sender in group_a.members:
+            hosts[sender].messenger.send(group_b, "gossip", "x", gm_id=f"{sender}/gossip/0")
+        sim.run()
+        for receiver in group_b.members:
+            assert hosts[receiver].accepted == []
+
     def test_duplicate_shares_do_not_redeliver(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
@@ -217,16 +238,45 @@ class TestHeartbeats:
         assert "n2" in hosts["n1"].suspected
         assert "n1" not in hosts["n0"].suspected
 
-    def test_forget_clears_state(self):
+    def test_tick_purges_a_peer_that_left_the_view(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"])
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"))
         network.register(host)
         host.monitor.start()
-        sim.run(until=5.0)
-        host.monitor.forget("n1")
+        # n1 never heartbeats: it is tracked, then suspected.
+        sim.run(until=10.0)
+        assert "n1" in host.monitor.last_seen
+        assert "n1" in host.monitor.suspected
+        # n1 leaves the view: the next tick drops every trace of it.
+        host.monitor.peers_fn = lambda: ("n0",)
+        sim.run(until=11.5)
         assert "n1" not in host.monitor.last_seen
+        assert "n1" not in host.monitor.suspected
 
+
+    def test_a_purged_peer_that_returns_gets_a_fresh_deadline(self):
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"))
+        network.register(host)
+        host.monitor.start()
+        sim.run(until=10.0)
+        assert "n1" in host.monitor.suspected
+        host.monitor.peers_fn = lambda: ("n0",)
+        sim.run(until=11.5)
+        assert "n1" not in host.monitor.last_seen
+        # n1 rejoins the view: it is tracked from the rejoin on, not from
+        # its old silence, and is suspected again only after a full deadline.
+        host.monitor.peers_fn = lambda: ("n0", "n1")
+        sim.run(until=12.5)
+        rejoined_at = host.monitor.last_seen["n1"]
+        assert rejoined_at > 11.5
+        assert "n1" not in host.monitor.suspected
+        sim.run(until=rejoined_at + MISSES_BEFORE_EVICTION * 1.0 - 0.01)
+        assert "n1" not in host.monitor.suspected
+        sim.run(until=rejoined_at + (MISSES_BEFORE_EVICTION + 1) * 1.0 + 0.01)
+        assert "n1" in host.monitor.suspected
 
 PERIODS = [0.25, 0.5, 1.0, 2.0, 5.0]
 

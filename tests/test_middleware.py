@@ -77,6 +77,16 @@ class TestChainSemantics:
         for name in HOOK_NAMES:
             assert chain.hooks(name) is None
 
+    def test_the_base_class_defines_exactly_the_pipeline_hooks(self):
+        defined = {name for name in vars(Middleware) if name.startswith("on_")}
+        assert defined == set(HOOK_NAMES)
+
+    def test_lint_knows_exactly_the_pipeline_hooks(self):
+        # The analyzer hardcodes the names so it never imports simulator code.
+        from repro.lint.rules import MIDDLEWARE_HOOK_NAMES
+
+        assert MIDDLEWARE_HOOK_NAMES == HOOK_NAMES
+
     def test_only_overridden_hooks_enter_the_pipeline(self):
         class DeliverOnly(Middleware):
             def on_deliver(self, ctx):
@@ -131,10 +141,11 @@ class TestChainSemantics:
         chain.add(Recorder())
         assert recompiles == [1, 2]
 
-    def test_metrics_tap_send_counting_is_an_instance_level_opt_in(self):
-        plain, counting = MetricsTap(), MetricsTap(count_sends=True)
+    def test_instance_bound_hook_is_an_opt_in(self):
+        plain, bound = MetricsTap(), MetricsTap()
+        bound.on_send = lambda ctx: None
         assert MiddlewareChain(plain).hooks("on_send") is None
-        assert MiddlewareChain(counting).hooks("on_send") is not None
+        assert MiddlewareChain(bound).hooks("on_send") is not None
 
 
 # ------------------------------------------------------------- double install
@@ -206,30 +217,10 @@ class TestDispatchIntegration:
 
     def test_metrics_tap_counts_pipeline_events(self):
         cluster = build_cluster()
-        cluster.install_middleware(MiddlewareChain(MetricsTap(count_sends=True)))
+        cluster.install_middleware(MiddlewareChain(MetricsTap()))
         cluster.broadcast("n0", {"payload": 1})
         cluster.run_for(20.0)
-        metrics = cluster.sim.metrics
-        assert metrics.counter("mw.sends") > 0
-        assert metrics.counter("mw.delivers") > 0
-
-    def test_timer_ticks_until_stop_disarms(self):
-        class ThreeTicks(Middleware):
-            timer_period = 1.0
-
-            def __init__(self):
-                self.ticks = 0
-
-            def on_timer(self, ctx):
-                self.ticks += 1
-                if self.ticks >= 3:
-                    ctx.stop = True
-
-        cluster = build_cluster()
-        ticker = ThreeTicks()
-        cluster.install_middleware(MiddlewareChain(ticker))
-        cluster.run_for(10.0)
-        assert ticker.ticks == 3
+        assert cluster.sim.metrics.counter("mw.delivers") > 0
 
 
 # ------------------------------------------- on_send verdicts and the context
@@ -435,13 +426,20 @@ class TestHookExceptionsPropagate:
         with pytest.raises(Boom):
             cluster._notify_eviction("n1")
 
-    def test_on_timer_exception_propagates(self):
-        exploding = self._exploding("on_timer")
-        exploding.timer_period = 1.0
+    def test_on_node_added_exception_propagates(self):
         cluster = build_cluster()
-        cluster.install_middleware(MiddlewareChain(exploding))
+        cluster.install_middleware(MiddlewareChain(self._exploding("on_node_added")))
         with pytest.raises(Boom):
-            cluster.run_for(5.0)
+            cluster.join("late-1", contact="n0")
+
+    def test_on_node_left_exception_propagates(self):
+        cluster = build_cluster()
+        cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        cluster.install_middleware(MiddlewareChain(self._exploding("on_node_left")))
+        cluster.leave("late-1")
+        with pytest.raises(Boom):
+            cluster.run_for(30.0)
 
 
 # ------------------------------------------------- exactly-once eviction hook

@@ -373,11 +373,6 @@ def registry_verifies(harness, sign):
     return harness.registry.verify(sign("replica-0", statement), statement)
 
 
-def signature_covers(harness, sign):
-    statement = {"walk": "w", "hop": 0}
-    return sign("replica-0", statement).covers(statement)
-
-
 def chain_verifies(harness, sign):
     members = tuple(harness.addresses)
     unsigned = WalkCertificate("w", 0, "G0", members, "G1", ())
@@ -396,9 +391,25 @@ def checkpoint_vote_accepted(harness, sign):
     return bad() == before
 
 
+
+def checkpoint_certificate_valid(harness, sign):
+    replica = harness.actors["replica-2"].replica
+    stable = replica.checkpoints.stable
+    statement = checkpoint_statement(stable.epoch, stable.seq, stable.state_digest)
+    quorum = list(replica.members)[: _quorum_of(replica.members)]
+    certificate = CheckpointCertificate(
+        stable.epoch,
+        stable.seq,
+        stable.state_digest,
+        tuple(sign(name, statement) for name in quorum),
+    )
+    return replica.checkpoints.valid_certificate(certificate)
+
+
 @pytest.mark.usefixtures("quiet_announces")
 @pytest.mark.parametrize(
-    "accepts", [registry_verifies, signature_covers, chain_verifies, checkpoint_vote_accepted]
+    "accepts",
+    [registry_verifies, chain_verifies, checkpoint_vote_accepted, checkpoint_certificate_valid],
 )
 def test_a_cm_token_with_a_valid_mac_is_forged_input(accepts):
     harness = checkpointed_harness()

@@ -156,39 +156,3 @@ class TestSimulator:
         a = [sim.rng.stream("a").random() for _ in range(3)]
         b = [sim.rng.stream("b").random() for _ in range(3)]
         assert a != b
-
-
-class TestActorTimers:
-    def test_timer_fires_and_clears(self):
-        from repro.sim.actor import Actor
-
-        sim = Simulator()
-        actor = Actor(sim, "a")
-        fired = []
-        actor.set_timer("t", 1.0, lambda: fired.append(sim.now))
-        assert actor.has_timer("t")
-        sim.run()
-        assert fired == [1.0]
-        assert not actor.has_timer("t")
-
-    def test_rearming_replaces_previous_timer(self):
-        from repro.sim.actor import Actor
-
-        sim = Simulator()
-        actor = Actor(sim, "a")
-        fired = []
-        actor.set_timer("t", 1.0, lambda: fired.append("first"))
-        actor.set_timer("t", 2.0, lambda: fired.append("second"))
-        sim.run()
-        assert fired == ["second"]
-
-    def test_shutdown_cancels_timers(self):
-        from repro.sim.actor import Actor
-
-        sim = Simulator()
-        actor = Actor(sim, "a")
-        fired = []
-        actor.set_timer("t", 1.0, lambda: fired.append("x"))
-        actor.shutdown()
-        sim.run()
-        assert fired == []
