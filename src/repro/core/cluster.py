@@ -28,7 +28,7 @@ from repro.core.middleware import (
 from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyTap
-from repro.group.heartbeat import MISSES_BEFORE_EVICTION
+from repro.group.heartbeat import MISSES_BEFORE_EVICTION, HeartbeatClock
 from repro.group.vgroup import VGroupView
 from repro.net.latency import LanProfile, LatencyModel, WanProfile
 from repro.net.network import Network
@@ -57,7 +57,12 @@ class AtumCluster:
         self.latency_model = latency_model
         self.network = Network(self.sim, latency_model=latency_model)
         self.registry = KeyRegistry()
-        self.enable_heartbeats = enable_heartbeats
+        # One clock ticks every node's heartbeat monitor (None: no monitors).
+        self.heartbeat_clock: Optional[HeartbeatClock] = (
+            HeartbeatClock(self.sim, self.params.heartbeat_period)
+            if enable_heartbeats
+            else None
+        )
         # Optional anti-entropy repair layer (repro.group.antientropy): a
         # config here equips every node with the digest-exchange repair
         # actor; None keeps runs byte-identical to pre-anti-entropy builds.
@@ -217,7 +222,7 @@ class AtumCluster:
             forward_fn=forward_fn,
             forward_policy=forward_policy,
             byzantine=byzantine,
-            enable_heartbeats=self.enable_heartbeats,
+            heartbeat_clock=self.heartbeat_clock,
             antientropy=self.antientropy_config,
         )
         self.nodes[address] = node

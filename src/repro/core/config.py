@@ -73,6 +73,12 @@ class AtumParameters:
             raise ValueError("rwl must be at least 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
+        # Each drives a timer: zero re-arms at the same instant forever, a
+        # negative or NaN one cannot be scheduled, an infinite one never fires.
+        for name in ("round_duration", "request_timeout", "heartbeat_period"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     # --------------------------------------------------------------- factories
 

@@ -31,7 +31,7 @@ from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
-from repro.group.heartbeat import HeartbeatMonitor
+from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
@@ -125,6 +125,8 @@ class AtumNode(Actor):
             replicas fetch state from — and stonewalls, drip-feeds,
             tampers or stales its transfer responses (see
             :data:`repro.faults.plan.RESPONDER_BEHAVIOURS`).
+        heartbeat_clock: The cluster's heartbeat clock, which ticks the
+            node's failure detector once per period; ``None`` runs none.
     """
 
     def __init__(
@@ -139,7 +141,7 @@ class AtumNode(Actor):
         forward_fn: Optional[Callable[[BroadcastMessage, str], bool]] = None,
         forward_policy: str = "flood",
         byzantine: Optional[str] = None,
-        enable_heartbeats: bool = False,
+        heartbeat_clock: Optional[HeartbeatClock] = None,
         antientropy: Optional[AntiEntropyConfig] = None,
     ) -> None:
         super().__init__(sim, address)
@@ -186,7 +188,7 @@ class AtumNode(Actor):
         if antientropy is not None:
             self.antientropy = AntiEntropyRepair(self)
         self.heartbeats: Optional[HeartbeatMonitor] = None
-        if enable_heartbeats:
+        if heartbeat_clock is not None:
             self.heartbeats = HeartbeatMonitor(
                 sim=sim,
                 address=address,
@@ -194,7 +196,7 @@ class AtumNode(Actor):
                 send_fn=partial(network.send_many, address, size_bytes=64),
                 heard_fn=network.heard,
                 suspect_fn=self._on_peer_suspected,
-                period=params.heartbeat_period,
+                clock=heartbeat_clock,
             )
         # The node's routing table: exact frame type -> handler (a share goes
         # straight to the messenger).  Heartbeats never reach it: the monitor

@@ -10,7 +10,8 @@ robust vgroups (paper section 3.1).  Its building blocks are:
   of A to every node of B, and accepted by a node of B once a majority of A has
   sent it.  The digest optimisation of section 5.1 is implemented here.
 * :class:`repro.group.heartbeat.HeartbeatMonitor` -- periodic heartbeats and
-  eviction of unresponsive group members (section 5.1).
+  eviction of unresponsive group members (section 5.1), all ticked by one
+  :class:`repro.group.heartbeat.HeartbeatClock` per cluster.
 * :class:`repro.group.cost.GroupCostModel` -- latency model of group-level
   operations (group messages, SMR agreement) used by the vgroup-granularity
   membership engine.
@@ -18,7 +19,7 @@ robust vgroups (paper section 3.1).  Its building blocks are:
 
 from repro.group.vgroup import VGroupView, majority_threshold
 from repro.group.messages import GroupMessenger, GroupMessageEnvelope, NodeBinding
-from repro.group.heartbeat import HeartbeatMonitor
+from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
 from repro.group.cost import GroupCostModel
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "GroupMessenger",
     "GroupMessageEnvelope",
     "NodeBinding",
+    "HeartbeatClock",
     "HeartbeatMonitor",
     "GroupCostModel",
 ]

@@ -12,11 +12,19 @@ heartbeat is not a message event: the transport keeps each tick's send as one
 burst under its sender, and a monitor's tick asks it, per peer, when that
 peer's latest burst to this node arrived (:meth:`Network.heard
 <repro.net.network.Network.heard>`).
+
+Nor is a tick an event of its own.  One :class:`HeartbeatClock` per cluster
+drives every running monitor (a timing wheel with a single slot, after
+Varghese and Lauck): while any monitor runs it keeps exactly one pending
+event, and each period that event ticks every running monitor once, in start
+order.  Its grid is 0, P, 2P, ..., accumulated by adding P, so a monitor that
+starts at 0 and never restarts ticks at the times a private timer chain
+would.  ``start()`` ticks at once and joins the clock; ``stop()`` leaves it.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import math
 from typing import Callable, Dict, Iterable, Sequence
 
 from repro.net.message import Heartbeat
@@ -29,6 +37,57 @@ from repro.sim.simulator import Simulator
 MISSES_BEFORE_EVICTION = 3
 
 
+class HeartbeatClock:
+    """The one timer behind every heartbeat monitor of a cluster.
+
+    While a monitor is enrolled the clock keeps one pending event on the grid
+    0, ``period``, 2 ``period``, ...; each sweep ticks the enrolled monitors
+    once, in the order they started, then re-arms.  With nobody enrolled it
+    lets the queue drain, and the next :meth:`enroll` re-arms it at the next
+    point of the same grid.
+    """
+
+    def __init__(self, sim: Simulator, period: float) -> None:
+        self.sim = sim
+        #: The heartbeat period (60 s in the paper): the send cadence and,
+        #: times ``MISSES_BEFORE_EVICTION``, every monitor's deadline.
+        self.period = period
+        # Running monitors in start order (a dict: O(1) leave, ordered sweep).
+        self._monitors: Dict["HeartbeatMonitor", None] = {}
+        self._armed = False
+        # The pending sweep's grid time, or the last one's while unarmed.
+        self._grid = 0.0
+
+    def enroll(self, monitor: "HeartbeatMonitor") -> None:
+        self._monitors[monitor] = None
+        if not self._armed:
+            self._armed = True
+            now = self.sim.now
+            at = self._grid
+            while at <= now:
+                at += self.period
+            self._grid = at
+            self.sim.schedule_at(at, self._sweep, tag="hb.clock")
+
+    def leave(self, monitor: "HeartbeatMonitor") -> None:
+        self._monitors.pop(monitor, None)
+
+    def _sweep(self) -> None:
+        sim = self.sim
+        now = self._grid = sim._now
+        # A snapshot: a suspicion can stop (or restart) a monitor mid-sweep.
+        # Stopped monitors are skipped, and so is one that already ticked at
+        # this instant because it started here.
+        for monitor in tuple(self._monitors):
+            if monitor.running and monitor._ticked_at != now:
+                monitor._ticked_at = now
+                monitor._tick(now)
+        if self._monitors:
+            sim.schedule(self.period, self._sweep, tag="hb.clock")
+        else:
+            self._armed = False
+
+
 class HeartbeatMonitor:
     """Per-node heartbeat sender and failure detector.
 
@@ -39,7 +98,9 @@ class HeartbeatMonitor:
     (:meth:`Network.heard <repro.net.network.Network.heard>`), a ``peers_fn()``
     returning the current vgroup members (the host included), a
     ``suspect_fn(peer)`` invoked when a peer should be evicted and the
-    heartbeat ``period`` (60 s in the paper).
+    cluster's :class:`HeartbeatClock`, which ticks it once per period while it
+    runs.  ``start()`` ticks at once and enrolls with the clock; ``stop()``
+    leaves it.  A monitor ticks at most once per instant.
     """
 
     def __init__(
@@ -50,7 +111,7 @@ class HeartbeatMonitor:
         send_fn: Callable[[Sequence[str], Heartbeat], object],
         heard_fn: Callable[[str, str, float], float],
         suspect_fn: Callable[[str], None],
-        period: float,
+        clock: HeartbeatClock,
     ) -> None:
         self.sim = sim
         self.address = address
@@ -58,17 +119,12 @@ class HeartbeatMonitor:
         self.send_fn = send_fn
         self.heard_fn = heard_fn
         self.suspect_fn = suspect_fn
-        # The one period both the send cadence and the suspicion deadline use.
-        self._period = period
+        self.clock = clock
         self.last_seen: Dict[str, float] = {}
         self.suspected: set = set()
         self.running = False
-        # Every scheduled tick carries the start generation it belongs to, so
-        # the tick a stop() left in the queue fires as a no-op instead of
-        # running beside the chain the next start() begins.
-        self._generation = 0
-        self._tick_callback = partial(self._tick, 0)
-        self._tick_tag = f"{address}:hb"
+        # The instant of the latest tick: a monitor ticks at most once per instant.
+        self._ticked_at = -math.inf
         self._heartbeat = Heartbeat(address)
         # Peer-set cache keyed on the identity of the object ``peers_fn``
         # returns: vgroup views hand out the same immutable members tuple
@@ -82,7 +138,8 @@ class HeartbeatMonitor:
     # ---------------------------------------------------------------- lifecycle
 
     def start(self) -> None:
-        """Begin sending heartbeats and checking peers.
+        """Begin sending heartbeats and checking peers: tick now, then on
+        every sweep of the clock.
 
         A (re)starting monitor grants every peer a fresh deadline: a node
         recovering from a crash would otherwise compare ``now`` against
@@ -94,23 +151,22 @@ class HeartbeatMonitor:
         if self.running:
             return
         self.running = True
-        self._generation += 1
-        self._tick_callback = partial(self._tick, self._generation)
         self.last_seen.clear()
         self.suspected.clear()
-        self._tick_callback()
+        now = self.sim._now
+        if self._ticked_at != now:
+            self._ticked_at = now
+            self._tick(now)
+        self.clock.enroll(self)
 
     def stop(self) -> None:
-        """Stop sending and checking."""
+        """Stop sending and checking, and leave the clock."""
         self.running = False
+        self.clock.leave(self)
 
     # ----------------------------------------------------------------- protocol
 
-    def _tick(self, generation: int) -> None:
-        if generation != self._generation or not self.running:
-            return
-        sim = self.sim
-        now = sim._now
+    def _tick(self, now: float) -> None:
         peers = self.peers_fn()
         if not isinstance(peers, tuple):
             peers = tuple(peers)
@@ -135,7 +191,7 @@ class HeartbeatMonitor:
         suspected = self.suspected
         heard = self.heard_fn
         address = self.address
-        deadline = self._period * MISSES_BEFORE_EVICTION
+        deadline = self.clock.period * MISSES_BEFORE_EVICTION
         late = False
         for peer in others:
             seen_at = last_seen.get(peer)
@@ -150,7 +206,6 @@ class HeartbeatMonitor:
                 late = True
         if late or len(last_seen) != len(others):
             self._check_peers(now, deadline)
-        sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
 
     def _check_peers(self, now: float, deadline: float) -> None:
         current_peers = self._peer_set
@@ -174,4 +229,4 @@ class HeartbeatMonitor:
                 self.suspect_fn(peer)
 
 
-__all__ = ["Heartbeat", "HeartbeatMonitor", "MISSES_BEFORE_EVICTION"]
+__all__ = ["Heartbeat", "HeartbeatClock", "HeartbeatMonitor", "MISSES_BEFORE_EVICTION"]

@@ -100,6 +100,14 @@ class TestParameters:
         with pytest.raises(ValueError):
             AtumParameters(checkpoint_interval=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["heartbeat_period", "round_duration", "request_timeout"])
+    def test_a_time_that_cannot_drive_a_timer_is_rejected(self, name, value):
+        # Zero re-armed a heartbeat tick at the same instant forever, -1 and
+        # NaN failed inside build_static and round_duration=0 divided by zero.
+        with pytest.raises(ValueError, match=name):
+            AtumParameters(**{name: value})
+
     def test_cost_model_latency_follows_the_engine(self):
         assert AtumParameters(smr_kind=SmrKind.SYNC).cost_model().network_latency == 0.001
         assert AtumParameters(smr_kind=SmrKind.ASYNC).cost_model().network_latency == 0.05
@@ -143,7 +151,9 @@ class TestParameters:
         assert node.params is cluster.params  # one instance per deployment
         monitors = [peer.heartbeats for peer in cluster.nodes.values()]
         assert len(monitors) == 17
-        assert all(monitor._period == 2.0 for monitor in monitors)
+        # One clock, at the deployment's period, ticks the late joiner too.
+        assert all(monitor.clock is cluster.heartbeat_clock for monitor in monitors)
+        assert cluster.heartbeat_clock.period == 2.0
 
 
 def small_params(kind=SmrKind.SYNC, round_duration=0.5):

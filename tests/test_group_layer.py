@@ -1,6 +1,9 @@
 """Tests for the group layer: vgroup views, group messages, heartbeats, cost model."""
 
+import gc
+import math
 import random
+import weakref
 
 import pytest
 
@@ -9,6 +12,7 @@ from repro.crypto.keys import KeyRegistry
 from repro.group import (
     GroupCostModel,
     GroupMessenger,
+    HeartbeatClock,
     HeartbeatMonitor,
     NodeBinding,
     VGroupView,
@@ -188,7 +192,7 @@ class TestGroupMessages:
 
 
 class _HeartbeatHost(Actor):
-    def __init__(self, sim, address, network, peers, period=1.0):
+    def __init__(self, sim, address, network, peers, clock):
         super().__init__(sim, address)
         self.network = network
         self.suspected = []
@@ -200,7 +204,7 @@ class _HeartbeatHost(Actor):
             send_fn=self._send,
             heard_fn=network.heard,
             suspect_fn=self.suspected.append,
-            period=period,
+            clock=clock,
         )
 
     def _send(self, peers, heartbeat):
@@ -216,7 +220,8 @@ class TestHeartbeats:
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
         peers = ["n0", "n1", "n2"]
-        hosts = {p: _HeartbeatHost(sim, p, network, peers) for p in peers}
+        clock = HeartbeatClock(sim, 1.0)
+        hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
             host.monitor.start()
@@ -227,7 +232,8 @@ class TestHeartbeats:
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
         peers = ["n0", "n1", "n2"]
-        hosts = {p: _HeartbeatHost(sim, p, network, peers) for p in peers}
+        clock = HeartbeatClock(sim, 1.0)
+        hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
         # n2 never starts its monitor and never answers: it must be suspected.
@@ -241,7 +247,7 @@ class TestHeartbeats:
     def test_tick_purges_a_peer_that_left_the_view(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"))
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0))
         network.register(host)
         host.monitor.start()
         # n1 never heartbeats: it is tracked, then suspected.
@@ -258,7 +264,7 @@ class TestHeartbeats:
     def test_a_purged_peer_that_returns_gets_a_fresh_deadline(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"))
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0))
         network.register(host)
         host.monitor.start()
         sim.run(until=10.0)
@@ -282,12 +288,13 @@ PERIODS = [0.25, 0.5, 1.0, 2.0, 5.0]
 
 
 class TestHeartbeatPeriod:
-    """The monitor runs one period, given at construction: it sets the send
+    """The clock runs one period, given at construction: it sets the send
     cadence and, times ``MISSES_BEFORE_EVICTION``, the suspicion deadline."""
 
     def _wired_hosts(self, sim, peers, period=1.0):
         network = Network(sim, latency_model=FixedLatency(0.001))
-        hosts = {p: _HeartbeatHost(sim, p, network, peers, period) for p in peers}
+        clock = HeartbeatClock(sim, period)
+        hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
             host.monitor.start()
@@ -337,30 +344,143 @@ class TestHeartbeatPeriod:
 
 class TestHeartbeatRestart:
     def test_stop_start_inside_a_period_leaves_one_tick_chain(self):
-        # stop() leaves the already-scheduled tick in the queue; a start()
-        # before it fires used to run beside it, doubling the send rate for
-        # good (crash -> recover, or clear_membership -> install_view).
+        # A restart ticks at once, then on the clock's grid: one tick per
+        # period, never a second chain beside the first (crash -> recover, or
+        # clear_membership -> install_view).
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], period=5.0)
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0))
         network.register(host)
         host.monitor.start()
         sim.schedule_at(12.0, host.monitor.stop)
         sim.schedule_at(13.0, host.monitor.start)
         sim.run(until=40.0)
-        assert host.sent_at == [0.0, 5.0, 10.0, 13.0, 18.0, 23.0, 28.0, 33.0, 38.0]
+        assert host.sent_at == [0.0, 5.0, 10.0, 13.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
 
     def test_every_restart_leaves_one_chain(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], period=5.0)
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0))
         network.register(host)
         host.monitor.start()
         for at in (1.0, 2.0, 3.0):
             sim.schedule_at(at, host.monitor.stop)
             sim.schedule_at(at + 0.5, host.monitor.start)
         sim.run(until=20.0)
-        assert host.sent_at == [0.0, 1.5, 2.5, 3.5, 8.5, 13.5, 18.5]
+        assert host.sent_at == [0.0, 1.5, 2.5, 3.5, 5.0, 10.0, 15.0, 20.0]
+
+
+class TestHeartbeatClock:
+    """One clock per cluster: one pending event, one sweep per period."""
+
+    def _hosts(self, sim, period, count=2):
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        clock = HeartbeatClock(sim, period)
+        peers = tuple(f"n{index}" for index in range(count))
+        hosts = [_HeartbeatHost(sim, peer, network, peers, clock) for peer in peers]
+        for host in hosts:
+            network.register(host)
+        return clock, hosts
+
+    def test_staggered_monitors_cost_one_event_per_period(self):
+        sim = Simulator()
+        _, hosts = self._hosts(sim, 1.0, count=6)
+        for host, at in zip(hosts, (0.0, 0.3, 1.7, 2.0, 2.2, 4.9)):
+            sim.schedule_at(at, host.monitor.start, tag="start")
+        trace = []
+        sim.run(until=20.5, trace=trace)
+        sweeps = [time for time, tag in trace if tag != "start"]
+        assert sweeps == [float(tick) for tick in range(1, 21)]
+        assert len(trace) == len(sweeps) + len(hosts)
+        # Each monitor ticked at its start, then once per sweep.
+        assert hosts[1].sent_at == [0.3] + [float(tick) for tick in range(1, 21)]
+        assert hosts[5].sent_at == [4.9] + [float(tick) for tick in range(5, 21)]
+
+    @pytest.mark.parametrize("before_the_sweep", [True, False])
+    def test_a_start_or_a_restart_at_a_grid_instant_ticks_once(self, before_the_sweep):
+        sim = Simulator()
+        _, (first, second) = self._hosts(sim, 1.0)
+        first.monitor.start()
+
+        def restart():
+            first.monitor.stop()
+            first.monitor.start()
+
+        if before_the_sweep:
+            # Scheduled before the sweeps at 3 and 5 were: these fire first.
+            sim.schedule_at(3.0, second.monitor.start)
+            sim.schedule_at(5.0, restart)
+        else:
+            # Scheduled after them: the sweeps fire first.
+            sim.schedule_at(2.5, lambda: sim.schedule_at(3.0, second.monitor.start))
+            sim.schedule_at(4.5, lambda: sim.schedule_at(5.0, restart))
+        sim.run(until=7.5)
+        grid = [float(tick) for tick in range(8)]
+        assert first.sent_at == grid
+        assert second.sent_at == grid[3:]
+
+    def test_a_monitor_a_suspicion_stops_mid_sweep_is_skipped(self):
+        sim = Simulator()
+        _, (first, second, _) = self._hosts(sim, 1.0, count=3)
+        # n2 never starts; the first monitor's suspicion of it (at 4, one
+        # tick past the deadline) stops the second monitor mid-sweep.
+        first.monitor.suspect_fn = lambda peer: second.monitor.stop()
+        first.monitor.start()
+        second.monitor.start()
+        sim.run(until=5.5)
+        assert first.sent_at == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert second.sent_at == [0.0, 1.0, 2.0, 3.0]
+
+    def test_a_stopped_monitor_is_not_referenced_by_the_clock(self):
+        sim = Simulator()
+        clock, (host, _) = self._hosts(sim, 1.0)
+        host.monitor.start()
+        stopped = HeartbeatMonitor(
+            sim=sim,
+            address="n1",
+            peers_fn=lambda: ("n0", "n1"),
+            send_fn=lambda peers, heartbeat: None,
+            heard_fn=lambda peer, address, now: -math.inf,
+            suspect_fn=lambda peer: None,
+            clock=clock,
+        )
+        stopped.start()
+        sim.run(until=2.5)
+        assert list(clock._monitors) == [host.monitor, stopped]
+        stopped.stop()
+        assert list(clock._monitors) == [host.monitor]
+        # Nothing else holds it either: not the clock's pending sweep.
+        stopped = weakref.ref(stopped)
+        gc.collect()
+        assert stopped() is None
+        sim.run(until=4.5)
+        assert host.sent_at == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_with_every_monitor_stopped_the_queue_drains(self):
+        sim = Simulator()
+        _, hosts = self._hosts(sim, 1.0, count=3)
+        for host in hosts:
+            host.monitor.start()
+        sim.run(until=7.5)
+        for host in hosts:
+            host.monitor.stop()
+        # The sweep already pending at 8 fires, ticks nobody and does not
+        # re-arm: the run drains (the cap only turns a regression into a
+        # failure instead of a hang).
+        assert sim.run(max_events=100) == 8.0
+        assert len(sim.queue) == 0
+        assert all(host.sent_at[-1] == 7.0 for host in hosts)
+
+    def test_a_later_start_re_arms_on_the_same_grid(self):
+        sim = Simulator()
+        _, (host, _) = self._hosts(sim, 5.0)
+        host.monitor.start()
+        sim.schedule_at(3.0, host.monitor.stop)
+        sim.schedule_at(12.3, host.monitor.start)
+        trace = []
+        sim.run(until=20.0, trace=trace)
+        assert [time for time, tag in trace if tag == "hb.clock"] == [5.0, 15.0, 20.0]
+        assert host.sent_at == [0.0, 12.3, 15.0, 20.0]
 
 
 class _FillThenWalkMonitor(HeartbeatMonitor):
@@ -368,10 +488,7 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
     yet and read the others' heartbeats, then walk ``last_seen`` in order on
     *every* tick."""
 
-    def _tick(self, generation):
-        if generation != self._generation or not self.running:
-            return
-        now = self.sim.now
+    def _tick(self, now):
         peers = tuple(self.peers_fn())
         self._peer_set = frozenset(peers)
         others = tuple(peer for peer in peers if peer != self.address)
@@ -385,8 +502,7 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
             if arrival > self.last_seen[peer]:
                 self.last_seen[peer] = arrival
                 self.suspected.discard(peer)
-        self._check_peers(now, self._period * MISSES_BEFORE_EVICTION)
-        self.sim.schedule(self._period, self._tick_callback, tag=self._tick_tag)
+        self._check_peers(now, self.clock.period * MISSES_BEFORE_EVICTION)
 
 
 class TestOneScanTickDifferential:
@@ -409,7 +525,7 @@ class TestOneScanTickDifferential:
             send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
             heard_fn=network.heard,
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
-            period=1.0,
+            clock=HeartbeatClock(sim, 1.0),
         )
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))

@@ -42,6 +42,10 @@ figure repeats to the tenth under any ``PYTHONHASHSEED`` and moves by under
 3 % between CPython 3.10 and 3.13.  Beside it, ungated, the per-node ``len()``
 of the structures nothing trims yet (ROADMAP item 7).
 
+The fourth line is a count of kernel events: one ``heartbeats`` period is
+one event, the clock's sweep, whatever the number of nodes (the ceiling
+allows one more per monitor start, which may re-arm the clock).
+
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
 dataclass-generated ``__init__``.
@@ -106,8 +110,9 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: are gone; what replaced them is one ``Network.heard`` and one
 #: ``median_latency`` call per peer a tick reads.  More calls, less time: the
 #: scenario's timed region fell from 10.4 to 4.5-6.0 ms (median of 7 runs,
-#: CPython 3.11 on 2 cores).
-CEILINGS = {"heartbeats": 4.95, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
+#: CPython 3.11 on 2 cores).  It fell to 3.74 when one clock sweep per period
+#: replaced a tick event per node: no ``fire`` and no re-arm per tick.
+CEILINGS = {"heartbeats": 4.15, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
@@ -394,9 +399,11 @@ def test_a_heartbeat_is_no_event_no_draw_and_no_loop():
     stats = profile.getstats()
     counter = sim.metrics.counter
     assert counter("net.messages_delivered") == counter("net.messages_sent") > 3600
-    # 0 kernel events per heartbeat: every event the run fires is a tick.
-    ticks = calls_of(stats, "group/heartbeat.py", "_tick")
-    assert sim.processed_events - processed == ticks
+    # 0 kernel events per heartbeat, and one per period: every event the run
+    # fires is the clock's sweep, which ticks all 24 monitors.
+    periods = round(30.0 / cluster.params.heartbeat_period)
+    assert sim.processed_events - processed == periods
+    assert calls_of(stats, "group/heartbeat.py", "_tick") == len(cluster.nodes) * periods
     assert calls_of(stats, "net/network.py", "fire") == 0
     # 0 RNG draws: the network's stream is where it was, and no copy took
     # downlink time or left a latency sample.
@@ -407,6 +414,32 @@ def test_a_heartbeat_is_no_event_no_draw_and_no_loop():
     # peer tuple itself, not a list the loop built.
     for address, node in cluster.nodes.items():
         assert network._bursts[address][0][1] is node.heartbeats._others
+
+
+def heartbeat_events():
+    """``(kernel events, heartbeat periods, monitor starts)`` of one
+    ``heartbeats`` run, counted from before the cluster is built."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        cluster, timed = _heartbeats()
+        timed()
+    finally:
+        profile.disable()
+    starts = calls_of(profile.getstats(), "group/heartbeat.py", "start")
+    periods = cluster.sim.now / cluster.params.heartbeat_period
+    return cluster.sim.processed_events, periods, starts
+
+
+def test_kernel_events_per_heartbeat_period_stay_under_the_ceiling():
+    # One clock sweep per period whatever the number of nodes, plus at most
+    # one re-arm per monitor start.
+    events, periods, starts = heartbeat_events()
+    assert starts == 24
+    assert events <= periods + starts, (
+        f"heartbeats: {events} kernel events over {periods:.0f} periods and "
+        f"{starts} monitor starts -- a heartbeat period is one event"
+    )
 
 
 def test_a_pbft_frame_is_routed_by_type_and_a_statement_is_hashed_once():
@@ -515,6 +548,12 @@ if __name__ == "__main__":
                 f"{scenario}: {python_calls(scenario_stats) / deliveries:.1f} Python calls "
                 f"per delivered broadcast (ceiling {DELIVERY_CEILINGS[scenario]})"
             )
+    events, periods, starts = heartbeat_events()
+    print(
+        f"heartbeats: {events / periods:.2f} kernel events per heartbeat period "
+        f"({events} events, {periods:.0f} periods, {starts} monitor starts; "
+        f"ceiling 1 per period plus 1 per start)"
+    )
     print(
         f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "
         f"per in-flight message (50-receiver send_many; the heap entry alone is 1)"

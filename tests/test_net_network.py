@@ -8,7 +8,7 @@ import pytest
 from repro.core.middleware import Middleware, MiddlewareChain
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.plan import LinkFault
-from repro.group.heartbeat import Heartbeat, HeartbeatMonitor
+from repro.group.heartbeat import Heartbeat, HeartbeatClock, HeartbeatMonitor
 from repro.net import (
     FixedLatency,
     LanProfile,
@@ -732,7 +732,7 @@ class TestHeartbeatBursts:
     def _beat(self, network, receivers, sender="a"):
         return network.send_many(sender, receivers, Heartbeat(sender), 64)
 
-    def _monitor(self, sim, network, reports, address="b", peers=("a", "b")):
+    def _monitor(self, sim, network, reports, address="b", peers=("a", "b"), period=1.0):
         return HeartbeatMonitor(
             sim=sim,
             address=address,
@@ -740,7 +740,7 @@ class TestHeartbeatBursts:
             send_fn=lambda peers, heartbeat: None,
             heard_fn=network.heard,
             suspect_fn=lambda peer: reports.append((sim.now, peer)),
-            period=1.0,
+            clock=HeartbeatClock(sim, period),
         )
 
     def test_a_burst_is_no_event_no_draw_and_no_downlink(self):
@@ -766,11 +766,12 @@ class TestHeartbeatBursts:
         assert network.heard("a", "b", arrival) == -math.inf
         sim.schedule_at(10.0, lambda: self._beat(network, ("b",)))
         reports = []
-        monitor = self._monitor(sim, network, reports)
-        # Ticks at start, start + 1 and start + 2 == arrival.
-        start = arrival - 2.0
-        assert start + 1.0 + 1.0 == arrival
-        sim.schedule_at(start, monitor.start)
+        # Started on the grid at 0, the monitor ticks at 0, P and P + P ==
+        # arrival (doubling is exact).
+        period = arrival / 2
+        assert period + period == arrival
+        monitor = self._monitor(sim, network, reports, period=period)
+        monitor.start()
         sim.run(until=arrival)
         assert monitor.last_seen["a"] == arrival
         assert network.heard("a", "b", arrival) == arrival
@@ -855,11 +856,12 @@ class TestHeartbeatBursts:
             sim.schedule_at(at, lambda: self._beat(network, ("b",)))
         monitor.start()
         sim.schedule_at(3.5, monitor.stop)
-        sim.schedule_at(4.5, monitor.start)
+        sim.schedule_at(5.5, monitor.start)
         sim.run(until=5.6)
-        # The burst sent at 4.0 landed before the restart at 4.5: not heard.
+        # The burst sent at 4.0 landed before the restart at 5.5: not heard.
         assert network.heard("a", "b", 5.5) == 4.0 + 0.001 + self.TRANSFER
-        assert monitor.last_seen["a"] == 4.5
-        sim.run(until=9.0)
-        # Silent since, "a" is late one tick past 4.5 + 3, not past 4.001 + 3.
-        assert reports == [(8.5, "a")]
+        assert monitor.last_seen["a"] == 5.5
+        sim.run(until=9.5)
+        # Silent since, "a" is late at the first tick past 5.5 + 3 (9.0), not
+        # at the first past 4.001 + 3 (8.0).
+        assert reports == [(9.0, "a")]

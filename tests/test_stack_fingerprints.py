@@ -36,7 +36,7 @@ PINS = {
         7374, 7352, "1badfaffba4673f235e17474a19e2533c69efa72f9e6bbad8845240657e385de"
     ),
     "churn_hb": (
-        3627, 8501, "c4bddc78113937a1fb9b479668b998db0b90ec646c2e98516ca572dcf5d17122"
+        2326, 8592, "c4bddc78113937a1fb9b479668b998db0b90ec646c2e98516ca572dcf5d17122"
     ),
     "bcast_faults_ae": (
         6519, 5851, "e591229a1827fbfb59daf98b5bee47966ba3402c7a2ab2da5d2d34126ca29057"
