@@ -57,9 +57,10 @@ class AtumCluster:
         self.latency_model = latency_model
         self.network = Network(self.sim, latency_model=latency_model)
         self.registry = KeyRegistry()
-        # One clock ticks every node's heartbeat monitor (None: no monitors).
+        # One clock ticks every node's heartbeat monitor (None: no monitors),
+        # and tallies the bursts they send on the network.
         self.heartbeat_clock: Optional[HeartbeatClock] = (
-            HeartbeatClock(self.sim, self.params.heartbeat_period)
+            HeartbeatClock(self.sim, self.params.heartbeat_period, self.network)
             if enable_heartbeats
             else None
         )
@@ -483,9 +484,6 @@ class AtumCluster:
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:
         return self.sim.run(until=self.sim.now + duration, max_events=max_events)
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
-        return self.sim.run_until_idle(max_events=max_events)
 
     def run_until_membership_quiescent(
         self, max_time: float = 3600.0, check_interval: float = 5.0

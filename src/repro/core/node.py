@@ -35,7 +35,7 @@ from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
-from repro.net.network import Network
+from repro.net.network import HEARTBEAT_BYTES, Network
 from repro.net.requests import RequestEnvelope
 from repro.overlay.gossip import forward_cycles, forward_targets, sends_first
 from repro.sim.actor import Actor
@@ -97,9 +97,11 @@ class AtumNode(Actor):
         network: The network the node communicates over.
         registry: Key registry (PKI) shared by the deployment.
         directory: Provider of overlay information (the cluster).  It must
-            expose ``view_of_group(group_id)`` and
-            ``cycle_neighbor_ids(group_id)``, and ``neighbour_members(group_id)``
-            when anti-entropy is enabled.
+            expose ``view_of_group(group_id) -> Optional[VGroupView]`` and
+            ``cycle_neighbor_ids(group_id) -> Sequence[Tuple[str, str]]``;
+            ``neighbour_members(group_id) -> Sequence[str]`` when anti-entropy
+            is enabled, and ``request_eviction(peer, suspected_by)`` when
+            heartbeats are (a node without it never proposes an eviction).
         deliver_fn: Application callback invoked on message delivery.
         forward_fn: Application callback deciding whether to forward a
             broadcast to a neighbouring vgroup; ``None`` uses ``forward_policy``.
@@ -136,7 +138,7 @@ class AtumNode(Actor):
         params: AtumParameters,
         network: Network,
         registry: KeyRegistry,
-        directory: "OverlayDirectory",
+        directory: Any,
         deliver_fn: Optional[Callable[[BroadcastMessage], None]] = None,
         forward_fn: Optional[Callable[[BroadcastMessage, str], bool]] = None,
         forward_policy: str = "flood",
@@ -192,8 +194,8 @@ class AtumNode(Actor):
             self.heartbeats = HeartbeatMonitor(
                 sim=sim,
                 address=address,
-                peers_fn=lambda: self.vgroup_view.members if self.vgroup_view else (),
-                send_fn=partial(network.send_many, address, size_bytes=64),
+                peers_fn=lambda: self.vgroup_view.members if self.vgroup_view is not None else (),
+                send_fn=partial(network.send_many, address, size_bytes=HEARTBEAT_BYTES),
                 heard_fn=network.heard,
                 suspect_fn=self._on_peer_suspected,
                 clock=heartbeat_clock,
@@ -280,7 +282,8 @@ class AtumNode(Actor):
 
         A mute node is completely unresponsive, heartbeats included: its
         monitor stops, so its peers see a crash, and it stays stopped until
-        the node turns correct again (a member then resumes heartbeating).
+        the node takes any other behaviour (a member then resumes
+        heartbeating: every behaviour but mute keeps the monitor).
         """
         self.byzantine = behaviour
         monitor = self.heartbeats
@@ -288,7 +291,7 @@ class AtumNode(Actor):
             return
         if behaviour == "mute":
             monitor.stop()
-        elif behaviour is None and self.is_member and not monitor.running:
+        elif self.is_member and not monitor.running:
             monitor.start()
 
     def shutdown(self) -> None:
@@ -790,30 +793,9 @@ class AtumNode(Actor):
         return targets
 
 
-class OverlayDirectory:
-    """Interface expected from the directory object handed to nodes.
-
-    The cluster implements it; this class only documents the contract (it is
-    not meant to be instantiated).
-    """
-
-    def view_of_group(self, group_id: str) -> Optional[VGroupView]:  # pragma: no cover
-        raise NotImplementedError
-
-    def cycle_neighbor_ids(self, group_id: str) -> Sequence[Tuple[str, str]]:  # pragma: no cover
-        raise NotImplementedError
-
-    def neighbour_members(self, group_id: str) -> Sequence[str]:  # pragma: no cover
-        raise NotImplementedError
-
-    def request_eviction(self, peer: str, suspected_by: str) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-
 __all__ = [
     "AtumNode",
     "BroadcastMessage",
     "SmrEnvelope",
     "DirectMessage",
-    "OverlayDirectory",
 ]

@@ -20,6 +20,34 @@ event, and each period that event ticks every running monitor once, in start
 order.  Its grid is 0, P, 2P, ..., accumulated by adding P, so a monitor that
 starts at 0 and never restarts ticks at the times a private timer chain
 would.  ``start()`` ticks at once and joins the clock; ``stop()`` leaves it.
+
+Reads by exception.  A healthy vgroup's reads are predictable, so its
+ticks skip them.  The clock listens to the bursts of the network its monitors
+send on and read, and, per sweep, tallies for each peer set (a
+view's ``members``) the monitors that sent a *regular* burst on it: from a
+swept tick, by a member of the set, on the fast path (the receivers are the
+monitor's own peer tuple, with no hook delay).  Any other heartbeat burst --
+a ``start()`` tick, or one sent outside a swept tick -- takes its sender out
+of this sweep's and the previous sweep's tallies.  A swept tick at ``t``
+takes the *implied* path when its monitor was counted on the previous sweep
+(so its previous tick was that sweep, at ``t - P``), that tally is complete,
+nobody is suspected and the latency model's largest median
+(``LatencyModel.median_bound``) plus the transfer time lands by ``t``.  It
+then knows what :meth:`Network.heard <repro.net.network.Network.heard>`
+would say for every peer it keeps: the arrival of the peer's burst at
+``t - P``, which no deadline has passed.  So it seeds the peers that are new,
+purges those that left and records the one ``(t - P, peers, transfer)``
+whose reads it skipped (a new peer's seed, ``t``, is later than any arrival
+that record implies).  Every other tick is the eager scan.
+
+``last_seen`` stays the exact, public dict: a read of it, and any eager
+tick, first applies the skipped reads with ``heard``'s own float expression
+(``sent_at + median_latency(peer, me) + transfer``, kept if later than the
+stored value).  Only the latest implied tick needs applying: a peer an
+earlier one covered has since been purged, or the latest covers it too, with
+a later burst.  Applying a record late is exact only while the latency model's
+medians stay what they were when its reads were skipped: a model's medians
+must not change while monitors run.
 """
 
 from __future__ import annotations
@@ -47,7 +75,7 @@ class HeartbeatClock:
     point of the same grid.
     """
 
-    def __init__(self, sim: Simulator, period: float) -> None:
+    def __init__(self, sim: Simulator, period: float, network) -> None:
         self.sim = sim
         #: The heartbeat period (60 s in the paper): the send cadence and,
         #: times ``MISSES_BEFORE_EVICTION``, every monitor's deadline.
@@ -57,6 +85,19 @@ class HeartbeatClock:
         self._armed = False
         # The pending sweep's grid time, or the last one's while unarmed.
         self._grid = 0.0
+        # Reads by exception (see the module docstring): the network the
+        # monitors send on and read (their ``heard_fn`` is its ``heard``),
+        # whose heartbeat bursts are tallied.
+        self._network = network
+        # The monitor whose swept tick is running, until its burst is kept.
+        self._ticking: "HeartbeatMonitor | None" = None
+        # This sweep's tallies by the member set of their peers tuple, each
+        # ``[regular bursts, members (-1: void), sent_at, transfer]``; and the
+        # tally each address was counted in, this sweep and the last.
+        self._tallies: Dict[frozenset, list] = {}
+        self._regular: Dict[str, list] = {}
+        self._previous: Dict[str, list] = {}
+        network.watch_bursts(self._on_burst)
 
     def enroll(self, monitor: "HeartbeatMonitor") -> None:
         self._monitors[monitor] = None
@@ -72,16 +113,65 @@ class HeartbeatClock:
     def leave(self, monitor: "HeartbeatMonitor") -> None:
         self._monitors.pop(monitor, None)
 
+    def _uncount(self, address: str) -> None:
+        """Take ``address`` out of this sweep's and the previous sweep's
+        tallies: its latest bursts are no longer the regular ones."""
+        tally = self._regular.pop(address, None)
+        if tally is not None:
+            tally[0] -= 1
+        tally = self._previous.pop(address, None)
+        if tally is not None:
+            tally[0] -= 1
+
+    def _on_burst(self, sender: str, burst: tuple) -> None:
+        monitor = self._ticking
+        if monitor is None or monitor.address != sender:
+            self._uncount(sender)
+            return
+        # The swept tick's one burst: counted if it is regular.
+        self._ticking = None
+        if burst[1] is not monitor._others or burst[2] is not None:
+            return
+        members = monitor._peer_set
+        if sender not in members:
+            return
+        tally = self._tallies.get(members)
+        if tally is None:
+            tally = self._tallies[members] = [0, len(members), burst[0], burst[3]]
+        elif tally[3] != burst[3]:
+            return
+        tally[0] += 1
+        self._regular[sender] = tally
+
     def _sweep(self) -> None:
         sim = self.sim
         now = self._grid = sim._now
+        self._previous = self._regular
+        self._regular = {}
+        # A tally of the last sweep is only complete if every burst it counted
+        # has landed by now and no deadline has passed since it was sent.
+        # ``now < now + transfer`` keeps exactness too: a burst a peer sends
+        # earlier in this sweep has not landed when a later tick would read
+        # it, so ``heard`` still answers the last sweep's burst.
+        bound = self._network.latency_model.median_bound()
+        deadline = self.period * MISSES_BEFORE_EVICTION
+        for tally in self._tallies.values():
+            sent_at, transfer = tally[2], tally[3]
+            if not (
+                sent_at + bound + transfer <= now < now + transfer
+                and now - sent_at <= deadline
+            ):
+                tally[1] = -1
+        self._tallies = {}
         # A snapshot: a suspicion can stop (or restart) a monitor mid-sweep.
         # Stopped monitors are skipped, and so is one that already ticked at
         # this instant because it started here.
         for monitor in tuple(self._monitors):
             if monitor.running and monitor._ticked_at != now:
                 monitor._ticked_at = now
+                self._ticking = monitor
                 monitor._tick(now)
+                self._ticking = None
         if self._monitors:
             sim.schedule(self.period, self._sweep, tag="hb.clock")
         else:
@@ -100,7 +190,8 @@ class HeartbeatMonitor:
     ``suspect_fn(peer)`` invoked when a peer should be evicted and the
     cluster's :class:`HeartbeatClock`, which ticks it once per period while it
     runs.  ``start()`` ticks at once and enrolls with the clock; ``stop()``
-    leaves it.  A monitor ticks at most once per instant.
+    leaves it.  A monitor ticks at most once per instant, and a tick calls
+    ``heard_fn`` only when the implied path (module docstring) is closed.
     """
 
     def __init__(
@@ -120,7 +211,10 @@ class HeartbeatMonitor:
         self.heard_fn = heard_fn
         self.suspect_fn = suspect_fn
         self.clock = clock
-        self.last_seen: Dict[str, float] = {}
+        self._last_seen: Dict[str, float] = {}
+        # The reads the latest tick skipped, ``(sent_at, peers, transfer)``,
+        # until ``last_seen`` is read or a tick reads (module docstring).
+        self._unread: "tuple | None" = None
         self.suspected: set = set()
         self.running = False
         # The instant of the latest tick: a monitor ticks at most once per instant.
@@ -134,6 +228,14 @@ class HeartbeatMonitor:
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
         self._others: tuple = ()
+
+    @property
+    def last_seen(self) -> Dict[str, float]:
+        """Peer -> when this monitor last heard it (its first tick here, if
+        not since), in the order the peers were first tracked."""
+        if self._unread is not None:
+            self._read_skipped()
+        return self._last_seen
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -151,8 +253,10 @@ class HeartbeatMonitor:
         if self.running:
             return
         self.running = True
-        self.last_seen.clear()
+        self._last_seen.clear()
+        self._unread = None
         self.suspected.clear()
+        self.clock._uncount(self.address)
         now = self.sim._now
         if self._ticked_at != now:
             self._ticked_at = now
@@ -170,7 +274,8 @@ class HeartbeatMonitor:
         peers = self.peers_fn()
         if not isinstance(peers, tuple):
             peers = tuple(peers)
-        if peers is not self._peers_obj:
+        same_view = peers is self._peers_obj
+        if not same_view:
             self._peers_obj = peers
             self._peer_set = frozenset(peers)
             if self.address in self._peer_set:
@@ -181,16 +286,32 @@ class HeartbeatMonitor:
         others = self._others
         if others:
             self.send_fn(others, self._heartbeat)
+        last_seen = self._last_seen
+        suspected = self.suspected
+        address = self.address
+        tally = self.clock._previous.get(address)
+        if tally is not None and tally[0] == tally[1] and not suspected:
+            # Every kept peer's latest landed burst is its regular one of the
+            # last sweep: skip the reads (module docstring).  A new peer's
+            # seed is ``now``, which that burst's arrival cannot pass.
+            if not same_view:
+                for peer in last_seen.keys() - self._peer_set:
+                    del last_seen[peer]
+                if len(last_seen) != len(others):
+                    for peer in others:
+                        if peer not in last_seen:
+                            last_seen[peer] = now
+            self._unread = (tally[2], others, tally[3])
+            return
+        if self._unread is not None:
+            self._read_skipped()
         # One scan seeds peers not heard from yet, reads what the others'
         # heartbeats say and tests the deadline.  A seed is ``now``, so an
         # arrival only counts if it is later than the peer's first tick here.
         # The ordered walk of ``last_seen`` (whose order the eviction vote can
         # observe through ``suspect_fn``) runs only when it has something to
         # do: a late peer, or an entry that is not a current peer.
-        last_seen = self.last_seen
-        suspected = self.suspected
         heard = self.heard_fn
-        address = self.address
         deadline = self.clock.period * MISSES_BEFORE_EVICTION
         late = False
         for peer in others:
@@ -207,10 +328,21 @@ class HeartbeatMonitor:
         if late or len(last_seen) != len(others):
             self._check_peers(now, deadline)
 
+    def _read_skipped(self) -> None:
+        sent_at, peers, transfer = self._unread
+        self._unread = None
+        median_latency = self.clock._network.latency_model.median_latency
+        address = self.address
+        last_seen = self._last_seen
+        for peer in peers:
+            arrival = sent_at + median_latency(peer, address) + transfer
+            if arrival > last_seen[peer]:
+                last_seen[peer] = arrival
+
     def _check_peers(self, now: float, deadline: float) -> None:
         current_peers = self._peer_set
         suspected = self.suspected
-        last_seen = self.last_seen
+        last_seen = self._last_seen
         for peer, seen_at in list(last_seen.items()):
             if peer not in current_peers:
                 # A peer that left the view: under churn half the ticks purge one.

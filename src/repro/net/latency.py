@@ -72,6 +72,15 @@ class LatencyModel(abc.ABC):
         heartbeat burst takes to reach ``receiver`` (see :meth:`Network.heard
         <repro.net.network.Network.heard>`)."""
 
+    def median_bound(self) -> float:
+        """An upper bound on :meth:`median_latency` over every pair (``inf``
+        if the model knows none): a heartbeat monitor skips its reads only
+        while every burst of the last period has surely landed (see
+        :mod:`repro.group.heartbeat`).  Skipped reads are applied later with
+        :meth:`median_latency`, so a model's medians must not change while
+        heartbeat monitors run."""
+        return _INF
+
     #: Set by a log-normal model (see the module docstring): a promise that
     #: ``sample`` is ``max(floor, lognormvariate(mu, sigma))`` with exactly the
     #: RNG draws of :func:`_lognormal`.  ``None`` makes the network call
@@ -97,6 +106,10 @@ class FixedLatency(LatencyModel):
     def median_latency(self, sender: str, receiver: str) -> float:
         return self.latency
 
+    def median_bound(self) -> float:
+        # Pair-independent: every pair's median is the bound.
+        return self.median_latency("", "")
+
 
 @dataclass
 class UniformLatency(LatencyModel):
@@ -116,6 +129,10 @@ class UniformLatency(LatencyModel):
 
     def median_latency(self, sender: str, receiver: str) -> float:
         return (self.low + self.high) / 2.0
+
+    def median_bound(self) -> float:
+        # Pair-independent: every pair's median is the bound.
+        return self.median_latency("", "")
 
 
 @dataclass
@@ -150,6 +167,10 @@ class LogNormalLatency(LatencyModel):
 
     def median_latency(self, sender: str, receiver: str) -> float:
         return self.median if self.median > self.floor else self.floor
+
+    def median_bound(self) -> float:
+        # Pair-independent: every pair's median is the bound.
+        return self.median_latency("", "")
 
 
 class LanProfile(LogNormalLatency):
@@ -259,6 +280,13 @@ class RegionalLatency(LatencyModel):
 
     #: The jitter is log-normal around the pair's base latency, with no floor.
     median_latency = base_latency
+
+    def median_bound(self) -> float:
+        return max(
+            self.intra_region_median,
+            self.default_inter_region,
+            *_REGION_BASE_LATENCY.values(),
+        )
 
     def pair_mu(self, row: Dict[str, float], sender: str, receiver: str) -> float:
         """``log(base_latency)`` of a pair missing from ``sender``'s ``row``.

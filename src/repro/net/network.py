@@ -17,14 +17,17 @@ A message in flight is a heap entry that fires into the receiver's
 detector only needs the latest arrival per peer, so a heartbeat send is one
 *burst* kept under its sender, which the receivers' monitors read when they
 tick (:meth:`Network.heard`).  A burst takes no latency draw, no downlink
-time and no queue slot, and its fate is decided when it is sent.
+time and no queue slot, and its fate is decided when it is sent.  Every
+burst kept is handed to the one listener :meth:`Network.watch_bursts`
+installed: the cluster's heartbeat clock, which lets a monitor whose whole
+vgroup beat regularly skip its reads.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
 from math import exp, inf, log
-from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.middleware import MiddlewareContext, MiddlewareError
 from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
@@ -38,6 +41,8 @@ from repro.sim.simulator import Simulator
 BANDWIDTH_BYTES_PER_S = 8_000_000.0
 #: Fixed per-message overhead added to every payload.
 HEADERS_BYTES = 64
+#: Payload size of a heartbeat.
+HEARTBEAT_BYTES = 64
 
 
 class _Deliveries:
@@ -128,21 +133,13 @@ class Network:
         # ``(sent_at, receivers, delays, transfer)``, where ``delays`` maps a
         # receiver to the extra delay a hook gave its copy (None if none did).
         self._bursts: Dict[str, Tuple[tuple, ...]] = {}
+        self._burst_listener: Optional[Callable[[str, tuple], None]] = None
 
     # --------------------------------------------------------------- membership
 
     def register(self, actor: Actor) -> None:
         """Attach an actor to the network so it can receive messages."""
         self._actors[actor.address] = actor
-
-    def actor(self, address: str) -> Optional[Actor]:
-        return self._actors.get(address)
-
-    def addresses(self) -> Iterable[str]:
-        return self._actors.keys()
-
-    def __contains__(self, address: str) -> bool:
-        return address in self._actors
 
     # --------------------------------------------------------------- middleware
 
@@ -248,6 +245,11 @@ class Network:
         neither): ``sent_at`` plus the pair's median latency, the transfer
         time and the extra delay a hook gave the copy.  ``sender`` is the
         address the transport authenticated, not the one a frame names.
+
+        A monitor whose vgroup all sent a regular burst on the last sweep
+        does not call this: it knows the answer, and computes it with this
+        float expression when its ``last_seen`` is read (see
+        :mod:`repro.group.heartbeat`).
         """
         for sent_at, receivers, delays, transfer in self._bursts.get(sender, ()):
             if receiver in receivers:
@@ -258,9 +260,17 @@ class Network:
                     return arrival
         return -inf
 
+    def watch_bursts(self, listener: Callable[[str, tuple], None]) -> None:
+        """Hand every heartbeat burst kept from now on to ``listener(sender,
+        burst)``, ``burst`` being ``(sent_at, receivers, delays, transfer)``
+        as :meth:`heard` reads it.  One listener: a second call replaces it."""
+        self._burst_listener = listener
+
     def _keep_burst(self, sender: str, burst: tuple) -> None:
         previous = self._bursts.get(sender)
         self._bursts[sender] = (burst,) if previous is None else (burst, previous[0])
+        if self._burst_listener is not None:
+            self._burst_listener(sender, burst)
 
     # ------------------------------------------------------------------ sending
 
@@ -508,4 +518,4 @@ class Network:
         return self.send_many(sender, (receiver,), payload, size_bytes) > 0
 
 
-__all__ = ["BANDWIDTH_BYTES_PER_S", "HEADERS_BYTES", "Network"]
+__all__ = ["BANDWIDTH_BYTES_PER_S", "HEADERS_BYTES", "HEARTBEAT_BYTES", "Network"]

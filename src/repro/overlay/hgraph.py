@@ -162,16 +162,6 @@ class HGraph:
 
     # ---------------------------------------------------------------- mutations
 
-    def add_first_vertex(self, vertex: str) -> None:
-        """Add the very first vertex (self-loops on every cycle)."""
-        if self._vertices:
-            raise HGraphError("add_first_vertex on a non-empty H-graph")
-        self._vertices.add(vertex)
-        for cycle in range(self.hc):
-            self._succ[cycle][vertex] = vertex
-            self._pred[cycle][vertex] = vertex
-        self._version += 1
-
     def insert_after(self, new_vertex: str, after: str, cycle: int) -> None:
         """Insert ``new_vertex`` between ``after`` and its successor on ``cycle``."""
         if new_vertex in self._succ[cycle]:

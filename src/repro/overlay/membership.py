@@ -126,11 +126,6 @@ class MembershipEngine:
             raise MembershipError(f"node {node!r} is not a member of the system")
         return self.groups[group_id]
 
-    def view(self, group_id: str) -> VGroupView:
-        if group_id not in self.groups:
-            raise MembershipError(f"unknown vgroup {group_id!r}")
-        return self.groups[group_id]
-
     def pending_operations(self) -> int:
         return len(self._pending_ops)
 

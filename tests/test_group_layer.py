@@ -21,8 +21,9 @@ from repro.group import (
 from repro.group import heartbeat
 from repro.group.heartbeat import MISSES_BEFORE_EVICTION, Heartbeat
 from repro.group.messages import GroupMessageEnvelope
-from repro.net.latency import FixedLatency
-from repro.net.network import Network
+from repro.core.middleware import Middleware, MiddlewareChain
+from repro.net.latency import FixedLatency, WanProfile
+from repro.net.network import HEARTBEAT_BYTES, Network
 from repro.sim import Simulator
 from repro.sim.actor import Actor
 
@@ -220,7 +221,7 @@ class TestHeartbeats:
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
         peers = ["n0", "n1", "n2"]
-        clock = HeartbeatClock(sim, 1.0)
+        clock = HeartbeatClock(sim, 1.0, network)
         hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
@@ -232,7 +233,7 @@ class TestHeartbeats:
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
         peers = ["n0", "n1", "n2"]
-        clock = HeartbeatClock(sim, 1.0)
+        clock = HeartbeatClock(sim, 1.0, network)
         hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
@@ -247,7 +248,7 @@ class TestHeartbeats:
     def test_tick_purges_a_peer_that_left_the_view(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0))
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0, network))
         network.register(host)
         host.monitor.start()
         # n1 never heartbeats: it is tracked, then suspected.
@@ -264,7 +265,7 @@ class TestHeartbeats:
     def test_a_purged_peer_that_returns_gets_a_fresh_deadline(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0))
+        host = _HeartbeatHost(sim, "n0", network, ("n0", "n1"), HeartbeatClock(sim, 1.0, network))
         network.register(host)
         host.monitor.start()
         sim.run(until=10.0)
@@ -293,7 +294,7 @@ class TestHeartbeatPeriod:
 
     def _wired_hosts(self, sim, peers, period=1.0):
         network = Network(sim, latency_model=FixedLatency(0.001))
-        clock = HeartbeatClock(sim, period)
+        clock = HeartbeatClock(sim, period, network)
         hosts = {p: _HeartbeatHost(sim, p, network, peers, clock) for p in peers}
         for host in hosts.values():
             network.register(host)
@@ -349,7 +350,7 @@ class TestHeartbeatRestart:
         # clear_membership -> install_view).
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0))
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0, network))
         network.register(host)
         host.monitor.start()
         sim.schedule_at(12.0, host.monitor.stop)
@@ -360,7 +361,7 @@ class TestHeartbeatRestart:
     def test_every_restart_leaves_one_chain(self):
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
-        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0))
+        host = _HeartbeatHost(sim, "n0", network, ["n0", "n1"], HeartbeatClock(sim, 5.0, network))
         network.register(host)
         host.monitor.start()
         for at in (1.0, 2.0, 3.0):
@@ -375,7 +376,7 @@ class TestHeartbeatClock:
 
     def _hosts(self, sim, period, count=2):
         network = Network(sim, latency_model=FixedLatency(0.001))
-        clock = HeartbeatClock(sim, period)
+        clock = HeartbeatClock(sim, period, network)
         peers = tuple(f"n{index}" for index in range(count))
         hosts = [_HeartbeatHost(sim, peer, network, peers, clock) for peer in peers]
         for host in hosts:
@@ -525,7 +526,7 @@ class TestOneScanTickDifferential:
             send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
             heard_fn=network.heard,
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
-            clock=HeartbeatClock(sim, 1.0),
+            clock=HeartbeatClock(sim, 1.0, network),
         )
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))
@@ -565,6 +566,262 @@ class TestOneScanTickDifferential:
             # Not vacuous: peers were suspected, purged and re-heard.
             assert len(calls) > 20
             assert len({peer for _, peer in calls}) > 2
+
+
+class _DropAndDelay(Middleware):
+    """Drops a fifth of the copies and delays a third of the rest, by up to
+    one and a half periods."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def on_send(self, ctx):
+        roll = self.rng.random()
+        if roll < 0.2:
+            ctx.drop = True
+        elif roll < 0.5:
+            ctx.extra_delay = self.rng.choice([0.0005, 0.3, 0.9, 1.5])
+
+
+class TestReadsByExceptionDifferential:
+    """Seeded tick-level differential on one network of 6-12 monitors: the
+    tick that skips a healthy vgroup's reads against fill-then-walk, which
+    reads every peer on every tick.  Views swap, split and merge; monitors
+    stop and restart (some mid-sweep, from a suspicion), some go mute for
+    a while, a member leaves but goes on heartbeating its old vgroup, one
+    member's heartbeats are longer than the others', a partition and a split
+    come and go, stray heartbeats are sent outside any tick, and an
+    ``on_send`` hook that drops and delays joins late in the run."""
+
+    STEPS = 160
+
+    LATENCY = {
+        "lan": lambda pool: FixedLatency(0.001),
+        "wan": WanProfile,
+        # Every burst lands after the next sweep: no tick may skip a read.
+        "slow": lambda pool: FixedLatency(1.25),
+    }
+
+    def _drive(self, monitor_class, seed, latency, every_tick):
+        rng = random.Random(seed)
+        chaos = random.Random(seed + 1000)
+        sim = Simulator()
+        pool = [f"m{i}" for i in range(rng.randrange(6, 13))]
+        network = Network(sim, latency_model=self.LATENCY[latency](pool))
+        chain = MiddlewareChain()
+        network.install_middleware(chain)
+        clock = HeartbeatClock(sim, 1.0, network)
+        half = len(pool) // 2
+        views = {}
+
+        def assign(*groups):
+            for group in groups:
+                members = tuple(group)
+                for address in members:
+                    views[address] = members
+
+        assign(pool[:half], pool[half:])
+        calls, snapshots, paths = [], [], []
+        monitors = {}
+
+        def snapshot(monitor):
+            snapshots.append(
+                (
+                    sim.now,
+                    monitor.address,
+                    list(monitor.last_seen.items()),
+                    sorted(monitor.suspected),
+                    len(calls),
+                )
+            )
+
+        reads = [0]
+
+        def heard(peer, address, now):
+            reads[0] += 1
+            return network.heard(peer, address, now)
+
+        class Recording(monitor_class):
+            def _tick(self, now):
+                before = reads[0]
+                super()._tick(now)
+                paths.append((self._unread is not None, reads[0] > before))
+                if every_tick:
+                    snapshot(self)
+
+        def suspect(address, peer):
+            calls.append((sim.now, address, peer))
+            roll = chaos.random()
+            if roll < 0.05:
+                # A restart mid-sweep (not of the accuser, mid-walk).
+                target = monitors[chaos.choice([peer for peer in pool if peer != address])]
+                target.stop()
+                target.start()
+            elif roll < 0.08:
+                monitors[chaos.choice(pool)].stop()
+
+        for address in pool:
+            monitor = Recording(
+                sim=sim,
+                address=address,
+                peers_fn=lambda address=address: views.get(address, ()),
+                # The first address pads its heartbeats: a longer transfer.
+                send_fn=lambda peers, beat, address=address: network.send_many(
+                    address, peers, beat, HEARTBEAT_BYTES * (2 if address == "m0" else 1)
+                ),
+                heard_fn=heard,
+                suspect_fn=lambda peer, address=address: suspect(address, peer),
+                clock=clock,
+            )
+            monitors[address] = monitor
+        for address in pool:
+            sim.schedule_at(rng.choice([0.0, 0.0, 0.4, 1.0]), monitors[address].start)
+
+        hook_at = rng.randrange(self.STEPS * 2 // 3, self.STEPS)
+        for step in range(self.STEPS):
+            roll = rng.random()
+            if step == hook_at:
+                chain.add(_DropAndDelay(seed))
+            if roll < 0.16:
+                shape = rng.random()
+                if shape < 0.3:
+                    # A swap: one address moves to another vgroup.
+                    mover = rng.choice(pool)
+                    source = views.get(mover, ())
+                    target = views.get(rng.choice(pool), ())
+                    if mover not in target:
+                        assign(
+                            [address for address in source if address != mover],
+                            sorted(target + (mover,)),
+                        )
+                elif shape < 0.5:
+                    # A split, or a merge back into two halves.
+                    shuffled = pool[:]
+                    rng.shuffle(shuffled)
+                    cut = rng.randrange(2, len(pool) - 1)
+                    assign(sorted(shuffled[:cut]), sorted(shuffled[cut:]))
+                elif shape < 0.7:
+                    # The same members under a new view object.
+                    assign(list(views[rng.choice(sorted(views))]))
+                else:
+                    # A member leaves its vgroup (and may go on watching it
+                    # from outside), or an outsider joins one.
+                    address = rng.choice(pool)
+                    source = views.pop(address, ())
+                    members = sorted(peer for peer in views if peer in views[peer])
+                    if address in source:
+                        assign([peer for peer in source if peer != address])
+                        if len(source) > 1 and rng.random() < 0.5:
+                            views[address] = views[source[source[0] == address]]
+                    elif members:
+                        assign(sorted(views[rng.choice(members)] + (address,)))
+            elif roll < 0.22:
+                monitor = monitors[rng.choice(pool)]
+                monitor.stop()
+                sim.schedule(rng.choice([0.0, 0.5, 1.0, 2.0]), monitor.start)
+            elif roll < 0.25:
+                # Mute for five periods: its peers suspect it.
+                monitor = monitors[rng.choice(pool)]
+                monitor.stop()
+                sim.schedule(5.0, monitor.start)
+            elif roll < 0.28:
+                isolated = rng.sample(pool, 2)
+                network.partition(isolated)
+                sim.schedule(rng.choice([0.5, 2.0, 4.0]), lambda i=isolated: network.heal(i))
+            elif roll < 0.31:
+                shuffled = pool[:]
+                rng.shuffle(shuffled)
+                split = network.split([shuffled[:half], shuffled[half:]])
+                sim.schedule(rng.choice([1.0, 3.0, 5.0]), lambda s=split: network.merge(s))
+            elif roll < 0.41:
+                # A heartbeat sent outside any tick.
+                sender = rng.choice(pool)
+                network.send_many(sender, (rng.choice(pool),), Heartbeat(sender), HEARTBEAT_BYTES)
+            sim.run(until=sim.now + rng.choice([0.3, 0.7, 1.0, 1.0, 1.6, 2.5]))
+            if not every_tick:
+                for address in pool:
+                    snapshot(monitors[address])
+        return calls, snapshots, paths
+
+    @pytest.mark.parametrize("every_tick", [True, False], ids=["every-tick", "every-step"])
+    @pytest.mark.parametrize("latency", sorted(LATENCY))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_tick_matches_fill_then_walk(self, seed, latency, every_tick):
+        calls, snapshots, paths = self._drive(HeartbeatMonitor, seed, latency, every_tick)
+        expected = self._drive(_FillThenWalkMonitor, seed, latency, every_tick)
+        assert (calls, snapshots) == expected[:2]
+        # Not vacuous: ticks skipped their reads (unless no burst lands
+        # within a period), others read, and peers were suspected.
+        skipped = sum(skipped for skipped, _ in paths)
+        assert skipped == 0 if latency == "slow" else skipped > 150
+        assert sum(read for _, read in paths) > 100
+        assert len(calls) > 10
+
+    @staticmethod
+    def _small(monitor_class, views, events, until):
+        """Monitors for ``views`` (started in its order) on a 1 ms LAN with a
+        one-second period; ``events`` maps a time to a change of the views
+        or a send.  Returns every suspicion call."""
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        clock = HeartbeatClock(sim, 1.0, network)
+        calls = []
+        for address in views:
+            monitor_class(
+                sim=sim,
+                address=address,
+                peers_fn=lambda address=address: views[address],
+                send_fn=lambda peers, beat, address=address: network.send_many(
+                    address, peers, beat, HEARTBEAT_BYTES
+                ),
+                heard_fn=network.heard,
+                suspect_fn=lambda peer, address=address: calls.append(
+                    (sim.now, address, peer)
+                ),
+                clock=clock,
+            ).start()
+        for at, event in events.items():
+            sim.schedule_at(at, lambda event=event: event(network, views))
+        sim.run(until=until)
+        return calls
+
+    def _regroup(self, monitor_class):
+        """Four monitors whose deadline is half a period, so every peer is
+        late by the sweep after its first.  Pairs {a, b} and {c, d} accuse
+        each other, then regroup as {a, c} and {b, d}: the sweep after that
+        finds nobody suspected and every tally complete, yet every kept peer
+        is late."""
+        views = {"a": ("a", "b"), "b": ("a", "b"), "c": ("c", "d"), "d": ("c", "d")}
+        regroup = {"a": ("a", "c"), "c": ("a", "c"), "b": ("b", "d"), "d": ("b", "d")}
+        return self._small(
+            monitor_class, views, {3.5: lambda network, views: views.update(regroup)}, 6.5
+        )
+
+    def test_a_deadline_inside_one_period_is_checked(self, monkeypatch):
+        monkeypatch.setattr(heartbeat, "MISSES_BEFORE_EVICTION", 0.5)
+        # And for fill-then-walk, which reads this module's copy.
+        monkeypatch.setitem(globals(), "MISSES_BEFORE_EVICTION", 0.5)
+        calls = self._regroup(HeartbeatMonitor)
+        assert calls == self._regroup(_FillThenWalkMonitor)
+        assert (5.0, "a", "c") in calls
+
+    def _stray(self, monitor_class):
+        """b, a and c beat regularly until b sends one heartbeat to c alone,
+        between the sweeps at 5 and 6.  At 6 b ticks first, so a's read of b
+        finds two bursts that do not name a: a must keep what it skipped
+        reading at 2-5 (b heard at 4.001), not go back to its last read at
+        1 (b heard at 0.001), which is past the deadline."""
+        members = ("a", "b", "c")
+        views = {"b": members, "a": members, "c": members}
+
+        def stray(network, views):
+            network.send_many("b", ("c",), Heartbeat("b"), HEARTBEAT_BYTES)
+
+        return self._small(monitor_class, views, {5.5: stray}, 6.5)
+
+    def test_an_eager_tick_first_applies_the_reads_it_skipped(self):
+        calls = self._stray(HeartbeatMonitor)
+        assert calls == self._stray(_FillThenWalkMonitor) == []
 
 
 class TestGroupCostModel:

@@ -44,7 +44,9 @@ of the structures nothing trims yet (ROADMAP item 7).
 
 The fourth line is a count of kernel events: one ``heartbeats`` period is
 one event, the clock's sweep, whatever the number of nodes (the ceiling
-allows one more per monitor start, which may re-arm the clock).
+allows one more per monitor start, which may re-arm the clock).  The fifth
+is a count of reads: once every monitor of a healthy static cluster has
+beaten on one sweep, no tick calls ``Network.heard`` again.
 
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
@@ -111,8 +113,11 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: ``median_latency`` call per peer a tick reads.  More calls, less time: the
 #: scenario's timed region fell from 10.4 to 4.5-6.0 ms (median of 7 runs,
 #: CPython 3.11 on 2 cores).  It fell to 3.74 when one clock sweep per period
-#: replaced a tick event per node: no ``fire`` and no re-arm per tick.
-CEILINGS = {"heartbeats": 4.15, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
+#: replaced a tick event per node: no ``fire`` and no re-arm per tick.  It fell
+#: to 1.13 when a tick whose vgroup all beat regularly on the last sweep
+#: stopped reading its peers: no ``heard`` or ``median_latency`` call after
+#: the first swept period, and no ``VGroupView.__len__`` in the peer lookup.
+CEILINGS = {"heartbeats": 1.5, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
@@ -414,6 +419,26 @@ def test_a_heartbeat_is_no_event_no_draw_and_no_loop():
     # peer tuple itself, not a list the loop built.
     for address, node in cluster.nodes.items():
         assert network._bursts[address][0][1] is node.heartbeats._others
+    # 0 reads after the first swept period: every vgroup beat regularly on
+    # the sweep before, so every tick knows what its peers' bursts say.
+    first, after = heartbeat_reads()
+    assert first == sum(len(node.heartbeats._others) for node in cluster.nodes.values())
+    assert after == 0
+
+
+def heartbeat_reads():
+    """``Network.heard`` calls of one ``heartbeats`` run: ``(in the first
+    swept period, after it)``."""
+    cluster, _ = _heartbeats()
+    period = cluster.params.heartbeat_period
+    counts = []
+    for until in (period, 30.0 * period):
+        profile = cProfile.Profile()
+        profile.enable()
+        cluster.run(until=until)
+        profile.disable()
+        counts.append(calls_of(profile.getstats(), "net/network.py", "heard"))
+    return tuple(counts)
 
 
 def heartbeat_events():
@@ -553,6 +578,11 @@ if __name__ == "__main__":
         f"heartbeats: {events / periods:.2f} kernel events per heartbeat period "
         f"({events} events, {periods:.0f} periods, {starts} monitor starts; "
         f"ceiling 1 per period plus 1 per start)"
+    )
+    first, after = heartbeat_reads()
+    print(
+        f"heartbeats: {after} Network.heard calls after the first swept period "
+        f"({first} in it; ceiling 0)"
     )
     print(
         f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "

@@ -172,6 +172,20 @@ class TestMuteMeansStopped:
         assert "n3" not in crashed.engine.node_group
         assert not muted.node("n3").heartbeats.running
 
+    @pytest.mark.parametrize("behaviour", ["silent", "evict_attack", "equivocate"])
+    def test_a_crashed_node_that_turns_byzantine_heartbeats_again(self, behaviour):
+        # Every behaviour but mute keeps the heartbeat monitor, so a crashed
+        # node given one resumes heartbeating and its peers keep it.
+        def crash_then_turn(cluster):
+            cluster.crash("n3")
+            cluster.make_byzantine(["n3"], mode=behaviour)
+
+        cluster, reports = self._run(crash_then_turn)
+        assert cluster.node("n3").heartbeats.running
+        assert [report for report in reports if report[2] == "n3"] == []
+        assert cluster.sim.metrics.counter("group.evictions_proposed") == 0
+        assert "n3" in cluster.engine.node_group
+
     def test_a_shut_down_node_sends_nothing(self):
         log = _SendLog()
         cluster = AtumCluster(params_with_heartbeats(1.0), seed=3, enable_heartbeats=True)

@@ -740,7 +740,7 @@ class TestHeartbeatBursts:
             send_fn=lambda peers, heartbeat: None,
             heard_fn=network.heard,
             suspect_fn=lambda peer: reports.append((sim.now, peer)),
-            clock=HeartbeatClock(sim, period),
+            clock=HeartbeatClock(sim, period, network),
         )
 
     def test_a_burst_is_no_event_no_draw_and_no_downlink(self):
