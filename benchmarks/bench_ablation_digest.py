@@ -12,7 +12,7 @@ from repro.core.config import AtumParameters
 
 
 def _broadcast_bytes(use_digest: bool, payload_bytes: int, seed: int = 0):
-    params = AtumParameters(hc=4, rwl=6, gmax=8, gmin=4, round_duration=0.5, expected_system_size=64)
+    params = AtumParameters(hc=4, rwl=6, gmax=8, gmin=4, round_duration=0.5)
     cluster = AtumCluster(params, seed=seed)
     addresses = [f"n{i}" for i in range(64)]
     cluster.build_static(addresses)

@@ -25,7 +25,7 @@ FILE_SIZES_MB = [2, 8, 32, 128, 512, 1024, 2048]
 
 
 def _run(scale):
-    params = AtumParameters(hc=3, rwl=5, gmax=8, gmin=4, round_duration=0.5, expected_system_size=20)
+    params = AtumParameters(hc=3, rwl=5, gmax=8, gmin=4, round_duration=0.5)
     atum = AtumCluster(params, seed=0)
     addresses = [f"n{i}" for i in range(20)]
     atum.build_static(addresses)

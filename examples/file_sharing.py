@@ -20,7 +20,6 @@ MB = 1024 * 1024
 def main() -> None:
     params = AtumParameters(
         hc=3, rwl=5, gmax=8, gmin=4, smr_kind=SmrKind.SYNC, round_duration=0.5,
-        expected_system_size=20,
     )
     atum = AtumCluster(params, seed=11)
     addresses = [f"peer-{i}" for i in range(20)]

@@ -16,7 +16,6 @@ from repro.core.config import AtumParameters, SmrKind
 def main() -> None:
     params = AtumParameters(
         hc=3, rwl=5, gmax=6, gmin=3, smr_kind=SmrKind.SYNC, round_duration=0.5,
-        expected_system_size=30,
     )
     service = ASubService(params, seed=7)
 

@@ -20,7 +20,6 @@ def main() -> None:
     # (Dolev-Strong) engine with 0.5-second rounds.
     params = AtumParameters(
         hc=3, rwl=6, gmax=8, gmin=4, smr_kind=SmrKind.SYNC, round_duration=0.5,
-        expected_system_size=40,
     )
     cluster = AtumCluster(params, seed=42)
 

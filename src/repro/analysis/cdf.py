@@ -1,25 +1,9 @@
-"""Empirical CDFs and latency summaries (used for Figure 8-style results)."""
+"""Latency percentiles and summaries (used for Figure 8-style results)."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
-
-
-def empirical_cdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
-    """Return the empirical CDF of ``samples`` as sorted (value, fraction) pairs."""
-    ordered = sorted(samples)
-    n = len(ordered)
-    if n == 0:
-        return []
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
-
-def fraction_below(samples: Sequence[float], threshold: float) -> float:
-    """Fraction of samples at or below ``threshold``."""
-    if not samples:
-        return 0.0
-    return sum(1 for sample in samples if sample <= threshold) / len(samples)
+from typing import Dict, Sequence
 
 
 def percentile(samples: Sequence[float], p: float) -> float:
@@ -48,17 +32,4 @@ def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def cdf_at_thresholds(
-    samples: Sequence[float], thresholds: Iterable[float]
-) -> List[Tuple[float, float]]:
-    """Evaluate the empirical CDF at the given thresholds (for plotting rows)."""
-    return [(threshold, fraction_below(samples, threshold)) for threshold in thresholds]
-
-
-__all__ = [
-    "empirical_cdf",
-    "fraction_below",
-    "percentile",
-    "latency_summary",
-    "cdf_at_thresholds",
-]
+__all__ = ["percentile", "latency_summary"]

@@ -6,7 +6,7 @@ paper table or figure reports; these helpers keep that output consistent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
@@ -32,20 +32,10 @@ def format_table(rows: Sequence[Dict[str, object]], title: str = "") -> str:
     return "\n".join(lines)
 
 
-def format_cdf_rows(
-    cdf: Iterable[Tuple[float, float]], value_label: str = "latency_s"
-) -> List[Dict[str, object]]:
-    """Turn (value, fraction) pairs into table rows."""
-    return [
-        {value_label: round(value, 4), "fraction_delivered": round(fraction, 4)}
-        for value, fraction in cdf
-    ]
-
-
 def _render(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
 
 
-__all__ = ["format_table", "format_cdf_rows"]
+__all__ = ["format_table"]

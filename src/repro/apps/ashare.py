@@ -87,9 +87,6 @@ class MetadataIndex:
     def __init__(self) -> None:
         self._records: Dict[Tuple[str, str], FileRecord] = {}
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def put(self, record: FileRecord) -> None:
         self._records[record.file_id] = record
 
@@ -104,11 +101,6 @@ class MetadataIndex:
         if record is not None:
             record.replicas.add(holder)
 
-    def remove_replica_holder(self, holder: str) -> None:
-        """Forget every replica announced by a departed node."""
-        for record in self._records.values():
-            record.replicas.discard(holder)
-
     def replica_count(self, owner: str, name: str) -> int:
         record = self._records.get((owner, name))
         return len(record.replicas) if record else 0
@@ -121,9 +113,6 @@ class MetadataIndex:
             for record in self._records.values()
             if needle in record.owner.lower() or needle in record.name.lower()
         ]
-
-    def all_records(self) -> List[FileRecord]:
-        return list(self._records.values())
 
 
 @dataclass
@@ -174,9 +163,6 @@ class AShareCluster:
     @property
     def sim(self):
         return self.atum.sim
-
-    def index_of(self, address: str) -> MetadataIndex:
-        return self.indexes[address]
 
     def is_byzantine(self, address: str) -> bool:
         node = self.atum.nodes.get(address)

@@ -38,7 +38,12 @@ class Event:
 
 
 class ASubTopic:
-    """One pub/sub topic, backed by one Atum instance."""
+    """One pub/sub topic, backed by one Atum instance.
+
+    The creator bootstraps the topic alone; with ``prebuilt_subscribers`` the
+    topic instead starts grown, its membership built directly (no join
+    replay), for experiments that start from a grown topic.
+    """
 
     def __init__(
         self,
@@ -46,14 +51,20 @@ class ASubTopic:
         creator: str,
         params: Optional[AtumParameters] = None,
         seed: int = 0,
+        prebuilt_subscribers: Sequence[str] = (),
     ) -> None:
         self.name = name
         self.params = params or AtumParameters()
         self.cluster = AtumCluster(self.params, seed=seed)
         self._subscriber_callbacks: Dict[str, Callable[[Event], None]] = {}
-        self.received: Dict[str, List[Event]] = {}
-        self.cluster.bootstrap(creator, deliver_fn=self._make_deliver(creator))
-        self.received[creator] = []
+        addresses = [creator, *prebuilt_subscribers]
+        self.received: Dict[str, List[Event]] = {address: [] for address in addresses}
+        if prebuilt_subscribers:
+            self.cluster.build_static(addresses)
+        else:
+            self.cluster.bootstrap(creator)
+        for address in addresses:
+            self.cluster.node(address).deliver_fn = self._make_deliver(address)
 
     # ----------------------------------------------------------------- topology
 
@@ -116,38 +127,20 @@ class ASubService:
         self.topics: Dict[str, ASubTopic] = {}
 
     def create_topic(
-        self,
-        name: str,
-        creator: str,
-        prebuilt_subscribers: Optional[Sequence[str]] = None,
+        self, name: str, creator: str, prebuilt_subscribers: Sequence[str] = ()
     ) -> ASubTopic:
-        """Create a topic.
-
-        ``prebuilt_subscribers`` builds the topic membership directly (without
-        replaying joins); useful for experiments that start from a grown topic.
-        """
+        """Create a topic (see :class:`ASubTopic` for ``prebuilt_subscribers``)."""
         if name in self.topics:
             raise ValueError(f"topic {name!r} already exists")
-        if prebuilt_subscribers is None:
-            topic = ASubTopic(name, creator, params=self.params, seed=self.seed + len(self.topics))
-        else:
-            topic = ASubTopic.__new__(ASubTopic)
-            topic.name = name
-            topic.params = self.params
-            topic.cluster = AtumCluster(self.params, seed=self.seed + len(self.topics))
-            topic._subscriber_callbacks = {}
-            topic.received = {address: [] for address in [creator, *prebuilt_subscribers]}
-            addresses = [creator, *prebuilt_subscribers]
-            topic.cluster.build_static(addresses)
-            for address in addresses:
-                topic.cluster.node(address).deliver_fn = topic._make_deliver(address)
+        topic = ASubTopic(
+            name,
+            creator,
+            params=self.params,
+            seed=self.seed + len(self.topics),
+            prebuilt_subscribers=prebuilt_subscribers,
+        )
         self.topics[name] = topic
         return topic
-
-    def topic(self, name: str) -> ASubTopic:
-        if name not in self.topics:
-            raise KeyError(f"unknown topic {name!r}")
-        return self.topics[name]
 
 
 __all__ = ["Event", "ASubTopic", "ASubService"]

@@ -9,14 +9,13 @@
 """
 
 from repro.baselines.gossip import ClassicGossipSimulation, GossipConfig
-from repro.baselines.global_smr import global_smr_latency, GlobalSmrBaseline
+from repro.baselines.global_smr import global_smr_latency
 from repro.baselines.nfs import NfsServerModel, NfsConfig
 
 __all__ = [
     "ClassicGossipSimulation",
     "GossipConfig",
     "global_smr_latency",
-    "GlobalSmrBaseline",
     "NfsServerModel",
     "NfsConfig",
 ]

@@ -13,9 +13,6 @@ analytic latency (used in tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 from repro.core.config import AtumParameters
 from repro.smr import ReplicaGroupHarness, SyncSmrReplica
 from repro.smr.base import sync_fault_threshold
@@ -35,37 +32,21 @@ def global_smr_latency(
     return (faults + 1) * round_duration
 
 
-@dataclass
-class GlobalSmrBaseline:
-    """Whole-system SMR baseline with both analytic and simulated latency."""
+def simulate_small(num_nodes: int = 9, round_duration: float = 1.5, seed: int = 0) -> float:
+    """Message-level simulation of a small instance (cross-validation).
 
-    num_nodes: int = 850
-    tolerated_faults: int = 50
-    round_duration: float = 1.5
-
-    def analytic_latency(self) -> float:
-        return global_smr_latency(self.num_nodes, self.tolerated_faults, self.round_duration)
-
-    def delivery_latencies(self) -> List[float]:
-        """One latency sample per node (all nodes decide at the same boundary)."""
-        latency = self.analytic_latency()
-        return [latency] * self.num_nodes
-
-    def simulate_small(self, num_nodes: int = 9, seed: int = 0) -> float:
-        """Message-level simulation of a small instance (cross-validation).
-
-        Returns the measured decision latency of one broadcast among
-        ``num_nodes`` replicas with the configured round duration.
-        """
-        harness = ReplicaGroupHarness(
-            group_size=num_nodes,
-            replica_class=SyncSmrReplica,
-            params=AtumParameters(round_duration=self.round_duration),
-            seed=seed,
-        )
-        operation = harness.propose("replica-0", "broadcast", "baseline")
-        harness.run(until=(num_nodes + 4) * self.round_duration * 2)
-        return harness.decision_latency(operation.op_id)
+    Returns the measured decision latency of one broadcast among
+    ``num_nodes`` replicas with the given round duration.
+    """
+    harness = ReplicaGroupHarness(
+        group_size=num_nodes,
+        replica_class=SyncSmrReplica,
+        params=AtumParameters(round_duration=round_duration),
+        seed=seed,
+    )
+    operation = harness.propose("replica-0", "broadcast", "baseline")
+    harness.run(until=(num_nodes + 4) * round_duration * 2)
+    return harness.decision_latency(operation.op_id)
 
 
-__all__ = ["global_smr_latency", "GlobalSmrBaseline"]
+__all__ = ["global_smr_latency", "simulate_small"]

@@ -69,11 +69,5 @@ class ClassicGossipSimulation:
         """Latency samples (seconds) of one broadcast, one entry per node reached."""
         return sorted(self.run_broadcast(origin).values())
 
-    def rounds_to_full_coverage(self, origin: int = 0) -> int:
-        times = self.run_broadcast(origin)
-        if len(times) < self.config.num_nodes:
-            return self.config.max_rounds
-        return int(max(times.values()) / self.config.round_duration)
-
 
 __all__ = ["GossipConfig", "ClassicGossipSimulation"]

@@ -37,9 +37,6 @@ class NfsServerModel:
             raise ValueError("size_bytes must be non-negative")
         self._files[name] = size_bytes
 
-    def has(self, name: str) -> bool:
-        return name in self._files
-
     def read_latency(self, name: str) -> float:
         """Time for a client to read the whole file (seconds)."""
         if name not in self._files:

@@ -24,6 +24,7 @@ from repro.core.middleware import (
     MiddlewareChain,
     MiddlewareContext,
     MiddlewareError,
+    run_hooks,
 )
 from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
@@ -240,10 +241,7 @@ class AtumCluster:
                     address=address,
                     node=node,
                 )
-                for hook in hooks:
-                    hook(ctx)
-                    if ctx.stop:
-                        break
+                run_hooks(hooks, ctx)
         return node
 
     def node(self, address: str) -> AtumNode:
@@ -583,10 +581,7 @@ class AtumCluster:
                 scenario=self._middleware.scenario,
                 address=address,
             )
-            for hook in hooks:
-                hook(ctx)
-                if ctx.stop:
-                    break
+            run_hooks(hooks, ctx)
         return True
 
     def _on_view_changed(self, view: VGroupView) -> None:
@@ -606,10 +601,7 @@ class AtumCluster:
                 scenario=self._middleware.scenario,
                 view=view,
             )
-            for hook in hooks:
-                hook(ctx)
-                if ctx.stop:
-                    break
+            run_hooks(hooks, ctx)
 
     def _on_group_removed(self, group_id: str) -> None:
         # Members were re-homed before the group disappeared; nothing to do at
@@ -634,10 +626,7 @@ class AtumCluster:
                 scenario=self._middleware.scenario,
                 address=address,
             )
-            for hook in hooks:
-                hook(ctx)
-                if ctx.stop:
-                    break
+            run_hooks(hooks, ctx)
 
     def _on_join_completed(self, address: str, group_id: str) -> None:
         view = self.engine.groups.get(group_id)

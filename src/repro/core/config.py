@@ -35,8 +35,6 @@ class AtumParameters:
         round_duration: Round length of the synchronous engine in seconds.
         request_timeout: View-change timeout of the asynchronous engine.
         heartbeat_period: Heartbeat interval (coarse, one minute by default).
-        expected_system_size: The administrator's estimate of N (need not be
-            exact; a conservative value trades efficiency for robustness).
         checkpoint_interval: Decided operations between PBFT checkpoints
             (:mod:`repro.smr.checkpoint`), at least 1.  Only read by the
             Async engine.
@@ -58,7 +56,6 @@ class AtumParameters:
     round_duration: float = 1.0
     request_timeout: float = 2.0
     heartbeat_period: float = 60.0
-    expected_system_size: int = 800
     checkpoint_interval: int = 8
     shuffle_enabled: bool = True
 
@@ -123,7 +120,6 @@ class AtumParameters:
             k=chosen_k,
             smr_kind=smr_kind,
             round_duration=round_duration,
-            expected_system_size=expected_size,
         )
 
     # ------------------------------------------------------------ derived views
@@ -134,12 +130,6 @@ class AtumParameters:
         if self.smr_kind is SmrKind.SYNC:
             return WalkMode.BACKWARD_PHASE
         return WalkMode.CERTIFICATES
-
-    def target_group_size(self, system_size: Optional[int] = None) -> int:
-        """The logarithmic-grouping target ``k * log2(N)`` clamped to [gmin, gmax]."""
-        size = system_size or self.expected_system_size
-        target = int(round(self.k * math.log2(max(2, size))))
-        return max(self.gmin, min(self.gmax, target))
 
     def fault_threshold(self, group_size: int) -> int:
         """Faults tolerated in a vgroup of the given size under this engine."""

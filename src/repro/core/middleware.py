@@ -254,12 +254,6 @@ class MiddlewareChain:
     def __iter__(self) -> Iterator[Middleware]:
         return iter(self._middleware)
 
-    def __len__(self) -> int:
-        return len(self._middleware)
-
-    def __contains__(self, middleware: object) -> bool:
-        return any(existing is middleware for existing in self._middleware)
-
 
 class MetricsTap(Middleware):
     """Per-hook pipeline counters (the metrics-counter interceptor).

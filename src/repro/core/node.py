@@ -294,15 +294,6 @@ class AtumNode(Actor):
         elif self.is_member and not monitor.running:
             monitor.start()
 
-    def shutdown(self) -> None:
-        """Stop the node for good: no heartbeats, no anti-entropy, and
-        nothing delivered to it from now on."""
-        if self.heartbeats is not None:
-            self.heartbeats.stop()
-        if self.antientropy is not None:
-            self.antientropy.stop()
-        super().shutdown()
-
     def clear_membership(self) -> None:
         """Drop membership state after leaving the system."""
         self.vgroup_view = None

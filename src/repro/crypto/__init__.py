@@ -10,13 +10,12 @@ without the cost of real asymmetric cryptography, whose CPU cost is instead
 charged to simulated time via :class:`CryptoCostModel`.
 """
 
-from repro.crypto.digest import Digest, digest_bytes, digest_object
+from repro.crypto.digest import Digest, digest_object
 from repro.crypto.keys import KeyPair, KeyRegistry, Signature
 from repro.crypto.certificates import WalkCertificate, CertificateChain
 from repro.crypto.cost import CryptoCostModel
 
 __all__ = [
-    "digest_bytes",
     "digest_object",
     "Digest",
     "KeyPair",

@@ -85,9 +85,6 @@ class CertificateChain:
     def append(self, certificate: WalkCertificate) -> None:
         self.certificates.append(certificate)
 
-    def __len__(self) -> int:
-        return len(self.certificates)
-
     def size_bytes(self, per_certificate_bytes: int = 512) -> int:
         """Approximate serialized size; linear in the walk length."""
         return per_certificate_bytes * len(self.certificates)
@@ -128,13 +125,6 @@ class CertificateChain:
                 return False
             previous_next = certificate.next_hop
         return True
-
-    @property
-    def selected_group(self) -> str:
-        """The vgroup at the end of the walk (the selected vgroup)."""
-        if not self.certificates:
-            raise ValueError("empty certificate chain")
-        return self.certificates[-1].next_hop
 
 
 __all__ = ["WalkCertificate", "CertificateChain", "make_certificate"]

@@ -194,11 +194,6 @@ def audit_digest_memo() -> List[Tuple[Any, Digest, Digest]]:
     ]
 
 
-def digest_bytes(data: bytes) -> Digest:
-    """Return the SHA-256 hex digest of raw bytes."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def digest_object(obj: Any) -> Digest:
     """Return the SHA-256 hex digest of the canonical JSON encoding of ``obj``."""
     key = id(obj)  # atumlint: allow[ATL008] identity-LRU memo key, guarded by `is obj`; never ordered or serialized
@@ -239,7 +234,6 @@ __all__ = [
     "audit_digest_memo",
     "canonical_encode",
     "clear_digest_memo",
-    "digest_bytes",
     "digest_object",
     "seal",
 ]

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.middleware import MiddlewareChain
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.plan import FaultPlan, NodeFault
 from repro.overlay.membership import MembershipError
@@ -75,29 +74,22 @@ class FaultController:
             if partition.is_side_preserving:
                 # Side-preserving splits are tracked by id on the network, so
                 # forming and healing are exact regardless of overlaps with
-                # other partitions.
+                # other partitions; the cluster routes them through its
+                # split-brain coordinator (per-side membership directories +
+                # merge reconciliation).
                 handle: Dict[str, int] = {}
 
-                # Clusters route splits through their split-brain
-                # coordinator (per-side membership directories + merge
-                # reconciliation); bare network harnesses fall back to the
-                # network-level machinery.
-                split_fn = getattr(cluster, "split", None) or cluster.network.split
-                merge_fn = getattr(cluster, "merge", None) or cluster.network.merge
-
-                def form_split(
-                    partition=partition, handle=handle, split_fn=split_fn
-                ) -> None:
-                    handle["id"] = split_fn(partition.sides)
+                def form_split(partition=partition, handle=handle) -> None:
+                    handle["id"] = cluster.split(partition.sides)
                     sim.metrics.increment("faults.partitions_formed")
 
                 self._at(partition.start, form_split, tag="faults.partition")
                 if partition.heal_at is not None:
 
-                    def heal_split(handle=handle, merge_fn=merge_fn) -> None:
+                    def heal_split(handle=handle) -> None:
                         split_id = handle.pop("id", None)
                         if split_id is not None:
-                            merge_fn(split_id)
+                            cluster.merge(split_id)
                         sim.metrics.increment("faults.partitions_healed")
 
                     self._at(partition.heal_at, heal_split, tag="faults.heal")
@@ -133,15 +125,7 @@ class FaultController:
 
         if self.plan.links:
             self.injector = LinkFaultInjector(sim, self.plan.links)
-            chain_fn = getattr(cluster, "middleware_chain", None)
-            if chain_fn is not None:
-                chain_fn().add(self.injector)
-            else:
-                # Bare harness: a Network stand-in without the cluster-level
-                # pipeline gets a network-only chain.
-                cluster.network.install_middleware(
-                    MiddlewareChain(self.injector, scenario="link-faults")
-                )
+            cluster.middleware_chain().add(self.injector)
 
         if self.plan.slowdowns:
             self._install_slowdowns()

@@ -60,6 +60,10 @@ from repro.workloads.churn import ChurnConfig, ChurnWorkload
 from repro.workloads.growth import GrowthConfig, GrowthWorkload
 
 
+#: Heartbeat interval of every row (seconds); the evict attack proposes at
+#: twice it.
+HEARTBEAT_PERIOD = 2.0
+
 #: Every workload :func:`run_scenario` can drive.
 WORKLOADS = ("broadcast", "churn", "churn_broadcast", "flash_crowd", "growth")
 
@@ -78,8 +82,8 @@ class Scenario:
         nodes: System size (``build_static`` base; growth grows beyond it).
         fault_fraction: Fraction handed to the plan builder (Byzantine
             share, partition share, ...).
-        heartbeats: Whether nodes run the heartbeat/eviction layer.
-        heartbeat_period: Heartbeat interval when enabled.
+        heartbeats: Whether nodes run the heartbeat/eviction layer (every
+            row at :data:`HEARTBEAT_PERIOD`).
         broadcasts / interval / settle_time: Broadcast-workload knobs.
         churn_rate / churn_duration: Churn-workload knobs.
         growth_target: Growth-workload target size.
@@ -127,7 +131,6 @@ class Scenario:
     nodes: int = 30
     fault_fraction: float = 0.2
     heartbeats: bool = False
-    heartbeat_period: float = 2.0
     broadcasts: int = 6
     interval: float = 0.5
     settle_time: float = 30.0
@@ -281,7 +284,7 @@ def _plan_evict_attack(
                 address=address,
                 behaviour="evict_attack",
                 start=0.0,
-                attack_period=scenario.heartbeat_period * 2.0,
+                attack_period=HEARTBEAT_PERIOD * 2.0,
             )
             for address in chosen
         )
@@ -1299,7 +1302,7 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
         gmax=scenario.gmax,
         gmin=scenario.gmin,
         round_duration=0.5,
-        heartbeat_period=scenario.heartbeat_period,
+        heartbeat_period=HEARTBEAT_PERIOD,
         smr_kind=SmrKind.ASYNC if scenario.smr == "async" else SmrKind.SYNC,
         checkpoint_interval=scenario.checkpoint_interval,
         shuffle_enabled=scenario.shuffle,

@@ -45,13 +45,6 @@ class VGroupView:
     def member_set(self) -> FrozenSet[str]:
         return frozenset(self.members)
 
-    def contains(self, address: str) -> bool:
-        return address in self.members
-
-    def majority(self) -> int:
-        """Senders needed for a group message from this vgroup to be accepted."""
-        return majority_threshold(self.size)
-
     def with_members(self, members: Iterable[str]) -> "VGroupView":
         """Return a successor view (epoch + 1) with a new composition."""
         return VGroupView.create(self.group_id, members, epoch=self.epoch + 1)
@@ -68,9 +61,6 @@ class VGroupView:
 
     def __len__(self) -> int:
         return self.size
-
-    def __iter__(self):
-        return iter(self.members)
 
 
 __all__ = ["VGroupView", "majority_threshold"]

@@ -14,15 +14,12 @@ conventions into a machine-checked pass:
   table for inherited-``__slots__`` resolution).
 * :mod:`repro.lint.rules` — the rule classes (``ATL001`` .. ``ATL008``).
   Adding a rule is one subclass with a ``@register_rule`` decorator.
-* :mod:`repro.lint.baseline` — the ratcheted baseline
-  (``.atumlint-baseline.json``): pre-existing accepted debt is explicit,
-  and an entry that stops matching any finding is itself an error.
 * :mod:`repro.lint.metrics_scan` — the ATL006 scanner and the generators
   for :mod:`repro.lint.metrics_registry` and ``docs/METRICS.md``.
 
 CLI: ``python -m repro.lint --check`` (see ``--help``).
 
-Suppression pragma (reason string required)::
+The one waiver is a suppression pragma on the flagged line, with a reason::
 
     value = time.perf_counter()  # atumlint: allow[ATL002] harness wall-clock, not sim time
 """

@@ -2,10 +2,9 @@
 
 Modes
 -----
-(default)            lint, print unbaselined findings, exit 1 if any
---check              strict CI mode: also fail on stale baseline entries,
-                     a stale metrics registry, or a stale docs/METRICS.md
---write-baseline     rewrite .atumlint-baseline.json from current findings
+(default)            lint, print findings, exit 1 if any
+--check              strict CI mode: also fail on a stale metrics registry
+                     or a stale docs/METRICS.md
 --gen-metrics        regenerate src/repro/lint/metrics_registry.py
 --gen-metrics-doc    regenerate docs/METRICS.md
 --json PATH          additionally write the findings report as JSON
@@ -20,13 +19,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import (
-    BASELINE_FILENAME,
-    diff_against_baseline,
-    entries_from_findings,
-    load_baseline,
-    save_baseline,
-)
 from repro.lint.core import run_lint, registered_rules
 from repro.lint.metrics_scan import (
     registry_diff,
@@ -58,18 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="strict CI mode: fail on unbaselined findings, stale baseline "
-        "entries, stale metrics registry or stale docs/METRICS.md",
+        help="strict CI mode: fail on findings, a stale metrics registry or "
+        "a stale docs/METRICS.md",
     )
     parser.add_argument(
         "--rules", default=None, help="comma-separated rule ids (default: all)"
     )
     parser.add_argument("--json", type=Path, default=None, help="write findings JSON")
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=f"rewrite {BASELINE_FILENAME} from current findings",
-    )
     parser.add_argument(
         "--gen-metrics",
         action="store_true",
@@ -91,7 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     targets = (
         [Path(t) for t in args.targets] if args.targets else [root / "src" / "repro"]
     )
-    baseline_path = root / BASELINE_FILENAME
     registry_path = root / "src" / "repro" / "lint" / "metrics_registry.py"
     doc_path = root / "docs" / "METRICS.md"
 
@@ -115,35 +101,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         [r.strip() for r in args.rules.split(",") if r.strip()] if args.rules else None
     )
     findings = run_lint(targets, root, rule_ids)
-    entries = load_baseline(baseline_path)
-    diff = diff_against_baseline(findings, entries)
-
-    if args.write_baseline:
-        save_baseline(baseline_path, entries_from_findings(findings, entries))
-        print(
-            f"wrote {BASELINE_FILENAME} with {len(findings)} entr"
-            f"{'y' if len(findings) == 1 else 'ies'}"
-        )
-        return 0
 
     failures: List[str] = []
     if not args.quiet:
-        for finding in diff.unbaselined:
+        for finding in findings:
             print(finding)
-    if diff.unbaselined:
-        failures.append(f"{len(diff.unbaselined)} unbaselined finding(s)")
+    if findings:
+        failures.append(f"{len(findings)} finding(s)")
 
-    stale_registry: List[str] = []
-    orphaned_registry: List[str] = []
-    doc_stale = False
     if args.check:
-        if diff.stale:
-            for entry in diff.stale:
-                print(
-                    f"stale baseline entry (fixed? delete it): "
-                    f"{entry.rule} {entry.path} :: {entry.snippet}"
-                )
-            failures.append(f"{len(diff.stale)} stale baseline entr(ies)")
         from repro.lint.metrics_registry import METRICS
 
         scanned = scan_metrics(targets, root)
@@ -173,24 +139,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "line": f.line,
                     "message": f.message,
                     "snippet": f.snippet,
-                    "baselined": False,
                 }
-                for f in diff.unbaselined
-            ]
-            + [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "message": f.message,
-                    "snippet": f.snippet,
-                    "baselined": True,
-                }
-                for f in diff.suppressed
-            ],
-            "stale_baseline": [
-                {"rule": e.rule, "path": e.path, "snippet": e.snippet}
-                for e in diff.stale
+                for f in findings
             ],
             "ok": not failures,
         }
@@ -199,11 +149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if failures:
         print(f"atumlint: FAIL ({'; '.join(failures)})", file=sys.stderr)
         return 1
-    suppressed = len(diff.suppressed)
-    print(
-        f"atumlint: OK ({len(findings)} finding(s), {suppressed} baselined, "
-        f"{len(entries)} baseline entr{'y' if len(entries) == 1 else 'ies'})"
-    )
+    print("atumlint: OK (0 findings)")
     return 0
 
 

@@ -42,19 +42,10 @@ class Finding:
     path: str  # repo-relative, forward slashes
     line: int  # 1-based
     message: str
-    snippet: str  # stripped source line, the baseline-matching key
+    snippet: str  # stripped source line
 
     def __str__(self) -> str:  # pragma: no cover - formatting aid
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
-
-    def key(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline.
-
-        Keyed on the *content* of the flagged line rather than its number,
-        so unrelated edits above a baselined finding do not churn the
-        baseline file.
-        """
-        return (self.rule, self.path, self.snippet)
 
 
 @dataclass

@@ -9,8 +9,8 @@ protocol behaviour:
   effect of the paper's section 5.1 observable);
 * network partitions and side-preserving splits (loss, duplication and
   delay faults are ``on_send`` middleware, :mod:`repro.faults.injector`);
-* delivery only to registered, alive actors (a crashed or departed node
-  silently drops traffic, like a closed socket).
+* delivery only to registered actors (traffic to an unknown address is
+  counted as undeliverable and dropped).
 
 A message in flight is a heap entry that fires into the receiver's
 ``on_message``, except a :class:`~repro.net.message.Heartbeat`: a failure
@@ -54,7 +54,7 @@ class _Deliveries:
     wire fields and this object, shared by all of them, supplies what the
     event loop reads — the constant ``cancelled``/``priority``/``tag`` and
     :meth:`fire`, which the loop calls with the entry (see
-    :mod:`repro.sim.events`).  Delivery reaches only a registered, alive
+    :mod:`repro.sim.events`).  Delivery reaches only a registered
     actor that no partition or split (including one that formed while the
     message was in flight) separates from the sender.
     """
@@ -77,7 +77,7 @@ class _Deliveries:
         network = self._network
         actor = network._actors.get(receiver)
         counters = network._counters
-        if actor is None or not actor.alive:
+        if actor is None:
             counters["net.messages_undeliverable"] += 1.0
             return
         if receiver in network._partitioned:

@@ -114,13 +114,6 @@ class HGraph:
         self._check_vertex(vertex)
         return self._pred[cycle][vertex]
 
-    def cycle_neighbors(self, vertex: str, cycle: int) -> Tuple[str, str]:
-        """The (predecessor, successor) pair of ``vertex`` on ``cycle``."""
-        table = self._tables.get(vertex)
-        if table is None:
-            table = self._build_table(vertex)
-        return table.pairs[cycle]
-
     def cycle_pairs(self, vertex: str) -> Tuple[Tuple[str, str], ...]:
         """All per-cycle (predecessor, successor) pairs of ``vertex``, cached."""
         table = self._tables.get(vertex)
@@ -156,9 +149,6 @@ class HGraph:
         if table is None:
             table = self._build_table(vertex)
         return table.links
-
-    def degree(self, vertex: str) -> int:
-        return len(self.incident_links(vertex))
 
     # ---------------------------------------------------------------- mutations
 
@@ -234,25 +224,6 @@ class HGraph:
             for vertex in self._vertices:
                 if self._pred[cycle][self._succ[cycle][vertex]] != vertex:
                     raise HGraphError(f"cycle {cycle} has inconsistent pred/succ at {vertex}")
-
-    def estimated_diameter(self) -> int:
-        """Breadth-first diameter estimate from an arbitrary vertex."""
-        if not self._vertices:
-            return 0
-        start = min(self._vertices)
-        frontier = {start}
-        seen = {start}
-        depth = 0
-        while len(seen) < len(self._vertices) and frontier:
-            next_frontier: Set[str] = set()
-            for vertex in frontier:
-                for neighbor in self.neighbors(vertex):
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        next_frontier.add(neighbor)
-            frontier = next_frontier
-            depth += 1
-        return depth
 
     # ------------------------------------------------------------------ helpers
 

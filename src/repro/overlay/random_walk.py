@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.overlay.hgraph import HGraph
 
@@ -57,9 +57,6 @@ class BulkRng:
             raise ValueError("no options to pick from")
         return int(self.values[hop] * option_count) % option_count
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass
 class RandomWalkOutcome:
@@ -84,10 +81,6 @@ class RandomWalkOutcome:
     @property
     def selected(self) -> str:
         return self.path[-1] if self.path else self.start
-
-    @property
-    def total_hops(self) -> int:
-        return self.hops + self.reply_hops
 
 
 def structural_walk(
@@ -121,23 +114,9 @@ def structural_walk(
     )
 
 
-def sample_many(
-    graph: HGraph,
-    start: str,
-    length: int,
-    count: int,
-    rng: random.Random,
-) -> List[str]:
-    """Run ``count`` independent walks from ``start`` and return the end vertices."""
-    return [
-        structural_walk(graph, start, length, rng).selected for _ in range(count)
-    ]
-
-
 __all__ = [
     "WalkMode",
     "BulkRng",
     "RandomWalkOutcome",
     "structural_walk",
-    "sample_many",
 ]

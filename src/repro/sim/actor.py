@@ -15,29 +15,22 @@ class Actor:
     :meth:`~repro.sim.simulator.Simulator.schedule` calls.  Concrete
     protocols subclass ``Actor`` and dispatch on the message payload type.
 
-    The base attributes are slotted because ``alive`` is read on every
-    message delivery; subclasses may still add arbitrary attributes (they
-    get a ``__dict__`` of their own unless they declare ``__slots__`` too).
+    The base attributes are slotted; subclasses may still add arbitrary
+    attributes (they get a ``__dict__`` of their own unless they declare
+    ``__slots__`` too).
     """
 
-    __slots__ = ("sim", "address", "alive", "__dict__")
+    __slots__ = ("sim", "address", "__dict__")
 
     def __init__(self, sim: Simulator, address: str) -> None:
         self.sim = sim
         self.address = address
-        self.alive = True
 
     # ---------------------------------------------------------------- messages
 
     def on_message(self, payload: Any, sender: str) -> None:  # pragma: no cover
         """Handle a delivered message.  Subclasses override this."""
         raise NotImplementedError
-
-    # ---------------------------------------------------------------- lifecycle
-
-    def shutdown(self) -> None:
-        """Stop the actor: it ignores every later message."""
-        self.alive = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.address}>"

@@ -143,10 +143,5 @@ class EventQueue:
         if self._live > 0:
             self._live -= 1
 
-    def clear(self) -> None:
-        """Drop every pending event."""
-        self._heap.clear()
-        self._live = 0
-
 
 __all__ = ["Event", "EventQueue"]

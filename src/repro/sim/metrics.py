@@ -4,8 +4,8 @@ The benchmark harness and the integration tests inspect protocol behaviour
 through these metrics rather than by poking protocol internals.
 
 :class:`Histogram` is on the per-message hot path (every delivery records a
-latency sample), so it keeps running accumulators for ``mean``/``minimum``/
-``maximum`` and a lazily-maintained sorted view for ``percentile``/``cdf``:
+latency sample), so it keeps running accumulators for ``mean``/``maximum`` and
+a lazily-maintained sorted view for ``percentile``:
 recording invalidates the view, queries re-sort at most once per batch of
 records instead of once per query.
 """
@@ -34,17 +34,16 @@ class Histogram:
     Destructive mutations are detected on a best-effort basis — a shrink or a
     changed last-accumulated element triggers a full recompute, but a
     same-length interior rewrite (or a regrow that coincidentally reproduces
-    the last accumulated value at its old index) is not observable in O(1);
-    call :meth:`invalidate` after such mutations.
+    the last accumulated value at its old index) is not observable in O(1)
+    and is not supported.
     """
 
-    __slots__ = ("samples", "_sorted", "_sum", "_min", "_max", "_acc_count", "_last_acc")
+    __slots__ = ("samples", "_sorted", "_sum", "_max", "_acc_count", "_last_acc")
 
     def __init__(self, samples: Optional[Iterable[float]] = None) -> None:
         self.samples = array("d", samples or ())
         self._sorted: Optional[array] = None
         self._sum = 0.0
-        self._min = math.inf
         self._max = -math.inf
         self._acc_count = 0
         self._last_acc: Optional[float] = None
@@ -55,19 +54,6 @@ class Histogram:
         # insertion order — so the statistics are bit-identical to eager
         # accumulation, while the per-record hot path is a single append.
         self.samples.append(value)
-
-    def record_many(self, values: Iterable[float]) -> None:
-        self.samples.extend(values)
-
-    def invalidate(self) -> None:
-        """Force a full recompute after arbitrary mutation of ``samples``."""
-        samples = self.samples
-        self._sum = sum(samples)
-        self._min = min(samples) if samples else math.inf
-        self._max = max(samples) if samples else -math.inf
-        self._sorted = None
-        self._acc_count = len(samples)
-        self._last_acc = samples[-1] if samples else None
 
     def _reconcile(self) -> None:
         """Fold direct mutations of ``samples`` into the accumulators.
@@ -87,27 +73,15 @@ class Histogram:
         if grown_cleanly:
             tail = samples[count:]
             self._sum += sum(tail)
-            tail_min = min(tail)
             tail_max = max(tail)
-            if tail_min < self._min:
-                self._min = tail_min
             if tail_max > self._max:
                 self._max = tail_max
         else:
             self._sum = sum(samples)
-            self._min = min(samples) if samples else math.inf
             self._max = max(samples) if samples else -math.inf
             self._sorted = None
         self._acc_count = len(samples)
         self._last_acc = samples[-1] if samples else None
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Histogram):
-            return self.samples == other.samples
-        return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram(count={len(self.samples)})"
@@ -122,13 +96,6 @@ class Histogram:
             return math.nan
         self._reconcile()
         return self._sum / len(self.samples)
-
-    @property
-    def minimum(self) -> float:
-        if not self.samples:
-            return math.nan
-        self._reconcile()
-        return self._min
 
     @property
     def maximum(self) -> float:
@@ -163,12 +130,6 @@ class Histogram:
         rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
         return ordered[rank]
 
-    def cdf(self) -> List[Tuple[float, float]]:
-        """Return the empirical CDF as ``(value, fraction <= value)`` pairs."""
-        ordered = self._sorted_view()
-        n = len(ordered)
-        return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
 
 @dataclass
 class TimeSeries:
@@ -178,32 +139,6 @@ class TimeSeries:
 
     def record(self, time: float, value: float) -> None:
         self.points.append((time, value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def values(self) -> List[float]:
-        return [value for _, value in self.points]
-
-    def times(self) -> List[float]:
-        return [time for time, _ in self.points]
-
-    def last(self) -> Tuple[float, float]:
-        if not self.points:
-            raise ValueError("time series is empty")
-        return self.points[-1]
-
-    def value_at(self, time: float) -> float:
-        """Return the last recorded value at or before ``time`` (step function)."""
-        best = None
-        for point_time, value in self.points:
-            if point_time <= time:
-                best = value
-            else:
-                break
-        if best is None:
-            raise ValueError(f"no sample at or before t={time}")
-        return best
 
 
 class MetricsRegistry:
@@ -231,15 +166,6 @@ class MetricsRegistry:
 
     def timeseries(self, name: str) -> TimeSeries:
         return self.series[name]
-
-    def snapshot(self) -> Dict[str, float]:
-        """Return a flat view of counters plus histogram means (for reports)."""
-        flat: Dict[str, float] = dict(self.counters)
-        for name, histogram in self.histograms.items():
-            if histogram.count:
-                flat[f"{name}.mean"] = histogram.mean
-                flat[f"{name}.count"] = float(histogram.count)
-        return flat
 
 
 __all__ = ["Histogram", "TimeSeries", "MetricsRegistry"]

@@ -42,7 +42,6 @@ class Simulator:
         self._now = 0.0
         self._processed = 0
         self._running = False
-        self._stop_requested = False
         self._serials: Dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------ clock
@@ -103,10 +102,6 @@ class Simulator:
 
     # ------------------------------------------------------------------- runs
 
-    def stop(self) -> None:
-        """Request the current :meth:`run` call to stop after the current event."""
-        self._stop_requested = True
-
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the queue is empty."""
         entry = self.queue.pop_entry()
@@ -141,7 +136,6 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         self._running = True
-        self._stop_requested = False
         processed_this_run = 0
         # Hot loop: operate directly on the queue's tuple heap so that each
         # iteration costs one heappop plus one ``fire``, with no per-event
@@ -164,7 +158,7 @@ class Simulator:
                 has_until = until is not None
                 processed_local = 0
                 try:
-                    while not self._stop_requested:
+                    while True:
                         if not heap:
                             queue._live = 0
                             break
@@ -186,8 +180,6 @@ class Simulator:
                     self._processed += processed_local
             else:
                 while True:
-                    if self._stop_requested:
-                        break
                     if max_events is not None and processed_this_run >= max_events:
                         break
                     while heap and heap[0][3].cancelled:
@@ -215,10 +207,6 @@ class Simulator:
             # callers observing ``now`` see the requested horizon.
             self._now = until
         return self._now
-
-    def run_until_idle(self, max_events: int = 10_000_000) -> float:
-        """Run until the event queue drains completely."""
-        return self.run(max_events=max_events)
 
 
 __all__ = ["Simulator", "SimulationError"]

@@ -94,10 +94,6 @@ class SmrReplica(abc.ABC):
     # ----------------------------------------------------------------- queries
 
     @property
-    def group_size(self) -> int:
-        return len(self.members)
-
-    @property
     @abc.abstractmethod
     def fault_threshold(self) -> int:
         """Number of Byzantine replicas this engine tolerates at this size."""

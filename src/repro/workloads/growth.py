@@ -73,10 +73,6 @@ class GrowthWorkload:
                 break
         return self.sim.metrics.timeseries("membership.system_size")
 
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
     def time_to_reach(self, size: int) -> Optional[float]:
         """First simulated time at which the system reached ``size`` nodes."""
         for time, value in self.sim.metrics.timeseries("membership.system_size").points:

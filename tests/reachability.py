@@ -1,23 +1,34 @@
-"""Which ``src/repro`` functions do only the tests reach?
+"""Which ``src/repro`` functions do only the tests reach, and which does nothing reach?
 
 Records every Python call made under ``src/repro`` while two groups of runs
-execute, then prints the functions the tier-1 suite calls that no product
-run calls:
+execute:
 
-* **product** -- the fault matrix (``--workers 1``), the paper benches
-  (``benchmarks/bench_*.py``), every ``examples/*.py`` and the ``stack``
-  suite at tiny scale;
+* **product** -- the fault matrix (default workers), ``python -m repro.lint
+  --check`` (CI runs it), the paper benches (``benchmarks/bench_*.py``),
+  every ``examples/*.py`` and the ``stack`` suite at tiny scale;
 * **tier-1** -- ``pytest tests``, with ``tests/test_hot_path_budget.py`` in
   a process of its own.
 
-Such a function is either a reference the tests compare against, a rare path
-only a test drives, a test convenience, or code nothing needs any more; the
-list is the starting point for deciding which.
+A function no product run reaches is either a reference the tests compare
+against, a rare path only a test drives, paper API, a test convenience, an
+abstract default or dunder, part of ``repro.lint``, or code nothing needs.
+Every such function that stays is listed in ``tests/reachability_keep.txt``,
+one line each::
+
+    repro/sim/simulator.py Simulator.step  convenience  steps one event in tests
+
+(path under ``src``, qualified name, keep class, reason).  Entries are keyed
+by qualified name, never by line number, so unrelated edits do not churn the
+file.
 
 Usage (not collected by pytest; a full run takes about 5 minutes on a
 2-core host)::
 
-    python tests/reachability.py [--out report.json]
+    python tests/reachability.py [--out report.json] [--check]
+
+``--check`` exits 1 when a function that is not listed is reached by tier-1
+only or by nothing, or when a listed function is reached by a product run
+or no longer exists (a stale entry).
 
 How the calls are recorded:
 
@@ -28,8 +39,10 @@ How the calls are recorded:
   re-installs the recorder instead of removing it;
 * ``cProfile`` replaces the hook at the C level, so the one test file that
   runs it gets its own process and loses only the profiled region;
-* each interpreter writes the code objects it saw at exit, which is why the
-  matrix runs with one worker: pool workers exit without running ``atexit``;
+* each interpreter writes the code objects it saw at exit; a forked
+  ``multiprocessing`` worker skips ``atexit``, so it writes them from a
+  ``multiprocessing.util.Finalize`` registered after the fork, or on the
+  ``SIGTERM`` with which a pool's ``terminate()`` stops it;
 * a code object is keyed by (file, first line including decorators, name),
   which is what ``co_firstlineno`` gives and what the AST walk below rebuilds.
 """
@@ -55,10 +68,12 @@ Key = Tuple[str, int, str]
 
 SITECUSTOMIZE = '''
 import atexit, json, os, sys, threading
+from multiprocessing import util as _mp_util
 
 _PREFIX = {prefix!r}
 _OUT = {out!r}
 _seen = set()
+_dumping = False
 
 
 def _record(frame, event, arg):
@@ -74,6 +89,8 @@ def _keep_recording(func):
 
 
 def _dump():
+    global _dumping
+    _dumping = True
     _setprofile(None)  # or the comprehension below records itself
     keys = sorted(
         {{
@@ -87,25 +104,63 @@ def _dump():
         json.dump(keys, handle)
 
 
+def _on_terminate(signum, frame):
+    if not _dumping:  # else the exit that is dumping finishes on its own
+        _dump()
+        os._exit(0)
+
+
+def _after_fork(_):
+    import signal
+
+    _mp_util.Finalize(None, _dump, exitpriority=0)
+    signal.signal(signal.SIGTERM, _on_terminate)
+
+
 sys.setprofile = _keep_recording
 _setprofile(_record)
 threading.setprofile(_record)
 atexit.register(_dump)
+_mp_util.register_after_fork(_dump, _after_fork)
 '''
 
+#: The reasons a function no product run reaches may stay.
+KEEP_CLASSES = {
+    "reference",  # tests compare the product against it
+    "rare-path",  # a product path only a test drives
+    "paper-api",  # part of the API the paper describes
+    "convenience",  # a small test convenience
+    "abstract",  # an abstract default or interface method
+    "dunder",  # a protocol dunder or debugging repr
+    "lint",  # repro.lint, exercised on fixtures
+}
+KEEP_FILE = Path(__file__).with_name("reachability_keep.txt")
 
-def definitions() -> Tuple[Set[Key], Set[Key]]:
-    """Every ``def`` and every ``class`` under ``src/repro``, keyed like a
-    recorded code object (a class body runs as a code object of its own)."""
-    functions: Set[Key] = set()
+
+def definitions() -> Tuple[Dict[Key, str], Set[Key]]:
+    """Every ``def`` under ``src/repro`` mapped to its qualified name, and
+    every ``class``, keyed like a recorded code object (a class body runs as
+    a code object of its own)."""
+    functions: Dict[Key, str] = {}
     classes: Set[Key] = set()
+
+    def walk(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                key = (path, first, child.name)
+                qualname = prefix + child.name
+                if isinstance(child, ast.ClassDef):
+                    classes.add(key)
+                    walk(child, path, qualname + ".")
+                else:
+                    functions[key] = qualname
+                    walk(child, path, qualname + ".<locals>.")
+            else:
+                walk(child, path, prefix)
+
     for path in sorted(PACKAGE.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                kind = classes if isinstance(node, ast.ClassDef) else functions
-                kind.add((str(path), first, node.name))
+        walk(ast.parse(path.read_text(), filename=str(path)), str(path), "")
     return functions, classes
 
 
@@ -141,8 +196,8 @@ def product_commands(output: str) -> List[List[str]]:
     benches = sorted(glob.glob(str(ROOT / "benchmarks" / "bench_*.py")))
     examples = sorted(glob.glob(str(ROOT / "examples" / "*.py")))
     return [
-        [python, "-m", "repro.faults.scenarios", "--seeds", "2", "--workers", "1",
-         "--output", output],
+        [python, "-m", "repro.faults.scenarios", "--seeds", "2", "--output", output],
+        [python, "-m", "repro.lint", "--check", "--quiet"],
         [python, "-m", "pytest", "-q", "-p", "no:cacheprovider", *benches],
         *([python, example] for example in examples),
         [python, str(ROOT / "benchmarks" / "stack" / "run.py"), "--scale", "tiny",
@@ -160,16 +215,69 @@ def tier1_commands() -> List[List[str]]:
     ]
 
 
-def relative(key: Key) -> str:
-    path, line, name = key
-    return f"{os.path.relpath(path, SRC)}:{line} {name}"
+def named(functions: Dict[Key, str], key: Key) -> str:
+    """``path qualname``: how the keep file names a function."""
+    return f"{os.path.relpath(key[0], SRC)} {functions[key]}"
+
+
+def load_keep(path: Path) -> Tuple[Dict[str, str], List[str]]:
+    """The keep file's entries (``path qualname`` -> class) and its errors."""
+    entries: Dict[str, str] = {}
+    errors: List[str] = []
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split(maxsplit=3)
+        where = f"{path.name}:{number}"
+        if len(fields) < 4:
+            errors.append(f"{where}: need 'path qualname  class  reason'")
+            continue
+        name, keep_class = f"{fields[0]} {fields[1]}", fields[2]
+        if keep_class not in KEEP_CLASSES:
+            errors.append(f"{where}: unknown keep class {keep_class!r}")
+        if name in entries:
+            errors.append(f"{where}: {name} is listed twice")
+        entries[name] = keep_class
+    return entries, errors
+
+
+def check(functions: Dict[Key, str], product: Set[Key], keep: Dict[str, str]) -> List[str]:
+    """What the keep file gets wrong, one line each (empty: the ratchet holds).
+
+    Several definitions may share a qualified name (a property and its
+    setter); the name needs an entry while any of them is not reached by a
+    product run, and its entry is stale once all of them are.
+    """
+    unreached: Dict[str, bool] = {}
+    for key in functions:
+        name = named(functions, key)
+        unreached[name] = unreached.get(name, False) or key not in product
+    problems = [
+        f"not reached by a product run and not in {KEEP_FILE.name}: {name}"
+        for name, missing in sorted(unreached.items())
+        if missing and name not in keep
+    ]
+    for name in sorted(keep):
+        if name not in unreached:
+            problems.append(f"stale entry, no such function: {name}")
+        elif not unreached[name]:
+            problems.append(f"stale entry, a product run reaches it: {name}")
+    return problems
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the report here as JSON")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help=f"exit 1 unless {KEEP_FILE.name} lists exactly the functions "
+        "no product run reaches",
+    )
     args = parser.parse_args()
-    defined, classes = definitions()
+    functions, classes = definitions()
+    defined = set(functions)
+    keep, errors = load_keep(KEEP_FILE) if args.check else ({}, [])
     with tempfile.TemporaryDirectory(prefix="reach-matrix-") as scratch:
         product = run_recorded(product_commands(str(Path(scratch) / "m.json")), "product")
     tier1 = run_recorded(tier1_commands(), "tier-1")
@@ -179,24 +287,40 @@ def main() -> int:
         key for key in (product | tier1) - defined - classes if not key[2].startswith("<")
     )
     only_tests = sorted((tier1 - product) & defined)
+    nothing = sorted(defined - product - tier1)
     report: Dict[str, object] = {
         "defined": len(defined),
         "product": len(product & defined),
         "tier1": len(tier1 & defined),
-        "only_tier1": [relative(key) for key in only_tests],
-        "unmatched": [relative(key) for key in unmatched],
+        "only_tier1": [named(functions, key) for key in only_tests],
+        "unreached": [named(functions, key) for key in nothing],
+        "unmatched": [f"{os.path.relpath(k[0], SRC)}:{k[1]} {k[2]}" for k in unmatched],
     }
+    print("# reached only by tier-1")
     for line in report["only_tier1"]:
         print(line)
+    print("# reached by nothing")
+    for line in report["unreached"]:
+        print(line)
     print(
-        f"{len(only_tests)} of {len(defined)} functions reached only by tier-1 "
-        f"(product reaches {report['product']}, tier-1 {report['tier1']})",
+        f"{len(only_tests)} of {len(defined)} functions reached only by tier-1, "
+        f"{len(nothing)} by nothing (product reaches {report['product']}, "
+        f"tier-1 {report['tier1']})",
         file=sys.stderr,
     )
     if unmatched:
         print(f"{len(unmatched)} recorded functions match no definition", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    if not args.check:
+        return 0
+    problems = errors + check(functions, product & defined, keep)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        print(f"reachability: FAIL ({len(problems)} problem(s))", file=sys.stderr)
+        return 1
+    print(f"reachability: OK ({len(keep)} kept functions)", file=sys.stderr)
     return 0
 
 

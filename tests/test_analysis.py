@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     all_vgroups_robust_probability,
-    empirical_cdf,
     format_table,
-    fraction_below,
     latency_summary,
     monte_carlo_vgroup_failure,
     optimal_group_size_table,
     vgroup_failure_probability,
 )
-from repro.analysis.cdf import cdf_at_thresholds, percentile
+from repro.analysis.cdf import percentile
 from repro.analysis.robustness import logarithmic_group_size
-from repro.analysis.tables import format_cdf_rows
 
 
 class TestRobustness:
@@ -80,22 +77,6 @@ def test_property_failure_probability_is_a_probability(group_size, probability):
 
 
 class TestCdf:
-    def test_empirical_cdf_sorted_and_normalised(self):
-        cdf = empirical_cdf([3.0, 1.0, 2.0, 2.0])
-        values = [v for v, _ in cdf]
-        fractions = [f for _, f in cdf]
-        assert values == sorted(values)
-        assert fractions[-1] == pytest.approx(1.0)
-
-    def test_empty_cdf(self):
-        assert empirical_cdf([]) == []
-
-    def test_fraction_below(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert fraction_below(samples, 2.5) == 0.5
-        assert fraction_below(samples, 0.0) == 0.0
-        assert fraction_below([], 1.0) == 0.0
-
     def test_percentile(self):
         samples = list(range(1, 101))
         assert percentile(samples, 50) == 50
@@ -111,10 +92,6 @@ class TestCdf:
         empty = latency_summary([])
         assert empty["count"] == 0 and math.isnan(empty["mean"])
 
-    def test_cdf_at_thresholds(self):
-        rows = cdf_at_thresholds([1.0, 2.0, 3.0], [0.5, 2.0, 5.0])
-        assert rows == [(0.5, 0.0), (2.0, pytest.approx(2 / 3)), (5.0, 1.0)]
-
 
 class TestTables:
     def test_format_table_contains_headers_and_values(self):
@@ -125,8 +102,3 @@ class TestTables:
 
     def test_format_empty_table(self):
         assert "(no rows)" in format_table([], title="empty")
-
-    def test_format_cdf_rows(self):
-        rows = format_cdf_rows([(0.5, 0.25), (1.0, 1.0)])
-        assert rows[0]["fraction_delivered"] == 0.25
-        assert rows[1]["latency_s"] == 1.0

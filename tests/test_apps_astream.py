@@ -8,8 +8,7 @@ from repro.core.config import AtumParameters, SmrKind
 
 
 def small_params(kind=SmrKind.SYNC):
-    return AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, smr_kind=kind, round_duration=0.5,
-                          expected_system_size=30)
+    return AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, smr_kind=kind, round_duration=0.5)
 
 
 def make_session(n=20, byzantine=(), policy="single", seed=0, kind=SmrKind.SYNC):

@@ -7,7 +7,7 @@ from repro.core.config import AtumParameters, SmrKind
 
 
 def small_params():
-    return AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, round_duration=0.5, expected_system_size=30)
+    return AtumParameters(hc=3, rwl=5, gmax=6, gmin=3, round_duration=0.5)
 
 
 class TestTopicLifecycle:
@@ -22,16 +22,34 @@ class TestTopicLifecycle:
         with pytest.raises(ValueError):
             service.create_topic("news", creator="bob")
 
-    def test_unknown_topic_rejected(self):
-        service = ASubService(small_params())
-        with pytest.raises(KeyError):
-            service.topic("ghost")
-
     def test_prebuilt_topic_has_all_subscribers(self):
         service = ASubService(small_params())
         subscribers = [f"s{i}" for i in range(20)]
         topic = service.create_topic("sports", creator="creator", prebuilt_subscribers=subscribers)
         assert topic.subscriber_count() == 21
+
+    def test_a_bootstrapped_topic_starts_with_its_creator_only(self):
+        topic = ASubTopic("t", creator="alice", params=small_params())
+        assert topic.received == {"alice": []}
+        assert sorted(topic.cluster.nodes) == ["alice"]
+
+    def test_the_service_builds_a_prebuilt_topic_like_the_constructor(self):
+        # One construction path: the same seed gives the same run either way.
+        subscribers = [f"s{i}" for i in range(12)]
+        direct = ASubTopic(
+            "news", "alice", params=small_params(), seed=3, prebuilt_subscribers=subscribers
+        )
+        served = ASubService(small_params(), seed=3).create_topic(
+            "news", creator="alice", prebuilt_subscribers=subscribers
+        )
+        runs = []
+        for topic in (direct, served):
+            assert sorted(topic.received) == sorted(["alice", *subscribers])
+            broadcast_id = topic.publish("s4", "hello")
+            topic.run(60.0)
+            assert all(len(topic.events_received_by(s)) == 1 for s in topic.received)
+            runs.append(topic.cluster.delivery_times(broadcast_id))
+        assert runs[0] == runs[1]
 
 
 class TestPublish:

@@ -4,11 +4,17 @@ import pytest
 
 from repro.baselines import (
     ClassicGossipSimulation,
-    GlobalSmrBaseline,
     GossipConfig,
     NfsServerModel,
     global_smr_latency,
 )
+from repro.baselines.global_smr import simulate_small
+
+
+def rounds_to_full_coverage(simulation):
+    times = simulation.run_broadcast()
+    assert len(times) == simulation.config.num_nodes
+    return round(max(times.values()) / simulation.config.round_duration)
 
 
 class TestClassicGossip:
@@ -25,13 +31,13 @@ class TestClassicGossip:
 
     def test_dissemination_is_logarithmic(self):
         simulation = ClassicGossipSimulation(GossipConfig(num_nodes=850, fanout=15))
-        rounds = simulation.rounds_to_full_coverage()
+        rounds = rounds_to_full_coverage(simulation)
         assert rounds <= 6
 
     def test_larger_fanout_fewer_rounds(self):
         small = ClassicGossipSimulation(GossipConfig(num_nodes=500, fanout=2), seed=1)
         large = ClassicGossipSimulation(GossipConfig(num_nodes=500, fanout=20), seed=1)
-        assert large.rounds_to_full_coverage() <= small.rounds_to_full_coverage()
+        assert rounds_to_full_coverage(large) <= rounds_to_full_coverage(small)
 
     def test_faster_than_atum_sync_would_be(self):
         # The gossip baseline has no BFT phase, so its max latency should be
@@ -48,15 +54,8 @@ class TestGlobalSmr:
     def test_default_faults_derived_from_size(self):
         assert global_smr_latency(9, round_duration=1.0) == pytest.approx(5.0)
 
-    def test_latencies_one_per_node(self):
-        baseline = GlobalSmrBaseline(num_nodes=100, tolerated_faults=10, round_duration=1.5)
-        latencies = baseline.delivery_latencies()
-        assert len(latencies) == 100
-        assert all(latency == pytest.approx(16.5) for latency in latencies)
-
     def test_small_simulation_consistent_with_analytic(self):
-        baseline = GlobalSmrBaseline(num_nodes=7, round_duration=0.5)
-        simulated = baseline.simulate_small(num_nodes=7)
+        simulated = simulate_small(num_nodes=7, round_duration=0.5)
         analytic = global_smr_latency(7, round_duration=0.5)
         # The simulation includes the wait for the first round boundary, so it
         # may exceed the analytic value by up to two rounds.

@@ -165,7 +165,6 @@ def small_params(kind=SmrKind.SYNC, round_duration=0.5):
         smr_kind=kind,
         round_duration=round_duration,
         request_timeout=2.0,
-        expected_system_size=40,
     )
 
 

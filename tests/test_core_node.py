@@ -18,8 +18,7 @@ from repro.workloads.churn import ChurnConfig, ChurnWorkload
 
 
 def small_params(**overrides):
-    base = dict(hc=3, rwl=5, gmax=6, gmin=3, smr_kind=SmrKind.SYNC, round_duration=0.5,
-                expected_system_size=30)
+    base = dict(hc=3, rwl=5, gmax=6, gmin=3, smr_kind=SmrKind.SYNC, round_duration=0.5)
     base.update(overrides)
     return AtumParameters(**base)
 

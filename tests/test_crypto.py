@@ -11,7 +11,6 @@ from repro.crypto import (
     CertificateChain,
     CryptoCostModel,
     KeyRegistry,
-    digest_bytes,
     digest_object,
 )
 from repro.crypto.certificates import make_certificate
@@ -27,10 +26,6 @@ from repro.crypto.digest import (
 
 
 class TestDigests:
-    def test_digest_bytes_deterministic(self):
-        assert digest_bytes(b"abc") == digest_bytes(b"abc")
-        assert digest_bytes(b"abc") != digest_bytes(b"abd")
-
     def test_digest_object_is_order_insensitive_for_dicts(self):
         assert digest_object({"a": 1, "b": 2}) == digest_object({"b": 2, "a": 1})
 
@@ -391,7 +386,7 @@ class TestCertificateChains:
         registry = KeyRegistry()
         chain = self._chain(registry, hops=5)
         assert chain.verify(registry, origin_group="G0")
-        assert chain.selected_group == "G5"
+        assert chain.certificates[-1].next_hop == "G5"
 
     def test_chain_with_broken_linkage_fails(self):
         registry = KeyRegistry()
@@ -526,10 +521,6 @@ class TestCertificateChains:
         short = self._chain(registry, hops=2, walk_id="short")
         long = self._chain(registry, hops=10, walk_id="long")
         assert long.size_bytes() == 5 * short.size_bytes()
-
-    def test_empty_chain_selected_group_raises(self):
-        with pytest.raises(ValueError):
-            CertificateChain(walk_id="w").selected_group
 
 
 class TestCostModel:

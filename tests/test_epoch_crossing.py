@@ -123,7 +123,7 @@ class TestEpochCrossingIntegration:
         cluster, share, group_id, laggard, owner = self.run_epoch_crossing()
         # Every put is fully delivered, laggard included.
         for index in range(5):
-            record = share.index_of(laggard).get(owner, f"file-{index}")
+            record = share.indexes[laggard].get(owner, f"file-{index}")
             assert record is not None, index
         # App state is a deterministic function of the delivered prefix:
         # the laggard's certified recovery makes its index equal a
@@ -136,7 +136,7 @@ class TestEpochCrossingIntegration:
 
         def records(address):
             return sorted(
-                share.index_of(address).all_records(), key=lambda r: r.file_id
+                share.indexes[address].search(""), key=lambda r: r.file_id
             )
 
         assert len(records(laggard)) == 5

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
+from repro.core.middleware import MiddlewareError
 from repro.core.node import BroadcastMessage
 from repro.crypto.digest import digest_object
 from repro.faults import (
@@ -21,6 +22,8 @@ from repro.faults import (
     install_link_faults,
 )
 from repro.faults.scenarios import (
+    HEARTBEAT_PERIOD,
+    PLAN_BUILDERS,
     SCENARIOS,
     SMALL_MATRIX,
     Scenario,
@@ -160,7 +163,7 @@ class TestLinkFaultInjector:
         install_link_faults(network, sim, [LinkFault(loss=1.0)])
         for _ in range(5):
             network.send_one("a", "b", "x", 100)
-        sim.run_until_idle()
+        sim.run()
         assert receiver.received == []
         assert sim.metrics.counter("faults.messages_dropped") == 5
         assert sim.metrics.counter("net.messages_lost") == 5
@@ -170,14 +173,14 @@ class TestLinkFaultInjector:
         install_link_faults(network, sim, [LinkFault(loss=1.0, start=0.0, stop=5.0)])
         network.send_one("a", "b", "early", 100)
         sim.schedule(6.0, lambda: network.send_one("a", "b", "late", 100))
-        sim.run_until_idle()
+        sim.run()
         assert [payload for _, payload, _ in receiver.received] == ["late"]
 
     def test_duplication_delivers_twice(self):
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(duplicate=1.0)])
         network.send_one("a", "b", "x", 100)
-        sim.run_until_idle()
+        sim.run()
         assert [payload for _, payload, _ in receiver.received] == ["x", "x"]
         assert sim.metrics.counter("faults.messages_duplicated") == 1
         # Both copies serialize through the downlink, so they land at
@@ -187,11 +190,11 @@ class TestLinkFaultInjector:
     def test_extra_delay_shifts_delivery(self):
         baseline_sim, baseline_net, baseline_rx = _wired_pair()
         baseline_net.send_one("a", "b", "x", 100)
-        baseline_sim.run_until_idle()
+        baseline_sim.run()
         sim, network, receiver = _wired_pair()
         install_link_faults(network, sim, [LinkFault(extra_delay=0.5)])
         network.send_one("a", "b", "x", 100)
-        sim.run_until_idle()
+        sim.run()
         assert receiver.received[0][0] == pytest.approx(baseline_rx.received[0][0] + 0.5)
 
     def test_only_matching_links_perturbed(self):
@@ -203,7 +206,7 @@ class TestLinkFaultInjector:
         install_link_faults(network, sim, [LinkFault(dst="b", loss=1.0)])
         network.send_one("a", "b", "x", 100)
         network.send_one("a", "c", "x", 100)
-        sim.run_until_idle()
+        sim.run()
         assert sinks["b"].received == []
         assert len(sinks["c"].received) == 1
 
@@ -217,7 +220,7 @@ class TestLinkFaultInjector:
         network.send_many("a", ["b", "c"], "x", 64)
         network.send_fanout("a", ["b", "c"], "y", 64)
         network.send_one("a", "b", "z", 64)
-        sim.run_until_idle()
+        sim.run()
         assert sinks["b"].received == [] and sinks["c"].received == []
         assert sim.metrics.counter("faults.messages_dropped") == 5
 
@@ -240,7 +243,7 @@ class TestCorruptionFault:
         network.send_one("a", "b", "p2", 64)
         network.send_many("a", ["b", "c"], "p3", 64)
         network.send_fanout("a", ["b", "c"], "p5", 64)
-        sim.run_until_idle()
+        sim.run()
         received = [p for _, p, _ in sinks["b"].received] + [
             p for _, p, _ in sinks["c"].received
         ]
@@ -289,7 +292,7 @@ class TestCorruptionFault:
         nodes["b0"].messenger.handle_corrupted(honest_digest_envelope, "a2")
         nodes["a0"].messenger.send(view_b, "k", "honest", gm_id="gm1")
         nodes["a1"].messenger.send(view_b, "k", "honest", gm_id="gm1")
-        sim.run_until_idle()
+        sim.run()
         accepted = nodes["b0"].accepted
         assert len(accepted) == 1 and accepted[0][1] == "honest"
 
@@ -325,6 +328,16 @@ class TestCorruptionFault:
         monitor.finalize()
         monitor.assert_clean()
 
+    def test_controller_adds_its_injector_to_the_cluster_chain(self):
+        cluster = build_cluster(seed=43, nodes=16)
+        controller = apply_plan(cluster, FaultPlan(links=(LinkFault(dst="n1", loss=1.0),)))
+        with pytest.raises(MiddlewareError, match="already in the chain"):
+            cluster.middleware_chain().add(controller.injector)
+        broadcast_id = cluster.broadcast("n0", "x")
+        cluster.run(until=30.0)
+        delivered = set(cluster.delivery_times(broadcast_id))
+        assert delivered == set(cluster.nodes) - {"n1"}
+
     def test_corrupt_links_scenario_stays_clean(self):
         row = run_scenario(5, "broadcast/corrupt_links")
         assert row["violations"] == 0
@@ -355,6 +368,19 @@ class TestSidePreservingPartitions:
         assert not cluster.network.crosses_split(side_a[0], side_b[0])
         assert cluster.sim.metrics.counter("faults.partitions_formed") == 1
         assert cluster.sim.metrics.counter("faults.partitions_healed") == 1
+
+    def test_controller_splits_through_the_cluster_coordinator(self):
+        # The split gets per-side membership books, so healing it yields a
+        # merge decision; a network-only split would heal with none.
+        cluster = build_cluster(seed=45, nodes=12)
+        addresses = sorted(cluster.nodes)
+        sides = (tuple(addresses[:6]), tuple(addresses[6:]))
+        apply_plan(cluster, FaultPlan(partitions=(Partition(sides=sides, start=1.0),)))
+        cluster.run(until=2.0)
+        decision = cluster.merge()
+        assert decision is not None
+        assert decision.evicted == frozenset()
+        assert not cluster.network.crosses_split(sides[0][0], sides[1][0])
 
     def test_sides_keep_running_their_own_smr(self):
         # A broadcast from each side during the split reaches that side's
@@ -688,7 +714,7 @@ class TestEquivocation:
         nodes["a2"].messenger.send_equivocating(
             view_b, "k", "honest", "forged", gm_id="gm1"
         )
-        sim.run_until_idle()
+        sim.run()
         for address in ("b0", "b1", "b2"):
             accepted = nodes[address].accepted
             assert len(accepted) == 1, f"{address} accepted {accepted}"
@@ -1064,6 +1090,15 @@ class TestScenarioValidation:
     def test_unknown_plan_is_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown plan 'nope'"):
             Scenario(name="x", workload="broadcast", plan="nope")
+
+    def test_evict_attack_proposes_at_twice_the_heartbeat_period(self):
+        # Every row heartbeats at one period; the attack is paced off it.
+        scenario = SCENARIOS["broadcast/evict_attack"]
+        assert scenario.heartbeats
+        cluster = build_cluster(seed=5, nodes=scenario.nodes)
+        plan = PLAN_BUILDERS["evict_attack"](scenario, cluster, random.Random(5))
+        assert plan.nodes
+        assert {fault.attack_period for fault in plan.nodes} == {2.0 * HEARTBEAT_PERIOD}
 
 
 # -------------------------------------------------- adversarial recovery (PR 6)

@@ -34,12 +34,6 @@ class TestVGroupView:
         assert view.members == ("a", "b", "c")
         assert view.size == 3
 
-    def test_majority(self):
-        assert VGroupView.create("g", ["a"]).majority() == 1
-        assert VGroupView.create("g", ["a", "b"]).majority() == 2
-        assert VGroupView.create("g", ["a", "b", "c"]).majority() == 2
-        assert VGroupView.create("g", list("abcdefg")).majority() == 4
-
     @pytest.mark.parametrize("size,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (7, 4), (14, 8)])
     def test_majority_threshold(self, size, expected):
         assert majority_threshold(size) == expected
@@ -48,10 +42,10 @@ class TestVGroupView:
         view = VGroupView.create("g", ["a", "b"])
         grown = view.add("c")
         assert grown.epoch == view.epoch + 1
-        assert grown.contains("c")
+        assert "c" in grown.members
         shrunk = grown.remove("a")
         assert shrunk.epoch == grown.epoch + 1
-        assert not shrunk.contains("a")
+        assert "a" not in shrunk.members
 
     def test_add_existing_is_noop(self):
         view = VGroupView.create("g", ["a"])
@@ -61,10 +55,8 @@ class TestVGroupView:
         view = VGroupView.create("g", ["a"])
         assert view.remove("z") is view
 
-    def test_iteration_and_len(self):
-        view = VGroupView.create("g", ["b", "a"])
-        assert list(view) == ["a", "b"]
-        assert len(view) == 2
+    def test_len(self):
+        assert len(VGroupView.create("g", ["b", "a"])) == 2
 
 
 class _MessengerHost(Actor):

@@ -1,4 +1,4 @@
-"""atumlint infrastructure: pragma hygiene, baseline ratchet, plug-in rules, CLI."""
+"""atumlint infrastructure: pragma hygiene, plug-in rules, CLI."""
 
 import json
 
@@ -7,13 +7,6 @@ import pytest
 from lint_utils import FIXTURES, REPO_ROOT, lint_fixture, rules_of
 from repro.lint import run_lint, register_rule, registered_rules
 from repro.lint.core import Rule, _RULE_REGISTRY
-from repro.lint.baseline import (
-    BaselineEntry,
-    diff_against_baseline,
-    entries_from_findings,
-    load_baseline,
-    save_baseline,
-)
 from repro.lint.__main__ import find_root, main
 
 
@@ -37,55 +30,6 @@ class TestPragmaHygiene:
     def test_unknown_rule_id_selection_raises(self):
         with pytest.raises(ValueError, match="unknown rule id"):
             run_lint([FIXTURES / "atl001_bad.py"], root=REPO_ROOT, rule_ids=["NOPE"])
-
-
-# -------------------------------------------------------------- baseline ratchet
-
-
-class TestBaselineRatchet:
-    def findings(self):
-        return lint_fixture("atl001_bad.py", rules=["ATL001"])
-
-    def test_full_baseline_is_clean(self):
-        findings = self.findings()
-        entries = entries_from_findings(findings, [])
-        diff = diff_against_baseline(findings, entries)
-        assert diff.clean
-        assert len(diff.suppressed) == len(findings)
-
-    def test_new_finding_fails_the_ratchet(self):
-        findings = self.findings()
-        entries = entries_from_findings(findings[:-1], [])
-        diff = diff_against_baseline(findings, entries)
-        assert not diff.clean
-        assert [f.key() for f in diff.unbaselined] == [findings[-1].key()]
-
-    def test_stale_entry_fails_the_ratchet_too(self):
-        findings = self.findings()
-        ghost = BaselineEntry(
-            rule="ATL001", path="src/repro/gone.py", snippet="x = 1", reason="fixed"
-        )
-        diff = diff_against_baseline(findings, entries_from_findings(findings, []) + [ghost])
-        assert not diff.clean
-        assert diff.stale == [ghost]
-
-    def test_reasons_survive_regeneration(self):
-        findings = self.findings()
-        first = entries_from_findings(findings, [])
-        reasoned = [
-            BaselineEntry(e.rule, e.path, e.snippet, "reviewed: fixture") for e in first
-        ]
-        regenerated = entries_from_findings(findings, reasoned)
-        assert all(e.reason == "reviewed: fixture" for e in regenerated)
-
-    def test_save_load_round_trip(self, tmp_path):
-        findings = self.findings()
-        entries = entries_from_findings(findings, [])
-        path = tmp_path / ".atumlint-baseline.json"
-        save_baseline(path, entries)
-        assert load_baseline(path) == sorted(entries, key=lambda e: e.key())
-        payload = json.loads(path.read_text())
-        assert "ratcheted" in payload["comment"]
 
 
 # --------------------------------------------------------------- plug-in rules
@@ -161,13 +105,47 @@ class TestCli:
         assert report["ok"] is True
         assert report["findings"] == []
 
-    def test_write_baseline_then_lint_passes(self, tmp_path, capsys):
-        # An isolated root: baseline debt makes a violating file pass the
-        # default mode without touching the repo's own (empty) baseline.
-        target = FIXTURES / "atl007_bad.py"
-        assert main([str(target), "--root", str(tmp_path)]) == 1
+    def test_a_finding_in_a_temporary_root_fails_check(self, tmp_path, capsys):
+        # A line pragma is the one waiver: with no baseline to absorb it, a
+        # violating file fails --check in any root.
+        target = tmp_path / "src" / "repro" / "violating.py"
+        target.parent.mkdir(parents=True)
+        target.write_text((FIXTURES / "atl007_bad.py").read_text())
+        assert main([str(target), "--root", str(tmp_path), "--check"]) == 1
+        captured = capsys.readouterr()
+        assert "ATL007" in captured.out
+        assert "atumlint: FAIL (5 finding(s);" in captured.err
+
+    def test_a_stale_metrics_doc_fails_check(self, tmp_path, monkeypatch, capsys):
+        # The repo's own sources against a copy of docs/METRICS.md: the copy
+        # passes, one edited line fails, and so does a missing doc.
+        monkeypatch.chdir(REPO_ROOT)
+        doc = tmp_path / "docs" / "METRICS.md"
+        doc.parent.mkdir()
+        doc.write_text((REPO_ROOT / "docs" / "METRICS.md").read_text())
+        argv = ["src/repro", "--root", str(tmp_path), "--check", "--quiet"]
+        argv += ["--rules", "ATL006"]  # the doc check scans every file either way
+        assert main(argv) == 0
         capsys.readouterr()
-        assert main([str(target), "--root", str(tmp_path), "--write-baseline"]) == 0
-        entries = load_baseline(tmp_path / ".atumlint-baseline.json")
-        assert entries and all(e.rule == "ATL007" for e in entries)
-        assert main([str(target), "--root", str(tmp_path), "--quiet"]) == 0
+        doc.write_text(doc.read_text() + "\none more line\n")
+        assert main(argv) == 1
+        assert "atumlint: FAIL (stale docs/METRICS.md)" in capsys.readouterr().err
+        doc.unlink()
+        assert main(argv) == 1
+        assert "atumlint: FAIL (stale docs/METRICS.md)" in capsys.readouterr().err
+
+    def test_a_metric_missing_from_the_registry_fails_check(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        extra = tmp_path / "extra.py"
+        extra.write_text(
+            "def count(metrics):\n    metrics.increment(\"lint.unregistered_name\")\n"
+        )
+        argv = ["src/repro", str(extra), "--root", str(tmp_path), "--check", "--quiet"]
+        argv += ["--rules", "ATL006"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (
+            "metric 'lint.unregistered_name' used in code but missing from the registry"
+            in captured.out
+        )
+        assert "stale metrics registry" in captured.err

@@ -1,31 +1,17 @@
-"""Whole-repo atumlint smoke: src/repro must be clean under the ratchet."""
+"""Whole-repo atumlint smoke: src/repro must have no finding."""
 
 from lint_utils import REPO_ROOT, SRC
 from repro.lint import run_lint
-from repro.lint.baseline import (
-    BASELINE_FILENAME,
-    diff_against_baseline,
-    load_baseline,
-)
 from repro.lint.__main__ import main
 
 
-def test_src_repro_has_zero_unbaselined_findings():
+def test_src_repro_has_zero_findings():
     findings = run_lint([SRC], root=REPO_ROOT)
-    entries = load_baseline(REPO_ROOT / BASELINE_FILENAME)
-    diff = diff_against_baseline(findings, entries)
-    assert diff.unbaselined == [], "\n".join(str(f) for f in diff.unbaselined)
-    assert diff.stale == [], "baseline entries for findings that no longer exist"
-
-
-def test_baseline_debt_stays_small_and_reasoned():
-    entries = load_baseline(REPO_ROOT / BASELINE_FILENAME)
-    assert len(entries) <= 5
-    assert all(e.reason and not e.reason.startswith("TODO") for e in entries)
+    assert findings == [], "\n".join(str(f) for f in findings)
 
 
 def test_cli_check_mode_passes_end_to_end(capsys):
-    # The exact CI invocation: default targets, strict mode (baseline ratchet
-    # in both directions, metrics registry and METRICS.md staleness).
+    # The exact CI invocation: default targets, strict mode (every finding,
+    # metrics registry and METRICS.md staleness).
     assert main(["--root", str(REPO_ROOT), "--check", "--quiet"]) == 0
     assert "atumlint: OK" in capsys.readouterr().out

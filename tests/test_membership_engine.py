@@ -27,7 +27,7 @@ def run_joins(sim, engine, count, prefix="n", contact=None):
         engine.join(f"{prefix}{index}", contact_node=contact)
         sim.run(until=sim.now + 60.0)
     # Drain any remaining shuffles/splits.
-    sim.run_until_idle()
+    sim.run()
 
 
 class TestBootstrapAndStatic:
@@ -108,7 +108,7 @@ class TestJoin:
         sim, engine = make_engine()
         engine.bootstrap("n0")
         engine.join("n1", contact_node="n0")
-        sim.run_until_idle()
+        sim.run()
         assert engine.system_size == 2
         assert "n1" in engine.node_group
         engine.validate()
@@ -123,7 +123,7 @@ class TestJoin:
         sim, engine = make_engine()
         engine.bootstrap("n0")
         engine.join("n1", contact_node="n0")
-        sim.run_until_idle()
+        sim.run()
         histogram = sim.metrics.histogram("membership.join_latency")
         assert histogram.count == 1
         assert histogram.mean > 0.0
@@ -161,7 +161,7 @@ class TestLeave:
     def test_leave_removes_node(self):
         sim, engine = self._grown_engine()
         engine.leave("n5")
-        sim.run_until_idle()
+        sim.run()
         assert "n5" not in engine.node_group
         assert engine.system_size == 29
         engine.validate()
@@ -176,7 +176,7 @@ class TestLeave:
         for index in range(25):
             engine.leave(f"n{index}")
             sim.run(until=sim.now + 30.0)
-        sim.run_until_idle()
+        sim.run()
         assert engine.system_size == 15
         assert sim.metrics.counter("membership.merges") > 0
         engine.validate()
@@ -189,13 +189,13 @@ class TestLeave:
         engine.build_static(["a", "b", "c"], target_group_size=3)
         for node in ["a", "b", "c"]:
             engine.leave(node)
-            sim.run_until_idle()
+            sim.run()
         assert engine.system_size == 0
 
     def test_eviction_counts_separately(self):
         sim, engine = self._grown_engine()
         engine.leave("n3", eviction=True)
-        sim.run_until_idle()
+        sim.run()
         assert sim.metrics.counter("membership.evictions_started") == 1
 
 
@@ -223,7 +223,7 @@ class TestBoundsUnderChurn:
         for index in range(25):
             engine.leave(f"n{index}")
             sim.run(until=sim.now + 30.0)
-        sim.run_until_idle()
+        sim.run()
         assert engine.system_size == 15
         assert sim.metrics.counter("membership.merges") > 0
         sizes = [view.size for view in engine.groups.values()]
@@ -236,7 +236,7 @@ class TestShufflingAndExchanges:
         sim, engine = make_engine(shuffle=True)
         engine.build_static([f"n{i}" for i in range(24)])
         engine.join("x0")
-        sim.run_until_idle()
+        sim.run()
         assert sim.metrics.counter("membership.exchanges_attempted") > 0
         engine.validate()
 
@@ -245,7 +245,7 @@ class TestShufflingAndExchanges:
         engine.build_static([f"n{i}" for i in range(40)])
         for index in range(20):
             engine.join(f"x{index}")
-        sim.run_until_idle()
+        sim.run()
         attempted = sim.metrics.counter("membership.exchanges_attempted")
         suppressed = sim.metrics.counter("membership.exchanges_suppressed")
         assert attempted > 0
@@ -259,7 +259,7 @@ class TestShufflingAndExchanges:
         engine.build_static([f"n{i}" for i in range(32)])
         before = engine.system_size
         engine.join("extra")
-        sim.run_until_idle()
+        sim.run()
         assert engine.system_size == before + 1
         engine.validate()
 
@@ -270,7 +270,7 @@ class TestTimeseriesAndCosts:
         engine.bootstrap("n0")
         run_joins(sim, engine, 12, prefix="j")
         series = sim.metrics.timeseries("membership.system_size")
-        values = series.values()
+        values = [value for _, value in series.points]
         assert values == sorted(values)
         assert values[-1] == 13
 
@@ -279,7 +279,7 @@ class TestTimeseriesAndCosts:
             sim, engine = make_engine(shuffle=False, synchronous=synchronous)
             engine.build_static([f"n{i}" for i in range(16)])
             engine.join("new-node")
-            sim.run_until_idle()
+            sim.run()
             return sim.metrics.histogram("membership.join_latency").mean
 
         assert total_join_time(False) < total_join_time(True)
@@ -306,5 +306,5 @@ def test_property_membership_invariants_under_random_churn(initial, operations, 
                 victim = members[op % len(members)]
                 engine.leave(victim)
         sim.run(until=sim.now + 20.0)
-    sim.run_until_idle()
+    sim.run()
     engine.validate()

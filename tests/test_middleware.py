@@ -136,7 +136,7 @@ class TestChainSemantics:
     def test_late_add_recompiles_subscribed_installers(self):
         chain = MiddlewareChain()
         recompiles = []
-        chain.subscribe(lambda: recompiles.append(len(chain)))
+        chain.subscribe(lambda: recompiles.append(len(list(chain))))
         chain.add(Recorder())
         chain.add(Recorder())
         assert recompiles == [1, 2]
@@ -266,7 +266,7 @@ class TestMalformedSendVerdicts:
 
         sim, network, sinks = hooked_network(hook)
         sim.schedule(10.0, lambda: network.send_one("a", "b", "x", 0))
-        sim.run_until_idle()
+        sim.run()
         (arrived_at, _), = sinks["b"].received
         assert arrived_at == pytest.approx(10.001, abs=1e-4)
         assert sim.now >= 10.0
@@ -279,7 +279,7 @@ class TestMalformedSendVerdicts:
 
         sim, network, sinks = hooked_network(hook)
         assert network.send_one("a", "b", "x", 64) is False
-        sim.run_until_idle()
+        sim.run()
         assert sinks["b"].received == []
         metrics = sim.metrics
         assert metrics.counter("net.messages_lost") == 1
@@ -292,7 +292,7 @@ class TestMalformedSendVerdicts:
 
         sim, network, sinks = hooked_network(hook)
         assert network.send_one("a", "b", "x", 64) is True
-        sim.run_until_idle()
+        sim.run()
         assert len(sinks["b"].received) == 1
         assert sim.metrics.counter("net.send_verdict_rejected") == 1
 
@@ -319,7 +319,7 @@ class TestOneContextPerBurst:
 
         sim, network, sinks = hooked_network(hook)
         assert network.send_many("a", ["b", "c", "d", "e"], "p", 64) == 3
-        sim.run_until_idle()
+        sim.run()
         assert seen == [
             (name, "p", False, 0.0, 1, False, False) for name in "bcde"
         ]
@@ -372,7 +372,7 @@ class TestOneContextPerBurst:
 
         sim, network, sinks = hooked_network(hook)
         network.send_many("a", ["b", "c", "d"], "outer", 64)
-        sim.run_until_idle()
+        sim.run()
         assert [len(sinks[name].received) for name in "bcde"] == [1, 1, 1, 1]
         assert sim.metrics.counter("net.messages_delivered") == 4
         assert len(sim.queue) == 0
@@ -440,6 +440,62 @@ class TestHookExceptionsPropagate:
         cluster.leave("late-1")
         with pytest.raises(Boom):
             cluster.run_for(30.0)
+
+
+# ------------------------------------------- control-plane short circuit
+
+
+class TestControlPlaneStop:
+    """``ctx.stop`` ends every cluster-dispatched hook, not only the message path.
+
+    A stopping middleware sits first; the recorder behind it must see the
+    stopped hook never, and every other hook as usual.
+    """
+
+    def _stopped_before_recorder(self, hook_name):
+        stopper = Middleware()
+        setattr(stopper, hook_name, lambda ctx: setattr(ctx, "stop", True))
+        recorder = Recorder()
+        return MiddlewareChain(stopper, recorder), recorder
+
+    def test_stop_in_on_node_added(self):
+        cluster = build_cluster()
+        chain, recorder = self._stopped_before_recorder("on_node_added")
+        cluster.install_middleware(chain)
+        cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        hooks_seen = {event[0] for event in recorder.events}
+        assert "on_node_added" not in hooks_seen
+        assert "on_view_change" in hooks_seen
+
+    def test_stop_in_on_view_change(self):
+        cluster = build_cluster()
+        chain, recorder = self._stopped_before_recorder("on_view_change")
+        cluster.install_middleware(chain)
+        cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        hooks_seen = {event[0] for event in recorder.events}
+        assert "on_view_change" not in hooks_seen
+        assert "on_node_added" in hooks_seen
+
+    def test_stop_in_on_eviction(self):
+        cluster = build_cluster()
+        chain, recorder = self._stopped_before_recorder("on_eviction")
+        cluster.install_middleware(chain)
+        assert cluster._notify_eviction("n1") is True
+        assert recorder.events == []
+
+    def test_stop_in_on_node_left(self):
+        cluster = build_cluster()
+        cluster.join("late-1", contact="n0")
+        cluster.run_for(30.0)
+        chain, recorder = self._stopped_before_recorder("on_node_left")
+        cluster.install_middleware(chain)
+        cluster.leave("late-1")
+        cluster.run_for(30.0)
+        hooks_seen = {event[0] for event in recorder.events}
+        assert "on_node_left" not in hooks_seen
+        assert "on_view_change" in hooks_seen
 
 
 # ------------------------------------------------- exactly-once eviction hook

@@ -63,16 +63,6 @@ class TestDelivery:
         sim.run()
         assert sim.metrics.counter("net.messages_undeliverable") == 1
 
-    def test_dead_actor_does_not_receive(self):
-        sim, network = make_net()
-        a, b = Recorder(sim, "a"), Recorder(sim, "b")
-        network.register(a)
-        network.register(b)
-        b.shutdown()
-        network.send_one("a", "b", "payload")
-        sim.run()
-        assert b.received == []
-
     def test_large_transfer_takes_bandwidth_time(self):
         sim, network = make_net()
         a, b = Recorder(sim, "a"), Recorder(sim, "b")
@@ -165,7 +155,7 @@ class TestSidePreservingSplits:
         network.send_one("c", "d", "same-side-2", 64)   # within side 1
         network.send_one("a", "c", "cross", 64)         # across -> dropped
         network.send_one("d", "b", "cross-2", 64)       # across -> dropped
-        sim.run_until_idle()
+        sim.run()
         assert [p for _, p, _ in actors["b"].received] == ["same-side"]
         assert [p for _, p, _ in actors["d"].received] == ["same-side-2"]
         assert actors["c"].received == []
@@ -176,7 +166,7 @@ class TestSidePreservingSplits:
         network.split([("a",), ("c",)])
         network.send_one("a", "b", "to-unnamed", 64)
         network.send_one("b", "c", "from-unnamed", 64)
-        sim.run_until_idle()
+        sim.run()
         assert len(actors["b"].received) == 1
         assert len(actors["c"].received) == 1
 
@@ -186,7 +176,7 @@ class TestSidePreservingSplits:
         network.send_one("a", "c", "lost", 64)
         network.merge(split_id)
         network.send_one("a", "c", "after-heal", 64)
-        sim.run_until_idle()
+        sim.run()
         assert [p for _, p, _ in actors["c"].received] == ["after-heal"]
 
     def test_split_respected_on_every_send_entry_point(self):
@@ -196,7 +186,7 @@ class TestSidePreservingSplits:
         network.send_one("a", "c", "x", 64)
         network.send_many("a", ["c", "d"], "x", 64)
         network.send_fanout("a", ["c", "d"], "x", 64)
-        sim.run_until_idle()
+        sim.run()
         assert actors["c"].received == [] and actors["d"].received == []
         assert sim.metrics.counter("net.messages_partitioned") == 6
 
@@ -204,7 +194,7 @@ class TestSidePreservingSplits:
         sim, network, actors = self._quad()
         network.send_one("a", "c", "in-flight", 64)  # scheduled before the split
         network.split([("a", "b"), ("c", "d")])
-        sim.run_until_idle()
+        sim.run()
         assert actors["c"].received == []
 
     def test_overlapping_splits_compose(self):
@@ -214,7 +204,7 @@ class TestSidePreservingSplits:
         network.merge(first)
         network.send_one("a", "c", "now-ok", 64)   # first split merged
         network.send_one("a", "d", "blocked", 64)  # second still active
-        sim.run_until_idle()
+        sim.run()
         assert len(actors["c"].received) == 1
         assert actors["d"].received == []
 
@@ -622,7 +612,7 @@ class TestFourWaysToDrainAgree:
     (the general loop) and ``step()`` each pop an entry and call
     ``entry[3].fire(entry)``.  One schedule -- timers, one of them cancelled
     before it surfaces, a hooked burst with a delayed, a triplicated and a
-    corrupted copy, a receiver that dies while its copy is in flight -- must
+    corrupted copy, a receiver cut off while its copy is in flight -- must
     look the same through all four, slice by slice.
     """
 
@@ -641,7 +631,7 @@ class TestFourWaysToDrainAgree:
         sim.schedule(
             0.001, lambda: network.send_many("a", list("bcdef"), "burst", 2000), tag="burst"
         )
-        sim.schedule(0.0011, actors["d"].shutdown, tag="d.dies")
+        sim.schedule(0.0011, lambda: network.partition(["d"]), tag="d.cut")
         doomed = sim.schedule(0.0016, lambda: timers.append("never"), tag="doomed")
         sim.schedule(0.0012, lambda: sim.cancel(doomed), tag="cancel")
         sim.schedule(0.3, lambda: network.send_one("f", "a", "late", 100), tag="late")
@@ -673,7 +663,7 @@ class TestFourWaysToDrainAgree:
         tags = [tag for _, tag in rows]
         assert "doomed" not in tags and "never" not in timers and len(timers) == 4
         assert tags.count("net.deliver") == 1 + 3 + 1 + 1 + 1 + 1  # b, 3 x c, d, e, f; late
-        assert counters["net.messages_undeliverable"] == 1 and received["d"] == []
+        assert counters["net.messages_partitioned"] == 1 and received["d"] == []
         assert len(received["c"]) == 3 and len(latencies) == 7
         assert [t for t, _ in rows] == sorted(t for t, _ in rows)
 

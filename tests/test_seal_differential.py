@@ -37,7 +37,9 @@ def run_flood():
     # Broadcast ids come off a process-wide counter; compare by position.
     deliveries = [sorted(cluster.delivery_times(b).items()) for b in bcast_ids]
     assert all(len(times) == NODES for times in deliveries)
-    return trace, deliveries, sim.metrics.snapshot()
+    metrics = sim.metrics
+    histograms = {name: list(h.samples) for name, h in metrics.histograms.items()}
+    return trace, deliveries, dict(metrics.counters), histograms
 
 
 def test_sealed_run_equals_memo_free_run(monkeypatch):
@@ -52,6 +54,7 @@ def test_sealed_run_equals_memo_free_run(monkeypatch):
     assert sealed[0] == reference[0]  # (time, tag) of every event
     assert sealed[1] == reference[1]
     assert sealed[2] == reference[2]
+    assert sealed[3] == reference[3]
 
 
 def test_flood_encodes_each_broadcast_once(monkeypatch):

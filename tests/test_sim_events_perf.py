@@ -88,14 +88,6 @@ class TestCancellation:
         assert queue.peek_time() == 2.0
         assert len(queue) == 1
 
-    def test_clear_empties_heap(self):
-        queue = EventQueue()
-        for i in range(10):
-            queue.push(float(i), lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop_entry() is None
-
 
 class TestRunLimits:
     def test_negative_max_events_stops_immediately(self):
@@ -129,7 +121,7 @@ class TestThroughputFloor:
 
         sim.schedule(0.0, tick)
         start = time.perf_counter()
-        sim.run_until_idle()
+        sim.run()
         elapsed = time.perf_counter() - start
         assert sim.processed_events == count + 1
         assert count / elapsed > 60_000

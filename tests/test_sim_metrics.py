@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Histogram, MetricsRegistry
 
 
 def bits(value):
@@ -24,7 +24,7 @@ class TestHistogram:
         for value in [1.0, 2.0, 3.0, 4.0]:
             histogram.record(value)
         assert histogram.mean == pytest.approx(2.5)
-        assert histogram.minimum == 1.0
+        assert histogram.percentile(0) == 1.0
         assert histogram.maximum == 4.0
         assert histogram.count == 4
 
@@ -58,11 +58,10 @@ class TestHistogram:
             ordered = sorted(reference)
             assert histogram.percentile(0) == ordered[0]
             assert histogram.percentile(100) == ordered[-1]
-            assert histogram.cdf() == [
-                (v, (i + 1) / len(ordered)) for i, v in enumerate(ordered)
-            ]
+            for p in (25, 50, 95):
+                rank = max(0, math.ceil(p / 100.0 * len(ordered)) - 1)
+                assert histogram.percentile(p) == ordered[rank]
             assert histogram.mean == pytest.approx(sum(reference) / len(reference))
-            assert histogram.minimum == min(reference)
             assert histogram.maximum == max(reference)
 
     def test_direct_appends_to_samples_stay_consistent(self):
@@ -72,7 +71,7 @@ class TestHistogram:
         histogram.record(2.0)
         histogram.samples.extend([5.0, 1.0])
         assert histogram.mean == pytest.approx(8.0 / 3.0)
-        assert histogram.minimum == 1.0
+        assert histogram.percentile(0) == 1.0
         assert histogram.maximum == 5.0
         assert histogram.percentile(100) == 5.0
         assert histogram.count == 3
@@ -89,7 +88,7 @@ class TestHistogram:
         histogram2.record(5.0)
         histogram2.samples.append(-10.0)
         histogram2.record(7.0)
-        assert histogram2.minimum == -10.0
+        assert histogram2.percentile(0) == -10.0
         assert histogram2.maximum == 7.0
 
     def test_shrinking_samples_recomputes_accumulators(self):
@@ -101,7 +100,7 @@ class TestHistogram:
         del histogram.samples[:]
         histogram.record(2.0)
         assert histogram.mean == 2.0
-        assert histogram.minimum == 2.0
+        assert histogram.percentile(0) == 2.0
         histogram2 = Histogram()
         histogram2.record(5.0)
         histogram2.record(9.0)
@@ -116,48 +115,22 @@ class TestHistogram:
         be mistaken for an appended tail (detected via the last accumulated
         element)."""
         histogram = Histogram()
-        histogram.record_many([1.0, 2.0, 3.0])
+        histogram.samples.extend([1.0, 2.0, 3.0])
         assert histogram.percentile(50) == 2.0  # warm the sorted view
         del histogram.samples[:]
         histogram.samples.extend([10.0, 20.0, 30.0, 40.0, 50.0])
         assert histogram.mean == pytest.approx(30.0)
-        assert histogram.minimum == 10.0
-        assert histogram.maximum == 50.0
         assert histogram.percentile(0) == 10.0
-        assert histogram.cdf()[0] == (10.0, 1 / 5)
-
-    def test_invalidate_covers_undetectable_mutations(self):
-        """A regrow that reproduces the last accumulated value at its old
-        index is not auto-detectable in O(1); invalidate() recovers."""
-        histogram = Histogram()
-        histogram.record(1.0)
-        histogram.record(2.0)
-        del histogram.samples[:]
-        histogram.samples.extend([9.0, 2.0, 5.0])
-        histogram.invalidate()
-        assert histogram.mean == pytest.approx(16.0 / 3.0)
-        assert histogram.minimum == 2.0
-        assert histogram.maximum == 9.0
-        assert histogram.percentile(0) == 2.0
+        assert histogram.maximum == 50.0
+        assert histogram.percentile(50) == 30.0
 
     def test_constructor_seeds_accumulators(self):
         histogram = Histogram(samples=[3.0, 1.0, 2.0])
         assert histogram.count == 3
-        assert histogram.minimum == 1.0
+        assert histogram.percentile(0) == 1.0
         assert histogram.maximum == 3.0
         assert histogram.mean == pytest.approx(2.0)
         assert histogram.percentile(50) == 2.0
-
-    def test_cdf_is_monotone_and_ends_at_one(self):
-        histogram = Histogram()
-        for value in [3.0, 1.0, 2.0]:
-            histogram.record(value)
-        cdf = histogram.cdf()
-        values = [v for v, _ in cdf]
-        fractions = [f for _, f in cdf]
-        assert values == sorted(values)
-        assert fractions[-1] == pytest.approx(1.0)
-        assert all(f2 >= f1 for f1, f2 in zip(fractions, fractions[1:]))
 
 
 class TestPackedSamples:
@@ -194,7 +167,7 @@ class TestPackedSamples:
         histogram = Histogram()
         reference, total = [], 0.0
         for batch in batches:
-            histogram.record_many(batch)
+            histogram.samples.extend(batch)
             reference.extend(batch)
             total += sum(batch)
             if not reference:
@@ -202,14 +175,10 @@ class TestPackedSamples:
                 continue
             ordered = sorted(reference)
             assert bits(histogram.mean) == bits(total / len(reference))
-            assert bits(histogram.minimum) == bits(min(reference))
             assert bits(histogram.maximum) == bits(max(reference))
             for p in (0, 25, 50, 95, 100):
                 rank = max(0, min(len(ordered) - 1, math.ceil(p / 100.0 * len(ordered)) - 1))
                 assert bits(histogram.percentile(p)) == bits(ordered[rank])
-            assert [(bits(v), f) for v, f in histogram.cdf()] == [
-                (bits(v), (i + 1) / len(ordered)) for i, v in enumerate(ordered)
-            ]
         assert list(map(bits, histogram.samples)) == list(map(bits, reference))
 
     def test_an_int_reads_back_as_the_equal_float(self):
@@ -217,7 +186,8 @@ class TestPackedSamples:
         histogram.record(-1)
         assert list(histogram.samples) == [3, -1]
         assert all(type(value) is float for value in histogram.samples)
-        assert histogram.minimum == -1 and type(histogram.minimum) is float
+        assert histogram.maximum == 3 and type(histogram.maximum) is float
+        assert histogram.percentile(0) == -1 and type(histogram.percentile(0)) is float
         assert histogram.percentile(100) == 3 and type(histogram.percentile(100)) is float
         with pytest.raises(TypeError):
             histogram.record(None)
@@ -227,32 +197,9 @@ class TestPackedSamples:
         assert histogram.percentile(50) == 2.0  # pickle the cached view too
         histogram.record(0.5)
         clone = pickle.loads(pickle.dumps(histogram))
-        assert clone == histogram
+        assert clone.samples == histogram.samples
         assert isinstance(clone.samples, array) and clone.samples.typecode == "d"
-        assert (clone.mean, clone.minimum, clone.percentile(50)) == (1.625, 0.5, 1.0)
-
-
-class TestTimeSeries:
-    def test_value_at_step_function(self):
-        series = TimeSeries()
-        series.record(0.0, 1.0)
-        series.record(10.0, 2.0)
-        assert series.value_at(5.0) == 1.0
-        assert series.value_at(10.0) == 2.0
-
-    def test_value_before_first_sample_raises(self):
-        series = TimeSeries()
-        series.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.value_at(1.0)
-
-    def test_last(self):
-        series = TimeSeries()
-        with pytest.raises(ValueError):
-            series.last()
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.last() == (2.0, 20.0)
+        assert (clone.mean, clone.percentile(0), clone.percentile(50)) == (1.625, 0.5, 1.0)
 
 
 class TestMetricsRegistry:
@@ -263,10 +210,9 @@ class TestMetricsRegistry:
         assert metrics.counter("x") == pytest.approx(3.5)
         assert metrics.counter("missing") == 0.0
 
-    def test_observe_and_snapshot(self):
+    def test_observe(self):
         metrics = MetricsRegistry()
         metrics.observe("lat", 1.0)
         metrics.observe("lat", 3.0)
-        snapshot = metrics.snapshot()
-        assert snapshot["lat.mean"] == pytest.approx(2.0)
-        assert snapshot["lat.count"] == 2.0
+        assert metrics.histogram("lat").mean == pytest.approx(2.0)
+        assert metrics.histogram("lat").count == 2

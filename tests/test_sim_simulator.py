@@ -136,14 +136,6 @@ class TestSimulator:
         sim.run(max_events=10)
         assert sim.processed_events == 10
 
-    def test_stop_from_callback(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-
     def test_deterministic_rng_streams(self):
         sim_a = Simulator(seed=42)
         sim_b = Simulator(seed=42)

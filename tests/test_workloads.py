@@ -38,7 +38,7 @@ class TestGrowthWorkload:
                                                        provisioning_delay=5.0, max_duration=20_000))
         series = workload.run()
         assert engine.system_size == 60
-        assert series.values()[-1] == 60
+        assert series.points[-1][1] == 60
         engine.validate()
 
     def test_growth_is_superlinear(self):
