@@ -35,7 +35,7 @@ from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
-from repro.net.network import HEARTBEAT_BYTES, Network
+from repro.net.network import Network
 from repro.net.requests import RequestEnvelope
 from repro.overlay.gossip import forward_cycles, forward_targets, sends_first
 from repro.sim.actor import Actor
@@ -194,8 +194,7 @@ class AtumNode(Actor):
             self.heartbeats = HeartbeatMonitor(
                 sim=sim,
                 address=address,
-                peers_fn=lambda: self.vgroup_view.members if self.vgroup_view is not None else (),
-                send_fn=partial(network.send_many, address, size_bytes=HEARTBEAT_BYTES),
+                send_fn=partial(network.beat, address),
                 heard_fn=network.heard,
                 suspect_fn=self._on_peer_suspected,
                 clock=heartbeat_clock,
@@ -239,6 +238,8 @@ class AtumNode(Actor):
         """
         previous_view = self.vgroup_view
         self.vgroup_view = view
+        if self.heartbeats is not None:
+            self.heartbeats.peers = view.members
         if self.replica is None:
             self.replica = self._make_replica(view)
             if hasattr(self.replica, "epoch"):
@@ -297,6 +298,8 @@ class AtumNode(Actor):
     def clear_membership(self) -> None:
         """Drop membership state after leaving the system."""
         self.vgroup_view = None
+        if self.heartbeats is not None:
+            self.heartbeats.peers = ()
         if self.replica is not None:
             self.replica.stop()
             self.replica = None

@@ -8,10 +8,12 @@ a voluntary leave.  Heartbeats are deliberately coarse-grained (a minute in
 the paper) so that slow-but-correct nodes are not evicted under asynchrony.
 
 The detector's output depends only on the latest arrival per peer, so a
-heartbeat is not a message event: the transport keeps each tick's send as one
-burst under its sender, and a monitor's tick asks it, per peer, when that
-peer's latest burst to this node arrived (:meth:`Network.heard
-<repro.net.network.Network.heard>`).
+heartbeat is not a message event: a tick sends through :meth:`Network.beat
+<repro.net.network.Network.beat>`, which keeps the send as one burst under
+its sender and returns it, and a monitor's tick asks the network, per peer,
+when that peer's latest burst to this node arrived (:meth:`Network.heard
+<repro.net.network.Network.heard>`).  The host hands the monitor its peers
+(:attr:`HeartbeatMonitor.peers`, a view's ``members``) when they change.
 
 Nor is a tick an event of its own.  One :class:`HeartbeatClock` per cluster
 drives every running monitor (a timing wheel with a single slot, after
@@ -22,13 +24,15 @@ starts at 0 and never restarts ticks at the times a private timer chain
 would.  ``start()`` ticks at once and joins the clock; ``stop()`` leaves it.
 
 Reads by exception.  A healthy vgroup's reads are predictable, so its
-ticks skip them.  The clock listens to the bursts of the network its monitors
-send on and read, and, per sweep, tallies for each peer set (a
-view's ``members``) the monitors that sent a *regular* burst on it: from a
-swept tick, by a member of the set, on the fast path (the receivers are the
-monitor's own peer tuple, with no hook delay).  Any other heartbeat burst --
-a ``start()`` tick, or one sent outside a swept tick -- takes its sender out
-of this sweep's and the previous sweep's tallies.  A swept tick at ``t``
+ticks skip them.  Per sweep the clock keeps, for each peer set (a view's
+``members``), a tally of the monitors that sent a *regular* burst on it,
+which each swept tick makes from the burst ``beat`` returned: from a swept
+tick, by a member of the set, on the fast path (the receivers are the
+monitor's own peer tuple, with no hook delay).  Any other heartbeat burst
+takes its sender out of this sweep's and the previous sweep's tallies:
+``start()`` uncounts its own monitor, and the network uncounts the sender of
+every burst its per-receiver path keeps (a tick's while a hook, partition or
+split is active, and any heartbeat sent outside a tick).  A swept tick at ``t``
 takes the *implied* path when its monitor was counted on the previous sweep
 (so its previous tick was that sweep, at ``t - P``), that tally is complete,
 nobody is suspected and the latency model's largest median
@@ -53,7 +57,7 @@ must not change while monitors run.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.net.message import Heartbeat
 from repro.sim.simulator import Simulator
@@ -86,10 +90,11 @@ class HeartbeatClock:
         # The pending sweep's grid time, or the last one's while unarmed.
         self._grid = 0.0
         # Reads by exception (see the module docstring): the network the
-        # monitors send on and read (their ``heard_fn`` is its ``heard``),
-        # whose heartbeat bursts are tallied.
+        # monitors send on and read (their ``send_fn`` is its ``beat``, their
+        # ``heard_fn`` its ``heard``), which uncounts a routed burst's sender.
         self._network = network
-        # The monitor whose swept tick is running, until its burst is kept.
+        network._heartbeat_clock = self
+        # The monitor whose swept tick is running, until it counts its burst.
         self._ticking: "HeartbeatMonitor | None" = None
         # This sweep's tallies by the member set of their peers tuple, each
         # ``[regular bursts, members (-1: void), sent_at, transfer]``; and the
@@ -97,7 +102,6 @@ class HeartbeatClock:
         self._tallies: Dict[frozenset, list] = {}
         self._regular: Dict[str, list] = {}
         self._previous: Dict[str, list] = {}
-        network.watch_bursts(self._on_burst)
 
     def enroll(self, monitor: "HeartbeatMonitor") -> None:
         self._monitors[monitor] = None
@@ -122,26 +126,6 @@ class HeartbeatClock:
         tally = self._previous.pop(address, None)
         if tally is not None:
             tally[0] -= 1
-
-    def _on_burst(self, sender: str, burst: tuple) -> None:
-        monitor = self._ticking
-        if monitor is None or monitor.address != sender:
-            self._uncount(sender)
-            return
-        # The swept tick's one burst: counted if it is regular.
-        self._ticking = None
-        if burst[1] is not monitor._others or burst[2] is not None:
-            return
-        members = monitor._peer_set
-        if sender not in members:
-            return
-        tally = self._tallies.get(members)
-        if tally is None:
-            tally = self._tallies[members] = [0, len(members), burst[0], burst[3]]
-        elif tally[3] != burst[3]:
-            return
-        tally[0] += 1
-        self._regular[sender] = tally
 
     def _sweep(self) -> None:
         sim = self.sim
@@ -171,7 +155,7 @@ class HeartbeatClock:
                 monitor._ticked_at = now
                 self._ticking = monitor
                 monitor._tick(now)
-                self._ticking = None
+        self._ticking = None
         if self._monitors:
             sim.schedule(self.period, self._sweep, tag="hb.clock")
         else:
@@ -181,32 +165,34 @@ class HeartbeatClock:
 class HeartbeatMonitor:
     """Per-node heartbeat sender and failure detector.
 
-    The host wires the monitor with a ``send_fn(peers, heartbeat)`` that emits
-    one heartbeat to every address in ``peers`` (one same-payload fan-out per
-    tick), a ``heard_fn(peer, address, now)`` that returns when ``address``
-    last heard ``peer``'s heartbeat by ``now``, ``-inf`` if never
-    (:meth:`Network.heard <repro.net.network.Network.heard>`), a ``peers_fn()``
-    returning the current vgroup members (the host included), a
-    ``suspect_fn(peer)`` invoked when a peer should be evicted and the
-    cluster's :class:`HeartbeatClock`, which ticks it once per period while it
-    runs.  ``start()`` ticks at once and enrolls with the clock; ``stop()``
-    leaves it.  A monitor ticks at most once per instant, and a tick calls
-    ``heard_fn`` only when the implied path (module docstring) is closed.
+    The host sets :attr:`peers` to the current vgroup members (the host
+    included; ``()`` outside any vgroup) whenever they change, and wires the
+    monitor with a ``send_fn(peers, heartbeat)`` that emits one heartbeat to
+    every address in ``peers`` and returns the burst it kept
+    (:meth:`Network.beat <repro.net.network.Network.beat>`), a
+    ``heard_fn(peer, address, now)`` that returns when ``address`` last heard
+    ``peer``'s heartbeat by ``now``, ``-inf`` if never (:meth:`Network.heard
+    <repro.net.network.Network.heard>`), a ``suspect_fn(peer)`` invoked when
+    a peer should be evicted and the cluster's :class:`HeartbeatClock`, which
+    ticks it once per period while it runs.  ``start()`` ticks at once and
+    enrolls with the clock; ``stop()`` leaves it.  A monitor ticks at most
+    once per instant, and a tick calls ``heard_fn`` only when the implied
+    path (module docstring) is closed.
     """
 
     def __init__(
         self,
         sim: Simulator,
         address: str,
-        peers_fn: Callable[[], Iterable[str]],
-        send_fn: Callable[[Sequence[str], Heartbeat], object],
+        send_fn: Callable[[Sequence[str], Heartbeat], tuple],
         heard_fn: Callable[[str, str, float], float],
         suspect_fn: Callable[[str], None],
         clock: HeartbeatClock,
     ) -> None:
         self.sim = sim
         self.address = address
-        self.peers_fn = peers_fn
+        #: The current vgroup members, a tuple (the host included).
+        self.peers: Tuple[str, ...] = ()
         self.send_fn = send_fn
         self.heard_fn = heard_fn
         self.suspect_fn = suspect_fn
@@ -220,11 +206,11 @@ class HeartbeatMonitor:
         # The instant of the latest tick: a monitor ticks at most once per instant.
         self._ticked_at = -math.inf
         self._heartbeat = Heartbeat(address)
-        # Peer-set cache keyed on the identity of the object ``peers_fn``
-        # returns: vgroup views hand out the same immutable members tuple
-        # until the next reconfiguration.  Under churn most ticks see a new
-        # view (53 % on the ``churn_hb`` benchmark workload), so the rebuild
-        # itself is two C-level operations, not a Python loop.
+        # Peer-set cache keyed on the identity of ``peers``: vgroup views
+        # hand out the same immutable members tuple until the next
+        # reconfiguration.  Under churn most ticks see a new view (53 % on
+        # the ``churn_hb`` benchmark workload), so the rebuild itself is two
+        # C-level operations, not a Python loop.
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
         self._others: tuple = ()
@@ -271,9 +257,7 @@ class HeartbeatMonitor:
     # ----------------------------------------------------------------- protocol
 
     def _tick(self, now: float) -> None:
-        peers = self.peers_fn()
-        if not isinstance(peers, tuple):
-            peers = tuple(peers)
+        peers = self.peers
         same_view = peers is self._peers_obj
         if not same_view:
             self._peers_obj = peers
@@ -284,12 +268,25 @@ class HeartbeatMonitor:
             else:
                 self._others = peers
         others = self._others
+        address = self.address
+        clock = self.clock
         if others:
-            self.send_fn(others, self._heartbeat)
+            burst = self.send_fn(others, self._heartbeat)
+            if clock._ticking is self:
+                # A swept tick counts its own burst if it is regular: sent
+                # to this monitor's peer tuple itself, with no hook delay,
+                # by a member of its peer set.
+                clock._ticking = None
+                members = self._peer_set
+                if burst[1] is others and burst[2] is None and address in members:
+                    tally = clock._tallies.get(members)
+                    if tally is None:
+                        tally = clock._tallies[members] = [0, len(members), burst[0], burst[3]]
+                    tally[0] += 1
+                    clock._regular[address] = tally
         last_seen = self._last_seen
         suspected = self.suspected
-        address = self.address
-        tally = self.clock._previous.get(address)
+        tally = clock._previous.get(address)
         if tally is not None and tally[0] == tally[1] and not suspected:
             # Every kept peer's latest landed burst is its regular one of the
             # last sweep: skip the reads (module docstring).  A new peer's

@@ -1,9 +1,11 @@
 """The frames the network substrate itself tells apart.
 
-A :class:`Heartbeat` never becomes a message event: the network keeps a
-tick's send as one burst for the receivers' failure detectors to read (see
-:meth:`repro.net.network.Network.heard`).  A :class:`CorruptedPayload` wraps
-a payload garbled in transit.
+A :class:`Heartbeat` never becomes a message event: a tick sends it with
+:meth:`repro.net.network.Network.beat`, which keeps the send as one burst for
+the receivers' failure detectors to read (see
+:meth:`repro.net.network.Network.heard`) and returns that burst for the
+sending tick to tally.  A :class:`CorruptedPayload` wraps a payload garbled
+in transit.
 """
 
 from __future__ import annotations

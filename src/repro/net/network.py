@@ -17,17 +17,20 @@ A message in flight is a heap entry that fires into the receiver's
 detector only needs the latest arrival per peer, so a heartbeat send is one
 *burst* kept under its sender, which the receivers' monitors read when they
 tick (:meth:`Network.heard`).  A burst takes no latency draw, no downlink
-time and no queue slot, and its fate is decided when it is sent.  Every
-burst kept is handed to the one listener :meth:`Network.watch_bursts`
-installed: the cluster's heartbeat clock, which lets a monitor whose whole
-vgroup beat regularly skip its reads.
+time and no queue slot, and its fate is decided when it is sent.
+:meth:`Network.beat` is how a monitor's tick sends one: it returns the burst
+it kept, which the tick tallies itself (the cluster's heartbeat clock lets a
+monitor whose whole vgroup beat regularly skip its reads).  A heartbeat
+routed through :meth:`send_many` -- ``beat``'s path while a hook, partition
+or split is active, or one sent outside a tick -- is never a regular burst,
+so there the network takes its sender out of the clock's tallies.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
 from math import exp, inf, log
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.core.middleware import MiddlewareContext, MiddlewareError
 from repro.net.latency import _NV_MAGICCONST, LatencyModel, LanProfile
@@ -133,7 +136,10 @@ class Network:
         # ``(sent_at, receivers, delays, transfer)``, where ``delays`` maps a
         # receiver to the extra delay a hook gave its copy (None if none did).
         self._bursts: Dict[str, Tuple[tuple, ...]] = {}
-        self._burst_listener: Optional[Callable[[str, tuple], None]] = None
+        # The heartbeat clock tallying this network's bursts (set by
+        # HeartbeatClock): a heartbeat routed through send_many uncounts its
+        # sender there.
+        self._heartbeat_clock = None
 
     # --------------------------------------------------------------- membership
 
@@ -260,17 +266,39 @@ class Network:
                     return arrival
         return -inf
 
-    def watch_bursts(self, listener: Callable[[str, tuple], None]) -> None:
-        """Hand every heartbeat burst kept from now on to ``listener(sender,
-        burst)``, ``burst`` being ``(sent_at, receivers, delays, transfer)``
-        as :meth:`heard` reads it.  One listener: a second call replaces it."""
-        self._burst_listener = listener
+    def beat(self, sender: str, receivers: Sequence[str], heartbeat: Heartbeat) -> Optional[tuple]:
+        """Send ``heartbeat`` (``HEARTBEAT_BYTES``) from ``sender`` to
+        ``receivers`` as one burst, and return the burst kept: ``(sent_at,
+        receivers, delays, transfer)`` as :meth:`heard` reads it (``None``,
+        and nothing kept, if ``receivers`` is empty).
 
-    def _keep_burst(self, sender: str, burst: tuple) -> None:
-        previous = self._bursts.get(sender)
-        self._bursts[sender] = (burst,) if previous is None else (burst, previous[0])
-        if self._burst_listener is not None:
-            self._burst_listener(sender, burst)
+        A heartbeat monitor's tick sends with it.  With no hook, partition
+        or split active the burst is the ``receivers`` tuple itself with no
+        delays, and every copy counts ``net.messages_sent`` and
+        ``net.messages_delivered`` here.  Otherwise it takes
+        :meth:`send_many`'s per-receiver path, which decides each copy's fate.
+        A heartbeat sent outside a tick goes through :meth:`send_many`.
+        """
+        count = len(receivers)
+        if not count:
+            return None
+        if self._send_hooks is not None or self._partitioned or self._splits:
+            self.send_many(sender, receivers, heartbeat, HEARTBEAT_BYTES)
+            return self._bursts[sender][0]
+        counters = self._counters
+        counters["net.messages_sent"] += float(count)
+        counters["net.bytes_sent"] += float(HEARTBEAT_BYTES * count)
+        burst = (
+            self.sim._now,
+            tuple(receivers),
+            None,
+            (HEARTBEAT_BYTES + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S,
+        )
+        bursts = self._bursts
+        previous = bursts.get(sender)
+        bursts[sender] = (burst,) if previous is None else (burst, previous[0])
+        counters["net.messages_delivered"] += float(count)
+        return burst
 
     # ------------------------------------------------------------------ sending
 
@@ -300,9 +328,11 @@ class Network:
         downlink, no push (:meth:`heard` reads it).  Its fate is decided
         here: a dropped copy is ``net.messages_lost``, a corrupted one fails
         authentication (``net.corrupted_discarded``), and every receiver that
-        joins counts ``net.messages_delivered`` now.  With no hook, partition
-        or split active the whole ``receivers`` tuple is the burst, and no
-        loop runs.
+        joins counts ``net.messages_delivered`` now.  This is
+        :meth:`beat`'s path while a hook, partition or split is active; with
+        none, :meth:`beat` keeps the burst without a loop.  A burst kept here
+        is never a regular one, so its sender leaves the heartbeat clock's
+        tallies (:mod:`repro.group.heartbeat`).
 
         The loop owns the latency draw.  A log-normal model publishes its
         parameters (:attr:`LatencyModel.lognormal
@@ -344,10 +374,6 @@ class Network:
         splits = self._splits
         hooks = self._send_hooks
         heartbeat = type(payload) is Heartbeat
-        if heartbeat and hooks is None and not partitioned and not splits:
-            self._keep_burst(sender, (now, tuple(receivers), None, transfer))
-            counters["net.messages_delivered"] += float(count)
-            return count
         rng = self._rng
         random = rng.random
         model = self.latency_model
@@ -476,8 +502,12 @@ class Network:
         queue._live += seq - queue._seq
         queue._seq = seq
         if heartbeat:
-            self._keep_burst(sender, (now, tuple(joined), delays, transfer))
+            burst = (now, tuple(joined), delays, transfer)
+            previous = self._bursts.get(sender)
+            self._bursts[sender] = (burst,) if previous is None else (burst, previous[0])
             counters["net.messages_delivered"] += float(len(joined))
+            if self._heartbeat_clock is not None:
+                self._heartbeat_clock._uncount(sender)
             return len(joined)
         return dispatched
 

@@ -1,4 +1,5 @@
 """Which ``src/repro`` functions do only the tests reach, and which does nothing reach?
+And which registered metric names does no product run emit?
 
 Records every Python call made under ``src/repro`` while two groups of runs
 execute:
@@ -30,6 +31,16 @@ Usage (not collected by pytest; a full run takes about 5 minutes on a
 only or by nothing, or when a listed function is reached by a product run
 or no longer exists (a stale entry).
 
+The script also reports the names in ``repro.lint.metrics_registry``
+that no product run emits.  A counter is emitted when it ends a run
+non-zero, a histogram when its samples grow (the network appends to
+``net.delivery_latency`` directly, without ``observe``) and a series when
+it gets a point.  Every such name is listed in
+``tests/metrics_never_fired.txt``, one line each (``name  reason``), and
+with ``--check`` the script also exits 1 when an unlisted name never fires
+or a listed one fires or is no longer registered: a name may leave the list,
+never join it.
+
 How the calls are recorded:
 
 * a ``sitecustomize.py`` written to a temporary directory at the head of
@@ -44,7 +55,10 @@ How the calls are recorded:
   ``multiprocessing.util.Finalize`` registered after the fork, or on the
   ``SIGTERM`` with which a pool's ``terminate()`` stops it;
 * a code object is keyed by (file, first line including decorators, name),
-  which is what ``co_firstlineno`` gives and what the AST walk below rebuilds.
+  which is what ``co_firstlineno`` gives and what the AST walk below rebuilds;
+* every ``MetricsRegistry`` is harvested when it dies and, if still alive,
+  when its interpreter writes its calls: an import hook wraps the class's
+  ``__init__`` once ``repro.sim.metrics`` is first imported.
 """
 
 from __future__ import annotations
@@ -67,13 +81,53 @@ PACKAGE = SRC / "repro"
 Key = Tuple[str, int, str]
 
 SITECUSTOMIZE = '''
-import atexit, json, os, sys, threading
+import atexit, json, os, sys, threading, weakref
 from multiprocessing import util as _mp_util
 
 _PREFIX = {prefix!r}
 _OUT = {out!r}
 _seen = set()
 _dumping = False
+_metrics = set()
+_registries = weakref.WeakSet()
+
+
+def _harvest(state):
+    """The names a registry's ``__dict__`` shows emitted."""
+    _metrics.update(name for name, value in state.get("counters", {{}}).items() if value)
+    _metrics.update(name for name, h in state.get("histograms", {{}}).items() if len(h.samples))
+    _metrics.update(name for name, s in state.get("series", {{}}).items() if s.points)
+
+
+def _watch(module):
+    init = module.MetricsRegistry.__init__
+
+    def __init__(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        _registries.add(self)
+        weakref.finalize(self, _harvest, self.__dict__)
+
+    module.MetricsRegistry.__init__ = __init__
+
+
+class _MetricsFinder:
+    """Wraps ``MetricsRegistry.__init__`` when ``repro.sim.metrics`` loads."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name != "repro.sim.metrics":
+            return None
+        sys.meta_path.remove(self)
+        import importlib.util
+
+        spec = importlib.util.find_spec(name)
+        exec_module = spec.loader.exec_module
+
+        def exec_and_watch(module):
+            exec_module(module)
+            _watch(module)
+
+        spec.loader.exec_module = exec_and_watch
+        return spec
 
 
 def _record(frame, event, arg):
@@ -102,6 +156,10 @@ def _dump():
     path = os.path.join(_OUT, "calls-%d.json" % os.getpid())
     with open(path, "w") as handle:
         json.dump(keys, handle)
+    for registry in list(_registries):
+        _harvest(registry.__dict__)
+    with open(os.path.join(_OUT, "metrics-%d.json" % os.getpid()), "w") as handle:
+        json.dump(sorted(_metrics), handle)
 
 
 def _on_terminate(signum, frame):
@@ -117,6 +175,7 @@ def _after_fork(_):
     signal.signal(signal.SIGTERM, _on_terminate)
 
 
+sys.meta_path.insert(0, _MetricsFinder())
 sys.setprofile = _keep_recording
 _setprofile(_record)
 threading.setprofile(_record)
@@ -135,6 +194,7 @@ KEEP_CLASSES = {
     "lint",  # repro.lint, exercised on fixtures
 }
 KEEP_FILE = Path(__file__).with_name("reachability_keep.txt")
+NEVER_FIRED_FILE = Path(__file__).with_name("metrics_never_fired.txt")
 
 
 def definitions() -> Tuple[Dict[Key, str], Set[Key]]:
@@ -164,8 +224,9 @@ def definitions() -> Tuple[Dict[Key, str], Set[Key]]:
     return functions, classes
 
 
-def run_recorded(commands: Iterable[List[str]], label: str) -> Set[Key]:
-    """Run ``commands`` under the recorder; the union of what they called."""
+def run_recorded(commands: Iterable[List[str]], label: str) -> Tuple[Set[Key], Set[str]]:
+    """Run ``commands`` under the recorder: the union of what they called,
+    and of the metric names they emitted."""
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         hook_dir = Path(scratch) / "hook"
         out_dir = Path(scratch) / "calls"
@@ -178,17 +239,18 @@ def run_recorded(commands: Iterable[List[str]], label: str) -> Set[Key]:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         for command in commands:
             print(f"[{label}] {' '.join(command)}", file=sys.stderr, flush=True)
-            done = subprocess.run(
-                command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE, text=True,
-            )
+            done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
             if done.returncode != 0:
-                print(done.stderr[-2000:], file=sys.stderr)
+                # pytest reports its failures on stdout.
+                print(done.stdout[-4000:], done.stderr[-2000:], sep="\n", file=sys.stderr)
                 raise SystemExit(f"[{label}] exited {done.returncode}: {command}")
         seen: Set[Key] = set()
         for path in out_dir.glob("calls-*.json"):
             seen.update(tuple(key) for key in json.loads(path.read_text()))
-        return seen
+        emitted: Set[str] = set()
+        for path in out_dir.glob("metrics-*.json"):
+            emitted.update(json.loads(path.read_text()))
+        return seen, emitted
 
 
 def product_commands(output: str) -> List[List[str]]:
@@ -265,6 +327,48 @@ def check(functions: Dict[Key, str], product: Set[Key], keep: Dict[str, str]) ->
     return problems
 
 
+def registered_metrics() -> Set[str]:
+    """Every name ``repro.lint.metrics_registry`` lists."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from repro.lint.metrics_registry import METRICS
+
+    return set(METRICS)
+
+
+def load_never_fired(path: Path) -> Tuple[Dict[str, str], List[str]]:
+    """The never-fired list's entries (name -> reason) and its errors."""
+    entries: Dict[str, str] = {}
+    errors: List[str] = []
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split(maxsplit=1)
+        where = f"{path.name}:{number}"
+        if len(fields) < 2:
+            errors.append(f"{where}: need 'name  reason'")
+            continue
+        if fields[0] in entries:
+            errors.append(f"{where}: {fields[0]} is listed twice")
+        entries[fields[0]] = fields[1]
+    return entries, errors
+
+
+def check_metrics(registered: Set[str], emitted: Set[str], listed: Dict[str, str]) -> List[str]:
+    """What the never-fired list gets wrong, one line each (empty: it holds)."""
+    problems = [
+        f"never emitted by a product run and not in {NEVER_FIRED_FILE.name}: {name}"
+        for name in sorted(registered - emitted)
+        if name not in listed
+    ]
+    for name in sorted(listed):
+        if name not in registered:
+            problems.append(f"stale entry, no such metric: {name}")
+        elif name in emitted:
+            problems.append(f"stale entry, a product run emits it: {name}")
+    return problems
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="also write the report here as JSON")
@@ -272,15 +376,18 @@ def main() -> int:
         "--check",
         action="store_true",
         help=f"exit 1 unless {KEEP_FILE.name} lists exactly the functions "
-        "no product run reaches",
+        f"no product run reaches and {NEVER_FIRED_FILE.name} exactly the "
+        "metrics none emits",
     )
     args = parser.parse_args()
     functions, classes = definitions()
     defined = set(functions)
     keep, errors = load_keep(KEEP_FILE) if args.check else ({}, [])
     with tempfile.TemporaryDirectory(prefix="reach-matrix-") as scratch:
-        product = run_recorded(product_commands(str(Path(scratch) / "m.json")), "product")
-    tier1 = run_recorded(tier1_commands(), "tier-1")
+        product, emitted = run_recorded(
+            product_commands(str(Path(scratch) / "m.json")), "product"
+        )
+    tier1, _ = run_recorded(tier1_commands(), "tier-1")
     # Lambdas, comprehensions and module bodies are named "<...>"; anything
     # else that matches no definition means the keying is off.
     unmatched = sorted(
@@ -310,11 +417,23 @@ def main() -> int:
     )
     if unmatched:
         print(f"{len(unmatched)} recorded functions match no definition", file=sys.stderr)
+    registered = registered_metrics()
+    report["never_fired"] = sorted(registered - emitted)
+    print("# metrics no product run emits")
+    for name in report["never_fired"]:
+        print(name)
+    print(
+        f"{len(report['never_fired'])} of {len(registered)} registered metric names "
+        "never emitted by a product run",
+        file=sys.stderr,
+    )
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     if not args.check:
         return 0
-    problems = errors + check(functions, product & defined, keep)
+    listed, list_errors = load_never_fired(NEVER_FIRED_FILE)
+    problems = errors + list_errors + check(functions, product & defined, keep)
+    problems += check_metrics(registered, emitted, listed)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:

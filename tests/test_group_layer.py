@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import weakref
+from functools import partial
 
 import pytest
 
@@ -23,7 +24,7 @@ from repro.group.heartbeat import MISSES_BEFORE_EVICTION, Heartbeat
 from repro.group.messages import GroupMessageEnvelope
 from repro.core.middleware import Middleware, MiddlewareChain
 from repro.net.latency import FixedLatency, WanProfile
-from repro.net.network import HEARTBEAT_BYTES, Network
+from repro.net.network import BANDWIDTH_BYTES_PER_S, HEADERS_BYTES, HEARTBEAT_BYTES, Network
 from repro.sim import Simulator
 from repro.sim.actor import Actor
 
@@ -193,16 +194,16 @@ class _HeartbeatHost(Actor):
         self.monitor = HeartbeatMonitor(
             sim=sim,
             address=address,
-            peers_fn=lambda: peers,
             send_fn=self._send,
             heard_fn=network.heard,
             suspect_fn=self.suspected.append,
             clock=clock,
         )
+        self.monitor.peers = tuple(peers)
 
     def _send(self, peers, heartbeat):
         self.sent_at.append(self.sim.now)
-        self.network.send_many(self.address, peers, heartbeat, 64)
+        return self.network.beat(self.address, peers, heartbeat)
 
     def on_message(self, payload, sender):
         raise AssertionError(f"a heartbeat host got a message event: {payload!r}")
@@ -248,7 +249,7 @@ class TestHeartbeats:
         assert "n1" in host.monitor.last_seen
         assert "n1" in host.monitor.suspected
         # n1 leaves the view: the next tick drops every trace of it.
-        host.monitor.peers_fn = lambda: ("n0",)
+        host.monitor.peers = ("n0",)
         sim.run(until=11.5)
         assert "n1" not in host.monitor.last_seen
         assert "n1" not in host.monitor.suspected
@@ -262,12 +263,12 @@ class TestHeartbeats:
         host.monitor.start()
         sim.run(until=10.0)
         assert "n1" in host.monitor.suspected
-        host.monitor.peers_fn = lambda: ("n0",)
+        host.monitor.peers = ("n0",)
         sim.run(until=11.5)
         assert "n1" not in host.monitor.last_seen
         # n1 rejoins the view: it is tracked from the rejoin on, not from
         # its old silence, and is suspected again only after a full deadline.
-        host.monitor.peers_fn = lambda: ("n0", "n1")
+        host.monitor.peers = ("n0", "n1")
         sim.run(until=12.5)
         rejoined_at = host.monitor.last_seen["n1"]
         assert rejoined_at > 11.5
@@ -431,12 +432,12 @@ class TestHeartbeatClock:
         stopped = HeartbeatMonitor(
             sim=sim,
             address="n1",
-            peers_fn=lambda: ("n0", "n1"),
-            send_fn=lambda peers, heartbeat: None,
+            send_fn=partial(host.network.beat, "n1"),
             heard_fn=lambda peer, address, now: -math.inf,
             suspect_fn=lambda peer: None,
             clock=clock,
         )
+        stopped.peers = ("n0", "n1")
         stopped.start()
         sim.run(until=2.5)
         assert list(clock._monitors) == [host.monitor, stopped]
@@ -482,7 +483,7 @@ class _FillThenWalkMonitor(HeartbeatMonitor):
     *every* tick."""
 
     def _tick(self, now):
-        peers = tuple(self.peers_fn())
+        peers = self.peers
         self._peer_set = frozenset(peers)
         others = tuple(peer for peer in peers if peer != self.address)
         if others:
@@ -508,18 +509,18 @@ class TestOneScanTickDifferential:
         sim = Simulator()
         # Zero latency: a burst to "me" lands after its 16 us transfer.
         network = Network(sim, latency_model=FixedLatency(0.0))
-        state = {"peers": ("me", "p0", "p1", "p2")}
         calls = []
         sends = []
         monitor = monitor_class(
             sim=sim,
             address="me",
-            peers_fn=lambda: state["peers"],
-            send_fn=lambda peers, heartbeat: sends.append((sim.now, peers)),
+            send_fn=lambda peers, heartbeat: sends.append((sim.now, peers))
+            or network.beat("me", peers, heartbeat),
             heard_fn=network.heard,
             suspect_fn=lambda peer: calls.append((sim.now, peer)),
             clock=HeartbeatClock(sim, 1.0, network),
         )
+        monitor.peers = ("me", "p0", "p1", "p2")
         monitor.start()
         silent = set(rng.sample(self.POOL, 3))
         snapshots = []
@@ -528,7 +529,7 @@ class TestOneScanTickDifferential:
             if roll < 0.55:
                 # A heartbeat from a talkative address: mostly a current
                 # peer, sometimes a stranger the next tick has to purge.
-                current = [peer for peer in state["peers"] if peer != "me"]
+                current = [peer for peer in monitor.peers if peer != "me"]
                 sender = rng.choice(current if current and rng.random() < 0.85 else self.POOL)
                 if sender not in silent:
                     network.send_many(sender, ("me",), Heartbeat(sender), 64)
@@ -537,7 +538,7 @@ class TestOneScanTickDifferential:
                 if rng.random() < 0.8:
                     members.append("me")
                 rng.shuffle(members)
-                state["peers"] = tuple(members)
+                monitor.peers = tuple(members)
             elif roll < 0.70:
                 silent = set(rng.sample(self.POOL, rng.randrange(0, 5)))
             elif roll < 0.73:
@@ -652,20 +653,21 @@ class TestReadsByExceptionDifferential:
             elif roll < 0.08:
                 monitors[chaos.choice(pool)].stop()
 
+        def hand_out_views():
+            for address, monitor in monitors.items():
+                monitor.peers = views.get(address, ())
+
         for address in pool:
             monitor = Recording(
                 sim=sim,
                 address=address,
-                peers_fn=lambda address=address: views.get(address, ()),
-                # The first address pads its heartbeats: a longer transfer.
-                send_fn=lambda peers, beat, address=address: network.send_many(
-                    address, peers, beat, HEARTBEAT_BYTES * (2 if address == "m0" else 1)
-                ),
+                send_fn=partial(network.beat, address),
                 heard_fn=heard,
                 suspect_fn=lambda peer, address=address: suspect(address, peer),
                 clock=clock,
             )
             monitors[address] = monitor
+        hand_out_views()
         for address in pool:
             sim.schedule_at(rng.choice([0.0, 0.0, 0.4, 1.0]), monitors[address].start)
 
@@ -726,9 +728,12 @@ class TestReadsByExceptionDifferential:
                 split = network.split([shuffled[:half], shuffled[half:]])
                 sim.schedule(rng.choice([1.0, 3.0, 5.0]), lambda s=split: network.merge(s))
             elif roll < 0.41:
-                # A heartbeat sent outside any tick.
+                # A heartbeat sent outside any tick, padded: a longer transfer.
                 sender = rng.choice(pool)
-                network.send_many(sender, (rng.choice(pool),), Heartbeat(sender), HEARTBEAT_BYTES)
+                network.send_many(
+                    sender, (rng.choice(pool),), Heartbeat(sender), HEARTBEAT_BYTES * 2
+                )
+            hand_out_views()
             sim.run(until=sim.now + rng.choice([0.3, 0.7, 1.0, 1.0, 1.6, 2.5]))
             if not every_tick:
                 for address in pool:
@@ -758,22 +763,28 @@ class TestReadsByExceptionDifferential:
         network = Network(sim, latency_model=FixedLatency(0.001))
         clock = HeartbeatClock(sim, 1.0, network)
         calls = []
+        monitors = {}
         for address in views:
-            monitor_class(
+            monitor = monitors[address] = monitor_class(
                 sim=sim,
                 address=address,
-                peers_fn=lambda address=address: views[address],
-                send_fn=lambda peers, beat, address=address: network.send_many(
-                    address, peers, beat, HEARTBEAT_BYTES
-                ),
+                send_fn=partial(network.beat, address),
                 heard_fn=network.heard,
                 suspect_fn=lambda peer, address=address: calls.append(
                     (sim.now, address, peer)
                 ),
                 clock=clock,
-            ).start()
+            )
+            monitor.peers = views[address]
+            monitor.start()
+
+        def fire(event):
+            event(network, views)
+            for address, monitor in monitors.items():
+                monitor.peers = views[address]
+
         for at, event in events.items():
-            sim.schedule_at(at, lambda event=event: event(network, views))
+            sim.schedule_at(at, lambda event=event: fire(event))
         sim.run(until=until)
         return calls
 
@@ -814,6 +825,44 @@ class TestReadsByExceptionDifferential:
     def test_an_eager_tick_first_applies_the_reads_it_skipped(self):
         calls = self._stray(HeartbeatMonitor)
         assert calls == self._stray(_FillThenWalkMonitor) == []
+
+    @staticmethod
+    def _mid_sweep_stray(monitor_class):
+        """b, a and c beat regularly; at 5 b's own tick follows its regular
+        burst with one to c alone, which pushes b's burst of 4 out.  a ticks
+        next in that sweep: the clock must notice the stray before a reads,
+        or a skips its read and hears b at 4.001 where ``heard`` finds
+        nothing newer than the 3.001 a already has."""
+        sim = Simulator()
+        network = Network(sim, latency_model=FixedLatency(0.001))
+        clock = HeartbeatClock(sim, 1.0, network)
+
+        def b_beats(peers, heartbeat):
+            burst = network.beat("b", peers, heartbeat)
+            if sim.now == 5.0:
+                network.send_many("b", ("c",), heartbeat, HEARTBEAT_BYTES)
+            return burst
+
+        seen = {}
+        for address in ("b", "a", "c"):
+            monitor = seen[address] = monitor_class(
+                sim=sim,
+                address=address,
+                send_fn=b_beats if address == "b" else partial(network.beat, address),
+                heard_fn=network.heard,
+                suspect_fn=lambda peer: None,
+                clock=clock,
+            )
+            monitor.peers = ("a", "b", "c")
+            monitor.start()
+        sim.run(until=5.5)
+        return {address: list(monitor.last_seen.items()) for address, monitor in seen.items()}
+
+    def test_a_heartbeat_sent_mid_sweep_is_noticed_before_the_next_read(self):
+        seen = self._mid_sweep_stray(HeartbeatMonitor)
+        assert seen == self._mid_sweep_stray(_FillThenWalkMonitor)
+        transfer = (HEARTBEAT_BYTES + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
+        assert dict(seen["a"])["b"] == 3.0 + 0.001 + transfer
 
 
 class TestGroupCostModel:

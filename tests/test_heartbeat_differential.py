@@ -1,4 +1,5 @@
-"""Standing differential: heartbeats on against heartbeats off.
+"""Standing differentials: heartbeats on against heartbeats off, and a
+heartbeat's plain send against its routed one.
 
 A heartbeat is a burst its peers read (:meth:`repro.net.network.Network.heard`):
 it takes no latency draw, no downlink time and no queue slot.  So as long as
@@ -7,13 +8,18 @@ same seed in everything but the heartbeats themselves: the same broadcast
 deliveries at the same times, the same ``atum.delivery_latency`` sample, the
 same non-heartbeat ``net.messages_*`` counters and the same final state of the
 ``network`` RNG stream.  A heartbeats-only run leaves that stream untouched.
+
+With an ``on_send`` hook installed every heartbeat takes
+:meth:`~repro.net.network.Network.beat`'s routed path, and no tick may skip
+its reads; a pass-through hook must still leave every monitor's view of its
+peers, every suspicion and every eviction where the plain path left them.
 """
 
 import pytest
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
-from repro.net.message import Heartbeat
+from repro.core.middleware import Middleware, MiddlewareChain
 from repro.workloads.churn import ChurnConfig, ChurnWorkload
 
 NET_COUNTERS = (
@@ -25,24 +31,32 @@ NET_COUNTERS = (
 )
 
 
-def _cluster(heartbeats, seed, nodes):
+class _PassThrough(Middleware):
+    """An ``on_send`` hook that decides nothing."""
+
+    def on_send(self, ctx):
+        return None
+
+
+def _cluster(heartbeats, seed, nodes, hooked=False):
     params = AtumParameters(
         hc=3, rwl=6, gmin=4, gmax=8, round_duration=0.5, heartbeat_period=5.0
     )
     cluster = AtumCluster(params, seed=seed, enable_heartbeats=heartbeats)
+    if hooked:
+        cluster.install_middleware(MiddlewareChain(_PassThrough()))
     # Count the heartbeat copies sent and heard, so they can be taken out of
-    # the network's counters.  Wrapped before any node binds ``send_many``.
+    # the network's counters.  Wrapped before any node binds ``beat``.
     beats = {"sent": 0, "heard": 0}
-    send_many = cluster.network.send_many
+    beat = cluster.network.beat
 
-    def counting(sender, receivers, payload, size_bytes=256):
-        heard = send_many(sender, receivers, payload, size_bytes)
-        if type(payload) is Heartbeat:
-            beats["sent"] += len(receivers)
-            beats["heard"] += heard
-        return heard
+    def counting(sender, receivers, heartbeat):
+        burst = beat(sender, receivers, heartbeat)
+        beats["sent"] += len(receivers)
+        beats["heard"] += len(burst[1])
+        return burst
 
-    cluster.network.send_many = counting
+    cluster.network.beat = counting
     cluster.build_static([f"n{i}" for i in range(nodes)])
     return cluster, beats
 
@@ -71,8 +85,10 @@ def _static(heartbeats):
     return cluster, beats
 
 
-def _churn(heartbeats):
-    cluster, beats = _cluster(heartbeats, seed=2, nodes=60)
+def _churn(heartbeats, hooked=False, crash=None):
+    cluster, beats = _cluster(heartbeats, seed=2, nodes=60, hooked=hooked)
+    if crash is not None:
+        cluster.sim.schedule_at(8.0, lambda: cluster.crash(crash))
     config = ChurnConfig(rate_per_minute=60.0, duration=20.0, warmup=2.0)
     churn = ChurnWorkload(cluster.engine, config, join_fn=cluster.join)
     rng = cluster.sim.rng.stream("origins")
@@ -108,3 +124,32 @@ def test_a_heartbeats_only_run_leaves_the_network_stream_untouched():
     cluster.run(until=60.0)
     assert beats["heard"] > 1000
     assert stream.getstate() == state
+
+
+def _detector(cluster):
+    counter = cluster.sim.metrics.counter
+    return {
+        "members": sorted(cluster.engine.node_group),
+        "evictions": counter("membership.evictions_started"),
+        "proposed": counter("group.evictions_proposed"),
+        "last_seen": {
+            address: (list(node.heartbeats.last_seen.items()), sorted(node.heartbeats.suspected))
+            for address, node in cluster.nodes.items()
+        },
+    }
+
+
+@pytest.mark.parametrize("crash", [None, "n7"], ids=["churn", "churn-crash"])
+def test_a_routed_heartbeat_leaves_the_detector_where_the_plain_one_does(crash):
+    plain, plain_beats = _churn(True, crash=crash)
+    routed, routed_beats = _churn(True, hooked=True, crash=crash)
+    assert plain_beats == routed_beats and plain_beats["heard"] > 1000
+    # The plain run's last ticks skipped reads; no routed tick did.
+    assert any(node.heartbeats._unread for node in plain.nodes.values())
+    assert not any(node.heartbeats._unread for node in routed.nodes.values())
+    outcome = _detector(plain)
+    assert _detector(routed) == outcome
+    if crash is not None:
+        # Not vacuous: the crashed member was suspected and evicted.
+        assert outcome["proposed"] > 0 and outcome["evictions"] > 0
+        assert crash not in outcome["members"]

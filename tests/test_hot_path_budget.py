@@ -46,7 +46,9 @@ The fourth line is a count of kernel events: one ``heartbeats`` period is
 one event, the clock's sweep, whatever the number of nodes (the ceiling
 allows one more per monitor start, which may re-arm the clock).  The fifth
 is a count of reads: once every monitor of a healthy static cluster has
-beaten on one sweep, no tick calls ``Network.heard`` again.
+beaten on one sweep, no tick calls ``Network.heard`` again.  Beside it, a
+heartbeat-only run makes no ``Network.send_many`` call: a tick's send is
+``Network.beat``.
 
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
@@ -117,7 +119,10 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: to 1.13 when a tick whose vgroup all beat regularly on the last sweep
 #: stopped reading its peers: no ``heard`` or ``median_latency`` call after
 #: the first swept period, and no ``VGroupView.__len__`` in the peer lookup.
-CEILINGS = {"heartbeats": 1.5, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
+#: It fell to 0.54 when a tick's send became ``Network.beat``: no keyword
+#: ``partial`` into ``send_many``, no ``_keep_burst`` or burst-listener call
+#: and no ``peers_fn`` per tick; the tick tallies the burst ``beat`` returns.
+CEILINGS = {"heartbeats": 0.6, "flood": 18.4, "pbft": 12.3, "ae_faults": 21.0}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
@@ -416,9 +421,11 @@ def test_a_heartbeat_is_no_event_no_draw_and_no_loop():
     assert network._downlink_free_at == {}
     assert list(sim.metrics.histogram("net.delivery_latency").samples) == []
     # 0 routing-loop iterations: each burst's receivers are its sender's
-    # peer tuple itself, not a list the loop built.
+    # peer tuple itself, not a list the loop built, and no heartbeat went
+    # through the message router.
     for address, node in cluster.nodes.items():
         assert network._bursts[address][0][1] is node.heartbeats._others
+    assert calls_of(stats, "net/network.py", "send_many") == 0
     # 0 reads after the first swept period: every vgroup beat regularly on
     # the sweep before, so every tick knows what its peers' bursts say.
     first, after = heartbeat_reads()
@@ -583,6 +590,12 @@ if __name__ == "__main__":
     print(
         f"heartbeats: {after} Network.heard calls after the first swept period "
         f"({first} in it; ceiling 0)"
+    )
+    heartbeat_stats, _, _, _ = measure("heartbeats")
+    print(
+        f"heartbeats: {calls_of(heartbeat_stats, 'net/network.py', 'send_many'):.0f} "
+        f"Network.send_many calls in a heartbeat-only run "
+        f"({calls_of(heartbeat_stats, 'net/network.py', 'beat'):.0f} Network.beat; ceiling 0)"
     )
     print(
         f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "

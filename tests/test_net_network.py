@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.net import (
     WanProfile,
 )
 from repro.net.latency import RegionalLatency, DEFAULT_REGIONS
-from repro.net.network import BANDWIDTH_BYTES_PER_S, HEADERS_BYTES
+from repro.net.network import BANDWIDTH_BYTES_PER_S, HEADERS_BYTES, HEARTBEAT_BYTES
 from repro.sim import Simulator
 from repro.sim.actor import Actor
 
@@ -717,29 +718,31 @@ class TestHeartbeatBursts:
     the pair's median latency + the transfer time + a hook's extra delay,
     with its fate decided at send (:meth:`Network.heard`)."""
 
-    TRANSFER = (64 + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
+    TRANSFER = (HEARTBEAT_BYTES + HEADERS_BYTES) / BANDWIDTH_BYTES_PER_S
 
     def _beat(self, network, receivers, sender="a"):
-        return network.send_many(sender, receivers, Heartbeat(sender), 64)
+        return network.beat(sender, receivers, Heartbeat(sender))
 
     def _monitor(self, sim, network, reports, address="b", peers=("a", "b"), period=1.0):
-        return HeartbeatMonitor(
+        monitor = HeartbeatMonitor(
             sim=sim,
             address=address,
-            peers_fn=lambda: peers,
-            send_fn=lambda peers, heartbeat: None,
+            send_fn=partial(network.beat, address),
             heard_fn=network.heard,
             suspect_fn=lambda peer: reports.append((sim.now, peer)),
             clock=HeartbeatClock(sim, period, network),
         )
+        monitor.peers = peers
+        return monitor
 
     def test_a_burst_is_no_event_no_draw_and_no_downlink(self):
         sim, network = make_net(latency=LanProfile())
         state = network._rng.getstate()
         others = ("b", "c", "d")
-        assert self._beat(network, others) == 3
+        burst = self._beat(network, others)
         # With nothing active the sender's tuple itself is the burst.
-        ((sent_at, receivers, delays, _),) = network._bursts["a"]
+        assert network._bursts["a"] == (burst,)
+        sent_at, receivers, delays, _ = burst
         assert (sent_at, delays) == (0.0, None) and receivers is others
         assert len(sim.queue) == 0 and sim.queue._seq == 0
         assert network._rng.getstate() == state
@@ -796,7 +799,10 @@ class TestHeartbeatBursts:
     def test_a_hook_drops_delays_and_corrupts_per_receiver(self):
         sim, network = make_net(latency=FixedLatency(1.0))
         network.install_middleware(MiddlewareChain(BurstHook()))
-        assert self._beat(network, ("b", "c", "d", "e")) == 2
+        burst = self._beat(network, ("b", "c", "d", "e"))
+        # The burst the routed path kept: the receivers that joined it.
+        assert network._bursts["a"] == (burst,)
+        assert burst[1:3] == (("c", "d"), {"c": 0.25})
         arrival = 0.0 + 1.0 + self.TRANSFER
         assert network.heard("a", "b", 5.0) == -math.inf
         assert network.heard("a", "c", arrival) == -math.inf

@@ -6,7 +6,10 @@ built from: the checked-in keep file is well formed and names only
 functions that exist, definitions are keyed the way the recorder keys code
 objects, the keep file's parser rejects malformed lines, :func:`check`
 flags both an unlisted function and a stale entry, and the recorder sees
-calls that a forked pool worker makes.
+calls that a forked pool worker makes.  The same holds for the metric names:
+the checked-in never-fired list is well formed and names only registered
+metrics, :func:`check_metrics` flags a name that joins it and a stale
+entry, and the recorder harvests the names a registry emitted.
 """
 
 import sys
@@ -60,6 +63,19 @@ class TestCheckedInKeepFile:
         functions, _ = reachability.definitions()
         entries, _ = reachability.load_keep(reachability.KEEP_FILE)
         assert sorted(set(entries) - names(functions)) == []
+
+
+class TestCheckedInNeverFiredFile:
+    def test_parses_without_errors(self):
+        entries, errors = reachability.load_never_fired(reachability.NEVER_FIRED_FILE)
+        assert errors == []
+        assert entries
+
+    def test_every_entry_names_a_registered_metric(self):
+        # The static half of "stale entry": a metric deleted from the code
+        # must leave the list in the same change.
+        entries, _ = reachability.load_never_fired(reachability.NEVER_FIRED_FILE)
+        assert sorted(set(entries) - reachability.registered_metrics()) == []
 
 
 # --------------------------------------------------------------- definitions
@@ -161,6 +177,34 @@ class TestLoadKeep:
         assert errors == ["keep.txt:2: repro/a.py f is listed twice"]
 
 
+class TestLoadNeverFired:
+    def load(self, tmp_path, text):
+        path = tmp_path / "never.txt"
+        path.write_text(textwrap.dedent(text))
+        return reachability.load_never_fired(path)
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        entries, errors = self.load(tmp_path, """
+            # heading
+
+            net.x_rejected  a defence no row attacks yet
+            """)
+        assert errors == []
+        assert entries == {"net.x_rejected": "a defence no row attacks yet"}
+
+    def test_a_line_without_a_reason_is_an_error(self, tmp_path):
+        entries, errors = self.load(tmp_path, "net.x_rejected\n")
+        assert entries == {}
+        assert errors == ["never.txt:1: need 'name  reason'"]
+
+    def test_a_name_listed_twice_is_an_error(self, tmp_path):
+        _, errors = self.load(tmp_path, """\
+            net.x  first
+            net.x  second
+            """)
+        assert errors == ["never.txt:2: net.x is listed twice"]
+
+
 # --------------------------------------------------------------------- check
 
 
@@ -231,6 +275,32 @@ class TestCheck:
         ]
 
 
+class TestCheckMetrics:
+    REGISTERED = {"a.fired", "a.silent"}
+
+    def test_a_name_may_not_join_the_list(self):
+        assert reachability.check_metrics(self.REGISTERED, {"a.fired"}, {}) == [
+            "never emitted by a product run and not in metrics_never_fired.txt: a.silent"
+        ]
+
+    def test_a_listed_silent_name_passes(self):
+        listed = {"a.silent": "a reason"}
+        assert reachability.check_metrics(self.REGISTERED, {"a.fired"}, listed) == []
+
+    def test_an_entry_a_product_run_emits_is_stale(self):
+        # A name leaves the list by being deleted from it once it fires.
+        listed = {"a.silent": "a reason"}
+        assert reachability.check_metrics(self.REGISTERED, set(self.REGISTERED), listed) == [
+            "stale entry, a product run emits it: a.silent"
+        ]
+
+    def test_an_entry_naming_no_metric_is_stale(self):
+        listed = {"a.silent": "a reason", "a.gone": "a reason"}
+        assert reachability.check_metrics(self.REGISTERED, {"a.fired"}, listed) == [
+            "stale entry, no such metric: a.gone"
+        ]
+
+
 # ------------------------------------------------------------------ recorder
 
 
@@ -258,7 +328,7 @@ class TestRecorder:
         package(self.LIBRARY)
         path = tmp_path / "drive.py"
         path.write_text(textwrap.dedent(script))
-        seen = reachability.run_recorded([[sys.executable, str(path)]], "test")
+        seen, _ = reachability.run_recorded([[sys.executable, str(path)]], "test")
         return {name for _, _, name in seen}
 
     def test_a_forked_pool_worker_flushes_its_calls(self, package, tmp_path):
@@ -307,3 +377,79 @@ class TestRecorder:
             work.after_reset()
             """)
         assert "after_reset" in seen
+
+
+class TestMetricsRecorder:
+    """The registry harvest, installed through ``sitecustomize``."""
+
+    LIBRARY = {
+        "__init__.py": "",
+        "sim/__init__.py": "",
+        "sim/metrics.py": """
+            from collections import defaultdict
+
+
+            class Histogram:
+                def __init__(self):
+                    self.samples = []
+
+
+            class TimeSeries:
+                def __init__(self):
+                    self.points = []
+
+
+            class MetricsRegistry:
+                def __init__(self):
+                    self.counters = defaultdict(float)
+                    self.histograms = defaultdict(Histogram)
+                    self.series = defaultdict(TimeSeries)
+            """,
+    }
+
+    def emitted(self, package, tmp_path, script):
+        package(self.LIBRARY)
+        path = tmp_path / "drive.py"
+        path.write_text(textwrap.dedent(script))
+        _, emitted = reachability.run_recorded([[sys.executable, str(path)]], "test")
+        return emitted
+
+    def test_a_dead_and_a_live_registry_are_both_harvested(self, package, tmp_path):
+        emitted = self.emitted(package, tmp_path, """
+            from repro.sim.metrics import MetricsRegistry
+
+            dead = MetricsRegistry()
+            dead.counters["dead.counter"] += 1.0
+            dead.counters["dead.zero"] += 0.0
+            del dead
+            live = MetricsRegistry()
+            live.histograms["live.histogram"].samples.append(0.5)
+            live.histograms["live.empty"]
+            live.series["live.series"].points.append((0.0, 1.0))
+            """)
+        assert emitted == {"dead.counter", "live.histogram", "live.series"}
+
+    def test_a_forked_pool_worker_flushes_its_metrics(self, package, tmp_path):
+        emitted = self.emitted(package, tmp_path, """
+            import multiprocessing
+
+            from repro.sim.metrics import MetricsRegistry
+
+            KEPT = []
+
+            def work(x):
+                # One registry dies in the worker; one outlives its exit,
+                # which skips atexit.
+                registry = MetricsRegistry()
+                registry.counters["worker.dead"] += x
+                KEPT.append(MetricsRegistry())
+                KEPT[-1].counters["worker.alive"] += x
+                return x
+
+            if __name__ == "__main__":
+                with multiprocessing.get_context("fork").Pool(1) as pool:
+                    assert pool.map(work, [1]) == [1]
+                    pool.close()
+                    pool.join()
+            """)
+        assert emitted == {"worker.dead", "worker.alive"}
