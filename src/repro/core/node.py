@@ -305,6 +305,7 @@ class AtumNode(Actor):
             self.replica = None
         if self.heartbeats is not None:
             self.heartbeats.stop()
+        self.network.forget_bursts(self.address)
         if self.antientropy is not None:
             self.antientropy.stop()
 

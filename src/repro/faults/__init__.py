@@ -23,7 +23,7 @@ empty plan installs nothing — golden traces stay byte-identical.
 """
 
 from repro.faults.plan import FaultPlan, LinkFault, NodeFault, Partition, NODE_BEHAVIOURS
-from repro.faults.injector import LinkFaultInjector, install_link_faults
+from repro.faults.injector import LinkFaultInjector
 from repro.faults.behaviours import FaultController, apply_plan
 from repro.faults.invariants import (
     InvariantMonitor,
@@ -38,7 +38,6 @@ __all__ = [
     "Partition",
     "NODE_BEHAVIOURS",
     "LinkFaultInjector",
-    "install_link_faults",
     "FaultController",
     "apply_plan",
     "InvariantMonitor",

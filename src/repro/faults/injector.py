@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.middleware import Middleware, MiddlewareChain, MiddlewareContext
+from repro.core.middleware import Middleware, MiddlewareContext
 from repro.faults.plan import LinkFault
-from repro.net.network import Network
 from repro.sim.simulator import Simulator
 
 
@@ -102,21 +101,4 @@ class LinkFaultInjector(Middleware):
             ctx.corrupted = True
 
 
-def install_link_faults(
-    network: Network, sim: Simulator, links: Sequence[LinkFault]
-) -> Optional[LinkFaultInjector]:
-    """Install a :class:`LinkFaultInjector` for ``links`` on ``network``.
-
-    Bare-network convenience: wraps the injector in a fresh middleware
-    chain and installs it directly on the network (clusters route through
-    ``AtumCluster.middleware_chain()`` instead).  Returns the injector, or
-    ``None`` when ``links`` is empty (in which case no chain is installed).
-    """
-    if not links:
-        return None
-    injector = LinkFaultInjector(sim, links)
-    network.install_middleware(MiddlewareChain(injector, scenario="link-faults"))
-    return injector
-
-
-__all__ = ["LinkFaultInjector", "install_link_faults"]
+__all__ = ["LinkFaultInjector"]

@@ -15,10 +15,11 @@ run, as data rather than per-experiment driver code:
   evict-proposing adversary, or an equivocating broadcaster).
 
 Plans are immutable and validated at construction; they are *applied* by
-:class:`repro.faults.behaviours.FaultController` (full cluster) or
-:func:`repro.faults.injector.install_link_faults` (bare network).  All
-randomness consumed while executing a plan is drawn from dedicated streams
-of the simulator's seeded RNG registry (``faults.network``,
+:class:`repro.faults.behaviours.FaultController` (full cluster), and a bare
+network takes link faults from a
+:class:`repro.faults.injector.LinkFaultInjector` in a middleware chain of
+its own.  All randomness consumed while executing a plan is drawn from
+dedicated streams of the simulator's seeded RNG registry (``faults.network``,
 ``faults.control``), so a given ``(seed, plan)`` pair always produces the
 same run — and an **empty plan consumes nothing at all**, keeping golden
 traces byte-identical to runs without the fault subsystem.

@@ -22,6 +22,14 @@ seed order, into one ``FAULT_MATRIX.json`` row.  The deployment-scale
 ``nightly/*`` rows are their small-matrix twins with scale, load and bounds
 restated (:func:`_nightly_scenarios`).
 
+A fault plan is one line of :data:`PLAN_BUILDERS`, mostly a ``partial`` of
+a mechanism (:func:`_behaviour_plan`, :func:`_plan_byz_transfer`) or a fixed
+set of link faults.  A new node behaviour is its receive rules in
+``AtumNode._byzantine_consumes``, its start in
+``FaultController._apply_behaviour``, one ``PLAN_BUILDERS`` line and one
+``SCENARIOS`` row.  What a row's ``theory`` and ``catchup_theory`` columns
+count is read off the plans its runs build (:func:`_plan_facts`).
+
 CLI::
 
     python -m repro.faults.scenarios --matrix small --seeds 2 \\
@@ -34,6 +42,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.robustness import catchup_latency_bound, scenario_robustness_row
@@ -43,6 +52,7 @@ from repro.core.middleware import MetricsTap
 from repro.faults.behaviours import apply_plan
 from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import (
+    RESPONDER_BEHAVIOURS,
     FaultPlan,
     GroupSlowdown,
     LinkFault,
@@ -164,32 +174,67 @@ class Scenario:
 
 # --------------------------------------------------------------------- plans
 
+#: Builds one run's plan on its freshly built cluster, drawing only from
+#: ``rng`` (the run's ``faults.select:<name>`` stream).
+PlanBuilder = Callable[[Scenario, AtumCluster, random.Random], FaultPlan]
 
-def _plan_none(scenario: Scenario, cluster: AtumCluster, rng: random.Random) -> FaultPlan:
-    return FaultPlan()
+
+def _sample(
+    rng: random.Random, population: Any, fraction: float, exclude: Any = ()
+) -> List[str]:
+    """``max(1, floor(fraction * len(population)))`` of ``population``'s
+    members outside ``exclude`` (all of them, if fewer), drawn with ``rng``
+    and sorted."""
+    candidates = [item for item in sorted(population) if item not in exclude]
+    count = max(1, math.floor(fraction * len(population)))
+    return sorted(rng.sample(candidates, min(count, len(candidates))))
+
+
+def _bisection(cluster: AtumCluster, rng: random.Random) -> Tuple[Tuple[str, ...], ...]:
+    """The system's addresses cut into two random halves, each sorted."""
+    shuffled = sorted(cluster.engine.node_group)
+    rng.shuffle(shuffled)
+    half = len(shuffled) // 2
+    return tuple(sorted(shuffled[:half])), tuple(sorted(shuffled[half:]))
+
+
+def _crashes(addresses: Sequence[str], stop: float) -> FaultPlan:
+    """``addresses`` crash at t=5 s and recover at ``stop``."""
+    return FaultPlan(
+        nodes=tuple(
+            NodeFault(address=address, behaviour="crash", start=5.0, stop=stop)
+            for address in addresses
+        )
+    )
+
+
+def _fixed(*links: LinkFault) -> PlanBuilder:
+    """The builder of one plan of whole-network ``links`` (none: the empty
+    plan), the same in every run."""
+    plan = FaultPlan(links=links)
+    return lambda scenario, cluster, rng: plan
+
+
+def _composed(*names: str) -> PlanBuilder:
+    """The builder of the named plans composed, built in order on one ``rng``."""
+    return lambda scenario, cluster, rng: sum(
+        (PLAN_BUILDERS[name](scenario, cluster, rng) for name in names), FaultPlan()
+    )
 
 
 def _plan_partition_heal(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random, heal_at: float = 4.0
+    scenario: Scenario,
+    cluster: AtumCluster,
+    rng: random.Random,
+    quiet_for: Optional[float] = None,
 ) -> FaultPlan:
-    """Partition a random ``fault_fraction`` of the system, heal mid-run."""
-    addresses = sorted(cluster.engine.node_group)
-    count = max(1, int(math.floor(scenario.fault_fraction * len(addresses))))
-    members = tuple(sorted(rng.sample(addresses, count)))
+    """Partition a random ``fault_fraction`` of the system; heal it mid-run,
+    or ``quiet_for`` seconds after the last broadcast."""
+    members = tuple(_sample(rng, cluster.engine.node_group, scenario.fault_fraction))
+    heal_at = 4.0
+    if quiet_for is not None:
+        heal_at = scenario.broadcasts * scenario.interval + quiet_for
     return FaultPlan(partitions=(Partition(members=members, start=0.6, heal_at=heal_at),))
-
-
-def _plan_late_heal(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    """:func:`_plan_partition_heal`, healed 35 s after the last broadcast.
-
-    By then the connected nodes have gone quiet: their anti-entropy timers
-    have backed off to the longest interval, so the repair after the heal
-    must come from the cut nodes' own summaries and the replies they draw.
-    """
-    heal_at = scenario.broadcasts * scenario.interval + 35.0
-    return _plan_partition_heal(scenario, cluster, rng, heal_at=heal_at)
 
 
 def _plan_two_sided_split(
@@ -202,42 +247,9 @@ def _plan_two_sided_split(
     SMR — the paper's real hard case of divergence-and-reconcile rather
     than mere unavailability.
     """
-    addresses = sorted(cluster.engine.node_group)
-    shuffled = list(addresses)
-    rng.shuffle(shuffled)
-    half = len(shuffled) // 2
-    side_a = tuple(sorted(shuffled[:half]))
-    side_b = tuple(sorted(shuffled[half:]))
     return FaultPlan(
-        partitions=(Partition(sides=(side_a, side_b), start=0.6, heal_at=4.0),)
+        partitions=(Partition(sides=_bisection(cluster, rng), start=0.6, heal_at=4.0),)
     )
-
-
-def _plan_lossy_links(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return FaultPlan(links=(LinkFault(loss=0.05),))
-
-
-def _plan_corrupt_links(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    """Bit-flip a fraction of all traffic; receivers must detect and discard."""
-    return FaultPlan(links=(LinkFault(corrupt=0.05),))
-
-
-def _plan_delay_spike(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return FaultPlan(
-        links=(LinkFault(extra_delay=0.05, jitter=0.05, start=0.5, stop=4.0),)
-    )
-
-
-def _plan_dup_storm(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return FaultPlan(links=(LinkFault(duplicate=0.25),))
 
 
 def _behaviour_plan(
@@ -245,47 +257,15 @@ def _behaviour_plan(
     cluster: AtumCluster,
     rng: random.Random,
     behaviour: str,
-    start: float = 0.0,
-    stop: Optional[float] = None,
+    **fault_fields: Any,
 ) -> FaultPlan:
-    """Byzantine behaviour on a per-vgroup strict minority of nodes."""
+    """Byzantine ``behaviour`` on a per-vgroup strict minority of nodes."""
     chosen = select_byzantine_per_group(
         cluster.engine.groups.values(), scenario.fault_fraction, rng
     )
     return FaultPlan(
         nodes=tuple(
-            NodeFault(address=address, behaviour=behaviour, start=start, stop=stop)
-            for address in chosen
-        )
-    )
-
-
-def _plan_silent_minority(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return _behaviour_plan(scenario, cluster, rng, "silent")
-
-
-def _plan_equivocators(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return _behaviour_plan(scenario, cluster, rng, "equivocate")
-
-
-def _plan_evict_attack(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    chosen = select_byzantine_per_group(
-        cluster.engine.groups.values(), scenario.fault_fraction, rng
-    )
-    return FaultPlan(
-        nodes=tuple(
-            NodeFault(
-                address=address,
-                behaviour="evict_attack",
-                start=0.0,
-                attack_period=HEARTBEAT_PERIOD * 2.0,
-            )
+            NodeFault(address=address, behaviour=behaviour, **fault_fields)
             for address in chosen
         )
     )
@@ -331,13 +311,7 @@ def _plan_rejoin_attack(
             break
     return FaultPlan(
         nodes=tuple(
-            NodeFault(
-                address=address,
-                behaviour="rejoin_attack",
-                start=0.0,
-                stop=attack_stop,
-                attack_period=2.0,
-            )
+            NodeFault(address, "rejoin_attack", stop=attack_stop, attack_period=2.0)
             for address in sorted(chosen)
         )
     )
@@ -346,15 +320,8 @@ def _plan_rejoin_attack(
 def _plan_crash_recover(
     scenario: Scenario, cluster: AtumCluster, rng: random.Random
 ) -> FaultPlan:
-    addresses = sorted(cluster.engine.node_group)
-    count = max(1, int(math.floor(scenario.fault_fraction * len(addresses))))
-    chosen = sorted(rng.sample(addresses, count))
-    return FaultPlan(
-        nodes=tuple(
-            NodeFault(address=address, behaviour="crash", start=5.0, stop=40.0)
-            for address in chosen
-        )
-    )
+    """A random ``fault_fraction`` of the system crashes, then recovers."""
+    return _crashes(_sample(rng, cluster.engine.node_group, scenario.fault_fraction), 40.0)
 
 
 def _plan_byz_transfer(
@@ -376,15 +343,10 @@ def _plan_byz_transfer(
     views = sorted(cluster.engine.groups.values(), key=lambda view: view.group_id)
     responders = select_byzantine_per_group(views, scenario.fault_fraction, rng)
     node_faults = tuple(
-        NodeFault(
-            address=address, behaviour=behaviours[index % len(behaviours)], start=0.0
-        )
+        NodeFault(address=address, behaviour=behaviours[index % len(behaviours)])
         for index, address in enumerate(responders)
     )
-    taken = set(responders)
-    candidates = [a for a in sorted(cluster.engine.node_group) if a not in taken]
-    count = max(1, int(math.floor(0.15 * len(cluster.engine.node_group))))
-    laggards = tuple(sorted(rng.sample(candidates, min(count, len(candidates)))))
+    laggards = tuple(_sample(rng, cluster.engine.node_group, 0.15, set(responders)))
     # The laggard partition must outlast the broadcast injection window:
     # only then do the laggards fall multiple checkpoint intervals behind
     # and have to recover through *state transfer* (the path under attack)
@@ -394,25 +356,6 @@ def _plan_byz_transfer(
         partitions=(Partition(members=laggards, start=0.6, heal_at=heal_at),),
         nodes=node_faults,
     )
-
-
-def _plan_byz_transfer_stonewall(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return _plan_byz_transfer(scenario, cluster, rng, ("stonewall",))
-
-
-def _plan_byz_transfer_slow_drip(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    return _plan_byz_transfer(scenario, cluster, rng, ("slow_drip",))
-
-
-def _plan_byz_transfer_garbage(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    """Alternates garbage servers and stale-certificate servers."""
-    return _plan_byz_transfer(scenario, cluster, rng, ("garbage_serve", "stale_cert"))
 
 
 def _plan_split_brain_directory(
@@ -432,12 +375,8 @@ def _plan_split_brain_directory(
     """
     views = sorted(cluster.engine.groups.values(), key=lambda view: view.group_id)
     half = max(1, len(views) // 2)
-    side_a: set = set()
-    for view in views[:half]:
-        side_a.update(view.members)
-    side_b: set = set()
-    for view in views[half:]:
-        side_b.update(view.members)
+    side_a = {member for view in views[:half] for member in view.members}
+    side_b = {member for view in views[half:] for member in view.members}
     if side_b:
         displaced = min(side_a)
         side_a.discard(displaced)
@@ -446,15 +385,8 @@ def _plan_split_brain_directory(
         # Degenerate single-group system: fall back to a plain bisection.
         members = sorted(side_a)
         side_a, side_b = set(members[: len(members) // 2]), set(members[len(members) // 2 :])
-    return FaultPlan(
-        partitions=(
-            Partition(
-                sides=(tuple(sorted(side_a)), tuple(sorted(side_b))),
-                start=5.0,
-                heal_at=25.0,
-            ),
-        )
-    )
+    sides = (tuple(sorted(side_a)), tuple(sorted(side_b)))
+    return FaultPlan(partitions=(Partition(sides=sides, start=5.0, heal_at=25.0),))
 
 
 def _plan_rejoin_eviction(
@@ -470,15 +402,7 @@ def _plan_rejoin_eviction(
     """
     plan = _plan_rejoin_attack(scenario, cluster, rng)
     coalition = {node_fault.address for node_fault in plan.nodes}
-    candidates = [a for a in sorted(cluster.engine.node_group) if a not in coalition]
-    count = max(1, int(math.floor(0.08 * len(cluster.engine.node_group))))
-    crashed = sorted(rng.sample(candidates, min(count, len(candidates))))
-    return plan + FaultPlan(
-        nodes=tuple(
-            NodeFault(address=address, behaviour="crash", start=5.0, stop=60.0)
-            for address in crashed
-        )
-    )
+    return plan + _crashes(_sample(rng, cluster.engine.node_group, 0.08, coalition), 60.0)
 
 
 def _plan_slow_vgroup(
@@ -490,21 +414,8 @@ def _plan_slow_vgroup(
     merges simply stop matching, which is the honest model — a straggler
     that gets absorbed stops being a straggler.
     """
-    group_ids = sorted(cluster.engine.groups)
-    count = max(1, int(math.floor(scenario.fault_fraction * len(group_ids))))
-    chosen = tuple(sorted(rng.sample(group_ids, min(count, len(group_ids)))))
+    chosen = tuple(_sample(rng, cluster.engine.groups, scenario.fault_fraction))
     return FaultPlan(slowdowns=(GroupSlowdown(groups=chosen, factor=3.0),))
-
-
-def _plan_kitchen_sink(
-    scenario: Scenario, cluster: AtumCluster, rng: random.Random
-) -> FaultPlan:
-    """Partition + lossy links + a silent minority, composed."""
-    return (
-        _plan_partition_heal(scenario, cluster, rng)
-        + _plan_lossy_links(scenario, cluster, rng)
-        + _behaviour_plan(scenario, cluster, rng, "silent")
-    )
 
 
 def _plan_epoch_crossing(
@@ -543,9 +454,7 @@ def _plan_epoch_crossing(
 
         cluster.sim.schedule(when, leave, tag="plan.epoch_crossing.leave")
     return FaultPlan(
-        partitions=(
-            Partition(sides=(others, (laggard,)), start=5.0, heal_at=18.0),
-        )
+        partitions=(Partition(sides=(others, (laggard,)), start=5.0, heal_at=18.0),)
     )
 
 
@@ -560,11 +469,8 @@ def _plan_overlapping_splits(
     splits heal in the order they opened, exercising the multi-split
     coordinator's cascaded, order-independent reconciliation.
     """
+    random_cut = _bisection(cluster, rng)
     addresses = sorted(cluster.engine.node_group)
-    shuffled = list(addresses)
-    rng.shuffle(shuffled)
-    half = len(shuffled) // 2
-    random_cut = (tuple(sorted(shuffled[:half])), tuple(sorted(shuffled[half:])))
     parity_cut = (tuple(addresses[0::2]), tuple(addresses[1::2]))
     return FaultPlan(
         partitions=(
@@ -574,53 +480,40 @@ def _plan_overlapping_splits(
     )
 
 
-PLAN_BUILDERS: Dict[str, Callable[[Scenario, AtumCluster, random.Random], FaultPlan]] = {
-    "none": _plan_none,
+PLAN_BUILDERS: Dict[str, PlanBuilder] = {
+    "none": _fixed(),
     "partition_heal": _plan_partition_heal,
-    "late_heal": _plan_late_heal,
+    # By the late heal the connected nodes have gone quiet: their
+    # anti-entropy timers have backed off to the longest interval, so the
+    # repair must come from the cut nodes' own summaries and the replies
+    # they draw.
+    "late_heal": partial(_plan_partition_heal, quiet_for=35.0),
     "two_sided_split": _plan_two_sided_split,
-    "lossy_links": _plan_lossy_links,
-    "corrupt_links": _plan_corrupt_links,
-    "delay_spike": _plan_delay_spike,
-    "dup_storm": _plan_dup_storm,
-    "silent_minority": _plan_silent_minority,
-    "equivocators": _plan_equivocators,
-    "evict_attack": _plan_evict_attack,
+    "lossy_links": _fixed(LinkFault(loss=0.05)),
+    # Bit-flipped traffic: receivers must detect and discard it.
+    "corrupt_links": _fixed(LinkFault(corrupt=0.05)),
+    "delay_spike": _fixed(LinkFault(extra_delay=0.05, jitter=0.05, start=0.5, stop=4.0)),
+    "dup_storm": _fixed(LinkFault(duplicate=0.25)),
+    "silent_minority": partial(_behaviour_plan, behaviour="silent"),
+    "equivocators": partial(_behaviour_plan, behaviour="equivocate"),
+    "evict_attack": partial(
+        _behaviour_plan, behaviour="evict_attack", attack_period=HEARTBEAT_PERIOD * 2.0
+    ),
     "rejoin_attack": _plan_rejoin_attack,
     "crash_recover": _plan_crash_recover,
-    "kitchen_sink": _plan_kitchen_sink,
-    "byz_transfer_stonewall": _plan_byz_transfer_stonewall,
-    "byz_transfer_slow_drip": _plan_byz_transfer_slow_drip,
-    "byz_transfer_garbage": _plan_byz_transfer_garbage,
+    "kitchen_sink": _composed("partition_heal", "lossy_links", "silent_minority"),
+    "byz_transfer_stonewall": partial(_plan_byz_transfer, behaviours=("stonewall",)),
+    "byz_transfer_slow_drip": partial(_plan_byz_transfer, behaviours=("slow_drip",)),
+    # Garbage servers alternate with stale-certificate servers.
+    "byz_transfer_garbage": partial(
+        _plan_byz_transfer, behaviours=("garbage_serve", "stale_cert")
+    ),
     "split_brain_directory": _plan_split_brain_directory,
     "rejoin_eviction": _plan_rejoin_eviction,
     "slow_vgroup": _plan_slow_vgroup,
     "epoch_crossing": _plan_epoch_crossing,
     "overlapping_splits": _plan_overlapping_splits,
 }
-
-#: Plans that leave every node live and correct, so the ``theory`` column's
-#: binomial per-node failure model gets p=0: a side-preserving split
-#: degrades links, not nodes (its members stay live and reconcile to full
-#: delivery), exactly like loss/delay/duplication/corruption.
-#: Per-node-isolation partitions keep their fraction — isolated nodes are
-#: unavailable, like crashes.  slow_vgroup and split_brain_directory
-#: likewise degrade latency/links only; epoch_crossing and
-#: overlapping_splits are side-preserving cuts plus voluntary leaves.
-NETWORK_ONLY_PLANS = frozenset(
-    {
-        "none",
-        "delay_spike",
-        "dup_storm",
-        "lossy_links",
-        "corrupt_links",
-        "two_sided_split",
-        "split_brain_directory",
-        "slow_vgroup",
-        "epoch_crossing",
-        "overlapping_splits",
-    }
-)
 
 
 # ------------------------------------------------------------------ scenarios
@@ -1174,16 +1067,29 @@ def _nightly_scenarios(nodes: int) -> Dict[str, Scenario]:
 NIGHTLY_MATRIX: List[str] = sorted(_nightly_scenarios(400))
 
 
-def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
-    """The analytical rotation bound for Byzantine-responder scenarios.
+def _plan_facts(plan: FaultPlan) -> Dict[str, int]:
+    """What a run's built plan faults, as its row reports it: the nodes it
+    makes unavailable and its Byzantine state-transfer responders."""
+    return {
+        "unavailable_nodes": len(plan.unavailable_addresses()),
+        "responder_faults": sum(
+            node_fault.behaviour in RESPONDER_BEHAVIOURS for node_fault in plan.nodes
+        ),
+    }
+
+
+def _catchup_theory_for(
+    scenario: Scenario, runs: Sequence[Dict[str, Any]]
+) -> Optional[Dict[str, float]]:
+    """The analytical rotation bound, for a scenario some of whose ``runs``
+    (rows or :func:`_plan_facts`) had Byzantine state-transfer responders.
 
     Worst case per vgroup: the per-group adversary quota
     ``min(floor(fraction * gmax), (gmax - 1) // 2)`` responders all queried
     before the first correct server, each burning one (backed-off, jittered)
-    request timeout.  Pure function of the scenario so matrix rows can carry
-    it without re-running anything.
+    request timeout.  A function of the scenario, not of a run's outcome.
     """
-    if not scenario.plan.startswith("byz_transfer"):
+    if not any(run["responder_faults"] for run in runs):
         return None
     quota = min(
         int(math.floor(scenario.fault_fraction * scenario.gmax)),
@@ -1199,8 +1105,11 @@ def _catchup_theory_for(scenario: Scenario) -> Optional[Dict[str, float]]:
     )
 
 
-def _scenario_columns(scenario: Scenario) -> Dict[str, Any]:
-    """The configuration columns a per-run row and a matrix row both carry."""
+def _scenario_columns(
+    scenario: Scenario, runs: Sequence[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The configuration columns a per-run row and a matrix row both carry,
+    the latter over its ``runs``."""
     return {
         "scenario": scenario.name,
         "workload": scenario.workload,
@@ -1210,7 +1119,7 @@ def _scenario_columns(scenario: Scenario) -> Dict[str, Any]:
         "checkpoint_interval": scenario.checkpoint_interval if scenario.smr == "async" else 0,
         "attack_threshold": scenario.attack_threshold,
         "catchup_bound": scenario.catchup_bound,
-        "catchup_theory": _catchup_theory_for(scenario),
+        "catchup_theory": _catchup_theory_for(scenario, runs),
         "delivery_bound": scenario.delivery_bound,
     }
 
@@ -1293,9 +1202,11 @@ def _resolve(scenario: "str | Scenario") -> Scenario:
 # ----------------------------------------------------------------------- runs
 
 
-def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
-    """Run one seeded scenario to quiescence; returns its robustness row."""
-    scenario = _resolve(scenario)
+def _build_run(
+    seed: int, scenario: Scenario
+) -> Tuple[AtumCluster, InvariantMonitor, FaultPlan]:
+    """One run's monitored cluster at its static start, and the fault plan
+    built on it (not yet applied)."""
     params = AtumParameters(
         hc=3,
         rwl=5,
@@ -1321,19 +1232,32 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     # Pipeline-level event counters ride the same chain.  Observation only
     # (no RNG, no timers), so the matrix rows stay byte-identical.
     cluster.middleware_chain().add(MetricsTap())
-    addresses = [f"n{i}" for i in range(scenario.nodes)]
-    cluster.build_static(addresses)
-
+    cluster.build_static([f"n{i}" for i in range(scenario.nodes)])
     rng = named_stream(f"faults.select:{scenario.name}", master_seed=seed)
-    plan = PLAN_BUILDERS[scenario.plan](scenario, cluster, rng)
+    return cluster, monitor, PLAN_BUILDERS[scenario.plan](scenario, cluster, rng)
+
+
+def _bound_met(measured: Optional[float], bound: Optional[float]) -> Optional[bool]:
+    """Whether a run's ``measured`` maximum is within ``bound`` (``None``: no
+    bound).  A run that measured nothing has not shown the bound: it fails."""
+    if bound is None:
+        return None
+    return measured is not None and measured <= bound
+
+
+def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
+    """Run one seeded scenario to quiescence; returns its robustness row."""
+    scenario = _resolve(scenario)
+    cluster, monitor, plan = _build_run(seed, scenario)
     apply_plan(cluster, plan, monitor=monitor)
 
     mean_delivery_fraction: Optional[float] = None
     min_delivery_fraction: Optional[float] = None
     completion_ratio: Optional[float] = None
-    # (bcast_id, origin) pairs of whichever workload emitted broadcasts;
-    # aggregated into the delivery-bound fractions after the workload runs.
-    broadcast_records: List[Tuple[str, str]] = []
+    # (bcast_id, origin) pairs of the broadcasts the workload emitted, for
+    # the delivery bound; ``None`` for the workloads without broadcasts
+    # (churn, growth), which the bound does not cover.
+    broadcast_records: Optional[List[Tuple[str, str]]] = None
 
     if scenario.workload == "broadcast":
         workload = BroadcastWorkload(
@@ -1435,47 +1359,32 @@ def run_scenario(seed: int, scenario: "str | Scenario") -> Dict[str, Any]:
     summary = monitor.summary()
     metrics = cluster.sim.metrics
 
-    if scenario.workload in ("broadcast", "churn_broadcast", "flash_crowd"):
-        # A broadcast scenario that measured no correct-origin broadcast has
-        # not demonstrated its bound — never report it as vacuously met.
-        delivery_bound_met = (
-            mean_delivery_fraction is not None
-            and mean_delivery_fraction >= scenario.delivery_bound
-        )
-    else:
-        delivery_bound_met = True
-
     rejoin_hist = metrics.histogram("faults.rejoin_group_fraction")
     rejoin_max_fraction = rejoin_hist.maximum if rejoin_hist.count else None
     excess_hist = metrics.histogram("faults.rejoin_threshold_excess")
     rejoin_max_excess = excess_hist.maximum if excess_hist.count else None
-    attack_bound_met: Optional[bool] = None
-    if scenario.attack_threshold is not None:
-        # The join-leave coalition must never outgrow the strict-minority
-        # eviction/agreement threshold of any vgroup by more than the
-        # allowed excess; a vacuous run (no concentration samples) has not
-        # demonstrated the bound.
-        attack_bound_met = (
-            rejoin_max_excess is not None
-            and rejoin_max_excess <= scenario.attack_threshold
-        )
-        delivery_bound_met = delivery_bound_met and attack_bound_met
-
+    # The join-leave coalition must never outgrow the strict-minority
+    # eviction/agreement threshold of any vgroup by more than the allowed
+    # excess.
+    attack_bound_met = _bound_met(rejoin_max_excess, scenario.attack_threshold)
     catchup_hist = metrics.histogram("smr.checkpoint.catchup_latency")
     catchup_latency_max = catchup_hist.maximum if catchup_hist.count else None
-    catchup_bound_met: Optional[bool] = None
-    if scenario.catchup_bound is not None:
-        # A run in which no replica ever completed a catch-up has not
-        # demonstrated the bound — vacuous runs fail it.
-        catchup_bound_met = (
-            catchup_latency_max is not None
-            and catchup_latency_max <= scenario.catchup_bound
+    catchup_bound_met = _bound_met(catchup_latency_max, scenario.catchup_bound)
+    # A broadcast scenario that measured no correct-origin broadcast has not
+    # demonstrated its bound — never report it as vacuously met.
+    delivery_bound_met = (
+        broadcast_records is None
+        or (
+            mean_delivery_fraction is not None
+            and mean_delivery_fraction >= scenario.delivery_bound
         )
-        delivery_bound_met = delivery_bound_met and catchup_bound_met
+    ) and attack_bound_met is not False and catchup_bound_met is not False
     slowdown_hist = metrics.histogram("membership.slowdown_penalty")
 
+    facts = _plan_facts(plan)
     return {
-        **_scenario_columns(scenario),
+        **_scenario_columns(scenario, [facts]),
+        **facts,
         "attack_bound_met": attack_bound_met,
         "rejoin_max_group_fraction": rejoin_max_fraction,
         "rejoin_max_threshold_excess": rejoin_max_excess,
@@ -1528,7 +1437,7 @@ def _fold(
         dropped += counters.get("faults.messages_dropped", 0.0)
         duplicated += counters.get("faults.messages_duplicated", 0.0)
     return {
-        **_scenario_columns(scenario),
+        **_scenario_columns(scenario, runs),
         "seeds": list(seeds),
         "runs": float(len(runs)),
         "violations": total("violations"),
@@ -1554,9 +1463,14 @@ def _fold(
             # Midpoint of the scenario's group-size bounds — the theory
             # column must describe the regime the row actually ran in.
             average_group_size=(scenario.gmin + scenario.gmax) / 2,
-            fault_fraction=0.0
-            if scenario.plan in NETWORK_ONLY_PLANS
-            else scenario.fault_fraction,
+            # The binomial per-node failure model gets p=0 when no run's
+            # plan made a node unavailable: link faults, slowdowns and
+            # side-preserving splits (whose sides stay live and reconcile)
+            # degrade links, not nodes.  Isolated and node-faulted nodes
+            # are unavailable, like crashes.
+            fault_fraction=scenario.fault_fraction
+            if any(run["unavailable_nodes"] for run in runs)
+            else 0.0,
             synchronous=scenario.smr != "async",
         ),
     }

@@ -266,6 +266,14 @@ class Network:
                     return arrival
         return -inf
 
+    def forget_bursts(self, sender: str) -> None:
+        """Drop ``sender``'s bursts: it left the system, so no peer reads them.
+
+        A monitor that merely stopped (a muted or crashed node) keeps its
+        last bursts, which its peers still read to suspect it.
+        """
+        self._bursts.pop(sender, None)
+
     def beat(self, sender: str, receivers: Sequence[str], heartbeat: Heartbeat) -> Optional[tuple]:
         """Send ``heartbeat`` (``HEARTBEAT_BYTES``) from ``sender`` to
         ``receivers`` as one burst, and return the burst kept: ``(sent_at,

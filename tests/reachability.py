@@ -29,7 +29,10 @@ Usage (not collected by pytest; a full run takes about 5 minutes on a
 
 ``--check`` exits 1 when a function that is not listed is reached by tier-1
 only or by nothing, or when a listed function is reached by a product run
-or no longer exists (a stale entry).
+or no longer exists (a stale entry).  Any run exits 1 when a recorded
+command fails or outlives ``COMMAND_TIMEOUT_S``: it is then killed with its
+whole process group, pool workers included, and the tail of its output is
+printed.
 
 The script also reports the names in ``repro.lint.metrics_registry``
 that no product run emits.  A counter is emitted when it ends a run
@@ -68,6 +71,7 @@ import ast
 import glob
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -193,6 +197,11 @@ KEEP_CLASSES = {
     "dunder",  # a protocol dunder or debugging repr
     "lint",  # repro.lint, exercised on fixtures
 }
+#: Seconds one recorded command may run.  A command still running then (a
+#: forked pool worker can block for good) is killed with its whole process
+#: group, and the run fails naming it.
+COMMAND_TIMEOUT_S = 1200
+
 KEEP_FILE = Path(__file__).with_name("reachability_keep.txt")
 NEVER_FIRED_FILE = Path(__file__).with_name("metrics_never_fired.txt")
 
@@ -239,11 +248,22 @@ def run_recorded(commands: Iterable[List[str]], label: str) -> Tuple[Set[Key], S
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         for command in commands:
             print(f"[{label}] {' '.join(command)}", file=sys.stderr, flush=True)
-            done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
-            if done.returncode != 0:
+            # A session of its own, so that a timeout kills pool workers too.
+            child = subprocess.Popen(
+                command, cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, start_new_session=True,
+            )
+            try:
+                stdout, stderr = child.communicate(timeout=COMMAND_TIMEOUT_S)
+                failure = f"exited {child.returncode}" if child.returncode else None
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)
+                stdout, stderr = child.communicate()
+                failure = f"timed out after {COMMAND_TIMEOUT_S} s"
+            if failure:
                 # pytest reports its failures on stdout.
-                print(done.stdout[-4000:], done.stderr[-2000:], sep="\n", file=sys.stderr)
-                raise SystemExit(f"[{label}] exited {done.returncode}: {command}")
+                print(stdout[-4000:], stderr[-2000:], sep="\n", file=sys.stderr)
+                raise SystemExit(f"[{label}] {failure}: {command}")
         seen: Set[Key] = set()
         for path in out_dir.glob("calls-*.json"):
             seen.update(tuple(key) for key in json.loads(path.read_text()))

@@ -650,6 +650,20 @@ class TestMembershipLifecycle:
         assert node.replica is None
         assert not node.is_member
 
+    def test_churn_keeps_heartbeat_bursts_of_members_only(self):
+        # Peers read a sender's latest bursts off the network to hear its
+        # heartbeats; once it has left none does, so a leave drops them.
+        cluster = AtumCluster(
+            small_params(heartbeat_period=2.0), seed=3, enable_heartbeats=True
+        )
+        cluster.build_static([f"n{i}" for i in range(24)])
+        config = ChurnConfig(rate_per_minute=30.0, duration=40.0, warmup=5.0)
+        ChurnWorkload(cluster.engine, config, join_fn=cluster.join).run()
+        cluster.run_until_membership_quiescent()
+        members = set(cluster.engine.node_group)
+        assert {f"n{i}" for i in range(24)} - members  # some nodes left
+        assert set(cluster.network._bursts) <= members
+
     def test_install_view_reconfigures_existing_replica(self):
         cluster = built_cluster()
         node = cluster.node("n0")

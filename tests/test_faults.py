@@ -8,18 +8,18 @@ import pytest
 
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters
-from repro.core.middleware import MiddlewareError
+from repro.core.middleware import MiddlewareChain, MiddlewareError
 from repro.core.node import BroadcastMessage
 from repro.crypto.digest import digest_object
 from repro.faults import (
     FaultPlan,
     InvariantMonitor,
     LinkFault,
+    LinkFaultInjector,
     NodeFault,
     Partition,
     apply_plan,
     check_agreement_logs,
-    install_link_faults,
 )
 from repro.faults.scenarios import (
     HEARTBEAT_PERIOD,
@@ -27,6 +27,9 @@ from repro.faults.scenarios import (
     SCENARIOS,
     SMALL_MATRIX,
     Scenario,
+    _build_run,
+    _plan_facts,
+    _scenario_columns,
     main,
     run_matrix,
     run_scenario,
@@ -148,19 +151,23 @@ class _Sink(Actor):
         self.received.append((self.sim.now, payload, sender))
 
 
-def _wired_pair(seed=3):
+def _wired_pair(seed=3, links=(), names=("a", "b")):
+    """Sinks ``names`` on a bare network, with ``links`` faulting it (if any)
+    from a chain of their own; returns ``(sim, network, sinks by name)``."""
     sim = Simulator(seed=seed)
     network = Network(sim, latency_model=FixedLatency(0.01))
-    sender, receiver = _Sink(sim, "a"), _Sink(sim, "b")
-    network.register(sender)
-    network.register(receiver)
-    return sim, network, receiver
+    sinks = {name: _Sink(sim, name) for name in names}
+    for sink in sinks.values():
+        network.register(sink)
+    if links:
+        network.install_middleware(MiddlewareChain(LinkFaultInjector(sim, links)))
+    return sim, network, sinks
 
 
 class TestLinkFaultInjector:
     def test_total_loss_drops_everything(self):
-        sim, network, receiver = _wired_pair()
-        install_link_faults(network, sim, [LinkFault(loss=1.0)])
+        sim, network, sinks = _wired_pair(links=[LinkFault(loss=1.0)])
+        receiver = sinks["b"]
         for _ in range(5):
             network.send_one("a", "b", "x", 100)
         sim.run()
@@ -169,16 +176,16 @@ class TestLinkFaultInjector:
         assert sim.metrics.counter("net.messages_lost") == 5
 
     def test_loss_window_expires(self):
-        sim, network, receiver = _wired_pair()
-        install_link_faults(network, sim, [LinkFault(loss=1.0, start=0.0, stop=5.0)])
+        sim, network, sinks = _wired_pair(links=[LinkFault(loss=1.0, start=0.0, stop=5.0)])
+        receiver = sinks["b"]
         network.send_one("a", "b", "early", 100)
         sim.schedule(6.0, lambda: network.send_one("a", "b", "late", 100))
         sim.run()
         assert [payload for _, payload, _ in receiver.received] == ["late"]
 
     def test_duplication_delivers_twice(self):
-        sim, network, receiver = _wired_pair()
-        install_link_faults(network, sim, [LinkFault(duplicate=1.0)])
+        sim, network, sinks = _wired_pair(links=[LinkFault(duplicate=1.0)])
+        receiver = sinks["b"]
         network.send_one("a", "b", "x", 100)
         sim.run()
         assert [payload for _, payload, _ in receiver.received] == ["x", "x"]
@@ -188,22 +195,18 @@ class TestLinkFaultInjector:
         assert receiver.received[0][0] < receiver.received[1][0]
 
     def test_extra_delay_shifts_delivery(self):
-        baseline_sim, baseline_net, baseline_rx = _wired_pair()
+        baseline_sim, baseline_net, baseline = _wired_pair()
         baseline_net.send_one("a", "b", "x", 100)
         baseline_sim.run()
-        sim, network, receiver = _wired_pair()
-        install_link_faults(network, sim, [LinkFault(extra_delay=0.5)])
+        sim, network, sinks = _wired_pair(links=[LinkFault(extra_delay=0.5)])
         network.send_one("a", "b", "x", 100)
         sim.run()
-        assert receiver.received[0][0] == pytest.approx(baseline_rx.received[0][0] + 0.5)
+        assert sinks["b"].received[0][0] == pytest.approx(baseline["b"].received[0][0] + 0.5)
 
     def test_only_matching_links_perturbed(self):
-        sim = Simulator(seed=4)
-        network = Network(sim, latency_model=FixedLatency(0.01))
-        sinks = {name: _Sink(sim, name) for name in ("a", "b", "c")}
-        for sink in sinks.values():
-            network.register(sink)
-        install_link_faults(network, sim, [LinkFault(dst="b", loss=1.0)])
+        sim, network, sinks = _wired_pair(
+            seed=4, links=[LinkFault(dst="b", loss=1.0)], names=("a", "b", "c")
+        )
         network.send_one("a", "b", "x", 100)
         network.send_one("a", "c", "x", 100)
         sim.run()
@@ -211,12 +214,9 @@ class TestLinkFaultInjector:
         assert len(sinks["c"].received) == 1
 
     def test_every_send_entry_point_respects_injector(self):
-        sim = Simulator(seed=5)
-        network = Network(sim, latency_model=FixedLatency(0.01))
-        sinks = {name: _Sink(sim, name) for name in ("a", "b", "c")}
-        for sink in sinks.values():
-            network.register(sink)
-        install_link_faults(network, sim, [LinkFault(loss=1.0)])
+        sim, network, sinks = _wired_pair(
+            seed=5, links=[LinkFault(loss=1.0)], names=("a", "b", "c")
+        )
         network.send_many("a", ["b", "c"], "x", 64)
         network.send_fanout("a", ["b", "c"], "y", 64)
         network.send_one("a", "b", "z", 64)
@@ -233,12 +233,9 @@ class TestCorruptionFault:
         # The wire-level contract: with corrupt=1.0 every entry point hands the
         # receiver a CorruptedPayload wrapper (which protocol actors then
         # verify and discard) instead of the raw payload.
-        sim = Simulator(seed=6)
-        network = Network(sim, latency_model=FixedLatency(0.01))
-        sinks = {name: _Sink(sim, name) for name in ("a", "b", "c")}
-        for sink in sinks.values():
-            network.register(sink)
-        install_link_faults(network, sim, [LinkFault(corrupt=1.0)])
+        sim, network, sinks = _wired_pair(
+            seed=6, links=[LinkFault(corrupt=1.0)], names=("a", "b", "c")
+        )
         network.send_one("a", "b", "p1", 64)
         network.send_one("a", "b", "p2", 64)
         network.send_many("a", ["b", "c"], "p3", 64)
@@ -1083,13 +1080,43 @@ class TestMatrixFold:
 
 
 class TestScenarioValidation:
-    def test_unknown_workload_is_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown workload 'brodcast'"):
-            Scenario(name="x", workload="brodcast", plan="none")
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"workload": "brodcast"}, "unknown workload 'brodcast'"),
+            ({"plan": "nope"}, "unknown plan 'nope'"),
+            ({"smr": "pbft"}, "unknown smr engine 'pbft'"),
+        ],
+        ids=["workload", "plan", "smr"],
+    )
+    def test_unknown_field_is_rejected_at_construction(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{"name": "x", "workload": "broadcast", "plan": "none", **fields})
 
-    def test_unknown_plan_is_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown plan 'nope'"):
-            Scenario(name="x", workload="broadcast", plan="nope")
+    def test_plan_facts_give_the_committed_theory_columns(self):
+        # Built plans only, no runs: a row's theory counts its fault
+        # fraction exactly when some seed's plan makes a node unavailable,
+        # and it has a catch-up theory exactly when some seed's plan has a
+        # Byzantine state-transfer responder.
+        committed_path = Path(__file__).resolve().parent.parent / "FAULT_MATRIX.json"
+        committed = {
+            row["scenario"]: row
+            for row in json.loads(committed_path.read_text(encoding="utf-8"))["matrix"]
+        }
+        assert sorted(committed) == sorted(SCENARIOS)
+        for name, scenario in SCENARIOS.items():
+            facts = [_plan_facts(_build_run(seed, scenario)[2]) for seed in (7, 11)]
+            row = committed[name]
+            network_only = not any(fact["unavailable_nodes"] for fact in facts)
+            assert row["theory"]["fault_fraction"] == (
+                0.0 if network_only else scenario.fault_fraction
+            ), name
+            assert (row["catchup_theory"] is not None) == any(
+                fact["responder_faults"] for fact in facts
+            ), name
+            assert _scenario_columns(scenario, facts)["catchup_theory"] == (
+                row["catchup_theory"]
+            ), name
 
     def test_evict_attack_proposes_at_twice_the_heartbeat_period(self):
         # Every row heartbeats at one period; the attack is paced off it.

@@ -5,8 +5,9 @@ minutes, so it is a CI job of its own.  These tests pin the parts it is
 built from: the checked-in keep file is well formed and names only
 functions that exist, definitions are keyed the way the recorder keys code
 objects, the keep file's parser rejects malformed lines, :func:`check`
-flags both an unlisted function and a stale entry, and the recorder sees
-calls that a forked pool worker makes.  The same holds for the metric names:
+flags both an unlisted function and a stale entry, the recorder sees
+calls that a forked pool worker makes, and a recorded command that hangs is
+killed with its children and named.  The same holds for the metric names:
 the checked-in never-fired list is well formed and names only registered
 metrics, :func:`check_metrics` flags a name that joins it and a stale
 entry, and the recorder harvests the names a registry emitted.
@@ -14,6 +15,7 @@ entry, and the recorder harvests the names a registry emitted.
 
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -377,6 +379,30 @@ class TestRecorder:
             work.after_reset()
             """)
         assert "after_reset" in seen
+
+    def test_a_command_that_hangs_is_killed_with_its_children_and_named(
+        self, package, tmp_path, monkeypatch, capsys
+    ):
+        # The sleeping child holds the output pipe too: unless the whole
+        # process group dies, reading the output waits for it.
+        package(self.LIBRARY)
+        path = tmp_path / "hang.py"
+        path.write_text(textwrap.dedent("""
+            import subprocess
+            import sys
+            import time
+
+            print("started", flush=True)
+            subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+            time.sleep(60)
+            """))
+        monkeypatch.setattr(reachability, "COMMAND_TIMEOUT_S", 3)
+        started = time.monotonic()
+        with pytest.raises(SystemExit, match="timed out after 3 s") as exit_info:
+            reachability.run_recorded([[sys.executable, str(path)]], "test")
+        assert time.monotonic() - started < 30
+        assert str(path) in str(exit_info.value)
+        assert "started" in capsys.readouterr().err
 
 
 class TestMetricsRecorder:
