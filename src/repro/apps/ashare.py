@@ -24,7 +24,6 @@ gigabytes of RAM.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -151,7 +150,6 @@ class AShareCluster:
         self.replication_feedback = replication_feedback
         self.indexes: Dict[str, MetadataIndex] = {}
         self.stored: Dict[str, Dict[Tuple[str, str], _StoredReplica]] = {}
-        self._get_counter = itertools.count(1)
         self._rng = atum.sim.rng.stream("ashare")
         for address, node in atum.nodes.items():
             self.indexes[address] = MetadataIndex()

@@ -87,12 +87,6 @@ class AtumCluster:
         # Reports age out (see request_eviction), so a Byzantine minority
         # cannot accumulate stale accusations until they look like a majority.
         self._suspicions: Dict[str, Dict[str, float]] = {}
-        # Smallest size each vgroup was ever seen at, for the messengers'
-        # forged-size cross-check (see GroupMessenger.handle): an honest
-        # share's claimed sender-group size is the size at send time, which
-        # is never below this minimum, so the check can reject size lies
-        # without ever blocking honest traffic during reconfigurations.
-        self._min_group_sizes: Dict[str, int] = {}
         # neighbour_members() per vgroup: valid for one topology version,
         # dropped whole by any view change or group removal.
         self._neighbour_members: Dict[str, Tuple[str, ...]] = {}
@@ -498,19 +492,13 @@ class AtumCluster:
         return self.engine.groups.get(group_id)
 
     def smallest_group_size(self, group_id: str) -> Optional[int]:
-        """Smallest size ``group_id`` was ever seen at (``None`` if unknown).
+        """Smallest size ``group_id`` was ever installed at (``None`` if unknown).
 
         Directory hook for the group messengers' forged-size rejection: a
         group message's claimed sender-group size may never pull the
         acceptance majority below the majority of this minimum.
         """
-        view = self.engine.groups.get(group_id)
-        tracked = self._min_group_sizes.get(group_id)
-        if view is None:
-            return tracked
-        if tracked is None or view.size < tracked:
-            tracked = self._min_group_sizes[group_id] = view.size
-        return tracked
+        return self.engine.smallest_size.get(group_id)
 
     def cycle_neighbor_ids(self, group_id: str) -> Sequence[Tuple[str, str]]:
         """Per H-graph cycle, the (predecessor, successor) group ids."""
@@ -585,9 +573,6 @@ class AtumCluster:
         return True
 
     def _on_view_changed(self, view: VGroupView) -> None:
-        previous_min = self._min_group_sizes.get(view.group_id)
-        if previous_min is None or view.size < previous_min:
-            self._min_group_sizes[view.group_id] = view.size
         self._neighbour_members.clear()
         for member in view.members:
             node = self.nodes.get(member)
@@ -609,8 +594,6 @@ class AtumCluster:
         self._neighbour_members.clear()
 
     def _on_node_left(self, address: str) -> None:
-        for _, coordinator in sorted(self._split_brains.items()):
-            coordinator.record_leave(address)
         node = self.nodes.get(address)
         if node is not None:
             node.clear_membership()
@@ -630,9 +613,6 @@ class AtumCluster:
 
     def _on_join_completed(self, address: str, group_id: str) -> None:
         view = self.engine.groups.get(group_id)
-        node = self.nodes.get(address)
-        if node is not None and view is not None:
-            node.install_view(view)
         if view is None:
             return
         for split_id, coordinator in sorted(self._split_brains.items()):

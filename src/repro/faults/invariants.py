@@ -97,11 +97,6 @@ class InvariantMonitor(Middleware):
         self._eviction_decisions = 0
         self._group_epochs: Dict[str, int] = {}
         self._ever_members: Dict[str, Set[str]] = {}
-        # Smallest size each group ever had: the reference for the claimed
-        # sender-group size of accepted messages.  Comparing against the
-        # *current* size would false-positive when a merge grows the group
-        # while honestly-sized shares are still in flight.
-        self._min_sizes: Dict[str, int] = {}
         # First payload each broadcast was delivered with, and its digest.
         # In-simulation deliveries share the payload object, so agreement is
         # an identity check; only a different object is hashed and compared.
@@ -124,7 +119,6 @@ class InvariantMonitor(Middleware):
         for view in cluster.engine.groups.values():
             self._group_epochs[view.group_id] = view.epoch
             self._ever_members.setdefault(view.group_id, set()).update(view.members)
-            self._track_min_size(view)
 
     def exempt(self, addresses) -> None:
         """Exclude ``addresses`` from the wrongful-eviction check.
@@ -190,12 +184,6 @@ class InvariantMonitor(Middleware):
                     f"evicted identity re-accepted into {group_id}",
                 )
         self._ever_members.setdefault(group_id, set()).update(view.members)
-        self._track_min_size(view)
-
-    def _track_min_size(self, view: VGroupView) -> None:
-        previous = self._min_sizes.get(view.group_id)
-        if previous is None or view.size < previous:
-            self._min_sizes[view.group_id] = view.size
 
     def record_node_left(self, address: str) -> None:
         """A node actually left the system; pending evictions become final."""
@@ -244,10 +232,13 @@ class InvariantMonitor(Middleware):
             )
         # The claimed sender-group size must be plausible: shares from an
         # honest sender carry the group's size at send time, which is
-        # never below the smallest size the group ever had.  A forger
-        # claiming a smaller size (to shrink the acceptance majority)
-        # yields a sender count below the historical-minimum majority.
-        min_size = self._min_sizes.get(source_group)
+        # never below the smallest size the group ever had (the engine's
+        # book; the *current* size would false-positive when a merge grows
+        # the group while honestly-sized shares are still in flight).  A
+        # forger claiming a smaller size (to shrink the acceptance
+        # majority) yields a sender count below the historical-minimum
+        # majority.
+        min_size = self._cluster.engine.smallest_size.get(source_group)
         if min_size is not None and len(senders) < majority_threshold(min_size):
             self._violation(
                 "forged_majority",
@@ -367,7 +358,7 @@ class InvariantMonitor(Middleware):
         * **directory_divergence** — the merge decision the cluster enforced
           must equal the one recomputed from the recorded per-side
           directories (the merge is a pure function of the side sets, so a
-          mismatch means a side's log and the enforced outcome disagree).
+          mismatch means a side's sets and the enforced outcome disagree).
         * **evicted_readmitted_across_sides** — an address evicted on either
           side must not be a member after the heal; a cross-side deferral
           that never gets enforced at merge would surface here.
@@ -384,7 +375,6 @@ class InvariantMonitor(Middleware):
                     side_index=snapshot["side_index"],
                     members=frozenset(snapshot["members"]),
                     joined=set(snapshot["joined"]),
-                    left=set(snapshot["left"]),
                     evicted=set(snapshot["evicted"]),
                 )
                 for snapshot in record["sides"]

@@ -8,7 +8,7 @@ silently assumed a coordinator no real split-brain deployment has.  This
 module makes the per-side divergence explicit and the heal deterministic:
 
 * While a split is active, a :class:`SideDirectory` per side records the
-  joins, leaves and evictions *that side* decided.  Cross-side evictions —
+  joins and evictions *that side* decided.  Cross-side evictions —
   a side's majority deciding to evict a node it cannot even reach — are
   **deferred**: recorded in the deciding side's directory but not executed,
   because executing them would mutually evict both sides' straddlers and
@@ -18,19 +18,19 @@ module makes the per-side divergence explicit and the heal deterministic:
   decision; merging must not resurrect a node half the system convicted),
   and **joined-on-one-side is re-validated against the merged view** — a
   join is revoked if the merged eviction set contains the joiner.
-* :class:`repro.faults.invariants.InvariantMonitor` re-computes the merge
-  from the recorded side snapshots at finalize and flags
-  ``directory_divergence`` (stored decision != recomputed decision) and
-  ``evicted_readmitted_across_sides`` (a merged-evicted address still in
-  the membership) violations.
+* :class:`repro.faults.invariants.InvariantMonitor` rebuilds each side
+  from its recorded ``joined`` and ``evicted`` sets at finalize,
+  re-computes the merge and flags ``directory_divergence`` (stored
+  decision != recomputed decision) and ``evicted_readmitted_across_sides``
+  (a merged-evicted address still in the membership) violations.
 
 The coordinator is pure bookkeeping: it owns no RNG and schedules nothing,
 so clusters that never split carry no new state and stay byte-identical.
 Overlapping concurrent splits are supported by running one coordinator per
 split id (see :meth:`repro.core.cluster.AtumCluster.split`): each heal
 merges only its own coordinator, an eviction executes only if *every*
-active coordinator agrees it is same-side, and because leaves never feed
-the merge decision, the decisions are identical under every heal order —
+active coordinator agrees it is same-side, and because leaves are not
+recorded at all, the decisions are identical under every heal order —
 property-tested in ``tests/test_directory.py``.
 """
 
@@ -44,29 +44,17 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 class SideDirectory:
     """One partition side's independently evolving membership record.
 
-    ``members`` is the side's snapshot at split time; ``joined``,
-    ``left`` and ``evicted`` accumulate the decisions this side made
-    while the split was active.  ``ops`` is the replicated op log (the
-    thing each side's vgroups agree on internally) — the merge consumes
-    only the sets, but the log is what the invariant monitor replays to
-    check the stored merge decision was not fabricated.
+    ``members`` is the side's snapshot at split time; ``joined`` and
+    ``evicted`` accumulate the decisions this side made while the split
+    was active (an eviction deferred as cross-side counts as evicted).
+    The merge reads only these two sets, and the invariant monitor
+    rebuilds a side from them to check the stored merge decision.
     """
 
     side_index: int
     members: FrozenSet[str]
     joined: set = field(default_factory=set)
-    left: set = field(default_factory=set)
     evicted: set = field(default_factory=set)
-    ops: List[Tuple[float, str, str]] = field(default_factory=list)
-
-    def record(self, now: float, kind: str, address: str) -> None:
-        self.ops.append((now, kind, address))
-        if kind == "join":
-            self.joined.add(address)
-        elif kind == "leave":
-            self.left.add(address)
-        elif kind in ("evict", "evict_deferred"):
-            self.evicted.add(address)
 
     def snapshot(self) -> Dict[str, object]:
         """A plain, order-normalised copy for post-run invariant checks."""
@@ -74,9 +62,7 @@ class SideDirectory:
             "side_index": self.side_index,
             "members": tuple(sorted(self.members)),
             "joined": tuple(sorted(self.joined)),
-            "left": tuple(sorted(self.left)),
             "evicted": tuple(sorted(self.evicted)),
-            "ops": tuple(self.ops),
         }
 
 
@@ -167,15 +153,9 @@ class SplitBrainCoordinator:
         if host_side is None or host_side >= len(self.sides):
             return None
         self._side_of[address] = host_side
-        self.sides[host_side].record(self.sim.now, "join", address)
+        self.sides[host_side].joined.add(address)
         self.sim.metrics.increment("directory.joins_recorded")
         return host_side
-
-    def record_leave(self, address: str) -> None:
-        """A voluntary leave (or crash-driven departure) on some side."""
-        side = self._side_of.get(address)
-        if side is not None:
-            self.sides[side].record(self.sim.now, "leave", address)
 
     def record_eviction(self, deciders: Sequence[str], target: str) -> bool:
         """An eviction majority formed; may it execute now?
@@ -210,10 +190,10 @@ class SplitBrainCoordinator:
                 else (decider_sides[0] if decider_sides else None)
             )
             if side is not None:
-                self.sides[side].record(self.sim.now, "evict", target)
+                self.sides[side].evicted.add(target)
             return True
         for side in decider_sides:
-            self.sides[side].record(self.sim.now, "evict_deferred", target)
+            self.sides[side].evicted.add(target)
         self.sim.metrics.increment("directory.evictions_deferred")
         return False
 

@@ -92,6 +92,12 @@ class MembershipEngine:
         self.cost_perturbation = cost_perturbation
 
         self.groups: Dict[str, VGroupView] = {}
+        # Smallest size each vgroup was ever installed at, removed groups
+        # included: the reference for the forged-size check of group
+        # messages (an honest share claims its group's size at send time,
+        # which is never below this).  Kept by _notify_view, the one path
+        # every view takes.
+        self.smallest_size: Dict[str, int] = {}
         self.node_group: Dict[str, str] = {}
         self.graph: Optional[HGraph] = None
         # Indexed view of ``groups``: the group ids in creation order (dict
@@ -611,6 +617,9 @@ class MembershipEngine:
         self._notify_view(view)
 
     def _notify_view(self, view: VGroupView) -> None:
+        smallest = self.smallest_size.get(view.group_id)
+        if smallest is None or view.size < smallest:
+            self.smallest_size[view.group_id] = view.size
         if self.on_view_changed is not None:
             self.on_view_changed(view)
 

@@ -95,9 +95,7 @@ class SyncSmrReplica(SmrReplica):
     ) -> None:
         super().__init__(sim, node_id, members, registry, send_fn, decide_fn, params)
         self._instances: Dict[str, DolevStrongInstance] = {}
-        self._operations: Dict[str, Operation] = {}
         self._pending_proposals: List[Operation] = []
-        self._decided_instances: set = set()
         self._proposal_counter = 0
         self._round_timer_armed = False
 
@@ -176,7 +174,6 @@ class SyncSmrReplica(SmrReplica):
             fault_threshold=self.fault_threshold,
         )
         self._instances[instance_id] = instance
-        self._operations[instance_id] = operation
         value = {"operation_digest": digest_object(operation), "op": operation}
         digest = digest_object(value)
         instance.accepted[digest] = value
@@ -259,7 +256,6 @@ class SyncSmrReplica(SmrReplica):
         due.sort(key=lambda instance: (instance.start_round, instance.instance_id))
         for instance in due:
             decision = instance.decide()
-            self._decided_instances.add(instance.instance_id)
             if decision is None:
                 self.sim.metrics.increment("smr.sync.null_decisions")
                 continue

@@ -4,17 +4,20 @@ import dataclasses
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import repro
 from repro.core import AtumCluster, AtumParameters, SmrKind
 from repro.core.config import parameter_table
+from repro.core.node import AtumNode
 from repro.faults.invariants import InvariantMonitor
 from repro.group import antientropy
 from repro.group.antientropy import AntiEntropyConfig
 from repro.group.heartbeat import MISSES_BEFORE_EVICTION
 from repro.overlay.membership import MembershipError
+from repro.workloads.churn import ChurnConfig, ChurnWorkload
 
 
 def test_importing_the_cluster_does_not_load_scipy():
@@ -334,6 +337,48 @@ class TestJoinLeaveThroughCluster:
         cluster.run_until_membership_quiescent(max_time=1200.0)
         assert cluster.system_size == 11
         cluster.engine.validate()
+
+
+class TestMembershipRecordedOnce:
+    """The engine's view path is the one record of membership history."""
+
+    def churn(self, cluster):
+        cluster.build_static([f"n{i}" for i in range(24)])
+        config = ChurnConfig(rate_per_minute=30.0, duration=40.0, warmup=5.0)
+        ChurnWorkload(cluster.engine, config, join_fn=cluster.join).run()
+        cluster.run_until_membership_quiescent()
+        assert cluster.sim.metrics.counter("membership.joins_completed") > 0
+
+    def test_smallest_size_folds_every_view_removed_groups_included(self):
+        cluster = AtumCluster(small_params(), seed=1)
+        smallest = {}
+        forward = cluster.engine.on_view_changed
+
+        def fold(view):
+            smallest[view.group_id] = min(view.size, smallest.get(view.group_id, view.size))
+            forward(view)
+
+        cluster.engine.on_view_changed = fold
+        self.churn(cluster)
+        assert cluster.sim.metrics.counter("membership.merges") > 0
+        assert set(smallest) - set(cluster.engine.groups)  # some groups were removed
+        assert cluster.engine.smallest_size == smallest
+        for group_id, size in smallest.items():
+            assert cluster.smallest_group_size(group_id) == size
+
+    def test_every_node_installs_each_view_once(self, monkeypatch):
+        installs = Counter()
+        views = []  # keeps every view alive, so no id() is reused
+        install = AtumNode.install_view
+
+        def counting_install(node, view):
+            installs[node.address, id(view)] += 1
+            views.append(view)
+            install(node, view)
+
+        monkeypatch.setattr(AtumNode, "install_view", counting_install)
+        self.churn(AtumCluster(small_params(), seed=1))
+        assert installs and max(installs.values()) == 1
 
 
 class TestChurnStormUnderLoad:

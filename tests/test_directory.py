@@ -15,7 +15,6 @@ import itertools
 import pytest
 
 from repro.overlay.directory import (
-    MergeDecision,
     SideDirectory,
     SplitBrainCoordinator,
     merge_directories,
@@ -23,15 +22,13 @@ from repro.overlay.directory import (
 from repro.sim.simulator import Simulator
 
 
-def side(index, members, joined=(), left=(), evicted=()):
-    directory = SideDirectory(side_index=index, members=frozenset(members))
-    for address in joined:
-        directory.record(0.0, "join", address)
-    for address in left:
-        directory.record(0.0, "leave", address)
-    for address in evicted:
-        directory.record(0.0, "evict", address)
-    return directory
+def side(index, members, joined=(), evicted=()):
+    return SideDirectory(
+        side_index=index,
+        members=frozenset(members),
+        joined=set(joined),
+        evicted=set(evicted),
+    )
 
 
 class TestMergeDirectories:
@@ -72,19 +69,14 @@ class TestMergeDirectories:
         assert forward == backward
 
     def test_deferred_evictions_count_as_evictions(self):
-        # A cross-side eviction is recorded as "evict_deferred" but must
-        # carry the same weight at merge as an executed one.
-        directory = side(0, ["a", "b"])
-        directory.record(1.0, "evict_deferred", "z")
-        decision = merge_directories([directory, side(1, ["c"], joined=["z"])])
+        # A cross-side eviction is deferred, not executed, but must carry
+        # the same weight at merge as an executed one.
+        coordinator = SplitBrainCoordinator(Simulator(seed=1), sides=[("a", "b"), ("c",)])
+        coordinator.record_join("z", host_side=1)
+        assert coordinator.record_eviction(["a", "b"], "z") is False
+        decision = coordinator.merge()
         assert decision.evicted == frozenset({"z"})
         assert decision.revoked == frozenset({"z"})
-
-    def test_leaves_do_not_affect_the_merge_sets(self):
-        decision = merge_directories([side(0, ["a"], left=["a"]), side(1, ["b"])])
-        assert decision == MergeDecision(
-            evicted=frozenset(), admitted=frozenset(), revoked=frozenset()
-        )
 
 
 class TestSplitBrainCoordinator:
@@ -155,7 +147,6 @@ class TestSplitBrainCoordinator:
                 side_index=snapshot["side_index"],
                 members=frozenset(snapshot["members"]),
                 joined=set(snapshot["joined"]),
-                left=set(snapshot["left"]),
                 evicted=set(snapshot["evicted"]),
             )
             for snapshot in coordinator.side_snapshots()
@@ -205,8 +196,8 @@ class TestOverlappingHealOrderIndependence:
 
     Mirrors the cluster contract exactly: membership events fan out to every
     active coordinator, and when one split heals, its enforced evictions
-    reach the *remaining* coordinators only as leaves — which never feed a
-    merge decision.
+    reach the *remaining* coordinators only as leaves, which no coordinator
+    records.
     """
 
     # Eight nodes cut three different ways: by half, by quarter-pairing,
@@ -238,11 +229,7 @@ class TestOverlappingHealOrderIndependence:
         decisions = {}
         for split_id in order:
             coordinator = active.pop(split_id)
-            decision = coordinator.merge()
-            decisions[split_id] = decision
-            for address in sorted(decision.evicted):
-                for other in active.values():
-                    other.record_leave(address)
+            decisions[split_id] = coordinator.merge()
         return decisions
 
     def test_decisions_identical_under_every_heal_permutation(self):
