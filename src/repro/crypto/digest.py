@@ -1,18 +1,33 @@
 """Message digests (SHA-256) over canonically serialized objects.
 
 The canonical encoding is the hot path: every group message, signature and
-certificate digest passes through it.  Two optimisations keep it cheap while
-producing byte-identical digests to the original implementation:
+certificate digest passes through it.  A digest is a pure function of the
+object's value, so it is computed once per value the simulation shares, not
+once per receiver, while producing byte-identical digests to the original
+implementation:
 
 * the canonical transform walks dataclasses field-by-field instead of calling
-  :func:`dataclasses.asdict` (which deep-copies the whole object graph), and
-  leaves key sorting to ``json.dumps(sort_keys=True)`` instead of pre-sorting;
-* digests of immutable payloads (frozen dataclasses, tuples, strings, ...)
-  are memoised in a bounded identity-keyed LRU — in-simulation payload objects
-  are shared by reference across nodes, so re-digesting the same broadcast at
-  every hop becomes a dictionary hit.  An object with a mutable interior (a
-  broadcast carrying a ``dict``) enters the memo only through :func:`seal`,
-  the owner's promise that it is never mutated again.
+  :func:`dataclasses.asdict` (which deep-copies the whole object graph),
+  decides "is this a dataclass" once per class, and leaves key sorting to one
+  module-level ``json.JSONEncoder(sort_keys=True, default=str)`` -- the
+  encoder ``json.dumps`` would build afresh on every call;
+* **by identity**: digests of deeply immutable payloads (frozen dataclasses,
+  tuples, strings, ...) are memoised in a bounded LRU keyed by ``id`` --
+  in-simulation payload objects are shared by reference across nodes, so
+  re-digesting the same broadcast at every hop becomes a dictionary hit.  An
+  object with a mutable interior (a broadcast carrying a ``dict``) enters
+  this memo only through :func:`seal`, the owner's promise that it is never
+  mutated again;
+* **by value**: a signed statement -- a checkpoint, transition, chain-link or
+  Dolev-Strong tuple -- is rebuilt by every replica that checks it, so its
+  identity never repeats.  A tuple made only of exact ``str`` and ``int``
+  items (or of tuples built the same way) is its own key in a second bounded
+  LRU.  The key is type-exact: ``True``, ``1.0`` and ``str`` subclasses never
+  enter it, because ``(1,) == (True,) == (1.0,)`` in Python while their
+  encodings differ, and a value-keyed entry needs no ``id()``.
+
+Both memos are caches, not trust: an evicted or cleared entry recomputes
+the same digest, and :func:`audit_digest_memo` recomputes every live entry.
 
 Set sorting uses an explicit fallback key so mixed-type sets cannot raise
 ``TypeError`` (sets of a single comparable type keep their historical order,
@@ -24,29 +39,37 @@ from __future__ import annotations
 import json
 import hashlib
 from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Type alias for hex-encoded digests.
 Digest = str
 
+#: The one canonical encoder: ``_encode(x)`` is byte-identical to
+#: ``json.dumps(x, sort_keys=True, default=str)``, without building an
+#: encoder per call.
+_encode = json.JSONEncoder(sort_keys=True, default=str).encode
+
 
 def _set_sort_key(item: Any) -> Tuple[str, str]:
     """Deterministic ordering for canonicalised set items of mixed types."""
-    return (item.__class__.__name__, json.dumps(item, sort_keys=True, default=str))
+    return (item.__class__.__name__, _encode(item))
 
 
-#: Per-dataclass cache of field names, keyed by class (fields() re-validates
-#: the dataclass protocol on every call; field sets are fixed per class).
-#: Built from ``dataclasses.fields``, which excludes InitVar/ClassVar
-#: pseudo-fields that have no instance attribute.
-_field_names_cache: Dict[type, Tuple[str, ...]] = {}
+#: Per-class field names, or ``None`` for a class that is not a dataclass
+#: (``is_dataclass`` and ``fields`` re-inspect the class on every call; both
+#: answers are fixed per class).  Built from ``dataclasses.fields``, which
+#: excludes InitVar/ClassVar pseudo-fields that have no instance attribute.
+_field_names_cache: Dict[type, Optional[Tuple[str, ...]]] = {}
 
 
-def _dataclass_field_names(cls: type) -> Tuple[str, ...]:
-    names = _field_names_cache.get(cls)
-    if names is None:
-        names = _field_names_cache[cls] = tuple(spec.name for spec in fields(cls))
-    return names
+def _dataclass_field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The field names of dataclass ``cls``; ``None`` if it is not one."""
+    try:
+        return _field_names_cache[cls]
+    except KeyError:
+        names = tuple(spec.name for spec in fields(cls)) if is_dataclass(cls) else None
+        _field_names_cache[cls] = names
+        return names
 
 
 def _sort_set_items(items: list) -> list:
@@ -92,11 +115,9 @@ def _canonical_fast(obj: Any, in_dataclass: bool) -> Any:
     cls = obj.__class__
     if cls is str or cls is int or cls is float or cls is bool or obj is None:
         return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        out = {
-            name: _canonical_fast(getattr(obj, name), True)
-            for name in _dataclass_field_names(cls)
-        }
+    names = _dataclass_field_names(cls)
+    if names is not None:
+        out = {name: _canonical_fast(getattr(obj, name), True) for name in names}
         if not in_dataclass:
             out["__dc__"] = cls.__name__
         return out
@@ -117,7 +138,7 @@ def _canonical_fast(obj: Any, in_dataclass: bool) -> Any:
 
 def canonical_encode(obj: Any) -> str:
     """Return the canonical JSON encoding of ``obj`` (the pre-image of digests)."""
-    return json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str)
+    return _encode(_canonical_fast(obj, False))
 
 
 def _digest_encoded(encoded: str) -> Digest:
@@ -132,9 +153,13 @@ def _digest_encoded(encoded: str) -> Digest:
 # id cannot be recycled while the entry is alive.  An object enters either
 # because its value cannot change under an existing reference (the
 # :func:`_memoizable` walk) or because its owner sealed it (:func:`seal`).
+#
+# Value-keyed LRU for statement tuples (:func:`_value_keyed`): the tuple is
+# the key, so equal statements built by different replicas share an entry.
 
 _MEMO_LIMIT = 8192
 _memo: Dict[int, Tuple[Any, str]] = {}
+_value_memo: Dict[tuple, Digest] = {}
 _MEMO_SCALAR_TYPES = (str, bytes, int, float, complex, type(None))
 
 
@@ -168,6 +193,21 @@ def _memoizable(obj: Any) -> bool:
     return False
 
 
+def _value_keyed(obj: tuple) -> bool:
+    """Whether tuple ``obj`` holds only exact ``str``/``int`` items and such tuples.
+
+    Exact types only: ``bool``, ``float`` and subclasses compare equal to
+    values whose encoding differs, so admitting them would let ``(True,)``
+    be served the digest of ``(1,)``.  Such a tuple is also its own canonical
+    form: it encodes as the JSON array of its items.
+    """
+    for item in obj:
+        cls = item.__class__
+        if not (cls is str or cls is int or (cls is tuple and _value_keyed(item))):
+            return False
+    return True
+
+
 def _memo_store(obj: Any, result: Digest) -> None:
     if len(_memo) >= _MEMO_LIMIT:
         # Evict the oldest entry (dicts preserve insertion order).
@@ -176,8 +216,9 @@ def _memo_store(obj: Any, result: Digest) -> None:
 
 
 def clear_digest_memo() -> None:
-    """Drop all memoised digests, seals included."""
+    """Drop all memoised digests, seals and value-keyed statements included."""
     _memo.clear()
+    _value_memo.clear()
 
 
 def audit_digest_memo() -> List[Tuple[Any, Digest, Digest]]:
@@ -185,11 +226,13 @@ def audit_digest_memo() -> List[Tuple[Any, Digest, Digest]]:
 
     A non-empty result means an object was mutated after it was sealed (or
     after the immutability walk admitted it) and the memo would have served
-    a stale digest.  The test suite asserts it is empty after every test.
+    a stale digest, or that a value-keyed entry was stored under the wrong
+    key.  The test suite asserts it is empty after every test.
     """
+    entries = list(_memo.values()) + list(_value_memo.items())
     return [
         (obj, memoised, actual)
-        for obj, memoised in list(_memo.values())
+        for obj, memoised in entries
         if (actual := _digest_encoded(canonical_encode(obj))) != memoised
     ]
 
@@ -203,9 +246,16 @@ def digest_object(obj: Any) -> Digest:
         del _memo[key]
         _memo[key] = entry
         return entry[1]
-    result = _digest_encoded(
-        json.dumps(_canonical_fast(obj, False), sort_keys=True, default=str)
-    )
+    if obj.__class__ is tuple and _value_keyed(obj):
+        result = _value_memo.pop(obj, None)
+        if result is None:
+            result = _digest_encoded(_encode(obj))
+            if len(_value_memo) >= _MEMO_LIMIT:
+                _value_memo.pop(next(iter(_value_memo)))
+        # Re-inserted last on a hit too: the oldest entry is evicted first.
+        _value_memo[obj] = result
+        return result
+    result = _digest_encoded(_encode(_canonical_fast(obj, False)))
     # The deep-immutability walk runs only on the store path; memo hits
     # return above on a single dict probe.
     if _memoizable(obj):

@@ -11,6 +11,8 @@ FaultPlan` into scheduled simulator events against an
   on the network;
 * group slowdowns install a ``cost_perturbation`` hook on the membership
   engine, stretching straggler vgroups' operation durations;
+* planned leaves take their nodes out of the system on schedule (a
+  node already gone is counted ``faults.plan_leave_skipped``);
 * node faults flip node behaviours on schedule — crash (+ recovery), silent,
   mute, the §6.1.3 evict-proposing adversary (periodic eviction proposals
   against correct vgroup peers, driven here because a heartbeat-only node
@@ -68,6 +70,11 @@ class FaultController:
         sim = cluster.sim
         if self.monitor is not None:
             self.monitor.exempt(self.plan.faulted_addresses())
+
+        # Leaves first: at an equal time they run before the plan's partition
+        # and node events, the order the committed matrix rows were run in.
+        for when, address in self.plan.leaves:
+            self._at(when, lambda address=address: self._leave(address), tag="faults.leave")
 
         partitions = self.plan.partitions
         for partition in partitions:
@@ -143,6 +150,13 @@ class FaultController:
                     tag="faults.recover",
                 )
         return self
+
+    def _leave(self, address: str) -> None:
+        try:
+            self.cluster.engine.leave(address)
+        except MembershipError:
+            # Already gone — churn or an earlier fault removed it.
+            self.cluster.sim.metrics.increment("faults.plan_leave_skipped")
 
     # -------------------------------------------------------------- slowdowns
 

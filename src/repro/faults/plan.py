@@ -288,9 +288,15 @@ class FaultPlan:
     links: Tuple[LinkFault, ...] = ()
     nodes: Tuple[NodeFault, ...] = ()
     slowdowns: Tuple[GroupSlowdown, ...] = ()
+    #: Voluntary leaves, ``(time, address)``: the node leaves the system at
+    #: ``time``.  A leave reshapes membership; it is not a fault, so its
+    #: address is neither faulted nor unavailable.
+    leaves: Tuple[Tuple[float, str], ...] = ()
 
     def is_empty(self) -> bool:
-        return not (self.partitions or self.links or self.nodes or self.slowdowns)
+        return not (
+            self.partitions or self.links or self.nodes or self.slowdowns or self.leaves
+        )
 
     def faulted_addresses(self) -> FrozenSet[str]:
         """Every address named by a partition or node fault.
@@ -329,6 +335,7 @@ class FaultPlan:
             links=self.links + other.links,
             nodes=self.nodes + other.nodes,
             slowdowns=self.slowdowns + other.slowdowns,
+            leaves=self.leaves + other.leaves,
         )
 
     def __add__(self, other: "FaultPlan") -> "FaultPlan":

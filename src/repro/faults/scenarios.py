@@ -443,18 +443,9 @@ def _plan_epoch_crossing(
     others = tuple(
         address for address in sorted(cluster.engine.node_group) if address != laggard
     )
-    for when, leaver in zip((10.0, 14.0), leavers):
-
-        def leave(address=leaver):
-            try:
-                cluster.engine.leave(address)
-            except MembershipError:
-                # Already gone — churn or an earlier fault removed it.
-                cluster.sim.metrics.increment("faults.plan_leave_skipped")
-
-        cluster.sim.schedule(when, leave, tag="plan.epoch_crossing.leave")
     return FaultPlan(
-        partitions=(Partition(sides=(others, (laggard,)), start=5.0, heal_at=18.0),)
+        partitions=(Partition(sides=(others, (laggard,)), start=5.0, heal_at=18.0),),
+        leaves=tuple(zip((10.0, 14.0), leavers)),
     )
 
 

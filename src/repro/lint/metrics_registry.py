@@ -225,7 +225,7 @@ METRICS = {
     },
     'faults.plan_leave_skipped': {
         "kind": 'counter',
-        "modules": ('repro/faults/scenarios.py',),
+        "modules": ('repro/faults/behaviours.py',),
         "matrix_column": False,
     },
     'faults.rejoin_group_fraction': {

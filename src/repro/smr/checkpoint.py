@@ -44,13 +44,15 @@ with ours or we enter a new epoch.  A group that agrees announces every
 checkpoints are part of the protocol, as in PBFT, because log garbage
 collection and state transfer depend on them.
 
-Two things are hashed once instead of once per use.  The statement a
-checkpoint signature covers is digested once per replica
-(:meth:`CheckpointManager._signs_checkpoint`); each of the ``n - 1`` votes
-and each certificate's ``2f + 1`` signatures over it is then one
-``KeyRegistry.verify_digest``.  And the state chain folds *operation
-digests* (:func:`state_digest_of`), which the pre-prepare check already
-memoised, instead of re-encoding every decided operation per checkpoint.
+Two things are hashed once instead of once per use.  A signed statement
+(:func:`checkpoint_statement`, :func:`transition_statement`, a chain link)
+is a tuple of strings and integers, which the digest memo keys by value:
+it is encoded once per deployment, however many replicas rebuild it, and
+the registry's MAC of each signature over it is computed once, when it is
+signed -- each of the ``n - 1`` votes and each certificate's ``2f + 1``
+signatures is a lookup.  And the state chain folds *operation digests*
+(:func:`state_digest_of`), which the pre-prepare check already memoised,
+instead of re-encoding every decided operation per checkpoint.
 """
 
 from __future__ import annotations
@@ -299,9 +301,6 @@ class CheckpointManager:
         self.stable: Optional[CheckpointCertificate] = None
         # (seq, digest) -> signer -> verified signature.
         self._votes: Dict[Tuple[int, str], Dict[str, Signature]] = {}
-        # (seq, digest, epoch) -> digest of that checkpoint statement; see
-        # _signs_checkpoint.  Pruned with the votes.
-        self._statement_digests: Dict[Tuple[int, str, int], str] = {}
         # Decided-log position per op id, for slot GC below the stable
         # checkpoint (kept in lockstep with replica.decided_log).
         self._positions: Dict[str, int] = {}
@@ -522,29 +521,13 @@ class CheckpointManager:
             self._reject("non_member")
             return
         signature = message.signature
-        if signature.signer != message.replica or not self._signs_checkpoint(
-            signature, message.epoch, message.seq, message.state_digest
+        statement = checkpoint_statement(message.epoch, message.seq, message.state_digest)
+        if signature.signer != message.replica or not replica.registry.verify(
+            signature, statement
         ):
             self._reject("bad_signature")
             return
         self._record_vote(message)
-
-    def _signs_checkpoint(
-        self, signature: Signature, epoch: int, seq: int, state_digest: str
-    ) -> bool:
-        """``registry.verify(signature, checkpoint_statement(...))``, hashing once.
-
-        The digest step of ``verify`` is memoised per replica: the statement
-        is digested once, and every further signature over it — the other
-        voters', a certificate's 2f+1 — costs one ``registry.verify_digest``.
-        """
-        key = (seq, state_digest, epoch)
-        digest = self._statement_digests.get(key)
-        if digest is None:
-            digest = self._statement_digests[key] = digest_object(
-                checkpoint_statement(epoch, seq, state_digest)
-            )
-        return self.replica.registry.verify_digest(signature, digest)
 
     def _record_vote(self, message: Checkpoint) -> None:
         if self.stable is not None and message.seq <= self.stable.seq:
@@ -772,10 +755,12 @@ class CheckpointManager:
             return False
         if len(signers) < _quorum_of(members):
             return False
-        epoch, seq, state_digest = certificate.epoch, certificate.seq, certificate.state_digest
+        statement = digest_object(
+            checkpoint_statement(certificate.epoch, certificate.seq, certificate.state_digest)
+        )
+        registry = self.replica.registry
         return all(
-            self._signs_checkpoint(signature, epoch, seq, state_digest)
-            for signature in certificate.signatures
+            registry.verify_digest(signature, statement) for signature in certificate.signatures
         )
 
     def _transition_chain_error(
@@ -848,12 +833,14 @@ class CheckpointManager:
             return "bad_transition"
         if len(signers) < _quorum_of(members):
             return "transition_under_quorum"
-        statement = transition_statement(
-            record.new_epoch, record.members, record.prev_members, record.certificate
+        statement = digest_object(
+            transition_statement(
+                record.new_epoch, record.members, record.prev_members, record.certificate
+            )
         )
+        registry = self.replica.registry
         if not all(
-            self.replica.registry.verify(signature, statement)
-            for signature in record.signatures
+            registry.verify_digest(signature, statement) for signature in record.signatures
         ):
             return "transition_bad_signature"
         return None
@@ -884,10 +871,6 @@ class CheckpointManager:
         """Drop votes, slots and positions a certified ``seq`` obsoletes."""
         for key in [key for key in self._votes if key[0] <= seq]:
             del self._votes[key]
-        # The certified statement itself stays: the votes beyond the quorum
-        # arrive after it formed and are still signature-checked.
-        for key in [key for key in self._statement_digests if key[0] < seq]:
-            del self._statement_digests[key]
         self.replica._gc_below_checkpoint(seq, self._positions)
         # Positions below the certified checkpoint have no remaining
         # consumer (their slots are gone); prune them so the map stays
@@ -1397,7 +1380,6 @@ class CheckpointManager:
         self._transition_votes.clear()
         self._transition_signed.clear()
         self._votes.clear()
-        self._statement_digests.clear()
         self._transfer_target = None
         self._gap_since = -1.0
         # Views restart with the epoch (reset_for_epoch on the replica),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import KeyRegistry, Signature
-from repro.crypto.digest import digest_object
+from repro.crypto.digest import digest_object, seal
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrReplica, sync_fault_threshold
 
@@ -174,8 +174,10 @@ class SyncSmrReplica(SmrReplica):
             fault_threshold=self.fault_threshold,
         )
         self._instances[instance_id] = instance
+        # Sealed: every receiver digests this one value dict, and nothing
+        # mutates it once it is signed and sent (ATL007).
         value = {"operation_digest": digest_object(operation), "op": operation}
-        digest = digest_object(value)
+        digest = seal(value)
         instance.accepted[digest] = value
         instance.relayed.add(digest)
         signature = self.registry.sign(self.node_id, (instance_id, digest))
@@ -200,10 +202,10 @@ class SyncSmrReplica(SmrReplica):
         signers = [signature.signer for signature in message.signatures]
         if len(set(signers)) != len(signers):
             return False
-        digest = digest_object(message.value)
-        statement = (message.instance_id, digest)
+        # One statement digest per message, however long the chain.
+        statement = digest_object((message.instance_id, digest_object(message.value)))
         for signature in message.signatures:
-            if not self.registry.verify(signature, statement):
+            if not self.registry.verify_digest(signature, statement):
                 return False
         return True
 

@@ -211,9 +211,9 @@ class TestOneDigest:
 
     def test_signatures_survive_a_memo_clear(self):
         registry = KeyRegistry()
-        statement = ("signed", ("frozen", 1))  # immutable: memoised on sign
+        statement = ("signed", ("frozen", 1))  # str/int tuple: memoised by value on sign
         signature = registry.sign("alice", statement)
-        assert digest_module._is_memoised(statement)
+        assert statement in digest_module._value_memo
         clear_digest_memo()
         assert registry.verify(signature, statement)
         assert registry.verify(signature, ("signed", ("frozen", 1)))
@@ -294,7 +294,9 @@ class TestSeal:
         monkeypatch.setattr(digest_module, "_MEMO_LIMIT", 8)
         message = _Message("b1", {"k": 1})
         sealed = seal(message)
-        fillers = [(index, "filler") for index in range(8)]
+        # Frozen and deeply immutable, so identity-memoised (a str/int tuple
+        # would go to the value memo and evict nothing here).
+        fillers = [_Message(f"filler-{index}", index) for index in range(8)]
         for filler in fillers:
             digest_object(filler)
         before = len(encodings)
@@ -320,6 +322,66 @@ class TestSeal:
         [(culprit, memoised, actual)] = audit_digest_memo()  # ...and caught
         assert culprit is message and memoised == sealed
         assert actual == digest_object(_Message("b1", {"k": 2}))
+        clear_digest_memo()  # the autouse audit must not see it
+
+
+class TestStatementCaches:
+    """The value-keyed statement memo and the registry's MAC cache are caches,
+    not trust: type-exact, recomputed on eviction, audited, and never a
+    reason to accept a MAC the signer's key does not produce."""
+
+    def test_equal_but_differently_typed_statements_never_share_an_entry(self):
+        statements = [(1,), (True,), (1.0,), ("1",), ((1,),), ((True,),)]
+        digests = [digest_object(statement) for statement in statements]
+        assert len(set(digests)) == len(statements)
+        for statement, digest in zip(statements, digests):
+            assert digest == hashlib.sha256(canonical_encode(statement).encode()).hexdigest()
+        # Only the exact str/int tuples enter; each keeps its own entry.
+        assert list(digest_module._value_memo) == [(1,), ("1",), ((1,),)]
+        assert [type(item) for item in next(iter(digest_module._value_memo))] == [int]
+
+    def test_a_cached_mac_never_vouches_for_another_mac(self):
+        registry = KeyRegistry()
+        statement = ("pbft-checkpoint", 0, 8, "d" * 64)
+        genuine = registry.sign("alice", statement)
+        bobs = registry.sign("bob", statement)
+        assert registry.verify(genuine, statement)  # the cache is warm
+        assert not registry.verify(replace(genuine, mac="0" * 64), statement)
+        assert not registry.verify(replace(genuine, mac=bobs.mac), statement)
+        assert not registry.verify(replace(bobs, signer="alice"), statement)
+        assert not registry.verify(replace(genuine, signer="bob"), statement)
+        assert registry.verify(genuine, statement) and registry.verify(bobs, statement)
+
+    def test_an_evicted_entry_recomputes_the_same_value(self, monkeypatch, encodings):
+        from repro.crypto import keys as keys_module
+
+        macs = []
+        real_mac_of = keys_module.KeyPair.mac_of
+        monkeypatch.setattr(
+            keys_module.KeyPair, "mac_of", lambda key, digest: macs.append(digest) or real_mac_of(key, digest)
+        )
+        monkeypatch.setattr(digest_module, "_MEMO_LIMIT", 4)
+        monkeypatch.setattr(keys_module, "_MEMO_LIMIT", 4)
+        registry = KeyRegistry()
+        statement = ("statement", 0)
+        signature = registry.sign("alice", statement)
+        assert registry.verify(signature, statement)
+        assert (len(encodings), len(macs)) == (1, 1)  # both served from the caches
+        for index in range(1, 5):
+            registry.sign("alice", ("statement", index))
+        assert statement not in digest_module._value_memo
+        assert ("alice", signature.digest) not in registry._macs
+        assert len(digest_module._value_memo) == len(registry._macs) == 4
+        assert digest_object(statement) == signature.digest
+        assert registry.verify(signature, statement)
+        assert (len(encodings), len(macs)) == (6, 6)  # recomputed, same values
+
+    def test_audit_recomputes_value_memo_entries(self):
+        statement = ("pbft-checkpoint", 0, 8, "d" * 64)
+        digest = digest_object(statement)
+        assert audit_digest_memo() == []
+        digest_module._value_memo[statement] = "0" * 64  # a corrupted entry
+        assert audit_digest_memo() == [(statement, "0" * 64, digest)]
         clear_digest_memo()  # the autouse audit must not see it
 
 

@@ -138,6 +138,34 @@ class TestFaultPlan:
         # ...but side members stay *available* (their broadcasts keep the bound)
         assert plan.unavailable_addresses() == {"c", "d"}
 
+    def test_leaves_are_neither_faulted_nor_unavailable(self):
+        plan = FaultPlan(leaves=((10.0, "a"),)) + FaultPlan(nodes=(NodeFault("b", "crash"),))
+        assert not FaultPlan(leaves=((10.0, "a"),)).is_empty()
+        assert plan.leaves == ((10.0, "a"),)
+        assert plan.faulted_addresses() == plan.unavailable_addresses() == {"b"}
+
+    def test_building_the_epoch_crossing_plan_schedules_nothing(self):
+        scenario = SCENARIOS["broadcast/epoch_crossing_catchup"]
+        cluster, monitor, plan = _build_run(7, scenario)
+        queued = len(cluster.sim.queue)
+        rebuilt = PLAN_BUILDERS["epoch_crossing"](scenario, cluster, random.Random(7))
+        assert rebuilt == plan
+        assert len(cluster.sim.queue) == queued
+        # The leaves are the plan's: applying it schedules them, and they run.
+        leavers = [address for _, address in plan.leaves]
+        assert len(leavers) == 2 and _plan_facts(plan)["unavailable_nodes"] == 0
+        apply_plan(cluster, plan, monitor=monitor)
+        cluster.run(until=max(when for when, _ in plan.leaves) + 1.0)
+        assert not set(leavers) & set(cluster.engine.node_group)
+
+    def test_a_planned_leave_of_a_node_already_gone_is_counted(self):
+        cluster = build_cluster()
+        cluster.engine.leave("n3")
+        cluster.run(until=5.0)
+        apply_plan(cluster, FaultPlan(leaves=((6.0, "n3"),)))
+        cluster.run(until=7.0)
+        assert cluster.sim.metrics.counter("faults.plan_leave_skipped") == 1
+
 
 # ----------------------------------------------------------- network injector
 

@@ -9,9 +9,10 @@ predecessor kept as a test-local copy of the code at 3d42a51:
   ``AtumNode.on_message`` → ``PbftReplica.on_message`` →
   ``CheckpointManager.handle``: every frame must reach the same handler, and
   every Byzantine behaviour must ignore the same frames;
-* **statement-once** — ``registry.verify_digest`` against the per-replica
-  statement digest versus ``registry.verify`` re-hashing the statement per
-  signature: accept/reject must agree on every signature;
+* **statement-once** — a checkpoint statement encoded once per deployment
+  (the digest memo keys it by value) and each signature's MAC computed once
+  (the registry's ``(signer, digest)`` cache) versus ``registry.verify``
+  against a legacy copy: accept/reject must agree on every signature;
 * **the chain** — the one fold over operation digests, from scratch
   (``state_digest_of``), incrementally (``_state_digest_at``) and across a
   transfer (``_chained_digest_with``).
@@ -27,6 +28,7 @@ from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.node import AtumNode, DirectMessage, SmrEnvelope
 from repro.crypto.certificates import CertificateChain, WalkCertificate
+from repro.crypto import digest as digest_module
 from repro.crypto.digest import canonical_encode, seal
 from repro.crypto.keys import Signature
 from repro.faults.plan import RESPONDER_BEHAVIOURS
@@ -342,13 +344,17 @@ def signature_variants(registry, epoch, seq, state_digest):
 
 
 @pytest.mark.usefixtures("quiet_announces")
-def test_statement_once_accepts_exactly_the_votes_registry_verify_accepts():
+def test_statement_once_accepts_exactly_the_votes_registry_verify_accepts(monkeypatch):
     harness = checkpointed_harness()
     replica = harness.actors["replica-3"].replica
     manager, registry = replica.checkpoints, harness.registry
     bad = lambda: harness.sim.metrics.counter("smr.checkpoint.rejected_bad_signature")
     seq, state_digest = 6, "d" * 64
     statement = checkpoint_statement(0, seq, state_digest)
+    encodings, real = [], digest_module._digest_encoded
+    monkeypatch.setattr(
+        digest_module, "_digest_encoded", lambda encoded: encodings.append(encoded) or real(encoded)
+    )
     variants = signature_variants(registry, 0, seq, state_digest)
     accepted = 0
     # Two passes: the second runs every variant against a warm statement memo.
@@ -364,8 +370,9 @@ def test_statement_once_accepts_exactly_the_votes_registry_verify_accepts():
             accepted += expected
     assert accepted == 2 * 2  # "good", both voters, both passes
     assert set(manager._votes[(seq, state_digest)]) == {"replica-0", "replica-1"}
-    # One entry per statement, however many signatures were checked.
-    assert len([key for key in manager._statement_digests if key[0] == seq]) == 1
+    # One encoding of the statement, however many signatures were made and
+    # checked against it.
+    assert encodings.count(canonical_encode(statement)) == 1
 
 
 def registry_verifies(harness, sign):

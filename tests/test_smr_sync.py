@@ -1,5 +1,7 @@
 """Tests for the synchronous (Dolev-Strong) SMR engine."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import AtumParameters
@@ -87,3 +89,37 @@ class TestSingleGroupAgreement:
         harness.run(until=30.0)
         logs = harness.decided_logs()
         assert all(log == logs[0] for log in logs)
+
+
+class TestSignatureChains:
+    def test_a_tampered_mac_is_rejected_after_the_genuine_chain_verified(self):
+        harness = ReplicaGroupHarness(
+            group_size=4, replica_class=SyncSmrReplica, params=AtumParameters(round_duration=0.5)
+        )
+        actor = harness.actors["replica-3"]
+        relays = []
+        receive = actor.on_message
+        actor.on_message = lambda payload, sender: (
+            relays.append((payload, sender)) or receive(payload, sender)
+        )
+        op = harness.propose("replica-0", "broadcast", {"x": 1})
+        harness.run(until=20.0)
+        assert harness.all_correct_decided(op.op_id)
+        message, sender = next(
+            (payload, sender) for payload, sender in relays if payload.chain_length == 2
+        )
+        replica = actor.replica
+        invalid = lambda: harness.sim.metrics.counter("smr.sync.invalid_chain")
+        assert invalid() == 0
+        # The genuine chain verifies, in this process, with every MAC cached...
+        assert replica._valid_signature_chain(message)
+        first, second = message.signatures
+        for forged in (
+            replace(second, mac="0" * 64),
+            replace(second, mac=first.mac),  # a genuine MAC, of another signer
+        ):
+            tampered = replace(message, signatures=(first, forged))
+            # ...and a copy with one tampered MAC is still rejected and counted.
+            replica.on_message(tampered, sender)
+            assert not replica._valid_signature_chain(tampered)
+        assert invalid() == 2
