@@ -33,6 +33,7 @@ full elsewhere and calibrate this engine's cost model.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
@@ -99,6 +100,10 @@ class MembershipEngine:
         # every view takes.
         self.smallest_size: Dict[str, int] = {}
         self.node_group: Dict[str, str] = {}
+        # The keys of ``node_group``, sorted: kept in step by the four paths
+        # that add or remove a node, so a caller that draws a member by
+        # index (the churn driver, once per tick) never sorts the system.
+        self.addresses: List[str] = []
         self.graph: Optional[HGraph] = None
         # Indexed view of ``groups``: the group ids in creation order (dict
         # insertion order minus removals — removals never re-add ids, so this
@@ -179,6 +184,7 @@ class MembershipEngine:
         self.groups[group_id] = view
         self._group_ids.append(group_id)
         self.node_group[node] = group_id
+        insort(self.addresses, node)
         self.graph = HGraph.bootstrap(group_id, self.params.hc)
         self._notify_view(view)
         self._record_size()
@@ -227,6 +233,7 @@ class MembershipEngine:
             self._group_ids.append(group_id)
             for member in chunk:
                 self.node_group[member] = group_id
+        self.addresses = sorted(self.node_group)
         self.graph = HGraph.random(list(self._group_ids), self.params.hc, self._rng)
         for view in self.groups.values():
             self._notify_view(view)
@@ -319,6 +326,7 @@ class MembershipEngine:
         new_view = self.groups[host_group].add(node)
         self._install_view(new_view)
         self.node_group[node] = host_group
+        insort(self.addresses, node)
         self._record_size()
         self._complete(op_id)
         if self.on_join_completed is not None:
@@ -348,6 +356,7 @@ class MembershipEngine:
         view = self.groups[group_id]
         new_view = view.remove(node)
         del self.node_group[node]
+        del self.addresses[bisect_left(self.addresses, node)]
         if self.on_node_left is not None:
             self.on_node_left(node)
         if new_view.size == 0:

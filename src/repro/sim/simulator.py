@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from math import inf
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, EventQueue
@@ -132,66 +133,80 @@ class Simulator:
 
         Returns:
             The simulated time at which the run stopped.
+
+        Raises:
+            SimulationError: ``until`` is before ``now`` (or NaN): the clock
+                never runs backwards.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
+        if until is not None and not until >= self._now:  # earlier than now, or NaN
+            raise SimulationError(f"cannot run until t={until} which is before now={self._now}")
         self._running = True
         processed_this_run = 0
-        # Hot loop: operate directly on the queue's tuple heap so that each
-        # iteration costs one heappop plus one ``fire``, with no per-event
-        # queue method calls.  Ordering is identical to pop_entry()/step():
-        # entries are (time, priority, seq, event, *wire) tuples, cancelled
-        # events are skipped lazily, and an event — anything with
-        # ``cancelled``, ``tag`` and ``fire`` — is fired with its entry (see
-        # repro.sim.events).  ``self._now`` is re-read each iteration because
-        # events never mutate it, only this loop does.
-        heap = self.queue._heap
-        heappop = heapq.heappop
+        # Both loops take the next entry from the queue's near heap.  Ordering
+        # is identical to pop_entry()/step(): entries are (time, priority,
+        # seq, event, *wire) tuples, cancelled events are skipped lazily, and
+        # an event -- anything with ``cancelled``, ``tag`` and ``fire`` -- is
+        # fired with its entry (see repro.sim.events).  ``self._now`` is only
+        # written by these loops.
         queue = self.queue
+        heap = queue._heap
+        heappop = heapq.heappop
+        refill = queue.refill
+        stop = inf if until is None else until
         try:
             if max_events is None and trace is None:
                 # Specialized hot loop for plain ``run(until=...)`` /
-                # ``run()`` calls: no per-event budget or trace checks, one
-                # heap-root peek per event, and the processed-event counter
-                # accumulates locally (flushed below).  Ordering and
-                # semantics are identical to the general loop.
-                has_until = until is not None
+                # ``run()`` calls: one heap-root peek and one compare per
+                # event, against ``limit`` -- the earlier of ``until`` and
+                # the queue's horizon, before which the near root is the
+                # earliest entry of both tiers.  Only a root past it (or an
+                # empty near heap) takes the slow path through refill(); the
+                # horizon only grows, so a stale ``limit`` is merely early.
+                # The processed-event counter accumulates locally (flushed
+                # below).
                 processed_local = 0
+                horizon = queue._horizon
+                limit = stop if stop < horizon else horizon
                 try:
                     while True:
-                        if not heap:
-                            queue._live = 0
+                        if heap:
+                            entry = heap[0]
+                            event = entry[3]
+                            if event.cancelled:
+                                heappop(heap)
+                                continue
+                            next_time = entry[0]
+                            if next_time <= limit:
+                                heappop(heap)
+                                queue._live -= 1
+                                self._now = next_time
+                                event.fire(entry)
+                                processed_local += 1
+                                continue
+                        entry = refill()
+                        if entry is None:
                             break
-                        entry = heap[0]
-                        event = entry[3]
-                        if event.cancelled:
-                            heappop(heap)
-                            continue
-                        next_time = entry[0]
-                        if has_until and next_time > until:
+                        if entry[0] > stop:
                             self._now = until
                             break
-                        heappop(heap)
-                        queue._live -= 1
-                        self._now = next_time
-                        event.fire(entry)
-                        processed_local += 1
+                        horizon = queue._horizon
+                        limit = stop if stop < horizon else horizon
                 finally:
                     self._processed += processed_local
             else:
                 while True:
                     if max_events is not None and processed_this_run >= max_events:
                         break
-                    while heap and heap[0][3].cancelled:
-                        heappop(heap)
-                    if not heap:
-                        queue._live = 0
+                    entry = refill()
+                    if entry is None:
                         break
-                    next_time = heap[0][0]
-                    if until is not None and next_time > until:
+                    next_time = entry[0]
+                    if next_time > stop:
                         self._now = until
                         break
-                    entry = heappop(heap)
+                    heappop(heap)
                     event = entry[3]
                     queue._live -= 1
                     self._now = next_time

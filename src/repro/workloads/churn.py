@@ -119,7 +119,7 @@ class ChurnWorkload:
         )
 
     def _rejoin_one(self) -> None:
-        members = sorted(self.engine.node_group)
+        members = self.engine.addresses
         if not members:
             return
         victim = members[self._rng.randrange(len(members))]
@@ -127,7 +127,7 @@ class ChurnWorkload:
             self.engine.leave(victim)
         except MembershipError:
             # A concurrent operation can remove the victim between the
-            # snapshot above and the call; such a tick drove no re-join, so
+            # draw above and the call; such a tick drove no re-join, so
             # it must not count towards the requested rate (it would skew
             # completion_ratio and the sustained verdict).  Any other
             # exception is an engine bug and propagates.

@@ -388,7 +388,7 @@ def run_faulty_cluster(per_peer):
         streams = ["network", "faults.network"] + [f"antientropy.{a}" for a in addresses]
         snapshots.append(
             (
-                sorted(entry[:3] for entry in sim.queue._heap),
+                sorted(entry[:3] for entry in sim.queue._heap + sim.queue._far),
                 [sim.rng.stream(name).getstate() for name in streams],
                 {
                     name: value

@@ -50,14 +50,21 @@ beaten on one sweep, no tick calls ``Network.heard`` again.  Beside it, a
 heartbeat-only run makes no ``Network.send_many`` call: a tick's send is
 ``Network.beat``.
 
+The sixth is a depth: the mean number of entries in the kernel's near heap
+at each network delivery of ``pbft`` and ``ae_faults``, which every
+delivery pops from.  A timer due more than ``NEAR_S`` past the next event
+belongs in the far heap (:mod:`repro.sim.events`), so a far-future timer
+back in the hot heap shows here as a count.
+
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
 dataclass-generated ``__init__``.
 
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
-it prints the measured calls per message, the tracked objects per message and
-the retained bytes per message or delivery.  A call ceiling is the measured value plus
-~10 %, a byte ceiling plus ~15 %.  Lowering a ceiling after an optimisation is
+it prints the measured calls per message, the hot-heap entries per delivery,
+the tracked objects per message and the retained bytes per message or
+delivery.  A call or hot-heap ceiling is the measured value plus ~10 %, a
+byte ceiling plus ~15 %.  Lowering a ceiling after an optimisation is
 free; *raising* one means the per-message floor went up, and needs a line in
 CHANGES.md saying what the extra calls or bytes buy.
 """
@@ -76,6 +83,7 @@ from repro.faults.invariants import InvariantMonitor
 from repro.faults.plan import FaultPlan, LinkFault, Partition
 from repro.group.antientropy import AntiEntropyConfig
 from repro.net import Network
+from repro.net.network import _Deliveries
 from repro.sim import Simulator
 from repro.smr.checkpoint import CheckpointAnnounce
 
@@ -174,6 +182,13 @@ RETAINED_CEILINGS = {"heartbeats": 1.0, "pbft": 19.6}
 #: to the value memo (one entry per statement).
 RETAINED_DELIVERY_CEILINGS = {"flood": 552.5, "ae_faults": 742.0}
 RETAINED_SCALE = 4
+
+#: Mean entries in the kernel's near heap (``EventQueue._heap``) at each
+#: network delivery: the heap every delivery pops from, so its depth is what
+#: each pop's sift costs.  Timers due more than ``NEAR_S`` past the next
+#: event wait in the far heap: measured 55.4 and 131.7 (105.7 and 164.7
+#: while every timer shared the one heap).
+HOT_HEAP_CEILINGS = {"pbft": 61.0, "ae_faults": 144.8}
 
 PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
 
@@ -335,6 +350,24 @@ def still_growing(cluster):
     return {what: sum(map(size, nodes)) / len(nodes) for what, size in sizes.items()}
 
 
+def hot_heap_entries(name):
+    """Mean ``len(queue._heap)`` at each network delivery of one scenario."""
+    cluster, timed = SCENARIOS[name]()
+    heap, sizes = cluster.sim.queue._heap, []
+    fire = _Deliveries.fire
+
+    def counted(deliveries, entry):
+        sizes.append(len(heap))
+        fire(deliveries, entry)
+
+    _Deliveries.fire = counted
+    try:
+        timed()
+    finally:
+        _Deliveries.fire = fire
+    return sum(sizes) / len(sizes)
+
+
 def test_python_calls_per_sent_message_stay_under_the_ceiling():
     for name, ceiling in CEILINGS.items():
         stats, sent, _, _ = measure(name)
@@ -367,6 +400,15 @@ def test_python_calls_per_delivered_broadcast_stay_under_the_ceiling():
         assert per_delivery <= ceiling, (
             f"{name}: {per_delivery:.1f} Python calls per delivered broadcast, "
             f"ceiling {ceiling} -- see this module's docstring before raising it"
+        )
+
+
+def test_hot_heap_entries_per_delivery_stay_under_the_ceiling():
+    for name, ceiling in HOT_HEAP_CEILINGS.items():
+        entries = hot_heap_entries(name)
+        assert entries <= ceiling, (
+            f"{name}: {entries:.1f} near-heap entries per delivery (ceiling {ceiling}) "
+            f"-- a far-future timer is back in the hot heap"
         )
 
 
@@ -599,6 +641,11 @@ if __name__ == "__main__":
                 f"{scenario}: {python_calls(scenario_stats) / deliveries:.1f} Python calls "
                 f"per delivered broadcast (ceiling {DELIVERY_CEILINGS[scenario]})"
             )
+    for scenario, ceiling in HOT_HEAP_CEILINGS.items():
+        print(
+            f"{scenario}: {hot_heap_entries(scenario):.1f} hot-heap entries per delivery "
+            f"(mean len(EventQueue._heap) at each network delivery, ceiling {ceiling})"
+        )
     events, periods, starts = heartbeat_events()
     print(
         f"heartbeats: {events / periods:.2f} kernel events per heartbeat period "

@@ -106,6 +106,30 @@ class TestSimulator:
         sim.run()
         assert fired == [1, 5]
 
+    def test_run_until_a_past_horizon_is_rejected_and_the_clock_stays(self):
+        # run(until=5) at now=12 used to set now to 5: a 1 s timer scheduled
+        # next fired at 6.0, after the event at 10.0 had already run.
+        sim = Simulator()
+        fired = []
+        for at in (10.0, 20.0):
+            sim.schedule_at(at, lambda t=at: fired.append((t, sim.now)))
+        sim.run(until=12.0)
+        for until in (5.0, float("nan")):
+            with pytest.raises(SimulationError):
+                sim.run(until=until)
+            with pytest.raises(SimulationError):
+                sim.run(until=until, trace=[])
+        assert sim.now == 12.0
+        sim.schedule(1.0, lambda: fired.append(("timer", sim.now)))
+        sim.run(until=12.0)  # a horizon at now is no rewind
+        sim.run()
+        assert fired == [(10.0, 10.0), ("timer", 13.0), (20.0, 20.0)]
+        empty = Simulator()
+        empty.run(until=3.0)
+        with pytest.raises(SimulationError):
+            empty.run(until=1.0)
+        assert empty.now == 3.0
+
     def test_nested_scheduling_from_callbacks(self):
         sim = Simulator()
         fired = []

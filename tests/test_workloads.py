@@ -144,6 +144,41 @@ class TestBroadcastWorkload:
             workload.run()
 
 
+class TestSortedAddresses:
+    """``MembershipEngine.addresses`` is ``sorted(node_group)`` at all times,
+    so the churn driver draws its victim by index without sorting."""
+
+    def _check_every_event(self, engine, monkeypatch):
+        sim = engine.sim
+        checked = []
+
+        def stepping_run(until):
+            while (due := sim.queue.peek_time()) is not None and due <= until:
+                sim.step()
+                assert engine.addresses == sorted(engine.node_group)
+                checked.append(sim.now)
+
+        monkeypatch.setattr(sim, "run", stepping_run)
+        return checked
+
+    def test_the_list_follows_a_churn_run_event_by_event(self, monkeypatch):
+        engine = make_engine(seed=3, size=30)
+        assert engine.addresses == sorted(engine.node_group)
+        checked = self._check_every_event(engine, monkeypatch)
+        result = ChurnWorkload(engine, ChurnConfig(rate_per_minute=60, duration=60.0)).run()
+        assert result.completed_joins > 10 and result.completed_leaves > 10
+        assert any(node.startswith("churn-") for node in engine.addresses)
+        assert len(checked) > 100
+        engine.validate()
+
+    def test_the_list_follows_growth_from_a_bootstrap(self, monkeypatch):
+        engine = make_engine(seed=4)
+        checked = self._check_every_event(engine, monkeypatch)
+        GrowthWorkload(engine, GrowthConfig(target_size=24)).run()
+        assert engine.system_size == 24 and len(checked) > 24
+        assert engine.addresses == sorted(engine.node_group)
+
+
 class TestChurnAccountingFix:
     """Failed leaves must not count as requested re-joins (issue 3 satellite)."""
 
