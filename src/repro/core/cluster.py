@@ -17,7 +17,8 @@ avoiding a per-node copy of the neighbourhood state.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import (
@@ -26,7 +27,7 @@ from repro.core.middleware import (
     MiddlewareError,
     run_hooks,
 )
-from repro.core.node import AtumNode, BroadcastMessage
+from repro.core.node import AtumNode, BroadcastMessage, ForwardPlan
 from repro.crypto.keys import KeyRegistry
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyTap
 from repro.group.heartbeat import MISSES_BEFORE_EVICTION, HeartbeatClock
@@ -91,6 +92,10 @@ class AtumCluster:
         # dropped whole by any view change or group removal.
         self._neighbour_members: Dict[str, Tuple[str, ...]] = {}
         self._neighbour_topology: Optional[int] = None
+        # forward_plan()'s table, and (built at, key, plan) of each plan built,
+        # oldest first: a plan leaves the table a round after it was built.
+        self._forward_plans: Dict[Tuple[Any, ...], ForwardPlan] = {}
+        self._plans_built: Deque[Tuple[float, Tuple[Any, ...], ForwardPlan]] = deque()
         # Middleware pipeline (repro.core.middleware): one chain per cluster,
         # installed lazily via middleware_chain()/install_middleware().  The
         # per-hook pipelines below are compiled from the chain; ``None`` means
@@ -526,6 +531,37 @@ class AtumCluster:
                 m for view in views if view is not None for m in view.members
             )
         return members
+
+    def forward_plan(
+        self, message: BroadcastMessage, source_group: str, view: VGroupView, policy: str
+    ) -> ForwardPlan:
+        """The plan for the vgroup of ``view`` to forward ``message``, first
+        accepted from ``source_group``, under forward policy ``policy``.
+
+        One plan per (broadcast, first source, sending view object, topology
+        version, policy): the first member to forward builds it and its
+        co-members read it, as they read :meth:`neighbour_members`.  A plan
+        leaves the table once a plan built more than a round later retires
+        it; a member that forwards after that builds it again.
+        """
+        graph = self.engine.graph
+        version = None if graph is None else graph.topology_version
+        key = (message.bcast_id, source_group, view.group_id, version, policy)
+        plans = self._forward_plans
+        plan = plans.get(key)
+        if plan is not None and plan.view is view:
+            return plan
+        now = self.sim.now
+        built = self._plans_built
+        horizon = now - self.params.round_duration - 1e-9
+        while built and built[0][0] < horizon:
+            _, old_key, old = built.popleft()
+            if plans.get(old_key) is old:
+                del plans[old_key]
+        plan = ForwardPlan(message, source_group, view, self.cycle_neighbor_ids(view.group_id), policy)
+        plans[key] = plan
+        built.append((now, key, plan))
+        return plan
 
     # ------------------------------------------------------------------ queries
 

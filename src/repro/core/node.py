@@ -23,16 +23,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Collection, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareContext
-from repro.crypto.digest import seal
+from repro.crypto.digest import digest_object, seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
 from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
-from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
+from repro.group.messages import DIGEST_BYTES, GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
@@ -87,6 +87,83 @@ class DirectMessage:
     payload: Any
 
 
+class _ShareEnvelopes(dict):
+    """Per target, a plan's (digest-only, full) share envelopes, built on
+    first use: a hit is a plain dict read."""
+
+    __slots__ = ("message", "view", "gm_prefix")
+
+    def __init__(self, message: BroadcastMessage, view: VGroupView, gm_prefix: str) -> None:
+        super().__init__()
+        self.message = message
+        self.view = view
+        self.gm_prefix = gm_prefix
+
+    def __missing__(self, target: str) -> Tuple[GroupMessageEnvelope, GroupMessageEnvelope]:
+        message, view = self.message, self.view
+        digest, gm_id = digest_object(message), self.gm_prefix + target
+        pair = self[target] = (
+            GroupMessenger.envelope(view, target, "gossip", None, digest, gm_id),
+            GroupMessenger.envelope(view, target, "gossip", message, digest, gm_id),
+        )
+        return pair
+
+
+class ForwardPlan:
+    """One vgroup's gossip forward of one broadcast, decided once.
+
+    Every correct member of a vgroup forwards a broadcast first accepted from
+    one source vgroup to the same targets under the same view, so the
+    targets, their :func:`~repro.overlay.gossip.sends_first` order and the
+    share envelopes are the vgroup's.  The first member to forward builds the
+    plan, the directory keeps it for a round
+    (:meth:`repro.core.cluster.AtumCluster.forward_plan`) and the others read
+    it.  Each member keeps what only it knows: the later sources it heard
+    from whole (:meth:`AtumNode._uncovered`), its ``forward_fn``, whether it
+    sends full copies, and the target views it reads at send time.
+
+    Attributes:
+        message: The broadcast.
+        view: The sending vgroup's view, which every envelope is stamped with.
+        targets: The base targets in order: ``forward_targets`` over the
+            policy's ``forward_cycles``, the first source excluded.
+        first: Per target, whether the vgroup sends along that edge first.
+        first_targets: ``targets`` the vgroup sends to first, in order.
+        deferred_targets: The other ``targets``, in order.
+        sizes: Wire size of a digest-only share and of a full share.
+        gm_prefix: The gm-id of a share to target ``t`` is ``gm_prefix + t``.
+        envelopes: ``envelopes[t][full]`` is the one share envelope to target
+            ``t``, digest-only or full; any group id may be asked for.
+    """
+
+    __slots__ = ("message", "view", "targets", "first", "first_targets",
+                 "deferred_targets", "sizes", "gm_prefix", "envelopes")
+
+    def __init__(
+        self,
+        message: BroadcastMessage,
+        source_group: str,
+        view: VGroupView,
+        pairs: Sequence[Tuple[str, str]],
+        policy: str,
+    ) -> None:
+        bcast_id = message.bcast_id
+        own = view.group_id
+        self.message = message
+        self.view = view
+        targets: List[str] = []
+        if pairs:
+            cycles = forward_cycles(policy, bcast_id, len(pairs))
+            targets = forward_targets(pairs, cycles, own, (source_group,))
+        self.targets = targets
+        first = self.first = {gid: sends_first(bcast_id, own, gid) for gid in targets}
+        self.first_targets = [gid for gid in targets if first[gid]]
+        self.deferred_targets = [gid for gid in targets if not first[gid]]
+        self.sizes = (DIGEST_BYTES, message.size_bytes + 64)
+        self.gm_prefix = f"gossip:{bcast_id}:{own}->"
+        self.envelopes = _ShareEnvelopes(message, view, self.gm_prefix)
+
+
 class AtumNode(Actor):
     """A participant in an Atum system.
 
@@ -98,7 +175,8 @@ class AtumNode(Actor):
         registry: Key registry (PKI) shared by the deployment.
         directory: Provider of overlay information (the cluster).  It must
             expose ``view_of_group(group_id) -> Optional[VGroupView]`` and
-            ``cycle_neighbor_ids(group_id) -> Sequence[Tuple[str, str]]``;
+            ``forward_plan(message, source_group, view, policy) ->
+            ForwardPlan``;
             ``neighbour_members(group_id) -> Sequence[str]`` when anti-entropy
             is enabled, and ``request_eviction(peer, suspected_by)`` when
             heartbeats are (a node without it never proposes an eviction).
@@ -588,7 +666,7 @@ class AtumNode(Actor):
         bcast_id = message.bcast_id
         if bcast_id in self.delivered:
             # A later source: while the forward waits for its round, keep
-            # counting who in that vgroup sent a share (see _gossip_targets).
+            # counting who in that vgroup sent a share (see _uncovered).
             heard = self._heard_from.get(bcast_id)
             if heard is not None and shares is not None and source_group not in heard:
                 heard[source_group] = shares
@@ -630,12 +708,35 @@ class AtumNode(Actor):
         position = self.sim.now % round_duration
         return round_duration - position if position > 1e-12 else 0.0
 
+    def _forward_plan(self, message: BroadcastMessage, source_group: str) -> ForwardPlan:
+        """The vgroup's plan for forwarding ``message`` first accepted from
+        ``source_group``, under this member's current view.  A ``forward_fn``
+        is asked about every neighbour, so its plan is the flood one."""
+        policy = "flood" if self.forward_fn is not None else self.forward_policy
+        return self.directory.forward_plan(message, source_group, self.vgroup_view, policy)
+
+    def _chosen(
+        self,
+        message: BroadcastMessage,
+        targets: List[str],
+        later_sources: Optional[Dict[str, Tuple[str, Set[str]]]],
+    ) -> List[str]:
+        """This member's pick from a plan's ``targets``: a vgroup in
+        ``later_sources`` is dropped by :meth:`_uncovered`, and ``forward_fn``
+        is asked about the rest, in order, and never about a dropped one."""
+        if later_sources:
+            targets = self._uncovered(targets, later_sources)
+        forward_fn = self.forward_fn
+        if forward_fn is None:
+            return targets
+        return [gid for gid in targets if forward_fn(message, gid)]
+
     def _forward(self, message: BroadcastMessage, source_group: str) -> None:
         """Async: send this member's share of ``message`` to its gossip targets."""
         if self.vgroup_view is None:
             return
-        own_group = self.vgroup_view.group_id
-        self._send_gossip(message, own_group, self._gossip_targets(message, (source_group,)))
+        plan = self._forward_plan(message, source_group)
+        self._send_shares(plan, self._chosen(message, plan.targets, None))
         self.sim.metrics.increment("atum.gossip_forwards")
 
     def _forward_at_boundary(self, message: BroadcastMessage, source_group: str) -> None:
@@ -650,33 +751,45 @@ class AtumNode(Actor):
         if self.vgroup_view is None:
             self._complete_forward(bcast_id)
             return
-        own_group = self.vgroup_view.group_id
-        first: List[str] = []
-        deferred: List[str] = []
-        for gid in self._gossip_targets(message, (source_group,), self._heard_from[bcast_id]):
-            (first if sends_first(bcast_id, own_group, gid) else deferred).append(gid)
-        self._send_gossip(message, own_group, first)
+        plan = self._forward_plan(message, source_group)
+        later_sources = self._heard_from[bcast_id]
+        if later_sources or self.forward_fn is not None:
+            goes_first = plan.first
+            targets = self._chosen(message, plan.targets, later_sources)
+            first = [gid for gid in targets if goes_first[gid]]
+            deferred = [gid for gid in targets if not goes_first[gid]]
+        else:
+            first, deferred = plan.first_targets, plan.deferred_targets
+        self._send_shares(plan, first)
         self.sim.metrics.increment("atum.gossip_forwards")
         if deferred:
             self.sim.schedule(
                 STAGGER * self.params.round_duration,
-                lambda: self._forward_deferred(message, own_group, deferred),
+                lambda: self._forward_deferred(message, source_group, plan, deferred),
             )
         else:
             self._complete_forward(bcast_id)
 
     def _forward_deferred(
-        self, message: BroadcastMessage, own_group: str, deferred: List[str]
+        self,
+        message: BroadcastMessage,
+        source_group: str,
+        plan: ForwardPlan,
+        deferred: List[str],
     ) -> None:
         """Sync, second step: send to the ``deferred`` targets that are not
-        known to hold the broadcast by now, unless this node left ``own_group``."""
+        known to hold the broadcast by now, unless this node left the vgroup
+        ``plan`` forwards from.  A new view of that vgroup stamps the shares
+        with its own plan's envelopes."""
         later_sources = self._complete_forward(message.bcast_id)
         view = self.vgroup_view
-        if view is None or view.group_id != own_group:
+        if view is None or view.group_id != plan.view.group_id:
             return
         targets = self._uncovered(deferred, later_sources)
         if targets:
-            self._send_gossip(message, own_group, targets)
+            if view is not plan.view:
+                plan = self._forward_plan(message, source_group)
+            self._send_shares(plan, targets)
             self.sim.metrics.increment("atum.forwards_deferred", len(targets))
 
     def _complete_forward(self, bcast_id: str) -> Dict[str, Tuple[str, Set[str]]]:
@@ -702,71 +815,39 @@ class AtumNode(Actor):
         while settling and settling[0][0] < horizon:
             self.messenger.retire_pending(f"gossip:{settling.popleft()[1]}:")
 
-    def _send_gossip(self, message: BroadcastMessage, own_group: str, targets: List[str]) -> None:
-        """Send this member's share of ``message`` to each of ``targets``."""
-        for target_group in targets:
-            target_view = self.directory.view_of_group(target_group)
-            if target_view is None:
-                continue
-            gm_id = f"gossip:{message.bcast_id}:{own_group}->{target_group}"
-            if self.byzantine == "equivocate":
-                # An equivocating broadcaster ships a conflicting variant of
-                # the share to half of the destination vgroup.  The forged
-                # payload depends only on the message (not on this node), so
-                # colluding equivocators aggregate into one conflicting
-                # digest bucket — the strongest version of the attack the
-                # group-message majority rule must absorb.
-                forged = replace(message, payload=("equivocated", message.payload))
-                self.messenger.send_equivocating(
-                    target_view,
-                    "gossip",
-                    message,
-                    forged,
-                    gm_id=gm_id,
-                    payload_bytes=message.size_bytes + 64,
-                )
-            else:
-                self.messenger.send(
-                    target_view,
-                    "gossip",
-                    message,
-                    gm_id=gm_id,
-                    payload_bytes=message.size_bytes + 64,
-                )
-
-    def _gossip_targets(
-        self,
-        message: BroadcastMessage,
-        exclude: Collection[str],
-        later_sources: Optional[Dict[str, Tuple[str, Set[str]]]] = None,
-    ) -> List[str]:
-        """Neighbouring vgroups this broadcast should be forwarded to.
-
-        The choice must be identical at every correct member of the vgroup
-        (otherwise the group message never reaches a majority), which is why
-        the built-in policies (:func:`repro.overlay.gossip.forward_cycles`)
-        derive any variation from the broadcast id.  ``exclude`` holds the
-        vgroup the broadcast was first accepted from; a vgroup in
-        ``later_sources`` is dropped by :meth:`_uncovered`, and ``forward_fn``
-        is never asked about it.
-        """
-        if self.vgroup_view is None:
-            return []
-        own_group = self.vgroup_view.group_id
-        cycle_neighbors = self.directory.cycle_neighbor_ids(own_group)
-        if not cycle_neighbors:
-            return []
-        hc = len(cycle_neighbors)
-        if self.forward_fn is not None:
-            cycles: Sequence[int] = range(hc)
-        else:
-            cycles = forward_cycles(self.forward_policy, message.bcast_id, hc)
-        targets = forward_targets(cycle_neighbors, cycles, own_group, exclude)
-        if later_sources:
-            targets = self._uncovered(targets, later_sources)
-        if self.forward_fn is None:
-            return targets
-        return [gid for gid in targets if self.forward_fn(message, gid)]
+    def _send_shares(self, plan: ForwardPlan, targets: List[str]) -> None:
+        """Send this member's share of the plan's broadcast to each of
+        ``targets`` whose vgroup still exists, read at send time."""
+        messenger = self.messenger
+        view_of_group = self.directory.view_of_group
+        if self.byzantine == "equivocate":
+            # An equivocating broadcaster ships a conflicting variant of the
+            # share to half of the destination vgroup.  The forged payload
+            # depends only on the message (not on this node), so colluding
+            # equivocators aggregate into one conflicting digest bucket — the
+            # strongest version of the attack the group-message majority rule
+            # must absorb.
+            message = plan.message
+            forged = replace(message, payload=("equivocated", message.payload))
+            for target in targets:
+                target_view = view_of_group(target)
+                if target_view is not None:
+                    messenger.send_equivocating(
+                        target_view,
+                        "gossip",
+                        message,
+                        forged,
+                        gm_id=plan.gm_prefix + target,
+                        payload_bytes=plan.sizes[True],
+                    )
+            return
+        full = messenger.sends_full_copy(self.vgroup_view)
+        size = plan.sizes[full]
+        send_share, envelopes = messenger.send_share, plan.envelopes
+        for target in targets:
+            target_view = view_of_group(target)
+            if target_view is not None:
+                send_share(target_view.members, envelopes[target][full], size)
 
     def _uncovered(
         self, candidates: List[str], later_sources: Dict[str, Tuple[str, Set[str]]]
@@ -791,6 +872,7 @@ class AtumNode(Actor):
 __all__ = [
     "AtumNode",
     "BroadcastMessage",
+    "ForwardPlan",
     "SmrEnvelope",
     "DirectMessage",
 ]

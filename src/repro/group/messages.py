@@ -13,10 +13,11 @@ the upper layer happens only once a full copy is available.
 
 Hot-path layout (the m×m fan-out of every broadcast hop flows through here):
 
-* :meth:`GroupMessenger.send` builds ONE immutable envelope per gm-id and
-  ships per-destination copies of it through :meth:`Network.send_fanout` —
-  envelopes are read-only on the receive path, so the m destinations share
-  the same object instead of constructing m identical ones;
+* every share leaves through :meth:`GroupMessenger.send_share`, which ships
+  one read-only envelope to all m destinations through
+  :meth:`Network.send_fanout`; :meth:`GroupMessenger.envelope` is the one
+  constructor, and a vgroup's gossip forward builds each envelope once for
+  all its members (:class:`repro.core.node.ForwardPlan`);
 * the full-copy-vs-digest decision is cached per own-view snapshot (views are
   immutable, so identity is a sound cache key);
 * :meth:`GroupMessenger.handle` keeps ``__slots__`` accumulation state, drops
@@ -27,7 +28,7 @@ Hot-path layout (the m×m fan-out of every broadcast hop flows through here):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.middleware import MiddlewareContext
 from repro.crypto.digest import digest_object
@@ -49,8 +50,9 @@ class NodeBinding:
 class GroupMessageEnvelope:
     """Node-level wire format of one share of a group message.
 
-    One envelope instance is shared by every destination of a burst (and by
-    every queued delivery): receivers treat it as read-only.  (``slots`` keeps
+    One envelope instance is shared by every destination of a burst, by every
+    queued delivery and, for a gossip forward, by every member of the sending
+    vgroup: senders and receivers treat it as read-only.  (``slots`` keeps
     construction and field access on the m×m hot path cheap; the class is not
     frozen because frozen dataclasses construct via ``object.__setattr__``,
     which roughly doubles the per-envelope cost.)
@@ -157,7 +159,7 @@ class GroupMessenger:
 
     # ------------------------------------------------------------------ sending
 
-    def _sends_full_copy(self, own_view: VGroupView) -> bool:
+    def sends_full_copy(self, own_view: VGroupView) -> bool:
         """Whether this node sends full payloads under ``own_view``.
 
         Digest optimisation: members are ordered deterministically; the first
@@ -173,6 +175,34 @@ class GroupMessenger:
         self._send_full_view = own_view
         self._send_full = send_full
         return send_full
+
+    @staticmethod
+    def envelope(
+        own_view: VGroupView,
+        target_group: str,
+        kind: str,
+        payload: Optional[Any],
+        digest: str,
+        gm_id: str,
+    ) -> GroupMessageEnvelope:
+        """The one constructor of a share: ``own_view``'s share of ``gm_id`` to
+        ``target_group`` (``payload`` ``None`` for a digest-only share)."""
+        return GroupMessageEnvelope(
+            gm_id=gm_id,
+            source_group=own_view.group_id,
+            source_epoch=own_view.epoch,
+            target_group=target_group,
+            kind=kind,
+            payload=payload,
+            digest=digest,
+            sender_group_size=own_view.size,
+        )
+
+    def send_share(self, members: Sequence[str], envelope: GroupMessageEnvelope, size: int) -> None:
+        """Ship ``envelope`` to each of ``members``: the one way a share leaves
+        this node, whoever built the envelope."""
+        self._send_fanout(self._address, members, envelope, size)
+        self._metrics_increment("group.shares_sent", len(members))
 
     def send(
         self,
@@ -191,26 +221,13 @@ class GroupMessenger:
         """
         own_view = self.own_view_fn()
         digest = digest_object(payload)
-        send_full = self._sends_full_copy(own_view)
-        if send_full:
+        if self.sends_full_copy(own_view):
             size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
         else:
             payload = None
             size = DIGEST_BYTES
-
-        envelope = GroupMessageEnvelope(
-            gm_id=gm_id,
-            source_group=own_view.group_id,
-            source_epoch=own_view.epoch,
-            target_group=target_view.group_id,
-            kind=kind,
-            payload=payload,
-            digest=digest,
-            sender_group_size=own_view.size,
-        )
-        members = target_view.members
-        self._send_fanout(self._address, members, envelope, size)
-        self._metrics_increment("group.shares_sent", len(members))
+        envelope = self.envelope(own_view, target_view.group_id, kind, payload, digest, gm_id)
+        self.send_share(target_view.members, envelope, size)
 
     def send_equivocating(
         self,
@@ -235,22 +252,13 @@ class GroupMessenger:
         size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
         members = target_view.members
         half = len(members) // 2
-        honest_targets, forged_targets = members[:half], members[half:]
-        for chunk, chunk_payload in ((honest_targets, payload), (forged_targets, forged_payload)):
-            if not chunk:
-                continue
-            envelope = GroupMessageEnvelope(
-                gm_id=gm_id,
-                source_group=own_view.group_id,
-                source_epoch=own_view.epoch,
-                target_group=target_view.group_id,
-                kind=kind,
-                payload=chunk_payload,
-                digest=digest_object(chunk_payload),
-                sender_group_size=own_view.size,
-            )
-            self._send_fanout(self._address, chunk, envelope, size)
-        self._metrics_increment("group.shares_sent", len(members))
+        for chunk, chunk_payload in ((members[:half], payload), (members[half:], forged_payload)):
+            if chunk:
+                envelope = self.envelope(
+                    own_view, target_view.group_id, kind, chunk_payload,
+                    digest_object(chunk_payload), gm_id,
+                )
+                self.send_share(chunk, envelope, size)
         self._metrics_increment("group.equivocations_sent")
 
     # ---------------------------------------------------------------- receiving

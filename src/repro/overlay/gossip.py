@@ -15,11 +15,15 @@ policies, all values of one function, :func:`forward_cycles`:
 Every correct member of a vgroup must pick the same targets (otherwise the
 group message never reaches a majority), so nothing here draws from an RNG:
 the varying part of a selection derives from :func:`stable_hash` of the
-message id.  :class:`repro.core.node.AtumNode` forwards through
-:func:`forward_targets`; the structural :func:`dissemination_rounds` /
+message id.  A vgroup forwards through :func:`forward_targets` once per
+broadcast: the first member to forward builds a
+:class:`repro.core.node.ForwardPlan` -- the targets in order, each with its
+:func:`sends_first` flag, and the share envelopes -- and its co-members read
+it from the cluster, keeping only their own skip test, ``forward_fn`` and
+fan-out.  The structural :func:`dissemination_rounds` /
 :func:`dissemination_trace` helpers walk an :class:`HGraph` with the same two
-functions, so they pick the same cycles and the same neighbour order as the
-node.  They are an upper bound on what it sends, not a replay: a vertex of the
+functions, so they pick the same cycles and the same neighbour order as a
+plan.  They are an upper bound on what it sends, not a replay: a vertex of the
 trace excludes nothing, while a node skips the vgroup it first accepted the
 broadcast from and, in a Sync deployment, every later one whose whole current
 view sent it a share before the vgroup's send along that edge.

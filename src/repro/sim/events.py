@@ -61,7 +61,8 @@ class Event:
         seq: Monotonic sequence number assigned by the queue; makes ordering
             total and deterministic.
         callback: Zero-argument callable invoked when the event fires.
-        cancelled: Set by :meth:`cancel`; cancelled events are skipped.
+        cancelled: True once the event can no longer fire: set by
+            :meth:`cancel` (the queue then skips it) and by :meth:`fire`.
         tag: Optional human-readable label used in traces and debugging.
     """
 
@@ -88,7 +89,12 @@ class Event:
         self.cancelled = True
 
     def fire(self, entry: tuple) -> None:
-        """Run the callback; a timer reads nothing from its heap ``entry``."""
+        """Run the callback; a timer reads nothing from its heap ``entry``.
+
+        The event is spent from here on, so cancelling it later (from its own
+        callback, say) takes nothing off the queue's live count.
+        """
+        self.cancelled = True
         self.callback()
 
     def __lt__(self, other: "Event") -> bool:

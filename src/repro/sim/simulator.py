@@ -96,7 +96,8 @@ class Simulator:
         return self.queue.push(time, callback, priority=priority, tag=tag)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
+        """Cancel a previously scheduled event; one that was cancelled or has
+        fired is left as it is."""
         if not event.cancelled:
             event.cancel()
             self.queue.notify_cancelled()

@@ -1,16 +1,16 @@
 """Unit tests for AtumNode internals: routing, gossip targets, forward policies."""
 
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
-from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, SmrEnvelope
+from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, ForwardPlan, SmrEnvelope
 from repro.crypto.digest import digest_object
 from repro.faults.behaviours import apply_plan
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.group.messages import GroupMessageEnvelope
+from repro.group.vgroup import VGroupView
 from repro.net.latency import FixedLatency
 from repro.overlay.gossip import forward_cycles, forward_targets, sends_first, stable_hash
 from repro.smr.base import Operation
@@ -29,8 +29,16 @@ def built_cluster(n=24, seed=0, **cluster_kwargs):
     return cluster
 
 
+def targets_of(node, message, source_group=None):
+    """The vgroups ``node`` forwards ``message`` to when it first accepted it
+    from ``source_group`` (default: its own vgroup's decision): its vgroup's
+    forward plan, picked through the node's own ``forward_fn``."""
+    plan = node._forward_plan(message, source_group or node.group_id())
+    return node._chosen(message, plan.targets, None)
+
+
 # (policy, bcast_id, hc) -> targets, captured at commit 5c6dc87
-# from the pre-refactor ``AtumNode._gossip_targets`` (string policies and hash
+# from the node's forward-target selection of that commit (string policies and hash
 # arithmetic inline in core/node.py) over a synthetic neighbourhood: cycle c
 # has neighbours ("p<c>", "s<c>"), except that the last cycle's successor is
 # the own group and the message arrived from "p0" — so the cycle choice, the
@@ -89,15 +97,10 @@ class TestForwardOracle:
         pairs = oracle_pairs(hc)
         cycles = forward_cycles(policy, bcast_id, hc)
         assert forward_targets(pairs, cycles, "own", ("p0",)) == expected
-        # ...and the node reaches the same answer through its own wiring.
-        stub = SimpleNamespace(
-            vgroup_view=SimpleNamespace(group_id="own"),
-            directory=SimpleNamespace(cycle_neighbor_ids=lambda group_id: pairs),
-            forward_fn=None,
-            forward_policy=policy,
-        )
+        # ...and so does the forward plan every member of the vgroup reads.
         message = BroadcastMessage(bcast_id, "n", None, 10, 0.0)
-        assert AtumNode._gossip_targets(stub, message, exclude=("p0",)) == expected
+        plan = ForwardPlan(message, "p0", VGroupView.create("own", ["n"]), pairs, policy)
+        assert plan.targets == expected
 
     def test_excluded_ids_match_whole_not_by_prefix(self):
         pairs = (("g1", "g10"), ("g100", "own"))
@@ -139,7 +142,7 @@ class TestRouting:
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b7", "n1", "x", 10, 0.0)
-        source = node._gossip_targets(message, exclude=())[0]
+        source = targets_of(node, message)[0]
         node._on_group_message("custom", message, source, "gm-1", set())
         node._on_group_message("gossip", "not-a-broadcast", source, "gm-2", set())
         cluster.run(until=5.0)
@@ -171,7 +174,7 @@ class TestGossipTargets:
         cluster = built_cluster()
         node = cluster.node("n0")
         message = BroadcastMessage("b1", "n0", "x", 10, 0.0)
-        targets = node._gossip_targets(message, exclude=())
+        targets = targets_of(node, message)
         own = node.group_id()
         assert own not in targets
         assert len(targets) == len(set(targets))
@@ -183,9 +186,9 @@ class TestGossipTargets:
         node = cluster.node("n0")
         message = BroadcastMessage("b2", "n0", "x", 10, 0.0)
         node.forward_policy = "flood"
-        flood = node._gossip_targets(message, exclude=())
+        flood = targets_of(node, message)
         node.forward_policy = "single"
-        single = node._gossip_targets(message, exclude=())
+        single = targets_of(node, message)
         assert len(single) <= len(flood)
         assert len(single) >= 1
 
@@ -199,7 +202,7 @@ class TestGossipTargets:
             target_sets = []
             for peer in peers:
                 peer.forward_policy = policy
-                target_sets.append(tuple(peer._gossip_targets(message, exclude=())))
+                target_sets.append(tuple(targets_of(peer, message)))
             assert len(set(target_sets)) == 1
 
     def test_custom_forward_fn_filters_targets(self):
@@ -207,13 +210,13 @@ class TestGossipTargets:
         node = cluster.node("n0")
         message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
         node.forward_fn = lambda m, gid: False
-        assert node._gossip_targets(message, exclude=()) == []
+        assert targets_of(node, message) == []
 
     def test_custom_forward_fn_is_asked_once_per_candidate_in_flood_order(self):
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b4", "n0", "x", 10, 0.0)
-        flood = node._gossip_targets(message, exclude=())
+        flood = targets_of(node, message)
         assert len(flood) >= 2
         asked = []
 
@@ -225,7 +228,7 @@ class TestGossipTargets:
         # The application decides per neighbour; the built-in policy is out
         # of the picture, the source group is never asked.
         node.forward_policy = "single"
-        targets = node._gossip_targets(message, exclude=flood[:1])
+        targets = targets_of(node, message, flood[0])
         assert asked == [("b4", gid) for gid in flood[1:]]
         assert targets == flood[2:]
 
@@ -234,16 +237,16 @@ class TestGossipTargets:
         node = cluster.node("n0")
         node.forward_policy = "bogus"
         with pytest.raises(ValueError):
-            node._gossip_targets(BroadcastMessage("b5", "n0", "x", 10, 0.0), exclude=())
+            targets_of(node, BroadcastMessage("b5", "n0", "x", 10, 0.0))
 
     def test_exclude_source_group(self):
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b6", "n0", "x", 10, 0.0)
-        all_targets = node._gossip_targets(message, exclude=())
+        all_targets = targets_of(node, message)
         if all_targets:
             excluded = all_targets[0]
-            remaining = node._gossip_targets(message, exclude=(excluded,))
+            remaining = targets_of(node, message, excluded)
             assert excluded not in remaining
 
 
@@ -255,7 +258,7 @@ class TestForwardsOnce:
         node = cluster.node("n0")
         counter = cluster.sim.metrics.counter
         message = BroadcastMessage("b7", "n1", "x", 10, 0.0)
-        neighbours = node._gossip_targets(message, exclude=())
+        neighbours = targets_of(node, message)
         assert len(neighbours) >= 2
         node._on_group_message("gossip", message, neighbours[0], "gm-1", set())
         cluster.run(until=5.0)  # Sync: the forward waits for the round boundary
@@ -272,10 +275,11 @@ class TestForwardsOnce:
 
 
 def record_gossip(cluster):
-    """Wrap every node's share handler and messenger; return the gossip sends
-    that went to a vgroup every member of whose current view had already sent
-    the sender a share of the same broadcast, and every gossip send as (sender,
-    bcast, own group, target group, time)."""
+    """Wrap every node's share handler and the one way its shares leave
+    (``GroupMessenger.send_share``); return the gossip sends that went to a
+    vgroup every member of whose current view had already sent the sender a
+    share of the same broadcast, and every gossip send as (sender, bcast, own
+    group, target group, time)."""
     shares, sends, sent_back = {}, [], []
     for node in cluster.nodes.values():
         messenger = node.messenger
@@ -284,16 +288,17 @@ def record_gossip(cluster):
             shares.setdefault((node.address, envelope.gm_id), set()).add(sender)
             inner(envelope, sender)
 
-        def send(target_view, kind, payload, node=node, inner=messenger.send, **kwargs):
-            own, target = node.group_id(), target_view.group_id
-            sends.append((node.address, payload.bcast_id, own, target, cluster.sim.now))
-            heard = shares.get((node.address, f"gossip:{payload.bcast_id}:{target}->{own}"), ())
-            if set(target_view.members) <= set(heard):
-                sent_back.append((node.address, payload.bcast_id, target))
-            return inner(target_view, kind, payload, **kwargs)
+        def send_share(members, envelope, size, node=node, inner=messenger.send_share):
+            own, target = node.group_id(), envelope.target_group
+            bcast_id = envelope.gm_id.split(":")[1]
+            sends.append((node.address, bcast_id, own, target, cluster.sim.now))
+            heard = shares.get((node.address, f"gossip:{bcast_id}:{target}->{own}"), ())
+            if set(members) <= set(heard):
+                sent_back.append((node.address, bcast_id, target))
+            return inner(members, envelope, size)
 
         node._routes[GroupMessageEnvelope] = handle
-        messenger.send = send
+        messenger.send_share = send_share
     return sent_back, sends
 
 
@@ -433,7 +438,7 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         group = cluster.node("n0").group_id()
         members = [cluster.node(address) for address in cluster.view_of_group(group).members]
         message = BroadcastMessage("b8", "n1", "x", 10, 0.0)
-        first, later = members[0]._gossip_targets(message, exclude=())[:2]
+        first, later = targets_of(members[0], message)[:2]
         first_view, later_view = cluster.view_of_group(first), cluster.view_of_group(later)
         _, sends = record_gossip(cluster)
         for member in members:
@@ -460,7 +465,7 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b10", "n1", "x", 10, 0.0)
-        first, later = node._gossip_targets(message, exclude=())[:2]
+        first, later = targets_of(node, message)[:2]
         first_view, later_view = cluster.view_of_group(first), cluster.view_of_group(later)
         deliver_shares(node, message, first_view, first_view.members)
         deliver_shares(node, message, later_view, later_view.members[:-1])
@@ -476,7 +481,7 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         cluster = built_cluster(n=40)
         node = cluster.node("n0")
         message = BroadcastMessage("b9", "n1", "x", 10, 0.0)
-        first, later = node._gossip_targets(message, exclude=())[:2]
+        first, later = targets_of(node, message)[:2]
         node._on_group_message("gossip", message, first, "gm-1", {"a"})
         assert node._heard_from == {"b9": {}}
         node._on_group_message("gossip", message, later, "gm-2", {"b"})
@@ -530,7 +535,7 @@ def message_with_deferred_target(node, source_group):
     own = node.group_id()
     for index in range(100):
         message = BroadcastMessage(f"b-late-{index}", "n1", "x", 10, 0.0)
-        targets = node._gossip_targets(message, exclude=(source_group,))
+        targets = targets_of(node, message, source_group)
         if any(not sends_first(message.bcast_id, own, target) for target in targets):
             return message
     raise AssertionError("every edge goes first")
@@ -570,7 +575,7 @@ class TestStaggeredForward:
             cluster = built_cluster(n=40)
             node = cluster.node("n0")
             own = node.group_id()
-            first = node._gossip_targets(BroadcastMessage("b", "n1", "x", 10, 0.0), ())[0]
+            first = targets_of(node, BroadcastMessage("b", "n1", "x", 10, 0.0))[0]
             message = message_with_deferred_target(node, first)
             first_view = cluster.view_of_group(first)
             deliver_shares(node, message, first_view, first_view.members)

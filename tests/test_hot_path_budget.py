@@ -56,6 +56,11 @@ delivery pops from.  A timer due more than ``NEAR_S`` past the next event
 belongs in the far heap (:mod:`repro.sim.events`), so a far-future timer
 back in the hot heap shows here as a count.
 
+The seventh is a ratio of counts: the gossip forward plans ``flood`` and
+``ae_faults`` build per forward.  A vgroup's members share one plan per
+broadcast (:class:`repro.core.node.ForwardPlan`), so it is about one over the
+vgroup size.
+
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
 dataclass-generated ``__init__``.
@@ -76,6 +81,7 @@ import tracemalloc
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MetricsTap, Middleware, MiddlewareChain
+from repro.core.node import ForwardPlan
 from repro.crypto import digest as digest_module
 from repro.crypto.digest import clear_digest_memo
 from repro.faults.behaviours import apply_plan
@@ -135,8 +141,11 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: 11.23, 10.53 and 14.43 when crypto became once per value: a sealed
 #: Dolev-Strong value, value-keyed statement digests and a MAC cache in the
 #: registry, so a receiver no longer re-encodes and re-HMACs what its sender
-#: already did.
-CEILINGS = {"heartbeats": 0.6, "flood": 12.4, "pbft": 11.6, "ae_faults": 15.9}
+#: already did.  ``flood`` and ``ae_faults`` fell to 10.53 and 14.06 when a
+#: vgroup's gossip forward became one plan its members share: no per-member
+#: target choice, ``sends_first`` or envelope, and no per-share own-view read,
+#: digest or full-copy check.
+CEILINGS = {"heartbeats": 0.6, "flood": 11.6, "pbft": 11.6, "ae_faults": 15.5}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
@@ -154,8 +163,19 @@ PBFT_DECIDED_CEILING = 257.5
 #: pattern happens to need -- 0, 4 and 0 of them in those three runs).
 #: ``ae_faults`` fell from 594.2 to 440.7 when its summaries moved onto a
 #: Trickle timer.  Counted per code object: 203.1 and 446.4; then 136.4 and
-#: 337.6 once crypto was paid once per value.
-DELIVERY_CEILINGS = {"flood": 150.0, "ae_faults": 371.5}
+#: 337.6 once crypto was paid once per value; 128.0 and 328.8 once a vgroup's
+#: members shared one forward plan.
+DELIVERY_CEILINGS = {"flood": 141.0, "ae_faults": 362.0}
+
+#: Gossip forward plans built per forward (``atum.gossip_forwards``: one per
+#: member that forwards).  The first member of a vgroup to forward a
+#: broadcast builds the plan and its co-members read it, so the figure is
+#: about 1/m for vgroups of m members: measured 0.175 (7 vgroups of 5.7
+#: members, 4 broadcasts) and 0.221 (under loss and a partition, co-members
+#: first accept a broadcast from different source vgroups, and each source
+#: is a plan of its own; no plan was rebuilt).  A figure near 1 means every
+#: member decides its forward alone again.
+PLANS_PER_FORWARD_CEILINGS = {"flood": 0.19, "ae_faults": 0.24}
 
 #: Bytes a run still holds per *additional* sent message, between a scenario
 #: and the same scenario at ``RETAINED_SCALE`` times the broadcasts (heartbeats:
@@ -288,6 +308,13 @@ def _is(code, file_suffix, function):
     return name == function and filename.endswith(file_suffix)
 
 
+def plans_per_forward(stats, cluster):
+    """Forward plans built per gossip forward of one measured run."""
+    code = ForwardPlan.__init__.__code__
+    built = sum(entry.callcount for entry in stats if entry.code is code)
+    return built / cluster.sim.metrics.counter("atum.gossip_forwards")
+
+
 def python_calls(stats):
     """Calls of functions written in Python, summed over their code objects."""
     return sum(entry.callcount for entry in stats if not isinstance(entry.code, str))
@@ -400,6 +427,16 @@ def test_python_calls_per_delivered_broadcast_stay_under_the_ceiling():
         assert per_delivery <= ceiling, (
             f"{name}: {per_delivery:.1f} Python calls per delivered broadcast, "
             f"ceiling {ceiling} -- see this module's docstring before raising it"
+        )
+
+
+def test_gossip_forward_plans_built_per_forward_stay_under_the_ceiling():
+    for name, ceiling in PLANS_PER_FORWARD_CEILINGS.items():
+        stats, _, _, cluster = measure(name)
+        per_forward = plans_per_forward(stats, cluster)
+        assert 0 < per_forward <= ceiling, (
+            f"{name}: {per_forward:.3f} gossip forward plans built per forward "
+            f"(ceiling {ceiling}) -- members no longer share their vgroup's plan"
         )
 
 
@@ -640,6 +677,12 @@ if __name__ == "__main__":
             print(
                 f"{scenario}: {python_calls(scenario_stats) / deliveries:.1f} Python calls "
                 f"per delivered broadcast (ceiling {DELIVERY_CEILINGS[scenario]})"
+            )
+        if scenario in PLANS_PER_FORWARD_CEILINGS:
+            print(
+                f"{scenario}: {plans_per_forward(scenario_stats, scenario_cluster):.3f} "
+                f"gossip forward plans built per forward "
+                f"(ceiling {PLANS_PER_FORWARD_CEILINGS[scenario]})"
             )
     for scenario, ceiling in HOT_HEAP_CEILINGS.items():
         print(

@@ -79,6 +79,24 @@ class TestCancellation:
         sim.run()
         assert len(sim.queue) == 0
 
+    def test_cancelling_a_fired_event_leaves_len_exact(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=2.0)
+        sim.cancel(fired)
+        assert len(sim.queue) == 1
+        sim.run()
+        assert len(sim.queue) == 0
+
+    def test_an_event_cancelling_itself_leaves_len_exact(self):
+        sim = Simulator()
+        events = []
+        events.append(sim.schedule(1.0, lambda: sim.cancel(events[0])))
+        sim.schedule(5.0, lambda: None)
+        sim.run(until=2.0)
+        assert len(sim.queue) == 1
+
     def test_cancelled_root_is_skipped_by_peek(self):
         queue = EventQueue()
         first = queue.push(1.0, lambda: None)
