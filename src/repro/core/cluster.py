@@ -27,7 +27,8 @@ from repro.core.middleware import (
     MiddlewareError,
     run_hooks,
 )
-from repro.core.node import AtumNode, BroadcastMessage, ForwardPlan
+from repro.core.forward import ForwardPlan
+from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyTap
 from repro.group.heartbeat import MISSES_BEFORE_EVICTION, HeartbeatClock

@@ -15,29 +15,32 @@ Internally the node hosts:
   messages (gossip shares);
 * a :class:`~repro.group.heartbeat.HeartbeatMonitor` for eviction of
   unresponsive peers;
-* the gossip forwarding logic of the second phase of ``broadcast``.
+* the gossip forwarding logic of the second phase of ``broadcast``: its
+  vgroup's shared :class:`~repro.core.forward.ForwardPlan`, sent at once in
+  an Async deployment and, in a Sync one, by a :class:`SyncForward` record
+  per broadcast that is its own kernel event and owns the forward's later
+  sources, late shares and retirement.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import AtumParameters, SmrKind
+from repro.core.forward import ForwardPlan
 from repro.core.middleware import MiddlewareContext
-from repro.crypto.digest import digest_object, seal
+from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
 from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
 from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
-from repro.group.messages import DIGEST_BYTES, GroupMessageEnvelope, GroupMessenger, NodeBinding
+from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
 from repro.net.requests import RequestEnvelope
-from repro.overlay.gossip import forward_cycles, forward_targets, sends_first
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrReplica
@@ -87,81 +90,116 @@ class DirectMessage:
     payload: Any
 
 
-class _ShareEnvelopes(dict):
-    """Per target, a plan's (digest-only, full) share envelopes, built on
-    first use: a hit is a plain dict read."""
+class SyncForward:
+    """One member's Sync forward of one broadcast: its own kernel event, and
+    the table entry (``AtumNode._forwards``) that holds what the forward
+    learns until it retires.
 
-    __slots__ = ("message", "view", "gm_prefix")
-
-    def __init__(self, message: BroadcastMessage, view: VGroupView, gm_prefix: str) -> None:
-        super().__init__()
-        self.message = message
-        self.view = view
-        self.gm_prefix = gm_prefix
-
-    def __missing__(self, target: str) -> Tuple[GroupMessageEnvelope, GroupMessageEnvelope]:
-        message, view = self.message, self.view
-        digest, gm_id = digest_object(message), self.gm_prefix + target
-        pair = self[target] = (
-            GroupMessenger.envelope(view, target, "gossip", None, digest, gm_id),
-            GroupMessenger.envelope(view, target, "gossip", message, digest, gm_id),
-        )
-        return pair
-
-
-class ForwardPlan:
-    """One vgroup's gossip forward of one broadcast, decided once.
-
-    Every correct member of a vgroup forwards a broadcast first accepted from
-    one source vgroup to the same targets under the same view, so the
-    targets, their :func:`~repro.overlay.gossip.sends_first` order and the
-    share envelopes are the vgroup's.  The first member to forward builds the
-    plan, the directory keeps it for a round
-    (:meth:`repro.core.cluster.AtumCluster.forward_plan`) and the others read
-    it.  Each member keeps what only it knows: the later sources it heard
-    from whole (:meth:`AtumNode._uncovered`), its ``forward_fn``, whether it
-    sends full copies, and the target views it reads at send time.
+    Delivery queues the record for the next round boundary with the seq and
+    tier a timer would take and tag ``None``.  Its first firing sends to the
+    targets the vgroup goes first to; if any goes second, it queues itself
+    ``STAGGER`` of a round later and then sends to those not known to hold
+    the broadcast by then.  Until that last step it keeps the later sources;
+    their late shares add to the sender sets through
+    :attr:`GroupMessenger.late_shares`.  A settled record keeps only
+    ``node``, ``source`` and ``settled``, until a boundary of its node more
+    than a round later retires it with its broadcast's unaccepted gossip
+    state: by then every neighbour that delivered the broadcast from this
+    vgroup has forwarded too, and only an anti-entropy re-send can add to
+    below-majority shares that co-members' differing skips left behind.
 
     Attributes:
-        message: The broadcast.
-        view: The sending vgroup's view, which every envelope is stamped with.
-        targets: The base targets in order: ``forward_targets`` over the
-            policy's ``forward_cycles``, the first source excluded.
-        first: Per target, whether the vgroup sends along that edge first.
-        first_targets: ``targets`` the vgroup sends to first, in order.
-        deferred_targets: The other ``targets``, in order.
-        sizes: Wire size of a digest-only share and of a full share.
-        gm_prefix: The gm-id of a share to target ``t`` is ``gm_prefix + t``.
-        envelopes: ``envelopes[t][full]`` is the one share envelope to target
-            ``t``, digest-only or full; any group id may be asked for.
+        later: ``None``, or per later source vgroup the accepted gm-id and
+            the members that sent this node a share of it.
+        plan: The plan the deferred step sends from; ``None`` until the
+            boundary step defers a target.
+        settled: The time of the last step, ``None`` before it.
     """
 
-    __slots__ = ("message", "view", "targets", "first", "first_targets",
-                 "deferred_targets", "sizes", "gm_prefix", "envelopes")
+    __slots__ = ("node", "message", "source", "later", "plan", "deferred", "settled")
 
-    def __init__(
-        self,
-        message: BroadcastMessage,
-        source_group: str,
-        view: VGroupView,
-        pairs: Sequence[Tuple[str, str]],
-        policy: str,
-    ) -> None:
-        bcast_id = message.bcast_id
-        own = view.group_id
+    cancelled = False
+    tag = None
+
+    def __init__(self, node: "AtumNode", message: BroadcastMessage, source: str) -> None:
+        self.node = node
         self.message = message
-        self.view = view
-        targets: List[str] = []
-        if pairs:
-            cycles = forward_cycles(policy, bcast_id, len(pairs))
-            targets = forward_targets(pairs, cycles, own, (source_group,))
-        self.targets = targets
-        first = self.first = {gid: sends_first(bcast_id, own, gid) for gid in targets}
-        self.first_targets = [gid for gid in targets if first[gid]]
-        self.deferred_targets = [gid for gid in targets if not first[gid]]
-        self.sizes = (DIGEST_BYTES, message.size_bytes + 64)
-        self.gm_prefix = f"gossip:{bcast_id}:{own}->"
-        self.envelopes = _ShareEnvelopes(message, view, self.gm_prefix)
+        self.source = source
+        self.later: Optional[Dict[str, Tuple[str, Set[str]]]] = None
+        self.plan: Optional[ForwardPlan] = None
+        self.deferred: Optional[List[str]] = None
+        self.settled: Optional[float] = None
+
+    def fire(self, entry: tuple) -> None:
+        """The boundary step, or the deferred step once the boundary step
+        has planned one."""
+        now, node = entry[0], self.node
+        plan = self.plan
+        if plan is not None:
+            # The deferred step: send to the deferred targets not known to
+            # hold the broadcast by now, unless the node left the vgroup the
+            # plan forwards from.  A new view of that vgroup sends its own
+            # plan's envelopes.
+            message, deferred = self.message, self.deferred
+            later = self._settle(now)
+            view = node.vgroup_view
+            if view is None or view.group_id != plan.view.group_id:
+                return
+            targets = node._uncovered(deferred, later) if later else deferred
+            if targets:
+                if view is not plan.view:
+                    plan = node._forward_plan(message, self.source)
+                node._send_shares(plan, targets)
+                node.sim.metrics.counters["atum.forwards_deferred"] += len(targets)
+            return
+        # The boundary step.  Retire the forwards that settled more than a
+        # round ago: they settled in delivery order, which is table order
+        # (forwards settle at their boundary or a stagger later), and this
+        # one is still unsettled.
+        round_duration = node.params.round_duration
+        horizon = now - round_duration - 1e-9
+        forwards, retired = node._forwards, []
+        for bcast_id, forward in forwards.items():
+            if forward.settled is None or not forward.settled < horizon:
+                break
+            retired.append(bcast_id)
+        if retired:
+            for bcast_id in retired:
+                del forwards[bcast_id]
+            node.messenger.retire_gossip(retired)
+        if node.vgroup_view is None:
+            self._settle(now)
+            return
+        message = self.message
+        plan = node._forward_plan(message, self.source)
+        later = self.later
+        if later is not None or node.forward_fn is not None:
+            goes_first = plan.first
+            targets = node._chosen(message, plan.targets, later)
+            first = [gid for gid in targets if goes_first[gid]]
+            deferred = [gid for gid in targets if not goes_first[gid]]
+        else:
+            first, deferred = plan.first_targets, plan.deferred_targets
+        node._send_shares(plan, first)
+        node.sim.metrics.counters["atum.gossip_forwards"] += 1.0
+        if deferred:
+            self.plan, self.deferred = plan, deferred
+            node.sim.queue.push_event(now + STAGGER * round_duration, self)
+        else:
+            self._settle(now)
+
+    def _settle(self, now: float) -> Optional[Dict[str, Tuple[str, Set[str]]]]:
+        """Mark the forward done, stop counting later shares and let go of
+        what only the steps read; returns the later sources."""
+        self.settled = now
+        later = self.later
+        if later is not None:
+            late = self.node.messenger.late_shares
+            for gm_id, _ in later.values():
+                del late[gm_id]
+            self.later = None
+        self.message = self.plan = self.deferred = None
+        return later
 
 
 class AtumNode(Actor):
@@ -246,13 +284,8 @@ class AtumNode(Actor):
         self.replica: Optional[SmrReplica] = None
         self.delivered: Dict[str, float] = {}
         self.delivered_order: List[str] = []
-        # bcast_id -> {vgroup it was accepted from after the first: (gm-id,
-        # the members that sent this node a share)}; an entry lives only until
-        # a Sync forward's deferred send.
-        self._heard_from: Dict[str, Dict[str, Tuple[str, Set[str]]]] = {}
-        # (time, bcast_id) of each completed Sync forward, oldest first, until
-        # a later forward retires the broadcast's unaccepted gossip state.
-        self._settling: Deque[Tuple[float, str]] = deque()
+        # bcast_id -> this node's Sync forward of it, in delivery order.
+        self._forwards: Dict[str, SyncForward] = {}
         self._direct_handlers: Dict[str, Callable[[Any, str], None]] = {}
 
         self.messenger = GroupMessenger(
@@ -632,8 +665,24 @@ class AtumNode(Actor):
     def _on_group_message(
         self, kind: str, payload: Any, source_group: str, gm_id: str, senders: Set[str]
     ) -> None:
-        if kind == "gossip" and isinstance(payload, BroadcastMessage):
-            self._deliver_and_forward(payload, source_group, (gm_id, senders))
+        if kind != "gossip" or not isinstance(payload, BroadcastMessage):
+            return
+        bcast_id = payload.bcast_id
+        if bcast_id not in self.delivered:
+            self._deliver_and_forward(payload, source_group)
+            return
+        # A later source: while the Sync forward is pending, it counts who in
+        # that vgroup sent a share (see _uncovered).
+        forward = self._forwards.get(bcast_id)
+        if forward is None or forward.settled is not None:
+            return
+        later = forward.later
+        if later is None:
+            later = forward.later = {}
+        elif source_group in later:
+            return
+        later[source_group] = (gm_id, senders)
+        self.messenger.late_shares[gm_id] = senders
 
     def _on_peer_suspected(self, peer: str) -> None:
         """A vgroup peer missed too many heartbeats: ask the directory to evict it."""
@@ -655,27 +704,14 @@ class AtumNode(Actor):
         self._mw_scenario = scenario
         self.messenger.set_middleware_hooks(deliver_hooks, scenario)
 
-    def _deliver_and_forward(
-        self,
-        message: BroadcastMessage,
-        source_group: str,
-        shares: Optional[Tuple[str, Set[str]]] = None,
-    ) -> None:
-        """``shares`` is the accepted group message's (gm-id, senders); ``None``
-        for the own vgroup's decision."""
+    def _deliver_and_forward(self, message: BroadcastMessage, source_group: str) -> None:
         bcast_id = message.bcast_id
         if bcast_id in self.delivered:
-            # A later source: while the forward waits for its round, keep
-            # counting who in that vgroup sent a share (see _uncovered).
-            heard = self._heard_from.get(bcast_id)
-            if heard is not None and shares is not None and source_group not in heard:
-                heard[source_group] = shares
-                self.messenger.count_late_shares(*shares)
             return
         now = self.sim.now
         self.delivered[bcast_id] = now
         self.delivered_order.append(bcast_id)
-        self.sim.metrics.increment("atum.deliveries")
+        self.sim.metrics.counters["atum.deliveries"] += 1.0
         self.sim.metrics.observe("atum.delivery_latency", now - message.created_at)
         hooks = self._deliver_hooks
         if hooks is not None:
@@ -697,9 +733,8 @@ class AtumNode(Actor):
             self.deliver_fn(message)
         if self.params.smr_kind is SmrKind.SYNC:
             # Synchronous deployments forward at round boundaries.
-            self._heard_from[bcast_id] = {}
-            delay = self._time_to_next_round()
-            self.sim.schedule(delay, lambda: self._forward_at_boundary(message, source_group))
+            forward = self._forwards[bcast_id] = SyncForward(self, message, source_group)
+            self.sim.queue.push_event(now + self._time_to_next_round(), forward)
         else:
             self._forward(message, source_group)
 
@@ -738,82 +773,6 @@ class AtumNode(Actor):
         plan = self._forward_plan(message, source_group)
         self._send_shares(plan, self._chosen(message, plan.targets, None))
         self.sim.metrics.increment("atum.gossip_forwards")
-
-    def _forward_at_boundary(self, message: BroadcastMessage, source_group: str) -> None:
-        """Sync, first step: send to the targets this vgroup goes first to.
-
-        The others wait ``STAGGER`` of a round for :meth:`_forward_deferred`,
-        so a neighbour that delivered in the same round and goes first on the
-        shared edge has sent its shares by then.
-        """
-        bcast_id = message.bcast_id
-        self._retire_settled()
-        if self.vgroup_view is None:
-            self._complete_forward(bcast_id)
-            return
-        plan = self._forward_plan(message, source_group)
-        later_sources = self._heard_from[bcast_id]
-        if later_sources or self.forward_fn is not None:
-            goes_first = plan.first
-            targets = self._chosen(message, plan.targets, later_sources)
-            first = [gid for gid in targets if goes_first[gid]]
-            deferred = [gid for gid in targets if not goes_first[gid]]
-        else:
-            first, deferred = plan.first_targets, plan.deferred_targets
-        self._send_shares(plan, first)
-        self.sim.metrics.increment("atum.gossip_forwards")
-        if deferred:
-            self.sim.schedule(
-                STAGGER * self.params.round_duration,
-                lambda: self._forward_deferred(message, source_group, plan, deferred),
-            )
-        else:
-            self._complete_forward(bcast_id)
-
-    def _forward_deferred(
-        self,
-        message: BroadcastMessage,
-        source_group: str,
-        plan: ForwardPlan,
-        deferred: List[str],
-    ) -> None:
-        """Sync, second step: send to the ``deferred`` targets that are not
-        known to hold the broadcast by now, unless this node left the vgroup
-        ``plan`` forwards from.  A new view of that vgroup stamps the shares
-        with its own plan's envelopes."""
-        later_sources = self._complete_forward(message.bcast_id)
-        view = self.vgroup_view
-        if view is None or view.group_id != plan.view.group_id:
-            return
-        targets = self._uncovered(deferred, later_sources)
-        if targets:
-            if view is not plan.view:
-                plan = self._forward_plan(message, source_group)
-            self._send_shares(plan, targets)
-            self.sim.metrics.increment("atum.forwards_deferred", len(targets))
-
-    def _complete_forward(self, bcast_id: str) -> Dict[str, Tuple[str, Set[str]]]:
-        """The later sources of ``bcast_id``, whose shares are counted no more."""
-        later = self._heard_from.pop(bcast_id)
-        for gm_id, _ in later.values():
-            self.messenger.stop_counting(gm_id)
-        self._settling.append((self.sim.now, bcast_id))
-        return later
-
-    def _retire_settled(self) -> None:
-        """Retire the unaccepted gossip state of every broadcast whose forward
-        completed more than a round ago.
-
-        By then every neighbour that delivered it from this vgroup has
-        forwarded too: what is left are below-majority shares from co-members
-        that disagreed on a skip, and only an anti-entropy re-send can still
-        add to them.  This node holds the broadcast, so accepting one more of
-        its gossip group messages would deliver nothing.
-        """
-        settling = self._settling
-        horizon = self.sim.now - self.params.round_duration - 1e-9
-        while settling and settling[0][0] < horizon:
-            self.messenger.retire_pending(f"gossip:{settling.popleft()[1]}:")
 
     def _send_shares(self, plan: ForwardPlan, targets: List[str]) -> None:
         """Send this member's share of the plan's broadcast to each of
@@ -872,7 +831,7 @@ class AtumNode(Actor):
 __all__ = [
     "AtumNode",
     "BroadcastMessage",
-    "ForwardPlan",
     "SmrEnvelope",
+    "SyncForward",
     "DirectMessage",
 ]

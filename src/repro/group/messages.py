@@ -17,7 +17,7 @@ Hot-path layout (the m×m fan-out of every broadcast hop flows through here):
   one read-only envelope to all m destinations through
   :meth:`Network.send_fanout`; :meth:`GroupMessenger.envelope` is the one
   constructor, and a vgroup's gossip forward builds each envelope once for
-  all its members (:class:`repro.core.node.ForwardPlan`);
+  all its members (:class:`repro.core.forward.ForwardPlan`);
 * the full-copy-vs-digest decision is cached per own-view snapshot (views are
   immutable, so identity is a sound cache key);
 * :meth:`GroupMessenger.handle` keeps ``__slots__`` accumulation state, drops
@@ -104,8 +104,9 @@ class GroupMessenger:
     ``own_view_fn`` and receives accepted group messages through the
     ``on_accept`` callback, which is invoked exactly once per group message
     with ``(kind, payload, source_group, gm_id, senders)``.  ``senders`` is the
-    set of source members whose shares counted; it stops growing at delivery
-    unless the host asks for later shares with :meth:`count_late_shares`.
+    set of source members whose shares counted.  It stops growing at delivery
+    unless the host puts it in ``late_shares`` (gm-id -> set), which only the
+    host writes: a later share of that gm-id adds its sender.
     """
 
     def __init__(
@@ -140,9 +141,7 @@ class GroupMessenger:
         self._pending: Dict[str, _PendingGroupMessage] = {}
         self._conflicting: Dict[Tuple[str, str], _PendingGroupMessage] = {}
         self._delivered_gm_ids: Set[str] = set()
-        # gm-id -> sender set of a delivered group message that later shares
-        # still add to, while the host asks (count_late_shares / stop_counting).
-        self._late_senders: Dict[str, Set[str]] = {}
+        self.late_shares: Dict[str, Set[str]] = {}
         # Single-entry cache of the full-copy-vs-digest decision, keyed by the
         # identity of the (immutable) own-view snapshot it was computed for.
         self._send_full_view: Optional[VGroupView] = None
@@ -267,7 +266,7 @@ class GroupMessenger:
         """Process one share of a group message arriving from ``sender``."""
         gm_id = envelope.gm_id
         if gm_id in self._delivered_gm_ids:
-            late = self._late_senders.get(gm_id)
+            late = self.late_shares.get(gm_id)
             if late is not None:
                 late.add(sender)
             return
@@ -354,31 +353,25 @@ class GroupMessenger:
                 envelope.kind, state.full_payload, envelope.source_group, gm_id, senders
             )
 
-    def count_late_shares(self, gm_id: str, senders: Set[str]) -> None:
-        """Add the sender of every later share of delivered ``gm_id`` to ``senders``."""
-        self._late_senders[gm_id] = senders
+    def retire_gossip(self, bcast_ids: Sequence[str]) -> None:
+        """Drop the not-yet-accepted state of the gossip group messages of
+        each of ``bcast_ids`` (gm-ids ``gossip:<bcast_id>:...``).
 
-    def stop_counting(self, gm_id: str) -> None:
-        self._late_senders.pop(gm_id, None)
-
-    def retire_pending(self, prefix: str) -> None:
-        """Drop the not-yet-accepted state of every gm-id starting with ``prefix``.
-
-        For group messages the host no longer needs: a share that arrives
-        later starts a fresh count.  Counted as ``group.pending_retired``.
+        For broadcasts the host holds and no longer forwards: a share that
+        arrives later starts a fresh count.  Counted as
+        ``group.pending_retired``.
         """
-        retired = 0
         pending, conflicting = self._pending, self._conflicting
-        if pending:
-            stale = [k for k, s in pending.items() if not s.accepted and k.startswith(prefix)]
-            for gm_id in stale:
-                del pending[gm_id]
-            retired += len(stale)
-        if conflicting:
-            split = [k for k, s in conflicting.items() if not s.accepted and k[0].startswith(prefix)]
-            for key in split:
-                del conflicting[key]
-            retired += len(split)
+        if not pending and not conflicting:
+            return
+        prefixes = tuple(f"gossip:{bcast_id}:" for bcast_id in bcast_ids)
+        stale = [k for k, s in pending.items() if not s.accepted and k.startswith(prefixes)]
+        for gm_id in stale:
+            del pending[gm_id]
+        split = [k for k, s in conflicting.items() if not s.accepted and k[0].startswith(prefixes)]
+        for key in split:
+            del conflicting[key]
+        retired = len(stale) + len(split)
         if retired:
             self._metrics_increment("group.pending_retired", retired)
 

@@ -91,6 +91,13 @@ class ModuleInfo:
 
 SET_ANNOTATIONS = {"set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"}
 
+#: Builtin bases whose instances carry no ``__dict__``: a slotted subclass of
+#: one has only the slots it and its project bases declare.  ``BaseException``
+#: and its subclasses give every instance a ``__dict__``, so they stay open.
+SLOTLESS_BUILTINS = frozenset(
+    {"dict", "list", "set", "frozenset", "tuple", "int", "float", "str", "bytes"}
+)
+
 
 def annotation_is_set(node: Optional[ast.AST]) -> bool:
     if node is None:
@@ -141,7 +148,8 @@ class ProjectIndex:
 
         ``None`` means "do not check attribute writes against slots": a
         dynamic ``__slots__``, a ``__slots__`` containing ``__dict__``, an
-        unresolvable (external) base, or an unslotted base all make the
+        unresolvable (external) base other than one of
+        :data:`SLOTLESS_BUILTINS`, or an unslotted base all make the
         instance layout open.
         """
         seen = _seen if _seen is not None else set()
@@ -156,6 +164,8 @@ class ProjectIndex:
                 continue
             base_info = self.resolve_class(module, base)
             if base_info is None:
+                if base in SLOTLESS_BUILTINS:
+                    continue
                 return None
             base_module = next(
                 (m for m in self.modules if m.module == base_info.module), module

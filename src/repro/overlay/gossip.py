@@ -17,7 +17,7 @@ group message never reaches a majority), so nothing here draws from an RNG:
 the varying part of a selection derives from :func:`stable_hash` of the
 message id.  A vgroup forwards through :func:`forward_targets` once per
 broadcast: the first member to forward builds a
-:class:`repro.core.node.ForwardPlan` -- the targets in order, each with its
+:class:`repro.core.forward.ForwardPlan` -- the targets in order, each with its
 :func:`sends_first` flag, and the share envelopes -- and its co-members read
 it from the cluster, keeping only their own skip test, ``forward_fn`` and
 fan-out.  The structural :func:`dissemination_rounds` /
@@ -28,11 +28,13 @@ trace excludes nothing, while a node skips the vgroup it first accepted the
 broadcast from and, in a Sync deployment, every later one whose whole current
 view sent it a share before the vgroup's send along that edge.
 
-A Sync forward is two sends.  At the round boundary a vgroup sends to the
-targets it :func:`sends_first` to; a few milliseconds later it sends to the
-rest, minus every one whose whole current view sent it a share by then.  Two
-adjacent vgroups that deliver in the same round would otherwise send each
-other the broadcast at the same boundary; staggered, the edge carries it once.
+A Sync forward is two sends, made by one record per (node, broadcast) that
+is its own kernel event (:class:`repro.core.node.SyncForward`).  At the round
+boundary a vgroup sends to the targets it :func:`sends_first` to; a few
+milliseconds later it sends to the rest, minus every one whose whole current
+view sent it a share by then.  Two adjacent vgroups that deliver in the same
+round would otherwise send each other the broadcast at the same boundary;
+staggered, the edge carries it once.
 """
 
 from __future__ import annotations

@@ -34,7 +34,9 @@ The queue's contract with whoever drains it: an *event* is anything with
 ``entry[3].fire(entry)``.  A timer's entry ends at its :class:`Event`, whose
 ``fire`` runs the callback; a network delivery (:mod:`repro.net.network`) *is*
 its entry — the wire fields in ``entry[4:]`` behind one event shared by every
-message in flight, so only the entry says when it fires.
+message in flight, so only the entry says when it fires; a Sync gossip forward
+(:class:`repro.core.node.SyncForward`) is its own event, queued by
+:meth:`EventQueue.push_event`.
 """
 
 from __future__ import annotations
@@ -144,6 +146,19 @@ class EventQueue:
         heappush(self._far if time > self._horizon else self._heap, (time, priority, seq, event))
         self._live += 1
         return event
+
+    def push_event(self, time: float, event) -> None:
+        """Queue ``event`` itself at ``time``, priority 0: the seq and tier
+        :meth:`push` gives a timer, with no :class:`Event` in between.
+
+        ``event`` has ``cancelled``, ``tag`` and ``fire``, is fired with its
+        entry, and is in the queue at most once at a time; nothing cancels
+        it (a :class:`repro.core.node.SyncForward` is one).
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._far if time > self._horizon else self._heap, (time, 0, seq, event))
+        self._live += 1
 
     def refill(self) -> Optional[tuple]:
         """Leave the next non-cancelled entry at the root of ``_heap`` and

@@ -16,3 +16,12 @@ class Leaf(Base):
         self.alpha = 1  # inherited slot: fine
         self.beta = 2
         self.gamma = 3  # not declared anywhere in the chain
+
+
+class Envelopes(dict):
+    __slots__ = ("message",)
+
+    def __init__(self, message):
+        super().__init__()
+        self.message = message
+        self.view = None  # a builtin base adds no slot

@@ -24,3 +24,20 @@ class Waived:
     def tag(self):
         self.value = 1
         self.debug_tag = "x"  # atumlint: allow[ATL005] fixture: dev-only write behind a feature flag
+
+
+class Envelopes(dict):
+    __slots__ = ("message",)
+
+    def __init__(self, message):
+        super().__init__()
+        self.message = message
+
+
+class Failure(ValueError):
+    __slots__ = ("code",)
+
+    def __init__(self, code):
+        super().__init__(code)
+        self.code = code
+        self.note = "x"  # an exception carries a __dict__: layout open, not checked

@@ -5,7 +5,15 @@ from itertools import combinations
 import pytest
 
 from repro.core import AtumCluster, AtumParameters, SmrKind
-from repro.core.node import AtumNode, BroadcastMessage, DirectMessage, ForwardPlan, SmrEnvelope
+from repro.core.forward import ForwardPlan
+from repro.core.node import (
+    STAGGER,
+    AtumNode,
+    BroadcastMessage,
+    DirectMessage,
+    SmrEnvelope,
+    SyncForward,
+)
 from repro.crypto.digest import digest_object
 from repro.faults.behaviours import apply_plan
 from repro.faults.plan import FaultPlan, LinkFault
@@ -367,12 +375,13 @@ def watch_skips(cluster, monkeypatch):
     each step made.
     """
     unsafe, skips, step = [], {"boundary": 0, "deferred": 0}, ["boundary"]
-    forward_deferred, uncovered = AtumNode._forward_deferred, AtumNode._uncovered
+    fire, uncovered = SyncForward.fire, AtumNode._uncovered
 
-    def watched_forward_deferred(node, *args):
-        step[0] = "deferred"
+    def watched_fire(forward, entry):
+        # A forward's deferred step is the firing after it planned one.
+        step[0] = "boundary" if forward.plan is None else "deferred"
         try:
-            forward_deferred(node, *args)
+            fire(forward, entry)
         finally:
             step[0] = "boundary"
 
@@ -386,7 +395,7 @@ def watch_skips(cluster, monkeypatch):
                 unsafe.append((bcast_id, gid))
         return targets
 
-    monkeypatch.setattr(AtumNode, "_forward_deferred", watched_forward_deferred)
+    monkeypatch.setattr(SyncForward, "fire", watched_fire)
     monkeypatch.setattr(AtumNode, "_uncovered", watched_uncovered)
     return unsafe, skips
 
@@ -404,6 +413,21 @@ def run_broadcasts(monkeypatch, policy, **cluster_kwargs):
         cluster.sim.schedule_at(1.0 + 2.0 * index, lambda o=origin: cluster.broadcast(o, o))
     cluster.run(until=40.0)
     return cluster, sends, sent_back, unsafe, skips
+
+
+def assert_no_forward_state_left(cluster):
+    """Once a run drains, no Sync forward is pending and no late share is
+    counted.  A settled forward waits only for a boundary that never came:
+    each one a node still holds settled within a round (and a stagger) of
+    the last one."""
+    for node in cluster.nodes.values():
+        assert node.messenger.late_shares == {}
+        forwards = list(node._forwards.values())
+        assert all(forward.settled is not None for forward in forwards)
+        if forwards:
+            last = max(forward.settled for forward in forwards)
+            window = node.params.round_duration * (1 + STAGGER) + 1e-9
+            assert all(forward.settled >= last - window for forward in forwards)
 
 
 def assert_everyone_delivered_everything(cluster):
@@ -427,8 +451,7 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         assert_everyone_delivered_everything(cluster)
         # The per-broadcast sources and their late-share counts live only while
         # a forward is pending.
-        assert all(node._heard_from == {} for node in cluster.nodes.values())
-        assert all(node.messenger._late_senders == {} for node in cluster.nodes.values())
+        assert_no_forward_state_left(cluster)
 
     def test_a_source_is_skipped_only_when_its_whole_view_sent_a_share(self):
         # Under loss co-members disagree on who in the second source sent them
@@ -469,13 +492,15 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         first_view, later_view = cluster.view_of_group(first), cluster.view_of_group(later)
         deliver_shares(node, message, first_view, first_view.members)
         deliver_shares(node, message, later_view, later_view.members[:-1])
-        ((gm_id, senders),) = node._heard_from["b10"].values()
-        assert node.messenger._late_senders == {gm_id: senders}
+        forward = node._forwards["b10"]
+        ((gm_id, senders),) = forward.later.values()
+        assert node.messenger.late_shares == {gm_id: senders}
         deliver_shares(node, message, later_view, later_view.members[-1:])
         assert senders == set(later_view.members)
         cluster.run(until=cluster.sim.now + node._time_to_next_round() + 0.01)
         assert cluster.sim.metrics.counter("atum.forwards_suppressed") == 1
-        assert node.messenger._late_senders == {}
+        assert forward.settled is not None
+        assert node.messenger.late_shares == {}
 
     def test_the_sources_go_when_the_forward_fires_after_a_leave(self):
         cluster = built_cluster(n=40)
@@ -483,14 +508,15 @@ class TestForwardSkipsSourcesWhoseWholeViewSent:
         message = BroadcastMessage("b9", "n1", "x", 10, 0.0)
         first, later = targets_of(node, message)[:2]
         node._on_group_message("gossip", message, first, "gm-1", {"a"})
-        assert node._heard_from == {"b9": {}}
+        (forward,) = node._forwards.values()
+        assert (forward.source, forward.later) == (first, None)
         node._on_group_message("gossip", message, later, "gm-2", {"b"})
-        assert node._heard_from == {"b9": {later: ("gm-2", {"b"})}}
-        assert node.messenger._late_senders == {"gm-2": {"b"}}
+        assert forward.later == {later: ("gm-2", {"b"})}
+        assert node.messenger.late_shares == {"gm-2": {"b"}}
         node.clear_membership()
         cluster.run(until=5.0)
-        assert node._heard_from == {}
-        assert node.messenger._late_senders == {}
+        assert forward.settled is not None
+        assert_no_forward_state_left(cluster)
         assert cluster.sim.metrics.counter("atum.gossip_forwards") == 0
 
     def test_churn_delivers_to_the_same_nodes(self, monkeypatch):
@@ -554,8 +580,7 @@ class TestStaggeredForward:
         assert sum(skips.values()) == cluster.sim.metrics.counter("atum.forwards_suppressed")
         assert cluster.sim.metrics.counter("atum.forwards_deferred") > 0
         assert_everyone_delivered_everything(cluster)
-        assert all(node._heard_from == {} for node in cluster.nodes.values())
-        assert all(node.messenger._late_senders == {} for node in cluster.nodes.values())
+        assert_no_forward_state_left(cluster)
 
     @pytest.mark.parametrize("policy", sorted(SENDS_AND_SKIPS_OVER_SLOW_LINKS))
     def test_shares_slower_than_the_stagger_change_no_send(self, monkeypatch, policy):
@@ -586,7 +611,7 @@ class TestStaggeredForward:
                 other = next(g for g in sorted(cluster.engine.groups) if g not in (own, first))
                 node.install_view(cluster.view_of_group(other).add(node.address))
             cluster.run(until=cluster.sim.now + 0.25)
-            assert node._heard_from == {} and node.messenger._late_senders == {}
+            assert_no_forward_state_left(cluster)
             return own, [(s, own_group, t) for s, _, own_group, t, _ in sends if s == "n0"]
 
         own, stayed = forward_across_a_move(move=False)
@@ -616,7 +641,7 @@ class TestSettledGossipRetires:
         apply_plan(cluster, FaultPlan(links=(LinkFault(loss=0.05),)))
         if not retire:
             for node in cluster.nodes.values():
-                node.messenger.retire_pending = lambda prefix: None
+                node.messenger.retire_gossip = lambda bcast_ids: None
         for index in range(8):
             origin = f"n{5 * index}"
             cluster.sim.schedule_at(1.0 + 0.7 * index, lambda o=origin: cluster.broadcast(o, o))

@@ -230,3 +230,37 @@ def test_a_delivery_pushed_past_the_horizon_waits_for_an_earlier_far_timer():
         sim.run(trace=[] if traced else None)
         assert [what for _, what in log] == ["timer", "late"]
         assert log[0][0] == 30.0 and log[1][0] > 50.0
+
+
+class _Itself:
+    """An event that is its own heap entry's event, as a Sync forward is."""
+
+    cancelled = False
+    tag = None
+
+    def __init__(self, log):
+        self.log = log
+
+    def fire(self, entry):
+        self.log.append(entry[0])
+
+
+def test_an_event_pushed_itself_takes_a_timers_seq_and_tier():
+    # The same pushes, once as timers and once as events pushed themselves:
+    # the same (time, priority, seq) in the same heap, and the same firings.
+    times = (0.5, 0.5, 3.0, 0.25, 3.0)
+    runs = []
+    for itself in (False, True):
+        sim, log = Simulator(), []
+        for time in times:
+            if itself:
+                sim.queue.push_event(time, _Itself(log))
+            else:
+                sim.schedule(time, lambda: log.append(sim.now))
+        queue = sim.queue
+        tiers = tuple(sorted(entry[:3] for entry in heap) for heap in (queue._heap, queue._far))
+        trace = []
+        sim.run(trace=trace)
+        runs.append((tiers, trace, log, len(sim.queue)))
+    assert runs[0] == runs[1]
+    assert runs[0][0][1] == [(3.0, 0, 2), (3.0, 0, 4)]

@@ -950,7 +950,7 @@ class TestGroupMessengerFastPath:
         for sender in ("a0", "a1", "a2"):  # a majority, but no full copy yet
             share("gossip:b1:C->B", "x", sender, full=False)
         assert messenger.pending_count() == 4
-        messenger.retire_pending("gossip:b1:")
+        messenger.retire_gossip(["b1"])
         assert messenger.pending_count() == 2
         assert sim.metrics.counter("group.pending_retired") == 2
         # A later share starts a fresh count; the accepted one still delivers.

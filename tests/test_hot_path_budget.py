@@ -58,8 +58,14 @@ back in the hot heap shows here as a count.
 
 The seventh is a ratio of counts: the gossip forward plans ``flood`` and
 ``ae_faults`` build per forward.  A vgroup's members share one plan per
-broadcast (:class:`repro.core.node.ForwardPlan`), so it is about one over the
+broadcast (:class:`repro.core.forward.ForwardPlan`), so it is about one over the
 vgroup size.
+
+The eighth is a count that must read 0: the forward state ``flood`` and
+``ae_faults`` leave alive once they drain -- Sync forwards that never
+settled and late-share sets the messengers still count into.  A settled
+forward (:class:`repro.core.node.SyncForward`) keeps three fields until a
+later boundary of its node retires it, and is not counted.
 
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
@@ -81,7 +87,7 @@ import tracemalloc
 from repro.core.cluster import AtumCluster
 from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MetricsTap, Middleware, MiddlewareChain
-from repro.core.node import ForwardPlan
+from repro.core.forward import ForwardPlan
 from repro.crypto import digest as digest_module
 from repro.crypto.digest import clear_digest_memo
 from repro.faults.behaviours import apply_plan
@@ -144,8 +150,11 @@ from repro.smr.checkpoint import CheckpointAnnounce
 #: already did.  ``flood`` and ``ae_faults`` fell to 10.53 and 14.06 when a
 #: vgroup's gossip forward became one plan its members share: no per-member
 #: target choice, ``sends_first`` or envelope, and no per-share own-view read,
-#: digest or full-copy check.
-CEILINGS = {"heartbeats": 0.6, "flood": 11.6, "pbft": 11.6, "ae_faults": 15.5}
+#: digest or full-copy check.  They fell to 9.27 and 13.40 when a member's Sync
+#: forward became one record that is its own kernel event: no timer, closure
+#: or late-share registration call, and one retirement call per boundary that
+#: retires anything.
+CEILINGS = {"heartbeats": 0.6, "flood": 10.2, "pbft": 11.6, "ae_faults": 14.7}
 
 #: Python-level calls per decided operation (``smr.decided``: one per replica
 #: per decision), the ceiling that must fall when a protocol sends fewer
@@ -164,8 +173,9 @@ PBFT_DECIDED_CEILING = 257.5
 #: ``ae_faults`` fell from 594.2 to 440.7 when its summaries moved onto a
 #: Trickle timer.  Counted per code object: 203.1 and 446.4; then 136.4 and
 #: 337.6 once crypto was paid once per value; 128.0 and 328.8 once a vgroup's
-#: members shared one forward plan.
-DELIVERY_CEILINGS = {"flood": 141.0, "ae_faults": 362.0}
+#: members shared one forward plan; 112.7 and 313.5 once a Sync forward was one
+#: record.
+DELIVERY_CEILINGS = {"flood": 124.0, "ae_faults": 345.0}
 
 #: Gossip forward plans built per forward (``atum.gossip_forwards``: one per
 #: member that forwards).  The first member of a vgroup to forward a
@@ -202,6 +212,9 @@ RETAINED_CEILINGS = {"heartbeats": 1.0, "pbft": 19.6}
 #: to the value memo (one entry per statement).
 RETAINED_DELIVERY_CEILINGS = {"flood": 552.5, "ae_faults": 742.0}
 RETAINED_SCALE = 4
+
+#: The scenarios whose forward state must be gone once they drain.
+FORWARD_STATE_SCENARIOS = ("flood", "ae_faults")
 
 #: Mean entries in the kernel's near heap (``EventQueue._heap``) at each
 #: network delivery: the heap every delivery pops from, so its depth is what
@@ -313,6 +326,20 @@ def plans_per_forward(stats, cluster):
     code = ForwardPlan.__init__.__code__
     built = sum(entry.callcount for entry in stats if entry.code is code)
     return built / cluster.sim.metrics.counter("atum.gossip_forwards")
+
+
+def forward_state_alive(cluster):
+    """``(Sync forwards not settled + late-share sets still counted, settled
+    forwards waiting for a boundary)`` over all nodes of a drained run."""
+    alive = held = 0
+    for node in cluster.nodes.values():
+        for forward in node._forwards.values():
+            if forward.settled is None:
+                alive += 1
+            else:
+                held += 1
+        alive += len(node.messenger.late_shares)
+    return alive, held
 
 
 def python_calls(stats):
@@ -438,6 +465,15 @@ def test_gossip_forward_plans_built_per_forward_stay_under_the_ceiling():
             f"{name}: {per_forward:.3f} gossip forward plans built per forward "
             f"(ceiling {ceiling}) -- members no longer share their vgroup's plan"
         )
+
+
+def test_no_forward_state_outlives_the_run():
+    for name in FORWARD_STATE_SCENARIOS:
+        cluster, timed = SCENARIOS[name]()
+        timed()
+        assert cluster.sim.metrics.counter("atum.forwards_deferred") > 0
+        alive, _ = forward_state_alive(cluster)
+        assert alive == 0, f"{name}: {alive} Sync forwards or late-share sets outlive the run"
 
 
 def test_hot_heap_entries_per_delivery_stay_under_the_ceiling():
@@ -684,6 +720,16 @@ if __name__ == "__main__":
                 f"gossip forward plans built per forward "
                 f"(ceiling {PLANS_PER_FORWARD_CEILINGS[scenario]})"
             )
+    for scenario in FORWARD_STATE_SCENARIOS:
+        scenario_cluster, scenario_timed = SCENARIOS[scenario]()
+        scenario_timed()
+        alive, held = forward_state_alive(scenario_cluster)
+        forwards = scenario_cluster.sim.metrics.counter("atum.gossip_forwards")
+        print(
+            f"{scenario}: {alive} forward state alive after the run (unsettled Sync "
+            f"forwards + counted late-share sets, of {forwards:.0f} forwards; {held} "
+            f"settled forwards await a boundary; ceiling 0)"
+        )
     for scenario, ceiling in HOT_HEAP_CEILINGS.items():
         print(
             f"{scenario}: {hot_heap_entries(scenario):.1f} hot-heap entries per delivery "
