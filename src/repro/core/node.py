@@ -350,7 +350,7 @@ class AtumNode(Actor):
         previous_view = self.vgroup_view
         self.vgroup_view = view
         if self.heartbeats is not None:
-            self.heartbeats.peers = view.members
+            self.heartbeats.set_peers(view.members, view.member_set)
         if self.replica is None:
             self.replica = self._make_replica(view)
             if hasattr(self.replica, "epoch"):
@@ -366,6 +366,7 @@ class AtumNode(Actor):
             self.replica.reconfigure(
                 view.members,
                 epoch=view.epoch,
+                member_set=view.member_set,
                 # Shuffling re-homes a node into a different vgroup while
                 # keeping its replica object; the outgoing certificates
                 # describe the OLD group's log and must not be re-anchored.
@@ -410,7 +411,7 @@ class AtumNode(Actor):
         """Drop membership state after leaving the system."""
         self.vgroup_view = None
         if self.heartbeats is not None:
-            self.heartbeats.peers = ()
+            self.heartbeats.set_peers((), frozenset())
         if self.replica is not None:
             self.replica.stop()
             self.replica = None

@@ -13,7 +13,7 @@ heartbeat is not a message event: a tick sends through :meth:`Network.beat
 its sender and returns it, and a monitor's tick asks the network, per peer,
 when that peer's latest burst to this node arrived (:meth:`Network.heard
 <repro.net.network.Network.heard>`).  The host hands the monitor its peers
-(:attr:`HeartbeatMonitor.peers`, a view's ``members``) when they change.
+(:meth:`HeartbeatMonitor.set_peers`, a view's tuple and set) when they change.
 
 Nor is a tick an event of its own.  One :class:`HeartbeatClock` per cluster
 drives every running monitor (a timing wheel with a single slot, after
@@ -96,7 +96,7 @@ class HeartbeatClock:
         network._heartbeat_clock = self
         # The monitor whose swept tick is running, until it counts its burst.
         self._ticking: "HeartbeatMonitor | None" = None
-        # This sweep's tallies by the member set of their peers tuple, each
+        # This sweep's tallies by their peers' set (a view's ``member_set``), each
         # ``[regular bursts, members (-1: void), sent_at, transfer]``; and the
         # tally each address was counted in, this sweep and the last.
         self._tallies: Dict[frozenset, list] = {}
@@ -166,7 +166,8 @@ class HeartbeatMonitor:
     """Per-node heartbeat sender and failure detector.
 
     The host sets :attr:`peers` to the current vgroup members (the host
-    included; ``()`` outside any vgroup) whenever they change, and wires the
+    included; ``()`` outside any vgroup) whenever they change, through
+    :meth:`set_peers` if it holds their set (a view's ``member_set``), and wires the
     monitor with a ``send_fn(peers, heartbeat)`` that emits one heartbeat to
     every address in ``peers`` and returns the burst it kept
     (:meth:`Network.beat <repro.net.network.Network.beat>`), a
@@ -193,6 +194,9 @@ class HeartbeatMonitor:
         self.address = address
         #: The current vgroup members, a tuple (the host included).
         self.peers: Tuple[str, ...] = ()
+        # The peers and set the host last handed over (:meth:`set_peers`).
+        self._given_peers: Tuple[str, ...] = ()
+        self._given_set: frozenset = frozenset()
         self.send_fn = send_fn
         self.heard_fn = heard_fn
         self.suspect_fn = suspect_fn
@@ -206,14 +210,17 @@ class HeartbeatMonitor:
         # The instant of the latest tick: a monitor ticks at most once per instant.
         self._ticked_at = -math.inf
         self._heartbeat = Heartbeat(address)
-        # Peer-set cache keyed on the identity of ``peers``: vgroup views
-        # hand out the same immutable members tuple until the next
-        # reconfiguration.  Under churn most ticks see a new view (53 % on
-        # the ``churn_hb`` benchmark workload), so the rebuild itself is two
-        # C-level operations, not a Python loop.
+        # The peers' set and the peers without the host, rebuilt by the
+        # first tick that sees a new peers tuple (53 % of ``churn_hb``'s
+        # ticks do): the set handed over with it, or one built from it.
         self._peers_obj: object = None
         self._peer_set: frozenset = frozenset()
         self._others: tuple = ()
+
+    def set_peers(self, peers: Tuple[str, ...], peer_set: frozenset) -> None:
+        """Adopt ``peers`` and their set (a view's own ``member_set``)."""
+        self.peers = self._given_peers = peers
+        self._given_set = peer_set
 
     @property
     def last_seen(self) -> Dict[str, float]:
@@ -261,7 +268,8 @@ class HeartbeatMonitor:
         same_view = peers is self._peers_obj
         if not same_view:
             self._peers_obj = peers
-            self._peer_set = frozenset(peers)
+            given = peers is self._given_peers
+            self._peer_set = self._given_set if given else frozenset(peers)
             if self.address in self._peer_set:
                 index = peers.index(self.address)
                 self._others = peers[:index] + peers[index + 1 :]

@@ -9,7 +9,7 @@ vgroup and of neighbouring vgroups; group messages are addressed to a view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Tuple
 
 
@@ -26,11 +26,17 @@ class VGroupView:
         group_id: Stable identifier of the vgroup.
         members: Node addresses forming the vgroup in this epoch.
         epoch: Reconfiguration counter; higher epochs supersede lower ones.
+        member_set: The members as a set, built with the view: every member
+            node's layers share it.
     """
 
     group_id: str
     members: Tuple[str, ...]
     epoch: int = 0
+    member_set: FrozenSet[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "member_set", frozenset(self.members))
 
     @staticmethod
     def create(group_id: str, members: Iterable[str], epoch: int = 0) -> "VGroupView":
@@ -40,10 +46,6 @@ class VGroupView:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def member_set(self) -> FrozenSet[str]:
-        return frozenset(self.members)
 
     def with_members(self, members: Iterable[str]) -> "VGroupView":
         """Return a successor view (epoch + 1) with a new composition."""
@@ -58,6 +60,14 @@ class VGroupView:
         if address not in self.members:
             return self
         return self.with_members(m for m in self.members if m != address)
+
+    def exchange(self, leaving: str, arriving: str) -> "VGroupView":
+        """``remove(leaving).add(arriving)`` (epoch + 2), built as one view."""
+        members = list(self.members)
+        members.remove(leaving)
+        members.append(arriving)
+        members.sort()
+        return VGroupView(self.group_id, tuple(members), self.epoch + 2)
 
     def __len__(self) -> int:
         return self.size

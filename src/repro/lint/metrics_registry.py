@@ -133,11 +133,6 @@ METRICS = {
         "modules": ('repro/core/node.py',),
         "matrix_column": False,
     },
-    'churn.leave_failed': {
-        "kind": 'counter',
-        "modules": ('repro/workloads/churn.py',),
-        "matrix_column": False,
-    },
     'cluster.eviction_duplicate_suppressed': {
         "kind": 'counter',
         "modules": ('repro/core/cluster.py',),

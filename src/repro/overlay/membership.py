@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.group.vgroup import VGroupView
 from repro.overlay.hgraph import HGraph
-from repro.overlay.random_walk import WalkMode, structural_walk
+from repro.overlay.random_walk import WalkMode, walk_end
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - core.config imports the overlay package
@@ -455,9 +455,8 @@ class MembershipEngine:
         partner_member = self._rng.choice(candidates)
         # Swap the two nodes between the two vgroups.  Both nodes are busy for
         # the duration of the two vgroups' (concurrent) agreements on the swap.
-        own_view = self.groups[group_id]
-        new_own = own_view.remove(member).add(partner_member)
-        new_partner = partner_view.remove(partner_member).add(member)
+        new_own = self.groups[group_id].exchange(member, partner_member)
+        new_partner = partner_view.exchange(partner_member, member)
         self._install_view(new_own)
         self._install_view(new_partner)
         self.node_group[member] = partner_group
@@ -548,7 +547,10 @@ class MembershipEngine:
         Each walk traverses ``rwl`` vgroups chosen (approximately) uniformly;
         every traversed vgroup spends :meth:`GroupCostModel.walk_relay_occupancy`
         of its serial capacity forwarding the walk.  This is what makes long
-        random walks expensive under churn (Figure 7's rwl sensitivity).
+        random walks expensive under churn (Figure 7's rwl sensitivity).  It is
+        no reconfiguration, so it does not mark the vgroup busy (an exchange
+        may still pick it).  Each relay is ``Random.randrange``'s draw, run
+        inline: rejection sampling over ``getrandbits`` (CPython 3.10-3.12).
         """
         if not self.groups:
             return
@@ -557,10 +559,17 @@ class MembershipEngine:
         occupancy = self.cost.walk_relay_occupancy(group_size)
         if occupancy <= 0:
             return
-        hops = walk_count * self.params.rwl
-        for _ in range(hops):
-            relay = group_ids[self._rng.randrange(len(group_ids))]
-            self._reserve_relay(relay, occupancy)
+        count, getrandbits = len(group_ids), self._rng.getrandbits
+        bits, perturbation, now = count.bit_length(), self.cost_perturbation, self.sim.now
+        busy_until, relay_busy_until = self._busy_until, self._relay_busy_until
+        for _ in range(walk_count * self.params.rwl):
+            index = getrandbits(bits)
+            while index >= count:
+                index = getrandbits(bits)
+            relay = group_ids[index]
+            duration = occupancy if perturbation is None else perturbation(relay, occupancy)
+            start = max(now, busy_until.get(relay, 0.0), relay_busy_until.get(relay, 0.0))
+            relay_busy_until[relay] = start + duration
 
     def _at(self, time: float, callback: Callable[[], None]) -> None:
         self.sim.schedule_at(max(time, self.sim.now), callback, tag="membership")
@@ -569,8 +578,8 @@ class MembershipEngine:
         """Serialize reconfigurations of a vgroup; returns the completion time.
 
         Reconfigurations also queue behind any walk-relaying work the vgroup
-        has pending (:meth:`_reserve_relay`), so relayed walks consume real
-        capacity even though they do not mark the vgroup as reconfiguring.
+        has pending (:meth:`_charge_walk_relays`), so relayed walks consume
+        real capacity even though they do not mark the vgroup as reconfiguring.
         """
         if self.cost_perturbation is not None:
             duration = self.cost_perturbation(group_id, duration)
@@ -583,24 +592,6 @@ class MembershipEngine:
         self._busy_until[group_id] = completion
         return completion
 
-    def _reserve_relay(self, group_id: str, duration: float) -> float:
-        """Charge walk-relaying work to a vgroup without flagging it as busy.
-
-        Relaying a random walk consumes the vgroup's serial capacity but does
-        not constitute a reconfiguration, so it must not cause shuffle
-        exchanges that pick this vgroup as a partner to be suppressed.
-        """
-        if self.cost_perturbation is not None:
-            duration = self.cost_perturbation(group_id, duration)
-        start = max(
-            self.sim.now,
-            self._busy_until.get(group_id, 0.0),
-            self._relay_busy_until.get(group_id, 0.0),
-        )
-        completion = start + duration
-        self._relay_busy_until[group_id] = completion
-        return completion
-
     def _existing_or_random(self, group_id: str) -> Optional[str]:
         if group_id in self.groups:
             return group_id
@@ -609,16 +600,18 @@ class MembershipEngine:
         return self._rng.choice(self._group_ids)
 
     def _walk_select(self, start_group: str) -> Optional[str]:
-        """Select a vgroup via a structural random walk from ``start_group``."""
+        """Select a vgroup via a structural random walk from ``start_group``
+        (its ``rwl`` numbers drawn up front, as ``structural_walk`` draws them)."""
         if self.graph is None or not self.groups:
             return None
-        start = start_group if start_group in self.groups else self._rng.choice(self._group_ids)
+        rng = self._rng
+        start = start_group if start_group in self.groups else rng.choice(self._group_ids)
         if len(self.groups) == 1:
             return start
-        outcome = structural_walk(self.graph, start, self.params.rwl, self._rng)
-        selected = outcome.selected
+        random = rng.random
+        selected = walk_end(self.graph, start, [random() for _ in range(self.params.rwl)])
         if selected not in self.groups:
-            return self._rng.choice(self._group_ids)
+            return rng.choice(self._group_ids)
         return selected
 
     def _install_view(self, view: VGroupView) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.overlay.hgraph import HGraph
 
@@ -38,9 +38,9 @@ class BulkRng:
     """The random numbers of a walk, generated in bulk at the first hop.
 
     Each entry is a float in ``[0, 1)``; hop ``i`` of the walk consumes entry
-    ``i`` to pick among the current vgroup's incident links.  Generating the
-    numbers before the walk starts (rather than drawing them at each hop from
-    a pre-computed pool) prevents the bias attack described in section 5.1.
+    ``i`` to pick among the current vgroup's incident links (:func:`walk_end`).
+    Generating the numbers before the walk starts (rather than drawing them at
+    each hop from a pre-computed pool) prevents the bias attack of section 5.1.
     """
 
     values: List[float] = field(default_factory=list)
@@ -48,14 +48,6 @@ class BulkRng:
     @classmethod
     def generate(cls, length: int, rng: random.Random) -> "BulkRng":
         return cls(values=[rng.random() for _ in range(length)])
-
-    def pick(self, hop: int, option_count: int) -> int:
-        """Deterministically map hop ``hop``'s random number to an option index."""
-        if hop >= len(self.values):
-            raise IndexError(f"walk is longer ({hop + 1}) than its bulk RNG ({len(self.values)})")
-        if option_count <= 0:
-            raise ValueError("no options to pick from")
-        return int(self.values[hop] * option_count) % option_count
 
 
 @dataclass
@@ -83,6 +75,23 @@ class RandomWalkOutcome:
         return self.path[-1] if self.path else self.start
 
 
+def walk_end(
+    graph: HGraph, start: str, numbers: Sequence[float], path: Optional[List[str]] = None
+) -> str:
+    """The vertex a walk from ``start`` ends on, appending each vertex it
+    reaches to ``path`` if given: the one hop loop of every walk.  Hop ``i``
+    takes link ``int(numbers[i] * n) % n`` of the current vertex's ``n``."""
+    incident_links = graph.incident_links
+    current = start
+    for number in numbers:
+        links = incident_links(current)
+        count = len(links)
+        current = links[int(number * count) % count][1]
+        if path is not None:
+            path.append(current)
+    return current
+
+
 def structural_walk(
     graph: HGraph,
     start: str,
@@ -100,14 +109,11 @@ def structural_walk(
     """
     if length < 1:
         raise ValueError("random walks must have at least one hop")
-    numbers = bulk or BulkRng.generate(length, rng)
-    current = start
+    values = (bulk or BulkRng.generate(length, rng)).values
+    if len(values) < length:
+        raise IndexError(f"walk is longer ({length}) than its bulk RNG ({len(values)})")
     path: List[str] = []
-    for hop in range(length):
-        links = graph.incident_links(current)
-        index = numbers.pick(hop, len(links))
-        _cycle, current = links[index]
-        path.append(current)
+    walk_end(graph, start, values[:length], path)
     reply_hops = length if mode is WalkMode.BACKWARD_PHASE else 1
     return RandomWalkOutcome(
         start=start, path=path, mode=mode, hops=length, reply_hops=reply_hops
@@ -119,4 +125,5 @@ __all__ = [
     "BulkRng",
     "RandomWalkOutcome",
     "structural_walk",
+    "walk_end",
 ]

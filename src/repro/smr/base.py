@@ -79,14 +79,18 @@ class SmrReplica(abc.ABC):
         self.decided_log: List[Operation] = []
         self.running = True
 
-    def _install_members(self, members: Sequence[str]) -> None:
+    def _install_members(
+        self, members: Sequence[str], member_set: Optional[frozenset] = None
+    ) -> None:
         """Replace the member list and what per-message code derives from it.
 
         Called by the constructor and :meth:`reconfigure` only (nothing
         mutates the list in place); engines extend it with their quorum
-        sizes.  The multicast peers are only invalidated here and rebuilt by
-        the next :meth:`_broadcast`: under churn a Sync replica is
-        reconfigured thousands of times for every multicast it sends.
+        sizes, and those that read a member set take ``member_set`` (a view's
+        own) if the caller holds one.  The multicast peers are only
+        invalidated here and rebuilt by the next :meth:`_broadcast`: under
+        churn a Sync replica is reconfigured thousands of times for every
+        multicast it sends.
         """
         self.members: List[str] = list(members)
         self._peers: Optional[Tuple[str, ...]] = None
@@ -123,6 +127,7 @@ class SmrReplica(abc.ABC):
         new_members: Sequence[str],
         epoch: int,
         carry_certificates: bool = True,
+        member_set: Optional[frozenset] = None,
     ) -> None:
         """Install a new membership (SMART-style epoch change).
 
@@ -133,9 +138,9 @@ class SmrReplica(abc.ABC):
         it.  ``carry_certificates=False`` tells checkpoint-capable engines
         the replica was re-homed into a *different* group, so the outgoing
         epoch's certificates must die rather than be re-anchored into a
-        group they never described.
+        group they never described.  ``member_set``: see :meth:`_install_members`.
         """
-        self._install_members(new_members)
+        self._install_members(new_members, member_set)
 
     def stop(self) -> None:
         """Stop participating (the host node left the group or the system)."""

@@ -170,11 +170,13 @@ class PbftReplica(SmrReplica):
             **self.checkpoints.frame_handlers(),
         }
 
-    def _install_members(self, members: Sequence[str]) -> None:
-        super()._install_members(members)
-        # Primary rotation order and the quorum sizes, read per message.
+    def _install_members(
+        self, members: Sequence[str], member_set: Optional[frozenset] = None
+    ) -> None:
+        super()._install_members(members, member_set)
+        # Primary rotation order, membership and the quorum sizes, read per message.
         self._ordered: Tuple[str, ...] = tuple(sorted(self.members))
-        self._member_set = frozenset(self.members)
+        self._member_set = frozenset(self.members) if member_set is None else member_set
         self._faults = async_fault_threshold(len(self.members))
         self._quorum = 2 * self._faults + 1
 
@@ -253,6 +255,7 @@ class PbftReplica(SmrReplica):
         new_members: Sequence[str],
         epoch: int,
         carry_certificates: bool = True,
+        member_set: Optional[frozenset] = None,
     ) -> None:
         """Install a new configuration epoch with a fresh agreement state.
 
@@ -262,7 +265,7 @@ class PbftReplica(SmrReplica):
         and no transition record would ever form.
         """
         previous_members = self._ordered
-        super().reconfigure(new_members, epoch)
+        super().reconfigure(new_members, epoch, member_set=member_set)
         self.epoch = epoch
         self.view = 0
         self._voted_view = 0

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.overlay.membership import MembershipEngine, MembershipError
+from repro.overlay.membership import MembershipEngine
 
 
 @dataclass
@@ -46,7 +46,6 @@ class ChurnResult:
     pending_at_end: int
     mean_join_latency: float
     sustained: bool
-    leave_failures: int = 0
 
     @property
     def completion_ratio(self) -> float:
@@ -115,24 +114,14 @@ class ChurnWorkload:
             pending_at_end=pending,
             mean_join_latency=mean_latency,
             sustained=sustained,
-            leave_failures=int(self.sim.metrics.counter("churn.leave_failed")),
         )
 
     def _rejoin_one(self) -> None:
         members = self.engine.addresses
         if not members:
             return
-        victim = members[self._rng.randrange(len(members))]
-        try:
-            self.engine.leave(victim)
-        except MembershipError:
-            # A concurrent operation can remove the victim between the
-            # draw above and the call; such a tick drove no re-join, so
-            # it must not count towards the requested rate (it would skew
-            # completion_ratio and the sustained verdict).  Any other
-            # exception is an engine bug and propagates.
-            self.sim.metrics.increment("churn.leave_failed")
-            return
+        # A current member: ``engine.leave`` refuses only non-members.
+        self.engine.leave(members[self._rng.randrange(len(members))])
         self._requested += 1
         newcomer = f"churn-{next(self._counter)}"
         self._join(newcomer)

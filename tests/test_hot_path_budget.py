@@ -67,6 +67,12 @@ settled and late-share sets the messengers still count into.  A settled
 forward (:class:`repro.core.node.SyncForward`) keeps three fields until a
 later boundary of its node retires it, and is not counted.
 
+The ninth is the membership engine's count: Python calls per completed
+membership operation (joins plus leaves) of ``churn``, a 100-node Sync
+cluster without heartbeats re-joining 60 nodes a minute for a minute (the
+``churn_hb`` benchmark workload's walks, relay charges, exchanges and view
+installs, without its heartbeats).
+
 Calls are counted per code object (``cProfile.Profile.getstats()``), never
 through ``pstats``, whose ``(filename, line, name)`` keys collide for every
 dataclass-generated ``__init__``.
@@ -74,14 +80,16 @@ dataclass-generated ``__init__``.
 Re-baselining.  Run ``PYTHONPATH=src python tests/test_hot_path_budget.py``:
 it prints the measured calls per message, the hot-heap entries per delivery,
 the tracked objects per message and the retained bytes per message or
-delivery.  A call or hot-heap ceiling is the measured value plus ~10 %, a
-byte ceiling plus ~15 %.  Lowering a ceiling after an optimisation is
+delivery, and exits 1 if any row of any ceiling table printed no line.  A
+call or hot-heap ceiling is the measured value plus ~10 %, a byte ceiling
+plus ~15 %.  Lowering a ceiling after an optimisation is
 free; *raising* one means the per-message floor went up, and needs a line in
 CHANGES.md saying what the extra calls or bytes buy.
 """
 
 import cProfile
 import gc
+import sys
 import tracemalloc
 
 from repro.core.cluster import AtumCluster
@@ -98,6 +106,7 @@ from repro.net import Network
 from repro.net.network import _Deliveries
 from repro.sim import Simulator
 from repro.smr.checkpoint import CheckpointAnnounce
+from repro.workloads.churn import ChurnConfig, ChurnWorkload
 
 #: Python-level calls per sent message: measured 4.80, 12.11, 9.56 and 15.70
 #: (they were 10.40 and 15.94 before the draw moved into ``send_many``, a
@@ -223,6 +232,12 @@ FORWARD_STATE_SCENARIOS = ("flood", "ae_faults")
 #: while every timer shared the one heap).
 HOT_HEAP_CEILINGS = {"pbft": 61.0, "ae_faults": 144.8}
 
+#: Python-level calls per completed membership operation of ``churn``:
+#: measured 385.5 (659.3 while a walk built a ``BulkRng`` and an outcome and
+#: made a ``pick`` call per hop, each relay charge was a ``randrange`` and a
+#: ``_reserve_relay`` call, and an exchange built four views for two).
+MEMBERSHIP_OP_CEILING = 424.1
+
 PBFT_MEMBERS, PBFT_INTERVAL, PBFT_BROADCASTS = 10, 8, 64
 
 
@@ -282,6 +297,33 @@ def _ae_faults(scale=1):
 
 
 SCENARIOS = {"heartbeats": _heartbeats, "flood": _flood, "pbft": _pbft, "ae_faults": _ae_faults}
+
+
+def _churn():
+    cluster = AtumCluster(_params(), seed=7)
+    cluster.build_static([f"n{i}" for i in range(100)])
+    config = ChurnConfig(rate_per_minute=60.0, duration=60.0)
+    churn = ChurnWorkload(cluster.engine, config, join_fn=cluster.join)
+
+    def timed():
+        churn.run()
+        cluster.run_until_membership_quiescent()
+
+    return cluster, timed
+
+
+def membership_op_calls():
+    """``(Python calls per completed membership operation, operations)`` of ``churn``."""
+    cluster, timed = _churn()
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        timed()
+    finally:
+        profile.disable()
+    counter = cluster.sim.metrics.counter
+    operations = counter("membership.joins_completed") + counter("membership.leaves_completed")
+    return python_calls(profile.getstats()) / operations, operations
 
 
 def measure(name):
@@ -474,6 +516,15 @@ def test_no_forward_state_outlives_the_run():
         assert cluster.sim.metrics.counter("atum.forwards_deferred") > 0
         alive, _ = forward_state_alive(cluster)
         assert alive == 0, f"{name}: {alive} Sync forwards or late-share sets outlive the run"
+
+
+def test_python_calls_per_membership_operation_stay_under_the_ceiling():
+    per_operation, operations = membership_op_calls()
+    assert operations > 100
+    assert per_operation <= MEMBERSHIP_OP_CEILING, (
+        f"churn: {per_operation:.1f} Python calls per completed membership operation, "
+        f"ceiling {MEMBERSHIP_OP_CEILING} -- see this module's docstring before raising it"
+    )
 
 
 def test_hot_heap_entries_per_delivery_stay_under_the_ceiling():
@@ -695,79 +746,128 @@ def test_a_message_in_flight_is_one_gc_tracked_object():
     assert tracked_objects_in_flight(50, copies=2) == 100
 
 
+def expected_rows():
+    """Every ``(ceiling table, scenario)`` the script must print a line for."""
+    tables = {
+        "CEILINGS": CEILINGS,
+        "PBFT_DECIDED_CEILING": ("pbft",),
+        "DELIVERY_CEILINGS": DELIVERY_CEILINGS,
+        "PLANS_PER_FORWARD_CEILINGS": PLANS_PER_FORWARD_CEILINGS,
+        "FORWARD_STATE_SCENARIOS": FORWARD_STATE_SCENARIOS,
+        "HOT_HEAP_CEILINGS": HOT_HEAP_CEILINGS,
+        "MEMBERSHIP_OP_CEILING": ("churn",),
+        "heartbeat events": ("heartbeats",),
+        "heartbeat reads": ("heartbeats",),
+        "heartbeat send_many": ("heartbeats",),
+        "in flight": ("send_many",),
+        "RETAINED_CEILINGS": RETAINED_CEILINGS,
+        "RETAINED_DELIVERY_CEILINGS": RETAINED_DELIVERY_CEILINGS,
+    }
+    return {(table, scenario) for table, scenarios in tables.items() for scenario in scenarios}
+
+
 if __name__ == "__main__":
+    printed = set()
+
+    def row(table, scenario, line):
+        print(line)
+        printed.add((table, scenario))
+
     for scenario in SCENARIOS:
         scenario_stats, scenario_sent, _, scenario_cluster = measure(scenario)
-        print(
+        row(
+            "CEILINGS", scenario,
             f"{scenario}: {python_calls(scenario_stats) / scenario_sent:.2f} Python calls "
-            f"per sent message ({scenario_sent:.0f} sent, ceiling {CEILINGS[scenario]})"
+            f"per sent message ({scenario_sent:.0f} sent, ceiling {CEILINGS[scenario]})",
         )
         if scenario == "pbft":
             decisions = scenario_cluster.sim.metrics.counter("smr.decided")
-            print(
+            row(
+                "PBFT_DECIDED_CEILING", scenario,
                 f"pbft: {python_calls(scenario_stats) / decisions:.1f} Python calls "
-                f"per decided operation (ceiling {PBFT_DECIDED_CEILING})"
+                f"per decided operation (ceiling {PBFT_DECIDED_CEILING})",
             )
         if scenario in DELIVERY_CEILINGS:
             deliveries = scenario_cluster.sim.metrics.counter("atum.deliveries")
-            print(
+            row(
+                "DELIVERY_CEILINGS", scenario,
                 f"{scenario}: {python_calls(scenario_stats) / deliveries:.1f} Python calls "
-                f"per delivered broadcast (ceiling {DELIVERY_CEILINGS[scenario]})"
+                f"per delivered broadcast (ceiling {DELIVERY_CEILINGS[scenario]})",
             )
         if scenario in PLANS_PER_FORWARD_CEILINGS:
-            print(
+            row(
+                "PLANS_PER_FORWARD_CEILINGS", scenario,
                 f"{scenario}: {plans_per_forward(scenario_stats, scenario_cluster):.3f} "
                 f"gossip forward plans built per forward "
-                f"(ceiling {PLANS_PER_FORWARD_CEILINGS[scenario]})"
+                f"(ceiling {PLANS_PER_FORWARD_CEILINGS[scenario]})",
             )
     for scenario in FORWARD_STATE_SCENARIOS:
         scenario_cluster, scenario_timed = SCENARIOS[scenario]()
         scenario_timed()
         alive, held = forward_state_alive(scenario_cluster)
         forwards = scenario_cluster.sim.metrics.counter("atum.gossip_forwards")
-        print(
+        row(
+            "FORWARD_STATE_SCENARIOS", scenario,
             f"{scenario}: {alive} forward state alive after the run (unsettled Sync "
             f"forwards + counted late-share sets, of {forwards:.0f} forwards; {held} "
-            f"settled forwards await a boundary; ceiling 0)"
+            f"settled forwards await a boundary; ceiling 0)",
         )
     for scenario, ceiling in HOT_HEAP_CEILINGS.items():
-        print(
+        row(
+            "HOT_HEAP_CEILINGS", scenario,
             f"{scenario}: {hot_heap_entries(scenario):.1f} hot-heap entries per delivery "
-            f"(mean len(EventQueue._heap) at each network delivery, ceiling {ceiling})"
+            f"(mean len(EventQueue._heap) at each network delivery, ceiling {ceiling})",
         )
+    per_operation, operations = membership_op_calls()
+    row(
+        "MEMBERSHIP_OP_CEILING", "churn",
+        f"churn: {per_operation:.1f} Python calls per completed membership operation "
+        f"({operations:.0f} joins and leaves, ceiling {MEMBERSHIP_OP_CEILING})",
+    )
     events, periods, starts = heartbeat_events()
-    print(
+    row(
+        "heartbeat events", "heartbeats",
         f"heartbeats: {events / periods:.2f} kernel events per heartbeat period "
         f"({events} events, {periods:.0f} periods, {starts} monitor starts; "
-        f"ceiling 1 per period plus 1 per start)"
+        f"ceiling 1 per period plus 1 per start)",
     )
     first, after = heartbeat_reads()
-    print(
+    row(
+        "heartbeat reads", "heartbeats",
         f"heartbeats: {after} Network.heard calls after the first swept period "
-        f"({first} in it; ceiling 0)"
+        f"({first} in it; ceiling 0)",
     )
     heartbeat_stats, _, _, _ = measure("heartbeats")
-    print(
+    row(
+        "heartbeat send_many", "heartbeats",
         f"heartbeats: {calls_of(heartbeat_stats, 'net/network.py', 'send_many'):.0f} "
         f"Network.send_many calls in a heartbeat-only run "
-        f"({calls_of(heartbeat_stats, 'net/network.py', 'beat'):.0f} Network.beat; ceiling 0)"
+        f"({calls_of(heartbeat_stats, 'net/network.py', 'beat'):.0f} Network.beat; ceiling 0)",
     )
-    print(
+    row(
+        "in flight", "send_many",
         f"in flight: {tracked_objects_in_flight(50) / 50:.2f} GC-tracked objects "
-        f"per in-flight message (50-receiver send_many; the heap entry alone is 1)"
+        f"per in-flight message (50-receiver send_many; the heap entry alone is 1)",
     )
     for scenario in SCENARIOS:
         if scenario in RETAINED_DELIVERY_CEILINGS:
-            per, what, ceiling = "atum.deliveries", "delivered broadcast", RETAINED_DELIVERY_CEILINGS
+            table, ceiling = "RETAINED_DELIVERY_CEILINGS", RETAINED_DELIVERY_CEILINGS
+            per, what = "atum.deliveries", "delivered broadcast"
         else:
-            per, what, ceiling = "net.messages_sent", "sent message", RETAINED_CEILINGS
+            table, ceiling = "RETAINED_CEILINGS", RETAINED_CEILINGS
+            per, what = "net.messages_sent", "sent message"
         per_unit, small, large = marginal_retained_bytes(scenario, per)
-        print(
+        row(
+            table, scenario,
             f"{scenario}: {per_unit:.1f} retained bytes per additional {what} "
-            f"(1x -> {RETAINED_SCALE}x, ceiling {ceiling[scenario]})"
+            f"(1x -> {RETAINED_SCALE}x, ceiling {ceiling[scenario]})",
         )
         small, large = still_growing(small), still_growing(large)
         print(
             f"{scenario}: still growing, per node at 1x / {RETAINED_SCALE}x: "
             + ", ".join(f"{what} {small[what]:.1f} / {large[what]:.1f}" for what in small)
         )
+    missing = sorted(expected_rows() - printed)
+    if missing:
+        print(f"no line printed for {missing}", file=sys.stderr)
+        sys.exit(1)

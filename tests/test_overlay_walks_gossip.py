@@ -18,7 +18,7 @@ from repro.overlay.guideline import (
     uniformity_pvalue,
 )
 from repro.overlay.hgraph import HGraph
-from repro.overlay.random_walk import BulkRng, WalkMode, structural_walk
+from repro.overlay.random_walk import BulkRng, WalkMode, structural_walk, walk_end
 
 
 def build_graph(n=32, hc=4, seed=0):
@@ -32,20 +32,26 @@ class TestBulkRng:
         assert len(bulk.values) == 7
         assert all(0.0 <= value < 1.0 for value in bulk.values)
 
-    def test_pick_in_range(self):
+    def test_each_hop_takes_the_link_its_number_names(self):
+        graph, _ = build_graph(n=16, hc=3)
         bulk = BulkRng.generate(5, random.Random(0))
-        for hop in range(5):
-            assert 0 <= bulk.pick(hop, 8) < 8
+        current, expected = "g0", []
+        for number in bulk.values:
+            links = graph.incident_links(current)
+            current = links[int(number * len(links)) % len(links)][1]
+            expected.append(current)
+        assert structural_walk(graph, "g0", 5, random.Random(1), bulk=bulk).path == expected
 
-    def test_pick_beyond_length_raises(self):
-        bulk = BulkRng.generate(2, random.Random(0))
+    def test_a_bulk_shorter_than_the_walk_raises(self):
+        graph, rng = build_graph()
         with pytest.raises(IndexError):
-            bulk.pick(2, 4)
+            structural_walk(graph, "g0", 3, rng, bulk=BulkRng.generate(2, random.Random(0)))
 
-    def test_pick_without_options_raises(self):
-        bulk = BulkRng.generate(2, random.Random(0))
-        with pytest.raises(ValueError):
-            bulk.pick(0, 0)
+    def test_the_ends_of_the_unit_interval_take_the_first_and_last_link(self):
+        graph, _ = build_graph(n=16, hc=3)
+        links = graph.incident_links("g0")
+        assert walk_end(graph, "g0", [0.0]) == links[0][1]
+        assert walk_end(graph, "g0", [1.0 - 2.0**-53]) == links[-1][1]
 
     def test_same_bulk_same_walk(self):
         graph, rng = build_graph()

@@ -180,9 +180,9 @@ class TestSortedAddresses:
 
 
 class TestChurnAccountingFix:
-    """Failed leaves must not count as requested re-joins (issue 3 satellite)."""
+    """A churn tick leaves a current member, so every tick is one requested re-join."""
 
-    def test_failed_leave_not_requested_and_counted(self):
+    def test_a_refused_leave_propagates_and_requests_nothing(self):
         engine = make_engine(seed=9, size=20)
         workload = ChurnWorkload(engine, ChurnConfig())
 
@@ -190,9 +190,9 @@ class TestChurnAccountingFix:
             raise MembershipError("victim vanished")
 
         engine.leave = failing_leave
-        workload._rejoin_one()
+        with pytest.raises(MembershipError):
+            workload._rejoin_one()
         assert workload._requested == 0
-        assert engine.sim.metrics.counter("churn.leave_failed") == 1
         # The re-join never started: no churn-* newcomer was joined.
         assert not any(node.startswith("churn-") for node in engine.node_group)
 
@@ -207,27 +207,20 @@ class TestChurnAccountingFix:
         with pytest.raises(RuntimeError):
             workload._rejoin_one()
 
-    def test_result_reports_leave_failures(self):
+    def test_every_tick_starts_one_leave_and_one_join(self):
         engine = make_engine(seed=10, size=20)
-
-        def failing_leave(node, eviction=False):
-            raise MembershipError("always fails")
-
-        engine.leave = failing_leave
         workload = ChurnWorkload(engine, ChurnConfig(rate_per_minute=30, duration=20.0, warmup=1.0))
         result = workload.run()
-        assert result.leave_failures > 0
-        assert result.requested_rejoins == 0
-        # No requested re-joins means the completion ratio is trivially 1.0
-        # instead of a skewed figure derived from failed leaves.
-        assert result.completion_ratio == 1.0
+        counter = engine.sim.metrics.counter
+        assert result.requested_rejoins == 10
+        assert counter("membership.leaves_started") == counter("membership.joins_started") == 10
 
-    def test_successful_churn_has_no_leave_failures(self):
+    def test_successful_churn_completes_its_requested_rejoins(self):
         engine = make_engine(seed=3, size=60)
         workload = ChurnWorkload(engine, ChurnConfig(rate_per_minute=5, duration=120.0))
         result = workload.run()
-        assert result.leave_failures == 0
         assert result.requested_rejoins > 0
+        assert result.completed_joins == result.requested_rejoins
 
 
 class TestByzantineSelection:
