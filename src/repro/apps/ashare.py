@@ -131,8 +131,6 @@ class AShareCluster:
         rho: Target replica count per file (a fraction of system size in the
             paper, e.g. 0.1 to 0.3 of N).
         transfer: Bulk-transfer cost model (shared with the NFS baseline).
-        byzantine_corrupt_replicas: Whether Byzantine nodes corrupt every
-            replica they store (the attack of Figures 10-11).
     """
 
     def __init__(
@@ -140,13 +138,11 @@ class AShareCluster:
         atum: AtumCluster,
         rho: int = 8,
         transfer: Optional[TransferModel] = None,
-        byzantine_corrupt_replicas: bool = True,
         replication_feedback: bool = True,
     ) -> None:
         self.atum = atum
         self.rho = rho
         self.transfer = transfer or TransferModel()
-        self.byzantine_corrupt_replicas = byzantine_corrupt_replicas
         self.replication_feedback = replication_feedback
         self.indexes: Dict[str, MetadataIndex] = {}
         self.stored: Dict[str, Dict[Tuple[str, str], _StoredReplica]] = {}
@@ -199,7 +195,7 @@ class AShareCluster:
         )
         # The owner stores the original copy (possibly corrupted if Byzantine).
         self.stored[owner][record.file_id] = _StoredReplica(
-            owner=owner, name=name, corrupted=self._corrupts(owner)
+            owner=owner, name=name, corrupted=self.is_byzantine(owner)
         )
         self.atum.broadcast(
             owner,
@@ -261,7 +257,7 @@ class AShareCluster:
         def complete() -> None:
             if replicate:
                 self.stored[reader][record.file_id] = _StoredReplica(
-                    owner=owner, name=name, corrupted=self._corrupts(reader)
+                    owner=owner, name=name, corrupted=self.is_byzantine(reader)
                 )
                 node = self.atum.nodes.get(reader)
                 if node is not None and node.is_member:
@@ -284,9 +280,6 @@ class AShareCluster:
 
     # ----------------------------------------------------------------- internals
 
-    def _corrupts(self, address: str) -> bool:
-        return self.byzantine_corrupt_replicas and self.is_byzantine(address)
-
     def _read_latency(self, reader: str, record: FileRecord, sources: Sequence[str]) -> float:
         """Latency of a chunked parallel read from the given replica holders."""
         chunk_sizes = record.chunk_sizes()
@@ -296,7 +289,7 @@ class AShareCluster:
         for chunk_index in range(record.num_chunks):
             holder = chosen[chunk_index % len(chosen)]
             stored = self.stored.get(holder, {}).get(record.file_id)
-            holder_corrupted = stored.corrupted if stored is not None else self._corrupts(holder)
+            holder_corrupted = stored.corrupted if stored is not None else self.is_byzantine(holder)
             if holder_corrupted:
                 corrupted_chunks += 1
         return self.transfer.chunked_read_time(
@@ -367,7 +360,7 @@ class AShareCluster:
             raise KeyError(f"file ({owner}, {name}) is not in any index; PUT it first")
         for holder in holders:
             self.stored.setdefault(holder, {})[(owner, name)] = _StoredReplica(
-                owner=owner, name=name, corrupted=self._corrupts(holder)
+                owner=owner, name=name, corrupted=self.is_byzantine(holder)
             )
             for index in self.indexes.values():
                 index.add_replica(owner, name, holder)

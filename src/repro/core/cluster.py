@@ -30,6 +30,7 @@ from repro.core.middleware import (
 from repro.core.forward import ForwardPlan
 from repro.core.node import AtumNode, BroadcastMessage
 from repro.crypto.keys import KeyRegistry
+from repro.faults.byzantine import set_behaviour
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyTap
 from repro.group.heartbeat import MISSES_BEFORE_EVICTION, HeartbeatClock
 from repro.group.vgroup import VGroupView
@@ -206,7 +207,6 @@ class AtumCluster:
         deliver_fn: Optional[Callable[[BroadcastMessage], None]] = None,
         forward_fn: Optional[Callable[[BroadcastMessage, str], bool]] = None,
         forward_policy: str = "flood",
-        byzantine: Optional[str] = None,
     ) -> AtumNode:
         """Create (but do not yet join) a node actor attached to the network."""
         if address in self.nodes:
@@ -223,7 +223,6 @@ class AtumCluster:
             deliver_fn=deliver_fn,
             forward_fn=forward_fn,
             forward_policy=forward_policy,
-            byzantine=byzantine,
             heartbeat_clock=self.heartbeat_clock,
             antientropy=self.antientropy_config,
         )
@@ -270,8 +269,9 @@ class AtumCluster:
         """
         byzantine_set = set(byzantine)
         for address in addresses:
-            mode = "silent" if address in byzantine_set else None
-            self.add_node(address, byzantine=mode, **node_kwargs)
+            node = self.add_node(address, **node_kwargs)
+            if address in byzantine_set:
+                set_behaviour(node, "silent")
         self.engine.build_static(list(addresses), target_group_size=target_group_size)
 
     def join(self, address: str, contact: Optional[str] = None, **node_kwargs: Any) -> AtumNode:
@@ -424,7 +424,7 @@ class AtumCluster:
         """Crash a node: it stops responding (and heartbeating) but is not yet evicted."""
         node = self.nodes.get(address)
         if node is not None:
-            node.set_behaviour("mute")
+            set_behaviour(node, "crash")
 
     def recover(self, address: str) -> None:
         """Recover a crashed node: it resumes correct behaviour.
@@ -436,14 +436,14 @@ class AtumCluster:
         """
         node = self.nodes.get(address)
         if node is not None:
-            node.set_behaviour(None)
+            set_behaviour(node, None)
 
     def make_byzantine(self, addresses: Iterable[str], mode: str = "silent") -> None:
         """Turn existing nodes into Byzantine nodes with the given behaviour."""
         for address in addresses:
             node = self.nodes.get(address)
             if node is not None:
-                node.set_behaviour(mode)
+                set_behaviour(node, mode)
 
     # ---------------------------------------------------------------- broadcast
 

@@ -24,7 +24,7 @@ Internally the node hosts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -33,18 +33,15 @@ from repro.core.forward import ForwardPlan
 from repro.core.middleware import MiddlewareContext
 from repro.crypto.digest import seal
 from repro.crypto.keys import KeyRegistry
-from repro.faults.plan import RESPONDER_BEHAVIOURS
 from repro.group.antientropy import AntiEntropyConfig, AntiEntropyRepair
 from repro.group.heartbeat import HeartbeatClock, HeartbeatMonitor
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger, NodeBinding
 from repro.group.vgroup import VGroupView
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
-from repro.net.requests import RequestEnvelope
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
 from repro.smr.base import Operation, SmrReplica
-from repro.smr.checkpoint import StateTransferRequest, StateTransferResponse
 from repro.smr.dolev_strong import SyncSmrReplica
 from repro.smr.pbft import PbftReplica
 
@@ -223,26 +220,6 @@ class AtumNode(Actor):
             broadcast to a neighbouring vgroup; ``None`` uses ``forward_policy``.
         forward_policy: One of ``"flood"``, ``"single"``, ``"double"`` or
             ``"random"`` -- the built-in forwarding policies.
-        byzantine: ``None`` for a correct node, ``"silent"`` for a node that
-            stops participating in every protocol except heartbeats,
-            ``"mute"`` for a completely unresponsive node,
-            ``"evict_attack"`` for the paper's §6.1.3 synchronous adversary
-            (heartbeats only, plus eviction proposals against correct peers —
-            the proposals themselves are driven by
-            :class:`repro.faults.behaviours.FaultController`),
-            ``"equivocate"`` for a node that participates in gossip but sends
-            conflicting payload variants of every forwarded group message to
-            disjoint halves of the destination vgroup, or ``"rejoin_attack"``
-            for a member of the adaptive join-leave coalition (silent on the
-            protocol; its strategic leave/re-join schedule is driven by the
-            fault controller).  The responder behaviours (``"stonewall"``,
-            ``"slow_drip"``, ``"garbage_serve"``, ``"stale_cert"``) attack
-            only the state-transfer serving path: the node participates
-            normally everywhere else — crucially it signs checkpoints, so
-            it legitimately enters the certifier rotation recovering
-            replicas fetch state from — and stonewalls, drip-feeds,
-            tampers or stales its transfer responses (see
-            :data:`repro.faults.plan.RESPONDER_BEHAVIOURS`).
         heartbeat_clock: The cluster's heartbeat clock, which ticks the
             node's failure detector once per period; ``None`` runs none.
     """
@@ -258,7 +235,6 @@ class AtumNode(Actor):
         deliver_fn: Optional[Callable[[BroadcastMessage], None]] = None,
         forward_fn: Optional[Callable[[BroadcastMessage, str], bool]] = None,
         forward_policy: str = "flood",
-        byzantine: Optional[str] = None,
         heartbeat_clock: Optional[HeartbeatClock] = None,
         antientropy: Optional[AntiEntropyConfig] = None,
     ) -> None:
@@ -277,7 +253,9 @@ class AtumNode(Actor):
         self._mw_scenario = ""
         self.forward_fn = forward_fn
         self.forward_policy = forward_policy
-        self.byzantine = byzantine
+        # The fault label, ``None`` while the node runs the protocol; the
+        # fault layer's installer writes it.
+        self.byzantine: Optional[str] = None
         registry.generate(address)
 
         self.vgroup_view: Optional[VGroupView] = None
@@ -312,7 +290,8 @@ class AtumNode(Actor):
             )
         # The node's routing table: exact frame type -> handler (a share goes
         # straight to the messenger).  Heartbeats never reach it: the monitor
-        # reads them off the network.
+        # reads them off the network.  A faulty node's behaviour (installed
+        # by repro.faults) swaps in its own table and send methods.
         self._routes: Dict[type, Callable[[Any, str], None]] = {
             GroupMessageEnvelope: self.messenger.handle,
             SmrEnvelope: self._on_smr_envelope,
@@ -375,37 +354,12 @@ class AtumNode(Actor):
                     and previous_view.group_id == view.group_id
                 ),
             )
-        if (
-            self.heartbeats is not None
-            and not self.heartbeats.running
-            and self.byzantine != "mute"
-        ):
-            # A mute (crashed) node's stopped monitor must stay stopped, or
-            # any reconfiguration of its vgroup would resurrect its
-            # heartbeats and hide the crash from the failure detector.
+        if self.heartbeats is not None and not self.heartbeats.running:
             self.heartbeats.start()
         if self.antientropy is not None and not self.antientropy.running:
             # Safe for crashed nodes too: the tick itself is a no-op while
             # the node is not correct and resumes after recovery.
             self.antientropy.start()
-
-    def set_behaviour(self, behaviour: Optional[str]) -> None:
-        """Make the node behave as ``behaviour`` (``None``: correct; see the
-        class docstring) — the one writer of :attr:`byzantine`.
-
-        A mute node is completely unresponsive, heartbeats included: its
-        monitor stops, so its peers see a crash, and it stays stopped until
-        the node takes any other behaviour (a member then resumes
-        heartbeating: every behaviour but mute keeps the monitor).
-        """
-        self.byzantine = behaviour
-        monitor = self.heartbeats
-        if monitor is None:
-            return
-        if behaviour == "mute":
-            monitor.stop()
-        elif self.is_member and not monitor.running:
-            monitor.start()
 
     def clear_membership(self) -> None:
         """Drop membership state after leaving the system."""
@@ -503,42 +457,9 @@ class AtumNode(Actor):
     # ------------------------------------------------------------------ routing
 
     def on_message(self, payload: Any, sender: str) -> None:
-        if self.byzantine is not None and self._byzantine_consumes(payload, sender):
-            return
         handler = self._routes.get(type(payload))
         if handler is not None:
             handler(payload, sender)
-
-    def _byzantine_consumes(self, payload: Any, sender: str) -> bool:
-        """The receive rules of a Byzantine node, in order; True = frame consumed."""
-        behaviour = self.byzantine
-        if behaviour == "mute":
-            return True
-        kind = type(payload)
-        if behaviour in ("silent", "evict_attack", "rejoin_attack"):
-            # A silent Byzantine node keeps its heartbeat monitor (heartbeats
-            # never come through here) but ignores every protocol message.
-            # The evict-attack and rejoin-attack adversaries behave the same
-            # on the receive path; their eviction proposals / strategic
-            # leave-and-re-join schedules are timer-driven by the fault
-            # controller.  A corrupted frame other than a group-message share
-            # still fails transport authentication (and is counted) first.
-            if kind is CorruptedPayload:
-                return type(payload.inner) is GroupMessageEnvelope
-            return True
-        if behaviour in RESPONDER_BEHAVIOURS and kind is SmrEnvelope:
-            inner, view = payload.payload, self.vgroup_view
-            if (
-                type(inner) is RequestEnvelope
-                and inner.kind == "ckpt.transfer"
-                and view is not None
-                and payload.group_id == view.group_id
-            ):
-                # The responder adversary hijacks exactly one protocol
-                # surface: serving its own group's state transfers.
-                self._serve_adversarial_transfer(inner, sender)
-                return True
-        return False
 
     def _on_smr_envelope(self, envelope: SmrEnvelope, sender: str) -> None:
         view = self.vgroup_view
@@ -570,91 +491,9 @@ class AtumNode(Actor):
         return VGroupView.create(f"solo-{self.address}", [self.address])
 
     def _send_smr(self, peers: Sequence[str], payload: Any, size_bytes: int) -> None:
-        if self.byzantine is not None and self.byzantine not in RESPONDER_BEHAVIOURS:
-            # Responder adversaries stay live on the SMR wire — their whole
-            # attack depends on participating (voting, signing checkpoints)
-            # well enough to be selected as a transfer server.
-            return
         view = self.vgroup_view
         envelope = SmrEnvelope(group_id=view.group_id if view else "", payload=payload)
         self.network.send_many(self.address, peers, envelope, size_bytes)
-
-    def _serve_adversarial_transfer(self, envelope: RequestEnvelope, sender: str) -> None:
-        """Serve a state-transfer request in this node's adversarial style.
-
-        All four responder behaviours stay within what a Byzantine server
-        can actually do: none can forge a certificate (2f+1 signatures)
-        or make a tampered body verify, so the attacks are confined to
-        withholding (``stonewall``), timing (``slow_drip``), rejectable
-        garbage (``garbage_serve``) and genuinely old-but-signed answers
-        (``stale_cert``).  The requester's scoreboard + rotation is what
-        bounds the resulting catch-up latency inflation.
-        """
-        replica = self.replica
-        manager = getattr(replica, "checkpoints", None)
-        if manager is None:
-            return
-        metrics = self.sim.metrics
-        behaviour = self.byzantine
-        if behaviour == "stonewall":
-            metrics.increment("faults.transfer_stonewalled")
-            return
-        request = envelope.payload
-        if not isinstance(request, StateTransferRequest):
-            return
-        if behaviour == "slow_drip":
-            response = manager.build_state_response(request, sender)
-            if response is None:
-                return
-            # Reply *correctly* but only just inside the requester's
-            # deadline: no rejectable evidence, maximal waiting.  The
-            # margin absorbs typical network latency; a drip that still
-            # lands late degenerates into a scored timeout.
-            delay = envelope.deadline - self.sim.now - 0.25
-            if delay <= 0.0:
-                metrics.increment("faults.transfer_stonewalled")
-                return
-            metrics.increment("faults.transfer_slow_dripped")
-            self.sim.schedule(
-                delay,
-                lambda: manager.respond_transfer(envelope, response),
-                tag=f"{self.address}:slow-drip",
-            )
-            return
-        if behaviour == "garbage_serve":
-            response = manager.build_state_response(request, sender)
-            if response is None:
-                return
-            # Well-formed but digest-mismatched: every operation body is
-            # wrapped, so the chained state digest cannot reproduce.
-            tampered = replace(
-                response,
-                operations=tuple(
-                    replace(op, body=("garbage", op.body)) for op in response.operations
-                ),
-            )
-            metrics.increment("faults.transfer_garbage_served")
-            manager.respond_transfer(envelope, tampered)
-            return
-        if behaviour == "stale_cert":
-            old = manager.previous_stable
-            if old is None:
-                # Nothing genuinely old to serve yet; withhold instead.
-                metrics.increment("faults.transfer_stonewalled")
-                return
-            operations = (
-                tuple(replica.decided_log[request.have_count : old.seq])
-                if old.seq > request.have_count
-                else ()
-            )
-            stale = StateTransferResponse(
-                epoch=replica.epoch,
-                certificate=old,
-                base_count=request.have_count,
-                operations=operations,
-            )
-            metrics.increment("faults.transfer_stale_served")
-            manager.respond_transfer(envelope, stale)
 
     def _on_smr_decide(self, operation: Operation) -> None:
         if operation.kind == "broadcast" and isinstance(operation.body, BroadcastMessage):
@@ -780,27 +619,6 @@ class AtumNode(Actor):
         ``targets`` whose vgroup still exists, read at send time."""
         messenger = self.messenger
         view_of_group = self.directory.view_of_group
-        if self.byzantine == "equivocate":
-            # An equivocating broadcaster ships a conflicting variant of the
-            # share to half of the destination vgroup.  The forged payload
-            # depends only on the message (not on this node), so colluding
-            # equivocators aggregate into one conflicting digest bucket — the
-            # strongest version of the attack the group-message majority rule
-            # must absorb.
-            message = plan.message
-            forged = replace(message, payload=("equivocated", message.payload))
-            for target in targets:
-                target_view = view_of_group(target)
-                if target_view is not None:
-                    messenger.send_equivocating(
-                        target_view,
-                        "gossip",
-                        message,
-                        forged,
-                        gm_id=plan.gm_prefix + target,
-                        payload_bytes=plan.sizes[True],
-                    )
-            return
         full = messenger.sends_full_copy(self.vgroup_view)
         size = plan.sizes[full]
         send_share, envelopes = messenger.send_share, plan.envelopes

@@ -8,9 +8,10 @@ first-class, composable layer instead of ad-hoc per-experiment code:
   node-behaviour faults);
 * :mod:`repro.faults.injector` — the network-level injector consulted by
   :class:`repro.net.network.Network` per routed message;
+* :mod:`repro.faults.byzantine` — the node behaviours a plan may name, as
+  objects installed on and removed from one node;
 * :mod:`repro.faults.behaviours` — the control plane applying a plan to an
-  :class:`~repro.core.cluster.AtumCluster` (crash-recover, silent,
-  evict-attacking and equivocating nodes);
+  :class:`~repro.core.cluster.AtumCluster`;
 * :mod:`repro.faults.invariants` — the runtime :class:`InvariantMonitor`
   asserting the paper's safety invariants while a scenario runs;
 * :mod:`repro.faults.scenarios` — the plan × workload matrix driver: one

@@ -13,11 +13,10 @@ FaultPlan` into scheduled simulator events against an
   engine, stretching straggler vgroups' operation durations;
 * planned leaves take their nodes out of the system on schedule (a
   node already gone is counted ``faults.plan_leave_skipped``);
-* node faults flip node behaviours on schedule — crash (+ recovery), silent,
-  mute, the §6.1.3 evict-proposing adversary (periodic eviction proposals
-  against correct vgroup peers, driven here because a heartbeat-only node
-  has no protocol activity of its own to hang a timer on), and equivocating
-  broadcasters.
+* node faults install node behaviours (:mod:`repro.faults.byzantine`) on
+  schedule, and drive the two attacks whose nodes are otherwise silent: the
+  §6.1.3 eviction proposals against correct vgroup peers and the join-leave
+  coalition's moves.
 
 All control-plane randomness (victim choice of the eviction attack) comes
 from the ``faults.control`` stream of the simulation's seeded registry.
@@ -222,17 +221,11 @@ class FaultController:
             self._apply_behaviour(active[-1])
 
     def _apply_behaviour(self, node_fault: NodeFault) -> None:
-        cluster = self.cluster
-        behaviour = node_fault.behaviour
-        if behaviour == "crash" or behaviour == "mute":
-            # Both mean "completely unresponsive": byzantine='mute' plus a
-            # stopped heartbeat monitor, so liveness detection can evict the
-            # node.  They differ only in intent (crash windows recover).
-            cluster.crash(node_fault.address)
-            return
-        node = cluster.nodes.get(node_fault.address)
-        if node is not None:
-            node.set_behaviour(behaviour)
+        behaviour, address = node_fault.behaviour, node_fault.address
+        if behaviour == "crash":
+            self.cluster.crash(address)
+        else:
+            self.cluster.make_byzantine((address,), behaviour)
         if behaviour == "evict_attack" and node_fault not in self._attacks_started:
             self._attacks_started.add(node_fault)
             self._schedule_attack(node_fault)

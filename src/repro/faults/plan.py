@@ -10,9 +10,9 @@ run, as data rather than per-experiment driver code:
 * :class:`LinkFault` — a time-windowed per-link perturbation (loss,
   duplication, added delay / jitter spikes, payload corruption) matching a
   sender/receiver pattern (``None`` matches any address);
-* :class:`NodeFault` — a node-behaviour change (crash with optional
-  recovery, silent Byzantine, the paper's §6.1.3 heartbeat-only +
-  evict-proposing adversary, or an equivocating broadcaster).
+* :class:`NodeFault` — a node-behaviour change, one of
+  :data:`~repro.faults.byzantine.NODE_BEHAVIOURS` (crash with optional
+  recovery, silent, evict-proposing, equivocating, ...).
 
 Plans are immutable and validated at construction; they are *applied* by
 :class:`repro.faults.behaviours.FaultController` (full cluster), and a bare
@@ -31,58 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple
 
-#: Node behaviours a :class:`NodeFault` may request.
-#:
-#: * ``"crash"`` — the node stops responding (and heartbeating); with a
-#:   ``stop`` time it recovers (crash-recover).
-#: * ``"silent"`` — keeps heartbeating but ignores every other protocol
-#:   message (the paper's asynchronous adversary).
-#: * ``"mute"`` — completely unresponsive, heartbeats included.
-#: * ``"evict_attack"`` — the §6.1.3 synchronous adversary: heartbeats only,
-#:   plus periodic eviction proposals against correct vgroup peers.
-#: * ``"equivocate"`` — participates in gossip but sends conflicting payload
-#:   variants of each forwarded group message to disjoint halves of the
-#:   destination vgroup.
-#: * ``"rejoin_attack"`` — the paper's adaptive join-leave adversary: the
-#:   coalition strategically leaves and re-joins trying to concentrate its
-#:   members in one vgroup (random-walk placement is what defeats it).
-#:   Protocol-wise the node behaves like ``"silent"`` (heartbeats only);
-#:   the leave/re-join schedule is driven by
-#:   :class:`repro.faults.behaviours.FaultController` at ``attack_period``.
-#:
-#: The four *responder* behaviours attack the recovery path instead of the
-#: dissemination path: the node participates in every protocol normally —
-#: it heartbeats, gossips, votes, signs checkpoints (so it legitimately
-#: enters the certifier rotation recovering replicas fetch state from) —
-#: and misbehaves only when serving a state-transfer request:
-#:
-#: * ``"stonewall"`` — accepts transfer requests and never replies, burning
-#:   one full request-layer timeout per attempt.
-#: * ``"slow_drip"`` — replies *correctly* but just inside the request's
-#:   deadline, maximising latency without ever producing rejectable
-#:   evidence.
-#: * ``"garbage_serve"`` — replies promptly with a well-formed response
-#:   whose operation bodies are tampered: the certified digest check
-#:   rejects it (``smr.checkpoint.rejected_digest_mismatch``).
-#: * ``"stale_cert"`` — serves the *previous* stable certificate: a
-#:   genuinely signed but useless answer (stonewalls when no older
-#:   certificate exists yet).
-NODE_BEHAVIOURS = (
-    "crash",
-    "silent",
-    "mute",
-    "evict_attack",
-    "equivocate",
-    "rejoin_attack",
-    "stonewall",
-    "slow_drip",
-    "garbage_serve",
-    "stale_cert",
-)
-
-#: The subset of :data:`NODE_BEHAVIOURS` that attacks state-transfer
-#: serving while participating normally in every other protocol.
-RESPONDER_BEHAVIOURS = ("stonewall", "slow_drip", "garbage_serve", "stale_cert")
+from repro.faults.byzantine import NODE_BEHAVIOURS, RESPONDER_BEHAVIOURS
 
 
 @dataclass(frozen=True)

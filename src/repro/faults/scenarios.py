@@ -24,9 +24,8 @@ restated (:func:`_nightly_scenarios`).
 
 A fault plan is one line of :data:`PLAN_BUILDERS`, mostly a ``partial`` of
 a mechanism (:func:`_behaviour_plan`, :func:`_plan_byz_transfer`) or a fixed
-set of link faults.  A new node behaviour is its receive rules in
-``AtumNode._byzantine_consumes``, its start in
-``FaultController._apply_behaviour``, one ``PLAN_BUILDERS`` line and one
+set of link faults.  A new node behaviour is one class in
+:mod:`repro.faults.byzantine`, one ``PLAN_BUILDERS`` line and one
 ``SCENARIOS`` row.  What a row's ``theory`` and ``catchup_theory`` columns
 count is read off the plans its runs build (:func:`_plan_facts`).
 

@@ -228,38 +228,6 @@ class GroupMessenger:
         envelope = self.envelope(own_view, target_view.group_id, kind, payload, digest, gm_id)
         self.send_share(target_view.members, envelope, size)
 
-    def send_equivocating(
-        self,
-        target_view: VGroupView,
-        kind: str,
-        payload: Any,
-        forged_payload: Any,
-        gm_id: str,
-        payload_bytes: Optional[int] = None,
-    ) -> None:
-        """Byzantine equivocation: conflicting shares to halves of the target.
-
-        The first half of the destination vgroup receives ``payload``, the
-        second half ``forged_payload`` — same ``gm_id``, different digests.
-        Receivers accumulate the conflicting digest in its own equivocation
-        bucket (see :meth:`handle`), so a Byzantine minority can never push
-        the forged variant past the majority-acceptance rule.  Both shares
-        carry full payloads: an equivocator gains nothing from the digest
-        optimisation and a full forged copy is the stronger attack.
-        """
-        own_view = self.own_view_fn()
-        size = payload_bytes if payload_bytes is not None else PAYLOAD_BYTES
-        members = target_view.members
-        half = len(members) // 2
-        for chunk, chunk_payload in ((members[:half], payload), (members[half:], forged_payload)):
-            if chunk:
-                envelope = self.envelope(
-                    own_view, target_view.group_id, kind, chunk_payload,
-                    digest_object(chunk_payload), gm_id,
-                )
-                self.send_share(chunk, envelope, size)
-        self._metrics_increment("group.equivocations_sent")
-
     # ---------------------------------------------------------------- receiving
 
     def handle(self, envelope: GroupMessageEnvelope, sender: str) -> None:

@@ -255,22 +255,22 @@ METRICS = {
     },
     'faults.transfer_garbage_served': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py',),
+        "modules": ('repro/faults/byzantine.py',),
         "matrix_column": False,
     },
     'faults.transfer_slow_dripped': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py',),
+        "modules": ('repro/faults/byzantine.py',),
         "matrix_column": False,
     },
     'faults.transfer_stale_served': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py',),
+        "modules": ('repro/faults/byzantine.py',),
         "matrix_column": False,
     },
     'faults.transfer_stonewalled': {
         "kind": 'counter',
-        "modules": ('repro/core/node.py',),
+        "modules": ('repro/faults/byzantine.py',),
         "matrix_column": False,
     },
     'group.corrupted_shares_dropped': {
@@ -280,7 +280,7 @@ METRICS = {
     },
     'group.equivocations_sent': {
         "kind": 'counter',
-        "modules": ('repro/group/messages.py',),
+        "modules": ('repro/faults/byzantine.py',),
         "matrix_column": False,
     },
     'group.evictions_proposed': {

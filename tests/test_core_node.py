@@ -164,14 +164,14 @@ class TestRouting:
         cluster = built_cluster()
         received = []
         cluster.node("n2").register_direct_handler("ping", lambda p, s: received.append(p))
-        cluster.node("n2").byzantine = "mute"
+        cluster.crash("n2")
         cluster.node("n0").send_direct("n2", "ping", "x")
         cluster.run(until=5.0)
         assert received == []
 
     def test_silent_node_does_not_deliver_broadcasts(self):
         cluster = built_cluster(seed=2)
-        cluster.node("n5").byzantine = "silent"
+        cluster.make_byzantine(["n5"])
         bcast = cluster.broadcast("n0", "msg")
         cluster.run(until=60.0)
         assert not cluster.node("n5").has_delivered(bcast)

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.cluster import AtumCluster
-from repro.core.config import AtumParameters
+from repro.core.config import AtumParameters, SmrKind
 from repro.core.middleware import MiddlewareChain, MiddlewareError
-from repro.core.node import BroadcastMessage
+from repro.core.node import AtumNode, BroadcastMessage, SmrEnvelope
 from repro.crypto.digest import digest_object
 from repro.faults import (
+    NODE_BEHAVIOURS,
     FaultPlan,
     InvariantMonitor,
     LinkFault,
@@ -21,6 +22,7 @@ from repro.faults import (
     apply_plan,
     check_agreement_logs,
 )
+from repro.faults.byzantine import RESPONDER_BEHAVIOURS, Equivocate, send_equivocating
 from repro.faults.scenarios import (
     HEARTBEAT_PERIOD,
     PLAN_BUILDERS,
@@ -39,8 +41,10 @@ from repro.group.vgroup import VGroupView
 from repro.net.latency import FixedLatency
 from repro.net.message import CorruptedPayload
 from repro.net.network import Network
+from repro.net.requests import RequestEnvelope
 from repro.sim.actor import Actor
 from repro.sim.simulator import Simulator
+from repro.smr.checkpoint import StateTransferRequest
 from repro.smr.harness import ReplicaGroupHarness
 from repro.workloads.byzantine import select_byzantine_per_group
 
@@ -636,6 +640,71 @@ class TestNodeBehaviours:
         cluster.run(until=55.0)
         assert cluster.nodes["n1"].byzantine is None
 
+    @pytest.mark.parametrize("behaviour", NODE_BEHAVIOURS)
+    def test_recovery_takes_back_every_override(self, behaviour):
+        # A behaviour lives in instance attributes of the node, its replica
+        # and its monitor; recovery leaves the node as it was built.
+        cluster = AtumCluster(
+            small_params(heartbeat_period=2.0), seed=43, enable_heartbeats=True
+        )
+        cluster.build_static([f"n{i}" for i in range(8)])
+        node, control = cluster.nodes["n1"], cluster.nodes["n2"]
+        routes, attributes = dict(node._routes), set(vars(node))
+        cluster.make_byzantine(["n1"], behaviour)
+        assert node.byzantine == ("mute" if behaviour == "crash" else behaviour)
+        # Only the responders keep sending SMR frames (they sign checkpoints),
+        # and only an equivocator changes what its shares say.
+        responder = behaviour in RESPONDER_BEHAVIOURS
+        assert ("_send_smr" in vars(node)) is not responder
+        assert ("_send_shares" in vars(node)) is (behaviour == "equivocate")
+        assert node.replica.send_fn == node._send_smr
+        assert list(node._routes) == {
+            "crash": [], "mute": [], "silent": [CorruptedPayload],
+            "evict_attack": [CorruptedPayload], "rejoin_attack": [CorruptedPayload],
+        }.get(behaviour, list(routes))
+        cluster.run(until=3.0)
+        cluster.recover("n1")
+        assert node.byzantine is None
+        assert set(vars(node)) == attributes == set(vars(control))
+        assert node._routes == routes
+        assert [(kind, h.__func__) for kind, h in node._routes.items()] == [
+            (kind, h.__func__) for kind, h in control._routes.items()
+        ]
+        assert node.replica.send_fn == node._send_smr
+        assert node.replica.send_fn.__func__ is AtumNode._send_smr
+        assert "start" not in vars(node.heartbeats)
+        assert node.heartbeats.running and control.heartbeats.running
+
+    def test_crash_window_inside_equivocate_puts_its_overrides_back(self):
+        cluster = build_cluster(seed=45, nodes=16)
+        plan = FaultPlan(
+            nodes=(
+                NodeFault(address="n1", behaviour="equivocate"),
+                NodeFault(address="n1", behaviour="crash", start=5.0, stop=10.0),
+            )
+        )
+        apply_plan(cluster, plan)
+        node, control = cluster.nodes["n1"], cluster.nodes["n2"]
+        cluster.run(until=8.0)
+        assert node.byzantine == "mute" and node._routes == {}
+        assert "_send_shares" not in vars(node)
+        cluster.run(until=20.0)
+        assert node.byzantine == "equivocate"
+        assert isinstance(node._send_shares.__self__, Equivocate)
+        assert node.replica.send_fn is vars(node)["_send_smr"]
+        assert list(node._routes) == list(control._routes)
+
+    def test_a_replica_made_in_a_fault_window_sends_as_the_behaviour(self):
+        cluster = build_cluster(seed=47, nodes=16)
+        node = cluster.add_node("late")
+        cluster.make_byzantine(["late"], "silent")
+        cluster.engine.join("late", contact_node="n0")
+        cluster.run_until_membership_quiescent(max_time=600.0)
+        assert node.is_member
+        assert node.replica.send_fn is vars(node)["_send_smr"]
+        cluster.recover("late")
+        assert node.replica.send_fn.__func__ is AtumNode._send_smr
+
     def test_mute_node_stops_heartbeating_and_is_evicted(self):
         # "mute" means completely unresponsive, heartbeats included: the
         # node's monitor must stop so its vgroup peers eventually evict it.
@@ -736,9 +805,7 @@ class TestEquivocation:
         sim, view_b, nodes = self._group_pair()
         nodes["a0"].messenger.send(view_b, "k", "honest", gm_id="gm1")
         nodes["a1"].messenger.send(view_b, "k", "honest", gm_id="gm1")
-        nodes["a2"].messenger.send_equivocating(
-            view_b, "k", "honest", "forged", gm_id="gm1"
-        )
+        send_equivocating(nodes["a2"].messenger, view_b, "k", "honest", "forged", gm_id="gm1")
         sim.run()
         for address in ("b0", "b1", "b2"):
             accepted = nodes[address].accepted
@@ -1223,6 +1290,32 @@ class TestAdversarialRecovery:
             assert row["catchup_bound_met"]
             assert row["catchup_latency_max"] is not None
             assert row["catchup_latency_max"] <= SCENARIOS[name].catchup_bound
+
+    def test_a_stale_cert_server_serves_the_previous_certificate(self):
+        # No matrix row gives a member stale_cert; here one serves a request
+        # by hand once its vgroup has two stable checkpoints.
+        params = AtumParameters(
+            hc=2, rwl=4, gmin=5, gmax=26, smr_kind=SmrKind.ASYNC, checkpoint_interval=4
+        )
+        cluster = AtumCluster(params, seed=3)
+        cluster.build_static([f"n{i}" for i in range(6)])
+        for index in range(12):
+            cluster.broadcast("n0", index)
+            cluster.run(until=cluster.sim.now + 3.0)
+        node = cluster.nodes["n1"]
+        replica, manager = node.replica, node.replica.checkpoints
+        old = manager.previous_stable
+        assert old is not None and old.seq < manager.stable.seq
+        served = []
+        manager.respond_transfer = lambda envelope, response: served.append(response)
+        cluster.make_byzantine(["n1"], "stale_cert")
+        request = StateTransferRequest(epoch=replica.epoch, have_count=1)
+        envelope = RequestEnvelope("r1", "ckpt.transfer", request, "n2", cluster.sim.now + 5.0)
+        node.on_message(SmrEnvelope(node.group_id(), envelope), "n2")
+        [response] = served
+        assert response.certificate is old and response.base_count == 1
+        assert response.operations == tuple(replica.decided_log[1 : old.seq])
+        assert cluster.sim.metrics.counter("faults.transfer_stale_served") == 1
 
     def test_matrix_catchup_columns_cover_every_catchup_of_every_seed(self):
         # The matrix's mean is over all catch-ups of both runs, not a mean

@@ -10,6 +10,7 @@ import pytest
 
 from repro.crypto.digest import digest_object
 from repro.crypto.keys import KeyRegistry
+from repro.faults.byzantine import send_equivocating
 from repro.group import (
     GroupCostModel,
     GroupMessenger,
@@ -157,9 +158,13 @@ class TestGroupMessages:
         sim = Simulator()
         network = Network(sim, latency_model=FixedLatency(0.001))
         group_a, group_b, hosts = _make_two_groups(sim, network)
-        payloads = ("x",) if method == "send" else ("x", "y")
+        messenger = hosts["a0"].messenger
+        if method == "send":
+            send, payloads = messenger.send, ("x",)
+        else:
+            send, payloads = partial(send_equivocating, messenger), ("x", "y")
         with pytest.raises(TypeError):
-            getattr(hosts["a0"].messenger, method)(group_b, "gossip", *payloads)
+            send(group_b, "gossip", *payloads)
 
     def test_shares_under_per_member_ids_never_reach_a_majority(self):
         # Why the id must be derived from the decided operation: an id built

@@ -200,7 +200,7 @@ class TestRejoinAfterEviction:
         cluster.run_until_membership_quiescent(max_time=600.0)
         assert cluster.system_size == 11
         # The node recovers and rejoins through a contact node (section 5.1).
-        cluster.node("n3").byzantine = None
+        cluster.recover("n3")
         cluster.join("n3", contact="n0")
         cluster.run_until_membership_quiescent(max_time=600.0)
         assert cluster.system_size == 12

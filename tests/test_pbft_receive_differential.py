@@ -31,7 +31,8 @@ from repro.crypto.certificates import CertificateChain, WalkCertificate
 from repro.crypto import digest as digest_module
 from repro.crypto.digest import canonical_encode, seal
 from repro.crypto.keys import Signature
-from repro.faults.plan import RESPONDER_BEHAVIOURS
+from repro.faults.byzantine import Responder, set_behaviour
+from repro.faults.plan import NODE_BEHAVIOURS, RESPONDER_BEHAVIOURS
 from repro.group.heartbeat import Heartbeat
 from repro.group.messages import GroupMessageEnvelope, GroupMessenger
 from repro.net.message import CorruptedPayload
@@ -212,8 +213,11 @@ def node_calls(monkeypatch):
         GroupMessenger, "handle_corrupted", recorder(calls, "messenger.handle_corrupted")
     )
     monkeypatch.setattr(PbftReplica, "on_message", recorder(calls, "replica.on_message"))
+    monkeypatch.setattr(Responder, "serve", recorder(calls, "adversarial_transfer"))
+    # The oracle's serve call, which the node no longer has.
     monkeypatch.setattr(
-        AtumNode, "_serve_adversarial_transfer", recorder(calls, "adversarial_transfer")
+        AtumNode, "_serve_adversarial_transfer", recorder(calls, "adversarial_transfer"),
+        raising=False,
     )
     return calls
 
@@ -246,12 +250,11 @@ def test_node_table_reaches_the_sink_the_isinstance_chain_reached(node_calls, he
     node.register_direct_handler("ping", lambda payload, sender: node_calls.append(("ping", payload)))
     discarded = lambda: cluster.sim.metrics.counter("net.corrupted_discarded")
     frames = node_frames(node.vgroup_view.group_id)
-    behaviours = (None, "mute", "silent", "evict_attack", "rejoin_attack", "equivocate")
     reached = set()
 
     def compare():
-        for behaviour in behaviours + RESPONDER_BEHAVIOURS:
-            node.byzantine = behaviour
+        for behaviour in (None,) + NODE_BEHAVIOURS:
+            set_behaviour(node, behaviour)
             for frame in frames:
                 before = discarded()
                 legacy_node_on_message(node, frame, "n1")
@@ -262,6 +265,7 @@ def test_node_table_reaches_the_sink_the_isinstance_chain_reached(node_calls, he
                 assert (node_calls, discarded() - before) == expected, (behaviour, frame)
                 reached.update(name for name, _ in node_calls)
                 node_calls.clear()
+        set_behaviour(node, None)
 
     compare()
     assert reached == {
